@@ -162,6 +162,10 @@ class Cad:
             self.history: tuple[CellIndex, ...] = ()
             self._sample_cache: dict[CellIndex, Point] = {}
             self._point_cache: dict[tuple[CellIndex, int], list[TaggedPoint]] = {}
+            # Order verdicts by (root cell, section letters, precision); see
+            # ``sections_ordered``.  At most one entry per root cell and
+            # subset of its stack, for each precision in use.
+            self._order_cache: dict[tuple[CellIndex, tuple[int, ...], Fraction], bool] = {}
         else:
             assert counts is not None and cellmap is not None
             self.root = root
@@ -208,14 +212,21 @@ class Cad:
 
     # -- geometry ----------------------------------------------------------
 
-    def section_piece(self, cell: CellIndex, slot: int, root_parent: CellIndex) -> Expr:
-        """The root stack function realizing section ``slot`` of the stack
-        above ``cell``, over the given root cell of ``cell``."""
+    def section_letter(self, cell: CellIndex, slot: int, root_parent: CellIndex) -> int:
+        """The letter, in the root stack above the given root cell of
+        ``cell``, of the root section realizing section ``slot`` above
+        ``cell`` there."""
         section = cell + (2 * slot,)
         for q in self.root_cells(section):
             if q[:-1] == root_parent:
-                return self.root.stacks[root_parent].functions[q[-1] // 2 - 1]
+                return q[-1]
         raise KeyError(f"no piece of section {section} over root cell {root_parent}")
+
+    def section_piece(self, cell: CellIndex, slot: int, root_parent: CellIndex) -> Expr:
+        """The root stack function realizing section ``slot`` of the stack
+        above ``cell``, over the given root cell of ``cell``."""
+        letter = self.section_letter(cell, slot, root_parent)
+        return self.root.stacks[root_parent].functions[letter // 2 - 1]
 
     def section_pieces(self, cell: CellIndex, slot: int) -> list[tuple[CellIndex, Expr]]:
         """All (root parent cell, expression) pieces of one stack function."""
@@ -272,6 +283,38 @@ class Cad:
             points = [override] + [p for p in points if p != override]
             points = points[:max(count, 1)]
         return [(p, cell) for p in points]
+
+    def sections_ordered(self, tag: CellIndex, letters: tuple[int, ...], precision: Fraction) -> bool:
+        """Whether the root sections with these letters above the root cell
+        ``tag`` are strictly increasing at the cell's sample.
+
+        A guard that cannot be decided or an order that cannot be decided
+        counts as not ordered.  The root is immutable, so the verdict is a
+        function of the arguments and is computed once per root.
+        """
+        root = self.root
+        key = (tag, letters, precision)
+        verdict = root._order_cache.get(key)
+        if verdict is None:
+            verdict = root._order_cache[key] = root._sections_ordered(tag, letters, precision)
+        return verdict
+
+    def _sections_ordered(self, tag: CellIndex, letters: tuple[int, ...], precision: Fraction) -> bool:
+        point = self.cell_points(tag, 1)[0][0]
+        functions = self.stacks[tag].functions
+        values = []
+        for letter in letters:
+            try:
+                values.append(eval_coord(functions[letter // 2 - 1], point, precision))
+            except (GuardUndecidable, KeyError):
+                return False
+        for a, b in zip(values, values[1:]):
+            try:
+                if compare_coords(a, b, precision) >= 0:
+                    return False
+            except UnknownOrder:
+                return False
+        return True
 
     # -- partitions --------------------------------------------------------
 

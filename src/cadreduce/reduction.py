@@ -41,7 +41,7 @@ from cadreduce.expr import (
     coord_shift,
     eval_coord,
 )
-from cadreduce.tree import CadTree, applicable_pivots, apply_merge, prefix, relabel_index
+from cadreduce.tree import CadTree, applicable_pivots, apply_merge, is_applicable, prefix, relabel_index
 
 DEFAULT_TOLERANCE = Fraction(1, 2**20)
 
@@ -86,7 +86,7 @@ def try_lift(
     labels), or None when the merge cannot be verified to be a CAD.
     """
     tree = _tree_of(cad, labels)
-    if pivot not in applicable_pivots(tree):
+    if not is_applicable(tree, pivot):
         raise RuleNotApplicable(f"pivot {word_of(pivot)} is not applicable")
     if not _lift_allowed(cad, pivot, cfg):
         return None
@@ -294,21 +294,23 @@ def _positive_gap(y0, bound, direction, cfg: LiftConfig) -> Fraction:
 
 
 def _merged_stack_ordered(cad: Cad, triple, u: int, cfg: LiftConfig) -> bool:
-    """Strict ordering of the glued stack at the member cells' samples."""
+    """Strict ordering of the glued stack at the member cells' samples.
+
+    The sample of a member cell is the first probe of its first root cell
+    ``tag``, and there the section in each slot is the root section over
+    ``tag`` whose letter the glued stack selects.  The verdict therefore
+    depends on ``tag``, those letters and the precision only, all of them
+    data of the immutable root, and ``Cad.sections_ordered`` keeps it per
+    exactly that key.
+    """
     for cell in triple:
-        for point, tag in cad.cell_points(cell, 1):
-            values = []
-            for slot in range(1, u + 1):
-                try:
-                    values.append(eval_coord(cad.section_piece(cell, slot, tag), point, cfg.precision))
-                except (GuardUndecidable, KeyError):
-                    return False
-            for a, b in zip(values, values[1:]):
-                try:
-                    if compare_coords(a, b, cfg.precision) >= 0:
-                        return False
-                except UnknownOrder:
-                    return False
+        for _point, tag in cad.cell_points(cell, 1):
+            try:
+                letters = tuple(cad.section_letter(cell, slot, tag) for slot in range(1, u + 1))
+            except KeyError:
+                return False
+            if not cad.sections_ordered(tag, letters, cfg.precision):
+                return False
     return True
 
 
@@ -356,24 +358,9 @@ def reduction_reachable(
     """Whether a chain of liftable merges from ``start`` reaches ``target``
     (reflexively), comparing canonical partitions of the shared root."""
     from cadreduce.cadmodel import coarsening_blocks
+    from cadreduce.poset import explore  # poset imports this module
 
-    root = start.root
-    target_blocks = coarsening_blocks(target, root, cfg.precision)
-    seen = set()
-    queue = [(start, start_labels)]
-    while queue:
-        node, node_labels = queue.pop(0)
-        blocks = node.partition_blocks()
-        if blocks in seen:
-            continue
-        seen.add(blocks)
-        if blocks == target_blocks:
-            return True
-        for pivot in sorted(applicable_pivots(_tree_of(node, node_labels)), key=cfg.pivot_key()):
-            res = try_lift(node, node_labels, pivot, cfg)
-            if res is not None:
-                queue.append(res)
-    return False
+    return coarsening_blocks(target, start.root, cfg.precision) in explore(start, start_labels, cfg).nodes
 
 
 # ---------------------------------------------------------------------------

@@ -121,25 +121,33 @@ def relabel_index(pivot: CellIndex, index: CellIndex) -> CellIndex:
     return index
 
 
+def is_applicable(tree: CadTree, pivot: CellIndex) -> bool:
+    """The merge condition at one node: ``pivot`` is a section node of the
+    tree (each letter names one of its parent's 2u+1 children, the last
+    letter is even) and its two flanking siblings carry the same recursive
+    label as it does."""
+    if not pivot or len(pivot) > tree.depth or pivot[-1] % 2 != 0:
+        return False
+    for k, letter in enumerate(pivot):
+        if not 1 <= letter <= 2 * tree.counts[pivot[:k]] + 1:
+            return False
+    return tree.label(_sibling(pivot, -1)) == tree.label(pivot) == tree.label(_sibling(pivot, +1))
+
+
 def applicable_pivots(tree: CadTree) -> set[CellIndex]:
-    """All even nodes whose two flanking siblings carry the same recursive
-    label as the node itself (the merge condition)."""
-    out: set[CellIndex] = set()
-    for k in range(1, tree.depth + 1):
-        for parent in tree.level(k - 1):
-            u = tree.counts[parent]
-            for j in range(1, u + 1):
-                pivot = parent + (2 * j,)
-                lo = parent + (2 * j - 1,)
-                hi = parent + (2 * j + 1,)
-                if tree.label(lo) == tree.label(pivot) == tree.label(hi):
-                    out.add(pivot)
-    return out
+    """All nodes that satisfy the merge condition (see ``is_applicable``)."""
+    return {
+        parent + (2 * j,)
+        for k in range(tree.depth)
+        for parent in tree.level(k)
+        for j in range(1, tree.counts[parent] + 1)
+        if is_applicable(tree, parent + (2 * j,))
+    }
 
 
 def apply_merge(tree: CadTree, pivot: CellIndex) -> CadTree:
     """The reduced tree after merging at an applicable pivot."""
-    if pivot not in applicable_pivots(tree):
+    if not is_applicable(tree, pivot):
         raise RuleNotApplicable(f"pivot {pivot} does not satisfy the merge condition")
     k = len(pivot)
     parent = pivot[:-1]

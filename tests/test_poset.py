@@ -7,6 +7,8 @@ from cadreduce.errors import SectionsCross
 from cadreduce.expr import parse_expr
 from cadreduce.gallery import (
     disk_c,
+    gallery_names,
+    load_entry,
     disk_cp,
     disk_cpp,
     trousers_c,
@@ -15,6 +17,7 @@ from cadreduce.gallery import (
     ushape_cp,
 )
 from cadreduce.poset import (
+    PosetGraph,
     common_refinement,
     count_strict_coarsenings,
     explore,
@@ -189,3 +192,46 @@ def test_dedup_keeps_one_history_per_partition():
     for key, node in graph.nodes.items():
         assert node.blocks == key
         assert len(node.history) <= 4
+
+
+def brute_force_minimum(graph):
+    """The unique sink, provided every node reaches it by ``descendants``."""
+    sinks = [key for key in graph.nodes if not graph.successors(key)]
+    if len(sinks) != 1:
+        return None
+    if all(sinks[0] in graph.descendants(key) for key in graph.nodes):
+        return sinks[0]
+    return None
+
+
+def oracle_posets():
+    for name in gallery_names():
+        entry = load_entry(name)
+        yield name, explore(entry.cad, entry.labels, CFG)
+    cpp = disk_cpp()
+    yield "disk-Cpp in R^4", explore(*extend_cylinder(cpp.cad, cpp.labels, 4), CFG)
+
+
+def test_sink_count_answers_match_definitional_oracles():
+    sink_counts = set()
+    for name, graph in oracle_posets():
+        report = poset_report(graph)
+        local, global_ = is_locally_confluent(graph), is_globally_confluent(graph)
+        assert report["confluent"] == local == global_, name
+        assert minimum_element(graph) == brute_force_minimum(graph), name
+        sink_counts.add(len(minimal_elements(graph)))
+    assert sink_counts == {1, 2}
+
+
+def test_poset_report_walks_no_edges(monkeypatch):
+    entry = disk_cpp()
+    trousers = load_entry("trousers-Cbar")
+    graphs = [explore(entry.cad, entry.labels, CFG), explore(trousers.cad, trousers.labels, CFG)]
+    reports = [poset_report(g) for g in graphs]
+
+    def walked(self, key):
+        raise AssertionError("poset_report walked the graph")
+
+    monkeypatch.setattr(PosetGraph, "successors", walked)
+    monkeypatch.setattr(PosetGraph, "descendants", walked)
+    assert [poset_report(g) for g in graphs] == reports

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from cadreduce.cadmodel import check_adapted, coarsening_blocks, refines, validate_cad
+from cadreduce.cadmodel import Cad, SectionStack, check_adapted, coarsening_blocks, refines, validate_cad
 from cadreduce.errors import RuleNotApplicable, SectionOutOfRange
 from cadreduce.expr import parse_expr
 from cadreduce.gallery import disk_c, disk_cp, disk_cpp, trousers_c, trousers_cp, ushape_c, ushape_cp
+from cadreduce.poset import explore
 from cadreduce.reduction import (
     LiftConfig,
     insert_section,
@@ -54,8 +55,29 @@ def test_ushape_merges_do_not_lift():
 
 def test_try_lift_requires_applicable_pivot():
     entry = disk_cp()
-    with pytest.raises(RuleNotApplicable):
-        try_lift(entry.cad, entry.labels, (2,), CFG)
+    # Unequal labels, odd, out of range, deeper than the leaves, empty.
+    for pivot in ((2,), (3,), (0,), (8,), (4, 2, 2), ()):
+        with pytest.raises(RuleNotApplicable):
+            try_lift(entry.cad, entry.labels, pivot, CFG)
+
+
+def test_disordered_glued_stack_is_rejected_cold_and_warm():
+    # Base stack [0]; over each of the cells 1, 2, 3 the stack [1, 0], which
+    # is not ordered.  The sections glue continuously at pivot 2, so only
+    # the order check rejects that merge.
+    zero, one = parse_expr("0"), parse_expr("1")
+    stacks = {(): SectionStack((zero,))}
+    stacks.update({(i,): SectionStack((one, zero)) for i in (1, 2, 3)})
+    cad = Cad(2, stacks)
+    labels = {leaf: 0 for leaf in cad.leaves()}
+    assert not validate_cad(cad).ok
+    assert try_lift(cad, labels, (2,), CFG) is None
+    graph = explore(cad, labels, CFG)
+    # Below the root, leaf merges leave one section per stack; glued at 2,
+    # such a stack is ordered and the merge lifts.  Its verdict is kept apart
+    # from the root's.
+    assert any(pivot == (2,) for _s, pivot, _d in graph.edges)
+    assert try_lift(cad, labels, (2,), CFG) is None
 
 
 def test_leaf_level_merge_always_lifts():

@@ -9,6 +9,7 @@ from cadreduce.tree import (
     applicable_pivots,
     apply_merge,
     build_tree,
+    is_applicable,
     prefix,
     relabel_index,
     tree_to_dot,
@@ -142,7 +143,23 @@ def test_applicable_pivots_matches_brute_force():
     rng = random.Random(7)
     for _ in range(150):
         t = random_tree(rng, rng.randint(1, 3))
-        assert applicable_pivots(t) == brute_force_pivots(t)
+        pivots = applicable_pivots(t)
+        assert pivots == brute_force_pivots(t)
+        for node in t.nodes():
+            assert is_applicable(t, node) == (node in pivots)
+        parent = max(t.level(t.depth - 1))
+        # Odd, out of range (past the parent's sections, or a letter below 1),
+        # deeper than the leaves, and the empty word.
+        for pivot in (
+            parent + (1,),
+            parent + (2 * t.counts[parent] + 2,),
+            parent + (0,),
+            max(t.leaves()) + (2,),
+            (),
+        ):
+            assert not is_applicable(t, pivot)
+            with pytest.raises(RuleNotApplicable):
+                apply_merge(t, pivot)
 
 
 def test_apply_merge_preserves_invariants_and_shrinks():
