@@ -15,7 +15,6 @@ from cadreduce.errors import (
     RuleNotApplicable,
     SectionOutOfRange,
     SectionsCross,
-    UnknownEvidence,
     UnknownOrder,
     ValidationFailed,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "RuleNotApplicable",
     "SectionOutOfRange",
     "SectionsCross",
-    "UnknownEvidence",
     "UnknownOrder",
     "ValidationFailed",
 ]

@@ -60,10 +60,6 @@ def parse_word(word: str) -> CellIndex:
     return letters
 
 
-def is_section(index: CellIndex) -> bool:
-    return bool(index) and index[-1] % 2 == 0
-
-
 @dataclass(frozen=True)
 class SectionStack:
     """The ordered section functions slicing the cylinder above one cell."""

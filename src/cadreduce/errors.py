@@ -51,10 +51,6 @@ class UnknownOrder(CadError):
     """Interval comparison of two section values was inconclusive."""
 
 
-class UnknownEvidence(CadError):
-    """Equality/continuity evidence was inconclusive and the mode forbids acceptance."""
-
-
 class NotComparableRepresentation(CadError):
     """A CAD could not be represented as a coarsening of the requested root."""
 

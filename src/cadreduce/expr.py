@@ -13,7 +13,6 @@ and define the semi-algebraic sets that CADs are adapted to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -163,6 +162,27 @@ def max_var_index(e: Expr | Formula) -> int:
     if isinstance(e, (And, Or)):
         return max((max_var_index(a) for a in e.args), default=0)
     raise TypeError(f"unknown node {e!r}")
+
+
+def is_piecewise(e: Expr) -> bool:
+    return isinstance(e, Piecewise)
+
+
+def any_node(e: Expr, pred) -> bool:
+    """Whether ``pred`` holds at some node of ``e``.
+
+    The walk descends through the arithmetic nodes; a ``Piecewise`` is a
+    single node whose guards and branches are not entered.
+    """
+    if pred(e):
+        return True
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return any_node(e.left, pred) or any_node(e.right, pred)
+    if isinstance(e, (Neg, Sqrt)):
+        return any_node(e.arg, pred)
+    if isinstance(e, Pow):
+        return any_node(e.base, pred)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +506,14 @@ def _pair_mul(a: _Pair, b: _Pair) -> _Pair:
 
 
 def _pair_div(a: _Pair, b: _Pair) -> _Pair:
-    # Value: (a.num * b.den) / (a.den * b.num).  The extra b.den factor in the
-    # denominator keeps the domain of definition identical to the original
-    # expression (defined iff a.den != 0, b.den != 0 and b.num != 0).
+    # Value: (a.num * b.den) / (a.den * b.num).  Both sides carry one more
+    # b.den factor, which keeps the domain of definition identical to the
+    # original expression (defined iff a.den != 0, b.den != 0 and b.num != 0).
     if not b.num:
         raise DivisionByZero("division by an expression that is identically zero")
+    num = _pmul(_pmul(a.num, b.den), b.den)
     den = _pmul(_pmul(a.den, b.num), b.den)
-    return _Pair(_pmul(a.num, b.den), den)
+    return _Pair(num, den)
 
 
 _atom_registry: dict[GenKey, Expr] = {}
@@ -526,6 +547,9 @@ def _to_pair(e: Expr) -> _Pair:
         return _Pair(_pneg(p.num), p.den)
     if isinstance(e, Pow):
         p = _to_pair(e.base)
+        if e.exponent == 0:
+            # The value is 1 wherever the base is defined, and undefined at its poles.
+            return _Pair(p.den, p.den)
         return _Pair(_ppow(p.num, e.exponent), _ppow(p.den, e.exponent))
     if isinstance(e, Sqrt):
         inner = canonicalize(e.arg)
@@ -603,7 +627,15 @@ def _render_poly(p: Poly) -> Expr:
 
 @lru_cache(maxsize=None)
 def canonicalize(e: Expr) -> Expr:
-    """Expanded normal form; idempotent; no cancellation across poles."""
+    """Expanded normal form ``num`` or ``(div num den)``; idempotent.
+
+    Nothing cancels across poles: the denominator is the product of every
+    denominator met, so where the arithmetic of ``e`` is defined the normal
+    form is defined and has the same value, and it divides by zero exactly
+    where ``e`` does.  Square roots, piecewise definitions and irrational
+    constants are opaque generators (their arguments in normal form), whose
+    own domains are not tracked.
+    """
     pair = _normalize_pair(_to_pair(e))
     num = _render_poly(pair.num)
     if pair.den == _ONE_POLY:
@@ -671,90 +703,24 @@ VarMonomial = tuple[tuple[int, int], ...]  # ((var index, exponent), ...) sorted
 VarPoly = dict[VarMonomial, Fraction]
 
 
+def _is_atom(e: Expr) -> bool:
+    return isinstance(e, (Sqrt, Piecewise)) or (isinstance(e, AlgebraicConst) and not e.value.is_rational)
+
+
 @lru_cache(maxsize=None)
 def to_polynomial(e: Expr) -> "VarPoly | None":
     """The expression as a polynomial in x1..xn, or None if it is not one.
 
-    Division is only admitted by nonzero constants.
+    This is the numerator of the normal form when ``e`` has no square root,
+    piecewise definition or irrational constant, and its denominator is 1,
+    so division is only admitted by nonzero constants.
     """
-
-    def go(e: Expr) -> VarPoly | None:
-        if isinstance(e, Const):
-            return {(): e.value} if e.value else {}
-        if isinstance(e, AlgebraicConst):
-            if e.value.is_rational:
-                v = e.value.rational_value
-                return {(): v} if v else {}
-            return None
-        if isinstance(e, Var):
-            return {((e.index, 1),): Fraction(1)}
-        if isinstance(e, (Add, Sub)):
-            a, b = go(e.left), go(e.right)
-            if a is None or b is None:
-                return None
-            out = dict(a)
-            for m, c in b.items():
-                s = out.get(m, Fraction(0)) + (c if isinstance(e, Add) else -c)
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-            return out
-        if isinstance(e, Mul):
-            a, b = go(e.left), go(e.right)
-            if a is None or b is None:
-                return None
-            out: VarPoly = {}
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    exps: dict[int, int] = {}
-                    for i, k in m1:
-                        exps[i] = exps.get(i, 0) + k
-                    for i, k in m2:
-                        exps[i] = exps.get(i, 0) + k
-                    m = tuple(sorted(exps.items()))
-                    s = out.get(m, Fraction(0)) + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
-            return out
-        if isinstance(e, Div):
-            a, b = go(e.left), go(e.right)
-            if a is None or b is None or list(b) not in ([], [()]):
-                return None
-            if not b:
-                raise DivisionByZero("division by zero constant")
-            c = b[()]
-            return {m: v / c for m, v in a.items()}
-        if isinstance(e, Neg):
-            a = go(e.arg)
-            return None if a is None else {m: -c for m, c in a.items()}
-        if isinstance(e, Pow):
-            a = go(e.base)
-            if a is None:
-                return None
-            out: VarPoly = {(): Fraction(1)}
-            for _ in range(e.exponent):
-                nxt: VarPoly = {}
-                for m1, c1 in out.items():
-                    for m2, c2 in a.items():
-                        exps = {}
-                        for i, k in m1:
-                            exps[i] = exps.get(i, 0) + k
-                        for i, k in m2:
-                            exps[i] = exps.get(i, 0) + k
-                        m = tuple(sorted(exps.items()))
-                        s = nxt.get(m, Fraction(0)) + c1 * c2
-                        if s:
-                            nxt[m] = s
-                        else:
-                            nxt.pop(m, None)
-                out = nxt
-            return out
+    if any_node(e, _is_atom):
         return None
-
-    return go(e)
+    pair = _normalize_pair(_to_pair(e))
+    if pair.den != _ONE_POLY:
+        return None
+    return {tuple((idx, k) for (_, idx, _), k in mon): c for mon, c in pair.num.items()}
 
 
 def substitute_rationals(p: VarPoly, values: dict[int, Fraction]) -> VarPoly:
@@ -798,34 +764,6 @@ def univariate_coeffs(p: VarPoly, index: int):
 
 _MAX_DEEPEN = 12
 _DEEPEN_FACTOR = Fraction(1, 2**12)
-
-
-@dataclass(frozen=True)
-class NumValue:
-    """An exact rational or a rational interval enclosure of a real value."""
-
-    lo: Fraction
-    hi: Fraction
-    is_exact: bool
-    precision: Fraction | None = None
-
-    @staticmethod
-    def exact(v: Fraction) -> "NumValue":
-        return NumValue(v, v, True)
-
-    @staticmethod
-    def interval(lo: Fraction, hi: Fraction, precision: Fraction) -> "NumValue":
-        return NumValue(lo, hi, False, precision)
-
-    @property
-    def value(self) -> Fraction:
-        if not self.is_exact:
-            raise ValueError("not an exact value")
-        return self.lo
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -1010,22 +948,6 @@ def _eval_refining(e: Expr, point: Point, width: Fraction) -> _Val:
     raise GuardUndecidable(f"cannot evaluate to width {width} at {point}")
 
 
-def evaluate(e: Expr, point, precision: Fraction = DEFAULT_PRECISION) -> NumValue:
-    """Exact value where the arithmetic stays rational, else an interval of
-    width <= ``precision``.  Deterministic, and monotone in precision."""
-    pt = as_point(point)
-    try:
-        v = _eval(e, pt, None)
-        assert isinstance(v, Fraction)
-        return NumValue.exact(v)
-    except _Inexact:
-        pass
-    v = _eval_refining(e, pt, precision)
-    if isinstance(v, Fraction):
-        return NumValue.exact(v)
-    return NumValue.interval(v[0], v[1], precision)
-
-
 def eval_coord(e: Expr, point, precision: Fraction = DEFAULT_PRECISION) -> CoordValue:
     """The exact value at the point as a coordinate: a rational when the
     arithmetic stays rational, an algebraic number for simple square roots,
@@ -1070,14 +992,6 @@ def coord_shift(cv: CoordValue, delta: Fraction) -> CoordValue:
     if isinstance(cv, AlgebraicNumber):
         return cv.shifted(delta)
     return LazyValue(Add(cv.expr, Const(delta)), cv.point)
-
-
-def coord_to_expr(cv: CoordValue) -> Expr | None:
-    if isinstance(cv, Fraction):
-        return Const(cv)
-    if isinstance(cv, AlgebraicNumber):
-        return Const(cv.rational_value) if cv.is_rational else AlgebraicConst(cv)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1226,99 +1140,3 @@ def approx_equal(
             return False
         w *= _DEEPEN_FACTOR
     return None
-
-
-class Comparison(Enum):
-    EQUAL = "equal"
-    NOT_EQUAL = "not_equal"
-    UNKNOWN = "unknown"
-
-
-def compare_on_samples(
-    e1: Expr,
-    e2: Expr,
-    samples,
-    precision: Fraction = DEFAULT_PRECISION,
-) -> Comparison:
-    """Sound, incomplete equality test for two expressions.
-
-    EQUAL when the canonical forms coincide or every sample evaluation
-    agrees exactly; NOT_EQUAL when some sample separates the values;
-    UNKNOWN otherwise.
-    """
-    if canonicalize(e1) == canonicalize(e2):
-        return Comparison.EQUAL
-    if not samples:
-        raise ValueError("need at least one sample point")
-    unknown = False
-    for s in samples:
-        v1 = eval_coord(e1, s, precision)
-        v2 = eval_coord(e2, s, precision)
-        try:
-            c = compare_coords(v1, v2, precision)
-        except UnknownOrder:
-            unknown = True
-            continue
-        if c != 0:
-            return Comparison.NOT_EQUAL
-        if isinstance(v1, LazyValue) or isinstance(v2, LazyValue):
-            # Equality of lazy values is only trusted via canonical forms.
-            unknown = True
-    return Comparison.UNKNOWN if unknown else Comparison.EQUAL
-
-
-# ---------------------------------------------------------------------------
-# Variable substitution
-
-
-def map_variables(e: Expr, fn) -> Expr:
-    """Rebuild ``e`` with every variable ``xi`` replaced by ``fn(i)``."""
-    if isinstance(e, (Const, AlgebraicConst)):
-        return e
-    if isinstance(e, Var):
-        return fn(e.index)
-    if isinstance(e, Add):
-        return Add(map_variables(e.left, fn), map_variables(e.right, fn))
-    if isinstance(e, Sub):
-        return Sub(map_variables(e.left, fn), map_variables(e.right, fn))
-    if isinstance(e, Mul):
-        return Mul(map_variables(e.left, fn), map_variables(e.right, fn))
-    if isinstance(e, Div):
-        return Div(map_variables(e.left, fn), map_variables(e.right, fn))
-    if isinstance(e, Neg):
-        return Neg(map_variables(e.arg, fn))
-    if isinstance(e, Pow):
-        return Pow(map_variables(e.base, fn), e.exponent)
-    if isinstance(e, Sqrt):
-        return Sqrt(map_variables(e.arg, fn))
-    if isinstance(e, Piecewise):
-        pieces = tuple((map_formula_variables(g, fn), map_variables(x, fn)) for g, x in e.pieces)
-        default = map_variables(e.default, fn) if e.default is not None else None
-        return Piecewise(pieces, default)
-    raise TypeError(f"unknown expression node {e!r}")
-
-
-def map_formula_variables(f: Formula, fn) -> Formula:
-    if isinstance(f, (TrueFormula, FalseFormula)):
-        return f
-    if isinstance(f, Atom):
-        return Atom(map_variables(f.lhs, fn), f.op)
-    if isinstance(f, And):
-        return And(tuple(map_formula_variables(a, fn) for a in f.args))
-    if isinstance(f, Or):
-        return Or(tuple(map_formula_variables(a, fn) for a in f.args))
-    if isinstance(f, Not):
-        return Not(map_formula_variables(f.arg, fn))
-    raise TypeError(f"unknown formula node {f!r}")
-
-
-def fiber_formula(f: Formula, base: "list[Fraction] | tuple") -> Formula:
-    """Substitute rational values for the leading variables and renumber the
-    rest, yielding the formula of the fiber over the given base point."""
-    vals = [Fraction(v) for v in base]
-    m = len(vals)
-
-    def fn(i: int) -> Expr:
-        return Const(vals[i - 1]) if i <= m else Var(i - m)
-
-    return map_formula_variables(f, fn)

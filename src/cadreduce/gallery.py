@@ -11,12 +11,9 @@ computed with independent oracles when the fixtures were frozen.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling, SectionStack, parse_word
 from cadreduce.expr import Formula, parse_expr, parse_formula
-
-F = Fraction
 
 
 @dataclass

@@ -41,10 +41,12 @@ from cadreduce.expr import (
     DEFAULT_PRECISION,
     Expr,
     Point,
+    any_node,
     compare_coords,
     eval_coord,
+    is_piecewise,
 )
-from cadreduce.reduction import LiftConfig, _contains_piecewise, _tree_of, try_lift
+from cadreduce.reduction import LiftConfig, _tree_of, pivot_order, try_lift
 from cadreduce.tree import applicable_pivots
 
 Blocks = frozenset[frozenset[CellIndex]]
@@ -106,7 +108,7 @@ def explore(root: Cad, labels: LeafLabeling, cfg: LiftConfig = LiftConfig()) -> 
             continue
         graph.nodes[key] = CanonicalCoarsening(key, cad, labs, history)
         out = graph.out_edges[key] = {}
-        for pivot in sorted(applicable_pivots(_tree_of(cad, labs)), key=cfg.pivot_key()):
+        for pivot in sorted(applicable_pivots(_tree_of(cad, labs)), key=pivot_order):
             res = try_lift(cad, labs, pivot, cfg)
             if res is None:
                 continue
@@ -328,7 +330,7 @@ def _merge_stacks(
             j += 1
         else:
             expr = fns1[i]
-            if _contains_piecewise(expr) and not _contains_piecewise(fns2[j]):
+            if any_node(expr, is_piecewise) and not any_node(fns2[j], is_piecewise):
                 expr = fns2[j]
             out.append(_MergedSection(expr, i + 1, j + 1))
             i += 1

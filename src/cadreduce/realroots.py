@@ -417,40 +417,3 @@ def isolate_roots(p: UniPoly) -> list[AlgebraicNumber]:
     roots = [r.refine(Fraction(1, 2)) for r in roots]
     roots.sort(key=lambda r: (r.lo, r.hi))
     return roots
-
-
-def merge_roots(groups: Sequence[Sequence[AlgebraicNumber]]) -> list[AlgebraicNumber]:
-    """Merge root lists from several polynomials, removing exact duplicates."""
-    merged: list[AlgebraicNumber] = []
-    for group in groups:
-        for r in group:
-            for i, m in enumerate(merged):
-                c = m.compare(r)
-                if c == 0:
-                    break
-                if c > 0:
-                    merged.insert(i, r)
-                    break
-            else:
-                merged.append(r)
-    return merged
-
-
-def rational_between(lo: AlgebraicNumber | None, hi: AlgebraicNumber | None) -> Fraction:
-    """A rational strictly between two (possibly unbounded) algebraic numbers."""
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        assert hi is not None
-        h = hi.refine(Fraction(1)).lo if not hi.is_rational else hi.lo
-        return h - 1
-    if hi is None:
-        l = lo.refine(Fraction(1)).hi if not lo.is_rational else lo.hi
-        return l + 1
-    a, b = lo, hi
-    while a.hi >= b.lo:
-        a = a.refine(a.width() / 2 if a.width() else Fraction(1))
-        b = b.refine(b.width() / 2 if b.width() else Fraction(1))
-        if a.is_rational and b.is_rational:
-            break
-    return (a.hi + b.lo) / 2

@@ -33,17 +33,25 @@ from cadreduce.errors import (
 from cadreduce.expr import (
     DEFAULT_PRECISION,
     Expr,
-    Piecewise,
     Point,
+    any_node,
     approx_equal,
     canonicalize,
     compare_coords,
     coord_shift,
     eval_coord,
+    is_piecewise,
 )
 from cadreduce.tree import CadTree, applicable_pivots, apply_merge, is_applicable, prefix, relabel_index
 
-DEFAULT_TOLERANCE = Fraction(1, 2**20)
+# Probe points per seam, and how close a side value must come to the seam value.
+BOUNDARY_SAMPLES = 3
+TOLERANCE = Fraction(1, 2**20)
+
+
+def pivot_order(pivot: CellIndex):
+    """The order in which pivots are tried: deepest first, then lexicographic."""
+    return (-len(pivot), pivot)
 
 
 @dataclass(frozen=True)
@@ -51,23 +59,13 @@ class LiftConfig:
     """How merge conditions are decided."""
 
     mode: str = "sampled"  # "sampled" | "certificate"
-    boundary_samples: int = 3
     precision: Fraction = DEFAULT_PRECISION
-    tolerance: Fraction = DEFAULT_TOLERANCE
-    rule_order: str = "deep-first"  # "deep-first" | "lex"
 
     def __post_init__(self):
         if self.mode not in ("sampled", "certificate"):
             raise ValueError(f"unknown lift mode {self.mode!r}")
-        if self.rule_order not in ("deep-first", "lex"):
-            raise ValueError(f"unknown rule order {self.rule_order!r}")
-        if self.tolerance <= 0 or self.precision <= 0:
-            raise ValueError("tolerance and precision must be positive")
-
-    def pivot_key(self):
-        if self.rule_order == "deep-first":
-            return lambda p: (-len(p), p)
-        return lambda p: p
+        if self.precision <= 0:
+            raise ValueError("precision must be positive")
 
 
 def _tree_of(cad: Cad, labels: LeafLabeling) -> CadTree:
@@ -146,20 +144,6 @@ def _subtree_cells(cad: Cad, top: CellIndex):
         frontier.extend(cell + (j,) for j in range(1, 2 * cad.stack_count(cell) + 2))
 
 
-def _contains_piecewise(e: Expr) -> bool:
-    from cadreduce.expr import Add, Div, Mul, Neg, Pow, Sqrt, Sub
-
-    if isinstance(e, Piecewise):
-        return True
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return _contains_piecewise(e.left) or _contains_piecewise(e.right)
-    if isinstance(e, (Neg, Sqrt)):
-        return _contains_piecewise(e.arg)
-    if isinstance(e, Pow):
-        return _contains_piecewise(e.base)
-    return False
-
-
 def _glues_continuously(
     cad: Cad,
     pivot: CellIndex,
@@ -175,13 +159,13 @@ def _glues_continuously(
         + cad.section_pieces(right_cell, slot)
     )
     canon = {canonicalize(e) for _, e in pieces}
-    if len(canon) == 1 and not _contains_piecewise(next(iter(canon))):
+    if len(canon) == 1 and not any_node(next(iter(canon)), is_piecewise):
         # One guard-free expression defined on all three cells (their stacks
         # are valid) is continuous on the union.
         return True
     k = len(pivot)
     try:
-        probes = cad.cell_points(mid_cell, cfg.boundary_samples)
+        probes = cad.cell_points(mid_cell, BOUNDARY_SAMPLES)
     except (UnknownOrder, GuardUndecidable):
         return False
     for point, root_cell in probes:
@@ -220,7 +204,7 @@ def _side_matches(
         v_side = eval_coord(side_expr, approach, cfg.precision)
     except (GuardUndecidable, UnknownOrder, KeyError):
         return False
-    verdict = approx_equal(v_side, v_mid, cfg.tolerance, cfg.precision)
+    verdict = approx_equal(v_side, v_mid, TOLERANCE, cfg.precision)
     return verdict is True
 
 
@@ -254,7 +238,7 @@ def _approach_point(
         bound = eval_coord(stack.functions[neighbour - 1], base, cfg.precision)
         gap = _positive_gap(y0, bound, direction, cfg)
         delta_cap = min(delta_cap, gap / 2)
-    delta = min(delta_cap, cfg.tolerance / 4)
+    delta = min(delta_cap, TOLERANCE / 4)
     point = base + (coord_shift(y0, direction * delta),)
     r = rk[:-1] + (rk[-1] + direction,)
     for level in range(k, len(side_cell)):
@@ -332,13 +316,13 @@ class MinimizeResult:
 def minimize(cad: Cad, labels: LeafLabeling, cfg: LiftConfig = LiftConfig()) -> MinimizeResult:
     """Greedy reduction to a CAD admitting no liftable merge.
 
-    Pivots are attempted in the configured deterministic order; the first
+    Pivots are attempted in ``pivot_order``; the first
     lift that succeeds is applied and the search restarts on the result.
     """
     current, cur_labels = cad, labels
     applied: list[CellIndex] = []
     while True:
-        pivots = sorted(applicable_pivots(_tree_of(current, cur_labels)), key=cfg.pivot_key())
+        pivots = sorted(applicable_pivots(_tree_of(current, cur_labels)), key=pivot_order)
         for pivot in pivots:
             res = try_lift(current, cur_labels, pivot, cfg)
             if res is not None:

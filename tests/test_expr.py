@@ -7,9 +7,10 @@ from cadreduce.errors import DivisionByZero, GuardUndecidable, ParseError, SqrtO
 from cadreduce.expr import (
     Add,
     AlgebraicConst,
-    Comparison,
+    Atom,
     Const,
     Div,
+    LazyValue,
     Mul,
     Neg,
     Piecewise,
@@ -17,21 +18,21 @@ from cadreduce.expr import (
     Sqrt,
     Sub,
     Var,
+    any_node,
     atom_sign,
     canonical_formula,
     canonicalize,
     compare_coords,
-    compare_on_samples,
+    coord_approx,
     eval_coord,
-    evaluate,
-    fiber_formula,
     formula_holds,
     parse_expr,
     parse_formula,
     sexpr_of_expr,
     sexpr_of_formula,
+    to_polynomial,
 )
-from cadreduce.realroots import AlgebraicNumber, isolate_roots, poly
+from cadreduce.realroots import AlgebraicNumber, isolate_roots, make_algebraic, poly
 
 F = Fraction
 
@@ -74,56 +75,55 @@ def test_parse_errors():
 def test_eval_trousers_section_at_positive_quadrant():
     # The guarded section -x/2 on {x>0, y>0}, 0 elsewhere, at (1, 1).
     e = parse_expr("(piecewise ((and (gt x1 0) (gt x2 0)) (div (neg x1) 2)) (else 0))")
-    assert evaluate(e, [F(1), F(1)]).value == F(-1, 2)
-    assert evaluate(e, [F(-1), F(2)]).value == 0
-    assert evaluate(e, [F(0), F(5)]).value == 0
+    assert eval_coord(e, [F(1), F(1)]) == F(-1, 2)
+    assert eval_coord(e, [F(-1), F(2)]) == 0
+    assert eval_coord(e, [F(0), F(5)]) == 0
 
 
 def test_eval_disk_upper_section_identity():
     e = parse_expr("(sqrt (sub 1 (pow x1 2)))")
-    assert evaluate(e, [F(0)]).value == 1
+    assert eval_coord(e, [F(0)]) == 1
 
 
 def test_eval_hyperbola_like_function_at_zero():
     # 1 - (2(x^2-1))^{-1} at x = 0 evaluates to 3/2.
     e = parse_expr("(sub 1 (div 1 (mul 2 (sub (pow x1 2) 1))))")
-    assert evaluate(e, [F(0)]).value == F(3, 2)
+    assert eval_coord(e, [F(0)]) == F(3, 2)
 
 
 def test_eval_interval_for_irrational():
     e = parse_expr("(sqrt (sub 1 (pow x1 2)))")
-    v = evaluate(e, [F(1, 2)], precision=F(1, 1000))
-    assert not v.is_exact
-    assert v.width <= F(1, 1000)
+    lo, hi = coord_approx(LazyValue(e, (F(1, 2),)), F(1, 1000))
+    assert hi - lo <= F(1, 1000)
     # sqrt(3)/2 = 0.8660...
-    assert v.lo < F(8661, 10000) and v.hi > F(8659, 10000)
+    assert lo < F(8661, 10000) and hi > F(8659, 10000)
 
 
 def test_eval_monotone_in_precision():
-    e = parse_expr("(sqrt 2)")
-    coarse = evaluate(e, [], precision=F(1, 2**10))
-    fine = evaluate(e, [], precision=F(1, 2**30))
-    assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
-    again = evaluate(e, [], precision=F(1, 2**10))
+    value = LazyValue(parse_expr("(sqrt 2)"), ())
+    coarse = coord_approx(value, F(1, 2**10))
+    fine = coord_approx(value, F(1, 2**30))
+    assert coarse[0] <= fine[0] and fine[1] <= coarse[1]
+    again = coord_approx(value, F(1, 2**10))
     assert again == coarse  # deterministic
 
 
 def test_eval_division_by_zero():
     e = parse_expr("(div 1 (sub (pow x1 2) 1))")
     with pytest.raises(DivisionByZero):
-        evaluate(e, [F(1)])
+        eval_coord(e, [F(1)])
 
 
 def test_eval_sqrt_of_negative():
     e = parse_expr("(sqrt (sub 1 (pow x1 2)))")
     with pytest.raises(SqrtOfNegative):
-        evaluate(e, [F(2)])
+        eval_coord(e, [F(2)])
 
 
 def test_eval_guard_undecidable_without_else():
     e = parse_expr("(piecewise ((gt x1 0) 1))")
     with pytest.raises(GuardUndecidable):
-        evaluate(e, [F(-1)])
+        eval_coord(e, [F(-1)])
 
 
 def test_canonicalize_collects_terms():
@@ -137,6 +137,16 @@ def test_canonicalize_no_pole_cancellation():
     assert isinstance(c, Div)
     # Both sides keep their degrees: no cancellation across the pole at 1.
     assert canonicalize(c) == c
+    # (x1 + 1) / (1 / (x1^2 + 2)) is 2 at x1 = 0: the divisor's pole stays
+    # in the denominator and out of the value.
+    e = parse_expr("(div (add x1 1) (div 1 (add (pow x1 2) 2)))")
+    assert eval_coord(canonicalize(e), [F(0)]) == eval_coord(e, [F(0)]) == 2
+    # (1/x1)^0 is 1 where it is defined, and undefined at x1 = 0.
+    e = parse_expr("(pow (div 1 x1) 0)")
+    assert eval_coord(canonicalize(e), [F(3)]) == 1
+    with pytest.raises(DivisionByZero):
+        eval_coord(canonicalize(e), [F(0)])
+    assert to_polynomial(e) is None
 
 
 def test_canonicalize_combines_fractions_domain_preserving():
@@ -152,72 +162,184 @@ def test_canonicalize_piecewise_keeps_guard():
     assert c.default is not None
 
 
-def test_canonicalize_idempotent_on_random_corpus():
-    rng = random.Random(421)
+# sqrt(2), and 3/2 as an algebraic number.
+_ALGEBRAIC_CONSTS = (
+    AlgebraicConst(isolate_roots(poly([-2, 0, 1]))[1]),
+    AlgebraicConst(make_algebraic(poly([-3, 2]), F(1), F(2))),
+)
 
-    def gen(depth: int):
-        if depth == 0:
-            k = rng.randrange(3)
-            if k == 0:
-                return Const(F(rng.randint(-5, 5)))
-            if k == 1:
-                return Var(rng.randint(1, 3))
+
+def _random_expr(rng: random.Random, depth: int, atoms: bool = False):
+    """A random expression; with ``atoms`` it may hold square roots,
+    piecewise definitions and algebraic constants as well."""
+    if depth == 0:
+        k = rng.randrange(5 if atoms else 3)
+        if k == 0:
+            return Const(F(rng.randint(-5, 5)))
+        if k == 1:
+            return Var(rng.randint(1, 3))
+        if k == 2:
             return Const(F(rng.randint(1, 7), rng.randint(1, 7)))
-        k = rng.randrange(8)
-        if k < 2:
-            return Add(gen(depth - 1), gen(depth - 1))
-        if k < 4:
-            return Mul(gen(depth - 1), gen(depth - 1))
-        if k == 4:
-            return Sub(gen(depth - 1), gen(depth - 1))
-        if k == 5:
-            return Neg(gen(depth - 1))
-        if k == 6:
-            return Pow(gen(depth - 1), rng.randrange(4))
-        return Div(gen(depth - 1), gen(depth - 1))
+        return _ALGEBRAIC_CONSTS[k - 3]
+    k = rng.randrange(10 if atoms else 8)
+    if k < 2:
+        return Add(_random_expr(rng, depth - 1, atoms), _random_expr(rng, depth - 1, atoms))
+    if k < 4:
+        return Mul(_random_expr(rng, depth - 1, atoms), _random_expr(rng, depth - 1, atoms))
+    if k == 4:
+        return Sub(_random_expr(rng, depth - 1, atoms), _random_expr(rng, depth - 1, atoms))
+    if k == 5:
+        return Neg(_random_expr(rng, depth - 1, atoms))
+    if k == 6:
+        return Pow(_random_expr(rng, depth - 1, atoms), rng.randrange(4))
+    if k == 7:
+        return Div(_random_expr(rng, depth - 1, atoms), _random_expr(rng, depth - 1, atoms))
+    if k == 8:
+        return Sqrt(_random_expr(rng, depth - 1, atoms))
+    guard = Atom(Sub(Var(rng.randint(1, 3)), Const(F(rng.randint(-2, 2)))), "gt")
+    return Piecewise(((guard, _random_expr(rng, depth - 1, atoms)),), _random_expr(rng, depth - 1, atoms))
 
-    checked = 0
+
+def _value_or_pole(e, point):
+    try:
+        return eval_coord(e, point)
+    except DivisionByZero:
+        return DivisionByZero
+
+
+def test_canonicalize_idempotent_on_random_corpus():
+    # The canonical form is a fixed point, and at sample points it has the
+    # value of the expression and divides by zero exactly where it does.
+    rng = random.Random(421)
+    points_rng = random.Random(422)
+    checked = poles = 0
     for _ in range(200):
-        e = gen(3)
+        e = _random_expr(rng, 3)
         try:
             c = canonicalize(e)
         except DivisionByZero:
             continue
         assert canonicalize(c) == c
         checked += 1
+        for _ in range(4):
+            point = [F(points_rng.randint(-2, 2)) for _ in range(3)]
+            value = _value_or_pole(e, point)
+            assert _value_or_pole(c, point) == value, (sexpr_of_expr(e), point)
+            poles += value is DivisionByZero
     assert checked > 100
+    assert poles > 0
 
 
-def test_compare_on_samples_equal_by_canonical_form():
-    e1 = parse_expr("(add x1 x1)")
-    e2 = parse_expr("(mul 2 x1)")
-    assert compare_on_samples(e1, e2, [(F(7),)]) == Comparison.EQUAL
+def _to_polynomial_oracle(e):
+    """``to_polynomial`` as it was written before it read the normal form:
+    a walk of its own, with division only by nonzero constants."""
+
+    def go(e):
+        if isinstance(e, Const):
+            return {(): e.value} if e.value else {}
+        if isinstance(e, AlgebraicConst):
+            if e.value.is_rational:
+                v = e.value.rational_value
+                return {(): v} if v else {}
+            return None
+        if isinstance(e, Var):
+            return {((e.index, 1),): F(1)}
+        if isinstance(e, (Add, Sub)):
+            a, b = go(e.left), go(e.right)
+            if a is None or b is None:
+                return None
+            out = dict(a)
+            for m, c in b.items():
+                s = out.get(m, F(0)) + (c if isinstance(e, Add) else -c)
+                if s:
+                    out[m] = s
+                else:
+                    out.pop(m, None)
+            return out
+        if isinstance(e, Mul):
+            a, b = go(e.left), go(e.right)
+            if a is None or b is None:
+                return None
+            return _oracle_mul(a, b)
+        if isinstance(e, Div):
+            a, b = go(e.left), go(e.right)
+            if a is None or b is None or list(b) not in ([], [()]):
+                return None
+            if not b:
+                raise DivisionByZero("division by zero constant")
+            c = b[()]
+            return {m: v / c for m, v in a.items()}
+        if isinstance(e, Neg):
+            a = go(e.arg)
+            return None if a is None else {m: -c for m, c in a.items()}
+        if isinstance(e, Pow):
+            a = go(e.base)
+            if a is None:
+                return None
+            out = {(): F(1)}
+            for _ in range(e.exponent):
+                out = _oracle_mul(out, a)
+            return out
+        return None
+
+    return go(e)
 
 
-def test_compare_on_samples_separates_disk_sections():
-    up = parse_expr("(sqrt (sub 1 (pow x1 2)))")
-    down = parse_expr("(neg (sqrt (sub 1 (pow x1 2))))")
-    assert compare_on_samples(up, down, [(F(0),)]) == Comparison.NOT_EQUAL
+def _oracle_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            exps = {}
+            for i, k in m1 + m2:
+                exps[i] = exps.get(i, 0) + k
+            m = tuple(sorted(exps.items()))
+            s = out.get(m, F(0)) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
 
 
-def test_compare_on_samples_escalates_with_better_sample():
-    e1 = parse_expr("(sqrt (sub 1 (pow x1 2)))")
-    e2 = parse_expr("(sub 1 (div (pow x1 2) 2))")
-    # At x=0 both are exactly 1; inconclusive overall for lazy-vs-exact pairs.
-    r0 = compare_on_samples(e1, e2, [(F(0),)])
-    assert r0 in (Comparison.EQUAL, Comparison.UNKNOWN)
-    # x=1/2 separates sqrt(3)/2 from 7/8.
-    assert compare_on_samples(e1, e2, [(F(0),), (F(1, 2),)]) == Comparison.NOT_EQUAL
+def _polynomial_or_pole(fn, e):
+    try:
+        return fn(e)
+    except DivisionByZero:
+        return DivisionByZero
 
 
-def test_compare_on_samples_never_equal_when_sample_separates():
-    rng = random.Random(99)
-    for _ in range(100):
-        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
-        e1 = parse_expr(f"(add (mul {a} x1) {b})")
-        e2 = parse_expr(f"(add (mul {a} x1) {b + rng.randint(1, 3)})")
-        samples = [(F(rng.randint(-5, 5)),)]
-        assert compare_on_samples(e1, e2, samples) == Comparison.NOT_EQUAL
+def _divides_by_zero(e) -> bool:
+    """Whether some division in ``e`` (outside piecewise branches) has an
+    identically zero divisor."""
+
+    def zero_divisor(node) -> bool:
+        if not isinstance(node, Div):
+            return False
+        try:
+            c = canonicalize(node.right)
+        except DivisionByZero:
+            return False  # the nested division is found on its own
+        return c == Const(F(0)) or (isinstance(c, Div) and c.left == Const(F(0)))
+
+    return any_node(e, zero_divisor)
+
+
+def test_to_polynomial_agrees_with_its_own_walk():
+    # Where the two differ, both reject an expression that divides by an
+    # identically zero subexpression: one returns None, the other raises.
+    rng = random.Random(7)
+    polynomials = rejected = 0
+    for _ in range(10_000):
+        e = _random_expr(rng, rng.randint(1, 3), atoms=True)
+        old = _polynomial_or_pole(_to_polynomial_oracle, e)
+        new = _polynomial_or_pole(to_polynomial, e)
+        if old != new:
+            assert old in (None, DivisionByZero) and new in (None, DivisionByZero), sexpr_of_expr(e)
+            assert _divides_by_zero(e), sexpr_of_expr(e)
+            rejected += 1
+        polynomials += isinstance(new, dict)
+    assert polynomials > 1000
+    assert rejected > 0
 
 
 def test_formula_holds_exact():
@@ -262,15 +384,3 @@ def test_canonical_formula_flattens_and_sorts():
     f1 = parse_formula("(and (gt x1 0) (and (gt x2 0) (gt x1 0)))")
     f2 = parse_formula("(and (gt x2 0) (gt x1 0))")
     assert canonical_formula(f1) == canonical_formula(f2)
-
-
-def test_fiber_formula():
-    trousers = parse_formula(
-        "(or (and (or (le x1 0) (le x2 0)) (eq x3 0))"
-        " (and (gt x1 0) (gt x2 0) (eq (add x3 (div x1 2)) 0)))"
-    )
-    fib = fiber_formula(trousers, [F(2), F(3)])
-    # Over the base point (2, 3) the fiber is {z = -1}.
-    assert formula_holds(fib, [F(-1)])
-    assert not formula_holds(fib, [F(0)])
-    assert not formula_holds(fib, [F(1)])

@@ -10,9 +10,7 @@ from cadreduce.realroots import (
     gcd_poly,
     isolate_roots,
     make_algebraic,
-    merge_roots,
     poly,
-    rational_between,
     squarefree_part,
     sturm_sequence,
 )
@@ -111,25 +109,6 @@ def test_compare_rational():
     assert sqrt2.compare_rational(F(3, 2)) == -1
     one = AlgebraicNumber.from_rational(1)
     assert one.compare_rational(F(1)) == 0
-
-
-def test_merge_roots_dedupes_exactly():
-    g1 = isolate_roots(poly([-2, 0, 1]))
-    g2 = isolate_roots(poly([-4, 0, 0, 0, 1]))  # +-sqrt2 again
-    g3 = isolate_roots(poly([0, 1]))  # 0
-    merged = merge_roots([g1, g2, g3])
-    assert len(merged) == 3
-    assert [m.compare(n) for m, n in zip(merged, merged[1:])] == [-1, -1]
-
-
-def test_rational_between():
-    roots = isolate_roots(poly([-2, 0, 1]))
-    mid = rational_between(roots[0], roots[1])
-    assert roots[0].compare_rational(mid) == -1
-    assert roots[1].compare_rational(mid) == 1
-    assert rational_between(None, roots[0]) < -1
-    assert rational_between(roots[1], None) > 1
-    assert rational_between(None, None) == 0
 
 
 def test_sign_chart_consistency_at_rational_probes():

@@ -53,6 +53,20 @@ def test_ushape_merges_do_not_lift():
         assert try_lift(entry.cad, entry.labels, pivot, CFG) is None
 
 
+def test_section_with_a_jump_hidden_by_a_nested_division_does_not_lift():
+    # Over the cells 1 and 3 of the base stack [0] the section is A = x1 + 1
+    # with a cancelling factor; over the seam x1 = 0 it is
+    # B = (x1 + 1) / (1 / (x1^2 + 2)), which is 2 there, while A tends to 1.
+    a = parse_expr("(div (mul (add x1 1) (add (pow x1 2) 2)) (add (pow x1 2) 2))")
+    b = parse_expr("(div (add x1 1) (div 1 (add (pow x1 2) 2)))")
+    stacks = {(): SectionStack((parse_expr("0"),))}
+    stacks.update({(1,): SectionStack((a,)), (2,): SectionStack((b,)), (3,): SectionStack((a,))})
+    cad = Cad(2, stacks)
+    labels = {leaf: 0 for leaf in cad.leaves()}
+    assert validate_cad(cad).ok
+    assert try_lift(cad, labels, (2,), CFG) is None
+
+
 def test_try_lift_requires_applicable_pivot():
     entry = disk_cp()
     # Unequal labels, odd, out of range, deeper than the leaves, empty.
