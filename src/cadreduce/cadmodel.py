@@ -156,12 +156,14 @@ class Cad:
             self.sample_overrides = dict(samples or {})
             self.certificates = certificates
             self.history: tuple[CellIndex, ...] = ()
-            self._sample_cache: dict[CellIndex, Point] = {}
             self._point_cache: dict[tuple[CellIndex, int], list[TaggedPoint]] = {}
             # Order verdicts by (root cell, section letters, precision); see
             # ``sections_ordered``.  At most one entry per root cell and
             # subset of its stack, for each precision in use.
             self._order_cache: dict[tuple[CellIndex, tuple[int, ...], Fraction], bool] = {}
+            # Sampled-mode lift verdicts (see ``reduction._lift_allowed``): one
+            # per grouping of root cells into three merged subtrees and config.
+            self._lift_cache: dict[tuple, bool] = {}
         else:
             assert counts is not None and cellmap is not None
             self.root = root
@@ -236,12 +238,7 @@ class Cad:
         """A witness point inside the cell (the root cell's derived sample)."""
         if not self.is_root:
             return self.root.sample(self.root_cells(cell)[0])
-        cached = self._sample_cache.get(cell)
-        if cached is not None:
-            return cached
-        pt = self.cell_points(cell, 1)[0][0]
-        self._sample_cache[cell] = pt
-        return pt
+        return self.cell_points(cell, 1)[0][0]
 
     def cell_points(self, cell: CellIndex, count: int) -> list[TaggedPoint]:
         """Deterministic probe points inside the cell, tagged with the root

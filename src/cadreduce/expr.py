@@ -28,64 +28,82 @@ DEFAULT_PRECISION = Fraction(1, 2**40)
 # AST
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass that hashes its subtree once, not on every
+    ``lru_cache`` lookup (Filliatre & Conchon, "Type-safe modular
+    hash-consing", 2006).  The kept hash is not pickled: ``str`` hashes
+    (``Atom.op``) differ from process to process."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = field_hash(self)
+        return self.__dict__["_hash"]
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = lambda self: {k: v for k, v in vars(self).items() if k != "_hash"}
+    return cls
+
+
+@_node
 class Const:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@_node
 class AlgebraicConst:
     """An exact real algebraic constant (used for 1-D section points)."""
 
     value: AlgebraicNumber
 
 
-@dataclass(frozen=True)
+@_node
 class Var:
     index: int  # 1-based
 
 
-@dataclass(frozen=True)
+@_node
 class Add:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class Sub:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class Mul:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class Div:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class Neg:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class Pow:
     base: "Expr"
     exponent: int  # nonnegative
 
 
-@dataclass(frozen=True)
+@_node
 class Sqrt:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class Piecewise:
     pieces: tuple[tuple["Formula", "Expr"], ...]
     default: "Expr | None" = None
@@ -94,17 +112,17 @@ class Piecewise:
 Expr = Union[Const, AlgebraicConst, Var, Add, Sub, Mul, Div, Neg, Pow, Sqrt, Piecewise]
 
 
-@dataclass(frozen=True)
+@_node
 class TrueFormula:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class FalseFormula:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Atom:
     """A polynomial sign condition ``lhs op 0`` with op in lt/le/eq/ge/gt."""
 
@@ -112,17 +130,17 @@ class Atom:
     op: str
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     args: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     args: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     arg: "Formula"
 
@@ -338,7 +356,11 @@ def formula_from_sexpr(tree) -> Formula:
         if rhs != Const(Fraction(0)):
             lhs = Sub(lhs, rhs)
         atom = Atom(lhs, _FORMULA_OPS[head])
-        if to_polynomial(atom.lhs) is None:
+        try:
+            polynomial = to_polynomial(atom.lhs)
+        except DivisionByZero as exc:
+            raise ParseError(f"comparison divides by zero: {sexpr_of_formula(atom)}") from exc
+        if polynomial is None:
             raise ParseError(f"comparison sides must be polynomial: {sexpr_of_formula(atom)}")
         return atom
     if head in ("and", "or"):

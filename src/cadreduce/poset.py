@@ -24,6 +24,7 @@ directly and serve as oracles for the sink count.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,30 +47,14 @@ from cadreduce.expr import (
     eval_coord,
     is_piecewise,
 )
-from cadreduce.reduction import LiftConfig, _tree_of, pivot_order, try_lift
-from cadreduce.tree import applicable_pivots
-
-Blocks = frozenset[frozenset[CellIndex]]
-
-
-@dataclass
-class CanonicalCoarsening:
-    """A node of the poset: a coarsening identified by its leaf partition."""
-
-    blocks: Blocks
-    cad: Cad
-    labels: LeafLabeling
-    history: tuple[CellIndex, ...]
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self.blocks)
+from cadreduce.reduction import Blocks, Coarsening, LiftConfig, try_lift
+from cadreduce.tree import applicable_pivots  # noqa: F401  (re-exported; perfbench calls it here)
 
 
 @dataclass
 class PosetGraph:
     root_key: Blocks
-    nodes: dict[Blocks, CanonicalCoarsening] = field(default_factory=dict)
+    nodes: dict[Blocks, Coarsening] = field(default_factory=dict)
     # The out-edges of every explored node: merge pivot -> target node.
     out_edges: dict[Blocks, dict[CellIndex, Blocks]] = field(default_factory=dict)
 
@@ -97,26 +82,22 @@ class PosetGraph:
 
 
 def explore(root: Cad, labels: LeafLabeling, cfg: LiftConfig = LiftConfig()) -> PosetGraph:
-    """Breadth-first closure of the root under liftable merges."""
-    root_key = root.partition_blocks()
-    graph = PosetGraph(root_key=root_key)
-    queue: list[tuple[Cad, LeafLabeling, tuple[CellIndex, ...]]] = [(root, labels, ())]
+    """Breadth-first closure of the root under liftable merges; a node keeps
+    the history of the first path that reaches it."""
+    start = Coarsening(root, labels)
+    graph = PosetGraph(root_key=start.blocks, nodes={start.blocks: start})
+    queue = deque([start])
     while queue:
-        cad, labs, history = queue.pop(0)
-        key = cad.partition_blocks()
-        if key in graph.nodes:
-            continue
-        graph.nodes[key] = CanonicalCoarsening(key, cad, labs, history)
-        out = graph.out_edges[key] = {}
-        for pivot in sorted(applicable_pivots(_tree_of(cad, labs)), key=pivot_order):
-            res = try_lift(cad, labs, pivot, cfg)
-            if res is None:
+        node = queue.popleft()
+        out = graph.out_edges[node.blocks] = {}
+        for pivot in node.pivots:
+            child = try_lift(node, pivot, cfg)
+            if child is None:
                 continue
-            child, child_labels = res
-            child_key = child.partition_blocks()
-            out[pivot] = child_key
-            if child_key not in graph.nodes:
-                queue.append((child, child_labels, history + (pivot,)))
+            out[pivot] = child.blocks
+            if child.blocks not in graph.nodes:
+                graph.nodes[child.blocks] = child
+                queue.append(child)
     return graph
 
 
@@ -164,24 +145,6 @@ def is_globally_confluent(graph: PosetGraph) -> bool:
                 if not (da & graph.descendants(b)):
                     return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Counting coarser partitions
-
-
-def count_strict_coarsenings(k: int) -> int:
-    """Number of partitions strictly coarser than a discrete partition of k
-    cells: the k-th Bell number minus one (Bell triangle, exact integers)."""
-    if k < 1:
-        raise ValueError("need a positive cell count")
-    row = [1]
-    for _ in range(k - 1):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[-1] - 1
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +348,7 @@ def poset_report(graph: PosetGraph) -> dict:
 
     return {
         "node_count": len(graph.nodes),
-        "edge_count": len(graph.edges),
+        "edge_count": sum(map(len, graph.out_edges.values())),
         "root_leaf_count": graph.nodes[graph.root_key].leaf_count,
         "minimal": [describe(k) for k in minimal],
         "minimum": describe(minimum) if minimum is not None else None,

@@ -14,8 +14,9 @@ always valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from cadreduce.cadmodel import (
     Cad,
@@ -42,7 +43,15 @@ from cadreduce.expr import (
     eval_coord,
     is_piecewise,
 )
-from cadreduce.tree import CadTree, applicable_pivots, apply_merge, is_applicable, prefix, relabel_index
+from cadreduce.tree import (
+    CadTree,
+    applicable_pivots,
+    apply_merge,
+    is_applicable,
+    merge_moves,
+    sibling,
+    subtree,
+)
 
 # Probe points per seam, and how close a side value must come to the seam value.
 BOUNDARY_SAMPLES = 3
@@ -72,37 +81,80 @@ def _tree_of(cad: Cad, labels: LeafLabeling) -> CadTree:
     return CadTree(cad.n, dict(cad.counts), dict(labels))
 
 
-def try_lift(
-    cad: Cad,
-    labels: LeafLabeling,
-    pivot: CellIndex,
-    cfg: LiftConfig = LiftConfig(),
-) -> tuple[Cad, LeafLabeling] | None:
-    """Attempt the geometric merge at an applicable pivot.
+Blocks = frozenset[frozenset[CellIndex]]
 
-    Returns the merged CAD (a coarsening of the same root, with transported
-    labels), or None when the merge cannot be verified to be a CAD.
-    """
-    tree = _tree_of(cad, labels)
+
+@dataclass(frozen=True, eq=False)
+class Coarsening:
+    """A labelled coarsening of a root CAD and the pivots merged to reach it
+    (in ``minimize`` or ``explore``).  The tree, the applicable pivots and
+    the partition are computed once; ``try_lift`` hands its result the tree
+    ``apply_merge`` derived and the partition updated from the parent's."""
+
+    cad: Cad
+    labels: LeafLabeling
+    history: tuple[CellIndex, ...] = ()
+
+    @cached_property
+    def tree(self) -> CadTree:
+        return _tree_of(self.cad, self.labels)
+
+    @cached_property
+    def pivots(self) -> list[CellIndex]:
+        """The applicable pivots, in ``pivot_order``."""
+        return sorted(applicable_pivots(self.tree), key=pivot_order)
+
+    @cached_property
+    def blocks(self) -> Blocks:
+        """The partition of the root's leaves; it identifies the coarsening."""
+        return self.cad.partition_blocks()
+
+    @property
+    def leaf_count(self) -> int:
+        return len(self.blocks)
+
+    @property
+    def applied(self) -> tuple[CellIndex, ...]:  # the merges of ``minimize``, in order
+        return self.history
+
+
+def try_lift(node: Coarsening, pivot: CellIndex, cfg: LiftConfig = LiftConfig()) -> Coarsening | None:
+    """The merged coarsening of the same root (labels transported, pivot
+    appended to the history), or None when the merge at an applicable pivot
+    cannot be verified to be a CAD.  Beyond copying the parent's dicts, the
+    work is in the lineages the merge renames."""
+    cad, tree = node.cad, node.tree
     if not is_applicable(tree, pivot):
         raise RuleNotApplicable(f"pivot {word_of(pivot)} is not applicable")
     if not _lift_allowed(cad, pivot, cfg):
         return None
-    reduced = apply_merge(tree, pivot)
-    new_cellmap: dict[CellIndex, tuple[CellIndex, ...]] = {}
-    for k in range(cad.n + 1):
-        for cell in cad.cells_of_level(k):
-            image = relabel_index(pivot, cell)
-            merged = new_cellmap.get(image, ())
-            new_cellmap[image] = tuple(sorted(set(merged) | set(cad.root_cells(cell))))
-    lifted = Cad(
-        cad.n,
-        root=cad.root,
-        counts=reduced.counts,
-        cellmap=new_cellmap,
-        history=cad.history + (pivot,),
-    )
-    return lifted, dict(reduced.labels)
+    moves = merge_moves(cad.counts, cad.n, pivot)
+    reduced = apply_merge(tree, pivot, moves)
+    cellmap = _merged_cellmap(cad, moves)
+    lifted = Cad(cad.n, root=cad.root, counts=reduced.counts, cellmap=cellmap, history=cad.history + (pivot,))
+    child = Coarsening(lifted, reduced.labels, node.history + (pivot,))
+    child.__dict__["tree"] = reduced  # where ``cached_property`` keeps its values
+    # The parent's partition, the blocks of the merged leaves replaced by their union.
+    leaves = [(cell, image) for cell, image in moves[0] if len(cell) == cad.n]
+    gone = [frozenset(cad.root_cells(c)) for move in leaves for c in move]
+    child.__dict__["blocks"] = node.blocks.difference(gone).union(frozenset(cellmap[im]) for _c, im in leaves)
+    return child
+
+
+def _merged_cellmap(cad: Cad, moves: tuple[list, list]) -> dict[CellIndex, tuple[CellIndex, ...]]:
+    """The cellmap after a merge: the collapsing cells add their root cells
+    to their images in the left flank's lineage, the shifted cells move, and
+    every other entry is the parent's."""
+    cellmap = {cell: (cell,) for cell in cad.all_cells()} if cad.cellmap is None else dict(cad.cellmap)
+    collapsed, shifted = moves
+    merged: dict[CellIndex, list[CellIndex]] = {}
+    for cell, image in collapsed:
+        merged.setdefault(image, list(cellmap[image])).extend(cellmap.pop(cell))
+    roots = [cellmap.pop(cell) for cell, _image in shifted]
+    cellmap.update(zip([image for _cell, image in shifted], roots))
+    for cell, parts in merged.items():
+        cellmap[cell] = tuple(sorted(parts))
+    return cellmap
 
 
 def _lift_allowed(cad: Cad, pivot: CellIndex, cfg: LiftConfig) -> bool:
@@ -118,9 +170,24 @@ def _lift_allowed(cad: Cad, pivot: CellIndex, cfg: LiftConfig) -> bool:
         if any(len(h) < cad.n for h in cad.history):
             return False
         return pivot in cad.root.certificates
-    left = pivot[:-1] + (pivot[-1] - 1,)
-    right = pivot[:-1] + (pivot[-1] + 1,)
-    for mid_cell in _subtree_cells(cad, pivot):
+    # The sampled check reads the root, the configuration and, in each of the
+    # three merged subtrees, the root cells of the cell at each suffix (their
+    # length is the pivot's level); its verdict is kept under exactly that key.
+    key = (cfg,) + tuple(
+        tuple((cell[k:], cad.root_cells(cell)) for cell in subtree(cad.counts, cad.n, top))
+        for top in (sibling(pivot, -1), pivot, sibling(pivot, +1))
+    )
+    cache = cad.root._lift_cache
+    if key not in cache:
+        cache[key] = _glued_stacks_valid(cad, pivot, cfg)
+    return cache[key]
+
+
+def _glued_stacks_valid(cad: Cad, pivot: CellIndex, cfg: LiftConfig) -> bool:
+    """Sampled evidence that the stacks above the three subtrees glue."""
+    k = len(pivot)
+    left, right = sibling(pivot, -1), sibling(pivot, +1)
+    for mid_cell in subtree(cad.counts, cad.n - 1, pivot):
         suffix = mid_cell[k:]
         left_cell = left + suffix
         right_cell = right + suffix
@@ -131,17 +198,6 @@ def _lift_allowed(cad: Cad, pivot: CellIndex, cfg: LiftConfig) -> bool:
         if not _merged_stack_ordered(cad, (left_cell, mid_cell, right_cell), u, cfg):
             return False
     return True
-
-
-def _subtree_cells(cad: Cad, top: CellIndex):
-    """Cells of levels |top| .. n-1 below (and including) ``top``."""
-    frontier = [top]
-    while frontier:
-        cell = frontier.pop()
-        if len(cell) >= cad.n:
-            continue
-        yield cell
-        frontier.extend(cell + (j,) for j in range(1, 2 * cad.stack_count(cell) + 2))
 
 
 def _glues_continuously(
@@ -302,49 +358,22 @@ def _merged_stack_ordered(cad: Cad, triple, u: int, cfg: LiftConfig) -> bool:
 # Minimization (the reduction loop)
 
 
-@dataclass
-class MinimizeResult:
-    cad: Cad
-    labels: LeafLabeling
-    applied: list[CellIndex] = field(default_factory=list)
+def minimize(cad: Cad, labels: LeafLabeling, cfg: LiftConfig = LiftConfig()) -> Coarsening:
+    """Greedy reduction to a coarsening admitting no liftable merge.
 
-    @property
-    def is_fixed_point(self) -> bool:
-        return not self.applied
-
-
-def minimize(cad: Cad, labels: LeafLabeling, cfg: LiftConfig = LiftConfig()) -> MinimizeResult:
-    """Greedy reduction to a CAD admitting no liftable merge.
-
-    Pivots are attempted in ``pivot_order``; the first
-    lift that succeeds is applied and the search restarts on the result.
+    Pivots are attempted in ``pivot_order``; the first lift that succeeds is
+    applied and the search restarts on the result.  The result's ``applied``
+    lists the merges in order.
     """
-    current, cur_labels = cad, labels
-    applied: list[CellIndex] = []
+    node = Coarsening(cad, labels)
     while True:
-        pivots = sorted(applicable_pivots(_tree_of(current, cur_labels)), key=pivot_order)
-        for pivot in pivots:
-            res = try_lift(current, cur_labels, pivot, cfg)
-            if res is not None:
-                current, cur_labels = res
-                applied.append(pivot)
+        for pivot in node.pivots:
+            child = try_lift(node, pivot, cfg)
+            if child is not None:
+                node = child
                 break
         else:
-            return MinimizeResult(current, cur_labels, applied)
-
-
-def reduction_reachable(
-    target: Cad,
-    start: Cad,
-    start_labels: LeafLabeling,
-    cfg: LiftConfig = LiftConfig(),
-) -> bool:
-    """Whether a chain of liftable merges from ``start`` reaches ``target``
-    (reflexively), comparing canonical partitions of the shared root."""
-    from cadreduce.cadmodel import coarsening_blocks
-    from cadreduce.poset import explore  # poset imports this module
-
-    return coarsening_blocks(target, start.root, cfg.precision) in explore(start, start_labels, cfg).nodes
+            return node
 
 
 # ---------------------------------------------------------------------------

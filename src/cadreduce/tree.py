@@ -18,14 +18,16 @@ Label = object  # 0 | 1 on leaves, nested tuples on internal nodes
 
 
 class CadTree:
-    """Immutable tree: depth, per-node branching counts, leaf labels."""
+    """Immutable tree: depth, per-node branching counts, leaf labels.  Only
+    ``apply_merge``, deriving a tree from a valid one, skips validation."""
 
-    def __init__(self, depth: int, counts: dict[CellIndex, int], labels: dict[CellIndex, int]):
+    def __init__(self, depth: int, counts: dict[CellIndex, int], labels: dict[CellIndex, int], *, validate=True):
         self.depth = depth
         self.counts = counts
         self.labels = labels
         self._label_cache: dict[CellIndex, Label] = {}
-        self._validate()
+        if validate:
+            self._validate()
 
     def _validate(self) -> None:
         for node, u in self.counts.items():
@@ -131,7 +133,7 @@ def is_applicable(tree: CadTree, pivot: CellIndex) -> bool:
     for k, letter in enumerate(pivot):
         if not 1 <= letter <= 2 * tree.counts[pivot[:k]] + 1:
             return False
-    return tree.label(_sibling(pivot, -1)) == tree.label(pivot) == tree.label(_sibling(pivot, +1))
+    return tree.label(sibling(pivot, -1)) == tree.label(pivot) == tree.label(sibling(pivot, +1))
 
 
 def applicable_pivots(tree: CadTree) -> set[CellIndex]:
@@ -145,28 +147,55 @@ def applicable_pivots(tree: CadTree) -> set[CellIndex]:
     }
 
 
-def apply_merge(tree: CadTree, pivot: CellIndex) -> CadTree:
-    """The reduced tree after merging at an applicable pivot."""
+def subtree(counts: dict[CellIndex, int], depth: int, top: CellIndex) -> list[CellIndex]:
+    """``top`` and every node below it down to depth ``depth``, depth first."""
+    nodes, frontier = [], [top]
+    while frontier:
+        node = frontier.pop()
+        nodes.append(node)
+        if len(node) < depth:
+            frontier += [node + (j,) for j in range(1, 2 * counts[node] + 2)]
+    return nodes
+
+
+def merge_moves(counts: dict[CellIndex, int], depth: int, pivot: CellIndex) -> tuple[list, list]:
+    """The (node, ``relabel_index`` image) pairs of a merge at ``pivot``: of
+    the pivot's and the right flank's lineages, which collapse onto the left
+    flank's, and of the later siblings' lineages, which shift.  No other
+    node moves."""
+    parent, letter = pivot[:-1], pivot[-1]
+    collapsed, shifted = [], []
+    for j in range(letter, 2 * counts[parent] + 2):
+        moves = collapsed if j <= letter + 1 else shifted
+        moves += [(node, relabel_index(pivot, node)) for node in subtree(counts, depth, parent + (j,))]
+    return collapsed, shifted
+
+
+def apply_merge(tree: CadTree, pivot: CellIndex, moves: tuple[list, list] | None = None) -> CadTree:
+    """The reduced tree after merging at an applicable pivot; ``moves`` are
+    its ``merge_moves`` if the caller has them.
+
+    The collapsing lineages have the left flank's recursive label, hence its
+    counts and leaf labels, and are dropped; the shifted ones keep their
+    values under their images; the rest is copied.  So the parent keeps
+    2(u-1)+1 consecutive children, every node its count or label, and the
+    result is valid when ``tree`` is: it is not validated again.
+    """
     if not is_applicable(tree, pivot):
         raise RuleNotApplicable(f"pivot {pivot} does not satisfy the merge condition")
-    k = len(pivot)
-    parent = pivot[:-1]
-    counts: dict[CellIndex, int] = {}
-    for node, u in tree.counts.items():
-        image = relabel_index(pivot, node)
-        if prefix(node, k) == pivot or prefix(node, k) == _sibling(pivot, +1):
-            # Collapses onto the lineage of the left flank.
-            continue
-        counts[image] = u - 1 if node == parent else u
-    labels: dict[CellIndex, int] = {}
-    for leaf, bit in tree.labels.items():
-        if prefix(leaf, k) == pivot or prefix(leaf, k) == _sibling(pivot, +1):
-            continue
-        labels[relabel_index(pivot, leaf)] = bit
-    return CadTree(tree.depth, counts, labels)
+    collapsed, shifted = moves or merge_moves(tree.counts, tree.depth, pivot)
+    depth = tree.depth
+    counts, labels = dict(tree.counts), dict(tree.labels)
+    for node, _image in collapsed:
+        del (labels if len(node) == depth else counts)[node]
+    values = [(labels if len(node) == depth else counts).pop(node) for node, _image in shifted]
+    for (node, image), value in zip(shifted, values):
+        (labels if len(node) == depth else counts)[image] = value
+    counts[pivot[:-1]] -= 1
+    return CadTree(depth, counts, labels, validate=False)
 
 
-def _sibling(pivot: CellIndex, offset: int) -> CellIndex:
+def sibling(pivot: CellIndex, offset: int) -> CellIndex:
     return pivot[:-1] + (pivot[-1] + offset,)
 
 

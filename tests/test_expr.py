@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -70,6 +71,21 @@ def test_parse_errors():
         parse_expr("(add 1 2))")
     with pytest.raises(ParseError):
         parse_formula("(lt (sqrt x1) 0)")  # non-polynomial atom
+
+
+def test_parse_formula_rejects_division_by_identically_zero():
+    for text in ("(lt (div 1 (sub x1 x1)) 0)", "(lt (div (div 1 x1) (sub x2 x2)) 0)"):
+        with pytest.raises(ParseError):
+            parse_formula(text)
+
+
+def test_node_hash_is_kept_but_not_pickled():
+    f = parse_formula("(lt (add x1 (pow x2 2)) 0)")
+    h = hash(f)
+    assert hash(f) == h == hash(parse_formula("(lt (add x1 (pow x2 2)) 0)"))
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and "_hash" not in vars(g) and "_hash" not in vars(g.lhs)
+    assert hash(g) == h
 
 
 def test_eval_trousers_section_at_positive_quadrant():

@@ -1,16 +1,31 @@
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
-
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_console_scripts_resolve():
+    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(PYPROJECT.read_text())["project"]
     for name, target in project.get("scripts", {}).items():
         module_name, _, attr = target.partition(":")
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr)), name
+
+
+def test_perfbench_trace_targets_resolve():
+    # The benchmark's tracer wraps these by name; a renamed target would
+    # break only its traced runs.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module_name, qualname in tracer.TARGETS:
+        module = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+        owner_name, _, attr = qualname.rpartition(".")
+        owner = getattr(module, owner_name) if owner_name else module
+        assert callable(vars(owner).get(attr)), f"{module_name}.{qualname}"

@@ -19,7 +19,6 @@ from cadreduce.gallery import (
 from cadreduce.poset import (
     PosetGraph,
     common_refinement,
-    count_strict_coarsenings,
     explore,
     extend_cylinder,
     is_globally_confluent,
@@ -33,16 +32,6 @@ from cadreduce.reduction import LiftConfig
 
 F = Fraction
 CFG = LiftConfig()
-
-
-def test_bell_counts():
-    assert count_strict_coarsenings(1) == 0
-    assert count_strict_coarsenings(2) == 1
-    assert count_strict_coarsenings(3) == 4
-    assert count_strict_coarsenings(9) == 21146
-    assert count_strict_coarsenings(15) == 1382958544
-    with pytest.raises(ValueError):
-        count_strict_coarsenings(0)
 
 
 def test_explore_single_chain():

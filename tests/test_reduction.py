@@ -5,15 +5,28 @@ import pytest
 from cadreduce.cadmodel import Cad, SectionStack, check_adapted, coarsening_blocks, refines, validate_cad
 from cadreduce.errors import RuleNotApplicable, SectionOutOfRange
 from cadreduce.expr import parse_expr
-from cadreduce.gallery import disk_c, disk_cp, disk_cpp, trousers_c, trousers_cp, ushape_c, ushape_cp
-from cadreduce.poset import explore
+from cadreduce.gallery import (
+    disk_c,
+    disk_cp,
+    disk_cpp,
+    gallery_names,
+    load_entry,
+    trousers_c,
+    trousers_cp,
+    ushape_c,
+    ushape_cp,
+)
+from cadreduce.poset import explore, extend_cylinder
 from cadreduce.reduction import (
+    Coarsening,
     LiftConfig,
+    _merged_cellmap,
     insert_section,
     minimize,
-    reduction_reachable,
     try_lift,
 )
+from cadreduce.tree import apply_merge, merge_moves, relabel_index
+from tests.test_tree import full_relabel_merge
 
 F = Fraction
 
@@ -23,9 +36,9 @@ CERT = LiftConfig(mode="certificate")
 
 def test_disk_merge_lifts_to_disk_c():
     entry = disk_cp()
-    res = try_lift(entry.cad, entry.labels, (4,), CFG)
+    res = try_lift(Coarsening(entry.cad, entry.labels), (4,), CFG)
     assert res is not None
-    merged, labels = res
+    merged, labels = res.cad, res.labels
     assert merged.leaf_count() == 13
     expected = coarsening_blocks(disk_c().cad, entry.cad)
     assert merged.partition_blocks() == expected
@@ -36,24 +49,24 @@ def test_disk_merge_lifts_to_disk_c():
 
 def test_disk_merge_lifts_in_certificate_mode():
     entry = disk_cp()
-    res = try_lift(entry.cad, entry.labels, (4,), CERT)
+    res = try_lift(Coarsening(entry.cad, entry.labels), (4,), CERT)
     assert res is not None
-    assert res[0].leaf_count() == 13
+    assert res.cad.leaf_count() == 13
 
 
 def test_trousers_merges_do_not_lift():
     for entry, pivot in ((trousers_c(), (1, 2)), (trousers_cp(), (3, 2))):
-        assert try_lift(entry.cad, entry.labels, pivot, CFG) is None
+        assert try_lift(Coarsening(entry.cad, entry.labels), pivot, CFG) is None
         # No certificate shipped: certificate mode refuses as well.
-        assert try_lift(entry.cad, entry.labels, pivot, CERT) is None
+        assert try_lift(Coarsening(entry.cad, entry.labels), pivot, CERT) is None
 
 
 def test_ushape_merges_do_not_lift():
     for entry, pivot in ((ushape_c(), (1, 2)), (ushape_cp(), (3, 2))):
-        assert try_lift(entry.cad, entry.labels, pivot, CFG) is None
+        assert try_lift(Coarsening(entry.cad, entry.labels), pivot, CFG) is None
 
 
-def test_section_with_a_jump_hidden_by_a_nested_division_does_not_lift():
+def nested_division_jump():
     # Over the cells 1 and 3 of the base stack [0] the section is A = x1 + 1
     # with a cancelling factor; over the seam x1 = 0 it is
     # B = (x1 + 1) / (1 / (x1^2 + 2)), which is 2 there, while A tends to 1.
@@ -62,20 +75,10 @@ def test_section_with_a_jump_hidden_by_a_nested_division_does_not_lift():
     stacks = {(): SectionStack((parse_expr("0"),))}
     stacks.update({(1,): SectionStack((a,)), (2,): SectionStack((b,)), (3,): SectionStack((a,))})
     cad = Cad(2, stacks)
-    labels = {leaf: 0 for leaf in cad.leaves()}
-    assert validate_cad(cad).ok
-    assert try_lift(cad, labels, (2,), CFG) is None
+    return cad, {leaf: 0 for leaf in cad.leaves()}
 
 
-def test_try_lift_requires_applicable_pivot():
-    entry = disk_cp()
-    # Unequal labels, odd, out of range, deeper than the leaves, empty.
-    for pivot in ((2,), (3,), (0,), (8,), (4, 2, 2), ()):
-        with pytest.raises(RuleNotApplicable):
-            try_lift(entry.cad, entry.labels, pivot, CFG)
-
-
-def test_disordered_glued_stack_is_rejected_cold_and_warm():
+def disordered_stack():
     # Base stack [0]; over each of the cells 1, 2, 3 the stack [1, 0], which
     # is not ordered.  The sections glue continuously at pivot 2, so only
     # the order check rejects that merge.
@@ -83,22 +86,40 @@ def test_disordered_glued_stack_is_rejected_cold_and_warm():
     stacks = {(): SectionStack((zero,))}
     stacks.update({(i,): SectionStack((one, zero)) for i in (1, 2, 3)})
     cad = Cad(2, stacks)
-    labels = {leaf: 0 for leaf in cad.leaves()}
+    return cad, {leaf: 0 for leaf in cad.leaves()}
+
+
+def test_section_with_a_jump_hidden_by_a_nested_division_does_not_lift():
+    cad, labels = nested_division_jump()
+    assert validate_cad(cad).ok
+    assert try_lift(Coarsening(cad, labels), (2,), CFG) is None
+
+
+def test_try_lift_requires_applicable_pivot():
+    entry = disk_cp()
+    # Unequal labels, odd, out of range, deeper than the leaves, empty.
+    for pivot in ((2,), (3,), (0,), (8,), (4, 2, 2), ()):
+        with pytest.raises(RuleNotApplicable):
+            try_lift(Coarsening(entry.cad, entry.labels), pivot, CFG)
+
+
+def test_disordered_glued_stack_is_rejected_cold_and_warm():
+    cad, labels = disordered_stack()
     assert not validate_cad(cad).ok
-    assert try_lift(cad, labels, (2,), CFG) is None
+    assert try_lift(Coarsening(cad, labels), (2,), CFG) is None
     graph = explore(cad, labels, CFG)
     # Below the root, leaf merges leave one section per stack; glued at 2,
     # such a stack is ordered and the merge lifts.  Its verdict is kept apart
     # from the root's.
     assert any(pivot == (2,) for _s, pivot, _d in graph.edges)
-    assert try_lift(cad, labels, (2,), CFG) is None
+    assert try_lift(Coarsening(cad, labels), (2,), CFG) is None
 
 
 def test_leaf_level_merge_always_lifts():
     entry = disk_cpp()
-    res = try_lift(entry.cad, entry.labels, (4, 6), CFG)
+    res = try_lift(Coarsening(entry.cad, entry.labels), (4, 6), CFG)
     assert res is not None
-    merged, labels = res
+    merged, labels = res.cad, res.labels
     assert merged.leaf_count() == 27
     assert validate_cad(merged).ok
     assert check_adapted(merged, entry.formula) == labels
@@ -107,7 +128,7 @@ def test_leaf_level_merge_always_lifts():
 def test_minimize_trousers_fixed_points():
     for entry in (trousers_c(), trousers_cp()):
         res = minimize(entry.cad, entry.labels, CFG)
-        assert res.is_fixed_point
+        assert not res.applied
         assert res.cad.leaf_count() == entry.expected["leaf_count"]
 
 
@@ -139,7 +160,7 @@ def test_minimize_single_chain_identity():
 
     cad, labels = single_chain(3)
     res = minimize(cad, labels, CFG)
-    assert res.is_fixed_point and res.cad is cad
+    assert not res.applied and res.cad is cad
 
 
 def test_minimize_step_budget():
@@ -155,9 +176,9 @@ def test_insert_section_rebuilds_disk_cp():
     assert validate_cad(refined).ok
     assert labels == disk_cp().labels
     # Round trip: merging at the inserted section recovers the original.
-    res = try_lift(refined, labels, (4,), CFG)
+    res = try_lift(Coarsening(refined, labels), (4,), CFG)
     assert res is not None
-    assert res[0].partition_blocks() == coarsening_blocks(entry.cad, refined)
+    assert res.cad.partition_blocks() == coarsening_blocks(entry.cad, refined)
 
 
 def test_insert_section_rebuilds_disk_cpp():
@@ -179,17 +200,89 @@ def test_insert_section_rejects_out_of_range():
         insert_section(entry.cad, entry.labels, (), 3, parse_expr("5"))
 
 
+def reachable(target, start, labels):
+    """Whether a chain of liftable merges from ``start`` reaches ``target``
+    (reflexively), comparing partitions of the shared root."""
+    return coarsening_blocks(target, start) in explore(start, labels, CFG).nodes
+
+
 def test_reduction_reachable_disk():
     cp = disk_cp()
-    res = try_lift(cp.cad, cp.labels, (4,), CFG)
+    res = try_lift(Coarsening(cp.cad, cp.labels), (4,), CFG)
     assert res is not None
-    merged, _ = res
-    assert reduction_reachable(merged, cp.cad, cp.labels, CFG)
-    assert reduction_reachable(cp.cad, cp.cad, cp.labels, CFG)  # reflexive
+    assert reachable(res.cad, cp.cad, cp.labels)
+    assert reachable(cp.cad, cp.cad, cp.labels)  # reflexive
 
 
 def test_reduction_reachable_respects_refinement():
     cpp = disk_cpp()
     target = disk_c()
-    assert reduction_reachable(target.cad, cpp.cad, cpp.labels, CFG)
+    assert reachable(target.cad, cpp.cad, cpp.labels)
     assert refines(cpp.cad, target.cad, cpp.cad)
+
+
+def lift_fixtures():
+    """(name, builder of a fresh labelled root) for every gallery entry,
+    disk-Cpp in R^4 and the two fixtures above."""
+    for name in gallery_names():
+        yield name, lambda name=name: (load_entry(name).cad, load_entry(name).labels)
+    yield "disk-Cpp in R^4", lambda: extend_cylinder(disk_cpp().cad, disk_cpp().labels, 4)
+    yield "disordered stack", disordered_stack
+    yield "nested division jump", nested_division_jump
+
+
+def on_fresh_root(node: Coarsening, build) -> Coarsening:
+    """The same coarsening of a new copy of its root, whose caches are empty."""
+    root, _labels = build()
+    cad = root
+    if not node.cad.is_root:
+        cad = Cad(root.n, root=root, counts=node.cad.counts, cellmap=node.cad.cellmap, history=node.cad.history)
+    return Coarsening(cad, node.labels, node.history)
+
+
+def test_warm_verdicts_and_children_equal_cold_ones():
+    lifts = 0
+    for name, build in lift_fixtures():
+        graph = explore(*build(), CFG)  # warms the root's verdict memo
+        for node in graph.nodes.values():
+            for pivot in node.pivots:
+                warm = try_lift(node, pivot, CFG)
+                cold = try_lift(on_fresh_root(node, build), pivot, CFG)
+                assert (warm is None) == (cold is None), (name, node.history, pivot)
+                lifts += 1
+                if warm is None:
+                    continue
+                assert warm.history == cold.history == node.history + (pivot,)
+                assert warm.cad.history == cold.cad.history
+                assert warm.cad.counts == cold.cad.counts and warm.cad.cellmap == cold.cad.cellmap
+                assert warm.labels == cold.labels and warm.tree == cold.tree
+                assert warm.blocks == cold.blocks
+    assert lifts > 100
+
+
+def full_relabel_cellmap(cad: Cad, pivot):
+    """Oracle: every cell relabelled, merged cells' root cells united."""
+    cellmap = {}
+    for cell in cad.all_cells():
+        image = relabel_index(pivot, cell)
+        cellmap[image] = tuple(sorted(set(cellmap.get(image, ())) | set(cad.root_cells(cell))))
+    return cellmap
+
+
+def test_incremental_merge_matches_full_relabel_on_gallery_pivots():
+    merges = 0
+    for name, build in lift_fixtures():
+        graph = explore(*build(), CFG)
+        for node in graph.nodes.values():
+            for pivot in node.pivots:
+                moves = merge_moves(node.cad.counts, node.cad.n, pivot)
+                reduced = apply_merge(node.tree, pivot, moves)
+                assert reduced == full_relabel_merge(node.tree, pivot), (name, pivot)
+                reduced._validate()
+                assert _merged_cellmap(node.cad, moves) == full_relabel_cellmap(node.cad, pivot), (name, pivot)
+                merges += 1
+                child = try_lift(node, pivot, CFG)
+                if child is not None:
+                    assert child.tree == reduced
+                    assert child.blocks == child.cad.partition_blocks()
+    assert merges > 100

@@ -177,6 +177,40 @@ def test_apply_merge_preserves_invariants_and_shrinks():
     assert applied > 50
 
 
+def full_relabel_merge(tree: CadTree, pivot) -> CadTree:
+    """Oracle: the merge with every count and leaf label relabelled, and the
+    result validated."""
+    k = len(pivot)
+    gone = (pivot, pivot[:-1] + (pivot[-1] + 1,))
+    counts = {
+        relabel_index(pivot, node): u - 1 if node == pivot[:-1] else u
+        for node, u in tree.counts.items()
+        if prefix(node, k) not in gone
+    }
+    labels = {relabel_index(pivot, leaf): bit for leaf, bit in tree.labels.items() if prefix(leaf, k) not in gone}
+    return CadTree(tree.depth, counts, labels)
+
+
+def test_apply_merge_matches_full_relabel():
+    # Along merge chains, so that trees derived without validation are
+    # merged again.
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(200):
+        t = random_tree(rng, rng.randint(1, 3))
+        while True:
+            pivots = sorted(applicable_pivots(t))
+            if not pivots:
+                break
+            for pivot in pivots:
+                reduced = apply_merge(t, pivot)
+                assert reduced == full_relabel_merge(t, pivot)
+                reduced._validate()
+                checked += 1
+            t = apply_merge(t, pivots[rng.randrange(len(pivots))])
+    assert checked > 200
+
+
 def test_merge_preimage_counts():
     # Every node of the reduced tree has 1..3 preimages; exactly 3 iff its
     # prefix at the pivot level is the left flank.
