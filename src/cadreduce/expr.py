@@ -19,7 +19,7 @@ from math import isqrt
 from typing import Iterable, Union
 
 from cadreduce.errors import DivisionByZero, GuardUndecidable, ParseError, SqrtOfNegative, UnknownOrder
-from cadreduce.realroots import AlgebraicNumber, make_algebraic, poly as upoly, primitive
+from cadreduce.realroots import AlgebraicNumber, make_algebraic, poly as upoly
 
 DEFAULT_PRECISION = Fraction(1, 2**40)
 
@@ -824,9 +824,8 @@ def _sqrt_bounds(c: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     """Rational enclosure of sqrt(c) of width <= ``width`` (c >= 0)."""
     if c == 0:
         return (Fraction(0), Fraction(0))
-    m = 1
-    while Fraction(1, m) > width:
-        m *= 2
+    # The least power of two m with 1/m <= width, i.e. m >= ceil(1/width).
+    m = 1 << (-(-width.denominator // width.numerator) - 1).bit_length()
     n = (c.numerator * m * m) // c.denominator
     s = isqrt(n)
     return (Fraction(s, m), Fraction(s + 1, m))
@@ -835,7 +834,8 @@ def _sqrt_bounds(c: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
 def _algebraic_sqrt(c: Fraction) -> AlgebraicNumber:
     """sqrt(c) for positive non-square c, as an exact algebraic number."""
     lo, hi = _sqrt_bounds(c, Fraction(1, 4))
-    defining = primitive(upoly([-c, Fraction(0), Fraction(1)]))
+    # For c = p/q in lowest terms, q*x^2 - p is primitive and squarefree.
+    defining = upoly([-c.numerator, 0, c.denominator])
     # c is not a perfect square, so the rational bounds are never roots.
     return AlgebraicNumber(defining, lo, hi)
 

@@ -3,13 +3,15 @@
 Polynomials are dense coefficient tuples (low degree first, trailing
 coefficient nonzero).  Roots are isolated with Sturm sequences and rational
 bisection, and represented by :class:`AlgebraicNumber` values that can be
-refined on demand and compared exactly.
+refined on demand and compared exactly.  Signs at rational points are
+computed in integer arithmetic (:func:`sign_at`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 
@@ -24,7 +26,7 @@ ZERO: UniPoly = ()
 
 def poly(coeffs: Sequence[Fraction | int]) -> UniPoly:
     """Normalize a coefficient sequence (low degree first) to a UniPoly."""
-    cs = [Fraction(c) for c in coeffs]
+    cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -39,11 +41,21 @@ def is_zero(p: UniPoly) -> bool:
     return not p
 
 
-def evaluate(p: UniPoly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def sign_at(p: UniPoly, x: Fraction) -> int:
+    """Sign of p(x), in integers.
+
+    With x = n/d (d > 0), deg p = k and L > 0 the least common denominator
+    of the coefficients, L * d^k * p(x) is the integer sum of
+    L*c_i * n^i * d^(k-i) (Horner's rule in n), which has the sign of p(x).
+    """
+    n, d = x.numerator, x.denominator
+    den = lcm(*[c.denominator for c in p])
+    acc = 0
+    dpow = 1
     for c in reversed(p):
-        acc = acc * x + c
-    return acc
+        acc = acc * n + c.numerator * (den // c.denominator) * dpow
+        dpow *= d
+    return (acc > 0) - (acc < 0)
 
 
 def derivative(p: UniPoly) -> UniPoly:
@@ -123,8 +135,6 @@ def primitive(p: UniPoly) -> UniPoly:
     """Scale so coefficients are coprime integers with positive leading one."""
     if is_zero(p):
         return ZERO
-    from math import gcd, lcm
-
     den = lcm(*[c.denominator for c in p])
     ints = [int(c * den) for c in p]
     g = 0
@@ -165,25 +175,17 @@ def sturm_sequence(p: UniPoly) -> list[UniPoly]:
     return chain
 
 
-def sign_variations(values: Sequence[Fraction]) -> int:
-    count = 0
-    prev = 0
-    for v in values:
-        if v == 0:
-            continue
-        s = 1 if v > 0 else -1
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
 def _variations_at(chain: Sequence[UniPoly], x: Fraction) -> int:
-    return sign_variations([evaluate(f, x) for f in chain])
+    signs = [s for s in (sign_at(f, x) for f in chain) if s]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def count_roots(p: UniPoly, a: Fraction, b: Fraction, chain: Sequence[UniPoly] | None = None) -> int:
-    """Number of distinct real roots of ``p`` in the half-open interval (a, b]."""
+    """Number of distinct real roots of ``p`` in the half-open interval (a, b].
+
+    ``chain`` is the Sturm chain of the squarefree part of ``p``; pass
+    ``sturm_sequence(p)`` when ``p`` is already squarefree.
+    """
     if is_zero(p):
         raise ZeroPolynomial("root count of the zero polynomial")
     if a >= b:
@@ -191,6 +193,19 @@ def count_roots(p: UniPoly, a: Fraction, b: Fraction, chain: Sequence[UniPoly] |
     if chain is None:
         chain = sturm_sequence(squarefree_part(p))
     return _variations_at(chain, a) - _variations_at(chain, b)
+
+
+def _vanishes_inside(g: UniPoly, lo: Fraction, hi: Fraction) -> bool:
+    """Whether ``g`` has a root in (lo, hi), where g divides the defining
+    polynomial of an algebraic number, (lo, hi) lies inside its isolating
+    interval and neither lo nor hi is a root of g.  That root can only be
+    the number.
+
+    g is squarefree, as the defining polynomial is, so it has at most that
+    one root in (lo, hi) and the root is simple: g has it exactly when it
+    changes sign between lo and hi.  No Sturm chain is needed.
+    """
+    return degree(g) >= 1 and sign_at(g, lo) != sign_at(g, hi)
 
 
 def root_bound(p: UniPoly) -> Fraction:
@@ -201,11 +216,15 @@ def root_bound(p: UniPoly) -> Fraction:
 
 @dataclass(frozen=True)
 class AlgebraicNumber:
-    """A real algebraic number: a squarefree defining polynomial together
-    with a rational isolating interval containing exactly one of its roots.
+    """A real algebraic number: a squarefree primitive defining polynomial
+    together with a rational isolating interval containing exactly one of
+    its roots.
 
-    ``lo == hi`` encodes an exact rational root.  Instances are immutable;
-    :meth:`refine` returns a narrower copy for the same root.
+    ``lo == hi`` encodes an exact rational root.  Otherwise ``lo < hi``, the
+    number lies in the open interval and neither endpoint is a root of
+    ``defining``.  Every constructor in the package keeps these invariants,
+    and :meth:`sign_of` and :meth:`compare` rely on them.  Instances are
+    immutable; :meth:`refine` returns a narrower copy for the same root.
     """
 
     defining: UniPoly
@@ -215,7 +234,7 @@ class AlgebraicNumber:
     @staticmethod
     def from_rational(r: Fraction | int) -> AlgebraicNumber:
         r = Fraction(r)
-        return AlgebraicNumber(poly([-r, 1]), r, r)
+        return AlgebraicNumber(poly([-r.numerator, r.denominator]), r, r)
 
     @property
     def is_rational(self) -> bool:
@@ -236,14 +255,13 @@ class AlgebraicNumber:
         if lo == hi:
             return self
         p = self.defining
-        flo = evaluate(p, lo)
-        slo = 1 if flo > 0 else -1
+        slo = sign_at(p, lo)
         while hi - lo > width:
             mid = (lo + hi) / 2
-            fm = evaluate(p, mid)
-            if fm == 0:
+            s = sign_at(p, mid)
+            if s == 0:
                 return AlgebraicNumber(p, mid, mid)
-            if (1 if fm > 0 else -1) == slo:
+            if s == slo:
                 lo = mid
             else:
                 hi = mid
@@ -253,36 +271,29 @@ class AlgebraicNumber:
         r = self.refine(width)
         return (r.lo, r.hi)
 
-    def sign(self) -> int:
-        if self.is_rational:
-            v = self.lo
-            return 0 if v == 0 else (1 if v > 0 else -1)
-        a = self
-        while a.lo < 0 < a.hi:
-            if evaluate(a.defining, Fraction(0)) == 0:
-                return 0
-            a = a.refine(a.width() / 2)
-        return 1 if a.lo > 0 else -1
-
     def sign_of(self, q: UniPoly) -> int:
         """Exact sign of q at this number."""
         if is_zero(q):
             return 0
         if self.is_rational:
-            v = evaluate(q, self.lo)
-            return 0 if v == 0 else (1 if v > 0 else -1)
-        g = gcd_poly(self.defining, squarefree_part(q))
-        if degree(g) >= 1 and count_roots(g, self.lo, self.hi) >= 1:
-            # The only root of `defining` in the interval is this number,
-            # and every root of g is a root of `defining`.
-            return 0
+            return sign_at(q, self.lo)
+        # q(a) = r(a), as `defining` vanishes at a.
+        r = rem_poly(q, self.defining)
+        if degree(r) <= 0:
+            return 0 if is_zero(r) else (1 if r[0] > 0 else -1)
         a = self
+        zero_tested = False
         while True:
-            lo, hi = interval_eval(q, a.lo, a.hi)
+            lo, hi = interval_eval(r, a.lo, a.hi)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
+            if not zero_tested:
+                # q(a) = 0 iff a is a root of gcd(defining, r).
+                if _vanishes_inside(gcd_poly(a.defining, r), a.lo, a.hi):
+                    return 0
+                zero_tested = True
             a = a.refine(a.width() / 2)
 
     def compare_rational(self, r: Fraction) -> int:
@@ -295,29 +306,34 @@ class AlgebraicNumber:
         if other.is_rational:
             return self.compare_rational(other.lo)
         a, b = self, other
-        g = gcd_poly(a.defining, b.defining)
-        # Equality is possible only if both numbers are roots of the gcd.
-        may_be_equal = (
-            degree(g) >= 1
-            and count_roots(g, a.lo, a.hi) >= 1
-            and count_roots(g, b.lo, b.hi) >= 1
-        )
+        equality_tested = False
         while True:
-            if a.hi < b.lo:
+            # A number lies strictly inside its interval or is its point,
+            # and a != b once refinement starts, so intervals that only
+            # touch are ordered.
+            if a.hi <= b.lo:
                 return -1
-            if b.hi < a.lo:
+            if b.hi <= a.lo:
                 return 1
-            if may_be_equal:
-                hull_lo, hull_hi = min(a.lo, b.lo), max(a.hi, b.hi)
-                if count_roots(g, hull_lo, hull_hi) == 1:
+            if not equality_tested:
+                # a = b iff their gcd g has a root in the intersection of the
+                # intervals: such a root is the one root of each defining
+                # polynomial there, and a common root is a root of g.
+                g = gcd_poly(a.defining, b.defining)
+                if _vanishes_inside(g, max(a.lo, b.lo), min(a.hi, b.hi)):
                     return 0
+                equality_tested = True
             a = a.refine(a.width() / 2)
             b = b.refine(b.width() / 2)
 
     def negated(self) -> AlgebraicNumber:
         """The additive inverse, as a root of p(-x)."""
-        flipped = primitive(tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.defining)))
-        return AlgebraicNumber(flipped, -self.hi, -self.lo)
+        # p(-x) has the coefficients of p up to sign, so it is primitive
+        # once its leading coefficient is positive.
+        flipped = [c if i % 2 == 0 else -c for i, c in enumerate(self.defining)]
+        if flipped[-1] < 0:
+            flipped = [-c for c in flipped]
+        return AlgebraicNumber(tuple(flipped), -self.hi, -self.lo)
 
     def shifted(self, delta: Fraction) -> AlgebraicNumber:
         """This number plus ``delta``, as a root of p(x - delta)."""
@@ -341,14 +357,14 @@ def make_algebraic(p: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicNumber:
         raise ZeroPolynomial("algebraic number needs a nonzero defining polynomial")
     sf = squarefree_part(p)
     if lo == hi:
-        if evaluate(sf, lo) != 0:
+        if sign_at(sf, lo) != 0:
             raise ValueError(f"{lo} is not a root of {p}")
         return AlgebraicNumber.from_rational(lo)
     if lo > hi:
         raise ValueError("empty isolating interval")
-    if evaluate(sf, lo) == 0 or evaluate(sf, hi) == 0:
+    if sign_at(sf, lo) == 0 or sign_at(sf, hi) == 0:
         raise ValueError("isolating interval endpoints must not be roots")
-    if count_roots(sf, lo, hi) != 1:
+    if count_roots(sf, lo, hi, sturm_sequence(sf)) != 1:
         raise ValueError(f"interval ({lo}, {hi}) does not isolate one root of {p}")
     return AlgebraicNumber(sf, lo, hi)
 
@@ -382,27 +398,27 @@ def isolate_roots(p: UniPoly) -> list[AlgebraicNumber]:
         # Invariant: `count` roots of sf in (a, b], endpoints a with sf(a) != 0.
         if count == 0:
             return
-        vb = evaluate(sf, b)
+        sb = sign_at(sf, b)
         if count == 1:
-            if vb == 0:
+            if sb == 0:
                 roots.append(AlgebraicNumber(sf, b, b))
                 return
             lo, hi = a, b
             # Shrink until the endpoints are off the root and have opposite
             # signs (then plain sign bisection refines the root later).
             while True:
-                va = evaluate(sf, lo)
-                if va != 0 and va * vb < 0:
+                sa = sign_at(sf, lo)
+                if sa != 0 and sa != sb:
                     break
                 mid = (lo + hi) / 2
-                vm = evaluate(sf, mid)
-                if vm == 0:
+                sm = sign_at(sf, mid)
+                if sm == 0:
                     roots.append(AlgebraicNumber(sf, mid, mid))
                     return
                 if count_roots(sf, mid, hi, chain) == 1:
                     lo = mid
                 else:
-                    hi, vb = mid, vm
+                    hi, sb = mid, sm
             roots.append(AlgebraicNumber(sf, lo, hi))
             return
         mid = (a + b) / 2

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,15 +18,36 @@ def test_console_scripts_resolve():
         assert callable(getattr(module, attr)), name
 
 
-def test_perfbench_trace_targets_resolve():
+def load_perfbench(name: str, monkeypatch):
+    """A module of ``perfbench/``, loaded by path (it is not a package)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve string annotations through sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_trace_targets_resolve(monkeypatch):
     # The benchmark's tracer wraps these by name; a renamed target would
     # break only its traced runs.
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench("tracer", monkeypatch)
     assert tracer.TARGETS
     for module_name, qualname in tracer.TARGETS:
         module = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
         owner_name, _, attr = qualname.rpartition(".")
         owner = getattr(module, owner_name) if owner_name else module
         assert callable(vars(owner).get(attr)), f"{module_name}.{qualname}"
+
+
+@pytest.mark.parametrize("seed", [0, 41])
+def test_perfbench_workloads_pass_their_oracles(seed, monkeypatch):
+    # One pass of each benchmark workload, every answer checked against its
+    # oracle: a change that alters an answer fails here, not only in a
+    # benchmark run.
+    workloads = load_perfbench("workloads", monkeypatch)
+    for name in workloads.WORKLOADS:
+        result = workloads.run_pass(workloads.build(name, seed))
+        assert result.attempted > 0
+        assert (result.failed, result.failures) == (0, []), name
+        assert workloads.self_check(name) == [], name

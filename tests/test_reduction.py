@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from cadreduce.cadmodel import Cad, SectionStack, check_adapted, coarsening_blocks, refines, validate_cad
-from cadreduce.errors import RuleNotApplicable, SectionOutOfRange
-from cadreduce.expr import parse_expr
+from cadreduce.errors import RuleNotApplicable, SectionOutOfRange, UnknownOrder
+from cadreduce.expr import DEFAULT_PRECISION, compare_coords, eval_coord, parse_expr
 from cadreduce.gallery import (
     disk_c,
     disk_cp,
@@ -87,6 +87,30 @@ def disordered_stack():
     stacks.update({(i,): SectionStack((one, zero)) for i in (1, 2, 3)})
     cad = Cad(2, stacks)
     return cad, {leaf: 0 for leaf in cad.leaves()}
+
+
+def sections_apart_by_2_to_the_minus_200():
+    # Base stack [0]; over each of the cells 1, 2, 3 the stack [f, g] with
+    # f = sqrt2 + sqrt3 and g = f + 2^-200.  Their order is decided at a
+    # precision of 2^-80 but not at the default 2^-40.
+    f = "(add (sqrt 2) (sqrt 3))"
+    functions = (parse_expr(f), parse_expr(f"(add {f} {Fraction(1, 2**200)})"))
+    stacks = {(): SectionStack((parse_expr("0"),))}
+    stacks.update({(i,): SectionStack(functions) for i in (1, 2, 3)})
+    cad = Cad(2, stacks)
+    return cad, {leaf: 0 for leaf in cad.leaves()}
+
+
+def test_lift_verdict_is_kept_per_precision():
+    cad, labels = sections_apart_by_2_to_the_minus_200()
+    f, g = (eval_coord(e, (F(0),)) for e in cad.stacks[(2,)].functions)
+    with pytest.raises(UnknownOrder):
+        compare_coords(f, g, DEFAULT_PRECISION)
+    fine = LiftConfig(precision=F(1, 2**80))
+    assert compare_coords(f, g, fine.precision) == -1
+    assert try_lift(Coarsening(cad, labels), (2,), fine) is not None
+    assert try_lift(Coarsening(cad, labels), (2,), CFG) is None
+    assert try_lift(Coarsening(cad, labels), (2,), fine) is not None
 
 
 def test_section_with_a_jump_hidden_by_a_nested_division_does_not_lift():
@@ -229,6 +253,7 @@ def lift_fixtures():
     yield "disk-Cpp in R^4", lambda: extend_cylinder(disk_cpp().cad, disk_cpp().labels, 4)
     yield "disordered stack", disordered_stack
     yield "nested division jump", nested_division_jump
+    yield "sections 2^-200 apart", sections_apart_by_2_to_the_minus_200
 
 
 def on_fresh_root(node: Coarsening, build) -> Coarsening:
