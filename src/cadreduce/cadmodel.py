@@ -8,15 +8,17 @@ last letter names a section (the graph of a stack function) and an odd last
 letter names a sector (the open band between consecutive sections).
 
 A CAD object either owns its geometry (a *root*), or is a coarsening of a
-root obtained by cell merges, in which case every cell maps to the tuple of
-root cells whose union it is and all numeric data is read off the root.
+root obtained by cell merges.  A coarsening is a view of its cell tree
+(``tree.CadTree``): each cell holds the sorted root cells whose union it is
+and its 2u+1 children, its index word is its path from the top, and all
+numeric data is read off the root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING
 
 from cadreduce.errors import (
     GuardUndecidable,
@@ -38,6 +40,9 @@ from cadreduce.expr import (
     formula_holds,
     max_var_index,
 )
+
+if TYPE_CHECKING:
+    from cadreduce.tree import CadTree
 
 CellIndex = tuple[int, ...]
 
@@ -131,7 +136,7 @@ def _sector_coords(lo: CoordValue | None, hi: CoordValue | None, count: int) -> 
 
 class Cad:
     """A CAD of R^n, either owning its geometry or viewing a root through a
-    coarsening map."""
+    coarsening's cell tree."""
 
     def __init__(
         self,
@@ -141,8 +146,7 @@ class Cad:
         samples: dict[CellIndex, Point] | None = None,
         certificates: frozenset[CellIndex] = frozenset(),
         root: "Cad | None" = None,
-        counts: dict[CellIndex, int] | None = None,
-        cellmap: dict[CellIndex, tuple[CellIndex, ...]] | None = None,
+        tree: "CadTree | None" = None,
         history: tuple[CellIndex, ...] = (),
     ):
         self.n = n
@@ -151,8 +155,7 @@ class Cad:
                 raise ValueError("a root CAD needs stacks")
             self.root: Cad = self
             self.stacks = stacks
-            self.counts = {cell: stack.count for cell, stack in stacks.items()}
-            self.cellmap = None  # identity
+            self.tree = None
             self.sample_overrides = dict(samples or {})
             self.certificates = certificates
             self.history: tuple[CellIndex, ...] = ()
@@ -165,11 +168,11 @@ class Cad:
             # per grouping of root cells into three merged subtrees and config.
             self._lift_cache: dict[tuple, bool] = {}
         else:
-            assert counts is not None and cellmap is not None
+            if tree is None:
+                raise ValueError("a coarsening needs its cell tree")
             self.root = root
             self.stacks = None
-            self.counts = counts
-            self.cellmap = cellmap
+            self.tree = tree
             self.sample_overrides = {}
             self.certificates = frozenset()
             self.history = history
@@ -181,20 +184,18 @@ class Cad:
         return self.root is self
 
     def stack_count(self, cell: CellIndex) -> int:
-        return self.counts[cell]
+        if self.tree is None:
+            return self.stacks[cell].count
+        return len(self.tree.cell(cell).children) // 2
 
     def children(self, cell: CellIndex) -> list[CellIndex]:
-        return [cell + (j,) for j in range(1, 2 * self.counts[cell] + 2)]
+        return [cell + (j,) for j in range(1, 2 * self.stack_count(cell) + 2)]
 
     def cells_of_level(self, k: int) -> list[CellIndex]:
         cells: list[CellIndex] = [ROOT_INDEX]
         for _ in range(k):
             cells = [c for parent in cells for c in self.children(parent)]
         return cells
-
-    def all_cells(self) -> Iterator[CellIndex]:
-        for k in range(self.n + 1):
-            yield from self.cells_of_level(k)
 
     def leaves(self) -> list[CellIndex]:
         return self.cells_of_level(self.n)
@@ -204,9 +205,9 @@ class Cad:
 
     def root_cells(self, cell: CellIndex) -> tuple[CellIndex, ...]:
         """The root cells whose union this cell is."""
-        if self.cellmap is None:
+        if self.tree is None:
             return (cell,)
-        return self.cellmap[cell]
+        return self.tree.cell(cell).roots
 
     # -- geometry ----------------------------------------------------------
 
@@ -313,7 +314,12 @@ class Cad:
 
     def partition_blocks(self) -> frozenset[frozenset[CellIndex]]:
         """The partition of root leaves induced by this CAD's leaves."""
-        return frozenset(frozenset(self.root_cells(leaf)) for leaf in self.leaves())
+        if self.tree is None:
+            return frozenset(frozenset((leaf,)) for leaf in self.leaves())
+        cells = [self.tree.top]
+        for _ in range(self.n):
+            cells = [child for cell in cells for child in cell.children]
+        return frozenset(cell.block for cell in cells)
 
     def canonical_key(self):
         """Structural identity for root CADs (used by round-trip tests)."""
@@ -516,13 +522,11 @@ def locate(cad: Cad, point, precision: Fraction = DEFAULT_PRECISION) -> CellInde
 def coarsening_blocks(cad: Cad, root: Cad, precision: Fraction = DEFAULT_PRECISION):
     """Represent ``cad`` as a partition of the root's leaves.
 
-    Uses the coarsening map when ``cad`` shares the root; otherwise embeds by
+    Uses ``partition_blocks`` when ``cad`` shares the root; otherwise embeds by
     locating every root leaf sample in ``cad``.
     """
     if cad.root is root:
         return cad.partition_blocks()
-    if cad is root:
-        return frozenset(frozenset((leaf,)) for leaf in root.leaves())
     if not cad.is_root:
         raise NotComparableRepresentation(
             "CAD is a coarsening of a different root"

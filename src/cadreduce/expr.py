@@ -809,7 +809,9 @@ class _Imprecise(Exception):
 
 
 def as_coord(v) -> CoordValue:
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, (AlgebraicNumber, LazyValue)):
         return v

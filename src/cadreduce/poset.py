@@ -84,7 +84,7 @@ class PosetGraph:
 def explore(root: Cad, labels: LeafLabeling, cfg: LiftConfig = LiftConfig()) -> PosetGraph:
     """Breadth-first closure of the root under liftable merges; a node keeps
     the history of the first path that reaches it."""
-    start = Coarsening(root, labels)
+    start = Coarsening.of(root, labels)
     graph = PosetGraph(root_key=start.blocks, nodes={start.blocks: start})
     queue = deque([start])
     while queue:

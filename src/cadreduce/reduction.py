@@ -47,10 +47,10 @@ from cadreduce.tree import (
     CadTree,
     applicable_pivots,
     apply_merge,
+    build_tree,
     is_applicable,
-    merge_moves,
     sibling,
-    subtree,
+    walk,
 )
 
 # Probe points per seam, and how close a side value must come to the seam value.
@@ -77,9 +77,7 @@ class LiftConfig:
             raise ValueError("precision must be positive")
 
 
-def _tree_of(cad: Cad, labels: LeafLabeling) -> CadTree:
-    return CadTree(cad.n, dict(cad.counts), dict(labels))
-
+_tree_of = build_tree  # perfbench builds trees under this name
 
 Blocks = frozenset[frozenset[CellIndex]]
 
@@ -87,17 +85,26 @@ Blocks = frozenset[frozenset[CellIndex]]
 @dataclass(frozen=True, eq=False)
 class Coarsening:
     """A labelled coarsening of a root CAD and the pivots merged to reach it
-    (in ``minimize`` or ``explore``).  The tree, the applicable pivots and
-    the partition are computed once; ``try_lift`` hands its result the tree
-    ``apply_merge`` derived and the partition updated from the parent's."""
+    (in ``minimize`` or ``explore``).
+
+    The coarsening is its cell tree: ``cad`` is the root itself or a view of
+    the tree, and the leaf labels, the applicable pivots and the partition
+    are read off the tree.  A merge shares every cell but the
+    glued one and the path above it with its parent (``tree.apply_merge``).
+    """
 
     cad: Cad
-    labels: LeafLabeling
+    tree: CadTree
     history: tuple[CellIndex, ...] = ()
 
-    @cached_property
-    def tree(self) -> CadTree:
-        return _tree_of(self.cad, self.labels)
+    @classmethod
+    def of(cls, cad: Cad, labels: LeafLabeling) -> Coarsening:
+        """A CAD (a root or a coarsening) with a total leaf labelling."""
+        return cls(cad, build_tree(cad, labels))
+
+    @property
+    def labels(self) -> LeafLabeling:
+        return {leaf: cell.label for leaf, cell in self.tree.leaves()}
 
     @cached_property
     def pivots(self) -> list[CellIndex]:
@@ -121,43 +128,19 @@ class Coarsening:
 def try_lift(node: Coarsening, pivot: CellIndex, cfg: LiftConfig = LiftConfig()) -> Coarsening | None:
     """The merged coarsening of the same root (labels transported, pivot
     appended to the history), or None when the merge at an applicable pivot
-    cannot be verified to be a CAD.  Beyond copying the parent's dicts, the
-    work is in the lineages the merge renames."""
+    cannot be verified to be a CAD.  The child's tree shares all but the
+    glued cell and the path above it with the parent's."""
     cad, tree = node.cad, node.tree
     if not is_applicable(tree, pivot):
         raise RuleNotApplicable(f"pivot {word_of(pivot)} is not applicable")
-    if not _lift_allowed(cad, pivot, cfg):
+    if not _lift_allowed(cad, tree, pivot, cfg):
         return None
-    moves = merge_moves(cad.counts, cad.n, pivot)
-    reduced = apply_merge(tree, pivot, moves)
-    cellmap = _merged_cellmap(cad, moves)
-    lifted = Cad(cad.n, root=cad.root, counts=reduced.counts, cellmap=cellmap, history=cad.history + (pivot,))
-    child = Coarsening(lifted, reduced.labels, node.history + (pivot,))
-    child.__dict__["tree"] = reduced  # where ``cached_property`` keeps its values
-    # The parent's partition, the blocks of the merged leaves replaced by their union.
-    leaves = [(cell, image) for cell, image in moves[0] if len(cell) == cad.n]
-    gone = [frozenset(cad.root_cells(c)) for move in leaves for c in move]
-    child.__dict__["blocks"] = node.blocks.difference(gone).union(frozenset(cellmap[im]) for _c, im in leaves)
-    return child
+    reduced = apply_merge(tree, pivot)
+    lifted = Cad(cad.n, root=cad.root, tree=reduced, history=cad.history + (pivot,))
+    return Coarsening(lifted, reduced, node.history + (pivot,))
 
 
-def _merged_cellmap(cad: Cad, moves: tuple[list, list]) -> dict[CellIndex, tuple[CellIndex, ...]]:
-    """The cellmap after a merge: the collapsing cells add their root cells
-    to their images in the left flank's lineage, the shifted cells move, and
-    every other entry is the parent's."""
-    cellmap = {cell: (cell,) for cell in cad.all_cells()} if cad.cellmap is None else dict(cad.cellmap)
-    collapsed, shifted = moves
-    merged: dict[CellIndex, list[CellIndex]] = {}
-    for cell, image in collapsed:
-        merged.setdefault(image, list(cellmap[image])).extend(cellmap.pop(cell))
-    roots = [cellmap.pop(cell) for cell, _image in shifted]
-    cellmap.update(zip([image for _cell, image in shifted], roots))
-    for cell, parts in merged.items():
-        cellmap[cell] = tuple(sorted(parts))
-    return cellmap
-
-
-def _lift_allowed(cad: Cad, pivot: CellIndex, cfg: LiftConfig) -> bool:
+def _lift_allowed(cad: Cad, tree: CadTree, pivot: CellIndex, cfg: LiftConfig) -> bool:
     k = len(pivot)
     if k == cad.n:
         # Dropping a section from a leaf-level stack: the union of the three
@@ -165,33 +148,33 @@ def _lift_allowed(cad: Cad, pivot: CellIndex, cfg: LiftConfig) -> bool:
         return True
     if cfg.mode == "certificate":
         # Certificates name pivots of the root document.  They remain valid
-        # after leaf-level merges only (those neither rename pivots of lower
-        # level nor change which base cells the merge glues).
+        # after leaf-level merges only (those neither move the index words of
+        # pivots of lower level nor change which base cells the merge glues).
         if any(len(h) < cad.n for h in cad.history):
             return False
         return pivot in cad.root.certificates
     # The sampled check reads the root, the configuration and, in each of the
-    # three merged subtrees, the root cells of the cell at each suffix (their
-    # length is the pivot's level); its verdict is kept under exactly that key.
+    # three merged subtrees, the root cells of the cell at each suffix; its
+    # verdict is kept under exactly that key.
     key = (cfg,) + tuple(
-        tuple((cell[k:], cad.root_cells(cell)) for cell in subtree(cad.counts, cad.n, top))
+        tuple((suffix, cell.roots) for suffix, cell in walk(tree.cell(top), cad.n - k))
         for top in (sibling(pivot, -1), pivot, sibling(pivot, +1))
     )
     cache = cad.root._lift_cache
     if key not in cache:
-        cache[key] = _glued_stacks_valid(cad, pivot, cfg)
+        cache[key] = _glued_stacks_valid(cad, tree, pivot, cfg)
     return cache[key]
 
 
-def _glued_stacks_valid(cad: Cad, pivot: CellIndex, cfg: LiftConfig) -> bool:
+def _glued_stacks_valid(cad: Cad, tree: CadTree, pivot: CellIndex, cfg: LiftConfig) -> bool:
     """Sampled evidence that the stacks above the three subtrees glue."""
     k = len(pivot)
     left, right = sibling(pivot, -1), sibling(pivot, +1)
-    for mid_cell in subtree(cad.counts, cad.n - 1, pivot):
-        suffix = mid_cell[k:]
+    for suffix, cell in walk(tree.cell(pivot), cad.n - 1 - k):
+        mid_cell = pivot + suffix
         left_cell = left + suffix
         right_cell = right + suffix
-        u = cad.stack_count(mid_cell)
+        u = len(cell.children) // 2
         for slot in range(1, u + 1):
             if not _glues_continuously(cad, pivot, left_cell, mid_cell, right_cell, slot, cfg):
                 return False
@@ -365,7 +348,7 @@ def minimize(cad: Cad, labels: LeafLabeling, cfg: LiftConfig = LiftConfig()) -> 
     applied and the search restarts on the result.  The result's ``applied``
     lists the merges in order.
     """
-    node = Coarsening(cad, labels)
+    node = Coarsening.of(cad, labels)
     while True:
         for pivot in node.pivots:
             child = try_lift(node, pivot, cfg)

@@ -1,15 +1,23 @@
-"""Labelled odd-ary trees that capture the combinatorics of a CAD together
-with binary leaf labels recording membership in the defining set.
+"""Labelled odd-ary trees that capture the combinatorics of a coarsening of
+a CAD together with binary leaf labels recording membership in the defining
+set.
 
-A node of depth k < n with branching count u has exactly 2u+1 children; all
-leaves sit at depth n.  Labels are stored only on leaves; the label of an
-internal node is the tuple of its children's labels, computed on demand.
-A merge at an even *pivot* node collapses the pivot and its two flanking
-siblings (and their subtrees) into one lineage; it applies exactly when the
-three recursive labels coincide.
+A labelled coarsening is one immutable tree of ``Cell`` objects.  A cell of
+depth k < n with branching count u has exactly 2u+1 children; all leaves sit
+at depth n.  Every cell holds the sorted root cells whose union it is, every
+leaf its label bit, and every cell its recursive label (the leaf bit, or the
+tuple of its children's labels), computed once when the cell is made.
+Index words, stack counts and leaf labels are read off the cells on demand.
+
+A merge at an even *pivot* glues the pivot and its two flanking siblings
+into one cell; it applies exactly when the three recursive labels coincide.
+The glued cell is new, and so are the cells on the path from the top to the
+pivot's parent; every other cell is the same object in both trees.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling
 from cadreduce.errors import LabelMissing, PivotNotEven, RuleNotApplicable
@@ -17,86 +25,76 @@ from cadreduce.errors import LabelMissing, PivotNotEven, RuleNotApplicable
 Label = object  # 0 | 1 on leaves, nested tuples on internal nodes
 
 
+class Cell:
+    """One cell of a coarsening: the sorted root cells whose union it is,
+    its 2u+1 children (none at leaf level) and its recursive label.  A leaf
+    also holds its block of the partition, the set of its root cells, which
+    every coarsening that shares the leaf shares too."""
+
+    __slots__ = ("roots", "children", "label", "block")
+
+    def __init__(self, roots: tuple[CellIndex, ...], children: tuple[Cell, ...] = (), bit: int | None = None):
+        self.roots = roots
+        self.children = children
+        if children:
+            self.label: Label = tuple([c.label for c in children])
+        else:
+            self.label, self.block = bit, frozenset(roots)
+
+
 class CadTree:
-    """Immutable tree: depth, per-node branching counts, leaf labels.  Only
-    ``apply_merge``, deriving a tree from a valid one, skips validation."""
+    """Immutable tree of cells, ``depth`` levels below its top cell."""
 
-    def __init__(self, depth: int, counts: dict[CellIndex, int], labels: dict[CellIndex, int], *, validate=True):
+    def __init__(self, depth: int, top: Cell):
         self.depth = depth
-        self.counts = counts
-        self.labels = labels
-        self._label_cache: dict[CellIndex, Label] = {}
-        if validate:
-            self._validate()
+        self.top = top
 
-    def _validate(self) -> None:
-        for node, u in self.counts.items():
-            if len(node) >= self.depth:
-                raise ValueError(f"count on node {node} at leaf depth")
-            if u < 0:
-                raise ValueError(f"negative branching count at {node}")
-        for k in range(self.depth):
-            for node in self.level(k):
-                if node not in self.counts:
-                    raise ValueError(f"missing branching count for {node}")
-        expected_leaves = set(self.level(self.depth))
-        if set(self.labels) != expected_leaves:
-            missing = expected_leaves - set(self.labels)
-            if missing:
-                raise LabelMissing(f"unlabelled leaves: {sorted(missing)}")
-            raise ValueError("labels on non-leaf nodes")
-        if any(v not in (0, 1) for v in self.labels.values()):
-            raise ValueError("leaf labels must be 0 or 1")
+    def cell(self, index: CellIndex) -> Cell:
+        """The cell with this index word (which must name a cell)."""
+        cell = self.top
+        for letter in index:
+            cell = cell.children[letter - 1]
+        return cell
 
-    def children(self, node: CellIndex) -> list[CellIndex]:
-        return [node + (j,) for j in range(1, 2 * self.counts[node] + 2)]
+    def nodes(self) -> Iterator[tuple[CellIndex, Cell]]:
+        """(index, cell) for every cell, depth first."""
+        return walk(self.top, self.depth)
 
-    def level(self, k: int) -> list[CellIndex]:
-        nodes: list[CellIndex] = [()]
-        for _ in range(k):
-            nodes = [c for parent in nodes for c in self.children(parent)]
-        return nodes
+    def leaves(self) -> list[tuple[CellIndex, Cell]]:
+        return [(index, cell) for index, cell in self.nodes() if not cell.children]
 
-    def nodes(self):
-        for k in range(self.depth + 1):
-            yield from self.level(k)
 
-    def leaves(self) -> list[CellIndex]:
-        return self.level(self.depth)
-
-    def leaf_count(self) -> int:
-        return len(self.leaves())
-
-    def label(self, node: CellIndex) -> Label:
-        """Recursive label: leaf bit, or the tuple of children labels."""
-        if len(node) == self.depth:
-            return self.labels[node]
-        cached = self._label_cache.get(node)
-        if cached is None:
-            cached = tuple(self.label(c) for c in self.children(node))
-            self._label_cache[node] = cached
-        return cached
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CadTree)
-            and self.depth == other.depth
-            and self.counts == other.counts
-            and self.labels == other.labels
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.depth, tuple(sorted(self.counts.items())), tuple(sorted(self.labels.items()))))
+def walk(top: Cell, levels: int) -> Iterator[tuple[CellIndex, Cell]]:
+    """(suffix, cell) for ``top`` and every cell at most ``levels`` levels
+    below it, depth first, later children first; the suffix is the cell's
+    index word relative to ``top``."""
+    frontier = [((), top)]
+    while frontier:
+        suffix, cell = frontier.pop()
+        yield suffix, cell
+        if len(suffix) < levels:
+            frontier += [(suffix + (j,), child) for j, child in enumerate(cell.children, start=1)]
 
 
 def build_tree(cad: Cad, labels: LeafLabeling) -> CadTree:
-    """The tree of a CAD, with the given total leaf labelling."""
+    """The tree of a CAD (a root or a coarsening) with a total labelling of
+    its leaves by 0 and 1; any other labelling is rejected."""
     leaves = cad.leaves()
     missing = [leaf for leaf in leaves if leaf not in labels]
     if missing:
         raise LabelMissing(f"missing labels for {missing[:3]}{'...' if len(missing) > 3 else ''}")
-    counts = {cell: cad.stack_count(cell) for k in range(cad.n) for cell in cad.cells_of_level(k)}
-    return CadTree(cad.n, counts, {leaf: labels[leaf] for leaf in leaves})
+    if len(labels) != len(leaves):
+        extra = sorted(set(labels) - set(leaves))
+        raise ValueError(f"labels on cells that are not leaves: {extra[:3]}{'...' if len(extra) > 3 else ''}")
+    if any(bit not in (0, 1) for bit in labels.values()):
+        raise ValueError("leaf labels must be 0 or 1")
+
+    def grow(index: CellIndex) -> Cell:
+        if len(index) == cad.n:
+            return Cell(cad.root_cells(index), bit=labels[index])
+        return Cell(cad.root_cells(index), tuple(map(grow, cad.children(index))))
+
+    return CadTree(cad.n, grow(()))
 
 
 def prefix(index: CellIndex, k: int) -> CellIndex:
@@ -109,6 +107,8 @@ def relabel_index(pivot: CellIndex, index: CellIndex) -> CellIndex:
 
     Indices inside the pivot lineage drop by one at the pivot position,
     later siblings' lineages drop by two, everything else is unchanged.
+    The merge itself renames nothing; this is the index arithmetic that
+    tests check the cell tree's index views against.
     """
     if not pivot or pivot[-1] % 2 != 0:
         raise PivotNotEven(f"pivot {pivot} must be nonempty with even last letter")
@@ -123,76 +123,65 @@ def relabel_index(pivot: CellIndex, index: CellIndex) -> CellIndex:
     return index
 
 
+def _glues(children: tuple[Cell, ...], letter: int) -> bool:
+    """Whether the section child ``letter`` and its flanks share one label."""
+    return children[letter - 2].label == children[letter - 1].label == children[letter].label
+
+
 def is_applicable(tree: CadTree, pivot: CellIndex) -> bool:
     """The merge condition at one node: ``pivot`` is a section node of the
     tree (each letter names one of its parent's 2u+1 children, the last
     letter is even) and its two flanking siblings carry the same recursive
     label as it does."""
-    if not pivot or len(pivot) > tree.depth or pivot[-1] % 2 != 0:
+    if not pivot or pivot[-1] % 2 != 0:
         return False
-    for k, letter in enumerate(pivot):
-        if not 1 <= letter <= 2 * tree.counts[pivot[:k]] + 1:
+    cell = tree.top
+    for letter in pivot[:-1]:
+        if not 1 <= letter <= len(cell.children):
             return False
-    return tree.label(sibling(pivot, -1)) == tree.label(pivot) == tree.label(sibling(pivot, +1))
+        cell = cell.children[letter - 1]
+    return 2 <= pivot[-1] < len(cell.children) and _glues(cell.children, pivot[-1])
 
 
 def applicable_pivots(tree: CadTree) -> set[CellIndex]:
     """All nodes that satisfy the merge condition (see ``is_applicable``)."""
     return {
-        parent + (2 * j,)
-        for k in range(tree.depth)
-        for parent in tree.level(k)
-        for j in range(1, tree.counts[parent] + 1)
-        if is_applicable(tree, parent + (2 * j,))
+        index + (letter,)
+        for index, cell in tree.nodes()
+        for letter in range(2, len(cell.children), 2)
+        if _glues(cell.children, letter)
     }
 
 
-def subtree(counts: dict[CellIndex, int], depth: int, top: CellIndex) -> list[CellIndex]:
-    """``top`` and every node below it down to depth ``depth``, depth first."""
-    nodes, frontier = [], [top]
-    while frontier:
-        node = frontier.pop()
-        nodes.append(node)
-        if len(node) < depth:
-            frontier += [node + (j,) for j in range(1, 2 * counts[node] + 2)]
-    return nodes
+def glue(left: Cell, mid: Cell, right: Cell) -> Cell:
+    """One cell from three of one shape: the union of their root cells, and
+    their children glued position by position."""
+    roots = tuple(sorted(left.roots + mid.roots + right.roots))
+    if not left.children:
+        return Cell(roots, bit=left.label)
+    return Cell(roots, tuple(map(glue, left.children, mid.children, right.children)))
 
 
-def merge_moves(counts: dict[CellIndex, int], depth: int, pivot: CellIndex) -> tuple[list, list]:
-    """The (node, ``relabel_index`` image) pairs of a merge at ``pivot``: of
-    the pivot's and the right flank's lineages, which collapse onto the left
-    flank's, and of the later siblings' lineages, which shift.  No other
-    node moves."""
-    parent, letter = pivot[:-1], pivot[-1]
-    collapsed, shifted = [], []
-    for j in range(letter, 2 * counts[parent] + 2):
-        moves = collapsed if j <= letter + 1 else shifted
-        moves += [(node, relabel_index(pivot, node)) for node in subtree(counts, depth, parent + (j,))]
-    return collapsed, shifted
+def apply_merge(tree: CadTree, pivot: CellIndex) -> CadTree:
+    """The reduced tree after merging at an applicable pivot.
 
-
-def apply_merge(tree: CadTree, pivot: CellIndex, moves: tuple[list, list] | None = None) -> CadTree:
-    """The reduced tree after merging at an applicable pivot; ``moves`` are
-    its ``merge_moves`` if the caller has them.
-
-    The collapsing lineages have the left flank's recursive label, hence its
-    counts and leaf labels, and are dropped; the shifted ones keep their
-    values under their images; the rest is copied.  So the parent keeps
-    2(u-1)+1 consecutive children, every node its count or label, and the
-    result is valid when ``tree`` is: it is not validated again.
+    The three merged cells have one recursive label, hence one shape, and
+    ``glue`` zips them into one.  The cells from the top to the pivot's
+    parent are copied, each with its root cells and its new child in place,
+    so the parent has 2(u-1)+1 children.  Every other cell is shared.
     """
     if not is_applicable(tree, pivot):
         raise RuleNotApplicable(f"pivot {pivot} does not satisfy the merge condition")
-    collapsed, shifted = moves or merge_moves(tree.counts, tree.depth, pivot)
-    depth = tree.depth
-    counts, labels = dict(tree.counts), dict(tree.labels)
-    for node, _image in collapsed:
-        del (labels if len(node) == depth else counts)[node]
-    values = [(labels if len(node) == depth else counts).pop(node) for node, _image in shifted]
-    for (node, image), value in zip(shifted, values):
-        (labels if len(node) == depth else counts)[image] = value
-    counts[pivot[:-1]] -= 1
-    return CadTree(depth, counts, labels, validate=False)
+    return CadTree(tree.depth, _merged(tree.top, pivot))
+
+
+def _merged(cell: Cell, pivot: CellIndex) -> Cell:
+    """A copy of ``cell`` with the merge at ``pivot``, an index word relative
+    to it, done in its subtree."""
+    kids, letter = cell.children, pivot[0]
+    if len(pivot) == 1:
+        return Cell(cell.roots, kids[: letter - 2] + (glue(*kids[letter - 2 : letter + 1]),) + kids[letter + 1 :])
+    return Cell(cell.roots, kids[: letter - 1] + (_merged(kids[letter - 1], pivot[1:]),) + kids[letter:])
 
 
 def sibling(pivot: CellIndex, offset: int) -> CellIndex:
@@ -203,20 +192,18 @@ def tree_to_dot(tree: CadTree, title: str = "cadtree") -> str:
     """Graphviz DOT for a labelled tree: green leaves are inside the set,
     red ones outside."""
     lines = [f'digraph "{title}" {{', "  node [fontname=\"Helvetica\"];"]
-    for node in tree.nodes():
-        name = "n_" + "_".join(map(str, node)) if node else "n_root"
-        text = ".".join(map(str, node)) if node else "ε"
-        if len(node) == tree.depth:
-            color = "palegreen" if tree.labels[node] == 1 else "lightcoral"
+    nodes = list(tree.nodes())
+    for index, cell in nodes:
+        name = "n_" + "_".join(map(str, index)) if index else "n_root"
+        text = ".".join(map(str, index)) if index else "ε"
+        if not cell.children:
+            color = "palegreen" if cell.label == 1 else "lightcoral"
             lines.append(f'  {name} [label="{text}", style=filled, fillcolor={color}];')
         else:
             lines.append(f'  {name} [label="{text}"];')
-    for node in tree.nodes():
-        if len(node) == tree.depth:
-            continue
-        parent_name = "n_" + "_".join(map(str, node)) if node else "n_root"
-        for child in tree.children(node):
-            child_name = "n_" + "_".join(map(str, child))
-            lines.append(f"  {parent_name} -> {child_name};")
+    for index, cell in nodes:
+        parent_name = "n_" + "_".join(map(str, index)) if index else "n_root"
+        for j in range(1, len(cell.children) + 1):
+            lines.append(f"  {parent_name} -> n_{'_'.join(map(str, index + (j,)))};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -157,6 +157,11 @@ def test_partition_refines_basics():
     assert partition_refines(coarse, coarse)
 
 
+def test_coarsening_needs_its_cell_tree():
+    with pytest.raises(ValueError):
+        Cad(2, root=disk_cp().cad)
+
+
 def test_coarsening_blocks_by_embedding():
     root = disk_cp().cad
     blocks = coarsening_blocks(disk_c().cad, root)

@@ -20,6 +20,7 @@ from cadreduce.expr import (
     Sub,
     Var,
     any_node,
+    as_coord,
     atom_sign,
     canonical_formula,
     canonicalize,
@@ -400,3 +401,14 @@ def test_canonical_formula_flattens_and_sorts():
     f1 = parse_formula("(and (gt x1 0) (and (gt x2 0) (gt x1 0)))")
     f2 = parse_formula("(and (gt x2 0) (gt x1 0))")
     assert canonical_formula(f1) == canonical_formula(f2)
+
+
+def test_as_coord_keeps_fractions_and_converts_ints():
+    q = F(3, 7)
+    assert as_coord(q) is q
+    assert as_coord(5) == F(5) and type(as_coord(5)) is F
+    root = isolate_roots(poly((-2, 0, 1)))[1]
+    assert as_coord(root) is root
+    for bad in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            as_coord(bad)

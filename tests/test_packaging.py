@@ -51,3 +51,24 @@ def test_perfbench_workloads_pass_their_oracles(seed, monkeypatch):
         assert result.attempted > 0
         assert (result.failed, result.failures) == (0, []), name
         assert workloads.self_check(name) == [], name
+
+
+def test_benchmark_tracer_contract(monkeypatch):
+    # perfbench counts trees as calls of ``CadTree.__init__``, reaches the
+    # pivots through ``poset`` and explores from a non-root ``minimize``
+    # result; it runs outside tier-1, so its assumptions are checked here.
+    from cadreduce import poset, reduction, tree
+    from cadreduce.gallery import disk_cpp
+
+    entry = disk_cpp()
+    built = []
+    init = tree.CadTree.__init__
+    monkeypatch.setattr(tree.CadTree, "__init__", lambda self, *a: built.append(init(self, *a)))
+    reduction._tree_of(entry.cad, entry.labels)
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert poset.applicable_pivots is tree.applicable_pivots
+    result = reduction.minimize(entry.cad, entry.labels)
+    assert not result.cad.is_root
+    graph = poset.explore(result.cad, result.labels)
+    assert len(graph.nodes) == 1 and not graph.edges

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from cadreduce.cadmodel import Cad, SectionStack, check_adapted, coarsening_blocks, refines, validate_cad
-from cadreduce.errors import RuleNotApplicable, SectionOutOfRange, UnknownOrder
+from cadreduce.errors import LabelMissing, RuleNotApplicable, SectionOutOfRange, UnknownOrder
 from cadreduce.expr import DEFAULT_PRECISION, compare_coords, eval_coord, parse_expr
 from cadreduce.gallery import (
     disk_c,
@@ -20,13 +21,18 @@ from cadreduce.poset import explore, extend_cylinder
 from cadreduce.reduction import (
     Coarsening,
     LiftConfig,
-    _merged_cellmap,
     insert_section,
     minimize,
     try_lift,
 )
-from cadreduce.tree import apply_merge, merge_moves, relabel_index
-from tests.test_tree import full_relabel_merge
+from cadreduce.tree import applicable_pivots, apply_merge, build_tree, relabel_index
+from tests.test_tree import (
+    assert_shares_all_but_the_path_and_the_triple,
+    assert_valid,
+    full_relabel_merge,
+    index_views,
+    random_tree,
+)
 
 F = Fraction
 
@@ -36,7 +42,7 @@ CERT = LiftConfig(mode="certificate")
 
 def test_disk_merge_lifts_to_disk_c():
     entry = disk_cp()
-    res = try_lift(Coarsening(entry.cad, entry.labels), (4,), CFG)
+    res = try_lift(Coarsening.of(entry.cad, entry.labels), (4,), CFG)
     assert res is not None
     merged, labels = res.cad, res.labels
     assert merged.leaf_count() == 13
@@ -49,21 +55,21 @@ def test_disk_merge_lifts_to_disk_c():
 
 def test_disk_merge_lifts_in_certificate_mode():
     entry = disk_cp()
-    res = try_lift(Coarsening(entry.cad, entry.labels), (4,), CERT)
+    res = try_lift(Coarsening.of(entry.cad, entry.labels), (4,), CERT)
     assert res is not None
     assert res.cad.leaf_count() == 13
 
 
 def test_trousers_merges_do_not_lift():
     for entry, pivot in ((trousers_c(), (1, 2)), (trousers_cp(), (3, 2))):
-        assert try_lift(Coarsening(entry.cad, entry.labels), pivot, CFG) is None
+        assert try_lift(Coarsening.of(entry.cad, entry.labels), pivot, CFG) is None
         # No certificate shipped: certificate mode refuses as well.
-        assert try_lift(Coarsening(entry.cad, entry.labels), pivot, CERT) is None
+        assert try_lift(Coarsening.of(entry.cad, entry.labels), pivot, CERT) is None
 
 
 def test_ushape_merges_do_not_lift():
     for entry, pivot in ((ushape_c(), (1, 2)), (ushape_cp(), (3, 2))):
-        assert try_lift(Coarsening(entry.cad, entry.labels), pivot, CFG) is None
+        assert try_lift(Coarsening.of(entry.cad, entry.labels), pivot, CFG) is None
 
 
 def nested_division_jump():
@@ -108,15 +114,15 @@ def test_lift_verdict_is_kept_per_precision():
         compare_coords(f, g, DEFAULT_PRECISION)
     fine = LiftConfig(precision=F(1, 2**80))
     assert compare_coords(f, g, fine.precision) == -1
-    assert try_lift(Coarsening(cad, labels), (2,), fine) is not None
-    assert try_lift(Coarsening(cad, labels), (2,), CFG) is None
-    assert try_lift(Coarsening(cad, labels), (2,), fine) is not None
+    assert try_lift(Coarsening.of(cad, labels), (2,), fine) is not None
+    assert try_lift(Coarsening.of(cad, labels), (2,), CFG) is None
+    assert try_lift(Coarsening.of(cad, labels), (2,), fine) is not None
 
 
 def test_section_with_a_jump_hidden_by_a_nested_division_does_not_lift():
     cad, labels = nested_division_jump()
     assert validate_cad(cad).ok
-    assert try_lift(Coarsening(cad, labels), (2,), CFG) is None
+    assert try_lift(Coarsening.of(cad, labels), (2,), CFG) is None
 
 
 def test_try_lift_requires_applicable_pivot():
@@ -124,24 +130,24 @@ def test_try_lift_requires_applicable_pivot():
     # Unequal labels, odd, out of range, deeper than the leaves, empty.
     for pivot in ((2,), (3,), (0,), (8,), (4, 2, 2), ()):
         with pytest.raises(RuleNotApplicable):
-            try_lift(Coarsening(entry.cad, entry.labels), pivot, CFG)
+            try_lift(Coarsening.of(entry.cad, entry.labels), pivot, CFG)
 
 
 def test_disordered_glued_stack_is_rejected_cold_and_warm():
     cad, labels = disordered_stack()
     assert not validate_cad(cad).ok
-    assert try_lift(Coarsening(cad, labels), (2,), CFG) is None
+    assert try_lift(Coarsening.of(cad, labels), (2,), CFG) is None
     graph = explore(cad, labels, CFG)
     # Below the root, leaf merges leave one section per stack; glued at 2,
     # such a stack is ordered and the merge lifts.  Its verdict is kept apart
     # from the root's.
     assert any(pivot == (2,) for _s, pivot, _d in graph.edges)
-    assert try_lift(Coarsening(cad, labels), (2,), CFG) is None
+    assert try_lift(Coarsening.of(cad, labels), (2,), CFG) is None
 
 
 def test_leaf_level_merge_always_lifts():
     entry = disk_cpp()
-    res = try_lift(Coarsening(entry.cad, entry.labels), (4, 6), CFG)
+    res = try_lift(Coarsening.of(entry.cad, entry.labels), (4, 6), CFG)
     assert res is not None
     merged, labels = res.cad, res.labels
     assert merged.leaf_count() == 27
@@ -200,7 +206,7 @@ def test_insert_section_rebuilds_disk_cp():
     assert validate_cad(refined).ok
     assert labels == disk_cp().labels
     # Round trip: merging at the inserted section recovers the original.
-    res = try_lift(Coarsening(refined, labels), (4,), CFG)
+    res = try_lift(Coarsening.of(refined, labels), (4,), CFG)
     assert res is not None
     assert res.cad.partition_blocks() == coarsening_blocks(entry.cad, refined)
 
@@ -232,7 +238,7 @@ def reachable(target, start, labels):
 
 def test_reduction_reachable_disk():
     cp = disk_cp()
-    res = try_lift(Coarsening(cp.cad, cp.labels), (4,), CFG)
+    res = try_lift(Coarsening.of(cp.cad, cp.labels), (4,), CFG)
     assert res is not None
     assert reachable(res.cad, cp.cad, cp.labels)
     assert reachable(cp.cad, cp.cad, cp.labels)  # reflexive
@@ -261,8 +267,34 @@ def on_fresh_root(node: Coarsening, build) -> Coarsening:
     root, _labels = build()
     cad = root
     if not node.cad.is_root:
-        cad = Cad(root.n, root=root, counts=node.cad.counts, cellmap=node.cad.cellmap, history=node.cad.history)
-    return Coarsening(cad, node.labels, node.history)
+        cad = Cad(root.n, root=root, tree=node.cad.tree, history=node.cad.history)
+    return Coarsening(cad, node.tree, node.history)
+
+
+def all_cells(cad: Cad):
+    return [cell for k in range(cad.n + 1) for cell in cad.cells_of_level(k)]
+
+
+def full_relabel_cellmap(cad: Cad, pivot):
+    """Oracle: every cell relabelled, merged cells' root cells united."""
+    cellmap = {}
+    for cell in all_cells(cad):
+        image = relabel_index(pivot, cell)
+        cellmap[image] = tuple(sorted(set(cellmap.get(image, ())) | set(cad.root_cells(cell))))
+    return cellmap
+
+
+def assert_child_matches_full_relabel(node: Coarsening, pivot, child: Coarsening) -> None:
+    """The child's index views, read off its tree and its CAD, are the
+    parent's relabelled: stack counts, root cells, leaf labels and blocks."""
+    counts, labels = full_relabel_merge(node.tree, pivot)
+    cellmap = full_relabel_cellmap(node.cad, pivot)
+    assert index_views(child.tree) == (counts, labels, cellmap)
+    cad = child.cad
+    assert {cell: cad.stack_count(cell) for k in range(cad.n) for cell in cad.cells_of_level(k)} == counts
+    assert {cell: cad.root_cells(cell) for cell in all_cells(cad)} == cellmap
+    assert child.labels == labels
+    assert child.blocks == cad.partition_blocks() == frozenset(frozenset(cellmap[leaf]) for leaf in labels)
 
 
 def test_warm_verdicts_and_children_equal_cold_ones():
@@ -279,19 +311,9 @@ def test_warm_verdicts_and_children_equal_cold_ones():
                     continue
                 assert warm.history == cold.history == node.history + (pivot,)
                 assert warm.cad.history == cold.cad.history
-                assert warm.cad.counts == cold.cad.counts and warm.cad.cellmap == cold.cad.cellmap
-                assert warm.labels == cold.labels and warm.tree == cold.tree
-                assert warm.blocks == cold.blocks
+                assert_child_matches_full_relabel(node, pivot, warm)
+                assert_child_matches_full_relabel(node, pivot, cold)
     assert lifts > 100
-
-
-def full_relabel_cellmap(cad: Cad, pivot):
-    """Oracle: every cell relabelled, merged cells' root cells united."""
-    cellmap = {}
-    for cell in cad.all_cells():
-        image = relabel_index(pivot, cell)
-        cellmap[image] = tuple(sorted(set(cellmap.get(image, ())) | set(cad.root_cells(cell))))
-    return cellmap
 
 
 def test_incremental_merge_matches_full_relabel_on_gallery_pivots():
@@ -300,14 +322,45 @@ def test_incremental_merge_matches_full_relabel_on_gallery_pivots():
         graph = explore(*build(), CFG)
         for node in graph.nodes.values():
             for pivot in node.pivots:
-                moves = merge_moves(node.cad.counts, node.cad.n, pivot)
-                reduced = apply_merge(node.tree, pivot, moves)
-                assert reduced == full_relabel_merge(node.tree, pivot), (name, pivot)
-                reduced._validate()
-                assert _merged_cellmap(node.cad, moves) == full_relabel_cellmap(node.cad, pivot), (name, pivot)
+                reduced = apply_merge(node.tree, pivot)
+                assert index_views(reduced)[:2] == full_relabel_merge(node.tree, pivot), (name, pivot)
+                assert index_views(reduced)[2] == full_relabel_cellmap(node.cad, pivot), (name, pivot)
+                assert_valid(reduced)
                 merges += 1
                 child = try_lift(node, pivot, CFG)
                 if child is not None:
-                    assert child.tree == reduced
-                    assert child.blocks == child.cad.partition_blocks()
+                    assert_child_matches_full_relabel(node, pivot, child)
     assert merges > 100
+
+
+def test_merge_shares_every_cell_off_its_path_and_triple():
+    # Path copying: a merge makes the glued cell and copies the path above
+    # it; every other cell is the parent's own object.
+    shared = 0
+    for _name, build in lift_fixtures():
+        for node in explore(*build(), CFG).nodes.values():
+            for pivot in node.pivots:
+                shared += assert_shares_all_but_the_path_and_the_triple(node.tree, pivot, apply_merge(node.tree, pivot))
+    rng = random.Random(12)
+    for _ in range(100):
+        tree = random_tree(rng, rng.randint(1, 3))
+        for pivot in applicable_pivots(tree):
+            shared += assert_shares_all_but_the_path_and_the_triple(tree, pivot, apply_merge(tree, pivot))
+    assert shared > 1000
+
+
+def bad_labellings(entry):
+    """A label on a non-leaf cell, a missing leaf label and a label of 2."""
+    on_section = {**entry.labels, (4,): 0}
+    missing = dict(entry.labels)
+    del missing[(4, 2)]
+    two = {**entry.labels, (4, 2): 2}
+    return [(on_section, ValueError), (missing, LabelMissing), (two, ValueError)]
+
+
+@pytest.mark.parametrize("run", [build_tree, minimize, explore], ids=["build_tree", "minimize", "explore"])
+def test_one_label_rule_at_the_boundary(run):
+    entry = disk_cp()
+    for labels, error in bad_labellings(entry):
+        with pytest.raises(error):
+            run(entry.cad, labels)

@@ -6,18 +6,59 @@ from cadreduce.errors import LabelMissing, PivotNotEven, RuleNotApplicable
 from cadreduce.gallery import disk_c, disk_cp, disk_cpp, trousers_c, trousers_cp
 from cadreduce.tree import (
     CadTree,
+    Cell,
     applicable_pivots,
     apply_merge,
     build_tree,
     is_applicable,
     prefix,
     relabel_index,
+    sibling,
     tree_to_dot,
 )
 
 
 def tree_of(entry):
     return build_tree(entry.cad, entry.labels)
+
+
+def index_views(tree: CadTree):
+    """The stack counts, leaf labels and root cells of a tree, by index word."""
+    nodes = list(tree.nodes())
+    counts = {index: len(cell.children) // 2 for index, cell in nodes if cell.children}
+    labels = {index: cell.label for index, cell in nodes if not cell.children}
+    return counts, labels, {index: cell.roots for index, cell in nodes}
+
+
+def assert_valid(tree: CadTree) -> None:
+    """Leaves exactly at the tree's depth with bits 0 or 1, 2u+1 children
+    elsewhere, labels that are the children's, and root cells that are
+    sorted, distinct, of the cell's level and the parents of its children's."""
+    for index, cell in tree.nodes():
+        assert list(cell.roots) == sorted(set(cell.roots)) and cell.roots
+        assert all(len(r) == len(index) for r in cell.roots)
+        if len(index) == tree.depth:
+            assert not cell.children and cell.label in (0, 1)
+            continue
+        assert len(cell.children) % 2 == 1
+        assert cell.label == tuple(child.label for child in cell.children)
+        assert {r[:-1] for child in cell.children for r in child.roots} == set(cell.roots)
+
+
+def assert_shares_all_but_the_path_and_the_triple(tree: CadTree, pivot, reduced: CadTree) -> None:
+    """Every cell of ``tree`` off the path from the top to the pivot's parent
+    and outside the merged triple is the same object in ``reduced``, at the
+    index ``relabel_index`` moves it to."""
+    k = len(pivot)
+    triple = {sibling(pivot, d) for d in (-1, 0, +1)}
+    shared = 0
+    for index, cell in tree.nodes():
+        if len(index) < k and index == pivot[: len(index)]:
+            assert reduced.cell(index) is not cell  # copied, with its new child
+        elif prefix(index, k) not in triple:
+            assert reduced.cell(relabel_index(pivot, index)) is cell, (pivot, index)
+            shared += 1
+    return shared
 
 
 def test_prefix():
@@ -41,15 +82,17 @@ def test_relabel_index_branches():
 def test_build_tree_trousers():
     t = tree_of(trousers_c())
     assert t.depth == 3
-    assert t.leaf_count() == 9
+    assert len(t.leaves()) == 9
     for j in (1, 2, 3):
-        assert t.label((1, j)) == (0, 1, 0)
+        assert t.cell((1, j)).label == (0, 1, 0)
 
 
 def test_build_tree_disk_cp():
     t = tree_of(disk_cp())
-    assert t.leaf_count() == 23
-    assert [t.counts[(i,)] for i in range(1, 8)] == [0, 1, 2, 2, 2, 1, 0]
+    assert len(t.leaves()) == 23
+    counts, _labels, roots = index_views(t)
+    assert [counts[(i,)] for i in range(1, 8)] == [0, 1, 2, 2, 2, 1, 0]
+    assert all(r == (index,) for index, r in roots.items())
 
 
 def test_build_tree_single_chain():
@@ -57,8 +100,8 @@ def test_build_tree_single_chain():
 
     cad, labels = single_chain(3, label=1)
     t = build_tree(cad, labels)
-    assert t.leaf_count() == 1
-    assert t.label(()) == (((1,),),)
+    assert len(t.leaves()) == 1
+    assert t.top.label == (((1,),),)
 
 
 def test_build_tree_missing_label():
@@ -79,16 +122,18 @@ def test_applicable_pivots_gallery():
 
 def test_apply_merge_disk_cp_gives_disk_c_tree():
     reduced = apply_merge(tree_of(disk_cp()), (4,))
-    assert reduced == tree_of(disk_c())
-    assert reduced.leaf_count() == 13
+    assert index_views(reduced)[:2] == index_views(tree_of(disk_c()))[:2]
+    assert len(reduced.leaves()) == 13
+    assert reduced.cell((3,)).roots == ((3,), (4,), (5,))
 
 
 def test_apply_merge_trousers_tree_level():
     # The three cylinders collapse onto one: 9 leaves in 3 suffix-triples.
     t = apply_merge(tree_of(trousers_c()), (1, 2))
-    assert t.leaf_count() == 3
-    assert t.counts[(1,)] == 0
-    assert t.label((1, 1)) == (0, 1, 0)
+    assert len(t.leaves()) == 3
+    assert len(t.cell((1,)).children) == 1
+    assert t.cell((1, 1)).label == (0, 1, 0)
+    assert t.cell((1, 1, 2)).roots == ((1, 1, 2), (1, 2, 2), (1, 3, 2))
 
 
 def test_apply_merge_requires_applicable_pivot():
@@ -97,44 +142,36 @@ def test_apply_merge_requires_applicable_pivot():
 
 
 def test_path_tree_has_no_pivots():
-    counts = {(): 0, (1,): 0}
-    labels = {(1, 1): 1}
-    t = CadTree(2, counts, labels)
+    t = CadTree(2, Cell(((),), (Cell(((1,),), (Cell(((1, 1),), bit=1),)),)))
     assert applicable_pivots(t) == set()
 
 
 def random_tree(rng: random.Random, depth: int) -> CadTree:
-    counts = {}
-    labels = {}
+    """The tree of a random root CAD: each cell covers itself."""
 
     def grow(node):
         if len(node) == depth:
-            labels[node] = rng.randint(0, 1)
-            return
+            return Cell((node,), bit=rng.randint(0, 1))
         u = rng.choice([0, 0, 1, 1, 2])
-        counts[node] = u
-        for j in range(1, 2 * u + 2):
-            grow(node + (j,))
+        return Cell((node,), tuple(grow(node + (j,)) for j in range(1, 2 * u + 2)))
 
-    grow(())
-    return CadTree(depth, counts, labels)
+    return CadTree(depth, grow(()))
 
 
 def brute_force_pivots(tree: CadTree) -> set:
     """Independent check: compare serialized flanking subtrees."""
 
-    def dump(node):
-        if len(node) == tree.depth:
-            return f"L{tree.labels[node]}"
-        return "(" + ",".join(dump(c) for c in tree.children(node)) + ")"
+    def dump(cell):
+        if not cell.children:
+            return f"L{cell.label}"
+        return "(" + ",".join(map(dump, cell.children)) + ")"
 
     out = set()
-    for node in tree.nodes():
-        if not node or node[-1] % 2 != 0 or len(node) > tree.depth:
+    for node, cell in tree.nodes():
+        if not node or node[-1] % 2 != 0:
             continue
-        lo = node[:-1] + (node[-1] - 1,)
-        hi = node[:-1] + (node[-1] + 1,)
-        if dump(lo) == dump(node) == dump(hi):
+        lo, hi = sibling(node, -1), sibling(node, +1)
+        if dump(tree.cell(lo)) == dump(cell) == dump(tree.cell(hi)):
             out.add(node)
     return out
 
@@ -145,16 +182,16 @@ def test_applicable_pivots_matches_brute_force():
         t = random_tree(rng, rng.randint(1, 3))
         pivots = applicable_pivots(t)
         assert pivots == brute_force_pivots(t)
-        for node in t.nodes():
+        for node, _cell in t.nodes():
             assert is_applicable(t, node) == (node in pivots)
-        parent = max(t.level(t.depth - 1))
+        parent = max(index for index, _cell in t.nodes() if len(index) == t.depth - 1)
         # Odd, out of range (past the parent's sections, or a letter below 1),
         # deeper than the leaves, and the empty word.
         for pivot in (
             parent + (1,),
-            parent + (2 * t.counts[parent] + 2,),
+            parent + (len(t.cell(parent).children) + 1,),
             parent + (0,),
-            max(t.leaves()) + (2,),
+            max(t.leaves())[0] + (2,),
             (),
         ):
             assert not is_applicable(t, pivot)
@@ -171,31 +208,42 @@ def test_apply_merge_preserves_invariants_and_shrinks():
         if not pivots:
             continue
         pivot = sorted(pivots)[rng.randrange(len(pivots))]
-        reduced = apply_merge(t, pivot)  # CadTree validates on construction
-        assert reduced.leaf_count() < t.leaf_count()
+        reduced = apply_merge(t, pivot)
+        assert_valid(reduced)
+        assert len(reduced.leaves()) < len(t.leaves())
         applied += 1
     assert applied > 50
 
 
-def full_relabel_merge(tree: CadTree, pivot) -> CadTree:
-    """Oracle: the merge with every count and leaf label relabelled, and the
-    result validated."""
+def full_relabel_merge(tree: CadTree, pivot):
+    """Oracle: the stack counts and leaf labels of the merged tree, with
+    every index relabelled."""
     k = len(pivot)
-    gone = (pivot, pivot[:-1] + (pivot[-1] + 1,))
+    gone = (pivot, sibling(pivot, +1))
+    counts, labels, _roots = index_views(tree)
     counts = {
         relabel_index(pivot, node): u - 1 if node == pivot[:-1] else u
-        for node, u in tree.counts.items()
+        for node, u in counts.items()
         if prefix(node, k) not in gone
     }
-    labels = {relabel_index(pivot, leaf): bit for leaf, bit in tree.labels.items() if prefix(leaf, k) not in gone}
-    return CadTree(tree.depth, counts, labels)
+    labels = {relabel_index(pivot, leaf): bit for leaf, bit in labels.items() if prefix(leaf, k) not in gone}
+    return counts, labels
+
+
+def full_relabel_roots(tree: CadTree, pivot):
+    """Oracle: the root cells of every cell of the merged tree, each cell
+    relabelled and the root cells of merged cells united."""
+    roots = {}
+    for index, cell in tree.nodes():
+        image = relabel_index(pivot, index)
+        roots[image] = tuple(sorted(roots.get(image, ()) + cell.roots))
+    return roots
 
 
 def test_apply_merge_matches_full_relabel():
-    # Along merge chains, so that trees derived without validation are
-    # merged again.
+    # Along merge chains, so that merged trees are merged again.
     rng = random.Random(11)
-    checked = 0
+    checked = shared = 0
     for _ in range(200):
         t = random_tree(rng, rng.randint(1, 3))
         while True:
@@ -203,12 +251,15 @@ def test_apply_merge_matches_full_relabel():
             if not pivots:
                 break
             for pivot in pivots:
+                before = index_views(t)
                 reduced = apply_merge(t, pivot)
-                assert reduced == full_relabel_merge(t, pivot)
-                reduced._validate()
+                assert index_views(reduced) == (*full_relabel_merge(t, pivot), full_relabel_roots(t, pivot))
+                assert_valid(reduced)
+                shared += assert_shares_all_but_the_path_and_the_triple(t, pivot, reduced)
+                assert index_views(t) == before
                 checked += 1
             t = apply_merge(t, pivots[rng.randrange(len(pivots))])
-    assert checked > 200
+    assert checked > 200 and shared > 1000
 
 
 def test_merge_preimage_counts():
@@ -226,9 +277,9 @@ def test_merge_preimage_counts():
         left = pivot[:-1] + (pivot[-1] - 1,)
         reduced = apply_merge(t, pivot)
         preimages = {}
-        for node in t.nodes():
+        for node, _cell in t.nodes():
             preimages.setdefault(relabel_index(pivot, node), []).append(node)
-        for node in reduced.nodes():
+        for node, _cell in reduced.nodes():
             pre = preimages[node]
             assert 1 <= len(pre) <= 3
             assert (len(pre) == 3) == (prefix(node, k) == left)
