@@ -33,6 +33,8 @@ from cadreduce.expr import (
     Formula,
     Piecewise,
     Point,
+    _DEEPEN_FACTOR,
+    _MAX_DEEPEN,
     _promote,
     compare_coords,
     coord_approx,
@@ -82,8 +84,6 @@ LeafLabeling = dict[CellIndex, int]
 TaggedPoint = tuple[Point, CellIndex]
 
 _OFFSET_STEPS = 8
-_MAX_REFINE = 12
-_REFINE_FACTOR = Fraction(1, 2**12)
 
 
 def _interleave(lists: list[list]) -> list:
@@ -103,12 +103,12 @@ def _interleave(lists: list[list]) -> list:
 def _window_between(lo: CoordValue, hi: CoordValue) -> tuple[Fraction, Fraction]:
     """A rational open window strictly inside (lo, hi)."""
     w = Fraction(1, 4)
-    for _ in range(_MAX_REFINE):
+    for _ in range(_MAX_DEEPEN):
         llo, lhi = _promote(coord_approx(lo, w))
         hlo, hhi = _promote(coord_approx(hi, w))
         if lhi < hlo:
             return lhi, hlo
-        w *= _REFINE_FACTOR
+        w *= _DEEPEN_FACTOR
     raise UnknownOrder(f"cannot separate section values {lo} and {hi}")
 
 
@@ -299,7 +299,7 @@ class Cad:
         values = []
         for letter in letters:
             try:
-                values.append(eval_coord(functions[letter // 2 - 1], point, precision))
+                values.append(eval_coord(functions[letter // 2 - 1], point))
             except (GuardUndecidable, KeyError):
                 return False
         for a, b in zip(values, values[1:]):
@@ -391,7 +391,7 @@ def validate_cad(
                 for slot in range(1, u + 1):
                     try:
                         f = cad.section_piece(cell, slot, tag)
-                        values.append((slot, eval_coord(f, point, precision)))
+                        values.append((slot, eval_coord(f, point)))
                     except GuardUndecidable as exc:
                         report.undecided.append(
                             f"section {slot} above {word_of(cell)} undecided at {point}: {exc}"
@@ -503,7 +503,7 @@ def locate(cad: Cad, point, precision: Fraction = DEFAULT_PRECISION) -> CellInde
         stack = cad.stacks[cell]
         letter = 2 * stack.count + 1
         for j, f in enumerate(stack.functions, start=1):
-            v = eval_coord(f, base, precision)
+            v = eval_coord(f, base)
             c = compare_coords(y, v, precision)
             if c == 0:
                 letter = 2 * j

@@ -203,6 +203,22 @@ def any_node(e: Expr, pred) -> bool:
     return False
 
 
+def substitute(e: Expr, values: dict[int, Expr]) -> Expr:
+    """``e`` with every variable x_i that ``values`` names replaced by
+    ``values[i]``.  A ``Piecewise`` (whose guards are formulas) is refused."""
+    if isinstance(e, Var):
+        return values.get(e.index, e)
+    if isinstance(e, (Const, AlgebraicConst)):
+        return e
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return type(e)(substitute(e.left, values), substitute(e.right, values))
+    if isinstance(e, (Neg, Sqrt)):
+        return type(e)(substitute(e.arg, values))
+    if isinstance(e, Pow):
+        return Pow(substitute(e.base, values), e.exponent)
+    raise TypeError(f"cannot substitute into {e!r}")
+
+
 # ---------------------------------------------------------------------------
 # S-expressions
 
@@ -972,7 +988,7 @@ def _eval_refining(e: Expr, point: Point, width: Fraction) -> _Val:
     raise GuardUndecidable(f"cannot evaluate to width {width} at {point}")
 
 
-def eval_coord(e: Expr, point, precision: Fraction = DEFAULT_PRECISION) -> CoordValue:
+def eval_coord(e: Expr, point) -> CoordValue:
     """The exact value at the point as a coordinate: a rational when the
     arithmetic stays rational, an algebraic number for simple square roots,
     and otherwise a lazily refinable value."""
@@ -1007,15 +1023,6 @@ def coord_approx(cv: CoordValue, width: Fraction) -> _Val:
             return cv.rational_value
         return cv.approx(width)
     return _eval_refining(cv.expr, cv.point, width)
-
-
-def coord_shift(cv: CoordValue, delta: Fraction) -> CoordValue:
-    """cv + delta, staying exact."""
-    if isinstance(cv, Fraction):
-        return cv + delta
-    if isinstance(cv, AlgebraicNumber):
-        return cv.shifted(delta)
-    return LazyValue(Add(cv.expr, Const(delta)), cv.point)
 
 
 # ---------------------------------------------------------------------------
@@ -1145,22 +1152,3 @@ def compare_coords(a: CoordValue, b: CoordValue, precision: Fraction = DEFAULT_P
     assert isinstance(b, AlgebraicNumber) and isinstance(a, Fraction)
     return -b.compare_rational(a)
 
-
-def approx_equal(
-    a: CoordValue,
-    b: CoordValue,
-    tolerance: Fraction,
-    precision: Fraction = DEFAULT_PRECISION,
-) -> bool | None:
-    """Whether |a - b| <= tolerance; None when inconclusive at the budget."""
-    w = min(precision, tolerance / 4)
-    for _ in range(_MAX_DEEPEN):
-        alo, ahi = _promote(coord_approx(a, w))
-        blo, bhi = _promote(coord_approx(b, w))
-        dlo, dhi = alo - bhi, ahi - blo
-        if -tolerance <= dlo and dhi <= tolerance:
-            return True
-        if dlo > tolerance or dhi < -tolerance:
-            return False
-        w *= _DEEPEN_FACTOR
-    return None

@@ -218,15 +218,15 @@ def common_refinement(
                 entry = merged[letter // 2 - 1]
                 child1 = idx1 + ((2 * entry.slot1,) if entry.slot1 is not None else (2 * consumed1 + 1,))
                 child2 = idx2 + ((2 * entry.slot2,) if entry.slot2 is not None else (2 * consumed2 + 1,))
-                child_points = [p + (eval_coord(entry.expr, p, precision),) for p in points]
+                child_points = [p + (eval_coord(entry.expr, p),) for p in points]
             else:
                 child1 = idx1 + (2 * consumed1 + 1,)
                 child2 = idx2 + (2 * consumed2 + 1,)
                 j = (letter - 1) // 2
                 child_points = []
                 for p in points:
-                    lo = eval_coord(merged[j - 1].expr, p, precision) if j >= 1 else None
-                    hi = eval_coord(merged[j].expr, p, precision) if j < u else None
+                    lo = eval_coord(merged[j - 1].expr, p) if j >= 1 else None
+                    hi = eval_coord(merged[j].expr, p) if j < u else None
                     for c in _sector_coords(lo, hi, probes):
                         child_points.append(p + (c,))
                 child_points = child_points[: max(probes, 1)]
@@ -269,8 +269,8 @@ def _merge_stacks(
     def order(e1: Expr, e2: Expr) -> int:
         verdicts = set()
         for p in points:
-            v1 = eval_coord(e1, p, precision)
-            v2 = eval_coord(e2, p, precision)
+            v1 = eval_coord(e1, p)
+            v2 = eval_coord(e2, p)
             try:
                 verdicts.add(compare_coords(v1, v2, precision))
             except UnknownOrder as exc:

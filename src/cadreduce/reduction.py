@@ -3,10 +3,30 @@
 A merge at a pivot of level k < n is a genuine CAD operation only when the
 section functions above the three merged cells glue to continuous functions
 over the union.  That condition is verified either by a continuity
-certificate shipped with the document, or by exact sampling: probe points on
-the seam (the middle cell) are compared with evaluations at approach points
-inside the flanking cells.  Inconclusive evidence rejects the merge, so the
-procedure is sound but not complete.
+certificate shipped with the document, or by an exact identity on the seam.
+
+The identity, per slot of each glued stack.  The section's pieces are root
+stack functions, one per root cell below it; if they share one guard-free
+normal form, the section is that function.  Otherwise, for each piece f_m
+over a root cell m of the seam (the middle cell), sigma_m replaces every
+section coordinate of m by its root section function, composed down the
+levels, so sigma_m(f) is f on m.  A flank piece f_p glues with f_m when the
+normal form (``expr.canonicalize``) of sigma_m(f_p) - sigma_m(f_m) has a zero
+numerator and a denominator, which collects every denominator met, with no
+zero on m: then f_p is continuous around each point of m and equals f_m
+there.  The flank pieces are those over the root sector next to m over m's
+own base root cell, and every flank piece over another root cell of the
+merged base, which may reach m through m's boundary.
+
+Inconclusive evidence rejects the merge, so the procedure is sound but not
+complete.  It is incomplete where:
+
+- a denominator counts as vanishing on m unless it is a constant or a
+  polynomial in one sector coordinate x_t of m whose base m[:t-1] is a point;
+- square roots are opaque in the normal form, so equal forms that are not
+  identical there, such as sqrt(4 x1^2) and 2 x1 for x1 > 0, differ;
+- a piece is piecewise and the fast path does not take it;
+- a flank piece over another base root cell never meets m.
 
 Merges at leaf level (k = n) just drop a section from one stack and are
 always valid.
@@ -22,10 +42,10 @@ from cadreduce.cadmodel import (
     Cad,
     CellIndex,
     LeafLabeling,
-    _sector_coords,
     word_of,
 )
 from cadreduce.errors import (
+    DivisionByZero,
     GuardUndecidable,
     RuleNotApplicable,
     SectionOutOfRange,
@@ -33,16 +53,20 @@ from cadreduce.errors import (
 )
 from cadreduce.expr import (
     DEFAULT_PRECISION,
+    Div,
     Expr,
-    Point,
+    Sub,
     any_node,
-    approx_equal,
     canonicalize,
     compare_coords,
-    coord_shift,
+    const,
     eval_coord,
     is_piecewise,
+    substitute,
+    to_polynomial,
+    univariate_coeffs,
 )
+from cadreduce.realroots import isolate_roots
 from cadreduce.tree import (
     CadTree,
     applicable_pivots,
@@ -52,11 +76,6 @@ from cadreduce.tree import (
     sibling,
     walk,
 )
-
-# Probe points per seam, and how close a side value must come to the seam value.
-BOUNDARY_SAMPLES = 3
-TOLERANCE = Fraction(1, 2**20)
-
 
 def pivot_order(pivot: CellIndex):
     """The order in which pivots are tried: deepest first, then lexicographic."""
@@ -78,6 +97,8 @@ class LiftConfig:
 
 
 _tree_of = build_tree  # perfbench builds trees under this name
+
+_ZERO = const(0)
 
 Blocks = frozenset[frozenset[CellIndex]]
 
@@ -153,7 +174,7 @@ def _lift_allowed(cad: Cad, tree: CadTree, pivot: CellIndex, cfg: LiftConfig) ->
         if any(len(h) < cad.n for h in cad.history):
             return False
         return pivot in cad.root.certificates
-    # The sampled check reads the root, the configuration and, in each of the
+    # The seam check reads the root, the configuration and, in each of the
     # three merged subtrees, the root cells of the cell at each suffix; its
     # verdict is kept under exactly that key.
     key = (cfg,) + tuple(
@@ -167,7 +188,8 @@ def _lift_allowed(cad: Cad, tree: CadTree, pivot: CellIndex, cfg: LiftConfig) ->
 
 
 def _glued_stacks_valid(cad: Cad, tree: CadTree, pivot: CellIndex, cfg: LiftConfig) -> bool:
-    """Sampled evidence that the stacks above the three subtrees glue."""
+    """Whether the stacks above the three subtrees glue to continuous
+    sections and the glued stacks are ordered."""
     k = len(pivot)
     left, right = sibling(pivot, -1), sibling(pivot, +1)
     for suffix, cell in walk(tree.cell(pivot), cad.n - 1 - k):
@@ -192,128 +214,89 @@ def _glues_continuously(
     slot: int,
     cfg: LiftConfig,
 ) -> bool:
-    pieces = (
-        cad.section_pieces(left_cell, slot)
-        + cad.section_pieces(mid_cell, slot)
-        + cad.section_pieces(right_cell, slot)
-    )
-    canon = {canonicalize(e) for _, e in pieces}
+    middle = cad.section_pieces(mid_cell, slot)
+    sides = (cad.section_pieces(left_cell, slot), cad.section_pieces(right_cell, slot))
+    pieces = [e for _, e in middle] + [e for side in sides for _, e in side]
+    canon = {canonicalize(e) for e in pieces}
     if len(canon) == 1 and not any_node(next(iter(canon)), is_piecewise):
         # One guard-free expression defined on all three cells (their stacks
         # are valid) is continuous on the union.
         return True
-    k = len(pivot)
-    try:
-        probes = cad.cell_points(mid_cell, BOUNDARY_SAMPLES)
-    except (UnknownOrder, GuardUndecidable):
+    if any(any_node(e, is_piecewise) for e in pieces):
         return False
-    for point, root_cell in probes:
-        try:
-            mid_expr = cad.section_piece(mid_cell, slot, root_cell)
-            v_mid = eval_coord(mid_expr, point, cfg.precision)
-        except GuardUndecidable:
+    k = len(pivot)
+    for m, f_m in middle:
+        seam = _seam_substitution(cad.root, m)
+        if seam is None:
             return False
-        for side_cell, direction in ((left_cell, -1), (right_cell, +1)):
-            ok = _side_matches(
-                cad, side_cell, slot, point, root_cell, k, direction, v_mid, cfg
-            )
-            if not ok:
+        for side, direction in zip(sides, (-1, +1)):
+            # Over m's own base root cell only the sector next to m reaches it.
+            flank = [f for p, f in side if p[: k - 1] != m[: k - 1] or p[k - 1] == m[k - 1] + direction]
+            if not flank or not all(_identical_on(cad.root, m, seam, f, f_m, cfg) for f in flank):
                 return False
     return True
 
 
-def _side_matches(
-    cad: Cad,
-    side_cell: CellIndex,
-    slot: int,
-    seam_point: Point,
-    seam_root_cell: CellIndex,
-    k: int,
-    direction: int,
-    v_mid,
-    cfg: LiftConfig,
-) -> bool:
-    """Evaluate the side's section at an approach point next to the seam and
-    compare with the seam value within the tolerance."""
-    try:
-        approach, side_root = _approach_point(
-            cad, side_cell, seam_point, seam_root_cell, k, direction, cfg
-        )
-        side_expr = cad.section_piece(side_cell, slot, side_root)
-        v_side = eval_coord(side_expr, approach, cfg.precision)
-    except (GuardUndecidable, UnknownOrder, KeyError):
-        return False
-    verdict = approx_equal(v_side, v_mid, TOLERANCE, cfg.precision)
-    return verdict is True
-
-
-def _approach_point(
-    cad: Cad,
-    side_cell: CellIndex,
-    seam_point: Point,
-    seam_root_cell: CellIndex,
-    k: int,
-    direction: int,
-    cfg: LiftConfig,
-) -> tuple[Point, CellIndex]:
-    """A point of ``side_cell`` close to the seam point.
-
-    The seam point's level-k coordinate sits on a root section; step off it
-    by a small delta (staying inside the adjacent root sector), then descend
-    the side lineage, re-deriving the higher coordinates.
-    """
-    root = cad.root
-    rk = seam_root_cell[:k]
-    if rk[-1] % 2 != 0:
-        raise KeyError(f"seam root cell {rk} is not a section")
-    base = seam_point[: k - 1]
-    y0 = seam_point[k - 1]
-    # Gap to the neighbouring root section on this side (infinity if none).
-    stack = root.stacks[rk[:-1]]
-    j0 = rk[-1] // 2
-    neighbour = j0 + direction
-    delta_cap = Fraction(1)
-    if 1 <= neighbour <= stack.count:
-        bound = eval_coord(stack.functions[neighbour - 1], base, cfg.precision)
-        gap = _positive_gap(y0, bound, direction, cfg)
-        delta_cap = min(delta_cap, gap / 2)
-    delta = min(delta_cap, TOLERANCE / 4)
-    point = base + (coord_shift(y0, direction * delta),)
-    r = rk[:-1] + (rk[-1] + direction,)
-    for level in range(k, len(side_cell)):
-        node_child = side_cell[: level + 1]
-        candidates = sorted(q for q in cad.root_cells(node_child) if q[:-1] == r)
-        if not candidates:
-            raise KeyError(f"no root cell of {node_child} above {r}")
-        q = candidates[0]
-        letter = q[-1]
-        rstack = root.stacks[r]
+def _seam_substitution(root: Cad, m: CellIndex) -> dict[int, Expr] | None:
+    """x_i -> the root section function over ``m[:i-1]``, composed, for every
+    section letter ``m[i-1]`` of the root cell ``m``; None when one of those
+    functions is piecewise."""
+    values: dict[int, Expr] = {}
+    for i, letter in enumerate(m, start=1):
         if letter % 2 == 0:
-            coord = eval_coord(rstack.functions[letter // 2 - 1], point, cfg.precision)
-        else:
-            j = (letter - 1) // 2
-            lo = eval_coord(rstack.functions[j - 1], point, cfg.precision) if j >= 1 else None
-            hi = eval_coord(rstack.functions[j], point, cfg.precision) if j < rstack.count else None
-            coord = _sector_coords(lo, hi, 1)[0]
-        point = point + (coord,)
-        r = q
-    return point, r
+            f = root.stacks[m[: i - 1]].functions[letter // 2 - 1]
+            if any_node(f, is_piecewise):
+                return None
+            values[i] = substitute(f, values)
+    return values
 
 
-def _positive_gap(y0, bound, direction, cfg: LiftConfig) -> Fraction:
-    """A rational lower bound on |bound - y0| (they are strictly ordered)."""
-    from cadreduce.expr import _promote, coord_approx
+def _identical_on(
+    root: Cad, m: CellIndex, seam: dict[int, Expr], f_side: Expr, f_mid: Expr, cfg: LiftConfig
+) -> bool:
+    """Whether the side piece, restricted to the root cell ``m`` by ``seam``,
+    is the middle piece there: their difference has a zero numerator in
+    normal form and a denominator that has no zero on ``m``."""
+    try:
+        diff = canonicalize(substitute(Sub(f_side, f_mid), seam))
+    except DivisionByZero:  # a pole along the whole seam
+        return False
+    if diff == _ZERO:
+        return True
+    return isinstance(diff, Div) and diff.left == _ZERO and _no_zero_on(root, m, diff.right, cfg)
 
-    w = Fraction(1, 4)
-    for _ in range(24):
-        ylo, yhi = _promote(coord_approx(y0, w))
-        blo, bhi = _promote(coord_approx(bound, w))
-        if direction > 0 and blo > yhi:
-            return blo - yhi
-        if direction < 0 and bhi < ylo:
-            return ylo - bhi
-        w /= 2**8
-    raise UnknownOrder("cannot separate the seam coordinate from its neighbour")
+
+def _no_zero_on(root: Cad, m: CellIndex, den: Expr, cfg: LiftConfig) -> bool:
+    """Whether a normal-form denominator, whose variables are sector
+    coordinates of the root cell ``m``, provably has no zero on ``m``.
+
+    Decided for a polynomial in one coordinate x_t whose base ``m[:t-1]`` is
+    a point: its real roots must lie outside the open sector ``m[t-1]`` over
+    that point.  Anything else counts as a possible zero.
+    """
+    p = to_polynomial(den)
+    if p is None:
+        return False
+    variables = {i for mon in p for i, _ in mon}
+    if len(variables) != 1:
+        return False
+    (t,) = variables
+    base = m[: t - 1]
+    if any(letter % 2 for letter in base):
+        return False
+    stack = root.stacks[base]
+    j = (m[t - 1] - 1) // 2
+    try:
+        point = root.cell_points(base, 1)[0][0]
+        lo = eval_coord(stack.functions[j - 1], point) if j >= 1 else None
+        hi = eval_coord(stack.functions[j], point) if j < stack.count else None
+        return not any(
+            (lo is None or compare_coords(lo, r, cfg.precision) < 0)
+            and (hi is None or compare_coords(r, hi, cfg.precision) < 0)
+            for r in isolate_roots(univariate_coeffs(p, t))
+        )
+    except (GuardUndecidable, UnknownOrder):
+        return False
 
 
 def _merged_stack_ordered(cad: Cad, triple, u: int, cfg: LiftConfig) -> bool:
@@ -388,15 +371,15 @@ def insert_section(
         raise ValueError(f"{sector_letter} is not a sector letter of the stack above {word_of(base)}")
     j = (sector_letter - 1) // 2  # insert after section j
     for point, _tag in cad.cell_points(base, probes):
-        v = eval_coord(section_function, point, precision)
+        v = eval_coord(section_function, point)
         if j >= 1:
-            lo = eval_coord(stack.functions[j - 1], point, precision)
+            lo = eval_coord(stack.functions[j - 1], point)
             if compare_coords(v, lo, precision) <= 0:
                 raise SectionOutOfRange(
                     f"new section is not strictly above section {j} at {point}"
                 )
         if j < stack.count:
-            hi = eval_coord(stack.functions[j], point, precision)
+            hi = eval_coord(stack.functions[j], point)
             if compare_coords(v, hi, precision) >= 0:
                 raise SectionOutOfRange(
                     f"new section is not strictly below section {j + 1} at {point}"

@@ -2,7 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from cadreduce.cadmodel import Cad, SectionStack, check_adapted, coarsening_blocks, refines, validate_cad
+from cadreduce.cadmodel import (
+    Cad,
+    SectionStack,
+    check_adapted,
+    coarsening_blocks,
+    partition_refines,
+    refines,
+    validate_cad,
+)
 from cadreduce.errors import SectionsCross
 from cadreduce.expr import parse_expr
 from cadreduce.gallery import (
@@ -147,6 +155,17 @@ def test_ushape_poset():
     assert len(minimal_elements(graph)) == 2
     assert minimum_element(graph) is None
     assert not is_locally_confluent(graph)
+
+
+@pytest.mark.parametrize("name", gallery_names())
+def test_every_explored_node_is_a_valid_adapted_coarsening_of_the_root(name):
+    entry = load_entry(name)
+    for cad, labels in ((entry.cad, entry.labels), extend_cylinder(entry.cad, entry.labels, entry.cad.n + 1)):
+        graph = explore(cad, labels, CFG)
+        for key, node in graph.nodes.items():
+            assert validate_cad(node.cad).ok, (name, cad.n, node.history)
+            assert check_adapted(node.cad, entry.formula) == node.labels, (name, cad.n, node.history)
+            assert partition_refines(graph.root_key, key), (name, cad.n, node.history)
 
 
 def test_unique_minimal_iff_minimum_on_gallery_posets():

@@ -107,6 +107,78 @@ def sections_apart_by_2_to_the_minus_200():
     return cad, {leaf: 0 for leaf in cad.leaves()}
 
 
+def labelled(n, spec, sheet=False):
+    """A root CAD of R^n from {cell: [section s-expressions]}.  Every leaf is
+    labelled 0, or with ``sheet`` 1 on the sections of the top level, which
+    keeps the poset small (a seam verdict does not read the labels)."""
+    cad = Cad(n, {cell: SectionStack(tuple(parse_expr(e) for e in exprs)) for cell, exprs in spec.items()})
+    return cad, {leaf: int(sheet and leaf[-1] % 2 == 0) for leaf in cad.leaves()}
+
+
+def jump_over_the_seam(c):
+    # Base stack [0]; the section is 0 over the cells 1 and 3 and the
+    # constant c over the seam x1 = 0.
+    return labelled(2, {(): ["0"], (1,): ["0"], (2,): [str(c)], (3,): ["0"]})
+
+
+def seam_in_r3(side, mid):
+    # Base stack [0], no x2 sections; the x3 section is ``side`` over 1.1 and
+    # 3.1 and ``mid`` over the seam cell 2.1.
+    spec = {(): ["0"], (1,): [], (2,): [], (3,): [], (1, 1): [side], (2, 1): [mid], (3, 1): [side]}
+    return labelled(3, spec)
+
+
+def sheet_in_r3(pieces):
+    # Base stack [0], x2 stacks [0]; the x3 section over the cell i.j is
+    # ``pieces[(i, j)]``, or 0.
+    spec = {(): ["0"], **{(i,): ["0"] for i in (1, 2, 3)}}
+    spec.update({(i, j): [pieces.get((i, j), "0")] for i in (1, 2, 3) for j in (1, 2, 3)})
+    return labelled(3, spec, sheet=True)
+
+
+def pole_at_a_corner_of_the_seam():
+    # g = x1 x2 / (x1^2 + x2^2) over 1.1 and 3.1 is continuous on x2 < 0 and
+    # 0 at x1 = 0, so the merge at 2 lifts.  Merging at 1.2 after it glues g
+    # with 0 on x2 = 0; g is 0 there for x1 != 0, but it is -1/2 along
+    # x1 = -x2 towards the origin, which lies in the seam piece over the
+    # root cell 2.2.
+    g = "(div (mul x1 x2) (add (pow x1 2) (pow x2 2)))"
+    return sheet_in_r3({(1, 1): g, (3, 1): g})
+
+
+SEAM_VERDICTS = {
+    # The name, the fixture and whether the merge at 2 lifts.
+    "jump of 1/10^9": (lambda: jump_over_the_seam(F(1, 10**9)), False),
+    "jump of 2^-20": (lambda: jump_over_the_seam(F(1, 2**20)), False),
+    "jump of 2^-21": (lambda: jump_over_the_seam(F(1, 2**21)), False),
+    "x2^3 - x2 over the seam": (lambda: seam_in_r3("0", "(sub (pow x2 3) x2)"), False),
+    "x2 + x1 glues": (lambda: seam_in_r3("(add x2 x1)", "x2"), True),
+    "pole at x2 = 3/2 next to the seam": (
+        lambda: sheet_in_r3({(3, 3): "(div x1 (add x1 (pow (sub x2 3/2) 2)))"}),
+        False,
+    ),
+    "pole at the seam's end": (lambda: sheet_in_r3({(3, 3): "(neg (div x1 x2))"}), True),
+}
+
+
+@pytest.mark.parametrize("name", SEAM_VERDICTS)
+def test_seam_verdict_cold_and_warm(name):
+    build, lifts = SEAM_VERDICTS[name]
+    cad, labels = build()
+    assert validate_cad(cad).ok
+    assert (try_lift(Coarsening.of(cad, labels), (2,), CFG) is not None) == lifts
+    explore(cad, labels, CFG)  # warms the root's verdict memo
+    assert (try_lift(Coarsening.of(cad, labels), (2,), CFG) is not None) == lifts
+
+
+def test_pole_at_a_corner_of_the_seam_does_not_lift():
+    cad, labels = pole_at_a_corner_of_the_seam()
+    assert validate_cad(cad).ok
+    child = try_lift(Coarsening.of(cad, labels), (2,), CFG)
+    assert child is not None
+    assert try_lift(child, (1, 2), CFG) is None
+
+
 def test_lift_verdict_is_kept_per_precision():
     cad, labels = sections_apart_by_2_to_the_minus_200()
     f, g = (eval_coord(e, (F(0),)) for e in cad.stacks[(2,)].functions)
@@ -253,10 +325,13 @@ def test_reduction_reachable_respects_refinement():
 
 def lift_fixtures():
     """(name, builder of a fresh labelled root) for every gallery entry,
-    disk-Cpp in R^4 and the two fixtures above."""
+    disk-Cpp in R^4 and the fixtures above."""
     for name in gallery_names():
         yield name, lambda name=name: (load_entry(name).cad, load_entry(name).labels)
     yield "disk-Cpp in R^4", lambda: extend_cylinder(disk_cpp().cad, disk_cpp().labels, 4)
+    for name, (build, _lifts) in SEAM_VERDICTS.items():
+        yield name, build
+    yield "pole at a corner of the seam", pole_at_a_corner_of_the_seam
     yield "disordered stack", disordered_stack
     yield "nested division jump", nested_division_jump
     yield "sections 2^-200 apart", sections_apart_by_2_to_the_minus_200
