@@ -17,31 +17,37 @@ numeric data is read off the root.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from cadreduce.errors import (
+    DivisionByZero,
     GuardUndecidable,
     NotAdapted,
     NotComparableRepresentation,
     UnknownOrder,
 )
 from cadreduce.expr import (
-    DEFAULT_PRECISION,
     CoordValue,
+    Div,
     Expr,
     Formula,
     Piecewise,
     Point,
-    _DEEPEN_FACTOR,
-    _MAX_DEEPEN,
-    _promote,
+    any_node,
+    as_point,
+    canonicalize,
     compare_coords,
-    coord_approx,
     eval_coord,
     formula_holds,
+    is_piecewise,
     max_var_index,
+    sector_coords,
+    sexpr_of_expr,
+    substitute,
+    to_polynomial,
+    univariate_coeffs,
 )
+from cadreduce.realroots import isolate_roots
 
 if TYPE_CHECKING:
     from cadreduce.tree import CadTree
@@ -83,8 +89,6 @@ LeafLabeling = dict[CellIndex, int]
 # A probe point together with the root cell it was generated in.
 TaggedPoint = tuple[Point, CellIndex]
 
-_OFFSET_STEPS = 8
-
 
 def _interleave(lists: list[list]) -> list:
     out = []
@@ -98,40 +102,6 @@ def _interleave(lists: list[list]) -> list:
         if not added:
             return out
         i += 1
-
-
-def _window_between(lo: CoordValue, hi: CoordValue) -> tuple[Fraction, Fraction]:
-    """A rational open window strictly inside (lo, hi)."""
-    w = Fraction(1, 4)
-    for _ in range(_MAX_DEEPEN):
-        llo, lhi = _promote(coord_approx(lo, w))
-        hlo, hhi = _promote(coord_approx(hi, w))
-        if lhi < hlo:
-            return lhi, hlo
-        w *= _DEEPEN_FACTOR
-    raise UnknownOrder(f"cannot separate section values {lo} and {hi}")
-
-
-def _sector_coords(lo: CoordValue | None, hi: CoordValue | None, count: int) -> list[Fraction]:
-    """Deterministic rational coordinates strictly inside a sector fiber."""
-    if lo is None and hi is None:
-        pool = [Fraction(0)]
-        for k in range(1, _OFFSET_STEPS):
-            pool += [Fraction(k), Fraction(-k)]
-        return pool[:count]
-    if lo is None:
-        assert hi is not None
-        top = _promote(coord_approx(hi, Fraction(1, 4)))[0]
-        return [top - k for k in range(1, count + 1)]
-    if hi is None:
-        bot = _promote(coord_approx(lo, Fraction(1, 4)))[1]
-        return [bot + k for k in range(1, count + 1)]
-    a, b = _window_between(lo, hi)
-    gap = b - a
-    fracs = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(1, 8), Fraction(3, 8), Fraction(5, 8), Fraction(7, 8)]
-    while len(fracs) < count:
-        fracs.append(Fraction(1, 2) ** (len(fracs) - 3))
-    return [a + t * gap for t in fracs[:count]]
 
 
 class Cad:
@@ -160,12 +130,12 @@ class Cad:
             self.certificates = certificates
             self.history: tuple[CellIndex, ...] = ()
             self._point_cache: dict[tuple[CellIndex, int], list[TaggedPoint]] = {}
-            # Order verdicts by (root cell, section letters, precision); see
+            # Order verdicts by (root cell, section letters); see
             # ``sections_ordered``.  At most one entry per root cell and
-            # subset of its stack, for each precision in use.
-            self._order_cache: dict[tuple[CellIndex, tuple[int, ...], Fraction], bool] = {}
+            # subset of its stack.
+            self._order_cache: dict[tuple[CellIndex, tuple[int, ...]], bool] = {}
             # Sampled-mode lift verdicts (see ``reduction._lift_allowed``): one
-            # per grouping of root cells into three merged subtrees and config.
+            # per grouping of root cells into three merged subtrees.
             self._lift_cache: dict[tuple, bool] = {}
         else:
             if tree is None:
@@ -269,7 +239,7 @@ class Cad:
                 j = (letter - 1) // 2
                 lo = eval_coord(stack.functions[j - 1], base) if j >= 1 else None
                 hi = eval_coord(stack.functions[j], base) if j < stack.count else None
-                coords = list(_sector_coords(lo, hi, count))
+                coords = list(sector_coords(lo, hi, count))
             per_base.append([base + (c,) for c in coords])
         points = _interleave(per_base)[:count]
         override = self.sample_overrides.get(cell)
@@ -278,7 +248,7 @@ class Cad:
             points = points[:max(count, 1)]
         return [(p, cell) for p in points]
 
-    def sections_ordered(self, tag: CellIndex, letters: tuple[int, ...], precision: Fraction) -> bool:
+    def sections_ordered(self, tag: CellIndex, letters: tuple[int, ...]) -> bool:
         """Whether the root sections with these letters above the root cell
         ``tag`` are strictly increasing at the cell's sample.
 
@@ -287,13 +257,13 @@ class Cad:
         function of the arguments and is computed once per root.
         """
         root = self.root
-        key = (tag, letters, precision)
+        key = (tag, letters)
         verdict = root._order_cache.get(key)
         if verdict is None:
-            verdict = root._order_cache[key] = root._sections_ordered(tag, letters, precision)
+            verdict = root._order_cache[key] = root._sections_ordered(tag, letters)
         return verdict
 
-    def _sections_ordered(self, tag: CellIndex, letters: tuple[int, ...], precision: Fraction) -> bool:
+    def _sections_ordered(self, tag: CellIndex, letters: tuple[int, ...]) -> bool:
         point = self.cell_points(tag, 1)[0][0]
         functions = self.stacks[tag].functions
         values = []
@@ -304,7 +274,7 @@ class Cad:
                 return False
         for a, b in zip(values, values[1:]):
             try:
-                if compare_coords(a, b, precision) >= 0:
+                if compare_coords(a, b) >= 0:
                     return False
             except UnknownOrder:
                 return False
@@ -323,8 +293,6 @@ class Cad:
 
     def canonical_key(self):
         """Structural identity for root CADs (used by round-trip tests)."""
-        from cadreduce.expr import canonicalize, sexpr_of_expr
-
         if not self.is_root:
             raise ValueError("canonical_key is for root CADs")
         stacks = tuple(
@@ -332,6 +300,58 @@ class Cad:
             for cell in sorted(self.stacks)
         )
         return (self.n, stacks, tuple(sorted(word_of(c) for c in self.certificates)))
+
+
+# ---------------------------------------------------------------------------
+# Zeros on a root cell
+
+
+def section_substitution(root: Cad, cell: CellIndex) -> dict[int, Expr] | None:
+    """x_i -> the root section function over ``cell[:i-1]``, composed, for
+    every section letter ``cell[i-1]`` of the root cell; None when one of
+    those functions is piecewise.  A function substituted this way is its
+    restriction to the cell, in the cell's sector coordinates."""
+    values: dict[int, Expr] = {}
+    for i, letter in enumerate(cell, start=1):
+        if letter % 2 == 0:
+            f = root.stacks[cell[: i - 1]].functions[letter // 2 - 1]
+            if any_node(f, is_piecewise):
+                return None
+            values[i] = substitute(f, values)
+    return values
+
+
+def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
+    """Whether a polynomial whose variables are sector coordinates of the
+    root cell has a zero on it: True or False when that is proven, None
+    when it is not decided.
+
+    Decided for a polynomial in one coordinate x_t whose base ``cell[:t-1]``
+    is a point: it has a zero on the cell when one of its real roots lies
+    in the open sector ``cell[t-1]`` over that point.
+    """
+    p = to_polynomial(den)
+    if p is None:
+        return None
+    variables = {i for mon in p for i, _ in mon}
+    if len(variables) != 1:
+        return None
+    (t,) = variables
+    base = cell[: t - 1]
+    if any(letter % 2 for letter in base):
+        return None
+    stack = root.stacks[base]
+    j = (cell[t - 1] - 1) // 2
+    try:
+        point = root.cell_points(base, 1)[0][0]
+        lo = eval_coord(stack.functions[j - 1], point) if j >= 1 else None
+        hi = eval_coord(stack.functions[j], point) if j < stack.count else None
+        return any(
+            (lo is None or compare_coords(lo, r) < 0) and (hi is None or compare_coords(r, hi) < 0)
+            for r in isolate_roots(univariate_coeffs(p, t))
+        )
+    except (GuardUndecidable, UnknownOrder):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +375,10 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_cad(
-    cad: Cad,
-    precision: Fraction = DEFAULT_PRECISION,
-    probes: int = 2,
-) -> ValidationReport:
-    """Structural validation: stack keys, variable arity, strict stack
-    ordering at probe points, sample containment, guard disjointness."""
+def validate_cad(cad: Cad) -> ValidationReport:
+    """Structural validation: stack keys, variable arity, poles of root stack
+    functions, strict stack ordering at two probe points per cell, sample
+    containment, guard disjointness."""
     report = ValidationReport()
     if cad.is_root:
         expected = {c for k in range(cad.n) for c in cad.cells_of_level(k)}
@@ -378,11 +395,16 @@ def validate_cad(
                     report.violations.append(
                         f"section {i} above {word_of(cell)!r} uses variables beyond level {len(cell)}"
                     )
+        if not report.ok:
+            return report
+        _check_poles(cad, report)
+        if not report.ok:
+            return report
     for k in range(cad.n):
         for cell in cad.cells_of_level(k):
             u = cad.stack_count(cell)
             try:
-                points = cad.cell_points(cell, probes)
+                points = cad.cell_points(cell, 2)
             except (UnknownOrder, GuardUndecidable) as exc:
                 report.undecided.append(f"cannot derive probes in {word_of(cell)}: {exc}")
                 continue
@@ -398,7 +420,7 @@ def validate_cad(
                         )
                 for (s1, v1), (s2, v2) in zip(values, values[1:]):
                     try:
-                        c = compare_coords(v1, v2, precision)
+                        c = compare_coords(v1, v2)
                     except UnknownOrder as exc:
                         report.undecided.append(
                             f"order of sections {s1},{s2} above {word_of(cell)} undecided: {exc}"
@@ -408,12 +430,37 @@ def validate_cad(
                         report.violations.append(
                             f"sections {s1},{s2} above {word_of(cell)} are not strictly ordered at {point}"
                         )
-                _check_guard_disjointness(cad, cell, point, tag, report, precision)
-    _check_sample_overrides(cad, report, precision)
+                _check_guard_disjointness(cad, cell, point, tag, report)
+    _check_sample_overrides(cad, report)
     return report
 
 
-def _check_guard_disjointness(cad, cell, point, tag, report, precision):
+def _check_poles(cad: Cad, report: ValidationReport) -> None:
+    """Every root stack function that divides must be defined on its whole
+    cell: restricted to the cell, its normal form's denominator, which
+    collects every denominator met, has no zero there."""
+    for cell, stack in cad.stacks.items():
+        for i, f in enumerate(stack.functions, start=1):
+            if not any_node(f, lambda e: isinstance(e, Div)):
+                continue
+            where = f"section {i} above {word_of(cell)}"
+            values = section_substitution(cad, cell)
+            if values is None or any_node(f, is_piecewise):
+                report.undecided.append(f"poles of {where}: a piecewise function is involved")
+                continue
+            try:
+                restricted = canonicalize(substitute(f, values))
+            except DivisionByZero:
+                report.violations.append(f"{where} divides by zero on the whole cell")
+                continue
+            zero = zero_in_cell(cad, cell, restricted.right) if isinstance(restricted, Div) else False
+            if zero:
+                report.violations.append(f"{where} has a pole inside the cell")
+            elif zero is None:
+                report.undecided.append(f"poles of {where} not decided")
+
+
+def _check_guard_disjointness(cad, cell, point, tag, report):
     u = cad.stack_count(cell)
     for slot in range(1, u + 1):
         try:
@@ -425,7 +472,7 @@ def _check_guard_disjointness(cad, cell, point, tag, report, precision):
         true_guards = 0
         for guard, _ in f.pieces:
             try:
-                if formula_holds(guard, point, precision):
+                if formula_holds(guard, point):
                     true_guards += 1
             except GuardUndecidable:
                 report.undecided.append(
@@ -437,7 +484,7 @@ def _check_guard_disjointness(cad, cell, point, tag, report, precision):
             )
 
 
-def _check_sample_overrides(cad: Cad, report: ValidationReport, precision: Fraction) -> None:
+def _check_sample_overrides(cad: Cad, report: ValidationReport) -> None:
     if not cad.is_root:
         return
     for cell, point in cad.sample_overrides.items():
@@ -445,7 +492,7 @@ def _check_sample_overrides(cad: Cad, report: ValidationReport, precision: Fract
             report.violations.append(f"sample for {word_of(cell)} has wrong arity")
             continue
         try:
-            located = locate(cad, point, precision)
+            located = locate(cad, point)
         except (UnknownOrder, GuardUndecidable) as exc:
             report.undecided.append(f"sample for {word_of(cell)} undecided: {exc}")
             continue
@@ -462,18 +509,13 @@ def _check_sample_overrides(cad: Cad, report: ValidationReport, precision: Fract
 # Adaptedness and location
 
 
-def check_adapted(
-    cad: Cad,
-    formula: Formula,
-    precision: Fraction = DEFAULT_PRECISION,
-    probes: int = 3,
-) -> LeafLabeling:
+def check_adapted(cad: Cad, formula: Formula, probes: int = 3) -> LeafLabeling:
     """Label every leaf by set membership of its sample; extra probe points
     per leaf must agree, otherwise the CAD is not adapted to the set."""
     labels: LeafLabeling = {}
     for leaf in cad.leaves():
         points = cad.cell_points(leaf, max(1, probes))
-        verdicts = [(formula_holds(formula, p, precision), p) for p, _tag in points]
+        verdicts = [(formula_holds(formula, p), p) for p, _tag in points]
         first = verdicts[0][0]
         for truth, point in verdicts[1:]:
             if truth != first:
@@ -484,15 +526,13 @@ def check_adapted(
     return labels
 
 
-def locate(cad: Cad, point, precision: Fraction = DEFAULT_PRECISION) -> CellIndex:
+def locate(cad: Cad, point) -> CellIndex:
     """The index of the cell of a root CAD containing the point.
 
     Points of arity k < n are located in the level-k decomposition.
     """
     if not cad.is_root:
         raise ValueError("locate works on root CADs")
-    from cadreduce.expr import as_point
-
     pt = as_point(point)
     if len(pt) > cad.n:
         raise ValueError(f"point has arity {len(pt)}, expected at most {cad.n}")
@@ -504,7 +544,7 @@ def locate(cad: Cad, point, precision: Fraction = DEFAULT_PRECISION) -> CellInde
         letter = 2 * stack.count + 1
         for j, f in enumerate(stack.functions, start=1):
             v = eval_coord(f, base)
-            c = compare_coords(y, v, precision)
+            c = compare_coords(y, v)
             if c == 0:
                 letter = 2 * j
                 break
@@ -519,7 +559,7 @@ def locate(cad: Cad, point, precision: Fraction = DEFAULT_PRECISION) -> CellInde
 # Refinement order
 
 
-def coarsening_blocks(cad: Cad, root: Cad, precision: Fraction = DEFAULT_PRECISION):
+def coarsening_blocks(cad: Cad, root: Cad):
     """Represent ``cad`` as a partition of the root's leaves.
 
     Uses ``partition_blocks`` when ``cad`` shares the root; otherwise embeds by
@@ -534,7 +574,7 @@ def coarsening_blocks(cad: Cad, root: Cad, precision: Fraction = DEFAULT_PRECISI
     groups: dict[CellIndex, set[CellIndex]] = {}
     for leaf in root.leaves():
         try:
-            host = locate(cad, root.sample(leaf), precision)
+            host = locate(cad, root.sample(leaf))
         except (UnknownOrder, GuardUndecidable) as exc:
             raise NotComparableRepresentation(
                 f"cannot locate root leaf {word_of(leaf)}: {exc}"
@@ -548,11 +588,11 @@ def coarsening_blocks(cad: Cad, root: Cad, precision: Fraction = DEFAULT_PRECISI
     return frozenset(frozenset(g) for g in groups.values())
 
 
-def refines(fine: Cad, coarse: Cad, root: Cad, precision: Fraction = DEFAULT_PRECISION) -> bool:
+def refines(fine: Cad, coarse: Cad, root: Cad) -> bool:
     """Whether every cell of ``coarse`` is a union of cells of ``fine``,
     with both CADs represented as partitions of the root's leaves."""
-    fine_blocks = coarsening_blocks(fine, root, precision)
-    coarse_blocks = coarsening_blocks(coarse, root, precision)
+    fine_blocks = coarsening_blocks(fine, root)
+    coarse_blocks = coarsening_blocks(coarse, root)
     return partition_refines(fine_blocks, coarse_blocks)
 
 

@@ -14,7 +14,8 @@ class SqrtOfNegative(CadError):
 
 
 class GuardUndecidable(CadError):
-    """A sign or piecewise guard could not be decided at the working precision."""
+    """A sign or piecewise guard could not be decided exactly or by interval
+    refinement."""
 
 
 class NotAdapted(CadError):

@@ -21,8 +21,6 @@ from typing import Iterable, Union
 from cadreduce.errors import DivisionByZero, GuardUndecidable, ParseError, SqrtOfNegative, UnknownOrder
 from cadreduce.realroots import AlgebraicNumber, make_algebraic, poly as upoly
 
-DEFAULT_PRECISION = Fraction(1, 2**40)
-
 
 # ---------------------------------------------------------------------------
 # AST
@@ -800,8 +798,20 @@ def univariate_coeffs(p: VarPoly, index: int):
 # ---------------------------------------------------------------------------
 # Evaluation
 
+_FIRST_WIDTH = Fraction(1, 2**40)
 _MAX_DEEPEN = 12
 _DEEPEN_FACTOR = Fraction(1, 2**12)
+
+
+def _widths(start: Fraction):
+    """The one refinement schedule: the interval widths to try, ``start``
+    and then each ``_DEEPEN_FACTOR`` times the one before, ``_MAX_DEEPEN``
+    in all.  Every answer that interval arithmetic decides is decided
+    within it, so it depends on the input alone."""
+    w = start
+    for _ in range(_MAX_DEEPEN):
+        yield w
+        w *= _DEEPEN_FACTOR
 
 
 @dataclass(frozen=True)
@@ -821,7 +831,7 @@ class _Inexact(Exception):
 
 
 class _Imprecise(Exception):
-    """Internal: the working precision is too coarse for an operation."""
+    """Internal: the current interval width is too coarse for an operation."""
 
 
 def as_coord(v) -> CoordValue:
@@ -964,9 +974,8 @@ def _eval(e: Expr, point: Point, w: Fraction | None) -> _Val:
         assert w is not None
         return (_sqrt_bounds(lo, w)[0], _sqrt_bounds(hi, w)[1])
     if isinstance(e, Piecewise):
-        guard_precision = DEFAULT_PRECISION if w is None else min(w, DEFAULT_PRECISION)
         for guard, branch in e.pieces:
-            if formula_holds(guard, point, guard_precision):
+            if formula_holds(guard, point):
                 return _eval(branch, point, w)
         if e.default is not None:
             return _eval(e.default, point, w)
@@ -975,16 +984,13 @@ def _eval(e: Expr, point: Point, w: Fraction | None) -> _Val:
 
 
 def _eval_refining(e: Expr, point: Point, width: Fraction) -> _Val:
-    w = width
-    for _ in range(_MAX_DEEPEN):
+    for w in _widths(width):
         try:
             v = _eval(e, point, w)
         except _Imprecise:
-            w *= _DEEPEN_FACTOR
             continue
         if isinstance(v, Fraction) or v[1] - v[0] <= width:
             return v
-        w *= _DEEPEN_FACTOR
     raise GuardUndecidable(f"cannot evaluate to width {width} at {point}")
 
 
@@ -1026,10 +1032,48 @@ def coord_approx(cv: CoordValue, width: Fraction) -> _Val:
 
 
 # ---------------------------------------------------------------------------
+# Rational points inside an interval
+
+_OFFSET_STEPS = 8
+
+
+def _window_between(lo: CoordValue, hi: CoordValue) -> tuple[Fraction, Fraction]:
+    """A rational open window strictly inside (lo, hi)."""
+    for w in _widths(Fraction(1, 4)):
+        llo, lhi = _promote(coord_approx(lo, w))
+        hlo, hhi = _promote(coord_approx(hi, w))
+        if lhi < hlo:
+            return lhi, hlo
+    raise UnknownOrder(f"cannot separate section values {lo} and {hi}")
+
+
+def sector_coords(lo: CoordValue | None, hi: CoordValue | None, count: int) -> list[Fraction]:
+    """Deterministic rational coordinates strictly inside a sector fiber."""
+    if lo is None and hi is None:
+        pool = [Fraction(0)]
+        for k in range(1, _OFFSET_STEPS):
+            pool += [Fraction(k), Fraction(-k)]
+        return pool[:count]
+    if lo is None:
+        assert hi is not None
+        top = _promote(coord_approx(hi, Fraction(1, 4)))[0]
+        return [top - k for k in range(1, count + 1)]
+    if hi is None:
+        bot = _promote(coord_approx(lo, Fraction(1, 4)))[1]
+        return [bot + k for k in range(1, count + 1)]
+    a, b = _window_between(lo, hi)
+    gap = b - a
+    fracs = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(1, 8), Fraction(3, 8), Fraction(5, 8), Fraction(7, 8)]
+    while len(fracs) < count:
+        fracs.append(Fraction(1, 2) ** (len(fracs) - 3))
+    return [a + t * gap for t in fracs[:count]]
+
+
+# ---------------------------------------------------------------------------
 # Signs and comparisons
 
 
-def atom_sign(lhs: Expr, point, precision: Fraction = DEFAULT_PRECISION) -> int:
+def atom_sign(lhs: Expr, point) -> int:
     """Exact sign of a polynomial at a point.
 
     Exact for all-rational points and for points with a single algebraic
@@ -1063,12 +1107,10 @@ def atom_sign(lhs: Expr, point, precision: Fraction = DEFAULT_PRECISION) -> int:
         coeffs = univariate_coeffs(q, idx)
         if coeffs is not None:
             return a.sign_of(coeffs)
-    w = precision
-    for _ in range(_MAX_DEEPEN):
+    for w in _widths(_FIRST_WIDTH):
         try:
             v = _eval(lhs, pt, w)
         except _Imprecise:
-            w *= _DEEPEN_FACTOR
             continue
         if isinstance(v, Fraction):
             return 0 if v == 0 else (1 if v > 0 else -1)
@@ -1077,7 +1119,6 @@ def atom_sign(lhs: Expr, point, precision: Fraction = DEFAULT_PRECISION) -> int:
             return 1
         if hi < 0:
             return -1
-        w *= _DEEPEN_FACTOR
     raise GuardUndecidable(f"sign of {sexpr_of_expr(lhs)} undecided at {pt}")
 
 
@@ -1090,7 +1131,7 @@ _OP_TEST = {
 }
 
 
-def formula_holds(f: Formula, point, precision: Fraction = DEFAULT_PRECISION) -> bool:
+def formula_holds(f: Formula, point) -> bool:
     """Truth of a formula at a point; raises GuardUndecidable when the sign
     of some needed atom cannot be resolved."""
     if isinstance(f, TrueFormula):
@@ -1098,15 +1139,15 @@ def formula_holds(f: Formula, point, precision: Fraction = DEFAULT_PRECISION) ->
     if isinstance(f, FalseFormula):
         return False
     if isinstance(f, Atom):
-        return _OP_TEST[f.op](atom_sign(f.lhs, point, precision))
+        return _OP_TEST[f.op](atom_sign(f.lhs, point))
     if isinstance(f, Not):
-        return not formula_holds(f.arg, point, precision)
+        return not formula_holds(f.arg, point)
     if isinstance(f, (And, Or)):
         want = isinstance(f, Or)  # short-circuit value
         undecided = False
         for a in f.args:
             try:
-                if formula_holds(a, point, precision) == want:
+                if formula_holds(a, point) == want:
                     return want
             except GuardUndecidable:
                 undecided = True
@@ -1116,7 +1157,7 @@ def formula_holds(f: Formula, point, precision: Fraction = DEFAULT_PRECISION) ->
     raise TypeError(f"unknown formula node {f!r}")
 
 
-def compare_coords(a: CoordValue, b: CoordValue, precision: Fraction = DEFAULT_PRECISION) -> int:
+def compare_coords(a: CoordValue, b: CoordValue) -> int:
     """Exact three-way comparison of coordinate values where possible;
     interval separation otherwise.  Raises UnknownOrder when inconclusive."""
     if isinstance(a, LazyValue) or isinstance(b, LazyValue):
@@ -1132,15 +1173,13 @@ def compare_coords(a: CoordValue, b: CoordValue, precision: Fraction = DEFAULT_P
         rb = coord_approx(b, Fraction(1, 2))
         if isinstance(ra, Fraction) and isinstance(rb, Fraction):
             return (ra > rb) - (ra < rb)
-        w = precision
-        for _ in range(_MAX_DEEPEN):
+        for w in _widths(_FIRST_WIDTH):
             alo, ahi = _promote(coord_approx(a, w))
             blo, bhi = _promote(coord_approx(b, w))
             if ahi < blo:
                 return -1
             if bhi < alo:
                 return 1
-            w *= _DEEPEN_FACTOR
         raise UnknownOrder(f"cannot order {a} and {b}")
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return (a > b) - (a < b)

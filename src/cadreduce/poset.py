@@ -26,27 +26,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from cadreduce.cadmodel import (
-    Cad,
-    CellIndex,
-    LeafLabeling,
-    SectionStack,
-    _sector_coords,
-    locate,
-    word_of,
-)
+from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling, SectionStack, locate, word_of
 from cadreduce.errors import SectionsCross, UnknownOrder
-from cadreduce.expr import (
-    DEFAULT_PRECISION,
-    Expr,
-    Point,
-    any_node,
-    compare_coords,
-    eval_coord,
-    is_piecewise,
-)
+from cadreduce.expr import Expr, Point, any_node, compare_coords, eval_coord, is_piecewise, sector_coords
 from cadreduce.reduction import Blocks, Coarsening, LiftConfig, try_lift
 from cadreduce.tree import applicable_pivots  # noqa: F401  (re-exported; perfbench calls it here)
 
@@ -187,12 +170,11 @@ def common_refinement(
     labels1: LeafLabeling,
     c2: Cad,
     labels2: LeafLabeling,
-    precision: Fraction = DEFAULT_PRECISION,
-    probes: int = 3,
 ) -> tuple[Cad, LeafLabeling]:
     """A CAD refining both inputs, built level by level by merging section
-    stacks; fails with SectionsCross when sections from the two CADs cross
-    inside a merged cell (full CAD construction is out of scope)."""
+    stacks, whose order is compared at three probe points per cell; fails
+    with SectionsCross when sections from the two CADs cross inside a merged
+    cell (full CAD construction is out of scope)."""
     if not (c1.is_root and c2.is_root):
         raise ValueError("common refinement expects root CADs")
     if c1.n != c2.n:
@@ -205,9 +187,7 @@ def common_refinement(
         if len(index) == n:
             leaf_sources[index] = (idx1, idx2)
             return
-        merged = _merge_stacks(
-            c1.stacks[idx1].functions, c2.stacks[idx2].functions, points, precision
-        )
+        merged = _merge_stacks(c1.stacks[idx1].functions, c2.stacks[idx2].functions, points)
         stacks[index] = SectionStack(tuple(m.expr for m in merged))
         u = len(merged)
         for letter in range(1, 2 * u + 2):
@@ -227,9 +207,9 @@ def common_refinement(
                 for p in points:
                     lo = eval_coord(merged[j - 1].expr, p) if j >= 1 else None
                     hi = eval_coord(merged[j].expr, p) if j < u else None
-                    for c in _sector_coords(lo, hi, probes):
+                    for c in sector_coords(lo, hi, 3):
                         child_points.append(p + (c,))
-                child_points = child_points[: max(probes, 1)]
+                child_points = child_points[:3]
             recurse(index + (letter,), child1, child2, child_points)
 
     recurse((), (), (), [()])
@@ -242,15 +222,15 @@ def common_refinement(
                 f"inputs label the merged cell {word_of(leaf)} inconsistently"
             )
         labels[leaf] = b1
-    _verify_refines_input(refined, c1, leaf_sources, 0, precision)
-    _verify_refines_input(refined, c2, leaf_sources, 1, precision)
+    _verify_refines_input(refined, c1, leaf_sources, 0)
+    _verify_refines_input(refined, c2, leaf_sources, 1)
     return refined, labels
 
 
-def _verify_refines_input(refined: Cad, original: Cad, leaf_sources, which: int, precision) -> None:
+def _verify_refines_input(refined: Cad, original: Cad, leaf_sources, which: int) -> None:
     located_leaves = set()
     for leaf, sources in leaf_sources.items():
-        host = locate(original, refined.sample(leaf), precision)
+        host = locate(original, refined.sample(leaf))
         if host != sources[which]:
             raise SectionsCross(
                 f"cell {word_of(leaf)} escapes input cell {word_of(sources[which])}"
@@ -260,19 +240,14 @@ def _verify_refines_input(refined: Cad, original: Cad, leaf_sources, which: int,
         raise SectionsCross("some input cells contain no cell of the refinement")
 
 
-def _merge_stacks(
-    fns1: tuple[Expr, ...],
-    fns2: tuple[Expr, ...],
-    points: list[Point],
-    precision: Fraction,
-) -> list[_MergedSection]:
+def _merge_stacks(fns1: tuple[Expr, ...], fns2: tuple[Expr, ...], points: list[Point]) -> list[_MergedSection]:
     def order(e1: Expr, e2: Expr) -> int:
         verdicts = set()
         for p in points:
             v1 = eval_coord(e1, p)
             v2 = eval_coord(e2, p)
             try:
-                verdicts.add(compare_coords(v1, v2, precision))
+                verdicts.add(compare_coords(v1, v2))
             except UnknownOrder as exc:
                 raise UnknownOrder(
                     f"cannot order sections at probe {p}: {exc}"

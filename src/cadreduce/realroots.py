@@ -335,16 +335,6 @@ class AlgebraicNumber:
             flipped = [-c for c in flipped]
         return AlgebraicNumber(tuple(flipped), -self.hi, -self.lo)
 
-    def shifted(self, delta: Fraction) -> AlgebraicNumber:
-        """This number plus ``delta``, as a root of p(x - delta)."""
-        x_minus_d = poly([-delta, 1])
-        acc: UniPoly = ZERO
-        power: UniPoly = (Fraction(1),)
-        for c in self.defining:
-            acc = add(acc, scale(power, c))
-            power = mul(power, x_minus_d)
-        return AlgebraicNumber(primitive(acc), self.lo + delta, self.hi + delta)
-
     def __str__(self) -> str:
         if self.is_rational:
             return str(self.lo)

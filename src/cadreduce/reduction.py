@@ -35,24 +35,18 @@ always valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from cadreduce.cadmodel import (
     Cad,
     CellIndex,
     LeafLabeling,
+    section_substitution,
     word_of,
+    zero_in_cell,
 )
-from cadreduce.errors import (
-    DivisionByZero,
-    GuardUndecidable,
-    RuleNotApplicable,
-    SectionOutOfRange,
-    UnknownOrder,
-)
+from cadreduce.errors import DivisionByZero, RuleNotApplicable, SectionOutOfRange
 from cadreduce.expr import (
-    DEFAULT_PRECISION,
     Div,
     Expr,
     Sub,
@@ -63,10 +57,7 @@ from cadreduce.expr import (
     eval_coord,
     is_piecewise,
     substitute,
-    to_polynomial,
-    univariate_coeffs,
 )
-from cadreduce.realroots import isolate_roots
 from cadreduce.tree import (
     CadTree,
     applicable_pivots,
@@ -87,13 +78,10 @@ class LiftConfig:
     """How merge conditions are decided."""
 
     mode: str = "sampled"  # "sampled" | "certificate"
-    precision: Fraction = DEFAULT_PRECISION
 
     def __post_init__(self):
         if self.mode not in ("sampled", "certificate"):
             raise ValueError(f"unknown lift mode {self.mode!r}")
-        if self.precision <= 0:
-            raise ValueError("precision must be positive")
 
 
 _tree_of = build_tree  # perfbench builds trees under this name
@@ -174,20 +162,20 @@ def _lift_allowed(cad: Cad, tree: CadTree, pivot: CellIndex, cfg: LiftConfig) ->
         if any(len(h) < cad.n for h in cad.history):
             return False
         return pivot in cad.root.certificates
-    # The seam check reads the root, the configuration and, in each of the
-    # three merged subtrees, the root cells of the cell at each suffix; its
-    # verdict is kept under exactly that key.
-    key = (cfg,) + tuple(
+    # The seam check reads the root and, in each of the three merged
+    # subtrees, the root cells of the cell at each suffix; its verdict is
+    # kept under exactly that key.
+    key = tuple(
         tuple((suffix, cell.roots) for suffix, cell in walk(tree.cell(top), cad.n - k))
         for top in (sibling(pivot, -1), pivot, sibling(pivot, +1))
     )
     cache = cad.root._lift_cache
     if key not in cache:
-        cache[key] = _glued_stacks_valid(cad, tree, pivot, cfg)
+        cache[key] = _glued_stacks_valid(cad, tree, pivot)
     return cache[key]
 
 
-def _glued_stacks_valid(cad: Cad, tree: CadTree, pivot: CellIndex, cfg: LiftConfig) -> bool:
+def _glued_stacks_valid(cad: Cad, tree: CadTree, pivot: CellIndex) -> bool:
     """Whether the stacks above the three subtrees glue to continuous
     sections and the glued stacks are ordered."""
     k = len(pivot)
@@ -198,9 +186,9 @@ def _glued_stacks_valid(cad: Cad, tree: CadTree, pivot: CellIndex, cfg: LiftConf
         right_cell = right + suffix
         u = len(cell.children) // 2
         for slot in range(1, u + 1):
-            if not _glues_continuously(cad, pivot, left_cell, mid_cell, right_cell, slot, cfg):
+            if not _glues_continuously(cad, pivot, left_cell, mid_cell, right_cell, slot):
                 return False
-        if not _merged_stack_ordered(cad, (left_cell, mid_cell, right_cell), u, cfg):
+        if not _merged_stack_ordered(cad, (left_cell, mid_cell, right_cell), u):
             return False
     return True
 
@@ -212,7 +200,6 @@ def _glues_continuously(
     mid_cell: CellIndex,
     right_cell: CellIndex,
     slot: int,
-    cfg: LiftConfig,
 ) -> bool:
     middle = cad.section_pieces(mid_cell, slot)
     sides = (cad.section_pieces(left_cell, slot), cad.section_pieces(right_cell, slot))
@@ -226,34 +213,18 @@ def _glues_continuously(
         return False
     k = len(pivot)
     for m, f_m in middle:
-        seam = _seam_substitution(cad.root, m)
+        seam = section_substitution(cad.root, m)
         if seam is None:
             return False
         for side, direction in zip(sides, (-1, +1)):
             # Over m's own base root cell only the sector next to m reaches it.
             flank = [f for p, f in side if p[: k - 1] != m[: k - 1] or p[k - 1] == m[k - 1] + direction]
-            if not flank or not all(_identical_on(cad.root, m, seam, f, f_m, cfg) for f in flank):
+            if not flank or not all(_identical_on(cad.root, m, seam, f, f_m) for f in flank):
                 return False
     return True
 
 
-def _seam_substitution(root: Cad, m: CellIndex) -> dict[int, Expr] | None:
-    """x_i -> the root section function over ``m[:i-1]``, composed, for every
-    section letter ``m[i-1]`` of the root cell ``m``; None when one of those
-    functions is piecewise."""
-    values: dict[int, Expr] = {}
-    for i, letter in enumerate(m, start=1):
-        if letter % 2 == 0:
-            f = root.stacks[m[: i - 1]].functions[letter // 2 - 1]
-            if any_node(f, is_piecewise):
-                return None
-            values[i] = substitute(f, values)
-    return values
-
-
-def _identical_on(
-    root: Cad, m: CellIndex, seam: dict[int, Expr], f_side: Expr, f_mid: Expr, cfg: LiftConfig
-) -> bool:
+def _identical_on(root: Cad, m: CellIndex, seam: dict[int, Expr], f_side: Expr, f_mid: Expr) -> bool:
     """Whether the side piece, restricted to the root cell ``m`` by ``seam``,
     is the middle piece there: their difference has a zero numerator in
     normal form and a denominator that has no zero on ``m``."""
@@ -263,51 +234,25 @@ def _identical_on(
         return False
     if diff == _ZERO:
         return True
-    return isinstance(diff, Div) and diff.left == _ZERO and _no_zero_on(root, m, diff.right, cfg)
+    return isinstance(diff, Div) and diff.left == _ZERO and _no_zero_on(root, m, diff.right)
 
 
-def _no_zero_on(root: Cad, m: CellIndex, den: Expr, cfg: LiftConfig) -> bool:
+def _no_zero_on(root: Cad, m: CellIndex, den: Expr) -> bool:
     """Whether a normal-form denominator, whose variables are sector
-    coordinates of the root cell ``m``, provably has no zero on ``m``.
-
-    Decided for a polynomial in one coordinate x_t whose base ``m[:t-1]`` is
-    a point: its real roots must lie outside the open sector ``m[t-1]`` over
-    that point.  Anything else counts as a possible zero.
-    """
-    p = to_polynomial(den)
-    if p is None:
-        return False
-    variables = {i for mon in p for i, _ in mon}
-    if len(variables) != 1:
-        return False
-    (t,) = variables
-    base = m[: t - 1]
-    if any(letter % 2 for letter in base):
-        return False
-    stack = root.stacks[base]
-    j = (m[t - 1] - 1) // 2
-    try:
-        point = root.cell_points(base, 1)[0][0]
-        lo = eval_coord(stack.functions[j - 1], point) if j >= 1 else None
-        hi = eval_coord(stack.functions[j], point) if j < stack.count else None
-        return not any(
-            (lo is None or compare_coords(lo, r, cfg.precision) < 0)
-            and (hi is None or compare_coords(r, hi, cfg.precision) < 0)
-            for r in isolate_roots(univariate_coeffs(p, t))
-        )
-    except (GuardUndecidable, UnknownOrder):
-        return False
+    coordinates of the root cell ``m``, is proven to have no zero on ``m``;
+    an undecided one counts as a possible zero."""
+    return zero_in_cell(root, m, den) is False
 
 
-def _merged_stack_ordered(cad: Cad, triple, u: int, cfg: LiftConfig) -> bool:
+def _merged_stack_ordered(cad: Cad, triple, u: int) -> bool:
     """Strict ordering of the glued stack at the member cells' samples.
 
     The sample of a member cell is the first probe of its first root cell
     ``tag``, and there the section in each slot is the root section over
     ``tag`` whose letter the glued stack selects.  The verdict therefore
-    depends on ``tag``, those letters and the precision only, all of them
-    data of the immutable root, and ``Cad.sections_ordered`` keeps it per
-    exactly that key.
+    depends on ``tag`` and those letters only, both of them data of the
+    immutable root, and ``Cad.sections_ordered`` keeps it per exactly that
+    key.
     """
     for cell in triple:
         for _point, tag in cad.cell_points(cell, 1):
@@ -315,7 +260,7 @@ def _merged_stack_ordered(cad: Cad, triple, u: int, cfg: LiftConfig) -> bool:
                 letters = tuple(cad.section_letter(cell, slot, tag) for slot in range(1, u + 1))
             except KeyError:
                 return False
-            if not cad.sections_ordered(tag, letters, cfg.precision):
+            if not cad.sections_ordered(tag, letters):
                 return False
     return True
 
@@ -352,14 +297,12 @@ def insert_section(
     base: CellIndex,
     sector_letter: int,
     section_function: Expr,
-    probes: int = 4,
-    precision: Fraction = DEFAULT_PRECISION,
 ) -> tuple[Cad, LeafLabeling]:
     """Split the sector above ``base`` with the graph of a new section
     function, duplicating everything above it; returns a finer root CAD.
 
     The function must be strictly between the sector's bounding sections at
-    all probe points of the base cell.
+    four probe points of the base cell.
     """
     if not cad.is_root:
         raise ValueError("insert_section expects a root CAD")
@@ -370,17 +313,17 @@ def insert_section(
     if sector_letter % 2 != 1 or not (1 <= sector_letter <= 2 * stack.count + 1):
         raise ValueError(f"{sector_letter} is not a sector letter of the stack above {word_of(base)}")
     j = (sector_letter - 1) // 2  # insert after section j
-    for point, _tag in cad.cell_points(base, probes):
+    for point, _tag in cad.cell_points(base, 4):
         v = eval_coord(section_function, point)
         if j >= 1:
             lo = eval_coord(stack.functions[j - 1], point)
-            if compare_coords(v, lo, precision) <= 0:
+            if compare_coords(v, lo) <= 0:
                 raise SectionOutOfRange(
                     f"new section is not strictly above section {j} at {point}"
                 )
         if j < stack.count:
             hi = eval_coord(stack.functions[j], point)
-            if compare_coords(v, hi, precision) >= 0:
+            if compare_coords(v, hi) >= 0:
                 raise SectionOutOfRange(
                     f"new section is not strictly below section {j + 1} at {point}"
                 )

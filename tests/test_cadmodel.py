@@ -79,6 +79,31 @@ def test_unordered_stack_is_flagged():
     assert any("not strictly ordered" in v for v in report.violations)
 
 
+def stack_over(cell, f):
+    """R^2 with the base stack [0] and the stack [f] over one base cell."""
+    stacks = {(): SectionStack((parse_expr("0"),)), **{(i,): SectionStack(()) for i in (1, 2, 3)}}
+    stacks[cell] = SectionStack((parse_expr(f),))
+    return Cad(2, stacks)
+
+
+def test_a_pole_inside_a_cell_is_a_violation():
+    # Over x1 < 0: 1/(x1 + 1/3) has a pole at -1/3, between the probes.
+    report = validate_cad(stack_over((1,), "(div 1 (add x1 1/3))"))
+    assert any("pole inside the cell" in v for v in report.violations), str(report)
+    assert str(validate_cad(stack_over((1,), "(div 1 (sub x1 1/3))"))) == "valid"
+    # Over the section x1 = 0 the denominator vanishes on the whole cell.
+    report = validate_cad(stack_over((2,), "(div 1 x1)"))
+    assert any("divides by zero on the whole cell" in v for v in report.violations), str(report)
+
+
+def test_an_undecided_pole_is_reported_as_undecided():
+    # The denominator x1 - sqrt2 has no zero on x1 < 0, but the root test
+    # takes polynomials over the rationals only.
+    report = validate_cad(stack_over((1,), "(div 1 (sub x1 (sqrt 2)))"))
+    assert report.ok
+    assert any("poles of section 1 above 1" in u for u in report.undecided), str(report)
+
+
 def test_check_adapted_disk():
     entry = disk_c()
     labels = check_adapted(entry.cad, entry.formula)

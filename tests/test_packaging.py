@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
+PACKAGE = ROOT / "src" / "cadreduce"
 
 
 def test_console_scripts_resolve():
@@ -16,6 +18,17 @@ def test_console_scripts_resolve():
         module_name, _, attr = target.partition(":")
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr)), name
+
+
+def test_no_module_imports_another_modules_private_names():
+    # A name with a leading underscore is private to its module; what two
+    # modules share is public.
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cadreduce"):
+                private += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []
 
 
 def load_perfbench(name: str, monkeypatch):

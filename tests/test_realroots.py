@@ -6,8 +6,10 @@ import pytest
 from cadreduce import realroots
 from cadreduce.expr import _algebraic_sqrt
 from cadreduce.realroots import (
+    ZERO,
     AlgebraicNumber,
     ZeroPolynomial,
+    add,
     count_roots,
     degree,
     derivative,
@@ -18,12 +20,23 @@ from cadreduce.realroots import (
     mul,
     poly,
     primitive,
+    scale,
     sign_at,
     squarefree_part,
     sturm_sequence,
 )
 
 F = Fraction
+
+
+def shifted(a: AlgebraicNumber, delta: Fraction) -> AlgebraicNumber:
+    """a + delta, as a root of p(x - delta) for the defining polynomial p."""
+    x_minus_d = poly([-delta, 1])
+    acc, power = ZERO, (F(1),)
+    for c in a.defining:
+        acc = add(acc, scale(power, c))
+        power = mul(power, x_minus_d)
+    return AlgebraicNumber(primitive(acc), a.lo + delta, a.hi + delta)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +142,7 @@ def corpus() -> list[AlgebraicNumber]:
     for _ in range(10):
         numbers += isolate_roots(mul(rng.choice(factors), rng.choice(factors)))
     numbers += [n.refine(F(1, 64)) for n in numbers[::3]]
-    numbers += [n.negated() for n in numbers[::4]] + [n.shifted(F(1, 3)) for n in numbers[1::5]]
+    numbers += [n.negated() for n in numbers[::4]] + [shifted(n, F(1, 3)) for n in numbers[1::5]]
     return numbers
 
 
@@ -390,7 +403,7 @@ def test_defining_polynomials_are_squarefree_and_primitive(bounded_work):
         f = random_poly(rng, 3)
         numbers += isolate_roots(mul(f, mul(f, random_poly(rng, 2))))
     numbers += [_algebraic_sqrt(c) for c in (F(2), F(1, 20), F(50, 3), F(7, 4))]
-    numbers += [a.negated() for a in numbers] + [a.shifted(F(-5, 3)) for a in numbers]
+    numbers += [a.negated() for a in numbers] + [shifted(a, F(-5, 3)) for a in numbers]
     numbers += [a.refine(F(1, 1000)) for a in numbers]
     for a in numbers:
         p = a.defining

@@ -5,7 +5,7 @@ import pytest
 
 from cadreduce.cadmodel import Cad, SectionStack, check_adapted, coarsening_blocks, refines, validate_cad
 from cadreduce.errors import LabelMissing, RuleNotApplicable, SectionOutOfRange, UnknownOrder
-from cadreduce.expr import DEFAULT_PRECISION, compare_coords, eval_coord, parse_expr
+from cadreduce.expr import compare_coords, eval_coord, parse_expr
 from cadreduce.gallery import (
     disk_c,
     disk_cp,
@@ -97,8 +97,8 @@ def disordered_stack():
 
 def sections_apart_by_2_to_the_minus_200():
     # Base stack [0]; over each of the cells 1, 2, 3 the stack [f, g] with
-    # f = sqrt2 + sqrt3 and g = f + 2^-200.  Their order is decided at a
-    # precision of 2^-80 but not at the default 2^-40.
+    # f = sqrt2 + sqrt3 and g = f + 2^-200, closer than interval refinement
+    # can separate.
     f = "(add (sqrt 2) (sqrt 3))"
     functions = (parse_expr(f), parse_expr(f"(add {f} {Fraction(1, 2**200)})"))
     stacks = {(): SectionStack((parse_expr("0"),))}
@@ -179,16 +179,17 @@ def test_pole_at_a_corner_of_the_seam_does_not_lift():
     assert try_lift(child, (1, 2), CFG) is None
 
 
-def test_lift_verdict_is_kept_per_precision():
-    cad, labels = sections_apart_by_2_to_the_minus_200()
-    f, g = (eval_coord(e, (F(0),)) for e in cad.stacks[(2,)].functions)
+def test_refinement_schedule_is_fixed():
+    # Interval refinement has one schedule and no setting: it separates
+    # lazy values 2^-182 apart, but not 2^-183 apart, and so it cannot order
+    # the sections 2^-200 apart, whose merge is rejected.
+    f = "(add (sqrt 2) (sqrt 3))"
+    value = eval_coord(parse_expr(f), ())
+    assert compare_coords(value, eval_coord(parse_expr(f"(add {f} {F(1, 2**182)})"), ())) == -1
     with pytest.raises(UnknownOrder):
-        compare_coords(f, g, DEFAULT_PRECISION)
-    fine = LiftConfig(precision=F(1, 2**80))
-    assert compare_coords(f, g, fine.precision) == -1
-    assert try_lift(Coarsening.of(cad, labels), (2,), fine) is not None
+        compare_coords(value, eval_coord(parse_expr(f"(add {f} {F(1, 2**183)})"), ()))
+    cad, labels = sections_apart_by_2_to_the_minus_200()
     assert try_lift(Coarsening.of(cad, labels), (2,), CFG) is None
-    assert try_lift(Coarsening.of(cad, labels), (2,), fine) is not None
 
 
 def test_section_with_a_jump_hidden_by_a_nested_division_does_not_lift():
