@@ -24,6 +24,7 @@ from cadreduce.errors import (
     GuardUndecidable,
     NotAdapted,
     NotComparableRepresentation,
+    SqrtOfNegative,
     UnknownOrder,
 )
 from cadreduce.expr import (
@@ -408,6 +409,9 @@ def validate_cad(cad: Cad) -> ValidationReport:
             except (UnknownOrder, GuardUndecidable) as exc:
                 report.undecided.append(f"cannot derive probes in {word_of(cell)}: {exc}")
                 continue
+            except (DivisionByZero, SqrtOfNegative) as exc:
+                report.violations.append(f"cannot derive probes in {word_of(cell)}: {exc}")
+                continue
             for point, tag in points:
                 values = []
                 for slot in range(1, u + 1):
@@ -418,10 +422,12 @@ def validate_cad(cad: Cad) -> ValidationReport:
                         report.undecided.append(
                             f"section {slot} above {word_of(cell)} undecided at {point}: {exc}"
                         )
+                    except (DivisionByZero, SqrtOfNegative) as exc:
+                        report.violations.append(f"section {slot} above {word_of(cell)} is undefined at {point}: {exc}")
                 for (s1, v1), (s2, v2) in zip(values, values[1:]):
                     try:
                         c = compare_coords(v1, v2)
-                    except UnknownOrder as exc:
+                    except (UnknownOrder, GuardUndecidable) as exc:
                         report.undecided.append(
                             f"order of sections {s1},{s2} above {word_of(cell)} undecided: {exc}"
                         )

@@ -79,10 +79,10 @@ def test_unordered_stack_is_flagged():
     assert any("not strictly ordered" in v for v in report.violations)
 
 
-def stack_over(cell, f):
-    """R^2 with the base stack [0] and the stack [f] over one base cell."""
+def stack_over(cell, *functions):
+    """R^2 with the base stack [0] and the given stack over one base cell."""
     stacks = {(): SectionStack((parse_expr("0"),)), **{(i,): SectionStack(()) for i in (1, 2, 3)}}
-    stacks[cell] = SectionStack((parse_expr(f),))
+    stacks[cell] = SectionStack(tuple(parse_expr(f) for f in functions))
     return Cad(2, stacks)
 
 
@@ -94,6 +94,10 @@ def test_a_pole_inside_a_cell_is_a_violation():
     # Over the section x1 = 0 the denominator vanishes on the whole cell.
     report = validate_cad(stack_over((2,), "(div 1 x1)"))
     assert any("divides by zero on the whole cell" in v for v in report.violations), str(report)
+    # A pole the root test does not decide (a square root in the
+    # denominator), met exactly at the probe x1 = -1.
+    report = validate_cad(stack_over((1,), "(div 1 (mul (add x1 1) (sqrt (neg x1))))"))
+    assert any("undefined at" in v for v in report.violations), str(report)
 
 
 def test_an_undecided_pole_is_reported_as_undecided():
@@ -102,6 +106,11 @@ def test_an_undecided_pole_is_reported_as_undecided():
     report = validate_cad(stack_over((1,), "(div 1 (sub x1 (sqrt 2)))"))
     assert report.ok
     assert any("poles of section 1 above 1" in u for u in report.undecided), str(report)
+    # The same kind of denominator, with its pole at the probe x1 = -1: the
+    # section's value there cannot be refined, so its order is undecided.
+    report = validate_cad(stack_over((1,), "(div 1 (mul (add x1 1) (sqrt 2)))", "5"))
+    assert report.ok
+    assert any("order of sections 1,2 above 1 undecided" in u for u in report.undecided), str(report)
 
 
 def test_check_adapted_disk():
