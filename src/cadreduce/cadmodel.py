@@ -2,10 +2,11 @@
 
 A CAD of R^n is stored as its stack structure: for every cell of level
 k < n (level 0 is the one-point base cell with the empty index), the ordered
-list of section functions that slice the cylinder above it.  Cells are named
-by index words; a cell of level k has index (i_1, ..., i_k), where an even
-last letter names a section (the graph of a stack function) and an odd last
-letter names a sector (the open band between consecutive sections).
+list of section functions that slice the cylinder above it.  Every sample
+point is derived from the stacks.  Cells are named by index words; a cell
+of level k has index (i_1, ..., i_k), where an even last letter names a
+section (the graph of a stack function) and an odd last letter names a
+sector (the open band between consecutive sections).
 
 A CAD object either owns its geometry (a *root*), or is a coarsening of a
 root obtained by cell merges.  A coarsening is a view of its cell tree
@@ -114,11 +115,8 @@ class Cad:
         n: int,
         stacks: dict[CellIndex, SectionStack] | None = None,
         *,
-        samples: dict[CellIndex, Point] | None = None,
-        certificates: frozenset[CellIndex] = frozenset(),
         root: "Cad | None" = None,
         tree: "CadTree | None" = None,
-        history: tuple[CellIndex, ...] = (),
     ):
         self.n = n
         if root is None:
@@ -127,16 +125,13 @@ class Cad:
             self.root: Cad = self
             self.stacks = stacks
             self.tree = None
-            self.sample_overrides = dict(samples or {})
-            self.certificates = certificates
-            self.history: tuple[CellIndex, ...] = ()
             self._point_cache: dict[tuple[CellIndex, int], list[TaggedPoint]] = {}
             # Order verdicts by (root cell, section letters); see
             # ``sections_ordered``.  At most one entry per root cell and
             # subset of its stack.
             self._order_cache: dict[tuple[CellIndex, tuple[int, ...]], bool] = {}
-            # Sampled-mode lift verdicts (see ``reduction._lift_allowed``): one
-            # per grouping of root cells into three merged subtrees.
+            # Lift verdicts (see ``reduction._lift_allowed``): one per
+            # grouping of root cells into three merged subtrees.
             self._lift_cache: dict[tuple, bool] = {}
         else:
             if tree is None:
@@ -144,9 +139,6 @@ class Cad:
             self.root = root
             self.stacks = None
             self.tree = tree
-            self.sample_overrides = {}
-            self.certificates = frozenset()
-            self.history = history
 
     # -- structure ---------------------------------------------------------
 
@@ -242,12 +234,7 @@ class Cad:
                 hi = eval_coord(stack.functions[j], base) if j < stack.count else None
                 coords = list(sector_coords(lo, hi, count))
             per_base.append([base + (c,) for c in coords])
-        points = _interleave(per_base)[:count]
-        override = self.sample_overrides.get(cell)
-        if override is not None:
-            points = [override] + [p for p in points if p != override]
-            points = points[:max(count, 1)]
-        return [(p, cell) for p in points]
+        return [(p, cell) for p in _interleave(per_base)[:count]]
 
     def sections_ordered(self, tag: CellIndex, letters: tuple[int, ...]) -> bool:
         """Whether the root sections with these letters above the root cell
@@ -300,7 +287,7 @@ class Cad:
             (word_of(cell), tuple(sexpr_of_expr(canonicalize(f)) for f in self.stacks[cell].functions))
             for cell in sorted(self.stacks)
         )
-        return (self.n, stacks, tuple(sorted(word_of(c) for c in self.certificates)))
+        return (self.n, stacks)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +365,8 @@ class ValidationReport:
 
 def validate_cad(cad: Cad) -> ValidationReport:
     """Structural validation: stack keys, variable arity, poles of root stack
-    functions, strict stack ordering at two probe points per cell, sample
-    containment, guard disjointness."""
+    functions, strict stack ordering at two probe points per cell, guard
+    disjointness."""
     report = ValidationReport()
     if cad.is_root:
         expected = {c for k in range(cad.n) for c in cad.cells_of_level(k)}
@@ -437,7 +424,6 @@ def validate_cad(cad: Cad) -> ValidationReport:
                             f"sections {s1},{s2} above {word_of(cell)} are not strictly ordered at {point}"
                         )
                 _check_guard_disjointness(cad, cell, point, tag, report)
-    _check_sample_overrides(cad, report)
     return report
 
 
@@ -487,27 +473,6 @@ def _check_guard_disjointness(cad, cell, point, tag, report):
         if true_guards > 1:
             report.violations.append(
                 f"piecewise guards above {word_of(cell)} overlap at {point}"
-            )
-
-
-def _check_sample_overrides(cad: Cad, report: ValidationReport) -> None:
-    if not cad.is_root:
-        return
-    for cell, point in cad.sample_overrides.items():
-        if len(point) != len(cell):
-            report.violations.append(f"sample for {word_of(cell)} has wrong arity")
-            continue
-        try:
-            located = locate(cad, point)
-        except (UnknownOrder, GuardUndecidable) as exc:
-            report.undecided.append(f"sample for {word_of(cell)} undecided: {exc}")
-            continue
-        except ValueError as exc:
-            report.violations.append(f"sample for {word_of(cell)}: {exc}")
-            continue
-        if located != cell:
-            report.violations.append(
-                f"sample for {word_of(cell)} lies in cell {word_of(located)}"
             )
 
 

@@ -153,10 +153,6 @@ def const(v: Fraction | int) -> Const:
     return Const(Fraction(v))
 
 
-def var(i: int) -> Var:
-    return Var(i)
-
-
 def max_var_index(e: Expr | Formula) -> int:
     if isinstance(e, Var):
         return e.index
@@ -268,7 +264,14 @@ def parse_sexpr(text: str):
     return tree
 
 
+def _is_digits(tok: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also accepts superscripts."""
+    return tok.isascii() and tok.isdigit()
+
+
 def _fraction_atom(tok: str) -> Fraction | None:
+    if not tok.isascii():
+        return None
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
@@ -277,7 +280,7 @@ def _fraction_atom(tok: str) -> Fraction | None:
 
 def expr_from_sexpr(tree) -> Expr:
     if isinstance(tree, str):
-        if tree.startswith("x") and tree[1:].isdigit():
+        if tree.startswith("x") and _is_digits(tree[1:]):
             idx = int(tree[1:])
             if idx < 1:
                 raise ParseError(f"variable index must be >= 1: {tree}")
@@ -309,7 +312,7 @@ def expr_from_sexpr(tree) -> Expr:
             raise ParseError("(neg ...) needs one operand")
         return Neg(expr_from_sexpr(args[0]))
     if head == "pow":
-        if len(args) != 2 or not isinstance(args[1], str) or not args[1].isdigit():
+        if len(args) != 2 or not isinstance(args[1], str) or not _is_digits(args[1]):
             raise ParseError("(pow e k) needs a nonnegative integer exponent")
         return Pow(expr_from_sexpr(args[0]), int(args[1]))
     if head == "sqrt":
@@ -358,6 +361,8 @@ def formula_from_sexpr(tree) -> Formula:
     if not tree:
         raise ParseError("empty formula list")
     head, *args = tree
+    if not isinstance(head, str):
+        raise ParseError(f"expected operator, got {head!r}")
     if head == "true":
         return TRUE
     if head == "false":

@@ -99,7 +99,6 @@ def disk_cp() -> GalleryEntry:
                 "7": [],
             }
         ),
-        certificates=frozenset({(4,)}),
     )
     labels = _labels(
         {
@@ -144,7 +143,6 @@ def disk_cpp() -> GalleryEntry:
                 "7": [],
             }
         ),
-        certificates=frozenset({(4,)}),
     )
     labels = _labels(
         {

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling, SectionStack, locate, word_of
 from cadreduce.errors import SectionsCross, UnknownOrder
 from cadreduce.expr import Expr, Point, any_node, compare_coords, eval_coord, is_piecewise, sector_coords
-from cadreduce.reduction import Blocks, Coarsening, LiftConfig, try_lift
+from cadreduce.reduction import Blocks, Coarsening, try_lift
 from cadreduce.tree import applicable_pivots  # noqa: F401  (re-exported; perfbench calls it here)
 
 
@@ -64,7 +64,7 @@ class PosetGraph:
         return seen
 
 
-def explore(root: Cad, labels: LeafLabeling, cfg: LiftConfig = LiftConfig()) -> PosetGraph:
+def explore(root: Cad, labels: LeafLabeling) -> PosetGraph:
     """Breadth-first closure of the root under liftable merges; a node keeps
     the history of the first path that reaches it."""
     start = Coarsening.of(root, labels)
@@ -74,7 +74,7 @@ def explore(root: Cad, labels: LeafLabeling, cfg: LiftConfig = LiftConfig()) -> 
         node = queue.popleft()
         out = graph.out_edges[node.blocks] = {}
         for pivot in node.pivots:
-            child = try_lift(node, pivot, cfg)
+            child = try_lift(node, pivot)
             if child is None:
                 continue
             out[pivot] = child.blocks
@@ -150,8 +150,7 @@ def extend_cylinder(cad: Cad, labels: LeafLabeling, n: int) -> tuple[Cad, LeafLa
             stacks[cell] = SectionStack(())
         cells = [cell + (1,) for cell in cells]
     new_labels = {leaf + (1,) * (n - cad.n): bit for leaf, bit in labels.items()}
-    extended = Cad(n, stacks, samples=dict(cad.sample_overrides), certificates=cad.certificates)
-    return extended, new_labels
+    return Cad(n, stacks), new_labels
 
 
 # ---------------------------------------------------------------------------

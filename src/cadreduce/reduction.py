@@ -2,8 +2,9 @@
 
 A merge at a pivot of level k < n is a genuine CAD operation only when the
 section functions above the three merged cells glue to continuous functions
-over the union.  That condition is verified either by a continuity
-certificate shipped with the document, or by an exact identity on the seam.
+over the union and the glued stacks are ordered.  The only evidence of
+continuity is an exact identity on the seam, and the order is decided at
+the merged cells' samples.
 
 The identity, per slot of each glued stack.  The section's pieces are root
 stack functions, one per root cell below it; if they share one guard-free
@@ -73,17 +74,6 @@ def pivot_order(pivot: CellIndex):
     return (-len(pivot), pivot)
 
 
-@dataclass(frozen=True)
-class LiftConfig:
-    """How merge conditions are decided."""
-
-    mode: str = "sampled"  # "sampled" | "certificate"
-
-    def __post_init__(self):
-        if self.mode not in ("sampled", "certificate"):
-            raise ValueError(f"unknown lift mode {self.mode!r}")
-
-
 _tree_of = build_tree  # perfbench builds trees under this name
 
 _ZERO = const(0)
@@ -134,7 +124,7 @@ class Coarsening:
         return self.history
 
 
-def try_lift(node: Coarsening, pivot: CellIndex, cfg: LiftConfig = LiftConfig()) -> Coarsening | None:
+def try_lift(node: Coarsening, pivot: CellIndex) -> Coarsening | None:
     """The merged coarsening of the same root (labels transported, pivot
     appended to the history), or None when the merge at an applicable pivot
     cannot be verified to be a CAD.  The child's tree shares all but the
@@ -142,26 +132,19 @@ def try_lift(node: Coarsening, pivot: CellIndex, cfg: LiftConfig = LiftConfig())
     cad, tree = node.cad, node.tree
     if not is_applicable(tree, pivot):
         raise RuleNotApplicable(f"pivot {word_of(pivot)} is not applicable")
-    if not _lift_allowed(cad, tree, pivot, cfg):
+    if not _lift_allowed(cad, tree, pivot):
         return None
     reduced = apply_merge(tree, pivot)
-    lifted = Cad(cad.n, root=cad.root, tree=reduced, history=cad.history + (pivot,))
+    lifted = Cad(cad.n, root=cad.root, tree=reduced)
     return Coarsening(lifted, reduced, node.history + (pivot,))
 
 
-def _lift_allowed(cad: Cad, tree: CadTree, pivot: CellIndex, cfg: LiftConfig) -> bool:
+def _lift_allowed(cad: Cad, tree: CadTree, pivot: CellIndex) -> bool:
     k = len(pivot)
     if k == cad.n:
         # Dropping a section from a leaf-level stack: the union of the three
         # cells is again a sector of the same stack.
         return True
-    if cfg.mode == "certificate":
-        # Certificates name pivots of the root document.  They remain valid
-        # after leaf-level merges only (those neither move the index words of
-        # pivots of lower level nor change which base cells the merge glues).
-        if any(len(h) < cad.n for h in cad.history):
-            return False
-        return pivot in cad.root.certificates
     # The seam check reads the root and, in each of the three merged
     # subtrees, the root cells of the cell at each suffix; its verdict is
     # kept under exactly that key.
@@ -269,7 +252,7 @@ def _merged_stack_ordered(cad: Cad, triple, u: int) -> bool:
 # Minimization (the reduction loop)
 
 
-def minimize(cad: Cad, labels: LeafLabeling, cfg: LiftConfig = LiftConfig()) -> Coarsening:
+def minimize(cad: Cad, labels: LeafLabeling) -> Coarsening:
     """Greedy reduction to a coarsening admitting no liftable merge.
 
     Pivots are attempted in ``pivot_order``; the first lift that succeeds is
@@ -279,7 +262,7 @@ def minimize(cad: Cad, labels: LeafLabeling, cfg: LiftConfig = LiftConfig()) -> 
     node = Coarsening.of(cad, labels)
     while True:
         for pivot in node.pivots:
-            child = try_lift(node, pivot, cfg)
+            child = try_lift(node, pivot)
             if child is not None:
                 node = child
                 break
@@ -345,16 +328,8 @@ def insert_section(
     new_stacks[base] = type(stack)(
         stack.functions[:j] + (section_function,) + stack.functions[j:]
     )
-    new_samples = {}
-    for cell, pt in cad.sample_overrides.items():
-        img = images(cell)
-        if len(img) == 1:
-            # Renamed but geometrically unchanged cells keep their witness;
-            # the split sector's witnesses are recomputed.
-            new_samples[img[0]] = pt
     new_labels: LeafLabeling = {}
     for leaf, bit in labels.items():
         for image in images(leaf):
             new_labels[image] = bit
-    refined = Cad(cad.n, new_stacks, samples=new_samples)
-    return refined, new_labels
+    return Cad(cad.n, new_stacks), new_labels

@@ -72,6 +72,12 @@ def test_parse_errors():
         parse_expr("(add 1 2))")
     with pytest.raises(ParseError):
         parse_formula("(lt (sqrt x1) 0)")  # non-polynomial atom
+    # Only ASCII digits are digits; a formula's head must be an operator.
+    for text in ("(pow x1 ²)", "x²", "(add x1 ١)"):
+        with pytest.raises(ParseError):
+            parse_expr(text)
+    with pytest.raises(ParseError):
+        parse_formula("((lt x1 0))")
 
 
 def test_parse_formula_rejects_division_by_identically_zero():

@@ -53,6 +53,21 @@ def test_perfbench_trace_targets_resolve(monkeypatch):
         assert callable(vars(owner).get(attr)), f"{module_name}.{qualname}"
 
 
+def test_perfbench_cache_reader_reads_expr(monkeypatch):
+    # perfbench counts expr's cache entries through its atom registry and
+    # three lru_caches; a change to those caches must change that reader too.
+    from cadreduce import expr
+
+    siblings = [name for name in ("reference", "tracer", "workloads") if name not in sys.modules]
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # run.py imports its siblings bare
+    try:
+        run = load_perfbench("run", monkeypatch)
+    finally:
+        for name in siblings:
+            sys.modules.pop(name, None)
+    assert isinstance(run.cache_entries(expr), int)
+
+
 @pytest.mark.parametrize("seed", [0, 41])
 def test_perfbench_workloads_pass_their_oracles(seed, monkeypatch):
     # One pass of each benchmark workload, every answer checked against its

@@ -36,17 +36,15 @@ from cadreduce.poset import (
     poset_report,
     poset_to_dot,
 )
-from cadreduce.reduction import LiftConfig
 
 F = Fraction
-CFG = LiftConfig()
 
 
 def test_explore_single_chain():
     from tests.test_cadmodel import single_chain
 
     cad, labels = single_chain(2)
-    graph = explore(cad, labels, CFG)
+    graph = explore(cad, labels)
     assert len(graph.nodes) == 1 and not graph.edges
     assert minimal_elements(graph) == {graph.root_key}
     assert minimum_element(graph) == graph.root_key
@@ -55,7 +53,7 @@ def test_explore_single_chain():
 
 def test_explore_disk_cpp():
     entry = disk_cpp()
-    graph = explore(entry.cad, entry.labels, CFG)
+    graph = explore(entry.cad, entry.labels)
     assert len(graph.nodes) == 10
     assert len(graph.edges) == 15
     sinks = minimal_elements(graph)
@@ -76,7 +74,7 @@ def test_trousers_common_refinement_and_poset():
     assert check_adapted(cbar, c.formula) == labels
     assert refines(cbar, c.cad, cbar) and refines(cbar, cp.cad, cbar)
 
-    graph = explore(cbar, labels, CFG)
+    graph = explore(cbar, labels)
     sinks = minimal_elements(graph)
     assert sinks == {
         coarsening_blocks(c.cad, cbar),
@@ -91,19 +89,19 @@ def test_trousers_common_refinement_and_poset():
 def test_trousers_poset_newman_agreement():
     c, cp = trousers_c(), trousers_cp()
     cbar, labels = common_refinement(c.cad, c.labels, cp.cad, cp.labels)
-    graph = explore(cbar, labels, CFG)
+    graph = explore(cbar, labels)
     assert is_locally_confluent(graph) == is_globally_confluent(graph)
 
 
 def test_disk_poset_newman_agreement():
     entry = disk_cpp()
-    graph = explore(entry.cad, entry.labels, CFG)
+    graph = explore(entry.cad, entry.labels)
     assert is_locally_confluent(graph) == is_globally_confluent(graph) == True  # noqa: E712
 
 
 def test_edges_strictly_decrease_leaf_count():
     entry = disk_cpp()
-    graph = explore(entry.cad, entry.labels, CFG)
+    graph = explore(entry.cad, entry.labels)
     for src, _pivot, dst in graph.edges:
         assert len(dst) < len(src)
 
@@ -142,7 +140,7 @@ def test_extended_trousers_poset_has_no_minimum():
     cp4, cp4_labels = extend_cylinder(trousers_cp().cad, trousers_cp().labels, 4)
     cbar, labels = common_refinement(c4, c4_labels, cp4, cp4_labels)
     assert cbar.leaf_count() == 27
-    graph = explore(cbar, labels, CFG)
+    graph = explore(cbar, labels)
     assert len(minimal_elements(graph)) == 2
     assert minimum_element(graph) is None
     assert not is_locally_confluent(graph)
@@ -151,7 +149,7 @@ def test_extended_trousers_poset_has_no_minimum():
 def test_ushape_poset():
     c, cp = ushape_c(), ushape_cp()
     cbar, labels = common_refinement(c.cad, c.labels, cp.cad, cp.labels)
-    graph = explore(cbar, labels, CFG)
+    graph = explore(cbar, labels)
     assert len(minimal_elements(graph)) == 2
     assert minimum_element(graph) is None
     assert not is_locally_confluent(graph)
@@ -161,7 +159,7 @@ def test_ushape_poset():
 def test_every_explored_node_is_a_valid_adapted_coarsening_of_the_root(name):
     entry = load_entry(name)
     for cad, labels in ((entry.cad, entry.labels), extend_cylinder(entry.cad, entry.labels, entry.cad.n + 1)):
-        graph = explore(cad, labels, CFG)
+        graph = explore(cad, labels)
         for key, node in graph.nodes.items():
             assert validate_cad(node.cad).ok, (name, cad.n, node.history)
             assert check_adapted(node.cad, entry.formula) == node.labels, (name, cad.n, node.history)
@@ -171,17 +169,17 @@ def test_every_explored_node_is_a_valid_adapted_coarsening_of_the_root(name):
 def test_unique_minimal_iff_minimum_on_gallery_posets():
     cases = []
     entry = disk_cpp()
-    cases.append(explore(entry.cad, entry.labels, CFG))
+    cases.append(explore(entry.cad, entry.labels))
     c, cp = trousers_c(), trousers_cp()
     cbar, labels = common_refinement(c.cad, c.labels, cp.cad, cp.labels)
-    cases.append(explore(cbar, labels, CFG))
+    cases.append(explore(cbar, labels))
     for graph in cases:
         assert (len(minimal_elements(graph)) == 1) == (minimum_element(graph) is not None)
 
 
 def test_poset_report_and_dot():
     entry = disk_cpp()
-    graph = explore(entry.cad, entry.labels, CFG)
+    graph = explore(entry.cad, entry.labels)
     report = poset_report(graph)
     assert report["node_count"] == 10
     assert report["edge_count"] == 15
@@ -196,7 +194,7 @@ def test_poset_report_and_dot():
 
 def test_dedup_keeps_one_history_per_partition():
     entry = disk_cpp()
-    graph = explore(entry.cad, entry.labels, CFG)
+    graph = explore(entry.cad, entry.labels)
     for key, node in graph.nodes.items():
         assert node.blocks == key
         assert len(node.history) <= 4
@@ -215,9 +213,9 @@ def brute_force_minimum(graph):
 def oracle_posets():
     for name in gallery_names():
         entry = load_entry(name)
-        yield name, explore(entry.cad, entry.labels, CFG)
+        yield name, explore(entry.cad, entry.labels)
     cpp = disk_cpp()
-    yield "disk-Cpp in R^4", explore(*extend_cylinder(cpp.cad, cpp.labels, 4), CFG)
+    yield "disk-Cpp in R^4", explore(*extend_cylinder(cpp.cad, cpp.labels, 4))
 
 
 def test_sink_count_answers_match_definitional_oracles():
@@ -234,7 +232,7 @@ def test_sink_count_answers_match_definitional_oracles():
 def test_poset_report_walks_no_edges(monkeypatch):
     entry = disk_cpp()
     trousers = load_entry("trousers-Cbar")
-    graphs = [explore(entry.cad, entry.labels, CFG), explore(trousers.cad, trousers.labels, CFG)]
+    graphs = [explore(entry.cad, entry.labels), explore(trousers.cad, trousers.labels)]
     reports = [poset_report(g) for g in graphs]
 
     def walked(self, key):

@@ -20,7 +20,6 @@ from cadreduce.gallery import (
 from cadreduce.poset import explore, extend_cylinder
 from cadreduce.reduction import (
     Coarsening,
-    LiftConfig,
     insert_section,
     minimize,
     try_lift,
@@ -36,13 +35,10 @@ from tests.test_tree import (
 
 F = Fraction
 
-CFG = LiftConfig()
-CERT = LiftConfig(mode="certificate")
-
 
 def test_disk_merge_lifts_to_disk_c():
     entry = disk_cp()
-    res = try_lift(Coarsening.of(entry.cad, entry.labels), (4,), CFG)
+    res = try_lift(Coarsening.of(entry.cad, entry.labels), (4,))
     assert res is not None
     merged, labels = res.cad, res.labels
     assert merged.leaf_count() == 13
@@ -53,23 +49,14 @@ def test_disk_merge_lifts_to_disk_c():
     assert check_adapted(merged, entry.formula) == labels
 
 
-def test_disk_merge_lifts_in_certificate_mode():
-    entry = disk_cp()
-    res = try_lift(Coarsening.of(entry.cad, entry.labels), (4,), CERT)
-    assert res is not None
-    assert res.cad.leaf_count() == 13
-
-
 def test_trousers_merges_do_not_lift():
     for entry, pivot in ((trousers_c(), (1, 2)), (trousers_cp(), (3, 2))):
-        assert try_lift(Coarsening.of(entry.cad, entry.labels), pivot, CFG) is None
-        # No certificate shipped: certificate mode refuses as well.
-        assert try_lift(Coarsening.of(entry.cad, entry.labels), pivot, CERT) is None
+        assert try_lift(Coarsening.of(entry.cad, entry.labels), pivot) is None
 
 
 def test_ushape_merges_do_not_lift():
     for entry, pivot in ((ushape_c(), (1, 2)), (ushape_cp(), (3, 2))):
-        assert try_lift(Coarsening.of(entry.cad, entry.labels), pivot, CFG) is None
+        assert try_lift(Coarsening.of(entry.cad, entry.labels), pivot) is None
 
 
 def nested_division_jump():
@@ -166,17 +153,17 @@ def test_seam_verdict_cold_and_warm(name):
     build, lifts = SEAM_VERDICTS[name]
     cad, labels = build()
     assert validate_cad(cad).ok
-    assert (try_lift(Coarsening.of(cad, labels), (2,), CFG) is not None) == lifts
-    explore(cad, labels, CFG)  # warms the root's verdict memo
-    assert (try_lift(Coarsening.of(cad, labels), (2,), CFG) is not None) == lifts
+    assert (try_lift(Coarsening.of(cad, labels), (2,)) is not None) == lifts
+    explore(cad, labels)  # warms the root's verdict memo
+    assert (try_lift(Coarsening.of(cad, labels), (2,)) is not None) == lifts
 
 
 def test_pole_at_a_corner_of_the_seam_does_not_lift():
     cad, labels = pole_at_a_corner_of_the_seam()
     assert validate_cad(cad).ok
-    child = try_lift(Coarsening.of(cad, labels), (2,), CFG)
+    child = try_lift(Coarsening.of(cad, labels), (2,))
     assert child is not None
-    assert try_lift(child, (1, 2), CFG) is None
+    assert try_lift(child, (1, 2)) is None
 
 
 def test_refinement_schedule_is_fixed():
@@ -189,13 +176,13 @@ def test_refinement_schedule_is_fixed():
     with pytest.raises(UnknownOrder):
         compare_coords(value, eval_coord(parse_expr(f"(add {f} {F(1, 2**183)})"), ()))
     cad, labels = sections_apart_by_2_to_the_minus_200()
-    assert try_lift(Coarsening.of(cad, labels), (2,), CFG) is None
+    assert try_lift(Coarsening.of(cad, labels), (2,)) is None
 
 
 def test_section_with_a_jump_hidden_by_a_nested_division_does_not_lift():
     cad, labels = nested_division_jump()
     assert validate_cad(cad).ok
-    assert try_lift(Coarsening.of(cad, labels), (2,), CFG) is None
+    assert try_lift(Coarsening.of(cad, labels), (2,)) is None
 
 
 def test_try_lift_requires_applicable_pivot():
@@ -203,24 +190,24 @@ def test_try_lift_requires_applicable_pivot():
     # Unequal labels, odd, out of range, deeper than the leaves, empty.
     for pivot in ((2,), (3,), (0,), (8,), (4, 2, 2), ()):
         with pytest.raises(RuleNotApplicable):
-            try_lift(Coarsening.of(entry.cad, entry.labels), pivot, CFG)
+            try_lift(Coarsening.of(entry.cad, entry.labels), pivot)
 
 
 def test_disordered_glued_stack_is_rejected_cold_and_warm():
     cad, labels = disordered_stack()
     assert not validate_cad(cad).ok
-    assert try_lift(Coarsening.of(cad, labels), (2,), CFG) is None
-    graph = explore(cad, labels, CFG)
+    assert try_lift(Coarsening.of(cad, labels), (2,)) is None
+    graph = explore(cad, labels)
     # Below the root, leaf merges leave one section per stack; glued at 2,
     # such a stack is ordered and the merge lifts.  Its verdict is kept apart
     # from the root's.
     assert any(pivot == (2,) for _s, pivot, _d in graph.edges)
-    assert try_lift(Coarsening.of(cad, labels), (2,), CFG) is None
+    assert try_lift(Coarsening.of(cad, labels), (2,)) is None
 
 
 def test_leaf_level_merge_always_lifts():
     entry = disk_cpp()
-    res = try_lift(Coarsening.of(entry.cad, entry.labels), (4, 6), CFG)
+    res = try_lift(Coarsening.of(entry.cad, entry.labels), (4, 6))
     assert res is not None
     merged, labels = res.cad, res.labels
     assert merged.leaf_count() == 27
@@ -230,29 +217,22 @@ def test_leaf_level_merge_always_lifts():
 
 def test_minimize_trousers_fixed_points():
     for entry in (trousers_c(), trousers_cp()):
-        res = minimize(entry.cad, entry.labels, CFG)
+        res = minimize(entry.cad, entry.labels)
         assert not res.applied
         assert res.cad.leaf_count() == entry.expected["leaf_count"]
 
 
 def test_minimize_disk_cp_reaches_disk_c():
     entry = disk_cp()
-    res = minimize(entry.cad, entry.labels, CFG)
+    res = minimize(entry.cad, entry.labels)
     assert [tuple(p) for p in res.applied] == [(4,)]
     assert res.cad.leaf_count() == 13
     assert res.cad.partition_blocks() == coarsening_blocks(disk_c().cad, entry.cad)
 
 
-def test_minimize_disk_cpp_certificate_mode():
-    # Leaf merges need no certificate; the base merge uses the shipped one.
-    entry = disk_cpp()
-    res = minimize(entry.cad, entry.labels, CERT)
-    assert res.cad.leaf_count() == 13
-
-
 def test_minimize_disk_cpp_sampled_mode():
     entry = disk_cpp()
-    res = minimize(entry.cad, entry.labels, CFG)
+    res = minimize(entry.cad, entry.labels)
     assert res.cad.leaf_count() == 13
     assert len(res.applied) == 4
     assert validate_cad(res.cad).ok
@@ -262,13 +242,13 @@ def test_minimize_single_chain_identity():
     from tests.test_cadmodel import single_chain
 
     cad, labels = single_chain(3)
-    res = minimize(cad, labels, CFG)
+    res = minimize(cad, labels)
     assert not res.applied and res.cad is cad
 
 
 def test_minimize_step_budget():
     entry = disk_cpp()
-    res = minimize(entry.cad, entry.labels, CFG)
+    res = minimize(entry.cad, entry.labels)
     assert len(res.applied) <= entry.cad.leaf_count() - 1
 
 
@@ -279,7 +259,7 @@ def test_insert_section_rebuilds_disk_cp():
     assert validate_cad(refined).ok
     assert labels == disk_cp().labels
     # Round trip: merging at the inserted section recovers the original.
-    res = try_lift(Coarsening.of(refined, labels), (4,), CFG)
+    res = try_lift(Coarsening.of(refined, labels), (4,))
     assert res is not None
     assert res.cad.partition_blocks() == coarsening_blocks(entry.cad, refined)
 
@@ -306,12 +286,12 @@ def test_insert_section_rejects_out_of_range():
 def reachable(target, start, labels):
     """Whether a chain of liftable merges from ``start`` reaches ``target``
     (reflexively), comparing partitions of the shared root."""
-    return coarsening_blocks(target, start) in explore(start, labels, CFG).nodes
+    return coarsening_blocks(target, start) in explore(start, labels).nodes
 
 
 def test_reduction_reachable_disk():
     cp = disk_cp()
-    res = try_lift(Coarsening.of(cp.cad, cp.labels), (4,), CFG)
+    res = try_lift(Coarsening.of(cp.cad, cp.labels), (4,))
     assert res is not None
     assert reachable(res.cad, cp.cad, cp.labels)
     assert reachable(cp.cad, cp.cad, cp.labels)  # reflexive
@@ -343,7 +323,7 @@ def on_fresh_root(node: Coarsening, build) -> Coarsening:
     root, _labels = build()
     cad = root
     if not node.cad.is_root:
-        cad = Cad(root.n, root=root, tree=node.cad.tree, history=node.cad.history)
+        cad = Cad(root.n, root=root, tree=node.cad.tree)
     return Coarsening(cad, node.tree, node.history)
 
 
@@ -376,17 +356,16 @@ def assert_child_matches_full_relabel(node: Coarsening, pivot, child: Coarsening
 def test_warm_verdicts_and_children_equal_cold_ones():
     lifts = 0
     for name, build in lift_fixtures():
-        graph = explore(*build(), CFG)  # warms the root's verdict memo
+        graph = explore(*build())  # warms the root's verdict memo
         for node in graph.nodes.values():
             for pivot in node.pivots:
-                warm = try_lift(node, pivot, CFG)
-                cold = try_lift(on_fresh_root(node, build), pivot, CFG)
+                warm = try_lift(node, pivot)
+                cold = try_lift(on_fresh_root(node, build), pivot)
                 assert (warm is None) == (cold is None), (name, node.history, pivot)
                 lifts += 1
                 if warm is None:
                     continue
                 assert warm.history == cold.history == node.history + (pivot,)
-                assert warm.cad.history == cold.cad.history
                 assert_child_matches_full_relabel(node, pivot, warm)
                 assert_child_matches_full_relabel(node, pivot, cold)
     assert lifts > 100
@@ -395,7 +374,7 @@ def test_warm_verdicts_and_children_equal_cold_ones():
 def test_incremental_merge_matches_full_relabel_on_gallery_pivots():
     merges = 0
     for name, build in lift_fixtures():
-        graph = explore(*build(), CFG)
+        graph = explore(*build())
         for node in graph.nodes.values():
             for pivot in node.pivots:
                 reduced = apply_merge(node.tree, pivot)
@@ -403,7 +382,7 @@ def test_incremental_merge_matches_full_relabel_on_gallery_pivots():
                 assert index_views(reduced)[2] == full_relabel_cellmap(node.cad, pivot), (name, pivot)
                 assert_valid(reduced)
                 merges += 1
-                child = try_lift(node, pivot, CFG)
+                child = try_lift(node, pivot)
                 if child is not None:
                     assert_child_matches_full_relabel(node, pivot, child)
     assert merges > 100
@@ -414,7 +393,7 @@ def test_merge_shares_every_cell_off_its_path_and_triple():
     # it; every other cell is the parent's own object.
     shared = 0
     for _name, build in lift_fixtures():
-        for node in explore(*build(), CFG).nodes.values():
+        for node in explore(*build()).nodes.values():
             for pivot in node.pivots:
                 shared += assert_shares_all_but_the_path_and_the_triple(node.tree, pivot, apply_merge(node.tree, pivot))
     rng = random.Random(12)
