@@ -10,9 +10,11 @@ sector (the open band between consecutive sections).
 
 A CAD object either owns its geometry (a *root*), or is a coarsening of a
 root obtained by cell merges.  A coarsening is a view of its cell tree
-(``tree.CadTree``): each cell holds the sorted root cells whose union it is
-and its 2u+1 children, its index word is its path from the top, and all
-numeric data is read off the root.
+(``tree.CadTree``): each cell holds the sorted root cells whose union it is,
+its 2u+1 children, and, made once with it, its label, its structural key and
+the applicable pivots below it; its index word is its path from the top, and
+all numeric data is read off the root.  A coarsening's probe points are its
+first root cells' (``Cad.cell_points``).
 """
 
 from __future__ import annotations
@@ -208,7 +210,9 @@ class Cad:
         """Deterministic probe points inside the cell, tagged with the root
         cell each point lies in.  The first point is the cell's sample."""
         if not self.is_root:
-            per_root = [self.root.cell_points(r, count) for r in self.root_cells(cell)]
+            # Every root cell has a point, so the first ``count`` root cells
+            # give all the points kept.
+            per_root = [self.root.cell_points(r, count) for r in self.root_cells(cell)[:count]]
             return _interleave(per_root)[:count]
         key = (cell, count)
         cached = self._point_cache.get(key)

@@ -363,10 +363,10 @@ def formula_from_sexpr(tree) -> Formula:
     head, *args = tree
     if not isinstance(head, str):
         raise ParseError(f"expected operator, got {head!r}")
-    if head == "true":
-        return TRUE
-    if head == "false":
-        return FALSE
+    if head in ("true", "false"):
+        if args:
+            raise ParseError(f"({head}) takes no operands")
+        return TRUE if head == "true" else FALSE
     if head in _FORMULA_OPS:
         if len(args) != 2:
             raise ParseError(f"({head} lhs rhs) needs two operands")

@@ -66,7 +66,9 @@ class PosetGraph:
 
 def explore(root: Cad, labels: LeafLabeling) -> PosetGraph:
     """Breadth-first closure of the root under liftable merges; a node keeps
-    the history of the first path that reaches it."""
+    the merges of the first path that reaches it.  Every child's partition
+    is known before its tree (see ``Coarsening``), so only a child whose
+    partition is new is built, when it is explored."""
     start = Coarsening.of(root, labels)
     graph = PosetGraph(root_key=start.blocks, nodes={start.blocks: start})
     queue = deque([start])
@@ -317,7 +319,7 @@ def poset_report(graph: PosetGraph) -> dict:
         node = graph.nodes[key]
         return {
             "leaf_count": node.leaf_count,
-            "history": [word_of(p) for p in node.history],
+            "history": [word_of(p) for p in node.applied],
         }
 
     return {

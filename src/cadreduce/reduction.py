@@ -35,7 +35,6 @@ always valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from cadreduce.cadmodel import (
@@ -65,6 +64,7 @@ from cadreduce.tree import (
     apply_merge,
     build_tree,
     is_applicable,
+    merged_blocks,
     sibling,
     walk,
 )
@@ -81,25 +81,46 @@ _ZERO = const(0)
 Blocks = frozenset[frozenset[CellIndex]]
 
 
-@dataclass(frozen=True, eq=False)
 class Coarsening:
     """A labelled coarsening of a root CAD and the pivots merged to reach it
-    (in ``minimize`` or ``explore``).
+    (in ``minimize`` or ``explore``), in order, in ``applied``.
 
     The coarsening is its cell tree: ``cad`` is the root itself or a view of
     the tree, and the leaf labels, the applicable pivots and the partition
-    are read off the tree.  A merge shares every cell but the
-    glued one and the path above it with its parent (``tree.apply_merge``).
+    are read off the tree.  A merge shares every cell but the glued one and
+    the path above it with its parent (``tree.apply_merge``).  A child made
+    by ``try_lift`` makes its tree and its CAD view on first use, and until
+    then it reads its partition off its parent's (``tree.merged_blocks``),
+    so a child whose partition ``explore`` has seen makes no cell.
     """
 
-    cad: Cad
-    tree: CadTree
-    history: tuple[CellIndex, ...] = ()
+    def __init__(self, cad: Cad, tree: CadTree, applied: tuple[CellIndex, ...] = ()):
+        # Stored in the instance, these shadow the lazy ``cad`` and ``tree``.
+        self.cad = cad
+        self.tree = tree
+        self.applied = applied
 
     @classmethod
     def of(cls, cad: Cad, labels: LeafLabeling) -> Coarsening:
         """A CAD (a root or a coarsening) with a total leaf labelling."""
         return cls(cad, build_tree(cad, labels))
+
+    @classmethod
+    def _lifted(cls, parent: Coarsening, pivot: CellIndex) -> Coarsening:
+        child = cls.__new__(cls)
+        child.applied = parent.applied + (pivot,)
+        child._root, child._parent = parent.cad.root, parent
+        return child
+
+    @cached_property
+    def tree(self) -> CadTree:
+        # Only a child of ``_lifted`` gets here, once; it then lets go of
+        # its parent.
+        return apply_merge(self.__dict__.pop("_parent").tree, self.applied[-1])
+
+    @cached_property
+    def cad(self) -> Cad:
+        return Cad(self.tree.depth, root=self._root, tree=self.tree)
 
     @property
     def labels(self) -> LeafLabeling:
@@ -113,49 +134,52 @@ class Coarsening:
     @cached_property
     def blocks(self) -> Blocks:
         """The partition of the root's leaves; it identifies the coarsening."""
-        return self.cad.partition_blocks()
+        parent = self.__dict__.get("_parent")
+        if parent is None:
+            return self.cad.partition_blocks()
+        return merged_blocks(parent.tree, self.applied[-1], parent.blocks)
 
     @property
     def leaf_count(self) -> int:
         return len(self.blocks)
 
-    @property
-    def applied(self) -> tuple[CellIndex, ...]:  # the merges of ``minimize``, in order
-        return self.history
-
 
 def try_lift(node: Coarsening, pivot: CellIndex) -> Coarsening | None:
     """The merged coarsening of the same root (labels transported, pivot
-    appended to the history), or None when the merge at an applicable pivot
-    cannot be verified to be a CAD.  The child's tree shares all but the
-    glued cell and the path above it with the parent's."""
+    appended to ``applied``), or None when the merge at an applicable pivot
+    cannot be verified to be a CAD.  The child's tree, which shares all but
+    the glued cell and the path above it with the parent's, is made on first
+    use."""
     cad, tree = node.cad, node.tree
     if not is_applicable(tree, pivot):
         raise RuleNotApplicable(f"pivot {word_of(pivot)} is not applicable")
     if not _lift_allowed(cad, tree, pivot):
         return None
-    reduced = apply_merge(tree, pivot)
-    lifted = Cad(cad.n, root=cad.root, tree=reduced)
-    return Coarsening(lifted, reduced, node.history + (pivot,))
+    return Coarsening._lifted(node, pivot)
+
+
+def lift_key(tree: CadTree, pivot: CellIndex) -> tuple:
+    """The structural keys of the three cells merged at the pivot.
+
+    The seam check reads the root and, in each of the three merged
+    subtrees, the root cells of the cell at each place; two lifts of one
+    root with equal keys read the same, so the verdict is kept per key.
+    """
+    letter = pivot[-1]
+    return tuple(cell.key for cell in tree.cell(pivot[:-1]).children[letter - 2 : letter + 1])
 
 
 def _lift_allowed(cad: Cad, tree: CadTree, pivot: CellIndex) -> bool:
-    k = len(pivot)
-    if k == cad.n:
+    if len(pivot) == cad.n:
         # Dropping a section from a leaf-level stack: the union of the three
         # cells is again a sector of the same stack.
         return True
-    # The seam check reads the root and, in each of the three merged
-    # subtrees, the root cells of the cell at each suffix; its verdict is
-    # kept under exactly that key.
-    key = tuple(
-        tuple((suffix, cell.roots) for suffix, cell in walk(tree.cell(top), cad.n - k))
-        for top in (sibling(pivot, -1), pivot, sibling(pivot, +1))
-    )
+    key = lift_key(tree, pivot)
     cache = cad.root._lift_cache
-    if key not in cache:
-        cache[key] = _glued_stacks_valid(cad, tree, pivot)
-    return cache[key]
+    verdict = cache.get(key)
+    if verdict is None:
+        verdict = cache[key] = _glued_stacks_valid(cad, tree, pivot)
+    return verdict
 
 
 def _glued_stacks_valid(cad: Cad, tree: CadTree, pivot: CellIndex) -> bool:
@@ -163,13 +187,14 @@ def _glued_stacks_valid(cad: Cad, tree: CadTree, pivot: CellIndex) -> bool:
     sections and the glued stacks are ordered."""
     k = len(pivot)
     left, right = sibling(pivot, -1), sibling(pivot, +1)
+    normal_forms: dict[int, Expr] = {}  # root stack function's id -> its canonical form
     for suffix, cell in walk(tree.cell(pivot), cad.n - 1 - k):
         mid_cell = pivot + suffix
         left_cell = left + suffix
         right_cell = right + suffix
         u = len(cell.children) // 2
         for slot in range(1, u + 1):
-            if not _glues_continuously(cad, pivot, left_cell, mid_cell, right_cell, slot):
+            if not _glues_continuously(cad, pivot, left_cell, mid_cell, right_cell, slot, normal_forms):
                 return False
         if not _merged_stack_ordered(cad, (left_cell, mid_cell, right_cell), u):
             return False
@@ -183,11 +208,18 @@ def _glues_continuously(
     mid_cell: CellIndex,
     right_cell: CellIndex,
     slot: int,
+    normal_forms: dict[int, Expr],
 ) -> bool:
     middle = cad.section_pieces(mid_cell, slot)
     sides = (cad.section_pieces(left_cell, slot), cad.section_pieces(right_cell, slot))
     pieces = [e for _, e in middle] + [e for side in sides for _, e in side]
-    canon = {canonicalize(e) for e in pieces}
+    # A root stack function recurs over many root cells; it is put in normal
+    # form once per lift, not compared with the canonicalize cache each time.
+    distinct = {id(e): e for e in pieces}
+    for key, e in distinct.items():
+        if key not in normal_forms:
+            normal_forms[key] = canonicalize(e)
+    canon = {normal_forms[key] for key in distinct}
     if len(canon) == 1 and not any_node(next(iter(canon)), is_piecewise):
         # One guard-free expression defined on all three cells (their stacks
         # are valid) is continuous on the union.

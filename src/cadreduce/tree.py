@@ -5,9 +5,17 @@ set.
 A labelled coarsening is one immutable tree of ``Cell`` objects.  A cell of
 depth k < n with branching count u has exactly 2u+1 children; all leaves sit
 at depth n.  Every cell holds the sorted root cells whose union it is, every
-leaf its label bit, and every cell its recursive label (the leaf bit, or the
-tuple of its children's labels), computed once when the cell is made.
-Index words, stack counts and leaf labels are read off the cells on demand.
+leaf its label bit, and every cell, computed once when the cell is made from
+its children's:
+
+- its recursive label (the leaf bit, or the tuple of its children's labels);
+- its structural key, ``(roots, child keys)``: two cells have equal keys
+  exactly when their subtrees have one shape and the same root cells at
+  every position;
+- the applicable pivots of its subtree, as index words relative to it.
+
+Index words, stack counts and leaf labels are read off the cells on demand,
+and the pivots of a tree are its top cell's.
 
 A merge at an even *pivot* glues the pivot and its two flanking siblings
 into one cell; it applies exactly when the three recursive labels coincide.
@@ -27,19 +35,26 @@ Label = object  # 0 | 1 on leaves, nested tuples on internal nodes
 
 class Cell:
     """One cell of a coarsening: the sorted root cells whose union it is,
-    its 2u+1 children (none at leaf level) and its recursive label.  A leaf
-    also holds its block of the partition, the set of its root cells, which
-    every coarsening that shares the leaf shares too."""
+    its 2u+1 children (none at leaf level), its recursive label, its
+    structural key and the applicable pivots below it (see the module
+    docstring).  A leaf also holds its block of the partition, the set of
+    its root cells, which every coarsening that shares the leaf shares too."""
 
-    __slots__ = ("roots", "children", "label", "block")
+    __slots__ = ("roots", "children", "label", "key", "pivots", "block")
 
     def __init__(self, roots: tuple[CellIndex, ...], children: tuple[Cell, ...] = (), bit: int | None = None):
         self.roots = roots
         self.children = children
         if children:
             self.label: Label = tuple([c.label for c in children])
+            self.key = (roots, tuple([c.key for c in children]))
+            own = [(letter,) for letter in range(2, len(children), 2) if _glues(children, letter)]
+            self.pivots: tuple[CellIndex, ...] = tuple(
+                own + [(j, *p) for j, child in enumerate(children, start=1) for p in child.pivots]
+            )
         else:
             self.label, self.block = bit, frozenset(roots)
+            self.key, self.pivots = (roots, ()), ()
 
 
 class CadTree:
@@ -144,13 +159,9 @@ def is_applicable(tree: CadTree, pivot: CellIndex) -> bool:
 
 
 def applicable_pivots(tree: CadTree) -> set[CellIndex]:
-    """All nodes that satisfy the merge condition (see ``is_applicable``)."""
-    return {
-        index + (letter,)
-        for index, cell in tree.nodes()
-        for letter in range(2, len(cell.children), 2)
-        if _glues(cell.children, letter)
-    }
+    """All nodes that satisfy the merge condition (see ``is_applicable``),
+    as kept by the top cell."""
+    return set(tree.top.pivots)
 
 
 def glue(left: Cell, mid: Cell, right: Cell) -> Cell:
@@ -182,6 +193,25 @@ def _merged(cell: Cell, pivot: CellIndex) -> Cell:
     if len(pivot) == 1:
         return Cell(cell.roots, kids[: letter - 2] + (glue(*kids[letter - 2 : letter + 1]),) + kids[letter + 1 :])
     return Cell(cell.roots, kids[: letter - 1] + (_merged(kids[letter - 1], pivot[1:]),) + kids[letter:])
+
+
+def merged_blocks(tree: CadTree, pivot: CellIndex, blocks: frozenset) -> frozenset:
+    """The partition of the root's leaves after the merge at an applicable
+    pivot, from ``blocks``, the tree's own, without making a cell: the leaf
+    blocks of the three merged subtrees go, and the block of each glued
+    leaf, the union of the three leaves at its place, comes in."""
+    letter = pivot[-1]
+    left, mid, right = map(_leaves, tree.cell(pivot[:-1]).children[letter - 2 : letter + 1])
+    gone = [leaf.block for leaf in left + mid + right]
+    return blocks.difference(gone).union([a.block.union(b.block, c.block) for a, b, c in zip(left, mid, right)])
+
+
+def _leaves(cell: Cell) -> list[Cell]:
+    """The leaves below a cell, in index order (all leaves have one depth)."""
+    cells = [cell]
+    while cells[0].children:
+        cells = [child for c in cells for child in c.children]
+    return cells
 
 
 def sibling(pivot: CellIndex, offset: int) -> CellIndex:

@@ -71,7 +71,7 @@ def answer(cad, labels) -> dict:
     applied = [word_of(p) for p in minimize(cad, labels).applied]
     graph = explore(cad, labels)
     edges = sorted([blocks(src), word_of(pivot), blocks(dst)] for src, pivot, dst in graph.edges)
-    histories = sorted([blocks(key), [word_of(p) for p in node.history]] for key, node in graph.nodes.items())
+    histories = sorted([blocks(key), [word_of(p) for p in node.applied]] for key, node in graph.nodes.items())
     return {
         "valid": ok,
         "applied": applied,

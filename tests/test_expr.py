@@ -11,6 +11,7 @@ from cadreduce.expr import (
     Atom,
     Const,
     Div,
+    FALSE,
     LazyValue,
     Mul,
     Neg,
@@ -18,6 +19,7 @@ from cadreduce.expr import (
     Pow,
     Sqrt,
     Sub,
+    TRUE,
     Var,
     any_node,
     as_coord,
@@ -78,6 +80,15 @@ def test_parse_errors():
             parse_expr(text)
     with pytest.raises(ParseError):
         parse_formula("((lt x1 0))")
+
+
+def test_parse_formula_rejects_operands_of_true_and_false():
+    # Like every other operator, a constant given the wrong operand count is
+    # an error, not a formula with its operands dropped.
+    assert parse_formula("(true)") == TRUE and parse_formula("(false)") == FALSE
+    for text in ("(true 1)", "(false x1)", "(true (lt x1 0))"):
+        with pytest.raises(ParseError):
+            parse_formula(text)
 
 
 def test_parse_formula_rejects_division_by_identically_zero():

@@ -161,9 +161,9 @@ def test_every_explored_node_is_a_valid_adapted_coarsening_of_the_root(name):
     for cad, labels in ((entry.cad, entry.labels), extend_cylinder(entry.cad, entry.labels, entry.cad.n + 1)):
         graph = explore(cad, labels)
         for key, node in graph.nodes.items():
-            assert validate_cad(node.cad).ok, (name, cad.n, node.history)
-            assert check_adapted(node.cad, entry.formula) == node.labels, (name, cad.n, node.history)
-            assert partition_refines(graph.root_key, key), (name, cad.n, node.history)
+            assert validate_cad(node.cad).ok, (name, cad.n, node.applied)
+            assert check_adapted(node.cad, entry.formula) == node.labels, (name, cad.n, node.applied)
+            assert partition_refines(graph.root_key, key), (name, cad.n, node.applied)
 
 
 def test_unique_minimal_iff_minimum_on_gallery_posets():
@@ -197,7 +197,7 @@ def test_dedup_keeps_one_history_per_partition():
     graph = explore(entry.cad, entry.labels)
     for key, node in graph.nodes.items():
         assert node.blocks == key
-        assert len(node.history) <= 4
+        assert len(node.applied) <= 4
 
 
 def brute_force_minimum(graph):

@@ -21,16 +21,20 @@ from cadreduce.poset import explore, extend_cylinder
 from cadreduce.reduction import (
     Coarsening,
     insert_section,
+    lift_key,
     minimize,
     try_lift,
 )
-from cadreduce.tree import applicable_pivots, apply_merge, build_tree, relabel_index
+from cadreduce.tree import Cell, applicable_pivots, apply_merge, build_tree, relabel_index, sibling
+from tests.test_packaging import load_perfbench
 from tests.test_tree import (
     assert_shares_all_but_the_path_and_the_triple,
     assert_valid,
     full_relabel_merge,
     index_views,
     random_tree,
+    walk_key,
+    walk_pivots,
 )
 
 F = Fraction
@@ -324,7 +328,7 @@ def on_fresh_root(node: Coarsening, build) -> Coarsening:
     cad = root
     if not node.cad.is_root:
         cad = Cad(root.n, root=root, tree=node.cad.tree)
-    return Coarsening(cad, node.tree, node.history)
+    return Coarsening(cad, node.tree, node.applied)
 
 
 def all_cells(cad: Cad):
@@ -361,11 +365,11 @@ def test_warm_verdicts_and_children_equal_cold_ones():
             for pivot in node.pivots:
                 warm = try_lift(node, pivot)
                 cold = try_lift(on_fresh_root(node, build), pivot)
-                assert (warm is None) == (cold is None), (name, node.history, pivot)
+                assert (warm is None) == (cold is None), (name, node.applied, pivot)
                 lifts += 1
                 if warm is None:
                     continue
-                assert warm.history == cold.history == node.history + (pivot,)
+                assert warm.applied == cold.applied == node.applied + (pivot,)
                 assert_child_matches_full_relabel(node, pivot, warm)
                 assert_child_matches_full_relabel(node, pivot, cold)
     assert lifts > 100
@@ -402,6 +406,86 @@ def test_merge_shares_every_cell_off_its_path_and_triple():
         for pivot in applicable_pivots(tree):
             shared += assert_shares_all_but_the_path_and_the_triple(tree, pivot, apply_merge(tree, pivot))
     assert shared > 1000
+
+
+def walk_lift_key(tree, pivot) -> tuple:
+    """Oracle: the lift verdict's memo key by a walk of the three merged
+    subtrees."""
+    return tuple(walk_key(tree, sibling(pivot, d)) for d in (-1, 0, +1))
+
+
+def explored_inputs(monkeypatch):
+    """(name, labelled root) for the gallery, its lifts to R^6 and
+    disk-lines(7)."""
+    for name in gallery_names():
+        entry = load_entry(name)
+        yield name, (entry.cad, entry.labels)
+        yield f"{name}@R6", extend_cylinder(entry.cad, entry.labels, 6)
+    disk = load_perfbench("workloads", monkeypatch).disk_lines(7, 0)
+    yield disk.name, (disk.cad, disk.labels)
+
+
+def test_kept_pivots_lift_keys_and_blocks_match_the_walks(monkeypatch):
+    # Every cell keeps its pivots and its structural key, and a child
+    # computes its partition from its parent's; the walks they replace stay
+    # here as oracles.
+    lifts = kept = 0
+    for name, (cad, labels) in explored_inputs(monkeypatch):
+        pairs = set()
+        for node in explore(cad, labels).nodes.values():
+            assert len(node.pivots) == len(walk_pivots(node.tree)), (name, node.applied)
+            assert set(node.pivots) == walk_pivots(node.tree), (name, node.applied)
+            assert node.blocks == node.cad.partition_blocks(), (name, node.applied)
+            for pivot in node.pivots:
+                pairs.add((lift_key(node.tree, pivot), walk_lift_key(node.tree, pivot)))
+                lifts += 1
+        # One key per walk key and one walk key per key.
+        assert len({key for key, _ in pairs}) == len({walked for _, walked in pairs}) == len(pairs), name
+        kept += len(pairs)
+    # The keys are compared where the memo is used: most lifts share a key.
+    assert lifts > 500 and kept < lifts / 3
+
+
+def count_cells(monkeypatch) -> list:
+    """A list that gets one entry for each ``Cell`` made from now on."""
+    made = []
+    init = Cell.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cell, "__init__", counted)
+    return made
+
+
+def root_cell_count(cad: Cad) -> int:
+    return sum(len(cad.cells_of_level(k)) for k in range(cad.n + 1))
+
+
+def test_cells_made_per_merge_do_not_grow_with_the_cad(monkeypatch):
+    # A cost guard that reads no clock.  A merge makes the glued cells and
+    # copies the path above them, so beyond the root's own tree ``minimize``
+    # on disk-lines(m) makes as many cells per merge at every m, and
+    # ``explore`` makes a tree only for a partition it has not seen: as many
+    # cells per node, although a node has m/2 edges on average.
+    workloads = load_perfbench("workloads", monkeypatch)
+    made = count_cells(monkeypatch)
+    per_merge, per_node = {}, {}
+    for m in (48, 96, 192):
+        inp = workloads.disk_lines(m, 0)
+        before = len(made)
+        res = minimize(inp.cad, inp.labels)
+        assert len(res.applied) == m
+        per_merge[m] = (len(made) - before - root_cell_count(inp.cad)) / m
+    for m in (5, 6, 7):
+        inp = workloads.disk_lines(m, 0)
+        before = len(made)
+        graph = explore(inp.cad, inp.labels)
+        assert len(graph.nodes) == 2**m
+        per_node[m] = (len(made) - before - root_cell_count(inp.cad)) / (len(graph.nodes) - 1)
+    assert per_merge[192] <= per_merge[96] <= per_merge[48], per_merge
+    assert per_node[7] <= per_node[6] <= per_node[5], per_node
 
 
 def bad_labellings(entry):

@@ -11,10 +11,12 @@ from cadreduce.tree import (
     apply_merge,
     build_tree,
     is_applicable,
+    merged_blocks,
     prefix,
     relabel_index,
     sibling,
     tree_to_dot,
+    walk,
 )
 
 
@@ -28,6 +30,28 @@ def index_views(tree: CadTree):
     counts = {index: len(cell.children) // 2 for index, cell in nodes if cell.children}
     labels = {index: cell.label for index, cell in nodes if not cell.children}
     return counts, labels, {index: cell.roots for index, cell in nodes}
+
+
+def walk_pivots(tree: CadTree) -> set:
+    """Oracle: the applicable pivots by a walk of the whole tree, as
+    ``applicable_pivots`` found them before every cell kept its own."""
+    return {
+        index + (letter,)
+        for index, cell in tree.nodes()
+        for letter in range(2, len(cell.children), 2)
+        if cell.children[letter - 2].label == cell.children[letter - 1].label == cell.children[letter].label
+    }
+
+
+def walk_key(tree: CadTree, top) -> tuple:
+    """Oracle: the structure of the subtree at ``top`` by a walk, as
+    ``(suffix, roots)`` of every cell below it; the lift verdicts were kept
+    under these before every cell kept its structural key."""
+    return tuple((suffix, cell.roots) for suffix, cell in walk(tree.cell(top), tree.depth - len(top)))
+
+
+def tree_blocks(tree: CadTree) -> frozenset:
+    return frozenset(cell.block for _index, cell in tree.leaves())
 
 
 def assert_valid(tree: CadTree) -> None:
@@ -181,7 +205,8 @@ def test_applicable_pivots_matches_brute_force():
     for _ in range(150):
         t = random_tree(rng, rng.randint(1, 3))
         pivots = applicable_pivots(t)
-        assert pivots == brute_force_pivots(t)
+        assert pivots == brute_force_pivots(t) == walk_pivots(t)
+        assert len(t.top.pivots) == len(pivots)
         for node, _cell in t.nodes():
             assert is_applicable(t, node) == (node in pivots)
         parent = max(index for index, _cell in t.nodes() if len(index) == t.depth - 1)
@@ -255,6 +280,8 @@ def test_apply_merge_matches_full_relabel():
                 reduced = apply_merge(t, pivot)
                 assert index_views(reduced) == (*full_relabel_merge(t, pivot), full_relabel_roots(t, pivot))
                 assert_valid(reduced)
+                assert applicable_pivots(reduced) == walk_pivots(reduced)
+                assert merged_blocks(t, pivot, tree_blocks(t)) == tree_blocks(reduced)
                 shared += assert_shares_all_but_the_path_and_the_triple(t, pivot, reduced)
                 assert index_views(t) == before
                 checked += 1
