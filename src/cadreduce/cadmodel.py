@@ -31,12 +31,14 @@ from cadreduce.errors import (
     UnknownOrder,
 )
 from cadreduce.expr import (
+    Const,
     CoordValue,
     Div,
     Expr,
     Formula,
     Piecewise,
     Point,
+    Sub,
     any_node,
     as_point,
     canonicalize,
@@ -128,10 +130,8 @@ class Cad:
             self.stacks = stacks
             self.tree = None
             self._point_cache: dict[tuple[CellIndex, int], list[TaggedPoint]] = {}
-            # Order verdicts by (root cell, section letters); see
-            # ``sections_ordered``.  At most one entry per root cell and
-            # subset of its stack.
-            self._order_cache: dict[tuple[CellIndex, tuple[int, ...]], bool] = {}
+            # The root's ``validate_cad`` report, made on first use.
+            self._validation: ValidationReport | None = None
             # Lift verdicts (see ``reduction._lift_allowed``): one per
             # grouping of root cells into three merged subtrees.
             self._lift_cache: dict[tuple, bool] = {}
@@ -176,21 +176,14 @@ class Cad:
 
     # -- geometry ----------------------------------------------------------
 
-    def section_letter(self, cell: CellIndex, slot: int, root_parent: CellIndex) -> int:
-        """The letter, in the root stack above the given root cell of
-        ``cell``, of the root section realizing section ``slot`` above
-        ``cell`` there."""
-        section = cell + (2 * slot,)
-        for q in self.root_cells(section):
-            if q[:-1] == root_parent:
-                return q[-1]
-        raise KeyError(f"no piece of section {section} over root cell {root_parent}")
-
     def section_piece(self, cell: CellIndex, slot: int, root_parent: CellIndex) -> Expr:
         """The root stack function realizing section ``slot`` of the stack
         above ``cell``, over the given root cell of ``cell``."""
-        letter = self.section_letter(cell, slot, root_parent)
-        return self.root.stacks[root_parent].functions[letter // 2 - 1]
+        section = cell + (2 * slot,)
+        for q in self.root_cells(section):
+            if q[:-1] == root_parent:
+                return self.root.stacks[root_parent].functions[q[-1] // 2 - 1]
+        raise KeyError(f"no piece of section {section} over root cell {root_parent}")
 
     def section_pieces(self, cell: CellIndex, slot: int) -> list[tuple[CellIndex, Expr]]:
         """All (root parent cell, expression) pieces of one stack function."""
@@ -239,38 +232,6 @@ class Cad:
                 coords = list(sector_coords(lo, hi, count))
             per_base.append([base + (c,) for c in coords])
         return [(p, cell) for p in _interleave(per_base)[:count]]
-
-    def sections_ordered(self, tag: CellIndex, letters: tuple[int, ...]) -> bool:
-        """Whether the root sections with these letters above the root cell
-        ``tag`` are strictly increasing at the cell's sample.
-
-        A guard that cannot be decided or an order that cannot be decided
-        counts as not ordered.  The root is immutable, so the verdict is a
-        function of the arguments and is computed once per root.
-        """
-        root = self.root
-        key = (tag, letters)
-        verdict = root._order_cache.get(key)
-        if verdict is None:
-            verdict = root._order_cache[key] = root._sections_ordered(tag, letters)
-        return verdict
-
-    def _sections_ordered(self, tag: CellIndex, letters: tuple[int, ...]) -> bool:
-        point = self.cell_points(tag, 1)[0][0]
-        functions = self.stacks[tag].functions
-        values = []
-        for letter in letters:
-            try:
-                values.append(eval_coord(functions[letter // 2 - 1], point))
-            except (GuardUndecidable, KeyError):
-                return False
-        for a, b in zip(values, values[1:]):
-            try:
-                if compare_coords(a, b) >= 0:
-                    return False
-            except UnknownOrder:
-                return False
-        return True
 
     # -- partitions --------------------------------------------------------
 
@@ -342,7 +303,7 @@ def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
             (lo is None or compare_coords(lo, r) < 0) and (hi is None or compare_coords(r, hi) < 0)
             for r in isolate_roots(univariate_coeffs(p, t))
         )
-    except (GuardUndecidable, UnknownOrder):
+    except (GuardUndecidable, UnknownOrder, DivisionByZero, SqrtOfNegative):
         return None
 
 
@@ -354,10 +315,21 @@ def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
 class ValidationReport:
     violations: list[str] = field(default_factory=list)
     undecided: list[str] = field(default_factory=list)
+    # Whether an undecided line leaves the order of a stack open.
+    order_open: bool = False
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def admits_reduction(self) -> bool:
+        """Whether ``minimize`` and ``explore`` may start from the root."""
+        return self.ok and not self.order_open
+
+    def leave_open(self, line: str) -> None:
+        self.undecided.append(line)
+        self.order_open = True
 
     def __str__(self) -> str:
         if self.ok and not self.undecided:
@@ -369,36 +341,94 @@ class ValidationReport:
 
 def validate_cad(cad: Cad) -> ValidationReport:
     """Structural validation: stack keys, variable arity, poles of root stack
-    functions, strict stack ordering at two probe points per cell, guard
-    disjointness."""
+    functions, strict stack order, guard disjointness.
+
+    On a root, each adjacent pair f_i, f_{i+1} of a stack is first decided
+    exactly (``_exact_orders``); every other pair is compared at two probe
+    points per cell.  A root is immutable, so its report is made once and
+    kept on it.
+
+    The root's report is the gate of reduction: ``Coarsening.of`` raises
+    ``ValidationFailed`` unless ``admits_reduction``, that is, unless there
+    is no violation and the probes leave no stack order open (an order or a
+    section value that cannot be decided, or probes that cannot be derived).
+    Past the gate, no merge checks an order again (see ``reduction``).  An
+    undecided pole does not refuse: the pole test decides few denominators
+    (``zero_in_cell``), and refusing those it leaves open would refuse
+    ushape-Cp and ushape-Cbar, gallery inputs whose sections have no pole.
+    """
+    if not cad.is_root:
+        report = ValidationReport()
+        _check_at_probes(cad, report, set())
+        return report
+    if cad._validation is None:
+        cad._validation = _validate_root(cad)
+    return cad._validation
+
+
+def _validate_root(cad: Cad) -> ValidationReport:
     report = ValidationReport()
-    if cad.is_root:
-        expected = {c for k in range(cad.n) for c in cad.cells_of_level(k)}
-        actual = set(cad.stacks)
-        for missing in sorted(expected - actual):
-            report.violations.append(f"cell {word_of(missing)} has no stack")
-        for extra in sorted(actual - expected):
-            report.violations.append(f"stack for nonexistent cell {word_of(extra)}")
-        if not report.ok:
-            return report
-        for cell, stack in cad.stacks.items():
-            for i, f in enumerate(stack.functions, start=1):
-                if max_var_index(f) > len(cell):
-                    report.violations.append(
-                        f"section {i} above {word_of(cell)!r} uses variables beyond level {len(cell)}"
-                    )
-        if not report.ok:
-            return report
-        _check_poles(cad, report)
-        if not report.ok:
-            return report
+    expected = {c for k in range(cad.n) for c in cad.cells_of_level(k)}
+    actual = set(cad.stacks)
+    for missing in sorted(expected - actual):
+        report.violations.append(f"cell {word_of(missing)} has no stack")
+    for extra in sorted(actual - expected):
+        report.violations.append(f"stack for nonexistent cell {word_of(extra)}")
+    if not report.ok:
+        return report
+    for cell, stack in cad.stacks.items():
+        for i, f in enumerate(stack.functions, start=1):
+            if max_var_index(f) > len(cell):
+                report.violations.append(
+                    f"section {i} above {word_of(cell)!r} uses variables beyond level {len(cell)}"
+                )
+    if not report.ok:
+        return report
+    _check_poles(cad, report)
+    if not report.ok:
+        return report
+    _check_at_probes(cad, report, _exact_orders(cad, report))
+    return report
+
+
+def _exact_orders(cad: Cad, report: ValidationReport) -> set[tuple[CellIndex, int]]:
+    """The pairs (cell, i) of adjacent root sections f_i, f_{i+1} whose
+    order f_{i+1} - f_i, restricted to the cell, decides on the whole cell:
+    a positive constant proves the pair ordered, a constant <= 0 is a
+    violation, and so is a polynomial with a zero in the cell."""
+    decided = set()
+    for cell, stack in cad.stacks.items():
+        values = section_substitution(cad, cell)
+        if values is None:
+            continue
+        pairs = zip(stack.functions, stack.functions[1:])
+        for i, (lower, upper) in enumerate(pairs, start=1):
+            diff = Sub(upper, lower)
+            if any_node(diff, is_piecewise):
+                continue
+            diff = canonicalize(substitute(diff, values))
+            where = f"sections {i},{i + 1} above {word_of(cell)}"
+            if isinstance(diff, Const):
+                if diff.value <= 0:
+                    report.violations.append(f"{where} are not strictly ordered on the cell")
+            elif zero_in_cell(cad, cell, diff):
+                report.violations.append(f"{where} cross inside the cell")
+            else:
+                continue
+            decided.add((cell, i))
+    return decided
+
+
+def _check_at_probes(cad: Cad, report: ValidationReport, decided: set[tuple[CellIndex, int]]) -> None:
+    """Strict order of every stack, but the ``decided`` pairs, and guard
+    disjointness, at two probe points per cell."""
     for k in range(cad.n):
         for cell in cad.cells_of_level(k):
             u = cad.stack_count(cell)
             try:
                 points = cad.cell_points(cell, 2)
             except (UnknownOrder, GuardUndecidable) as exc:
-                report.undecided.append(f"cannot derive probes in {word_of(cell)}: {exc}")
+                report.leave_open(f"cannot derive probes in {word_of(cell)}: {exc}")
                 continue
             except (DivisionByZero, SqrtOfNegative) as exc:
                 report.violations.append(f"cannot derive probes in {word_of(cell)}: {exc}")
@@ -410,25 +440,22 @@ def validate_cad(cad: Cad) -> ValidationReport:
                         f = cad.section_piece(cell, slot, tag)
                         values.append((slot, eval_coord(f, point)))
                     except GuardUndecidable as exc:
-                        report.undecided.append(
-                            f"section {slot} above {word_of(cell)} undecided at {point}: {exc}"
-                        )
+                        report.leave_open(f"section {slot} above {word_of(cell)} undecided at {point}: {exc}")
                     except (DivisionByZero, SqrtOfNegative) as exc:
                         report.violations.append(f"section {slot} above {word_of(cell)} is undefined at {point}: {exc}")
                 for (s1, v1), (s2, v2) in zip(values, values[1:]):
+                    if s2 == s1 + 1 and (cell, s1) in decided:
+                        continue
                     try:
                         c = compare_coords(v1, v2)
                     except (UnknownOrder, GuardUndecidable) as exc:
-                        report.undecided.append(
-                            f"order of sections {s1},{s2} above {word_of(cell)} undecided: {exc}"
-                        )
+                        report.leave_open(f"order of sections {s1},{s2} above {word_of(cell)} undecided: {exc}")
                         continue
                     if c >= 0:
                         report.violations.append(
                             f"sections {s1},{s2} above {word_of(cell)} are not strictly ordered at {point}"
                         )
                 _check_guard_disjointness(cad, cell, point, tag, report)
-    return report
 
 
 def _check_poles(cad: Cad, report: ValidationReport) -> None:

@@ -61,7 +61,9 @@ class ParseError(CadError):
 
 
 class ValidationFailed(CadError):
-    """A parsed CAD document violated structural validation."""
+    """A root CAD that ``validate_cad`` does not admit to reduction: its
+    report, kept in ``report``, has a violation or leaves a stack order
+    open."""
 
     def __init__(self, report):
         super().__init__(str(report))

@@ -3,8 +3,16 @@
 A merge at a pivot of level k < n is a genuine CAD operation only when the
 section functions above the three merged cells glue to continuous functions
 over the union and the glued stacks are ordered.  The only evidence of
-continuity is an exact identity on the seam, and the order is decided at
-the merged cells' samples.
+continuity is an exact identity on the seam.
+
+The order is not checked per merge.  Over each root cell below a merged
+cell, the sections of the glued stack are root sections whose letters
+strictly increase with the slot, so it is ordered wherever the root's
+stacks are.  ``Coarsening.of`` admits only a root whose stacks
+``validate_cad`` found ordered: each adjacent pair proven on its whole cell,
+or compared at two probes per root cell, the first of them the cell's
+sample (``Cad.cell_points`` is prefix-consistent), which is where a check
+per merge would compare the glued stack.
 
 The identity, per slot of each glued stack.  The section's pieces are root
 stack functions, one per root cell below it; if they share one guard-free
@@ -42,10 +50,11 @@ from cadreduce.cadmodel import (
     CellIndex,
     LeafLabeling,
     section_substitution,
+    validate_cad,
     word_of,
     zero_in_cell,
 )
-from cadreduce.errors import DivisionByZero, RuleNotApplicable, SectionOutOfRange
+from cadreduce.errors import DivisionByZero, RuleNotApplicable, SectionOutOfRange, ValidationFailed
 from cadreduce.expr import (
     Div,
     Expr,
@@ -102,7 +111,11 @@ class Coarsening:
 
     @classmethod
     def of(cls, cad: Cad, labels: LeafLabeling) -> Coarsening:
-        """A CAD (a root or a coarsening) with a total leaf labelling."""
+        """A CAD (a root or a coarsening) with a total leaf labelling; raises
+        ``ValidationFailed`` unless ``validate_cad`` admits its root."""
+        report = validate_cad(cad.root)
+        if not report.admits_reduction:
+            raise ValidationFailed(report)
         return cls(cad, build_tree(cad, labels))
 
     @classmethod
@@ -184,7 +197,7 @@ def _lift_allowed(cad: Cad, tree: CadTree, pivot: CellIndex) -> bool:
 
 def _glued_stacks_valid(cad: Cad, tree: CadTree, pivot: CellIndex) -> bool:
     """Whether the stacks above the three subtrees glue to continuous
-    sections and the glued stacks are ordered."""
+    sections."""
     k = len(pivot)
     left, right = sibling(pivot, -1), sibling(pivot, +1)
     normal_forms: dict[int, Expr] = {}  # root stack function's id -> its canonical form
@@ -196,8 +209,6 @@ def _glued_stacks_valid(cad: Cad, tree: CadTree, pivot: CellIndex) -> bool:
         for slot in range(1, u + 1):
             if not _glues_continuously(cad, pivot, left_cell, mid_cell, right_cell, slot, normal_forms):
                 return False
-        if not _merged_stack_ordered(cad, (left_cell, mid_cell, right_cell), u):
-            return False
     return True
 
 
@@ -257,27 +268,6 @@ def _no_zero_on(root: Cad, m: CellIndex, den: Expr) -> bool:
     coordinates of the root cell ``m``, is proven to have no zero on ``m``;
     an undecided one counts as a possible zero."""
     return zero_in_cell(root, m, den) is False
-
-
-def _merged_stack_ordered(cad: Cad, triple, u: int) -> bool:
-    """Strict ordering of the glued stack at the member cells' samples.
-
-    The sample of a member cell is the first probe of its first root cell
-    ``tag``, and there the section in each slot is the root section over
-    ``tag`` whose letter the glued stack selects.  The verdict therefore
-    depends on ``tag`` and those letters only, both of them data of the
-    immutable root, and ``Cad.sections_ordered`` keeps it per exactly that
-    key.
-    """
-    for cell in triple:
-        for _point, tag in cad.cell_points(cell, 1):
-            try:
-                letters = tuple(cad.section_letter(cell, slot, tag) for slot in range(1, u + 1))
-            except KeyError:
-                return False
-            if not cad.sections_ordered(tag, letters):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

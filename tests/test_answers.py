@@ -1,12 +1,13 @@
 """Golden answers: what the pipeline decides on every fixture, pinned.
 
-For every ``lift_fixtures`` entry, every gallery entry lifted to R^6 and
-disk-lines(7), ``answers.json`` records whether ``validate_cad`` passes, the
-merges of ``minimize``, the size of the explored poset, hashes of its edges
-and of its node histories, its ``poset_report`` and a hash of the probe
-points of every root cell.  A change that claims to keep the answers must
-leave this file byte-identical; any difference is a bug to find, not a
-figure to update.
+For every ``lift_fixtures`` entry, the disordered stack, every gallery
+entry lifted to R^6 and disk-lines(7), ``answers.json`` records whether
+``validate_cad`` passes, a hash of the probe points of every root cell, and
+either the name of the error with which ``minimize`` refuses the root, or
+the merges of ``minimize``, the size of the explored poset, hashes of its
+edges and of its node histories and its ``poset_report``.  A change that
+claims to keep the answers must leave this file byte-identical; any
+difference is a bug to find, not a figure to update.
 
 Regenerate (only for a change that is meant to alter answers) with
 ``PYTHONPATH=src python tests/test_answers.py``.
@@ -32,9 +33,10 @@ def inputs():
     from cadreduce.gallery import gallery_names, load_entry
     from cadreduce.poset import extend_cylinder
     from tests.test_packaging import load_perfbench
-    from tests.test_reduction import lift_fixtures
+    from tests.test_reduction import disordered_stack, lift_fixtures
 
     yield from lift_fixtures()
+    yield "disordered stack", disordered_stack
     for name in gallery_names():
         entry = load_entry(name)
         yield f"{name}@R{LIFT_DIM}", lambda entry=entry: extend_cylinder(entry.cad, entry.labels, LIFT_DIM)
@@ -58,29 +60,32 @@ def _points(cad, cell) -> str:
 
 def answer(cad, labels) -> dict:
     from cadreduce.cadmodel import validate_cad, word_of
+    from cadreduce.errors import ValidationFailed
     from cadreduce.poset import explore, poset_report
     from cadreduce.reduction import minimize
 
     def blocks(key):
         return sorted(sorted(word_of(c) for c in block) for block in key)
 
-    ok = validate_cad(cad).ok
     points = {
         word_of(cell): _points(cad, cell) for k in range(cad.n + 1) for cell in cad.cells_of_level(k)
     }
-    applied = [word_of(p) for p in minimize(cad, labels).applied]
+    got = {"valid": validate_cad(cad).ok, "points_sha256": _digest(points)}
+    try:
+        applied = [word_of(p) for p in minimize(cad, labels).applied]
+    except ValidationFailed as exc:  # the refusal is the answer
+        return {**got, "refused": type(exc).__name__}
     graph = explore(cad, labels)
     edges = sorted([blocks(src), word_of(pivot), blocks(dst)] for src, pivot, dst in graph.edges)
     histories = sorted([blocks(key), [word_of(p) for p in node.applied]] for key, node in graph.nodes.items())
     return {
-        "valid": ok,
+        **got,
         "applied": applied,
         "node_count": len(graph.nodes),
         "edge_count": len(graph.edges),
         "edges_sha256": _digest(edges),
         "histories_sha256": _digest(histories),
         "poset_report": poset_report(graph),
-        "points_sha256": _digest(points),
     }
 
 
@@ -96,8 +101,8 @@ def test_answers_are_the_golden_ones():
     want = json.loads(ANSWERS.read_text())
     got = json.loads(render(all_answers()))
     assert sorted(got) == sorted(want)
-    for name in want:
-        assert got[name] == want[name], name
+    differ = {name: (got[name], want[name]) for name in want if got[name] != want[name]}
+    assert not differ, "answers differ (got, want):\n" + json.dumps(differ, indent=1, sort_keys=True)
 
 
 if __name__ == "__main__":

@@ -103,14 +103,39 @@ def test_a_pole_inside_a_cell_is_a_violation():
 def test_an_undecided_pole_is_reported_as_undecided():
     # The denominator x1 - sqrt2 has no zero on x1 < 0, but the root test
     # takes polynomials over the rationals only.
+    # An undecided pole leaves no stack order open, so reduction admits it.
     report = validate_cad(stack_over((1,), "(div 1 (sub x1 (sqrt 2)))"))
-    assert report.ok
+    assert report.ok and report.admits_reduction
     assert any("poles of section 1 above 1" in u for u in report.undecided), str(report)
     # The same kind of denominator, with its pole at the probe x1 = -1: the
     # section's value there cannot be refined, so its order is undecided.
     report = validate_cad(stack_over((1,), "(div 1 (mul (add x1 1) (sqrt 2)))", "5"))
-    assert report.ok
+    assert report.ok and not report.admits_reduction
     assert any("order of sections 1,2 above 1 undecided" in u for u in report.undecided), str(report)
+
+
+def test_adjacent_sections_are_ordered_on_the_whole_cell_when_decided():
+    # f2 - f1 restricted to the cell: a positive constant proves the pair
+    # (1/2^200 is closer than the probes can tell), a polynomial with a
+    # zero in the cell is a crossing the probes x1 = -1, -2 miss, and a
+    # polynomial with no real zero is left to the probes.
+    f = "(add (sqrt 2) (sqrt 3))"
+    assert str(validate_cad(stack_over((1,), f, f"(add {f} 1/{2**200})"))) == "valid"
+    report = validate_cad(stack_over((1,), "0", "(add (mul (add x1 1) (add x1 2)) 1/8)"))
+    assert report.violations == ["sections 1,2 above 1 cross inside the cell"], str(report)
+    assert str(validate_cad(stack_over((1,), "0", "(add (mul (add x1 1) (add x1 2)) 1)"))) == "valid"
+    report = validate_cad(stack_over((1,), "x1", "(sub x1 1)"))
+    assert report.violations[0] == "sections 1,2 above 1 are not strictly ordered on the cell", str(report)
+
+
+def test_a_base_cell_with_no_point_is_reported_not_raised():
+    # The zero test of a pole and of a section pair over the cell 2.1 needs
+    # a point of the base cell 2, whose x1 is sqrt(-1): the zero stays
+    # undecided, and the probes report the base.
+    for stack in (["(div 1 (add (pow x2 2) 1))"], ["x2", "(add x2 (add (pow x2 2) 1))"]):
+        spec = {(): ["(sqrt -1)"], (1,): [], (2,): [], (3,): [], (1, 1): [], (2, 1): stack, (3, 1): []}
+        cad = Cad(3, {cell: SectionStack(tuple(parse_expr(f) for f in fs)) for cell, fs in spec.items()})
+        assert "violation: cannot derive probes in 2: sqrt of -1" in str(validate_cad(cad)).splitlines()
 
 
 def test_check_adapted_disk():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cadreduce.cadmodel import Cad, SectionStack, check_adapted, coarsening_blocks, refines, validate_cad
-from cadreduce.errors import LabelMissing, RuleNotApplicable, SectionOutOfRange, UnknownOrder
+from cadreduce import cadmodel
+from cadreduce.errors import LabelMissing, RuleNotApplicable, SectionOutOfRange, UnknownOrder, ValidationFailed
 from cadreduce.expr import compare_coords, eval_coord, parse_expr
 from cadreduce.gallery import (
     disk_c,
@@ -77,8 +78,7 @@ def nested_division_jump():
 
 def disordered_stack():
     # Base stack [0]; over each of the cells 1, 2, 3 the stack [1, 0], which
-    # is not ordered.  The sections glue continuously at pivot 2, so only
-    # the order check rejects that merge.
+    # is not ordered: not a CAD.  The sections glue continuously at pivot 2.
     zero, one = parse_expr("0"), parse_expr("1")
     stacks = {(): SectionStack((zero,))}
     stacks.update({(i,): SectionStack((one, zero)) for i in (1, 2, 3)})
@@ -96,6 +96,23 @@ def sections_apart_by_2_to_the_minus_200():
     stacks.update({(i,): SectionStack(functions) for i in (1, 2, 3)})
     cad = Cad(2, stacks)
     return cad, {leaf: 0 for leaf in cad.leaves()}
+
+
+def sections_crossing_between_the_probes():
+    # Base stack [0]; over the cell 1 the stack [0, (x1+1)(x1+2) + 1/8].
+    # The probes of the cell are x1 = -1 and -2, where the sections are 1/8
+    # apart, but they cross at x1 = (-3 +- sqrt(1/2))/2.
+    return labelled(2, {(): ["0"], (1,): ["0", "(add (mul (add x1 1) (add x1 2)) 1/8)"], (2,): [], (3,): []})
+
+
+def sections_of_undecided_order():
+    # Base stack [0]; over each of the cells 1, 2, 3 the stack [f, g] with
+    # f = sqrt2 + sqrt3 and g = sqrt(5 + 2 sqrt6) + 2^-200, which is
+    # f + 2^-200.  Their square roots differ, so g - f is no constant, and
+    # interval refinement cannot order them.
+    f = "(add (sqrt 2) (sqrt 3))"
+    g = f"(add (sqrt (add 5 (mul 2 (sqrt 6)))) {Fraction(1, 2**200)})"
+    return labelled(2, {(): ["0"], **{(i,): [f, g] for i in (1, 2, 3)}})
 
 
 def labelled(n, spec, sheet=False):
@@ -173,14 +190,16 @@ def test_pole_at_a_corner_of_the_seam_does_not_lift():
 def test_refinement_schedule_is_fixed():
     # Interval refinement has one schedule and no setting: it separates
     # lazy values 2^-182 apart, but not 2^-183 apart, and so it cannot order
-    # the sections 2^-200 apart, whose merge is rejected.
+    # the sections 2^-200 apart at a probe.  Their difference is the
+    # constant 2^-200, which proves them ordered, and the merge lifts.
     f = "(add (sqrt 2) (sqrt 3))"
     value = eval_coord(parse_expr(f), ())
     assert compare_coords(value, eval_coord(parse_expr(f"(add {f} {F(1, 2**182)})"), ())) == -1
     with pytest.raises(UnknownOrder):
         compare_coords(value, eval_coord(parse_expr(f"(add {f} {F(1, 2**183)})"), ()))
     cad, labels = sections_apart_by_2_to_the_minus_200()
-    assert try_lift(Coarsening.of(cad, labels), (2,)) is None
+    assert str(validate_cad(cad)) == "valid"
+    assert try_lift(Coarsening.of(cad, labels), (2,)) is not None
 
 
 def test_section_with_a_jump_hidden_by_a_nested_division_does_not_lift():
@@ -198,15 +217,39 @@ def test_try_lift_requires_applicable_pivot():
 
 
 def test_disordered_glued_stack_is_rejected_cold_and_warm():
+    # Cold, the gate validates the root; warm, it reads the report kept on
+    # the root.
     cad, labels = disordered_stack()
-    assert not validate_cad(cad).ok
-    assert try_lift(Coarsening.of(cad, labels), (2,)) is None
-    graph = explore(cad, labels)
-    # Below the root, leaf merges leave one section per stack; glued at 2,
-    # such a stack is ordered and the merge lifts.  Its verdict is kept apart
-    # from the root's.
-    assert any(pivot == (2,) for _s, pivot, _d in graph.edges)
-    assert try_lift(Coarsening.of(cad, labels), (2,)) is None
+    with pytest.raises(ValidationFailed) as cold:
+        Coarsening.of(cad, labels)
+    report = validate_cad(cad)
+    assert cold.value.report is report and not report.ok
+    with pytest.raises(ValidationFailed) as warm:
+        Coarsening.of(cad, labels)
+    assert warm.value.report is report
+
+
+REFUSED = {
+    # The name, the fixture and the start of a line of the report that
+    # refuses it.
+    "disordered stack": (disordered_stack, "violation: sections 1,2 above 1 are not strictly ordered on the cell"),
+    "sections crossing between the probes": (
+        sections_crossing_between_the_probes,
+        "violation: sections 1,2 above 1 cross inside the cell",
+    ),
+    "sections of undecided order": (sections_of_undecided_order, "undecided: order of sections 1,2 above 1 undecided"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_a_root_that_is_not_proven_a_cad_is_refused(name):
+    build, line = REFUSED[name]
+    for run in (Coarsening.of, minimize, explore):
+        cad, labels = build()
+        with pytest.raises(ValidationFailed) as refused:
+            run(cad, labels)
+        assert any(got.startswith(line) for got in str(refused.value).splitlines()), str(refused.value)
+        assert refused.value.report is validate_cad(cad)
 
 
 def test_leaf_level_merge_always_lifts():
@@ -317,7 +360,6 @@ def lift_fixtures():
     for name, (build, _lifts) in SEAM_VERDICTS.items():
         yield name, build
     yield "pole at a corner of the seam", pole_at_a_corner_of_the_seam
-    yield "disordered stack", disordered_stack
     yield "nested division jump", nested_division_jump
     yield "sections 2^-200 apart", sections_apart_by_2_to_the_minus_200
 
@@ -486,6 +528,52 @@ def test_cells_made_per_merge_do_not_grow_with_the_cad(monkeypatch):
         per_node[m] = (len(made) - before - root_cell_count(inp.cad)) / (len(graph.nodes) - 1)
     assert per_merge[192] <= per_merge[96] <= per_merge[48], per_merge
     assert per_node[7] <= per_node[6] <= per_node[5], per_node
+
+
+def assert_glued_sections_are_root_sections(cad: Cad, where) -> None:
+    """Over each root cell of a cell, each section of the cell's stack is
+    exactly one root section, and their letters increase with the slot: a
+    glued stack is ordered wherever the root's stacks are."""
+    for k in range(cad.n):
+        for cell in cad.cells_of_level(k):
+            for root_parent in cad.root_cells(cell):
+                letters = []
+                for slot in range(1, cad.stack_count(cell) + 1):
+                    over = [q[-1] for q in cad.root_cells(cell + (2 * slot,)) if q[:-1] == root_parent]
+                    assert len(over) == 1 and over[0] % 2 == 0, (where, cell, slot, root_parent, over)
+                    letters += over
+                assert all(a < b for a, b in zip(letters, letters[1:])), (where, cell, root_parent, letters)
+
+
+def test_glued_stacks_select_increasing_root_sections():
+    # No merge checks the order of its glued stack; this invariant and the
+    # root's validation are why none needs to.
+    nodes = 0
+    for name, build in lift_fixtures():
+        for node in explore(*build()).nodes.values():
+            assert_glued_sections_are_root_sections(node.cad, (name, node.applied))
+            nodes += 1
+    assert nodes > 100
+
+
+def test_validation_runs_once_per_root(monkeypatch):
+    # A cost guard that reads no clock: the check phase validates the root,
+    # and ``minimize`` and ``explore``, from the root or from a coarsening
+    # of it, read the report kept on the root.
+    passes = []
+    probe_pass = cadmodel._check_at_probes
+
+    def counted(*args):
+        passes.append(1)
+        probe_pass(*args)
+
+    monkeypatch.setattr(cadmodel, "_check_at_probes", counted)
+    inp = load_perfbench("workloads", monkeypatch).disk_lines(5, 0)
+    assert validate_cad(inp.cad).ok and len(passes) == 1
+    res = minimize(inp.cad, inp.labels)
+    explore(inp.cad, inp.labels)
+    explore(res.cad, res.labels)
+    assert len(passes) == 1
 
 
 def bad_labellings(entry):
