@@ -9,11 +9,9 @@ from cadreduce.errors import (
     GuardUndecidable,
     LabelMissing,
     NotAdapted,
-    NotComparableRepresentation,
     ParseError,
     PivotNotEven,
     RuleNotApplicable,
-    SectionOutOfRange,
     SectionsCross,
     UnknownOrder,
     ValidationFailed,
@@ -25,11 +23,9 @@ __all__ = [
     "GuardUndecidable",
     "LabelMissing",
     "NotAdapted",
-    "NotComparableRepresentation",
     "ParseError",
     "PivotNotEven",
     "RuleNotApplicable",
-    "SectionOutOfRange",
     "SectionsCross",
     "UnknownOrder",
     "ValidationFailed",

@@ -26,7 +26,6 @@ from cadreduce.errors import (
     DivisionByZero,
     GuardUndecidable,
     NotAdapted,
-    NotComparableRepresentation,
     SqrtOfNegative,
     UnknownOrder,
 )
@@ -511,12 +510,19 @@ def _check_guard_disjointness(cad, cell, point, tag, report):
 # Adaptedness and location
 
 
-def check_adapted(cad: Cad, formula: Formula, probes: int = 3) -> LeafLabeling:
-    """Label every leaf by set membership of its sample; extra probe points
-    per leaf must agree, otherwise the CAD is not adapted to the set."""
+_ADAPTED_PROBES = 3
+
+
+def check_adapted(cad: Cad, formula: Formula) -> LeafLabeling:
+    """Label every leaf by set membership of its sample; ``_ADAPTED_PROBES``
+    points per leaf must agree, otherwise the CAD is not adapted to the set.
+    A formula in more variables than the CAD has is a ``ValueError``."""
+    top = max_var_index(formula)
+    if top > cad.n:
+        raise ValueError(f"formula has variable x{top}, the CAD is of R^{cad.n}")
     labels: LeafLabeling = {}
     for leaf in cad.leaves():
-        points = cad.cell_points(leaf, max(1, probes))
+        points = cad.cell_points(leaf, _ADAPTED_PROBES)
         verdicts = [(formula_holds(formula, p), p) for p, _tag in points]
         first = verdicts[0][0]
         for truth, point in verdicts[1:]:
@@ -555,58 +561,3 @@ def locate(cad: Cad, point) -> CellIndex:
                 break
         cell = cell + (letter,)
     return cell
-
-
-# ---------------------------------------------------------------------------
-# Refinement order
-
-
-def coarsening_blocks(cad: Cad, root: Cad):
-    """Represent ``cad`` as a partition of the root's leaves.
-
-    Uses ``partition_blocks`` when ``cad`` shares the root; otherwise embeds by
-    locating every root leaf sample in ``cad``.
-    """
-    if cad.root is root:
-        return cad.partition_blocks()
-    if not cad.is_root:
-        raise NotComparableRepresentation(
-            "CAD is a coarsening of a different root"
-        )
-    groups: dict[CellIndex, set[CellIndex]] = {}
-    for leaf in root.leaves():
-        try:
-            host = locate(cad, root.sample(leaf))
-        except (UnknownOrder, GuardUndecidable) as exc:
-            raise NotComparableRepresentation(
-                f"cannot locate root leaf {word_of(leaf)}: {exc}"
-            ) from exc
-        groups.setdefault(host, set()).add(leaf)
-    missing = set(cad.leaves()) - set(groups)
-    if missing:
-        raise NotComparableRepresentation(
-            f"cells {sorted(word_of(c) for c in missing)} contain no root sample"
-        )
-    return frozenset(frozenset(g) for g in groups.values())
-
-
-def refines(fine: Cad, coarse: Cad, root: Cad) -> bool:
-    """Whether every cell of ``coarse`` is a union of cells of ``fine``,
-    with both CADs represented as partitions of the root's leaves."""
-    fine_blocks = coarsening_blocks(fine, root)
-    coarse_blocks = coarsening_blocks(coarse, root)
-    return partition_refines(fine_blocks, coarse_blocks)
-
-
-def partition_refines(fine_blocks, coarse_blocks) -> bool:
-    owner: dict = {}
-    for block in coarse_blocks:
-        for x in block:
-            owner[x] = block
-    for block in fine_blocks:
-        items = iter(block)
-        first = next(items)
-        host = owner.get(first)
-        if host is None or not block <= host:
-            return False
-    return True

@@ -40,20 +40,12 @@ class RuleNotApplicable(CadError):
     """The requested pivot does not satisfy the merge condition."""
 
 
-class SectionOutOfRange(CadError):
-    """A section to insert is not strictly inside the target sector."""
-
-
 class SectionsCross(CadError):
     """Two sections from different CADs cross inside a merged cell."""
 
 
 class UnknownOrder(CadError):
     """Interval comparison of two section values was inconclusive."""
-
-
-class NotComparableRepresentation(CadError):
-    """A CAD could not be represented as a coarsening of the requested root."""
 
 
 class ParseError(CadError):

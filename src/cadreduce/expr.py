@@ -1104,6 +1104,8 @@ def atom_sign(lhs: Expr, point) -> int:
             lazies += 1
     if not algebraic and not lazies:
         q = substitute_rationals(p, rationals)
+        if len(q) > (() in q):  # a monomial keeps a variable the point lacks
+            raise ValueError(f"point has no coordinate {min(i for mon in q for i, _k in mon)}")
         c = q.get((), Fraction(0))
         return 0 if c == 0 else (1 if c > 0 else -1)
     if len(algebraic) == 1 and not lazies:

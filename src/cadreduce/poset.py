@@ -17,9 +17,9 @@ reducts of a node rejoin there: the relation is confluent.  If there are two
 sinks, the root reaches both, and neither reaches anything but itself, so
 that divergence never rejoins and neither sink is below the other: no
 minimum, no confluence.  By Newman's lemma (Newman 1942) local confluence
-is then also equivalent, since the relation terminates.
-``is_locally_confluent`` and ``is_globally_confluent`` check the definitions
-directly and serve as oracles for the sink count.
+is then also equivalent, since the relation terminates.  The definitional
+checks of local and global confluence are test oracles for the sink count,
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling, SectionStack, locat
 from cadreduce.errors import SectionsCross, UnknownOrder
 from cadreduce.expr import Expr, Point, any_node, compare_coords, eval_coord, is_piecewise, sector_coords
 from cadreduce.reduction import Blocks, Coarsening, try_lift
-from cadreduce.tree import applicable_pivots  # noqa: F401  (re-exported; perfbench calls it here)
+from cadreduce.tree import applicable_pivots  # noqa: F401  (re-exported; perfbench/test_perfbench.py calls it here)
 
 
 @dataclass
@@ -48,6 +48,8 @@ class PosetGraph:
             (src, pivot, dst) for src, out in self.out_edges.items() for pivot, dst in out.items()
         )
 
+    # ``successors`` and ``descendants`` are traced by perfbench's tracer
+    # (its ``TARGETS``); the tests' confluence oracles walk the graph with them.
     def successors(self, key: Blocks) -> frozenset[Blocks]:
         return frozenset(self.out_edges.get(key, {}).values())
 
@@ -104,32 +106,6 @@ def minimum_element(graph: PosetGraph) -> Blocks | None:
         return None
     (sink,) = sinks
     return sink
-
-
-def is_locally_confluent(graph: PosetGraph) -> bool:
-    """Definitional check: any two one-step reducts of a node have a common
-    descendant."""
-    for key in graph.nodes:
-        succ = sorted(graph.successors(key), key=sorted)
-        for i, a in enumerate(succ):
-            da = graph.descendants(a)
-            for b in succ[i + 1 :]:
-                if not (da & graph.descendants(b)):
-                    return False
-    return True
-
-
-def is_globally_confluent(graph: PosetGraph) -> bool:
-    """Definitional check: any two descendants of a node have a common
-    descendant."""
-    for key in graph.nodes:
-        desc = sorted(graph.descendants(key), key=sorted)
-        for i, a in enumerate(desc):
-            da = graph.descendants(a)
-            for b in desc[i + 1 :]:
-                if not (da & graph.descendants(b)):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -285,22 +261,6 @@ def _merge_stacks(fns1: tuple[Expr, ...], fns2: tuple[Expr, ...], points: list[P
 
 # ---------------------------------------------------------------------------
 # Reports
-
-
-def poset_to_dot(graph: PosetGraph, title: str = "poset") -> str:
-    """Graphviz DOT: nodes annotated with leaf counts, edges with pivots."""
-    names: dict[Blocks, str] = {}
-    for i, key in enumerate(sorted(graph.nodes, key=lambda k: (-len(k), sorted(map(sorted, k))))):
-        names[key] = f"n{i}"
-    lines = [f'digraph "{title}" {{', '  node [fontname="Helvetica", shape=box];']
-    for key, name in names.items():
-        node = graph.nodes[key]
-        shape = ", peripheries=2" if key == graph.root_key else ""
-        lines.append(f'  {name} [label="{node.leaf_count} leaves"{shape}];')
-    for src, pivot, dst in sorted(graph.edges, key=lambda e: (names[e[0]], names[e[2]], e[1])):
-        lines.append(f'  {names[src]} -> {names[dst]} [label="{word_of(pivot)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def poset_report(graph: PosetGraph) -> dict:

@@ -66,26 +66,6 @@ def negate(p: UniPoly) -> UniPoly:
     return tuple(-c for c in p)
 
 
-def add(p: UniPoly, q: UniPoly) -> UniPoly:
-    n = max(len(p), len(q))
-    return poly([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def sub(p: UniPoly, q: UniPoly) -> UniPoly:
-    return add(p, negate(q))
-
-
-def mul(p: UniPoly, q: UniPoly) -> UniPoly:
-    if not p or not q:
-        return ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly(out)
-
-
 def scale(p: UniPoly, c: Fraction) -> UniPoly:
     if c == 0:
         return ZERO

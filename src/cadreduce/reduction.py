@@ -54,16 +54,15 @@ from cadreduce.cadmodel import (
     word_of,
     zero_in_cell,
 )
-from cadreduce.errors import DivisionByZero, RuleNotApplicable, SectionOutOfRange, ValidationFailed
+from cadreduce.errors import DivisionByZero, RuleNotApplicable, ValidationFailed
 from cadreduce.expr import (
     Div,
     Expr,
     Sub,
     any_node,
     canonicalize,
-    compare_coords,
     const,
-    eval_coord,
+    eval_coord,  # noqa: F401  (re-exported; perfbench/test_perfbench.py calls it here)
     is_piecewise,
     substitute,
 )
@@ -83,7 +82,7 @@ def pivot_order(pivot: CellIndex):
     return (-len(pivot), pivot)
 
 
-_tree_of = build_tree  # perfbench builds trees under this name
+_tree_of = build_tree  # perfbench/test_perfbench.py builds trees under this name
 
 _ZERO = const(0)
 
@@ -290,68 +289,3 @@ def minimize(cad: Cad, labels: LeafLabeling) -> Coarsening:
                 break
         else:
             return node
-
-
-# ---------------------------------------------------------------------------
-# Section insertion (refinement by slicing one sector)
-
-
-def insert_section(
-    cad: Cad,
-    labels: LeafLabeling,
-    base: CellIndex,
-    sector_letter: int,
-    section_function: Expr,
-) -> tuple[Cad, LeafLabeling]:
-    """Split the sector above ``base`` with the graph of a new section
-    function, duplicating everything above it; returns a finer root CAD.
-
-    The function must be strictly between the sector's bounding sections at
-    four probe points of the base cell.
-    """
-    if not cad.is_root:
-        raise ValueError("insert_section expects a root CAD")
-    p = len(base) + 1
-    if p > cad.n:
-        raise ValueError("cannot insert a section below leaf level")
-    stack = cad.stacks[base]
-    if sector_letter % 2 != 1 or not (1 <= sector_letter <= 2 * stack.count + 1):
-        raise ValueError(f"{sector_letter} is not a sector letter of the stack above {word_of(base)}")
-    j = (sector_letter - 1) // 2  # insert after section j
-    for point, _tag in cad.cell_points(base, 4):
-        v = eval_coord(section_function, point)
-        if j >= 1:
-            lo = eval_coord(stack.functions[j - 1], point)
-            if compare_coords(v, lo) <= 0:
-                raise SectionOutOfRange(
-                    f"new section is not strictly above section {j} at {point}"
-                )
-        if j < stack.count:
-            hi = eval_coord(stack.functions[j], point)
-            if compare_coords(v, hi) >= 0:
-                raise SectionOutOfRange(
-                    f"new section is not strictly below section {j + 1} at {point}"
-                )
-
-    def images(cell: CellIndex) -> list[CellIndex]:
-        if len(cell) < p or cell[: p - 1] != base:
-            return [cell]
-        m = cell[p - 1]
-        if m < sector_letter:
-            return [cell]
-        if m > sector_letter:
-            return [cell[: p - 1] + (m + 2,) + cell[p:]]
-        return [cell[: p - 1] + (sector_letter + d,) + cell[p:] for d in (0, 1, 2)]
-
-    new_stacks = {}
-    for cell, s in cad.stacks.items():
-        for image in images(cell):
-            new_stacks[image] = s
-    new_stacks[base] = type(stack)(
-        stack.functions[:j] + (section_function,) + stack.functions[j:]
-    )
-    new_labels: LeafLabeling = {}
-    for leaf, bit in labels.items():
-        for image in images(leaf):
-            new_labels[image] = bit
-    return Cad(cad.n, new_stacks), new_labels

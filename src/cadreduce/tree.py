@@ -113,7 +113,8 @@ def build_tree(cad: Cad, labels: LeafLabeling) -> CadTree:
 
 
 def prefix(index: CellIndex, k: int) -> CellIndex:
-    """First k letters (the whole index when shorter)."""
+    """First k letters (the whole index when shorter); ``relabel_index``
+    reads the pivot's level with it."""
     return index if len(index) < k else index[:k]
 
 
@@ -123,7 +124,9 @@ def relabel_index(pivot: CellIndex, index: CellIndex) -> CellIndex:
     Indices inside the pivot lineage drop by one at the pivot position,
     later siblings' lineages drop by two, everything else is unchanged.
     The merge itself renames nothing; this is the index arithmetic that
-    tests check the cell tree's index views against.
+    tests check the cell tree's index views against.  It stays in the
+    library because perfbench's tracer names it (``tree.relabel_index`` in
+    its ``TARGETS``); it moves to ``tests/`` with that target.
     """
     if not pivot or pivot[-1] % 2 != 0:
         raise PivotNotEven(f"pivot {pivot} must be nonempty with even last letter")
@@ -216,24 +219,3 @@ def _leaves(cell: Cell) -> list[Cell]:
 
 def sibling(pivot: CellIndex, offset: int) -> CellIndex:
     return pivot[:-1] + (pivot[-1] + offset,)
-
-
-def tree_to_dot(tree: CadTree, title: str = "cadtree") -> str:
-    """Graphviz DOT for a labelled tree: green leaves are inside the set,
-    red ones outside."""
-    lines = [f'digraph "{title}" {{', "  node [fontname=\"Helvetica\"];"]
-    nodes = list(tree.nodes())
-    for index, cell in nodes:
-        name = "n_" + "_".join(map(str, index)) if index else "n_root"
-        text = ".".join(map(str, index)) if index else "ε"
-        if not cell.children:
-            color = "palegreen" if cell.label == 1 else "lightcoral"
-            lines.append(f'  {name} [label="{text}", style=filled, fillcolor={color}];')
-        else:
-            lines.append(f'  {name} [label="{text}"];')
-    for index, cell in nodes:
-        parent_name = "n_" + "_".join(map(str, index)) if index else "n_root"
-        for j in range(1, len(cell.children) + 1):
-            lines.append(f"  {parent_name} -> n_{'_'.join(map(str, index + (j,)))};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -6,17 +6,15 @@ from cadreduce.cadmodel import (
     Cad,
     SectionStack,
     check_adapted,
-    coarsening_blocks,
     locate,
     parse_word,
-    partition_refines,
-    refines,
     validate_cad,
     word_of,
 )
 from cadreduce.errors import NotAdapted
-from cadreduce.expr import parse_expr, parse_formula
+from cadreduce.expr import formula_holds, parse_expr, parse_formula
 from cadreduce.gallery import disk_c, disk_cp, disk_cpp, trousers_c, trousers_cp, ushape_c, ushape_cp
+from tests.oracles import coarsening_blocks, partition_refines, refines
 
 F = Fraction
 
@@ -169,14 +167,29 @@ def test_check_adapted_rejects_straddling_cell():
     # One cell over the line, but the set is a half line: probes disagree.
     cad, _ = single_chain(1)
     with pytest.raises(NotAdapted):
-        check_adapted(cad, parse_formula("(gt x1 1/7)"), probes=4)
+        check_adapted(cad, parse_formula("(gt x1 1/7)"))
 
 
 def test_check_adapted_label_stable_with_more_probes():
     for entry in (disk_c(), trousers_cp()):
-        few = check_adapted(entry.cad, entry.formula, probes=1)
-        many = check_adapted(entry.cad, entry.formula, probes=6)
-        assert few == many
+        labels = check_adapted(entry.cad, entry.formula)
+        for leaf in entry.cad.leaves():
+            truths = {formula_holds(entry.formula, point) for point, _tag in entry.cad.cell_points(leaf, 6)}
+            assert truths == {labels[leaf] == 1}, word_of(leaf)
+
+
+def test_formula_in_more_variables_than_the_cad_is_rejected():
+    # A variable the CAD lacks must not drop out of the sign; the CAD
+    # refuses the formula, and the point the atom.
+    cad, _ = single_chain(1)
+    for op in ("gt", "lt", "eq"):
+        formula = parse_formula(f"({op} x2 0)")
+        with pytest.raises(ValueError, match="x2"):
+            check_adapted(cad, formula)
+        with pytest.raises(ValueError, match="no coordinate 2"):
+            formula_holds(formula, (F(0),))
+    with pytest.raises(ValueError, match="x3"):
+        check_adapted(disk_c().cad, parse_formula("(lt x3 0)"))
 
 
 def test_locate_roundtrip_samples():

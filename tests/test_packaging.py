@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -100,3 +101,82 @@ def test_benchmark_tracer_contract(monkeypatch):
     assert not result.cad.is_root
     graph = poset.explore(result.cad, result.labels)
     assert len(graph.nodes) == 1 and not graph.edges
+
+
+def _names_in(tree: ast.AST):
+    """Every name a tree refers to: a ``Name``, the attribute of an
+    ``Attribute`` and each imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def _error_classes(modules: dict[str, ast.Module]) -> set[str]:
+    """The subclasses of ``CadError``, by name, the base class excluded."""
+    bases = {
+        node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+        for node in modules["errors.py"].body
+        if isinstance(node, ast.ClassDef)
+    }
+    found = {"CadError"}
+    while True:
+        more = {name for name, parents in bases.items() if parents & found} - found
+        if not more:
+            return found - {"CadError"}
+        found |= more
+
+
+def _raised_or_caught(modules: dict[str, ast.Module]) -> set[str]:
+    names = set()
+    for module in modules.values():
+        for node in ast.walk(module):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                names.update(_names_in(node.exc))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names.update(_names_in(node.type))
+    return names
+
+
+def test_every_public_definition_in_src_has_a_caller():
+    # The library holds what the pipeline and the benchmark call; a test
+    # oracle lives in tests/oracles.py.  A name counts as referenced where
+    # src/ or perfbench/ names it (bare names: a method and an attribute of
+    # the same name are not told apart), outside its own definition;
+    # perfbench's tracer also names its targets in strings.  An error class
+    # counts only where src/ raises or catches it.
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    outside: set[str] = set()
+    for module in bench:
+        outside.update(_names_in(module))
+        for node in module.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+                for const in ast.walk(node.value):
+                    if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                        outside.update(const.value.split("."))
+    inside = Counter(name for module in modules.values() for name in _names_in(module))
+    errors = _error_classes(modules)
+    handled = _raised_or_caught(modules)
+
+    def referenced(definition: ast.AST) -> bool:
+        if definition.name in errors:
+            return definition.name in handled
+        own = sum(name == definition.name for name in _names_in(definition))
+        return definition.name in outside or inside[definition.name] > own
+
+    unreferenced = []
+    for filename, module in modules.items():
+        for node in module.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") and node.name != "CadError" and not referenced(node):
+                unreferenced.append(f"{filename}: {node.name}")
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("__") and not referenced(method):
+                        unreferenced.append(f"{filename}: {node.name}.{method.name}")
+    assert unreferenced == []

@@ -6,9 +6,6 @@ from cadreduce.cadmodel import (
     Cad,
     SectionStack,
     check_adapted,
-    coarsening_blocks,
-    partition_refines,
-    refines,
     validate_cad,
 )
 from cadreduce.errors import SectionsCross
@@ -29,13 +26,11 @@ from cadreduce.poset import (
     common_refinement,
     explore,
     extend_cylinder,
-    is_globally_confluent,
-    is_locally_confluent,
     minimal_elements,
     minimum_element,
     poset_report,
-    poset_to_dot,
 )
+from tests.oracles import coarsening_blocks, is_globally_confluent, is_locally_confluent, partition_refines, refines
 
 F = Fraction
 
@@ -177,7 +172,7 @@ def test_unique_minimal_iff_minimum_on_gallery_posets():
         assert (len(minimal_elements(graph)) == 1) == (minimum_element(graph) is not None)
 
 
-def test_poset_report_and_dot():
+def test_poset_report_on_disk_cpp():
     entry = disk_cpp()
     graph = explore(entry.cad, entry.labels)
     report = poset_report(graph)
@@ -186,10 +181,6 @@ def test_poset_report_and_dot():
     assert report["confluent"] is True
     assert report["minimum"]["leaf_count"] == 13
     assert report["root_leaf_count"] == 29
-    dot = poset_to_dot(graph)
-    assert dot.startswith("digraph")
-    assert '"4.6"' in dot
-    assert "29 leaves" in dot and "13 leaves" in dot
 
 
 def test_dedup_keeps_one_history_per_partition():

@@ -9,7 +9,6 @@ from cadreduce.realroots import (
     ZERO,
     AlgebraicNumber,
     ZeroPolynomial,
-    add,
     count_roots,
     degree,
     derivative,
@@ -17,7 +16,6 @@ from cadreduce.realroots import (
     interval_eval,
     isolate_roots,
     make_algebraic,
-    mul,
     poly,
     primitive,
     scale,
@@ -25,6 +23,7 @@ from cadreduce.realroots import (
     squarefree_part,
     sturm_sequence,
 )
+from tests.oracles import add, mul
 
 F = Fraction
 
@@ -336,7 +335,7 @@ def test_sign_of_matches_oracle(bounded_work):
         # another number's, plus a rational constant.
         qs += [mul(a.defining, random_poly(rng, 2)), mul(rng.choice(numbers).defining, random_poly(rng, 1))]
         qs += [poly([-c for c in q]) for q in qs[:2]]
-        qs += [realroots.add(mul(a.defining, random_poly(rng, 2)), poly([F(rng.randint(-5, 5), 7)]))]
+        qs += [add(mul(a.defining, random_poly(rng, 2)), poly([F(rng.randint(-5, 5), 7)]))]
         for q in qs:
             got = a.sign_of(q)
             assert got == oracle_sign_of(a, q), (a, q)
@@ -383,7 +382,7 @@ def test_sign_of_decides_on_the_remainder_without_a_gcd(bounded_work, monkeypatc
     cases = []
     for a in numbers:
         for c in (F(0), F(3, 2), F(-2, 7)):
-            q = realroots.add(mul(a.defining, random_poly(rng, 3)), poly([c]))
+            q = add(mul(a.defining, random_poly(rng, 3)), poly([c]))
             cases.append((a, q, _sign(c)))
     # q(a) = r(a) with r = q mod defining; a constant r decides at once.
     monkeypatch.setattr(realroots, "gcd_poly", forbidden)

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cadreduce.cadmodel import Cad, SectionStack, check_adapted, coarsening_blocks, refines, validate_cad
+from cadreduce.cadmodel import Cad, SectionStack, check_adapted, validate_cad
 from cadreduce import cadmodel
-from cadreduce.errors import LabelMissing, RuleNotApplicable, SectionOutOfRange, UnknownOrder, ValidationFailed
+from cadreduce.errors import LabelMissing, RuleNotApplicable, UnknownOrder, ValidationFailed
 from cadreduce.expr import compare_coords, eval_coord, parse_expr
 from cadreduce.gallery import (
     disk_c,
@@ -21,12 +21,12 @@ from cadreduce.gallery import (
 from cadreduce.poset import explore, extend_cylinder
 from cadreduce.reduction import (
     Coarsening,
-    insert_section,
     lift_key,
     minimize,
     try_lift,
 )
 from cadreduce.tree import Cell, applicable_pivots, apply_merge, build_tree, relabel_index, sibling
+from tests.oracles import coarsening_blocks, insert_section, refines
 from tests.test_packaging import load_perfbench
 from tests.test_tree import (
     assert_shares_all_but_the_path_and_the_triple,
@@ -324,9 +324,9 @@ def test_insert_section_rebuilds_disk_cpp():
 
 def test_insert_section_rejects_out_of_range():
     entry = disk_c()
-    with pytest.raises(SectionOutOfRange):
+    with pytest.raises(ValueError, match="not strictly below section 2"):
         insert_section(entry.cad, entry.labels, (), 3, parse_expr("1"))
-    with pytest.raises(SectionOutOfRange):
+    with pytest.raises(ValueError, match="not strictly below section 2"):
         insert_section(entry.cad, entry.labels, (), 3, parse_expr("5"))
 
 

@@ -15,7 +15,6 @@ from cadreduce.tree import (
     prefix,
     relabel_index,
     sibling,
-    tree_to_dot,
     walk,
 )
 
@@ -327,9 +326,3 @@ def test_termination_of_merge_chains():
             steps += 1
             assert steps < 200
         assert applicable_pivots(t) == set()
-
-
-def test_dot_export_mentions_colors():
-    dot = tree_to_dot(tree_of(trousers_c()))
-    assert "palegreen" in dot and "lightcoral" in dot
-    assert dot.startswith("digraph")
