@@ -42,6 +42,7 @@ from cadreduce.expr import (
     as_point,
     canonicalize,
     compare_coords,
+    const,
     eval_coord,
     formula_holds,
     is_piecewise,
@@ -58,6 +59,10 @@ if TYPE_CHECKING:
     from cadreduce.tree import CadTree
 
 CellIndex = tuple[int, ...]
+
+# Probe points per cell, for validation and for adaptedness; the first is
+# the cell's sample (``Cad.cell_points``).
+_PROBES = 3
 
 ROOT_INDEX: CellIndex = ()
 
@@ -184,14 +189,6 @@ class Cad:
                 return self.root.stacks[root_parent].functions[q[-1] // 2 - 1]
         raise KeyError(f"no piece of section {section} over root cell {root_parent}")
 
-    def section_pieces(self, cell: CellIndex, slot: int) -> list[tuple[CellIndex, Expr]]:
-        """All (root parent cell, expression) pieces of one stack function."""
-        section = cell + (2 * slot,)
-        return [
-            (q[:-1], self.root.stacks[q[:-1]].functions[q[-1] // 2 - 1])
-            for q in self.root_cells(section)
-        ]
-
     def sample(self, cell: CellIndex) -> Point:
         """A witness point inside the cell (the root cell's derived sample)."""
         if not self.is_root:
@@ -258,11 +255,13 @@ class Cad:
 # Zeros on a root cell
 
 
-def section_substitution(root: Cad, cell: CellIndex) -> dict[int, Expr] | None:
+_ZERO = const(0)
+
+
+def _section_substitution(root: Cad, cell: CellIndex) -> dict[int, Expr] | None:
     """x_i -> the root section function over ``cell[:i-1]``, composed, for
     every section letter ``cell[i-1]`` of the root cell; None when one of
-    those functions is piecewise.  A function substituted this way is its
-    restriction to the cell, in the cell's sector coordinates."""
+    those functions is piecewise."""
     values: dict[int, Expr] = {}
     for i, letter in enumerate(cell, start=1):
         if letter % 2 == 0:
@@ -271,6 +270,35 @@ def section_substitution(root: Cad, cell: CellIndex) -> dict[int, Expr] | None:
                 return None
             values[i] = substitute(f, values)
     return values
+
+
+def restrict(root: Cad, cell: CellIndex, e: Expr) -> Expr | None:
+    """The normal form (``canonicalize``) of ``e`` restricted to the root
+    cell: every section coordinate of the cell replaced by its root section
+    function, so the result is in the cell's sector coordinates.  None when
+    ``e`` or a section function substituted into it is piecewise; raises
+    ``DivisionByZero`` when ``e`` divides by zero on the whole cell."""
+    if any_node(e, is_piecewise):
+        return None
+    values = _section_substitution(root, cell)
+    if values is None:
+        return None
+    return canonicalize(substitute(e, values))
+
+
+def vanishes_on(root: Cad, cell: CellIndex, e: Expr) -> bool:
+    """Whether ``e`` is proven zero on the whole root cell: restricted to it,
+    its numerator is zero and its denominator, which collects every
+    denominator met, is proven to have no zero there."""
+    try:
+        restricted = restrict(root, cell, e)
+    except DivisionByZero:
+        return False
+    if restricted == _ZERO:
+        return True
+    if not isinstance(restricted, Div) or restricted.left != _ZERO:
+        return False
+    return zero_in_cell(root, cell, restricted.right) is False
 
 
 def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
@@ -295,7 +323,8 @@ def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
     stack = root.stacks[base]
     j = (cell[t - 1] - 1) // 2
     try:
-        point = root.cell_points(base, 1)[0][0]
+        # The base's sample, the first of the probes that validation derives.
+        point = root.cell_points(base, _PROBES)[0][0]
         lo = eval_coord(stack.functions[j - 1], point) if j >= 1 else None
         hi = eval_coord(stack.functions[j], point) if j < stack.count else None
         return any(
@@ -343,8 +372,8 @@ def validate_cad(cad: Cad) -> ValidationReport:
     functions, strict stack order, guard disjointness.
 
     On a root, each adjacent pair f_i, f_{i+1} of a stack is first decided
-    exactly (``_exact_orders``); every other pair is compared at two probe
-    points per cell.  A root is immutable, so its report is made once and
+    exactly (``_exact_orders``); every other pair is compared at ``_PROBES``
+    probe points per cell.  A root is immutable, so its report is made once and
     kept on it.
 
     The root's report is the gate of reduction: ``Coarsening.of`` raises
@@ -397,15 +426,11 @@ def _exact_orders(cad: Cad, report: ValidationReport) -> set[tuple[CellIndex, in
     violation, and so is a polynomial with a zero in the cell."""
     decided = set()
     for cell, stack in cad.stacks.items():
-        values = section_substitution(cad, cell)
-        if values is None:
-            continue
         pairs = zip(stack.functions, stack.functions[1:])
         for i, (lower, upper) in enumerate(pairs, start=1):
-            diff = Sub(upper, lower)
-            if any_node(diff, is_piecewise):
+            diff = restrict(cad, cell, Sub(upper, lower))
+            if diff is None:
                 continue
-            diff = canonicalize(substitute(diff, values))
             where = f"sections {i},{i + 1} above {word_of(cell)}"
             if isinstance(diff, Const):
                 if diff.value <= 0:
@@ -420,12 +445,12 @@ def _exact_orders(cad: Cad, report: ValidationReport) -> set[tuple[CellIndex, in
 
 def _check_at_probes(cad: Cad, report: ValidationReport, decided: set[tuple[CellIndex, int]]) -> None:
     """Strict order of every stack, but the ``decided`` pairs, and guard
-    disjointness, at two probe points per cell."""
+    disjointness, at ``_PROBES`` points per cell."""
     for k in range(cad.n):
         for cell in cad.cells_of_level(k):
             u = cad.stack_count(cell)
             try:
-                points = cad.cell_points(cell, 2)
+                points = cad.cell_points(cell, _PROBES)
             except (UnknownOrder, GuardUndecidable) as exc:
                 report.leave_open(f"cannot derive probes in {word_of(cell)}: {exc}")
                 continue
@@ -466,14 +491,13 @@ def _check_poles(cad: Cad, report: ValidationReport) -> None:
             if not any_node(f, lambda e: isinstance(e, Div)):
                 continue
             where = f"section {i} above {word_of(cell)}"
-            values = section_substitution(cad, cell)
-            if values is None or any_node(f, is_piecewise):
-                report.undecided.append(f"poles of {where}: a piecewise function is involved")
-                continue
             try:
-                restricted = canonicalize(substitute(f, values))
+                restricted = restrict(cad, cell, f)
             except DivisionByZero:
                 report.violations.append(f"{where} divides by zero on the whole cell")
+                continue
+            if restricted is None:
+                report.undecided.append(f"poles of {where}: a piecewise function is involved")
                 continue
             zero = zero_in_cell(cad, cell, restricted.right) if isinstance(restricted, Div) else False
             if zero:
@@ -510,11 +534,8 @@ def _check_guard_disjointness(cad, cell, point, tag, report):
 # Adaptedness and location
 
 
-_ADAPTED_PROBES = 3
-
-
 def check_adapted(cad: Cad, formula: Formula) -> LeafLabeling:
-    """Label every leaf by set membership of its sample; ``_ADAPTED_PROBES``
+    """Label every leaf by set membership of its sample; ``_PROBES``
     points per leaf must agree, otherwise the CAD is not adapted to the set.
     A formula in more variables than the CAD has is a ``ValueError``."""
     top = max_var_index(formula)
@@ -522,7 +543,7 @@ def check_adapted(cad: Cad, formula: Formula) -> LeafLabeling:
         raise ValueError(f"formula has variable x{top}, the CAD is of R^{cad.n}")
     labels: LeafLabeling = {}
     for leaf in cad.leaves():
-        points = cad.cell_points(leaf, _ADAPTED_PROBES)
+        points = cad.cell_points(leaf, _PROBES)
         verdicts = [(formula_holds(formula, p), p) for p, _tag in points]
         first = verdicts[0][0]
         for truth, point in verdicts[1:]:

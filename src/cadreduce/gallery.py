@@ -3,9 +3,13 @@ gluings over the plane (a half-plane sheet that bends over the positive
 quadrant, and its unbounded-region variant).
 
 Each entry records the CAD, the defining formula, the leaf labelling, and a
-set of expected structural facts used by the self-check suite.  Facts carry
-a provenance tag: "reported" facts are fixed targets, "derived" facts were
-computed with independent oracles when the fixtures were frozen.
+set of expected structural facts used by the self-check suite.  The facts
+taken from the paper's examples are the leaf count of disk-C, the reduction
+of disk-Cp to 13 leaves, the minimum of disk-Cpp and its merge at 4.6, the
+leaf counts, pivots and fixed points of the trousers and ushape C and Cp
+(and the leaf counts and fixed points of trousers4-C and -Cp), and the two
+minimal elements of each Cbar; the others were computed with independent
+oracles when the fixtures were frozen.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ class GalleryEntry:
     formula: Formula
     labels: LeafLabeling
     expected: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
 
 
 def _stacks(spec: dict[str, list[str]]) -> dict[CellIndex, SectionStack]:
@@ -80,7 +83,6 @@ def disk_c() -> GalleryEntry:
         formula=parse_formula(DISK_FORMULA),
         labels=labels,
         expected={"leaf_count": 13, "pivots": set(), "minimize_fixed_point": True},
-        provenance={"leaf_count": "reported", "pivots": "derived", "minimize_fixed_point": "derived"},
     )
 
 
@@ -118,12 +120,6 @@ def disk_cp() -> GalleryEntry:
             "pivots": {"4"},
             "minimize_fixed_point": False,
             "minimize_leaf_count": 13,
-        },
-        provenance={
-            "leaf_count": "derived",
-            "pivots": "derived",
-            "minimize_fixed_point": "reported",
-            "minimize_leaf_count": "reported",
         },
     )
 
@@ -165,15 +161,6 @@ def disk_cpp() -> GalleryEntry:
             "minimal_count": 1,
             "minimum_leaf_count": 13,
             "edge_pivot": "4.6",
-        },
-        provenance={
-            "leaf_count": "derived",
-            "pivots": "derived",
-            "has_minimum": "reported",
-            "confluent": "derived",
-            "minimal_count": "derived",
-            "minimum_leaf_count": "derived",
-            "edge_pivot": "reported",
         },
     )
 
@@ -239,11 +226,6 @@ def _bent_sheet_entries(
         formula=formula,
         labels=one_labels,
         expected={"leaf_count": 9, "pivots": {"1.2"}, "minimize_fixed_point": True},
-        provenance={
-            "leaf_count": "reported",
-            "pivots": "reported",
-            "minimize_fixed_point": "reported",
-        },
     )
     second = GalleryEntry(
         name=f"{prefix_name}-Cp",
@@ -251,11 +233,6 @@ def _bent_sheet_entries(
         formula=formula,
         labels=split_labels,
         expected={"leaf_count": 15, "pivots": {"3.2"}, "minimize_fixed_point": True},
-        provenance={
-            "leaf_count": "reported",
-            "pivots": "reported",
-            "minimize_fixed_point": "reported",
-        },
     )
     return first, second
 
@@ -276,7 +253,7 @@ def ushape_cp() -> GalleryEntry:
     return _bent_sheet_entries("ushape", USHAPE_FORMULA, "(neg (div x1 x2))", (1, 1, 0))[1]
 
 
-def _common_refinement_entry(name: str, a: GalleryEntry, b: GalleryEntry, expected: dict, provenance: dict) -> GalleryEntry:
+def _common_refinement_entry(name: str, a: GalleryEntry, b: GalleryEntry, expected: dict) -> GalleryEntry:
     from cadreduce.poset import common_refinement
 
     cad, labels = common_refinement(a.cad, a.labels, b.cad, b.labels)
@@ -286,7 +263,6 @@ def _common_refinement_entry(name: str, a: GalleryEntry, b: GalleryEntry, expect
         formula=a.formula,
         labels=labels,
         expected=expected,
-        provenance=provenance,
     )
 
 
@@ -300,12 +276,6 @@ def trousers_cbar() -> GalleryEntry:
             "minimal_count": 2,
             "has_minimum": False,
             "confluent": False,
-        },
-        provenance={
-            "leaf_count": "derived",
-            "minimal_count": "reported",
-            "has_minimum": "reported",
-            "confluent": "reported",
         },
     )
 
@@ -321,16 +291,10 @@ def ushape_cbar() -> GalleryEntry:
             "has_minimum": False,
             "confluent": False,
         },
-        provenance={
-            "leaf_count": "derived",
-            "minimal_count": "reported",
-            "has_minimum": "reported",
-            "confluent": "reported",
-        },
     )
 
 
-def _extended_entry(name: str, base: GalleryEntry, n: int, expected: dict, provenance: dict) -> GalleryEntry:
+def _extended_entry(name: str, base: GalleryEntry, n: int, expected: dict) -> GalleryEntry:
     from cadreduce.poset import extend_cylinder
 
     cad, labels = extend_cylinder(base.cad, base.labels, n)
@@ -340,7 +304,6 @@ def _extended_entry(name: str, base: GalleryEntry, n: int, expected: dict, prove
         formula=base.formula,
         labels=labels,
         expected=expected,
-        provenance=provenance,
     )
 
 
@@ -350,11 +313,6 @@ def trousers4_c() -> GalleryEntry:
         trousers_c(),
         4,
         expected={"leaf_count": 9, "pivots": {"1.2"}, "minimize_fixed_point": True},
-        provenance={
-            "leaf_count": "reported",
-            "pivots": "derived",
-            "minimize_fixed_point": "reported",
-        },
     )
 
 
@@ -364,11 +322,6 @@ def trousers4_cp() -> GalleryEntry:
         trousers_cp(),
         4,
         expected={"leaf_count": 15, "pivots": {"3.2"}, "minimize_fixed_point": True},
-        provenance={
-            "leaf_count": "reported",
-            "pivots": "derived",
-            "minimize_fixed_point": "reported",
-        },
     )
 
 
@@ -382,12 +335,6 @@ def trousers4_cbar() -> GalleryEntry:
             "minimal_count": 2,
             "has_minimum": False,
             "confluent": False,
-        },
-        provenance={
-            "leaf_count": "derived",
-            "minimal_count": "reported",
-            "has_minimum": "reported",
-            "confluent": "reported",
         },
     )
 

@@ -10,22 +10,26 @@ cell, the sections of the glued stack are root sections whose letters
 strictly increase with the slot, so it is ordered wherever the root's
 stacks are.  ``Coarsening.of`` admits only a root whose stacks
 ``validate_cad`` found ordered: each adjacent pair proven on its whole cell,
-or compared at two probes per root cell, the first of them the cell's
+or compared at three probes per root cell, the first of them the cell's
 sample (``Cad.cell_points`` is prefix-consistent), which is where a check
 per merge would compare the glued stack.
 
 The identity, per slot of each glued stack.  The section's pieces are root
 stack functions, one per root cell below it; if they share one guard-free
 normal form, the section is that function.  Otherwise, for each piece f_m
-over a root cell m of the seam (the middle cell), sigma_m replaces every
-section coordinate of m by its root section function, composed down the
-levels, so sigma_m(f) is f on m.  A flank piece f_p glues with f_m when the
-normal form (``expr.canonicalize``) of sigma_m(f_p) - sigma_m(f_m) has a zero
-numerator and a denominator, which collects every denominator met, with no
-zero on m: then f_p is continuous around each point of m and equals f_m
-there.  The flank pieces are those over the root sector next to m over m's
-own base root cell, and every flank piece over another root cell of the
-merged base, which may reach m through m's boundary.
+over a root cell m of the seam (the middle cell), a flank piece f_p glues
+with f_m when f_p - f_m vanishes on m (``cadmodel.vanishes_on``): restricted
+to m (``cadmodel.restrict``), its normal form has a zero numerator and a
+denominator, which collects every denominator met, with no zero on m.  Then
+f_p is continuous around each point of m and equals f_m there.  The flank
+pieces are those over the root sector next to m over m's own base root
+cell, and every flank piece over another root cell of the merged base,
+which may reach m through m's boundary.
+
+Both the fast path and the identity assume that each root stack function
+is continuous on its own root cell.  ``validate_cad`` proves that only where
+it decides a pole line, and the gate admits a root whose pole lines are
+undecided, so on such a root a merge may glue a section that has a pole.
 
 Inconclusive evidence rejects the merge, so the procedure is sound but not
 complete.  It is incomplete where:
@@ -45,37 +49,27 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from cadreduce.cadmodel import (
-    Cad,
-    CellIndex,
-    LeafLabeling,
-    section_substitution,
-    validate_cad,
-    word_of,
-    zero_in_cell,
-)
-from cadreduce.errors import DivisionByZero, RuleNotApplicable, ValidationFailed
+from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling, validate_cad, vanishes_on, word_of
+from cadreduce.errors import RuleNotApplicable, ValidationFailed
 from cadreduce.expr import (
-    Div,
     Expr,
     Sub,
     any_node,
     canonicalize,
-    const,
     eval_coord,  # noqa: F401  (re-exported; perfbench/test_perfbench.py calls it here)
     is_piecewise,
-    substitute,
 )
 from cadreduce.tree import (
     CadTree,
+    Cell,
     applicable_pivots,
     apply_merge,
     build_tree,
     is_applicable,
     merged_blocks,
-    sibling,
-    walk,
+    triple,
 )
+
 
 def pivot_order(pivot: CellIndex):
     """The order in which pivots are tried: deepest first, then lexicographic."""
@@ -84,8 +78,6 @@ def pivot_order(pivot: CellIndex):
 
 _tree_of = build_tree  # perfbench/test_perfbench.py builds trees under this name
 
-_ZERO = const(0)
-
 Blocks = frozenset[frozenset[CellIndex]]
 
 
@@ -93,18 +85,20 @@ class Coarsening:
     """A labelled coarsening of a root CAD and the pivots merged to reach it
     (in ``minimize`` or ``explore``), in order, in ``applied``.
 
-    The coarsening is its cell tree: ``cad`` is the root itself or a view of
-    the tree, and the leaf labels, the applicable pivots and the partition
-    are read off the tree.  A merge shares every cell but the glued one and
-    the path above it with its parent (``tree.apply_merge``).  A child made
-    by ``try_lift`` makes its tree and its CAD view on first use, and until
-    then it reads its partition off its parent's (``tree.merged_blocks``),
-    so a child whose partition ``explore`` has seen makes no cell.
+    The coarsening is its cell tree over ``root``: the leaf labels, the
+    applicable pivots and the partition are read off the tree.  ``cad``, the
+    root itself or a view of the tree, is made only for a caller that asks
+    for it; the pipeline does not.  A merge shares every cell but the glued
+    one and the path above it with its parent (``tree.apply_merge``).  A
+    child made by ``try_lift`` makes its tree on first use, and until then it
+    reads its partition off its parent's (``tree.merged_blocks``), so a child
+    whose partition ``explore`` has seen makes no cell.
     """
 
     def __init__(self, cad: Cad, tree: CadTree, applied: tuple[CellIndex, ...] = ()):
         # Stored in the instance, these shadow the lazy ``cad`` and ``tree``.
         self.cad = cad
+        self.root = cad.root
         self.tree = tree
         self.applied = applied
 
@@ -121,7 +115,7 @@ class Coarsening:
     def _lifted(cls, parent: Coarsening, pivot: CellIndex) -> Coarsening:
         child = cls.__new__(cls)
         child.applied = parent.applied + (pivot,)
-        child._root, child._parent = parent.cad.root, parent
+        child.root, child._parent = parent.root, parent
         return child
 
     @cached_property
@@ -132,7 +126,7 @@ class Coarsening:
 
     @cached_property
     def cad(self) -> Cad:
-        return Cad(self.tree.depth, root=self._root, tree=self.tree)
+        return Cad(self.tree.depth, root=self.root, tree=self.tree)
 
     @property
     def labels(self) -> LeafLabeling:
@@ -162,67 +156,65 @@ def try_lift(node: Coarsening, pivot: CellIndex) -> Coarsening | None:
     cannot be verified to be a CAD.  The child's tree, which shares all but
     the glued cell and the path above it with the parent's, is made on first
     use."""
-    cad, tree = node.cad, node.tree
-    if not is_applicable(tree, pivot):
+    if not is_applicable(node.tree, pivot):
         raise RuleNotApplicable(f"pivot {word_of(pivot)} is not applicable")
-    if not _lift_allowed(cad, tree, pivot):
+    if not _lift_allowed(node.root, triple(node.tree, pivot)):
         return None
     return Coarsening._lifted(node, pivot)
 
 
-def lift_key(tree: CadTree, pivot: CellIndex) -> tuple:
-    """The structural keys of the three cells merged at the pivot.
-
-    The seam check reads the root and, in each of the three merged
-    subtrees, the root cells of the cell at each place; two lifts of one
-    root with equal keys read the same, so the verdict is kept per key.
-    """
-    letter = pivot[-1]
-    return tuple(cell.key for cell in tree.cell(pivot[:-1]).children[letter - 2 : letter + 1])
+def lift_key(cells: tuple[Cell, Cell, Cell]) -> tuple:
+    """The structural keys of the three merged cells: the verdict reads only
+    the root and, in each of the three subtrees, the root cells of the cell
+    at each place, so two lifts of one root with equal keys read the same,
+    and the verdict is kept per key."""
+    return tuple(cell.key for cell in cells)
 
 
-def _lift_allowed(cad: Cad, tree: CadTree, pivot: CellIndex) -> bool:
-    if len(pivot) == cad.n:
+def _lift_allowed(root: Cad, cells: tuple[Cell, Cell, Cell]) -> bool:
+    if not cells[1].children:
         # Dropping a section from a leaf-level stack: the union of the three
         # cells is again a sector of the same stack.
         return True
-    key = lift_key(tree, pivot)
-    cache = cad.root._lift_cache
-    verdict = cache.get(key)
+    key = lift_key(cells)
+    verdict = root._lift_cache.get(key)
     if verdict is None:
-        verdict = cache[key] = _glued_stacks_valid(cad, tree, pivot)
+        verdict = root._lift_cache[key] = _glued_stacks_valid(root, cells)
     return verdict
 
 
-def _glued_stacks_valid(cad: Cad, tree: CadTree, pivot: CellIndex) -> bool:
-    """Whether the stacks above the three subtrees glue to continuous
-    sections."""
-    k = len(pivot)
-    left, right = sibling(pivot, -1), sibling(pivot, +1)
+def _glued_stacks_valid(root: Cad, cells: tuple[Cell, Cell, Cell]) -> bool:
+    """Whether the stacks above the three merged cells glue to continuous
+    sections: their subtrees are walked in parallel, as ``tree.glue`` zips
+    them, and each slot of each stack is checked on its three section
+    cells."""
+    k = len(cells[1].roots[0])
     normal_forms: dict[int, Expr] = {}  # root stack function's id -> its canonical form
-    for suffix, cell in walk(tree.cell(pivot), cad.n - 1 - k):
-        mid_cell = pivot + suffix
-        left_cell = left + suffix
-        right_cell = right + suffix
-        u = len(cell.children) // 2
-        for slot in range(1, u + 1):
-            if not _glues_continuously(cad, pivot, left_cell, mid_cell, right_cell, slot, normal_forms):
+    frontier = [cells]
+    while frontier:
+        left, mid, right = frontier.pop()
+        for i in range(1, len(mid.children), 2):  # the section children
+            sections = (left.children[i], mid.children[i], right.children[i])
+            if not _glues_continuously(root, k, sections, normal_forms):
                 return False
+        frontier += zip(left.children, mid.children, right.children)
     return True
 
 
+def _pieces(root: Cad, section: Cell) -> list[tuple[CellIndex, Expr]]:
+    """(root base cell, root stack function) for each root cell of a
+    section cell."""
+    return [(q[:-1], root.stacks[q[:-1]].functions[q[-1] // 2 - 1]) for q in section.roots]
+
+
 def _glues_continuously(
-    cad: Cad,
-    pivot: CellIndex,
-    left_cell: CellIndex,
-    mid_cell: CellIndex,
-    right_cell: CellIndex,
-    slot: int,
-    normal_forms: dict[int, Expr],
+    root: Cad, k: int, sections: tuple[Cell, Cell, Cell], normal_forms: dict[int, Expr]
 ) -> bool:
-    middle = cad.section_pieces(mid_cell, slot)
-    sides = (cad.section_pieces(left_cell, slot), cad.section_pieces(right_cell, slot))
-    pieces = [e for _, e in middle] + [e for side in sides for _, e in side]
+    """Whether one section of the glued stack is continuous: ``sections``
+    are its cells above the left flank, the seam and the right flank of a
+    merge at level ``k``."""
+    left, middle, right = (_pieces(root, section) for section in sections)
+    pieces = [e for _, e in middle + left + right]
     # A root stack function recurs over many root cells; it is put in normal
     # form once per lift, not compared with the canonicalize cache each time.
     distinct = {id(e): e for e in pieces}
@@ -236,37 +228,13 @@ def _glues_continuously(
         return True
     if any(any_node(e, is_piecewise) for e in pieces):
         return False
-    k = len(pivot)
     for m, f_m in middle:
-        seam = section_substitution(cad.root, m)
-        if seam is None:
-            return False
-        for side, direction in zip(sides, (-1, +1)):
+        for side, direction in ((left, -1), (right, +1)):
             # Over m's own base root cell only the sector next to m reaches it.
             flank = [f for p, f in side if p[: k - 1] != m[: k - 1] or p[k - 1] == m[k - 1] + direction]
-            if not flank or not all(_identical_on(cad.root, m, seam, f, f_m) for f in flank):
+            if not flank or not all(vanishes_on(root, m, Sub(f, f_m)) for f in flank):
                 return False
     return True
-
-
-def _identical_on(root: Cad, m: CellIndex, seam: dict[int, Expr], f_side: Expr, f_mid: Expr) -> bool:
-    """Whether the side piece, restricted to the root cell ``m`` by ``seam``,
-    is the middle piece there: their difference has a zero numerator in
-    normal form and a denominator that has no zero on ``m``."""
-    try:
-        diff = canonicalize(substitute(Sub(f_side, f_mid), seam))
-    except DivisionByZero:  # a pole along the whole seam
-        return False
-    if diff == _ZERO:
-        return True
-    return isinstance(diff, Div) and diff.left == _ZERO and _no_zero_on(root, m, diff.right)
-
-
-def _no_zero_on(root: Cad, m: CellIndex, den: Expr) -> bool:
-    """Whether a normal-form denominator, whose variables are sector
-    coordinates of the root cell ``m``, is proven to have no zero on ``m``;
-    an undecided one counts as a possible zero."""
-    return zero_in_cell(root, m, den) is False
 
 
 # ---------------------------------------------------------------------------

@@ -198,13 +198,19 @@ def _merged(cell: Cell, pivot: CellIndex) -> Cell:
     return Cell(cell.roots, kids[: letter - 1] + (_merged(kids[letter - 1], pivot[1:]),) + kids[letter:])
 
 
+def triple(tree: CadTree, pivot: CellIndex) -> tuple[Cell, Cell, Cell]:
+    """The three cells that the merge at a pivot glues: the pivot and its
+    flanking siblings."""
+    letter = pivot[-1]
+    return tree.cell(pivot[:-1]).children[letter - 2 : letter + 1]
+
+
 def merged_blocks(tree: CadTree, pivot: CellIndex, blocks: frozenset) -> frozenset:
     """The partition of the root's leaves after the merge at an applicable
     pivot, from ``blocks``, the tree's own, without making a cell: the leaf
     blocks of the three merged subtrees go, and the block of each glued
     leaf, the union of the three leaves at its place, comes in."""
-    letter = pivot[-1]
-    left, mid, right = map(_leaves, tree.cell(pivot[:-1]).children[letter - 2 : letter + 1])
+    left, mid, right = map(_leaves, triple(tree, pivot))
     gone = [leaf.block for leaf in left + mid + right]
     return blocks.difference(gone).union([a.block.union(b.block, c.block) for a, b, c in zip(left, mid, right)])
 
@@ -215,7 +221,3 @@ def _leaves(cell: Cell) -> list[Cell]:
     while cells[0].children:
         cells = [child for c in cells for child in c.children]
     return cells
-
-
-def sibling(pivot: CellIndex, offset: int) -> CellIndex:
-    return pivot[:-1] + (pivot[-1] + offset,)

@@ -115,7 +115,7 @@ def test_an_undecided_pole_is_reported_as_undecided():
 def test_adjacent_sections_are_ordered_on_the_whole_cell_when_decided():
     # f2 - f1 restricted to the cell: a positive constant proves the pair
     # (1/2^200 is closer than the probes can tell), a polynomial with a
-    # zero in the cell is a crossing the probes x1 = -1, -2 miss, and a
+    # zero in the cell is a crossing the probes x1 = -1, -2, -3 miss, and a
     # polynomial with no real zero is left to the probes.
     f = "(add (sqrt 2) (sqrt 3))"
     assert str(validate_cad(stack_over((1,), f, f"(add {f} 1/{2**200})"))) == "valid"

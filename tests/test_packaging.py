@@ -119,7 +119,7 @@ def _error_classes(modules: dict[str, ast.Module]) -> set[str]:
     """The subclasses of ``CadError``, by name, the base class excluded."""
     bases = {
         node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
-        for node in modules["errors.py"].body
+        for node in modules["errors"].body
         if isinstance(node, ast.ClassDef)
     }
     found = {"CadError"}
@@ -141,42 +141,100 @@ def _raised_or_caught(modules: dict[str, ast.Module]) -> set[str]:
     return names
 
 
+def _package_bindings(module: ast.Module, package_modules: set[str]) -> dict[str, tuple[str, str | None]]:
+    """The names a module binds to the package: local -> (module, name) for
+    ``from cadreduce.<module> import name``, and local -> (module, None) for
+    a module alias (``from cadreduce import <module>``,
+    ``import cadreduce.<module> as local``)."""
+    bound = {}
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cadreduce."):
+            source = node.module.partition(".")[2]
+            bound.update({a.asname or a.name: (source, a.name) for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module == "cadreduce":
+            bound.update({a.asname or a.name: (a.name, None) for a in node.names if a.name in package_modules})
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("cadreduce.") and a.asname:
+                    bound[a.asname] = (a.name.partition(".")[2], None)
+    return bound
+
+
+def _package_references(module: ast.Module, bound: dict) -> set[tuple[str, str]]:
+    """(module, name) for each use of a name bound to the package: an
+    imported ``name``, or ``alias.name`` through a module alias."""
+    refs = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name) and bound.get(node.id, (None, None))[1] is not None:
+            refs.add(bound[node.id])
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            source, name = bound.get(node.value.id, (None, ""))
+            if name is None:
+                refs.add((source, node.attr))
+    return refs
+
+
 def test_every_public_definition_in_src_has_a_caller():
     # The library holds what the pipeline and the benchmark call; a test
-    # oracle lives in tests/oracles.py.  A name counts as referenced where
+    # oracle lives in tests/oracles.py.  A top-level function or class of a
+    # module counts as referenced by a ``Name`` in its own module outside its
+    # definition, or, from src/ or perfbench/, by an imported name in use, by
+    # ``<module alias>.name``, through a module that re-exports it, or by
+    # perfbench's tracer ``TARGETS``.  A method counts as referenced where
     # src/ or perfbench/ names it (bare names: a method and an attribute of
-    # the same name are not told apart), outside its own definition;
-    # perfbench's tracer also names its targets in strings.  An error class
-    # counts only where src/ raises or catches it.
-    modules = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    # the same name are not told apart), outside its own definition.  An
+    # error class counts only where src/ raises or catches it.
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     bench = [ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    bindings = {name: _package_bindings(module, set(modules)) for name, module in modules.items()}
+    refs: set[tuple[str, str]] = set()
+    for module in bench:
+        refs |= _package_references(module, _package_bindings(module, set(modules)))
+    for name, module in modules.items():
+        refs |= _package_references(module, bindings[name])
     outside: set[str] = set()
     for module in bench:
         outside.update(_names_in(module))
         for node in module.body:
             if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
-                for const in ast.walk(node.value):
-                    if isinstance(const, ast.Constant) and isinstance(const.value, str):
-                        outside.update(const.value.split("."))
+                for target in ast.literal_eval(node.value):
+                    module_name, *qualname = ".".join(target).split(".")
+                    refs.add((module_name, qualname[0]))
+                    outside.update(qualname)
+    # A use of a re-exported name is a use of the definition it names.
+    frontier = list(refs)
+    while frontier:
+        module_name, name = frontier.pop()
+        source = bindings.get(module_name, {}).get(name)
+        if source is not None and source[1] is not None and source not in refs:
+            refs.add(source)
+            frontier.append(source)
     inside = Counter(name for module in modules.values() for name in _names_in(module))
+    own_module = {name: Counter(n.id for n in ast.walk(m) if isinstance(n, ast.Name)) for name, m in modules.items()}
     errors = _error_classes(modules)
     handled = _raised_or_caught(modules)
 
-    def referenced(definition: ast.AST) -> bool:
+    def referenced_in_module(module_name: str, definition: ast.AST) -> bool:
         if definition.name in errors:
             return definition.name in handled
-        own = sum(name == definition.name for name in _names_in(definition))
-        return definition.name in outside or inside[definition.name] > own
+        own = sum(isinstance(n, ast.Name) and n.id == definition.name for n in ast.walk(definition))
+        return (module_name, definition.name) in refs or own_module[module_name][definition.name] > own
+
+    def referenced_method(method: ast.AST) -> bool:
+        own = sum(name == method.name for name in _names_in(method))
+        return method.name in outside or inside[method.name] > own
 
     unreferenced = []
-    for filename, module in modules.items():
+    for name, module in modules.items():
         for node in module.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not node.name.startswith("_") and node.name != "CadError" and not referenced(node):
-                unreferenced.append(f"{filename}: {node.name}")
+            if not node.name.startswith("_") and node.name != "CadError" and not referenced_in_module(name, node):
+                unreferenced.append(f"{name}.py: {node.name}")
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
-                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("__") and not referenced(method):
-                        unreferenced.append(f"{filename}: {node.name}.{method.name}")
+                    if not isinstance(method, ast.FunctionDef) or method.name.startswith("__"):
+                        continue
+                    if not referenced_method(method):
+                        unreferenced.append(f"{name}.py: {node.name}.{method.name}")
     assert unreferenced == []

@@ -18,14 +18,14 @@ from cadreduce.gallery import (
     ushape_c,
     ushape_cp,
 )
-from cadreduce.poset import explore, extend_cylinder
+from cadreduce.poset import explore, extend_cylinder, poset_report
 from cadreduce.reduction import (
     Coarsening,
     lift_key,
     minimize,
     try_lift,
 )
-from cadreduce.tree import Cell, applicable_pivots, apply_merge, build_tree, relabel_index, sibling
+from cadreduce.tree import Cell, applicable_pivots, apply_merge, build_tree, relabel_index, triple
 from tests.oracles import coarsening_blocks, insert_section, refines
 from tests.test_packaging import load_perfbench
 from tests.test_tree import (
@@ -34,6 +34,7 @@ from tests.test_tree import (
     full_relabel_merge,
     index_views,
     random_tree,
+    sibling,
     walk_key,
     walk_pivots,
 )
@@ -100,8 +101,8 @@ def sections_apart_by_2_to_the_minus_200():
 
 def sections_crossing_between_the_probes():
     # Base stack [0]; over the cell 1 the stack [0, (x1+1)(x1+2) + 1/8].
-    # The probes of the cell are x1 = -1 and -2, where the sections are 1/8
-    # apart, but they cross at x1 = (-3 +- sqrt(1/2))/2.
+    # The probes of the cell are x1 = -1, -2 and -3, where the sections are
+    # at least 1/8 apart, but they cross at x1 = (-3 +- sqrt(1/2))/2.
     return labelled(2, {(): ["0"], (1,): ["0", "(add (mul (add x1 1) (add x1 2)) 1/8)"], (2,): [], (3,): []})
 
 
@@ -479,7 +480,7 @@ def test_kept_pivots_lift_keys_and_blocks_match_the_walks(monkeypatch):
             assert set(node.pivots) == walk_pivots(node.tree), (name, node.applied)
             assert node.blocks == node.cad.partition_blocks(), (name, node.applied)
             for pivot in node.pivots:
-                pairs.add((lift_key(node.tree, pivot), walk_lift_key(node.tree, pivot)))
+                pairs.add((lift_key(triple(node.tree, pivot)), walk_lift_key(node.tree, pivot)))
                 lifts += 1
         # One key per walk key and one walk key per key.
         assert len({key for key, _ in pairs}) == len({walked for _, walked in pairs}) == len(pairs), name
@@ -574,6 +575,38 @@ def test_validation_runs_once_per_root(monkeypatch):
     explore(inp.cad, inp.labels)
     explore(res.cad, res.labels)
     assert len(passes) == 1
+
+
+def count_views(monkeypatch) -> list:
+    """A list that gets one entry for each view of a root through a cell
+    tree (a ``Cad`` made with ``root=``) from now on."""
+    made = []
+    init = Cad.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("root") is not None:
+            made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cad, "__init__", counted)
+    return made
+
+
+def test_the_pipeline_makes_no_coarsening_view(monkeypatch):
+    # A lift reads its root and its three cells, and a node its tree; a
+    # coarsening's ``cad`` view is made only for a caller that asks for it.
+    workloads = load_perfbench("workloads", monkeypatch)
+    inputs = [(name, load_entry(name)) for name in gallery_names()] + [("disk-lines(7)", workloads.disk_lines(7, 0))]
+    made = count_views(monkeypatch)
+    lifted = 0
+    for name, inp in inputs:
+        lifted += len(minimize(inp.cad, inp.labels).applied)
+        assert not made, (name, "minimize", len(made))
+        graph = explore(inp.cad, inp.labels)
+        poset_report(graph)
+        lifted += len(graph.nodes) - 1
+        assert not made, (name, "explore", len(made))
+    assert lifted > 100
 
 
 def bad_labellings(entry):

@@ -14,9 +14,14 @@ from cadreduce.tree import (
     merged_blocks,
     prefix,
     relabel_index,
-    sibling,
     walk,
 )
+
+
+def sibling(pivot, offset: int):
+    """The index word ``offset`` places after (or before) a cell's among its
+    siblings."""
+    return pivot[:-1] + (pivot[-1] + offset,)
 
 
 def tree_of(entry):
