@@ -180,24 +180,20 @@ class Cad:
 
     # -- geometry ----------------------------------------------------------
 
-    def section_piece(self, cell: CellIndex, slot: int, root_parent: CellIndex) -> Expr:
-        """The root stack function realizing section ``slot`` of the stack
-        above ``cell``, over the given root cell of ``cell``."""
-        section = cell + (2 * slot,)
-        for q in self.root_cells(section):
-            if q[:-1] == root_parent:
-                return self.root.stacks[root_parent].functions[q[-1] // 2 - 1]
-        raise KeyError(f"no piece of section {section} over root cell {root_parent}")
-
     def sample(self, cell: CellIndex) -> Point:
-        """A witness point inside the cell (the root cell's derived sample)."""
-        if not self.is_root:
-            return self.root.sample(self.root_cells(cell)[0])
+        """A witness point inside the cell (its first root cell's sample)."""
         return self.cell_points(cell, 1)[0][0]
 
     def cell_points(self, cell: CellIndex, count: int) -> list[TaggedPoint]:
         """Deterministic probe points inside the cell, tagged with the root
-        cell each point lies in.  The first point is the cell's sample."""
+        cell each point lies in.  The first point is the cell's sample.
+
+        The probes of a section cell are aligned with its base's: the i-th
+        is the base's i-th with the section's value there appended, on a
+        root and on a coarsening alike (the section's root cells lie over
+        the base's, in the same order).  So the value of section s at the
+        i-th probe of ``cell`` is the last coordinate of the i-th probe of
+        ``cell + (2s,)``, and it is computed once, here."""
         if not self.is_root:
             # Every root cell has a point, so the first ``count`` root cells
             # give all the points kept.
@@ -329,7 +325,7 @@ def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
         hi = eval_coord(stack.functions[j], point) if j < stack.count else None
         return any(
             (lo is None or compare_coords(lo, r) < 0) and (hi is None or compare_coords(r, hi) < 0)
-            for r in isolate_roots(univariate_coeffs(p, t))
+            for r in isolate_roots(univariate_coeffs(p, {}, t))
         )
     except (GuardUndecidable, UnknownOrder, DivisionByZero, SqrtOfNegative):
         return None
@@ -384,6 +380,11 @@ def validate_cad(cad: Cad) -> ValidationReport:
     undecided pole does not refuse: the pole test decides few denominators
     (``zero_in_cell``), and refusing those it leaves open would refuse
     ushape-Cp and ushape-Cbar, gallery inputs whose sections have no pole.
+
+    Piecewise guards are checked on the root only, each root stack function
+    at its own cell's probes.  A coarsening's sections are pieces of root
+    functions over root cells, and its probes are probes of those root
+    cells, so the root's report already covers them.
     """
     if not cad.is_root:
         report = ValidationReport()
@@ -444,11 +445,11 @@ def _exact_orders(cad: Cad, report: ValidationReport) -> set[tuple[CellIndex, in
 
 
 def _check_at_probes(cad: Cad, report: ValidationReport, decided: set[tuple[CellIndex, int]]) -> None:
-    """Strict order of every stack, but the ``decided`` pairs, and guard
-    disjointness, at ``_PROBES`` points per cell."""
+    """Strict order of every stack, but the ``decided`` pairs, at ``_PROBES``
+    points per cell, and, on a root, guard disjointness.  Section values are
+    read off the section cells' probes (``Cad.cell_points``)."""
     for k in range(cad.n):
         for cell in cad.cells_of_level(k):
-            u = cad.stack_count(cell)
             try:
                 points = cad.cell_points(cell, _PROBES)
             except (UnknownOrder, GuardUndecidable) as exc:
@@ -457,19 +458,18 @@ def _check_at_probes(cad: Cad, report: ValidationReport, decided: set[tuple[Cell
             except (DivisionByZero, SqrtOfNegative) as exc:
                 report.violations.append(f"cannot derive probes in {word_of(cell)}: {exc}")
                 continue
-            for point, tag in points:
-                values = []
-                for slot in range(1, u + 1):
-                    try:
-                        f = cad.section_piece(cell, slot, tag)
-                        values.append((slot, eval_coord(f, point)))
-                    except GuardUndecidable as exc:
-                        report.leave_open(f"section {slot} above {word_of(cell)} undecided at {point}: {exc}")
-                    except (DivisionByZero, SqrtOfNegative) as exc:
-                        report.violations.append(f"section {slot} above {word_of(cell)} is undefined at {point}: {exc}")
-                for (s1, v1), (s2, v2) in zip(values, values[1:]):
-                    if s2 == s1 + 1 and (cell, s1) in decided:
-                        continue
+            columns = []
+            for slot in range(1, cad.stack_count(cell) + 1):
+                try:
+                    columns.append((slot, [p[-1] for p, _tag in cad.cell_points(cell + (2 * slot,), _PROBES)]))
+                except GuardUndecidable as exc:
+                    report.leave_open(f"section {slot} above {word_of(cell)} undecided at a probe: {exc}")
+                except (DivisionByZero, SqrtOfNegative) as exc:
+                    report.violations.append(f"section {slot} above {word_of(cell)} is undefined at a probe: {exc}")
+            for (s1, values1), (s2, values2) in zip(columns, columns[1:]):
+                if s2 == s1 + 1 and (cell, s1) in decided:
+                    continue
+                for (point, _tag), v1, v2 in zip(points, values1, values2):
                     try:
                         c = compare_coords(v1, v2)
                     except (UnknownOrder, GuardUndecidable) as exc:
@@ -479,7 +479,8 @@ def _check_at_probes(cad: Cad, report: ValidationReport, decided: set[tuple[Cell
                         report.violations.append(
                             f"sections {s1},{s2} above {word_of(cell)} are not strictly ordered at {point}"
                         )
-                _check_guard_disjointness(cad, cell, point, tag, report)
+            if cad.is_root:
+                _check_guard_disjointness(cad.stacks[cell], cell, points, report)
 
 
 def _check_poles(cad: Cad, report: ValidationReport) -> None:
@@ -506,28 +507,22 @@ def _check_poles(cad: Cad, report: ValidationReport) -> None:
                 report.undecided.append(f"poles of {where} not decided")
 
 
-def _check_guard_disjointness(cad, cell, point, tag, report):
-    u = cad.stack_count(cell)
-    for slot in range(1, u + 1):
-        try:
-            f = cad.section_piece(cell, slot, tag)
-        except KeyError:
-            continue
-        if not isinstance(f, Piecewise):
-            continue
-        true_guards = 0
-        for guard, _ in f.pieces:
-            try:
-                if formula_holds(guard, point):
-                    true_guards += 1
-            except GuardUndecidable:
-                report.undecided.append(
-                    f"piecewise guard above {word_of(cell)} undecided at {point}"
-                )
-        if true_guards > 1:
-            report.violations.append(
-                f"piecewise guards above {word_of(cell)} overlap at {point}"
-            )
+def _check_guard_disjointness(
+    stack: SectionStack, cell: CellIndex, points: list[TaggedPoint], report: ValidationReport
+) -> None:
+    for point, _tag in points:
+        for f in stack.functions:
+            if not isinstance(f, Piecewise):
+                continue
+            true_guards = 0
+            for guard, _ in f.pieces:
+                try:
+                    if formula_holds(guard, point):
+                        true_guards += 1
+                except GuardUndecidable:
+                    report.undecided.append(f"piecewise guard above {word_of(cell)} undecided at {point}")
+            if true_guards > 1:
+                report.violations.append(f"piecewise guards above {word_of(cell)} overlap at {point}")
 
 
 # ---------------------------------------------------------------------------

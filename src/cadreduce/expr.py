@@ -216,8 +216,6 @@ def substitute(e: Expr, values: dict[int, Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 # S-expressions
 
-_FORMULA_OPS = {"lt": "lt", "le": "le", "eq": "eq", "ge": "ge", "gt": "gt"}
-
 
 def _tokenize(text: str) -> list[str]:
     out: list[str] = []
@@ -367,14 +365,14 @@ def formula_from_sexpr(tree) -> Formula:
         if args:
             raise ParseError(f"({head}) takes no operands")
         return TRUE if head == "true" else FALSE
-    if head in _FORMULA_OPS:
+    if head in _OP_TEST:
         if len(args) != 2:
             raise ParseError(f"({head} lhs rhs) needs two operands")
         lhs = expr_from_sexpr(args[0])
         rhs = expr_from_sexpr(args[1])
         if rhs != Const(Fraction(0)):
             lhs = Sub(lhs, rhs)
-        atom = Atom(lhs, _FORMULA_OPS[head])
+        atom = Atom(lhs, head)
         try:
             polynomial = to_polynomial(atom.lhs)
         except DivisionByZero as exc:
@@ -764,40 +762,23 @@ def to_polynomial(e: Expr) -> "VarPoly | None":
     return {tuple((idx, k) for (_, idx, _), k in mon): c for mon, c in pair.num.items()}
 
 
-def substitute_rationals(p: VarPoly, values: dict[int, Fraction]) -> VarPoly:
-    """Substitute exact rational values for some variables."""
-    out: VarPoly = {}
-    for mon, c in p.items():
-        coeff = c
-        rest: dict[int, int] = {}
-        for i, k in mon:
-            if i in values:
-                coeff *= values[i] ** k
-            else:
-                rest[i] = rest.get(i, 0) + k
-        if not coeff:
-            continue
-        m = tuple(sorted(rest.items()))
-        s = out.get(m, Fraction(0)) + coeff
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
-def univariate_coeffs(p: VarPoly, index: int):
-    """Dense coefficient list when ``p`` involves only variable ``index``."""
+def univariate_coeffs(p: VarPoly, values: dict[int, Fraction], index: int | None):
+    """The dense coefficients in x_index of ``p`` with the rational
+    ``values`` substituted for every other variable, in one pass; a constant
+    when ``index`` is None.  A variable that is neither ``index`` nor given
+    a value raises ``ValueError``: the point has no such coordinate."""
     coeffs: dict[int, Fraction] = {}
     for mon, c in p.items():
-        if not mon:
-            coeffs[0] = coeffs.get(0, Fraction(0)) + c
-        elif len(mon) == 1 and mon[0][0] == index:
-            coeffs[mon[0][1]] = coeffs.get(mon[0][1], Fraction(0)) + c
-        else:
-            return None
-    top = max(coeffs, default=0)
-    return upoly([coeffs.get(i, Fraction(0)) for i in range(top + 1)])
+        degree = 0
+        for i, k in mon:
+            if i == index:
+                degree = k
+            elif i in values:
+                c *= values[i] ** k
+            else:
+                raise ValueError(f"point has no coordinate {i}")
+        coeffs[degree] = coeffs.get(degree, Fraction(0)) + c
+    return upoly([coeffs.get(d, Fraction(0)) for d in range(max(coeffs, default=0) + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -1103,17 +1084,11 @@ def atom_sign(lhs: Expr, point) -> int:
         else:
             lazies += 1
     if not algebraic and not lazies:
-        q = substitute_rationals(p, rationals)
-        if len(q) > (() in q):  # a monomial keeps a variable the point lacks
-            raise ValueError(f"point has no coordinate {min(i for mon in q for i, _k in mon)}")
-        c = q.get((), Fraction(0))
-        return 0 if c == 0 else (1 if c > 0 else -1)
+        c = univariate_coeffs(p, rationals, None)
+        return 0 if not c else (1 if c[0] > 0 else -1)
     if len(algebraic) == 1 and not lazies:
         idx, a = algebraic[0]
-        q = substitute_rationals(p, rationals)
-        coeffs = univariate_coeffs(q, idx)
-        if coeffs is not None:
-            return a.sign_of(coeffs)
+        return a.sign_of(univariate_coeffs(p, rationals, idx))
     for w in _widths(_FIRST_WIDTH):
         try:
             v = _eval(lhs, pt, w)

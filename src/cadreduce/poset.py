@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling, SectionStack, locate, word_of
 from cadreduce.errors import SectionsCross, UnknownOrder
-from cadreduce.expr import Expr, Point, any_node, compare_coords, eval_coord, is_piecewise, sector_coords
+from cadreduce.expr import Expr, Point, any_node, compare_coords, eval_coord, is_piecewise
 from cadreduce.reduction import Blocks, Coarsening, try_lift
 from cadreduce.tree import applicable_pivots  # noqa: F401  (re-exported; perfbench/test_perfbench.py calls it here)
 
@@ -135,13 +135,6 @@ def extend_cylinder(cad: Cad, labels: LeafLabeling, n: int) -> tuple[Cad, LeafLa
 # Common refinement (restricted: sections from the two CADs must not cross)
 
 
-@dataclass
-class _MergedSection:
-    expr: Expr
-    slot1: int | None
-    slot2: int | None
-
-
 def common_refinement(
     c1: Cad,
     labels1: LeafLabeling,
@@ -149,58 +142,46 @@ def common_refinement(
     labels2: LeafLabeling,
 ) -> tuple[Cad, LeafLabeling]:
     """A CAD refining both inputs, built level by level by merging section
-    stacks, whose order is compared at three probe points per cell; fails
-    with SectionsCross when sections from the two CADs cross inside a merged
-    cell (full CAD construction is out of scope)."""
+    stacks; fails with SectionsCross when sections from the two CADs cross
+    inside a merged cell (full CAD construction is out of scope).
+
+    The two input stacks over a cell of the refinement are ordered at that
+    cell's own three probes (``refined.cell_points``), which its stacks so
+    far determine and which validating the refinement reads again."""
     if not (c1.is_root and c2.is_root):
         raise ValueError("common refinement expects root CADs")
     if c1.n != c2.n:
         raise ValueError("dimensions differ")
     n = c1.n
     stacks: dict[CellIndex, SectionStack] = {}
-    leaf_sources: dict[CellIndex, tuple[CellIndex, CellIndex]] = {}
-
-    def recurse(index: CellIndex, idx1: CellIndex, idx2: CellIndex, points: list[Point]):
-        if len(index) == n:
-            leaf_sources[index] = (idx1, idx2)
-            return
-        merged = _merge_stacks(c1.stacks[idx1].functions, c2.stacks[idx2].functions, points)
-        stacks[index] = SectionStack(tuple(m.expr for m in merged))
-        u = len(merged)
-        for letter in range(1, 2 * u + 2):
-            passed = merged[: letter // 2] if letter % 2 == 0 else merged[: (letter - 1) // 2]
-            consumed1 = sum(1 for m in passed if m.slot1 is not None)
-            consumed2 = sum(1 for m in passed if m.slot2 is not None)
-            if letter % 2 == 0:
-                entry = merged[letter // 2 - 1]
-                child1 = idx1 + ((2 * entry.slot1,) if entry.slot1 is not None else (2 * consumed1 + 1,))
-                child2 = idx2 + ((2 * entry.slot2,) if entry.slot2 is not None else (2 * consumed2 + 1,))
-                child_points = [p + (eval_coord(entry.expr, p),) for p in points]
-            else:
-                child1 = idx1 + (2 * consumed1 + 1,)
-                child2 = idx2 + (2 * consumed2 + 1,)
-                j = (letter - 1) // 2
-                child_points = []
-                for p in points:
-                    lo = eval_coord(merged[j - 1].expr, p) if j >= 1 else None
-                    hi = eval_coord(merged[j].expr, p) if j < u else None
-                    for c in sector_coords(lo, hi, 3):
-                        child_points.append(p + (c,))
-                child_points = child_points[:3]
-            recurse(index + (letter,), child1, child2, child_points)
-
-    recurse((), (), (), [()])
     refined = Cad(n, stacks)
+    # Each cell of the refinement's current level -> the input cells holding it.
+    sources: dict[CellIndex, tuple[CellIndex, CellIndex]] = {(): ((), ())}
+    for _level in range(n):
+        below = {}
+        for index, (idx1, idx2) in sources.items():
+            points = [p for p, _tag in refined.cell_points(index, 3)]
+            merged = _merge_stacks(c1.stacks[idx1].functions, c2.stacks[idx2].functions, points)
+            stacks[index] = SectionStack(tuple(expr for expr, _in1, _in2 in merged))
+            # The letters of the input sectors the next child lies in.
+            a = b = 1
+            children = [(idx1 + (a,), idx2 + (b,))]
+            for _expr, in1, in2 in merged:
+                children.append((idx1 + (a + in1,), idx2 + (b + in2,)))
+                a, b = a + 2 * in1, b + 2 * in2
+                children.append((idx1 + (a,), idx2 + (b,)))
+            below.update((index + (letter,), pair) for letter, pair in enumerate(children, start=1))
+        sources = below
     labels: LeafLabeling = {}
-    for leaf, (l1, l2) in leaf_sources.items():
+    for leaf, (l1, l2) in sources.items():
         b1, b2 = labels1[l1], labels2[l2]
         if b1 != b2:
             raise SectionsCross(
                 f"inputs label the merged cell {word_of(leaf)} inconsistently"
             )
         labels[leaf] = b1
-    _verify_refines_input(refined, c1, leaf_sources, 0)
-    _verify_refines_input(refined, c2, leaf_sources, 1)
+    _verify_refines_input(refined, c1, sources, 0)
+    _verify_refines_input(refined, c2, sources, 1)
     return refined, labels
 
 
@@ -217,7 +198,10 @@ def _verify_refines_input(refined: Cad, original: Cad, leaf_sources, which: int)
         raise SectionsCross("some input cells contain no cell of the refinement")
 
 
-def _merge_stacks(fns1: tuple[Expr, ...], fns2: tuple[Expr, ...], points: list[Point]) -> list[_MergedSection]:
+def _merge_stacks(fns1: tuple[Expr, ...], fns2: tuple[Expr, ...], points: list[Point]) -> list[tuple[Expr, bool, bool]]:
+    """The merged stack, bottom up: each section with whether it is one of
+    ``fns1`` and whether it is one of ``fns2``."""
+
     def order(e1: Expr, e2: Expr) -> int:
         verdicts = set()
         for p in points:
@@ -233,29 +217,25 @@ def _merge_stacks(fns1: tuple[Expr, ...], fns2: tuple[Expr, ...], points: list[P
             raise SectionsCross("sections from the two CADs cross inside a merged cell")
         return verdicts.pop()
 
-    out: list[_MergedSection] = []
+    out: list[tuple[Expr, bool, bool]] = []
     i = j = 0
     while i < len(fns1) and j < len(fns2):
         c = order(fns1[i], fns2[j])
         if c < 0:
-            out.append(_MergedSection(fns1[i], i + 1, None))
+            out.append((fns1[i], True, False))
             i += 1
         elif c > 0:
-            out.append(_MergedSection(fns2[j], None, j + 1))
+            out.append((fns2[j], False, True))
             j += 1
         else:
             expr = fns1[i]
             if any_node(expr, is_piecewise) and not any_node(fns2[j], is_piecewise):
                 expr = fns2[j]
-            out.append(_MergedSection(expr, i + 1, j + 1))
+            out.append((expr, True, True))
             i += 1
             j += 1
-    while i < len(fns1):
-        out.append(_MergedSection(fns1[i], i + 1, None))
-        i += 1
-    while j < len(fns2):
-        out.append(_MergedSection(fns2[j], None, j + 1))
-        j += 1
+    out += [(f, True, False) for f in fns1[i:]]
+    out += [(f, False, True) for f in fns2[j:]]
     return out
 
 

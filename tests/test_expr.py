@@ -35,6 +35,7 @@ from cadreduce.expr import (
     sexpr_of_expr,
     sexpr_of_formula,
     to_polynomial,
+    univariate_coeffs,
 )
 from cadreduce.realroots import AlgebraicNumber, isolate_roots, make_algebraic, poly
 
@@ -397,6 +398,34 @@ def test_atom_sign_with_algebraic_coordinate():
     lhs = parse_expr("(sub (pow x2 2) (mul 2 (pow x1 2)))")  # y^2 - 2x^2
     assert atom_sign(lhs, [F(1), sqrt2]) == 0
     assert atom_sign(lhs, [F(1), F(3, 2)]) == 1
+
+
+def test_univariate_coeffs_substitutes_every_variable_but_one():
+    p = to_polynomial(parse_expr("(add (mul 3 x1 (pow x2 2)) (mul x1 x3) (neg x3) 5)"))
+    # All rational: a constant, 3*2*4 + 2*(-1) + 1 + 5.
+    assert univariate_coeffs(p, {1: F(2), 2: F(2), 3: F(-1)}, None) == (F(28),)
+    assert univariate_coeffs(p, {1: F(1), 2: F(0), 3: F(7)}, None) == (F(5),)
+    assert univariate_coeffs(p, {1: F(-5, 3), 2: F(1), 3: F(0)}, None) == ()
+    # One coordinate left: in x2 at x1 = 2, x3 = -1, 4 + 6 x2^2.
+    assert univariate_coeffs(p, {1: F(2), 3: F(-1)}, 2) == (F(4), F(0), F(6))
+    # A variable that is neither kept nor given a value is a coordinate the
+    # point lacks.
+    with pytest.raises(ValueError, match="no coordinate 3"):
+        univariate_coeffs(p, {1: F(0), 2: F(1)}, None)
+    with pytest.raises(ValueError, match="no coordinate 3"):
+        univariate_coeffs(p, {1: F(1)}, 2)
+
+
+def test_atom_sign_one_substitution_pass_at_rational_and_algebraic_points():
+    sqrt2 = isolate_roots(poly([-2, 0, 1]))[1]
+    lhs = parse_expr("(sub (mul x1 (pow x2 2)) (mul 2 x3))")  # x y^2 - 2 z
+    assert atom_sign(lhs, [F(1), sqrt2, F(1)]) == 0
+    assert atom_sign(lhs, [F(3), sqrt2, F(1)]) == 1
+    assert atom_sign(lhs, [F(1), F(1), F(1)]) == -1
+    with pytest.raises(ValueError, match="no coordinate 3"):
+        atom_sign(lhs, [F(1), sqrt2])
+    with pytest.raises(ValueError, match="no coordinate 3"):
+        atom_sign(lhs, [F(1), F(2)])
 
 
 def test_eval_coord_returns_algebraic_for_sqrt():

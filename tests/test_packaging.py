@@ -32,6 +32,40 @@ def test_no_module_imports_another_modules_private_names():
     assert private == []
 
 
+def _annotation_names(node: ast.AST):
+    """The names in an annotation written as a string."""
+    for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            yield from (n.id for n in ast.walk(ast.parse(annotation.value, mode="eval")) if isinstance(n, ast.Name))
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # A leftover import outlives the code that used it.  A re-export, whose
+    # users are elsewhere, says so with ``# noqa: F401`` on its line.
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        module = ast.parse(source)
+        used = set()
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            used.update(_annotation_names(node))
+        # Module-level imports, those under a top-level ``if TYPE_CHECKING:`` too.
+        top = module.body + [s for node in module.body if isinstance(node, ast.If) for s in node.body]
+        for node in top:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}: {name}")
+    assert unused == []
+
+
 def load_perfbench(name: str, monkeypatch):
     """A module of ``perfbench/``, loaded by path (it is not a package)."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")

@@ -489,6 +489,49 @@ def test_kept_pivots_lift_keys_and_blocks_match_the_walks(monkeypatch):
     assert lifts > 500 and kept < lifts / 3
 
 
+def assert_section_probes_extend_their_base(cad: Cad, where) -> None:
+    """The i-th probe of a section cell is the i-th probe of its base with
+    the value there of the root piece over the probe's tag appended."""
+    stacks = cad.root.stacks
+    for k in range(cad.n):
+        for cell in cad.cells_of_level(k):
+            base = cad.cell_points(cell, cadmodel._PROBES)
+            for slot in range(1, cad.stack_count(cell) + 1):
+                probes = cad.cell_points(cell + (2 * slot,), cadmodel._PROBES)
+                assert [p[:-1] for p, _tag in probes] == [p for p, _tag in base], (where, cell, slot)
+                for (point, tag), (_, base_tag) in zip(probes, base):
+                    assert tag[:-1] == base_tag, (where, cell, slot, tag)
+                    piece = stacks[base_tag].functions[tag[-1] // 2 - 1]
+                    assert compare_coords(point[-1], eval_coord(piece, point[:-1])) == 0, (where, cell, slot, tag)
+
+
+def test_section_probes_extend_their_base_probes(monkeypatch):
+    # ``_check_at_probes`` reads a section's value at a cell's i-th probe
+    # off the section cell's i-th probe, on roots and on coarsening views.
+    views = 0
+    for name, (cad, labels) in explored_inputs(monkeypatch):
+        assert_section_probes_extend_their_base(cad, name)
+        for node in explore(cad, labels).nodes.values():
+            assert_section_probes_extend_their_base(node.cad, (name, node.applied))
+            views += 1
+    assert views > 100
+
+
+def test_validation_evaluates_no_section_twice(monkeypatch):
+    # A cost guard that reads no clock: once the probes are derived, the
+    # probe pass of validation evaluates no section function again.
+    cad = load_perfbench("workloads", monkeypatch).disk_lines(96, 0).cad
+    for k in range(cad.n + 1):
+        for cell in cad.cells_of_level(k):
+            cad.cell_points(cell, cadmodel._PROBES)
+    calls = []
+    evaluate = cadmodel.eval_coord
+    monkeypatch.setattr(cadmodel, "eval_coord", lambda *args: calls.append(1) or evaluate(*args))
+    report = cadmodel.ValidationReport()
+    cadmodel._check_at_probes(cad, report, set())
+    assert report.admits_reduction and calls == []
+
+
 def count_cells(monkeypatch) -> list:
     """A list that gets one entry for each ``Cell`` made from now on."""
     made = []
