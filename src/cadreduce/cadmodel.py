@@ -39,7 +39,6 @@ from cadreduce.expr import (
     Point,
     Sub,
     any_node,
-    as_point,
     canonicalize,
     compare_coords,
     const,
@@ -60,9 +59,9 @@ if TYPE_CHECKING:
 
 CellIndex = tuple[int, ...]
 
-# Probe points per cell, for validation and for adaptedness; the first is
-# the cell's sample (``Cad.cell_points``).
-_PROBES = 3
+# Probe points per cell (validation, adaptedness, common refinement); the
+# first is the cell's sample (``Cad.cell_points``).
+PROBES = 3
 
 ROOT_INDEX: CellIndex = ()
 
@@ -180,13 +179,9 @@ class Cad:
 
     # -- geometry ----------------------------------------------------------
 
-    def sample(self, cell: CellIndex) -> Point:
-        """A witness point inside the cell (its first root cell's sample)."""
-        return self.cell_points(cell, 1)[0][0]
-
     def cell_points(self, cell: CellIndex, count: int) -> list[TaggedPoint]:
         """Deterministic probe points inside the cell, tagged with the root
-        cell each point lies in.  The first point is the cell's sample.
+        cell each point lies in.  The first probe is the cell's sample.
 
         The probes of a section cell are aligned with its base's: the i-th
         is the base's i-th with the section's value there appended, on a
@@ -320,7 +315,7 @@ def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
     j = (cell[t - 1] - 1) // 2
     try:
         # The base's sample, the first of the probes that validation derives.
-        point = root.cell_points(base, _PROBES)[0][0]
+        point = root.cell_points(base, PROBES)[0][0]
         lo = eval_coord(stack.functions[j - 1], point) if j >= 1 else None
         hi = eval_coord(stack.functions[j], point) if j < stack.count else None
         return any(
@@ -368,7 +363,7 @@ def validate_cad(cad: Cad) -> ValidationReport:
     functions, strict stack order, guard disjointness.
 
     On a root, each adjacent pair f_i, f_{i+1} of a stack is first decided
-    exactly (``_exact_orders``); every other pair is compared at ``_PROBES``
+    exactly (``_exact_orders``); every other pair is compared at ``PROBES``
     probe points per cell.  A root is immutable, so its report is made once and
     kept on it.
 
@@ -445,13 +440,13 @@ def _exact_orders(cad: Cad, report: ValidationReport) -> set[tuple[CellIndex, in
 
 
 def _check_at_probes(cad: Cad, report: ValidationReport, decided: set[tuple[CellIndex, int]]) -> None:
-    """Strict order of every stack, but the ``decided`` pairs, at ``_PROBES``
+    """Strict order of every stack, but the ``decided`` pairs, at ``PROBES``
     points per cell, and, on a root, guard disjointness.  Section values are
     read off the section cells' probes (``Cad.cell_points``)."""
     for k in range(cad.n):
         for cell in cad.cells_of_level(k):
             try:
-                points = cad.cell_points(cell, _PROBES)
+                points = cad.cell_points(cell, PROBES)
             except (UnknownOrder, GuardUndecidable) as exc:
                 report.leave_open(f"cannot derive probes in {word_of(cell)}: {exc}")
                 continue
@@ -461,7 +456,7 @@ def _check_at_probes(cad: Cad, report: ValidationReport, decided: set[tuple[Cell
             columns = []
             for slot in range(1, cad.stack_count(cell) + 1):
                 try:
-                    columns.append((slot, [p[-1] for p, _tag in cad.cell_points(cell + (2 * slot,), _PROBES)]))
+                    columns.append((slot, [p[-1] for p, _tag in cad.cell_points(cell + (2 * slot,), PROBES)]))
                 except GuardUndecidable as exc:
                     report.leave_open(f"section {slot} above {word_of(cell)} undecided at a probe: {exc}")
                 except (DivisionByZero, SqrtOfNegative) as exc:
@@ -526,11 +521,11 @@ def _check_guard_disjointness(
 
 
 # ---------------------------------------------------------------------------
-# Adaptedness and location
+# Adaptedness
 
 
 def check_adapted(cad: Cad, formula: Formula) -> LeafLabeling:
-    """Label every leaf by set membership of its sample; ``_PROBES``
+    """Label every leaf by set membership of its sample; ``PROBES``
     points per leaf must agree, otherwise the CAD is not adapted to the set.
     A formula in more variables than the CAD has is a ``ValueError``."""
     top = max_var_index(formula)
@@ -538,7 +533,7 @@ def check_adapted(cad: Cad, formula: Formula) -> LeafLabeling:
         raise ValueError(f"formula has variable x{top}, the CAD is of R^{cad.n}")
     labels: LeafLabeling = {}
     for leaf in cad.leaves():
-        points = cad.cell_points(leaf, _PROBES)
+        points = cad.cell_points(leaf, PROBES)
         verdicts = [(formula_holds(formula, p), p) for p, _tag in points]
         first = verdicts[0][0]
         for truth, point in verdicts[1:]:
@@ -548,32 +543,3 @@ def check_adapted(cad: Cad, formula: Formula) -> LeafLabeling:
                 raise NotAdapted(leaf, inside, outside)
         labels[leaf] = 1 if first else 0
     return labels
-
-
-def locate(cad: Cad, point) -> CellIndex:
-    """The index of the cell of a root CAD containing the point.
-
-    Points of arity k < n are located in the level-k decomposition.
-    """
-    if not cad.is_root:
-        raise ValueError("locate works on root CADs")
-    pt = as_point(point)
-    if len(pt) > cad.n:
-        raise ValueError(f"point has arity {len(pt)}, expected at most {cad.n}")
-    cell: CellIndex = ROOT_INDEX
-    for k in range(len(pt)):
-        base = pt[:k]
-        y = pt[k]
-        stack = cad.stacks[cell]
-        letter = 2 * stack.count + 1
-        for j, f in enumerate(stack.functions, start=1):
-            v = eval_coord(f, base)
-            c = compare_coords(y, v)
-            if c == 0:
-                letter = 2 * j
-                break
-            if c < 0:
-                letter = 2 * j - 1
-                break
-        cell = cell + (letter,)
-    return cell

@@ -985,26 +985,24 @@ def eval_coord(e: Expr, point) -> CoordValue:
     arithmetic stays rational, an algebraic number for simple square roots,
     and otherwise a lazily refinable value."""
     pt = as_point(point)
+    core, negate = (e.arg, True) if isinstance(e, Neg) else (e, False)
     try:
+        if isinstance(core, Sqrt):
+            c = _eval(core.arg, pt, None)
+            if c < 0:
+                raise SqrtOfNegative(f"sqrt of {c}")
+            r = _perfect_sqrt(c)
+            if r is not None:
+                return -r if negate else r
+            a = _algebraic_sqrt(c)
+            return a.negated() if negate else a
         v = _eval(e, pt, None)
         assert isinstance(v, Fraction)
         return v
     except _Inexact:
-        pass
-    core, negate = (e.arg, True) if isinstance(e, Neg) else (e, False)
-    if isinstance(core, AlgebraicConst):
-        return core.value.negated() if negate else core.value
-    if isinstance(core, Sqrt):
-        try:
-            c = _eval(core.arg, pt, None)
-        except (_Inexact, GuardUndecidable):
-            c = None
-        if isinstance(c, Fraction):
-            if c < 0:
-                raise SqrtOfNegative(f"sqrt of {c}")
-            a = _algebraic_sqrt(c)
-            return a.negated() if negate else a
-    return LazyValue(e, pt)
+        if isinstance(core, AlgebraicConst):
+            return core.value.negated() if negate else core.value
+        return LazyValue(e, pt)
 
 
 def coord_approx(cv: CoordValue, width: Fraction) -> _Val:

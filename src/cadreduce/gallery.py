@@ -176,81 +176,80 @@ USHAPE_FORMULA = (
 )
 
 
-def _bent_sheet_entries(
-    prefix_name: str,
-    formula_text: str,
-    plain_slope: str,
-    leaf_pattern: tuple[int, ...],
-) -> tuple[GalleryEntry, GalleryEntry]:
-    """The two minimal CADs for a sheet that is flat off the open positive
-    quadrant and bends along ``plain_slope`` inside it."""
-    guarded = (
-        f"(piecewise ((and (gt x1 0) (gt x2 0)) {plain_slope}) (else 0))"
-    )
-    one_base = Cad(
-        3,
-        _stacks(
-            {
-                "": [],
-                "1": ["0"],
-                "1.1": [guarded],
-                "1.2": [guarded],
-                "1.3": [guarded],
-            }
-        ),
-    )
-    one_labels = _labels(_cylinder_labels(leaf_pattern, ["1.1", "1.2", "1.3"]))
-    split_base = Cad(
-        3,
-        _stacks(
-            {
-                "": ["0"],
-                "1": [],
-                "2": [],
-                "3": ["0"],
-                "1.1": ["0"],
-                "2.1": ["0"],
-                "3.1": ["0"],
-                "3.2": ["0"],
-                "3.3": [plain_slope],
-            }
-        ),
-    )
-    split_labels = _labels(
-        _cylinder_labels(leaf_pattern, ["1.1", "2.1", "3.1", "3.2", "3.3"])
-    )
-    formula = parse_formula(formula_text)
-    first = GalleryEntry(
+def _one_base_entry(
+    prefix_name: str, formula_text: str, plain_slope: str, leaf_pattern: tuple[int, ...]
+) -> GalleryEntry:
+    """A minimal CAD for a sheet that is flat off the open positive quadrant
+    and bends along ``plain_slope`` inside it: the plane is one cell, and
+    the sheet is one piecewise section."""
+    guarded = f"(piecewise ((and (gt x1 0) (gt x2 0)) {plain_slope}) (else 0))"
+    return GalleryEntry(
         name=f"{prefix_name}-C",
-        cad=one_base,
-        formula=formula,
-        labels=one_labels,
+        cad=Cad(
+            3,
+            _stacks(
+                {
+                    "": [],
+                    "1": ["0"],
+                    "1.1": [guarded],
+                    "1.2": [guarded],
+                    "1.3": [guarded],
+                }
+            ),
+        ),
+        formula=parse_formula(formula_text),
+        labels=_labels(_cylinder_labels(leaf_pattern, ["1.1", "1.2", "1.3"])),
         expected={"leaf_count": 9, "pivots": {"1.2"}, "minimize_fixed_point": True},
     )
-    second = GalleryEntry(
+
+
+def _split_base_entry(
+    prefix_name: str, formula_text: str, plain_slope: str, leaf_pattern: tuple[int, ...]
+) -> GalleryEntry:
+    """The other minimal CAD for the same sheet: the plane is cut at x1 = 0
+    and, for x1 > 0, at x2 = 0, so the sheet bends over one cell."""
+    return GalleryEntry(
         name=f"{prefix_name}-Cp",
-        cad=split_base,
-        formula=formula,
-        labels=split_labels,
+        cad=Cad(
+            3,
+            _stacks(
+                {
+                    "": ["0"],
+                    "1": [],
+                    "2": [],
+                    "3": ["0"],
+                    "1.1": ["0"],
+                    "2.1": ["0"],
+                    "3.1": ["0"],
+                    "3.2": ["0"],
+                    "3.3": [plain_slope],
+                }
+            ),
+        ),
+        formula=parse_formula(formula_text),
+        labels=_labels(_cylinder_labels(leaf_pattern, ["1.1", "2.1", "3.1", "3.2", "3.3"])),
         expected={"leaf_count": 15, "pivots": {"3.2"}, "minimize_fixed_point": True},
     )
-    return first, second
+
+
+_TROUSERS = ("trousers", TROUSERS_FORMULA, "(div (neg x1) 2)", (0, 1, 0))
+_USHAPE = ("ushape", USHAPE_FORMULA, "(neg (div x1 x2))", (1, 1, 0))
 
 
 def trousers_c() -> GalleryEntry:
-    return _bent_sheet_entries("trousers", TROUSERS_FORMULA, "(div (neg x1) 2)", (0, 1, 0))[0]
+    return _one_base_entry(*_TROUSERS)
 
 
 def trousers_cp() -> GalleryEntry:
-    return _bent_sheet_entries("trousers", TROUSERS_FORMULA, "(div (neg x1) 2)", (0, 1, 0))[1]
+    return _split_base_entry(*_TROUSERS)
 
 
 def ushape_c() -> GalleryEntry:
-    return _bent_sheet_entries("ushape", USHAPE_FORMULA, "(neg (div x1 x2))", (1, 1, 0))[0]
+    return _one_base_entry(*_USHAPE)
 
 
 def ushape_cp() -> GalleryEntry:
-    return _bent_sheet_entries("ushape", USHAPE_FORMULA, "(neg (div x1 x2))", (1, 1, 0))[1]
+    return _split_base_entry(*_USHAPE)
 
 
 def _common_refinement_entry(name: str, a: GalleryEntry, b: GalleryEntry, expected: dict) -> GalleryEntry:

@@ -1,6 +1,8 @@
 """Oracles the tests share: definitional checks and builders that the
 pipeline does not call.
 
+- ``sample`` and ``locate``: a cell's witness point, and the cell of a root
+  holding a point;
 - ``coarsening_blocks``, ``refines`` and ``partition_refines``: the paper's
   refinement order, on partitions of a root's leaves;
 - ``is_locally_confluent`` and ``is_globally_confluent``: the definitions
@@ -16,11 +18,49 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling, locate, word_of
+from cadreduce.cadmodel import ROOT_INDEX, Cad, CellIndex, LeafLabeling, word_of
 from cadreduce.errors import GuardUndecidable, UnknownOrder
-from cadreduce.expr import Expr, compare_coords, eval_coord
+from cadreduce.expr import Expr, Point, as_point, compare_coords, eval_coord
 from cadreduce.poset import PosetGraph
 from cadreduce.realroots import ZERO, UniPoly, poly
+
+# ---------------------------------------------------------------------------
+# Samples and location
+
+
+def sample(cad: Cad, cell: CellIndex) -> Point:
+    """A witness point inside the cell: its first probe."""
+    return cad.cell_points(cell, 1)[0][0]
+
+
+def locate(cad: Cad, point) -> CellIndex:
+    """The index of the cell of a root CAD containing the point.
+
+    Points of arity k < n are located in the level-k decomposition.
+    """
+    if not cad.is_root:
+        raise ValueError("locate works on root CADs")
+    pt = as_point(point)
+    if len(pt) > cad.n:
+        raise ValueError(f"point has arity {len(pt)}, expected at most {cad.n}")
+    cell: CellIndex = ROOT_INDEX
+    for k in range(len(pt)):
+        base = pt[:k]
+        y = pt[k]
+        stack = cad.stacks[cell]
+        letter = 2 * stack.count + 1
+        for j, f in enumerate(stack.functions, start=1):
+            v = eval_coord(f, base)
+            c = compare_coords(y, v)
+            if c == 0:
+                letter = 2 * j
+                break
+            if c < 0:
+                letter = 2 * j - 1
+                break
+        cell = cell + (letter,)
+    return cell
+
 
 # ---------------------------------------------------------------------------
 # The refinement order
@@ -39,7 +79,7 @@ def coarsening_blocks(cad: Cad, root: Cad):
     groups: dict[CellIndex, set[CellIndex]] = {}
     for leaf in root.leaves():
         try:
-            host = locate(cad, root.sample(leaf))
+            host = locate(cad, sample(root, leaf))
         except (UnknownOrder, GuardUndecidable) as exc:
             raise ValueError(f"cannot locate root leaf {word_of(leaf)}: {exc}") from exc
         groups.setdefault(host, set()).add(leaf)

@@ -3,18 +3,28 @@ from fractions import Fraction
 import pytest
 
 from cadreduce.cadmodel import (
+    PROBES,
     Cad,
     SectionStack,
     check_adapted,
-    locate,
     parse_word,
     validate_cad,
     word_of,
 )
 from cadreduce.errors import NotAdapted
 from cadreduce.expr import formula_holds, parse_expr, parse_formula
-from cadreduce.gallery import disk_c, disk_cp, disk_cpp, trousers_c, trousers_cp, ushape_c, ushape_cp
-from tests.oracles import coarsening_blocks, partition_refines, refines
+from cadreduce.gallery import (
+    disk_c,
+    disk_cp,
+    disk_cpp,
+    gallery_names,
+    load_entry,
+    trousers_c,
+    trousers_cp,
+    ushape_c,
+    ushape_cp,
+)
+from tests.oracles import coarsening_blocks, locate, partition_refines, refines, sample
 
 F = Fraction
 
@@ -196,7 +206,7 @@ def test_locate_roundtrip_samples():
     for entry in (disk_c(), disk_cp(), trousers_c(), trousers_cp()):
         cad = entry.cad
         for leaf in cad.leaves():
-            assert locate(cad, cad.sample(leaf)) == leaf
+            assert locate(cad, sample(cad, leaf)) == leaf
 
 
 def test_locate_interior_point_of_disk():
@@ -264,6 +274,27 @@ def test_distinct_leaf_samples_in_distinct_leaves():
     cad = trousers_cp().cad
     seen = {}
     for leaf in cad.leaves():
-        pt = cad.sample(leaf)
+        pt = sample(cad, leaf)
         assert pt not in seen
         seen[pt] = leaf
+
+
+def test_gallery_load_and_check_derive_each_probe_list_once(monkeypatch):
+    # A cost guard that reads no clock: loading the gallery (the Cbar
+    # entries build common refinements) and checking every entry derive
+    # probe lists only at PROBES points, and each (CAD, cell) list once.
+    derived = []
+    derive = Cad._root_points
+
+    def counted(cad, cell, count):
+        derived.append((cad, cell, count))
+        return derive(cad, cell, count)
+
+    monkeypatch.setattr(Cad, "_root_points", counted)
+    entries = [load_entry(name) for name in gallery_names()]
+    for entry in entries:
+        validate_cad(entry.cad)
+        check_adapted(entry.cad, entry.formula)
+    assert {count for _cad, _cell, count in derived} == {PROBES}
+    keys = [(id(cad), cell) for cad, cell, _count in derived]
+    assert len(keys) == len(set(keys))

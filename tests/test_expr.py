@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cadreduce import expr
 from cadreduce.errors import DivisionByZero, GuardUndecidable, ParseError, SqrtOfNegative
 from cadreduce.expr import (
     Add,
@@ -426,6 +427,66 @@ def test_atom_sign_one_substitution_pass_at_rational_and_algebraic_points():
         atom_sign(lhs, [F(1), sqrt2])
     with pytest.raises(ValueError, match="no coordinate 3"):
         atom_sign(lhs, [F(1), F(2)])
+
+
+def _eval_coord_oracle(e, point):
+    """``eval_coord`` as it was written before it evaluated a square root's
+    argument once: the whole expression first, then the argument again."""
+    pt = expr.as_point(point)
+    try:
+        v = expr._eval(e, pt, None)
+        assert isinstance(v, Fraction)
+        return v
+    except expr._Inexact:
+        pass
+    core, negate = (e.arg, True) if isinstance(e, Neg) else (e, False)
+    if isinstance(core, AlgebraicConst):
+        return core.value.negated() if negate else core.value
+    if isinstance(core, Sqrt):
+        try:
+            c = expr._eval(core.arg, pt, None)
+        except (expr._Inexact, GuardUndecidable):
+            c = None
+        if isinstance(c, Fraction):
+            if c < 0:
+                raise SqrtOfNegative(f"sqrt of {c}")
+            a = expr._algebraic_sqrt(c)
+            return a.negated() if negate else a
+    return LazyValue(e, pt)
+
+
+def _outcome(fn, e, point):
+    try:
+        return fn(e, point)
+    except (DivisionByZero, SqrtOfNegative, GuardUndecidable, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_eval_coord_agrees_with_its_former_self_on_random_corpus():
+    rng = random.Random(431)
+    points_rng = random.Random(432)
+    kinds = set()
+    for _ in range(300):
+        e = _random_expr(rng, 3, atoms=True)
+        # A square root, negated or not, at the top, where eval_coord looks.
+        e = rng.choice([e, Sqrt(e), Neg(Sqrt(e))])
+        for _ in range(3):
+            point = [F(points_rng.randint(-2, 2), points_rng.randint(1, 3)) for _ in range(points_rng.randint(2, 3))]
+            got = _outcome(eval_coord, e, point)
+            assert got == _outcome(_eval_coord_oracle, e, point), (sexpr_of_expr(e), point)
+            kinds.add(got[0] if isinstance(got, tuple) else type(got))
+    assert {Fraction, AlgebraicNumber, LazyValue, SqrtOfNegative, DivisionByZero, ValueError} <= kinds
+
+
+def test_eval_coord_evaluates_a_square_roots_argument_once(monkeypatch):
+    e = parse_expr("(neg (sqrt (sub 1 (pow x1 2))))")
+    want = _eval_coord_oracle(e, [F(1, 3)])
+    calls = []
+    evaluate = expr._eval
+    monkeypatch.setattr(expr, "_eval", lambda node, *rest: calls.append(node) or evaluate(node, *rest))
+    v = eval_coord(e, [F(1, 3)])
+    assert isinstance(v, AlgebraicNumber) and v == want
+    assert calls.count(e.arg.arg) == 1
 
 
 def test_eval_coord_returns_algebraic_for_sqrt():

@@ -16,6 +16,8 @@ from cadreduce.gallery import (
     load_entry,
     disk_cp,
     disk_cpp,
+    trousers4_c,
+    trousers4_cp,
     trousers_c,
     trousers_cp,
     ushape_c,
@@ -30,9 +32,34 @@ from cadreduce.poset import (
     minimum_element,
     poset_report,
 )
-from tests.oracles import coarsening_blocks, is_globally_confluent, is_locally_confluent, partition_refines, refines
+from tests.oracles import (
+    coarsening_blocks,
+    is_globally_confluent,
+    is_locally_confluent,
+    locate,
+    partition_refines,
+    refines,
+    sample,
+)
 
 F = Fraction
+
+
+def assert_refines_its_inputs(refined, labels, *inputs):
+    """Each leaf's sample lies in a leaf of each input with the same label,
+    and every input leaf holds some leaf's sample."""
+    for cad, cad_labels in inputs:
+        hosts = {leaf: locate(cad, sample(refined, leaf)) for leaf in refined.leaves()}
+        for leaf, bit in labels.items():
+            assert cad_labels[hosts[leaf]] == bit, leaf
+        assert set(hosts.values()) == set(cad.leaves())
+
+
+def refinement(c1, labels1, c2, labels2):
+    """``common_refinement``, checked against its inputs by location."""
+    refined, labels = common_refinement(c1, labels1, c2, labels2)
+    assert_refines_its_inputs(refined, labels, (c1, labels1), (c2, labels2))
+    return refined, labels
 
 
 def test_explore_single_chain():
@@ -63,7 +90,7 @@ def test_explore_disk_cpp():
 
 def test_trousers_common_refinement_and_poset():
     c, cp = trousers_c(), trousers_cp()
-    cbar, labels = common_refinement(c.cad, c.labels, cp.cad, cp.labels)
+    cbar, labels = refinement(c.cad, c.labels, cp.cad, cp.labels)
     assert cbar.leaf_count() == 27
     assert validate_cad(cbar).ok
     assert check_adapted(cbar, c.formula) == labels
@@ -83,7 +110,7 @@ def test_trousers_common_refinement_and_poset():
 
 def test_trousers_poset_newman_agreement():
     c, cp = trousers_c(), trousers_cp()
-    cbar, labels = common_refinement(c.cad, c.labels, cp.cad, cp.labels)
+    cbar, labels = refinement(c.cad, c.labels, cp.cad, cp.labels)
     graph = explore(cbar, labels)
     assert is_locally_confluent(graph) == is_globally_confluent(graph)
 
@@ -103,10 +130,35 @@ def test_edges_strictly_decrease_leaf_count():
 
 def test_common_refinement_of_identical_cads():
     entry = disk_c()
-    merged, labels = common_refinement(entry.cad, entry.labels, entry.cad, entry.labels)
+    merged, labels = refinement(entry.cad, entry.labels, entry.cad, entry.labels)
     assert merged.leaf_count() == entry.cad.leaf_count()
     assert labels == entry.labels
     assert merged.canonical_key()[:2] == entry.cad.canonical_key()[:2]
+
+
+@pytest.mark.parametrize(
+    "name, inputs",
+    [
+        ("trousers-Cbar", (trousers_c, trousers_cp)),
+        ("ushape-Cbar", (ushape_c, ushape_cp)),
+        ("trousers4-Cbar", (trousers4_c, trousers4_cp)),
+    ],
+)
+def test_gallery_refinements_refine_their_inputs(name, inputs):
+    entry = load_entry(name)
+    assert_refines_its_inputs(entry.cad, entry.labels, *((e.cad, e.labels) for e in (build() for build in inputs)))
+
+
+def test_a_disordered_input_stack_is_left_to_validation():
+    # R^1 cut at 1 and then at 0: no comparison is needed to merge it with
+    # the empty stack, and validating the refinement finds the disorder.
+    disordered = Cad(1, {(): SectionStack((parse_expr("1"), parse_expr("0")))})
+    whole = Cad(1, {(): SectionStack(())})
+    refined, labels = common_refinement(disordered, dict.fromkeys(disordered.leaves(), 0), whole, {(1,): 0})
+    assert labels == dict.fromkeys(refined.leaves(), 0)
+    report = validate_cad(refined)
+    assert any("not strictly ordered on the cell" in v for v in report.violations), str(report)
+    assert not report.admits_reduction
 
 
 def test_common_refinement_rejects_crossing_sections():
@@ -133,7 +185,7 @@ def test_extend_cylinder_identity_and_growth():
 def test_extended_trousers_poset_has_no_minimum():
     c4, c4_labels = extend_cylinder(trousers_c().cad, trousers_c().labels, 4)
     cp4, cp4_labels = extend_cylinder(trousers_cp().cad, trousers_cp().labels, 4)
-    cbar, labels = common_refinement(c4, c4_labels, cp4, cp4_labels)
+    cbar, labels = refinement(c4, c4_labels, cp4, cp4_labels)
     assert cbar.leaf_count() == 27
     graph = explore(cbar, labels)
     assert len(minimal_elements(graph)) == 2
@@ -143,7 +195,7 @@ def test_extended_trousers_poset_has_no_minimum():
 
 def test_ushape_poset():
     c, cp = ushape_c(), ushape_cp()
-    cbar, labels = common_refinement(c.cad, c.labels, cp.cad, cp.labels)
+    cbar, labels = refinement(c.cad, c.labels, cp.cad, cp.labels)
     graph = explore(cbar, labels)
     assert len(minimal_elements(graph)) == 2
     assert minimum_element(graph) is None
@@ -166,7 +218,7 @@ def test_unique_minimal_iff_minimum_on_gallery_posets():
     entry = disk_cpp()
     cases.append(explore(entry.cad, entry.labels))
     c, cp = trousers_c(), trousers_cp()
-    cbar, labels = common_refinement(c.cad, c.labels, cp.cad, cp.labels)
+    cbar, labels = refinement(c.cad, c.labels, cp.cad, cp.labels)
     cases.append(explore(cbar, labels))
     for graph in cases:
         assert (len(minimal_elements(graph)) == 1) == (minimum_element(graph) is not None)

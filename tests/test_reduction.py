@@ -495,9 +495,9 @@ def assert_section_probes_extend_their_base(cad: Cad, where) -> None:
     stacks = cad.root.stacks
     for k in range(cad.n):
         for cell in cad.cells_of_level(k):
-            base = cad.cell_points(cell, cadmodel._PROBES)
+            base = cad.cell_points(cell, cadmodel.PROBES)
             for slot in range(1, cad.stack_count(cell) + 1):
-                probes = cad.cell_points(cell + (2 * slot,), cadmodel._PROBES)
+                probes = cad.cell_points(cell + (2 * slot,), cadmodel.PROBES)
                 assert [p[:-1] for p, _tag in probes] == [p for p, _tag in base], (where, cell, slot)
                 for (point, tag), (_, base_tag) in zip(probes, base):
                     assert tag[:-1] == base_tag, (where, cell, slot, tag)
@@ -523,7 +523,7 @@ def test_validation_evaluates_no_section_twice(monkeypatch):
     cad = load_perfbench("workloads", monkeypatch).disk_lines(96, 0).cad
     for k in range(cad.n + 1):
         for cell in cad.cells_of_level(k):
-            cad.cell_points(cell, cadmodel._PROBES)
+            cad.cell_points(cell, cadmodel.PROBES)
     calls = []
     evaluate = cadmodel.eval_coord
     monkeypatch.setattr(cadmodel, "eval_coord", lambda *args: calls.append(1) or evaluate(*args))
