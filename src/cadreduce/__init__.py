@@ -12,7 +12,6 @@ from cadreduce.errors import (
     ParseError,
     PivotNotEven,
     RuleNotApplicable,
-    SectionsCross,
     UnknownOrder,
     ValidationFailed,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "ParseError",
     "PivotNotEven",
     "RuleNotApplicable",
-    "SectionsCross",
     "UnknownOrder",
     "ValidationFailed",
 ]

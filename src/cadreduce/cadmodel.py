@@ -59,8 +59,8 @@ if TYPE_CHECKING:
 
 CellIndex = tuple[int, ...]
 
-# Probe points per cell (validation, adaptedness, common refinement); the
-# first is the cell's sample (``Cad.cell_points``).
+# Probe points per cell (validation, adaptedness); the first is the cell's
+# sample (``Cad.cell_points``).
 PROBES = 3
 
 ROOT_INDEX: CellIndex = ()
@@ -297,9 +297,10 @@ def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
     root cell has a zero on it: True or False when that is proven, None
     when it is not decided.
 
-    Decided for a polynomial in one coordinate x_t whose base ``cell[:t-1]``
-    is a point: it has a zero on the cell when one of its real roots lies
-    in the open sector ``cell[t-1]`` over that point.
+    Decided for a polynomial in one coordinate x_t whose sector ``cell[t-1]``
+    is one interval over the whole base ``cell[:t-1]``: the base is a point,
+    or the sector's bounding sections are constants on the base.  It has a
+    zero on the cell when one of its real roots lies in that interval.
     """
     p = to_polynomial(den)
     if p is None:
@@ -309,15 +310,19 @@ def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
         return None
     (t,) = variables
     base = cell[: t - 1]
-    if any(letter % 2 for letter in base):
-        return None
     stack = root.stacks[base]
     j = (cell[t - 1] - 1) // 2
+    bounds = [stack.functions[j - 1] if j >= 1 else None, stack.functions[j] if j < stack.count else None]
     try:
-        # The base's sample, the first of the probes that validation derives.
-        point = root.cell_points(base, PROBES)[0][0]
-        lo = eval_coord(stack.functions[j - 1], point) if j >= 1 else None
-        hi = eval_coord(stack.functions[j], point) if j < stack.count else None
+        if all(letter % 2 == 0 for letter in base):
+            # The base's sample, the first of the probes that validation derives.
+            point = root.cell_points(base, PROBES)[0][0]
+            lo, hi = (None if f is None else eval_coord(f, point) for f in bounds)
+        else:
+            restricted = [None if f is None else restrict(root, base, f) for f in bounds]
+            if any(f is not None and not isinstance(r, Const) for f, r in zip(bounds, restricted)):
+                return None
+            lo, hi = (None if r is None else r.value for r in restricted)
         return any(
             (lo is None or compare_coords(lo, r) < 0) and (hi is None or compare_coords(r, hi) < 0)
             for r in isolate_roots(univariate_coeffs(p, {}, t))
@@ -372,9 +377,11 @@ def validate_cad(cad: Cad) -> ValidationReport:
     is no violation and the probes leave no stack order open (an order or a
     section value that cannot be decided, or probes that cannot be derived).
     Past the gate, no merge checks an order again (see ``reduction``).  An
-    undecided pole does not refuse: the pole test decides few denominators
-    (``zero_in_cell``), and refusing those it leaves open would refuse
-    ushape-Cp and ushape-Cbar, gallery inputs whose sections have no pole.
+    undecided pole does not refuse: the pole test decides only denominators
+    in one coordinate over a point or between constant sections
+    (``zero_in_cell``); it decides every gallery input, but refusing what it
+    leaves open would refuse sections with no pole, such as 1/(x1 - sqrt 2)
+    over x1 < 0.
 
     Piecewise guards are checked on the root only, each root stack function
     at its own cell's probes.  A coarsening's sections are pieces of root

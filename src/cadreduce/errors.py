@@ -40,10 +40,6 @@ class RuleNotApplicable(CadError):
     """The requested pivot does not satisfy the merge condition."""
 
 
-class SectionsCross(CadError):
-    """Two sections from different CADs cross inside a merged cell."""
-
-
 class UnknownOrder(CadError):
     """Interval comparison of two section values was inconclusive."""
 

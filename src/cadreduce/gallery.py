@@ -10,6 +10,11 @@ leaf counts, pivots and fixed points of the trousers and ushape C and Cp
 (and the leaf counts and fixed points of trousers4-C and -Cp), and the two
 minimal elements of each Cbar; the others were computed with independent
 oracles when the fixtures were frozen.
+
+Every entry is literal stacks, or a cylinder over one (``extend_cylinder``).
+The paper defines each Cbar as the common refinement of its C and Cp; it
+is written out here, and the tests check it against that definition
+(``common_refinement`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -232,6 +237,29 @@ def _split_base_entry(
     )
 
 
+# Each Cbar's poset of coarsenings has two minimal elements, C and Cp, and
+# so no minimum.
+_CBAR_EXPECTED = {"leaf_count": 27, "minimal_count": 2, "has_minimum": False, "confluent": False}
+
+
+def _refined_entry(
+    prefix_name: str, formula_text: str, plain_slope: str, leaf_pattern: tuple[int, ...]
+) -> GalleryEntry:
+    """The common refinement of the two minimal CADs above: the plane is
+    cut at x1 = 0 and at x2 = 0, and the sheet bends over the positive
+    quadrant, the cell 3.3."""
+    cylinders = [f"{i}.{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
+    stacks = {word: ["0"] for word in ["", "1", "2", "3", *cylinders]}
+    stacks["3.3"] = [plain_slope]
+    return GalleryEntry(
+        name=f"{prefix_name}-Cbar",
+        cad=Cad(3, _stacks(stacks)),
+        formula=parse_formula(formula_text),
+        labels=_labels(_cylinder_labels(leaf_pattern, cylinders)),
+        expected=dict(_CBAR_EXPECTED),
+    )
+
+
 _TROUSERS = ("trousers", TROUSERS_FORMULA, "(div (neg x1) 2)", (0, 1, 0))
 _USHAPE = ("ushape", USHAPE_FORMULA, "(neg (div x1 x2))", (1, 1, 0))
 
@@ -252,45 +280,12 @@ def ushape_cp() -> GalleryEntry:
     return _split_base_entry(*_USHAPE)
 
 
-def _common_refinement_entry(name: str, a: GalleryEntry, b: GalleryEntry, expected: dict) -> GalleryEntry:
-    from cadreduce.poset import common_refinement
-
-    cad, labels = common_refinement(a.cad, a.labels, b.cad, b.labels)
-    return GalleryEntry(
-        name=name,
-        cad=cad,
-        formula=a.formula,
-        labels=labels,
-        expected=expected,
-    )
-
-
 def trousers_cbar() -> GalleryEntry:
-    return _common_refinement_entry(
-        "trousers-Cbar",
-        trousers_c(),
-        trousers_cp(),
-        expected={
-            "leaf_count": 27,
-            "minimal_count": 2,
-            "has_minimum": False,
-            "confluent": False,
-        },
-    )
+    return _refined_entry(*_TROUSERS)
 
 
 def ushape_cbar() -> GalleryEntry:
-    return _common_refinement_entry(
-        "ushape-Cbar",
-        ushape_c(),
-        ushape_cp(),
-        expected={
-            "leaf_count": 27,
-            "minimal_count": 2,
-            "has_minimum": False,
-            "confluent": False,
-        },
-    )
+    return _refined_entry(*_USHAPE)
 
 
 def _extended_entry(name: str, base: GalleryEntry, n: int, expected: dict) -> GalleryEntry:
@@ -325,17 +320,7 @@ def trousers4_cp() -> GalleryEntry:
 
 
 def trousers4_cbar() -> GalleryEntry:
-    return _common_refinement_entry(
-        "trousers4-Cbar",
-        trousers4_c(),
-        trousers4_cp(),
-        expected={
-            "leaf_count": 27,
-            "minimal_count": 2,
-            "has_minimum": False,
-            "confluent": False,
-        },
-    )
+    return _extended_entry("trousers4-Cbar", trousers_cbar(), 4, expected=dict(_CBAR_EXPECTED))
 
 
 _BUILDERS = {

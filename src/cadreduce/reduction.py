@@ -35,7 +35,9 @@ Inconclusive evidence rejects the merge, so the procedure is sound but not
 complete.  It is incomplete where:
 
 - a denominator counts as vanishing on m unless it is a constant or a
-  polynomial in one sector coordinate x_t of m whose base m[:t-1] is a point;
+  polynomial in one sector coordinate x_t of m whose sector is one interval
+  over the base m[:t-1]: the base is a point, or the sector's bounding
+  sections are constants on it;
 - square roots are opaque in the normal form, so equal forms that are not
   identical there, such as sqrt(4 x1^2) and 2 x1 for x1 > 0, differ;
 - a piece is piecewise and the fast path does not take it;

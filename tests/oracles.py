@@ -9,6 +9,9 @@ pipeline does not call.
   that the one-sink theorem of ``cadreduce.poset`` replaces;
 - ``insert_section``: refinement by slicing one sector, which rebuilds the
   finer gallery CADs from the coarser ones;
+- ``common_refinement``: the paper's C-bar, a CAD refining two CADs whose
+  sections do not cross (``SectionsCross`` when they do), which rebuilds
+  the gallery's literal Cbar entries from their C and Cp;
 - ``add`` and ``mul``: dense polynomial arithmetic, to build polynomials.
 
 Each raises ``ValueError`` on an input it cannot answer for.
@@ -18,9 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from cadreduce.cadmodel import ROOT_INDEX, Cad, CellIndex, LeafLabeling, word_of
-from cadreduce.errors import GuardUndecidable, UnknownOrder
-from cadreduce.expr import Expr, Point, as_point, compare_coords, eval_coord
+from cadreduce.cadmodel import PROBES, ROOT_INDEX, Cad, CellIndex, LeafLabeling, SectionStack, word_of
+from cadreduce.errors import CadError, GuardUndecidable, UnknownOrder
+from cadreduce.expr import Expr, Point, any_node, as_point, compare_coords, eval_coord, is_piecewise
 from cadreduce.poset import PosetGraph
 from cadreduce.realroots import ZERO, UniPoly, poly
 
@@ -188,6 +191,105 @@ def insert_section(
         for image in images(leaf):
             new_labels[image] = bit
     return Cad(cad.n, new_stacks), new_labels
+
+
+# ---------------------------------------------------------------------------
+# Common refinement (restricted: sections from the two CADs must not cross)
+
+
+class SectionsCross(CadError):
+    """Two sections from different CADs cross inside a merged cell."""
+
+
+def common_refinement(
+    c1: Cad,
+    labels1: LeafLabeling,
+    c2: Cad,
+    labels2: LeafLabeling,
+) -> tuple[Cad, LeafLabeling]:
+    """A CAD refining both inputs, built level by level by merging section
+    stacks; fails with SectionsCross when sections from the two CADs cross
+    inside a merged cell (full CAD construction is out of scope).
+
+    The input stacks over a cell of the refinement are ordered at its
+    ``PROBES`` probes (``refined.cell_points``), the first being its sample.
+    They must be strictly ordered: a disordered input stack leaves the merged
+    one disordered, and ``validate_cad`` reports it where the refinement, a
+    root, is checked (``Coarsening.of``, the gallery's ``self_check``)."""
+    if not (c1.is_root and c2.is_root):
+        raise ValueError("common refinement expects root CADs")
+    if c1.n != c2.n:
+        raise ValueError("dimensions differ")
+    n = c1.n
+    stacks: dict[CellIndex, SectionStack] = {}
+    refined = Cad(n, stacks)
+    # Each cell of the refinement's current level -> the input cells holding it.
+    sources: dict[CellIndex, tuple[CellIndex, CellIndex]] = {(): ((), ())}
+    for _level in range(n):
+        below = {}
+        for index, (idx1, idx2) in sources.items():
+            points = [p for p, _tag in refined.cell_points(index, PROBES)]
+            merged = _merge_stacks(c1.stacks[idx1].functions, c2.stacks[idx2].functions, points)
+            stacks[index] = SectionStack(tuple(expr for expr, _in1, _in2 in merged))
+            # The letters of the input sectors the next child lies in.
+            a = b = 1
+            children = [(idx1 + (a,), idx2 + (b,))]
+            for _expr, in1, in2 in merged:
+                children.append((idx1 + (a + in1,), idx2 + (b + in2,)))
+                a, b = a + 2 * in1, b + 2 * in2
+                children.append((idx1 + (a,), idx2 + (b,)))
+            below.update((index + (letter,), pair) for letter, pair in enumerate(children, start=1))
+        sources = below
+    labels: LeafLabeling = {}
+    for leaf, (l1, l2) in sources.items():
+        b1, b2 = labels1[l1], labels2[l2]
+        if b1 != b2:
+            raise SectionsCross(
+                f"inputs label the merged cell {word_of(leaf)} inconsistently"
+            )
+        labels[leaf] = b1
+    return refined, labels
+
+
+def _merge_stacks(fns1: tuple[Expr, ...], fns2: tuple[Expr, ...], points: list[Point]) -> list[tuple[Expr, bool, bool]]:
+    """The merged stack, bottom up: each section with whether it is one of
+    ``fns1`` and whether it is one of ``fns2``."""
+
+    def order(e1: Expr, e2: Expr) -> int:
+        verdicts = set()
+        for p in points:
+            v1 = eval_coord(e1, p)
+            v2 = eval_coord(e2, p)
+            try:
+                verdicts.add(compare_coords(v1, v2))
+            except UnknownOrder as exc:
+                raise UnknownOrder(
+                    f"cannot order sections at probe {p}: {exc}"
+                ) from exc
+        if len(verdicts) > 1:
+            raise SectionsCross("sections from the two CADs cross inside a merged cell")
+        return verdicts.pop()
+
+    out: list[tuple[Expr, bool, bool]] = []
+    i = j = 0
+    while i < len(fns1) and j < len(fns2):
+        c = order(fns1[i], fns2[j])
+        if c < 0:
+            out.append((fns1[i], True, False))
+            i += 1
+        elif c > 0:
+            out.append((fns2[j], False, True))
+            j += 1
+        else:
+            expr = fns1[i]
+            if any_node(expr, is_piecewise) and not any_node(fns2[j], is_piecewise):
+                expr = fns2[j]
+            out.append((expr, True, True))
+            i += 1
+            j += 1
+    out += [(f, True, False) for f in fns1[i:]]
+    out += [(f, False, True) for f in fns2[j:]]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,29 @@ def test_an_undecided_pole_is_reported_as_undecided():
     assert any("order of sections 1,2 above 1 undecided" in u for u in report.undecided), str(report)
 
 
+def over_the_quadrant_strip(upper, function):
+    """R^3 cut at x1 = 0, then at x2 = 0 and at x2 = 1, but at x2 = ``upper``
+    over x1 > 0, and the section ``function`` over the cell 3.3, the strip
+    x1 > 0, 0 < x2 < ``upper``."""
+    cylinders = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3, 4, 5)]
+    spec = {(): ["0"], (1,): ["0", "1"], (2,): ["0", "1"], (3,): ["0", upper], **{cyl: [] for cyl in cylinders}}
+    spec[(3, 3)] = [function]
+    return Cad(3, {cell: SectionStack(tuple(parse_expr(f) for f in fs)) for cell, fs in spec.items()})
+
+
+def test_poles_over_a_sector_between_constant_sections_are_decided():
+    # Over the sector x1 > 0, the x2-sector between the constants 0 and 1 is
+    # the same interval above every point, so a pole in x2 is placed once.
+    report = validate_cad(over_the_quadrant_strip("1", "(div 1 (sub x2 1/3))"))
+    assert report.violations == ["section 1 above 3.3 has a pole inside the cell"], str(report)
+    assert str(validate_cad(over_the_quadrant_strip("1", "(div 1 (sub x2 2))"))) == "valid"
+    # With the bound x1 the interval moves with x1, and the pole is left open.
+    report = validate_cad(over_the_quadrant_strip("x1", "(div 1 (sub x2 2))"))
+    assert report.ok and report.undecided == ["poles of section 1 above 3.3 not decided"], str(report)
+    # ushape's section -(x1/x2) over x1 > 0, x2 > 0 has no pole.
+    assert str(validate_cad(ushape_cp().cad)) == str(validate_cad(load_entry("ushape-Cbar").cad)) == "valid"
+
+
 def test_adjacent_sections_are_ordered_on_the_whole_cell_when_decided():
     # f2 - f1 restricted to the cell: a positive constant proves the pair
     # (1/2^200 is closer than the probes can tell), a polynomial with a
@@ -280,9 +303,10 @@ def test_distinct_leaf_samples_in_distinct_leaves():
 
 
 def test_gallery_load_and_check_derive_each_probe_list_once(monkeypatch):
-    # A cost guard that reads no clock: loading the gallery (the Cbar
-    # entries build common refinements) and checking every entry derive
-    # probe lists only at PROBES points, and each (CAD, cell) list once.
+    # A cost guard that reads no clock: loading the gallery derives no
+    # probe list (every entry is literal stacks or a cylinder over one),
+    # and checking every entry derives probe lists only at PROBES points,
+    # and each (CAD, cell) list once.
     derived = []
     derive = Cad._root_points
 
@@ -292,6 +316,7 @@ def test_gallery_load_and_check_derive_each_probe_list_once(monkeypatch):
 
     monkeypatch.setattr(Cad, "_root_points", counted)
     entries = [load_entry(name) for name in gallery_names()]
+    assert derived == []
     for entry in entries:
         validate_cad(entry.cad)
         check_adapted(entry.cad, entry.formula)

@@ -215,20 +215,23 @@ def test_every_public_definition_in_src_has_a_caller():
     # definition, or, from src/ or perfbench/, by an imported name in use, by
     # ``<module alias>.name``, through a module that re-exports it, or by
     # perfbench's tracer ``TARGETS``.  A method counts as referenced where
-    # src/ or perfbench/ names it (bare names: a method and an attribute of
-    # the same name are not told apart), outside its own definition.  An
-    # error class counts only where src/ raises or catches it.
+    # src/, a perfbench/ module that imports from the package, or ``TARGETS``
+    # names it (bare names: a method and an attribute of the same name are
+    # not told apart), outside its own definition.  An error class counts
+    # only where src/ raises or catches it.
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     bench = [ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py"))]
     bindings = {name: _package_bindings(module, set(modules)) for name, module in modules.items()}
     refs: set[tuple[str, str]] = set()
-    for module in bench:
-        refs |= _package_references(module, _package_bindings(module, set(modules)))
-    for name, module in modules.items():
-        refs |= _package_references(module, bindings[name])
     outside: set[str] = set()
     for module in bench:
-        outside.update(_names_in(module))
+        bound = _package_bindings(module, set(modules))
+        refs |= _package_references(module, bound)
+        if bound:
+            outside.update(_names_in(module))
+    for name, module in modules.items():
+        refs |= _package_references(module, bindings[name])
+    for module in bench:
         for node in module.body:
             if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
                 for target in ast.literal_eval(node.value):

@@ -8,7 +8,6 @@ from cadreduce.cadmodel import (
     check_adapted,
     validate_cad,
 )
-from cadreduce.errors import SectionsCross
 from cadreduce.expr import parse_expr
 from cadreduce.gallery import (
     disk_c,
@@ -25,7 +24,6 @@ from cadreduce.gallery import (
 )
 from cadreduce.poset import (
     PosetGraph,
-    common_refinement,
     explore,
     extend_cylinder,
     minimal_elements,
@@ -33,7 +31,9 @@ from cadreduce.poset import (
     poset_report,
 )
 from tests.oracles import (
+    SectionsCross,
     coarsening_blocks,
+    common_refinement,
     is_globally_confluent,
     is_locally_confluent,
     locate,
@@ -136,17 +136,47 @@ def test_common_refinement_of_identical_cads():
     assert merged.canonical_key()[:2] == entry.cad.canonical_key()[:2]
 
 
-@pytest.mark.parametrize(
-    "name, inputs",
-    [
-        ("trousers-Cbar", (trousers_c, trousers_cp)),
-        ("ushape-Cbar", (ushape_c, ushape_cp)),
-        ("trousers4-Cbar", (trousers4_c, trousers4_cp)),
-    ],
-)
+CBAR_INPUTS = [
+    ("trousers-Cbar", (trousers_c, trousers_cp)),
+    ("ushape-Cbar", (ushape_c, ushape_cp)),
+    ("trousers4-Cbar", (trousers4_c, trousers4_cp)),
+]
+
+
+@pytest.mark.parametrize("name, inputs", CBAR_INPUTS)
 def test_gallery_refinements_refine_their_inputs(name, inputs):
     entry = load_entry(name)
     assert_refines_its_inputs(entry.cad, entry.labels, *((e.cad, e.labels) for e in (build() for build in inputs)))
+
+
+@pytest.mark.parametrize("name, inputs", CBAR_INPUTS)
+def test_literal_cbar_entries_are_the_common_refinements_of_c_and_cp(name, inputs):
+    # The paper's C-bar is the common refinement of the two minimal CADs;
+    # the gallery writes it out as a literal stack.
+    entry = load_entry(name)
+    c, cp = (build() for build in inputs)
+    cad, labels = common_refinement(c.cad, c.labels, cp.cad, cp.labels)
+    assert (entry.cad.canonical_key(), entry.labels) == (cad.canonical_key(), labels)
+    if name == "trousers4-Cbar":
+        base = load_entry("trousers-Cbar")
+        cad, labels = extend_cylinder(base.cad, base.labels, 4)
+        assert (entry.cad.canonical_key(), entry.labels) == (cad.canonical_key(), labels)
+
+
+@pytest.mark.parametrize("cuts", [("0", "1"), ("1", "0")])
+def test_common_refinement_interleaves_the_sections_of_a_line(cuts):
+    # Each input's one section comes first in one of the two orders.
+    a, b = (Cad(1, {(): SectionStack((parse_expr(cut),))}) for cut in cuts)
+    refined, _labels = refinement(a, dict.fromkeys(a.leaves(), 0), b, dict.fromkeys(b.leaves(), 0))
+    assert refined.stacks[()].functions == (parse_expr("0"), parse_expr("1"))
+
+
+def test_common_refinement_interleaves_sections_over_a_cell():
+    # Over the line, x1 + 1 lies between x1 and x1 + 2.
+    a = Cad(2, {(): SectionStack(()), (1,): SectionStack((parse_expr("x1"), parse_expr("(add x1 2)")))})
+    b = Cad(2, {(): SectionStack(()), (1,): SectionStack((parse_expr("(add x1 1)"),))})
+    refined, _labels = refinement(a, dict.fromkeys(a.leaves(), 0), b, dict.fromkeys(b.leaves(), 0))
+    assert refined.stacks[(1,)].functions == tuple(parse_expr(f) for f in ("x1", "(add x1 1)", "(add x1 2)"))
 
 
 def test_a_disordered_input_stack_is_left_to_validation():
