@@ -188,7 +188,9 @@ class Cad:
         root and on a coarsening alike (the section's root cells lie over
         the base's, in the same order).  So the value of section s at the
         i-th probe of ``cell`` is the last coordinate of the i-th probe of
-        ``cell + (2s,)``, and it is computed once, here."""
+        ``cell + (2s,)``, and it is computed once, here: validation, the
+        zero test and the sectors read it off that section cell, a sector
+        ``cell + (2s+1,)`` its bounds s and s+1."""
         if not self.is_root:
             # Every root cell has a point, so the first ``count`` root cells
             # give all the points kept.
@@ -203,22 +205,30 @@ class Cad:
         return pts
 
     def _root_points(self, cell: CellIndex, count: int) -> list[TaggedPoint]:
+        """A section's value at each base probe is evaluated here, once; a
+        sector reads its bounds off its two section cells' probes, which are
+        aligned with the base's, and derives at the b-th of B base probes
+        only the coordinates that interleaving keeps: the i-th lands at
+        position i*B + b, so the first ceil((count - b) / B)."""
         if cell == ROOT_INDEX:
             return [((), ROOT_INDEX)]
         parent, letter = cell[:-1], cell[-1]
-        bases = self.cell_points(parent, count)
-        stack = self.stacks[parent]
-        per_base: list[list[Point]] = []
-        for base, _tag in bases:
-            if letter % 2 == 0:
-                coords: list[CoordValue] = [eval_coord(stack.functions[letter // 2 - 1], base)]
-            else:
-                j = (letter - 1) // 2
-                lo = eval_coord(stack.functions[j - 1], base) if j >= 1 else None
-                hi = eval_coord(stack.functions[j], base) if j < stack.count else None
-                coords = list(sector_coords(lo, hi, count))
-            per_base.append([base + (c,) for c in coords])
-        return [(p, cell) for p in _interleave(per_base)[:count]]
+        bases = [base for base, _tag in self.cell_points(parent, count)]
+        if letter % 2 == 0:
+            f = self.stacks[parent].functions[letter // 2 - 1]
+            return [(base + (eval_coord(f, base),), cell) for base in bases]
+        j = (letter - 1) // 2
+        unbounded: list[CoordValue | None] = [None] * len(bases)
+        lo = self._section_values(parent + (2 * j,), count) if j >= 1 else unbounded
+        hi = self._section_values(parent + (2 * j + 2,), count) if j < self.stacks[parent].count else unbounded
+        per_base = [
+            [base + (c,) for c in sector_coords(lo[b], hi[b], -(-(count - b) // len(bases)))]
+            for b, base in enumerate(bases)
+        ]
+        return [(p, cell) for p in _interleave(per_base)]
+
+    def _section_values(self, section: CellIndex, count: int) -> list[CoordValue]:
+        return [p[-1] for p, _tag in self.cell_points(section, count)]
 
     # -- partitions --------------------------------------------------------
 
@@ -315,9 +325,10 @@ def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
     bounds = [stack.functions[j - 1] if j >= 1 else None, stack.functions[j] if j < stack.count else None]
     try:
         if all(letter % 2 == 0 for letter in base):
-            # The base's sample, the first of the probes that validation derives.
-            point = root.cell_points(base, PROBES)[0][0]
-            lo, hi = (None if f is None else eval_coord(f, point) for f in bounds)
+            # A point base has one probe; the bounds' values there are the
+            # section cells' probes, which validation derives anyway.
+            lo = root._section_values(base + (2 * j,), PROBES)[0] if j >= 1 else None
+            hi = root._section_values(base + (2 * j + 2,), PROBES)[0] if j < stack.count else None
         else:
             restricted = [None if f is None else restrict(root, base, f) for f in bounds]
             if any(f is not None and not isinstance(r, Const) for f, r in zip(bounds, restricted)):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Union
 
 from cadreduce.errors import DivisionByZero, GuardUndecidable, ParseError, SqrtOfNegative, UnknownOrder
@@ -609,8 +609,6 @@ def _to_pair(e: Expr) -> _Pair:
 
 def _content(values: Iterable[Fraction], leading: Fraction) -> Fraction:
     """Gauss content (with the sign of the leading coefficient)."""
-    from math import gcd, lcm
-
     vals = list(values)
     den = lcm(*[c.denominator for c in vals])
     g = 0
@@ -762,23 +760,49 @@ def to_polynomial(e: Expr) -> "VarPoly | None":
     return {tuple((idx, k) for (_, idx, _), k in mon): c for mon, c in pair.num.items()}
 
 
-def univariate_coeffs(p: VarPoly, values: dict[int, Fraction], index: int | None):
-    """The dense coefficients in x_index of ``p`` with the rational
-    ``values`` substituted for every other variable, in one pass; a constant
-    when ``index`` is None.  A variable that is neither ``index`` nor given
-    a value raises ``ValueError``: the point has no such coordinate."""
-    coeffs: dict[int, Fraction] = {}
+def _integer_coeffs(p: VarPoly, values: dict[int, Fraction], index: int | None) -> tuple[list[int], int]:
+    """The integer core of ``univariate_coeffs``: integers a_d, trailing
+    zeros dropped, and a scale s > 0 with a_d / s the coefficient of x_index^d.
+
+    With L the least common denominator of p's coefficients, x_i = n_i/d_i
+    and K_i the top degree of x_i in p, s = L * prod d_i^K_i: a term
+    c * prod x_i^k_i contributes L*c * prod n_i^k_i * d_i^(K_i - k_i).  As
+    s > 0, the a_d give every sign that the exact coefficients give."""
+    top: dict[int, int] = {}
+    for mon in p:
+        for i, k in mon:
+            if i != index:
+                if i not in values:
+                    raise ValueError(f"point has no coordinate {i}")
+                top[i] = max(k, top.get(i, 0))
+    den = lcm(*[c.denominator for c in p.values()])
+    common = prod(values[i].denominator ** k for i, k in top.items())
+    coeffs: dict[int, int] = {}
     for mon, c in p.items():
-        degree = 0
+        term, rest, degree = c.numerator * (den // c.denominator), common, 0
         for i, k in mon:
             if i == index:
                 degree = k
-            elif i in values:
-                c *= values[i] ** k
             else:
-                raise ValueError(f"point has no coordinate {i}")
-        coeffs[degree] = coeffs.get(degree, Fraction(0)) + c
-    return upoly([coeffs.get(d, Fraction(0)) for d in range(max(coeffs, default=0) + 1)])
+                v = values[i]
+                term *= v.numerator**k
+                rest //= v.denominator**k
+        coeffs[degree] = coeffs.get(degree, 0) + term * rest
+    out = [coeffs.get(d, 0) for d in range(max(coeffs, default=0) + 1)]
+    while out and not out[-1]:
+        out.pop()
+    return out, den * common
+
+
+def univariate_coeffs(p: VarPoly, values: dict[int, Fraction], index: int | None):
+    """The dense coefficients in x_index of ``p`` with the rational
+    ``values`` substituted for every other variable; a constant when
+    ``index`` is None.  A variable that is neither ``index`` nor given
+    a value raises ``ValueError``: the point has no such coordinate.  The sum
+    is taken in integers (``_integer_coeffs``) and divided once per
+    coefficient."""
+    coeffs, scale = _integer_coeffs(p, values, index)
+    return tuple(Fraction(a, scale) for a in coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,7 +1042,11 @@ def coord_approx(cv: CoordValue, width: Fraction) -> _Val:
 # ---------------------------------------------------------------------------
 # Rational points inside an interval
 
-_OFFSET_STEPS = 8
+# The coordinates in a fiber with no bounds: 0, 1, -1, ..., 7, -7.
+_UNBOUNDED_COORDS = (Fraction(0), *(Fraction(s * k) for k in range(1, 8) for s in (1, -1)))
+# Where the coordinates in a bounded fiber sit in its window, as fractions
+# of its width; 2^-4, 2^-5, ... follow.
+_WINDOW_FRACTIONS = tuple(Fraction(n, 8) for n in (4, 2, 6, 1, 3, 5, 7))
 
 
 def _window_between(lo: CoordValue, hi: CoordValue) -> tuple[Fraction, Fraction]:
@@ -1034,10 +1062,7 @@ def _window_between(lo: CoordValue, hi: CoordValue) -> tuple[Fraction, Fraction]
 def sector_coords(lo: CoordValue | None, hi: CoordValue | None, count: int) -> list[Fraction]:
     """Deterministic rational coordinates strictly inside a sector fiber."""
     if lo is None and hi is None:
-        pool = [Fraction(0)]
-        for k in range(1, _OFFSET_STEPS):
-            pool += [Fraction(k), Fraction(-k)]
-        return pool[:count]
+        return list(_UNBOUNDED_COORDS[:count])
     if lo is None:
         assert hi is not None
         top = _promote(coord_approx(hi, Fraction(1, 4)))[0]
@@ -1047,9 +1072,7 @@ def sector_coords(lo: CoordValue | None, hi: CoordValue | None, count: int) -> l
         return [bot + k for k in range(1, count + 1)]
     a, b = _window_between(lo, hi)
     gap = b - a
-    fracs = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(1, 8), Fraction(3, 8), Fraction(5, 8), Fraction(7, 8)]
-    while len(fracs) < count:
-        fracs.append(Fraction(1, 2) ** (len(fracs) - 3))
+    fracs = [*_WINDOW_FRACTIONS, *(Fraction(1, 2**k) for k in range(4, count - 3))]
     return [a + t * gap for t in fracs[:count]]
 
 
@@ -1062,7 +1085,9 @@ def atom_sign(lhs: Expr, point) -> int:
 
     Exact for all-rational points and for points with a single algebraic
     coordinate; otherwise decided by interval refinement, which can prove
-    a nonzero sign but raises GuardUndecidable on a (potential) zero.
+    a nonzero sign but raises GuardUndecidable on a (potential) zero.  The
+    exact cases read the integer coefficients of ``_integer_coeffs``: they
+    are the exact ones times a positive scale, which keeps the sign.
     """
     pt = as_point(point)
     p = to_polynomial(lhs)
@@ -1082,11 +1107,11 @@ def atom_sign(lhs: Expr, point) -> int:
         else:
             lazies += 1
     if not algebraic and not lazies:
-        c = univariate_coeffs(p, rationals, None)
+        c, _scale = _integer_coeffs(p, rationals, None)
         return 0 if not c else (1 if c[0] > 0 else -1)
     if len(algebraic) == 1 and not lazies:
         idx, a = algebraic[0]
-        return a.sign_of(univariate_coeffs(p, rationals, idx))
+        return a.sign_of(upoly(_integer_coeffs(p, rationals, idx)[0]))
     for w in _widths(_FIRST_WIDTH):
         try:
             v = _eval(lhs, pt, w)

@@ -3,8 +3,9 @@
 Polynomials are dense coefficient tuples (low degree first, trailing
 coefficient nonzero).  Roots are isolated with Sturm sequences and rational
 bisection, and represented by :class:`AlgebraicNumber` values that can be
-refined on demand and compared exactly.  Signs at rational points are
-computed in integer arithmetic (:func:`sign_at`).
+refined on demand and compared exactly.  Signs at rational points
+(:func:`sign_at`) and remainders by a defining polynomial
+(:func:`pseudo_rem`) are computed in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -95,6 +96,28 @@ def divmod_poly(p: UniPoly, q: UniPoly) -> tuple[UniPoly, UniPoly]:
 
 def rem_poly(p: UniPoly, q: UniPoly) -> UniPoly:
     return divmod_poly(p, q)[1]
+
+
+def pseudo_rem(p: UniPoly, q: UniPoly) -> list[int]:
+    """The integer coefficients of a positive multiple of ``rem_poly(p, q)``,
+    for q with integer coefficients and a positive leading one c: p is
+    scaled by the least common denominator of its coefficients, and each
+    reduction step by c, instead of dividing by c."""
+    assert q and q[-1] > 0 and all(b.denominator == 1 for b in q), f"not an integer q with c > 0: {q}"
+    den = lcm(*[c.denominator for c in p])
+    rem = [c.numerator * (den // c.denominator) for c in p]
+    qs = [b.numerator for b in q]
+    lead, lower = qs[-1], qs[:-1]
+    while len(rem) >= len(qs):
+        top = rem.pop()
+        if top:
+            k = len(rem) - len(lower)
+            rem = [lead * c for c in rem]
+            for i, b in enumerate(lower):
+                rem[k + i] -= top * b
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
 
 
 def monic(p: UniPoly) -> UniPoly:
@@ -257,10 +280,13 @@ class AlgebraicNumber:
             return 0
         if self.is_rational:
             return sign_at(q, self.lo)
-        # q(a) = r(a), as `defining` vanishes at a.
-        r = rem_poly(q, self.defining)
-        if degree(r) <= 0:
-            return 0 if is_zero(r) else (1 if r[0] > 0 else -1)
+        # q(a) = r(a) times a positive constant, r the pseudo-remainder by
+        # `defining`, which vanishes at a and is primitive with a positive
+        # leading coefficient (``pseudo_rem`` asserts what it needs of that).
+        ints = pseudo_rem(q, self.defining)
+        if len(ints) <= 1:
+            return 0 if not ints else (1 if ints[0] > 0 else -1)
+        r = poly(ints)
         a = self
         zero_tested = False
         while True:

@@ -215,7 +215,8 @@ def common_refinement(
     ``PROBES`` probes (``refined.cell_points``), the first being its sample.
     They must be strictly ordered: a disordered input stack leaves the merged
     one disordered, and ``validate_cad`` reports it where the refinement, a
-    root, is checked (``Coarsening.of``, the gallery's ``self_check``)."""
+    root, is checked: ``Coarsening.of`` refuses it (see
+    ``test_a_disordered_input_stack_is_left_to_validation``)."""
     if not (c1.is_root and c2.is_root):
         raise ValueError("common refinement expects root CADs")
     if c1.n != c2.n:

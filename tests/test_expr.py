@@ -38,7 +38,7 @@ from cadreduce.expr import (
     to_polynomial,
     univariate_coeffs,
 )
-from cadreduce.realroots import AlgebraicNumber, isolate_roots, make_algebraic, poly
+from cadreduce.realroots import AlgebraicNumber, interval_eval, isolate_roots, make_algebraic, poly
 
 F = Fraction
 
@@ -429,6 +429,147 @@ def test_atom_sign_one_substitution_pass_at_rational_and_algebraic_points():
         atom_sign(lhs, [F(1), F(2)])
 
 
+def _univariate_coeffs_oracle(p, values, index):
+    """``univariate_coeffs`` as it was written before it summed in
+    integers: term by term, in ``Fraction`` arithmetic."""
+    coeffs = {}
+    for mon, c in p.items():
+        degree = 0
+        for i, k in mon:
+            if i == index:
+                degree = k
+            elif i in values:
+                c *= values[i] ** k
+            else:
+                raise ValueError(f"point has no coordinate {i}")
+        coeffs[degree] = coeffs.get(degree, F(0)) + c
+    return poly([coeffs.get(d, F(0)) for d in range(max(coeffs, default=0) + 1)])
+
+
+def _random_rational(rng: random.Random) -> Fraction:
+    """Zero, a small integer, a small fraction or one with a large
+    denominator, of either sign."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return F(0)
+    if kind == 1:
+        return F(rng.randint(-3, 3))
+    if kind == 2:
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+    return F(rng.randint(-(2**70), 2**70), rng.randint(1, 2**70))
+
+
+def _random_varpoly(rng: random.Random, n: int) -> dict:
+    """A polynomial in x1..xn, with zero, negative and large-denominator
+    coefficients among its terms."""
+    p = {}
+    for _ in range(rng.randint(0, 5)):
+        variables = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        p[tuple((i, rng.randint(1, 3)) for i in variables)] = _random_rational(rng)
+    return p
+
+
+def _expr_of(p: dict):
+    """An expression whose polynomial is ``p``."""
+    terms = []
+    for mon, c in p.items():
+        term = Const(c)
+        for i, k in mon:
+            term = Mul(term, Pow(Var(i), k))
+        terms.append(term)
+    out = Const(F(0))
+    for term in terms:
+        out = Add(out, term)
+    return out
+
+
+def _sign_by_refinement(q, a: AlgebraicNumber):
+    """The sign of q at a, by interval evaluation on ever narrower
+    isolating intervals; None when 2^-200 does not separate it from 0."""
+    if not q:
+        return 0
+    for k in range(1, 201):
+        lo, hi = interval_eval(q, *a.approx(F(1, 2**k)))
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+    return None
+
+
+def test_integer_kernel_agrees_with_the_fraction_oracle_on_random_corpus():
+    rng = random.Random(1709)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        p = _random_varpoly(rng, n)
+        index = rng.choice([None, *range(1, n + 1)])
+        values = {i: _random_rational(rng) for i in range(1, n + 1) if i != index}
+        if values and rng.random() < 0.2:
+            # A coordinate the point lacks.
+            del values[rng.choice(sorted(values))]
+        want = _outcome(_univariate_coeffs_oracle, p, values, index)
+        assert _outcome(univariate_coeffs, p, values, index) == want, (p, values, index)
+        if want and want[0] is ValueError:
+            seen.add("missing")
+            continue
+        coeffs, scale = expr._integer_coeffs(p, values, index)
+        assert scale > 0 and tuple(F(a, scale) for a in coeffs) == want
+        seen.add("zero" if not want else ("constant" if index is None else "in x_index"))
+        if any(v.denominator > 2**40 for v in values.values()):
+            seen.add("large denominator")
+    assert seen == {"missing", "zero", "constant", "in x_index", "large denominator"}
+
+
+def test_atom_sign_agrees_with_the_fraction_oracle_on_random_corpus():
+    # Rational points against the oracle's constant; points with one
+    # algebraic coordinate against interval refinement of the oracle's
+    # coefficients, and against 0 where the polynomial is a multiple of
+    # that coordinate's defining polynomial.
+    rng = random.Random(1710)
+    algebraic = isolate_roots(poly([-2, 0, 1])) + isolate_roots(poly([1, -3, 0, 1]))
+    algebraic += [expr._algebraic_sqrt(F(rng.randint(1, 2**40), rng.randint(2, 2**40) | 1)) for _ in range(4)]
+    assert not any(a.is_rational for a in algebraic)
+    counts = {"rational": 0, "rational zero": 0, "missing": 0, "algebraic": 0, "algebraic zero": 0}
+    for _ in range(500):
+        n = rng.randint(1, 3)
+        p = _random_varpoly(rng, n)
+        point = [_random_rational(rng) for _ in range(n)]
+        if rng.random() < 0.5:
+            j = rng.randrange(n)
+            a = point[j] = rng.choice(algebraic)
+            if rng.random() < 0.3:
+                p = to_polynomial(Mul(_expr_of(p), _expr_of({((j + 1, k),): c for k, c in enumerate(a.defining)})))
+                counts["algebraic zero"] += 1
+                assert atom_sign(_expr_of(p), point) == 0
+                continue
+        elif rng.random() < 0.3:
+            # Shift the constant term so the value at the point is exactly 0.
+            value = _univariate_coeffs_oracle(p, dict(enumerate(point, start=1)), None)
+            p = to_polynomial(_expr_of({**p, (): p.get((), F(0)) - (value[0] if value else 0)}))
+            counts["rational zero"] += 1
+        elif rng.random() < 0.2:
+            # A coordinate the point lacks.
+            p = {**p, ((n, 1),): F(1)}
+            point.pop()
+        lhs = _expr_of(p)
+        got = _outcome(atom_sign, lhs, point)
+        rationals = {i: v for i, v in enumerate(point, start=1) if isinstance(v, Fraction)}
+        index = next((i for i, v in enumerate(point, start=1) if not isinstance(v, Fraction)), None)
+        q = _outcome(_univariate_coeffs_oracle, to_polynomial(lhs), rationals, index)
+        if q and q[0] is ValueError:
+            assert got == q
+            counts["missing"] += 1
+        elif index is None:
+            assert got == (0 if not q else (1 if q[0] > 0 else -1)), (p, point)
+            counts["rational"] += 1
+        else:
+            want = _sign_by_refinement(q, point[index - 1])
+            assert want is not None and got == want, (p, point)
+            counts["algebraic"] += 1
+    assert min(counts.values()) >= 20, counts
+
+
 def _eval_coord_oracle(e, point):
     """``eval_coord`` as it was written before it evaluated a square root's
     argument once: the whole expression first, then the argument again."""
@@ -455,9 +596,9 @@ def _eval_coord_oracle(e, point):
     return LazyValue(e, pt)
 
 
-def _outcome(fn, e, point):
+def _outcome(fn, *args):
     try:
-        return fn(e, point)
+        return fn(*args)
     except (DivisionByZero, SqrtOfNegative, GuardUndecidable, ValueError) as exc:
         return type(exc), str(exc)
 

@@ -88,6 +88,34 @@ def test_perfbench_trace_targets_resolve(monkeypatch):
         assert callable(vars(owner).get(attr)), f"{module_name}.{qualname}"
 
 
+def _bare_name(node: ast.expr) -> str | None:
+    """``name`` for ``name`` and for ``module.name``."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _is_unbounded_cache(decorator: ast.expr) -> bool:
+    """``functools.cache``, or ``lru_cache`` with maxsize None."""
+    if _bare_name(decorator) == "cache":
+        return True
+    if not isinstance(decorator, ast.Call) or _bare_name(decorator.func) != "lru_cache":
+        return False
+    sizes = [*decorator.args[:1], *(k.value for k in decorator.keywords if k.arg == "maxsize")]
+    return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+
+
+def test_the_unbounded_caches_are_the_known_three():
+    # A cache that only grows must be a decision, not a side effect of a
+    # speed-up; these three are to be bounded or scoped to a run.
+    unbounded = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_is_unbounded_cache(d) for d in node.decorator_list)
+    ]
+    assert sorted(unbounded) == ["expr.canonical_formula", "expr.canonicalize", "expr.to_polynomial"]
+
+
 def test_perfbench_cache_reader_reads_expr(monkeypatch):
     # perfbench counts expr's cache entries through its atom registry and
     # three lru_caches; a change to those caches must change that reader too.

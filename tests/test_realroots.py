@@ -18,6 +18,8 @@ from cadreduce.realroots import (
     make_algebraic,
     poly,
     primitive,
+    pseudo_rem,
+    rem_poly,
     scale,
     sign_at,
     squarefree_part,
@@ -389,6 +391,27 @@ def test_sign_of_decides_on_the_remainder_without_a_gcd(bounded_work, monkeypatc
     monkeypatch.setattr(realroots, "interval_eval", forbidden)
     for a, q, want in cases:
         assert a.sign_of(q) == want, (a, q)
+
+
+def test_pseudo_rem_is_a_positive_multiple_of_the_remainder():
+    rng = random.Random(19)
+    zero = 0
+    for _ in range(300):
+        q = primitive(random_poly(rng, 3))
+        p = random_poly(rng, 6)
+        if rng.random() < 0.2:
+            p = mul(p, q)
+        got, want = pseudo_rem(p, q), rem_poly(p, q)
+        assert all(type(c) is int for c in got) and len(got) == len(want), (p, q)
+        if want:
+            ratio = got[-1] / want[-1]
+            assert ratio > 0 and [F(c) for c in got] == [ratio * c for c in want], (p, q)
+        zero += not want
+    assert zero > 30
+    # Valid only for an integer divisor with a positive leading coefficient.
+    for q in (poly([1, -1]), poly([F(1, 2), 1])):
+        with pytest.raises(AssertionError):
+            pseudo_rem(poly([1, 2, 3]), q)
 
 
 def test_defining_polynomials_are_squarefree_and_primitive(bounded_work):

@@ -532,6 +532,32 @@ def test_validation_evaluates_no_section_twice(monkeypatch):
     assert report.admits_reduction and calls == []
 
 
+def test_the_check_phase_evaluates_each_section_once_per_base_probe(monkeypatch):
+    # A cost guard that reads no clock: on a fresh root, ``validate_cad``
+    # and ``check_adapted`` evaluate each stack function once at each probe
+    # of its cell.  A sector reads its bounds off its section cells.
+    disk = load_perfbench("workloads", monkeypatch).disk_lines(96, 0)
+    inputs = [(disk.name, disk.cad, disk.formula)]
+    for name in gallery_names():
+        entry = load_entry(name)
+        inputs.append((name, entry.cad, entry.formula))
+        inputs.append((f"{name}@R6", extend_cylinder(entry.cad, entry.labels, 6)[0], entry.formula))
+    evaluate = cadmodel.eval_coord
+    counts = {}
+    for name, built, formula in inputs:
+        cad = Cad(built.n, built.stacks)
+        calls = []
+        monkeypatch.setattr(cadmodel, "eval_coord", lambda *args: calls.append(1) or evaluate(*args))
+        assert validate_cad(cad).admits_reduction, name
+        check_adapted(cad, formula)
+        monkeypatch.undo()
+        stacked = [cell for k in range(cad.n) for cell in cad.cells_of_level(k)]
+        pairs = sum(cad.stack_count(cell) * len(cad.cell_points(cell, cadmodel.PROBES)) for cell in stacked)
+        counts[name] = (len(calls), pairs)
+    assert all(calls == pairs for calls, pairs in counts.values()), counts
+    assert counts[disk.name] == (874, 874)
+
+
 def count_cells(monkeypatch) -> list:
     """A list that gets one entry for each ``Cell`` made from now on."""
     made = []
