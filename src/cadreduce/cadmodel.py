@@ -11,10 +11,11 @@ sector (the open band between consecutive sections).
 A CAD object either owns its geometry (a *root*), or is a coarsening of a
 root obtained by cell merges.  A coarsening is a view of its cell tree
 (``tree.CadTree``): each cell holds the sorted root cells whose union it is,
-its 2u+1 children, and, made once with it, its label, its structural key and
-the applicable pivots below it; its index word is its path from the top, and
-all numeric data is read off the root.  A coarsening's probe points are its
-first root cells' (``Cad.cell_points``).
+its 2u+1 children, and, made once with it, its label and the applicable
+pivots below it; its index word is its path from the top, and all numeric
+data is read off the root.  A coarsening's probe points are its first root
+cells' (``Cad.cell_points``).  The root also keeps the lift verdicts, one
+per slot of a glued stack (``reduction``).
 """
 
 from __future__ import annotations
@@ -44,15 +45,15 @@ from cadreduce.expr import (
     const,
     eval_coord,
     formula_holds,
+    integer_coeffs,
     is_piecewise,
     max_var_index,
     sector_coords,
     sexpr_of_expr,
     substitute,
     to_polynomial,
-    univariate_coeffs,
 )
-from cadreduce.realroots import isolate_roots
+from cadreduce.realroots import isolate_roots, poly
 
 if TYPE_CHECKING:
     from cadreduce.tree import CadTree
@@ -135,8 +136,9 @@ class Cad:
             self._point_cache: dict[tuple[CellIndex, int], list[TaggedPoint]] = {}
             # The root's ``validate_cad`` report, made on first use.
             self._validation: ValidationReport | None = None
-            # Lift verdicts (see ``reduction._lift_allowed``): one per
-            # grouping of root cells into three merged subtrees.
+            # Lift verdicts (see ``reduction._lift_allowed``): one per slot
+            # of a glued stack, keyed by the merge level and the root cells
+            # of the slot's three section cells.
             self._lift_cache: dict[tuple, bool] = {}
         else:
             if tree is None:
@@ -336,7 +338,7 @@ def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
             lo, hi = (None if r is None else r.value for r in restricted)
         return any(
             (lo is None or compare_coords(lo, r) < 0) and (hi is None or compare_coords(r, hi) < 0)
-            for r in isolate_roots(univariate_coeffs(p, {}, t))
+            for r in isolate_roots(poly(integer_coeffs(p, {}, t)[0]))
         )
     except (GuardUndecidable, UnknownOrder, DivisionByZero, SqrtOfNegative):
         return None

@@ -760,9 +760,13 @@ def to_polynomial(e: Expr) -> "VarPoly | None":
     return {tuple((idx, k) for (_, idx, _), k in mon): c for mon, c in pair.num.items()}
 
 
-def _integer_coeffs(p: VarPoly, values: dict[int, Fraction], index: int | None) -> tuple[list[int], int]:
-    """The integer core of ``univariate_coeffs``: integers a_d, trailing
-    zeros dropped, and a scale s > 0 with a_d / s the coefficient of x_index^d.
+def integer_coeffs(p: VarPoly, values: dict[int, Fraction], index: int | None) -> tuple[list[int], int]:
+    """The dense coefficients in x_index of ``p`` with the rational
+    ``values`` substituted for every other variable (a constant when
+    ``index`` is None), summed in integers: integers a_d, trailing zeros
+    dropped, and a scale s > 0 with a_d / s the coefficient of x_index^d.
+    A variable that is neither ``index`` nor given a value raises
+    ``ValueError``: the point has no such coordinate.
 
     With L the least common denominator of p's coefficients, x_i = n_i/d_i
     and K_i the top degree of x_i in p, s = L * prod d_i^K_i: a term
@@ -792,17 +796,6 @@ def _integer_coeffs(p: VarPoly, values: dict[int, Fraction], index: int | None) 
     while out and not out[-1]:
         out.pop()
     return out, den * common
-
-
-def univariate_coeffs(p: VarPoly, values: dict[int, Fraction], index: int | None):
-    """The dense coefficients in x_index of ``p`` with the rational
-    ``values`` substituted for every other variable; a constant when
-    ``index`` is None.  A variable that is neither ``index`` nor given
-    a value raises ``ValueError``: the point has no such coordinate.  The sum
-    is taken in integers (``_integer_coeffs``) and divided once per
-    coefficient."""
-    coeffs, scale = _integer_coeffs(p, values, index)
-    return tuple(Fraction(a, scale) for a in coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -1083,11 +1076,12 @@ def sector_coords(lo: CoordValue | None, hi: CoordValue | None, count: int) -> l
 def atom_sign(lhs: Expr, point) -> int:
     """Exact sign of a polynomial at a point.
 
-    Exact for all-rational points and for points with a single algebraic
-    coordinate; otherwise decided by interval refinement, which can prove
-    a nonzero sign but raises GuardUndecidable on a (potential) zero.  The
-    exact cases read the integer coefficients of ``_integer_coeffs``: they
-    are the exact ones times a positive scale, which keeps the sign.
+    Exact when the coordinates of the variables the polynomial uses are
+    rational but for at most one algebraic one; otherwise decided by
+    interval refinement, which can prove a nonzero sign but raises
+    GuardUndecidable on a (potential) zero.  The exact cases read the
+    integer coefficients of ``integer_coeffs``: they are the exact ones
+    times a positive scale, which keeps the sign.
     """
     pt = as_point(point)
     p = to_polynomial(lhs)
@@ -1096,7 +1090,10 @@ def atom_sign(lhs: Expr, point) -> int:
     rationals: dict[int, Fraction] = {}
     algebraic: list[tuple[int, AlgebraicNumber]] = []
     lazies = 0
-    for i, cv in enumerate(pt, start=1):
+    for i in {i for mon in p for i, _ in mon}:
+        if i > len(pt):
+            raise ValueError(f"point has no coordinate {i}")
+        cv = pt[i - 1]
         if isinstance(cv, Fraction):
             rationals[i] = cv
         elif isinstance(cv, AlgebraicNumber):
@@ -1107,11 +1104,11 @@ def atom_sign(lhs: Expr, point) -> int:
         else:
             lazies += 1
     if not algebraic and not lazies:
-        c, _scale = _integer_coeffs(p, rationals, None)
+        c, _scale = integer_coeffs(p, rationals, None)
         return 0 if not c else (1 if c[0] > 0 else -1)
     if len(algebraic) == 1 and not lazies:
         idx, a = algebraic[0]
-        return a.sign_of(upoly(_integer_coeffs(p, rationals, idx)[0]))
+        return a.sign_of(upoly(integer_coeffs(p, rationals, idx)[0]))
     for w in _widths(_FIRST_WIDTH):
         try:
             v = _eval(lhs, pt, w)

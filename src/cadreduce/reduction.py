@@ -43,6 +43,10 @@ complete.  It is incomplete where:
 - a piece is piecewise and the fast path does not take it;
 - a flank piece over another base root cell never meets m.
 
+A lift's verdict is the conjunction of its slots' verdicts.  The root
+keeps each slot's verdict (``Cad._lift_cache``) under what it reads: the
+merge level and the root cells of the slot's three section cells.
+
 Merges at leaf level (k = n) just drop a section from one stack and are
 always valid.
 """
@@ -165,41 +169,27 @@ def try_lift(node: Coarsening, pivot: CellIndex) -> Coarsening | None:
     return Coarsening._lifted(node, pivot)
 
 
-def lift_key(cells: tuple[Cell, Cell, Cell]) -> tuple:
-    """The structural keys of the three merged cells: the verdict reads only
-    the root and, in each of the three subtrees, the root cells of the cell
-    at each place, so two lifts of one root with equal keys read the same,
-    and the verdict is kept per key."""
-    return tuple(cell.key for cell in cells)
-
-
 def _lift_allowed(root: Cad, cells: tuple[Cell, Cell, Cell]) -> bool:
-    if not cells[1].children:
-        # Dropping a section from a leaf-level stack: the union of the three
-        # cells is again a sector of the same stack.
-        return True
-    key = lift_key(cells)
-    verdict = root._lift_cache.get(key)
-    if verdict is None:
-        verdict = root._lift_cache[key] = _glued_stacks_valid(root, cells)
-    return verdict
-
-
-def _glued_stacks_valid(root: Cad, cells: tuple[Cell, Cell, Cell]) -> bool:
     """Whether the stacks above the three merged cells glue to continuous
     sections: their subtrees are walked in parallel, as ``tree.glue`` zips
     them, and each slot of each stack is checked on its three section
-    cells."""
+    cells.  A slot's verdict reads only the root, the merge level k and the
+    root cells of its three section cells, so the root keeps it under
+    those, for every lift that glues the same slot."""
     k = len(cells[1].roots[0])
-    normal_forms: dict[int, Expr] = {}  # root stack function's id -> its canonical form
     frontier = [cells]
     while frontier:
         left, mid, right = frontier.pop()
         for i in range(1, len(mid.children), 2):  # the section children
-            sections = (left.children[i], mid.children[i], right.children[i])
-            if not _glues_continuously(root, k, sections, normal_forms):
+            key = (k, left.children[i].roots, mid.children[i].roots, right.children[i].roots)
+            verdict = root._lift_cache.get(key)
+            if verdict is None:
+                sections = (left.children[i], mid.children[i], right.children[i])
+                verdict = root._lift_cache[key] = _glues_continuously(root, k, sections)
+            if not verdict:
                 return False
-        frontier += zip(left.children, mid.children, right.children)
+        # Leaves carry no stack.
+        frontier += [below for below in zip(left.children, mid.children, right.children) if below[1].children]
     return True
 
 
@@ -209,21 +199,15 @@ def _pieces(root: Cad, section: Cell) -> list[tuple[CellIndex, Expr]]:
     return [(q[:-1], root.stacks[q[:-1]].functions[q[-1] // 2 - 1]) for q in section.roots]
 
 
-def _glues_continuously(
-    root: Cad, k: int, sections: tuple[Cell, Cell, Cell], normal_forms: dict[int, Expr]
-) -> bool:
+def _glues_continuously(root: Cad, k: int, sections: tuple[Cell, Cell, Cell]) -> bool:
     """Whether one section of the glued stack is continuous: ``sections``
     are its cells above the left flank, the seam and the right flank of a
     merge at level ``k``."""
     left, middle, right = (_pieces(root, section) for section in sections)
     pieces = [e for _, e in middle + left + right]
     # A root stack function recurs over many root cells; it is put in normal
-    # form once per lift, not compared with the canonicalize cache each time.
-    distinct = {id(e): e for e in pieces}
-    for key, e in distinct.items():
-        if key not in normal_forms:
-            normal_forms[key] = canonicalize(e)
-    canon = {normal_forms[key] for key in distinct}
+    # form once per slot.
+    canon = {canonicalize(e) for e in {id(e): e for e in pieces}.values()}
     if len(canon) == 1 and not any_node(next(iter(canon)), is_piecewise):
         # One guard-free expression defined on all three cells (their stacks
         # are valid) is continuous on the union.

@@ -9,13 +9,12 @@ leaf its label bit, and every cell, computed once when the cell is made from
 its children's:
 
 - its recursive label (the leaf bit, or the tuple of its children's labels);
-- its structural key, ``(roots, child keys)``: two cells have equal keys
-  exactly when their subtrees have one shape and the same root cells at
-  every position;
 - the applicable pivots of its subtree, as index words relative to it.
 
 Index words, stack counts and leaf labels are read off the cells on demand,
-and the pivots of a tree are its top cell's.
+and the pivots of a tree are its top cell's.  The lift verdicts are kept on
+the root CAD, one per slot of a glued stack under the root cells of its
+three section cells (``reduction``).
 
 A merge at an even *pivot* glues the pivot and its two flanking siblings
 into one cell; it applies exactly when the three recursive labels coincide.
@@ -35,26 +34,24 @@ Label = object  # 0 | 1 on leaves, nested tuples on internal nodes
 
 class Cell:
     """One cell of a coarsening: the sorted root cells whose union it is,
-    its 2u+1 children (none at leaf level), its recursive label, its
-    structural key and the applicable pivots below it (see the module
-    docstring).  A leaf also holds its block of the partition, the set of
-    its root cells, which every coarsening that shares the leaf shares too."""
+    its 2u+1 children (none at leaf level), its recursive label and the
+    applicable pivots below it (see the module docstring).  A leaf also
+    holds its block of the partition, the set of its root cells, which every
+    coarsening that shares the leaf shares too."""
 
-    __slots__ = ("roots", "children", "label", "key", "pivots", "block")
+    __slots__ = ("roots", "children", "label", "pivots", "block")
 
     def __init__(self, roots: tuple[CellIndex, ...], children: tuple[Cell, ...] = (), bit: int | None = None):
         self.roots = roots
         self.children = children
         if children:
             self.label: Label = tuple([c.label for c in children])
-            self.key = (roots, tuple([c.key for c in children]))
             own = [(letter,) for letter in range(2, len(children), 2) if _glues(children, letter)]
             self.pivots: tuple[CellIndex, ...] = tuple(
                 own + [(j, *p) for j, child in enumerate(children, start=1) for p in child.pivots]
             )
         else:
-            self.label, self.block = bit, frozenset(roots)
-            self.key, self.pivots = (roots, ()), ()
+            self.label, self.block, self.pivots = bit, frozenset(roots), ()
 
 
 class CadTree:
@@ -72,23 +69,15 @@ class CadTree:
         return cell
 
     def nodes(self) -> Iterator[tuple[CellIndex, Cell]]:
-        """(index, cell) for every cell, depth first."""
-        return walk(self.top, self.depth)
+        """(index, cell) for every cell, depth first, later children first."""
+        frontier = [((), self.top)]
+        while frontier:
+            index, cell = frontier.pop()
+            yield index, cell
+            frontier += [(index + (j,), child) for j, child in enumerate(cell.children, start=1)]
 
     def leaves(self) -> list[tuple[CellIndex, Cell]]:
         return [(index, cell) for index, cell in self.nodes() if not cell.children]
-
-
-def walk(top: Cell, levels: int) -> Iterator[tuple[CellIndex, Cell]]:
-    """(suffix, cell) for ``top`` and every cell at most ``levels`` levels
-    below it, depth first, later children first; the suffix is the cell's
-    index word relative to ``top``."""
-    frontier = [((), top)]
-    while frontier:
-        suffix, cell = frontier.pop()
-        yield suffix, cell
-        if len(suffix) < levels:
-            frontier += [(suffix + (j,), child) for j, child in enumerate(cell.children, start=1)]
 
 
 def build_tree(cad: Cad, labels: LeafLabeling) -> CadTree:

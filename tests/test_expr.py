@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cadreduce import expr
-from cadreduce.errors import DivisionByZero, GuardUndecidable, ParseError, SqrtOfNegative
+from cadreduce.errors import DivisionByZero, GuardUndecidable, ParseError, SqrtOfNegative, UnknownOrder
 from cadreduce.expr import (
     Add,
     AlgebraicConst,
@@ -31,12 +31,12 @@ from cadreduce.expr import (
     coord_approx,
     eval_coord,
     formula_holds,
+    integer_coeffs,
     parse_expr,
     parse_formula,
     sexpr_of_expr,
     sexpr_of_formula,
     to_polynomial,
-    univariate_coeffs,
 )
 from cadreduce.realroots import AlgebraicNumber, interval_eval, isolate_roots, make_algebraic, poly
 
@@ -82,6 +82,30 @@ def test_parse_errors():
             parse_expr(text)
     with pytest.raises(ParseError):
         parse_formula("((lt x1 0))")
+
+
+def test_parse_root_roundtrips_and_rejects_what_is_no_isolated_root():
+    for text in ("(root (-2 0 1) 1 2)", "(add x1 (root (1 -3 0 1) 0 1))", "(root (-1 1) 1 1)"):
+        e = parse_expr(text)
+        assert sexpr_of_expr(e) == text and parse_expr(sexpr_of_expr(e)) == e
+    assert parse_expr("(root (-2 0 1) 1 2)").value.compare(isolate_roots(poly([-2, 0, 1]))[1]) == 0
+    for text in (
+        "(root (-2 a 1) 1 2)",  # a coefficient that is no rational
+        "(root (-2 (add 1 1) 1) 1 2)",
+        "(root (-2 0 1) x1 2)",  # a bound that is no rational
+        "(root (-2 0 1) 1 (add 1 1))",
+        "(root (-2 0 1) 2 1)",  # an empty interval
+        "(root (-2 0 1) 2 3)",  # no root inside
+        "(root (-2 0 1) -2 2)",  # two roots inside
+        "(root (-1 0 1) 1 2)",  # an endpoint that is a root
+        "(root (-2 0 1) 1 1)",  # a point that is no root
+        "(root (0 0) 1 2)",  # the zero polynomial
+        "(root () 1 2)",
+        "(root (-2 0 1) 1)",
+        "(root -2 1 2)",
+    ):
+        with pytest.raises(ParseError):
+            parse_expr(text)
 
 
 def test_parse_formula_rejects_operands_of_true_and_false():
@@ -401,6 +425,75 @@ def test_atom_sign_with_algebraic_coordinate():
     assert atom_sign(lhs, [F(1), F(3, 2)]) == 1
 
 
+def test_atom_sign_classifies_only_the_variables_the_polynomial_uses():
+    # The exact one-algebraic path decides a zero that interval refinement
+    # cannot, whatever the coordinates the polynomial does not use hold.
+    sqrt2, sqrt3 = (isolate_roots(poly([-c, 0, 1]))[1] for c in (2, 3))
+    lazy = eval_coord(parse_expr("(add (sqrt 2) (sqrt 3))"), ())
+    assert isinstance(lazy, LazyValue)
+    lhs = parse_expr("(sub (pow x1 2) 2)")
+    for point in ((sqrt2, sqrt3), (sqrt2, lazy), (sqrt2, sqrt3, lazy), (F(1), lazy)):
+        assert atom_sign(lhs, point) == (0 if point[0] is sqrt2 else -1)
+    assert atom_sign(parse_expr("(sub x3 1)"), (lazy, sqrt3, F(2))) == 1
+    with pytest.raises(ValueError, match="no coordinate 3"):
+        atom_sign(parse_expr("(sub x3 x1)"), (sqrt2, lazy))
+
+
+def test_atom_sign_falls_back_to_intervals_at_two_algebraic_or_a_lazy_coordinate():
+    sqrt2, sqrt3 = (isolate_roots(poly([-c, 0, 1]))[1] for c in (2, 3))
+    lazy = eval_coord(parse_expr("(add (sqrt 2) (sqrt 3))"), ())  # 3.146...
+    assert atom_sign(parse_expr("(sub x1 x2)"), (sqrt2, sqrt3)) == -1
+    assert atom_sign(parse_expr("(sub (mul x1 x2) 2)"), (sqrt2, sqrt3)) == 1
+    assert atom_sign(parse_expr("(sub x1 3)"), (lazy,)) == 1
+    assert atom_sign(parse_expr("(sub x1 (mul 2 x2))"), (lazy, F(8, 5))) == -1
+    # Refinement proves no zero: sqrt2^2 - sqrt3^2 + 1 = 0 stays undecided,
+    # and so does (sqrt2 + sqrt3)^2 - 5 - 2 sqrt6 = 0 read as x1^2 - 5 - 2 x2 x3.
+    with pytest.raises(GuardUndecidable):
+        atom_sign(parse_expr("(add (sub (pow x1 2) (pow x2 2)) 1)"), (sqrt2, sqrt3))
+    with pytest.raises(GuardUndecidable):
+        atom_sign(parse_expr("(sub (sub (pow x1 2) 5) (mul 2 (mul x2 x3)))"), (lazy, sqrt2, sqrt3))
+
+
+def test_eval_reads_algebraic_and_lazy_coordinates():
+    sqrt2 = isolate_roots(poly([-2, 0, 1]))[1]
+    half = AlgebraicNumber.from_rational(F(1, 2))
+    e = parse_expr("(add x1 1)")
+    # A rational algebraic coordinate is read exactly.
+    assert eval_coord(e, (half,)) == F(3, 2)
+    # An irrational one makes the value lazy; refining it reads the
+    # coordinate's isolating interval.
+    at_sqrt2 = eval_coord(e, (sqrt2,))
+    assert isinstance(at_sqrt2, LazyValue)
+    lo, hi = coord_approx(at_sqrt2, F(1, 2**20))
+    assert lo < F(24142136, 10**7) < hi and hi - lo <= F(1, 2**20)
+    # A lazy coordinate is evaluated through its own expression and point.
+    at_lazy = eval_coord(e, (at_sqrt2,))
+    assert isinstance(at_lazy, LazyValue)
+    lo, hi = coord_approx(at_lazy, F(1, 2**20))
+    assert lo < F(34142136, 10**7) < hi and hi - lo <= F(1, 2**20)
+    assert compare_coords(at_lazy, F(3)) == 1 and compare_coords(at_lazy, sqrt2) == 1
+
+
+def test_compare_coords_finds_canonically_equal_lazy_values_equal():
+    a = eval_coord(parse_expr("(add (sqrt 2) (sqrt 3))"), ())
+    b = eval_coord(parse_expr("(add (sqrt 3) (sqrt 2))"), ())
+    assert isinstance(a, LazyValue) and isinstance(b, LazyValue) and a != b
+    assert compare_coords(a, b) == compare_coords(b, a) == 0
+    # At another point, or with another expression, they are compared by
+    # refinement; equal values there cannot be separated.
+    c = LazyValue(parse_expr("(add (sqrt x1) (sqrt 3))"), (F(2),))
+    with pytest.raises(UnknownOrder):
+        compare_coords(a, c)
+    d = eval_coord(parse_expr("(add (sqrt 2) (sqrt 5))"), ())
+    assert compare_coords(a, d) == -1 and compare_coords(d, b) == 1
+
+
+def univariate_coeffs(p, values, index):
+    """The coefficients that ``integer_coeffs`` stands for: each a_d / s."""
+    coeffs, scale = integer_coeffs(p, values, index)
+    return tuple(F(a, scale) for a in coeffs)
+
+
 def test_univariate_coeffs_substitutes_every_variable_but_one():
     p = to_polynomial(parse_expr("(add (mul 3 x1 (pow x2 2)) (mul x1 x3) (neg x3) 5)"))
     # All rational: a constant, 3*2*4 + 2*(-1) + 1 + 5.
@@ -430,7 +523,7 @@ def test_atom_sign_one_substitution_pass_at_rational_and_algebraic_points():
 
 
 def _univariate_coeffs_oracle(p, values, index):
-    """``univariate_coeffs`` as it was written before it summed in
+    """The coefficients as they were computed before they were summed in
     integers: term by term, in ``Fraction`` arithmetic."""
     coeffs = {}
     for mon, c in p.items():
@@ -513,7 +606,7 @@ def test_integer_kernel_agrees_with_the_fraction_oracle_on_random_corpus():
         if want and want[0] is ValueError:
             seen.add("missing")
             continue
-        coeffs, scale = expr._integer_coeffs(p, values, index)
+        coeffs, scale = integer_coeffs(p, values, index)
         assert scale > 0 and tuple(F(a, scale) for a in coeffs) == want
         seen.add("zero" if not want else ("constant" if index is None else "in x_index"))
         if any(v.denominator > 2**40 for v in values.values()):

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from cadreduce.cadmodel import Cad, SectionStack, check_adapted, validate_cad
-from cadreduce import cadmodel
+from cadreduce import cadmodel, reduction
 from cadreduce.errors import LabelMissing, RuleNotApplicable, UnknownOrder, ValidationFailed
 from cadreduce.expr import compare_coords, eval_coord, parse_expr
 from cadreduce.gallery import (
@@ -21,7 +22,6 @@ from cadreduce.gallery import (
 from cadreduce.poset import explore, extend_cylinder, poset_report
 from cadreduce.reduction import (
     Coarsening,
-    lift_key,
     minimize,
     try_lift,
 )
@@ -34,8 +34,6 @@ from tests.test_tree import (
     full_relabel_merge,
     index_views,
     random_tree,
-    sibling,
-    walk_key,
     walk_pivots,
 )
 
@@ -451,12 +449,6 @@ def test_merge_shares_every_cell_off_its_path_and_triple():
     assert shared > 1000
 
 
-def walk_lift_key(tree, pivot) -> tuple:
-    """Oracle: the lift verdict's memo key by a walk of the three merged
-    subtrees."""
-    return tuple(walk_key(tree, sibling(pivot, d)) for d in (-1, 0, +1))
-
-
 def explored_inputs(monkeypatch):
     """(name, labelled root) for the gallery, its lifts to R^6 and
     disk-lines(7)."""
@@ -468,25 +460,65 @@ def explored_inputs(monkeypatch):
     yield disk.name, (disk.cad, disk.labels)
 
 
-def test_kept_pivots_lift_keys_and_blocks_match_the_walks(monkeypatch):
-    # Every cell keeps its pivots and its structural key, and a child
-    # computes its partition from its parent's; the walks they replace stay
-    # here as oracles.
-    lifts = kept = 0
+def test_kept_pivots_and_blocks_match_the_walks(monkeypatch):
+    # Every cell keeps its pivots, and a child computes its partition from
+    # its parent's; the walks they replace stay here as oracles.
+    nodes = 0
     for name, (cad, labels) in explored_inputs(monkeypatch):
-        pairs = set()
         for node in explore(cad, labels).nodes.values():
             assert len(node.pivots) == len(walk_pivots(node.tree)), (name, node.applied)
             assert set(node.pivots) == walk_pivots(node.tree), (name, node.applied)
             assert node.blocks == node.cad.partition_blocks(), (name, node.applied)
+            nodes += 1
+    assert nodes > 100
+
+
+def walk_slots(glues_continuously, root: Cad, cells) -> list:
+    """Oracle: (slot key, verdict) for every slot of every glued stack of a
+    lift, in the order of the walk, each checked on ``root`` with no memo.
+    A slot key is the merge level and the root cells of the slot's three
+    section cells."""
+    k = len(cells[1].roots[0])
+    slots = []
+    frontier = [cells]
+    while frontier:
+        left, mid, right = frontier.pop()
+        for i in range(1, len(mid.children), 2):
+            sections = (left.children[i], mid.children[i], right.children[i])
+            slots.append(((k, *[section.roots for section in sections]), glues_continuously(root, k, sections)))
+        frontier += zip(left.children, mid.children, right.children)
+    return slots
+
+
+def test_a_lift_verdict_is_made_only_through_the_per_slot_memo(monkeypatch):
+    # Every lift's verdict equals the oracle's on a fresh root, and on each
+    # root the check of one slot runs exactly once per slot key that some
+    # lift reaches: its walk stops at the first slot that fails.
+    original = reduction._glues_continuously
+    checked = []
+
+    def counted(root, k, sections):
+        checked.append((root, k, *[section.roots for section in sections]))
+        return original(root, k, sections)
+
+    monkeypatch.setattr(reduction, "_glues_continuously", counted)
+    reached = set()
+    verdicts = Counter()
+    for name, (cad, labels) in explored_inputs(monkeypatch):
+        fresh = Cad(cad.n, cad.stacks)
+        for node in explore(cad, labels).nodes.values():
             for pivot in node.pivots:
-                pairs.add((lift_key(triple(node.tree, pivot)), walk_lift_key(node.tree, pivot)))
-                lifts += 1
-        # One key per walk key and one walk key per key.
-        assert len({key for key, _ in pairs}) == len({walked for _, walked in pairs}) == len(pairs), name
-        kept += len(pairs)
-    # The keys are compared where the memo is used: most lifts share a key.
-    assert lifts > 500 and kept < lifts / 3
+                slots = walk_slots(original, fresh, triple(node.tree, pivot))
+                verdict = try_lift(node, pivot) is not None
+                assert verdict == all(ok for _, ok in slots), (name, node.applied, pivot)
+                verdicts[verdict] += 1
+                for key, ok in slots:
+                    reached.add((cad, *key))
+                    if not ok:
+                        break
+    assert Counter(checked) == Counter(reached)
+    assert verdicts[True] > 400 and verdicts[False] > 20
+    assert len(reached) < sum(verdicts.values()) / 2
 
 
 def assert_section_probes_extend_their_base(cad: Cad, where) -> None:

@@ -14,7 +14,6 @@ from cadreduce.tree import (
     merged_blocks,
     prefix,
     relabel_index,
-    walk,
 )
 
 
@@ -45,13 +44,6 @@ def walk_pivots(tree: CadTree) -> set:
         for letter in range(2, len(cell.children), 2)
         if cell.children[letter - 2].label == cell.children[letter - 1].label == cell.children[letter].label
     }
-
-
-def walk_key(tree: CadTree, top) -> tuple:
-    """Oracle: the structure of the subtree at ``top`` by a walk, as
-    ``(suffix, roots)`` of every cell below it; the lift verdicts were kept
-    under these before every cell kept its structural key."""
-    return tuple((suffix, cell.roots) for suffix, cell in walk(tree.cell(top), tree.depth - len(top)))
 
 
 def tree_blocks(tree: CadTree) -> frozenset:
