@@ -38,6 +38,7 @@ from cadreduce.expr import (
     Formula,
     Piecewise,
     Point,
+    ScaledPoly,
     Sub,
     any_node,
     canonicalize,
@@ -45,6 +46,7 @@ from cadreduce.expr import (
     const,
     eval_coord,
     formula_holds,
+    holds,
     integer_coeffs,
     is_piecewise,
     max_var_index,
@@ -317,10 +319,10 @@ def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
     p = to_polynomial(den)
     if p is None:
         return None
-    variables = {i for mon in p for i, _ in mon}
-    if len(variables) != 1:
+    q = ScaledPoly(p)
+    if len(q.variables) != 1:
         return None
-    (t,) = variables
+    (t,) = q.variables
     base = cell[: t - 1]
     stack = root.stacks[base]
     j = (cell[t - 1] - 1) // 2
@@ -338,7 +340,7 @@ def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
             lo, hi = (None if r is None else r.value for r in restricted)
         return any(
             (lo is None or compare_coords(lo, r) < 0) and (hi is None or compare_coords(r, hi) < 0)
-            for r in isolate_roots(poly(integer_coeffs(p, {}, t)[0]))
+            for r in isolate_roots(poly(integer_coeffs(q, {}, t)[0]))
         )
     except (GuardUndecidable, UnknownOrder, DivisionByZero, SqrtOfNegative):
         return None
@@ -547,14 +549,19 @@ def _check_guard_disjointness(
 def check_adapted(cad: Cad, formula: Formula) -> LeafLabeling:
     """Label every leaf by set membership of its sample; ``PROBES``
     points per leaf must agree, otherwise the CAD is not adapted to the set.
-    A formula in more variables than the CAD has is a ``ValueError``."""
+    A formula in more variables than the CAD has is a ``ValueError``.
+
+    Each atom of the formula is converted to integers (``ScaledPoly``) once
+    per call, when its sign is first needed, in a table kept for this call
+    only; every probe then signs it exactly as ``formula_holds`` would."""
     top = max_var_index(formula)
     if top > cad.n:
         raise ValueError(f"formula has variable x{top}, the CAD is of R^{cad.n}")
+    polys: dict[Expr, ScaledPoly] = {}
     labels: LeafLabeling = {}
     for leaf in cad.leaves():
         points = cad.cell_points(leaf, PROBES)
-        verdicts = [(formula_holds(formula, p), p) for p, _tag in points]
+        verdicts = [(holds(formula, p, polys), p) for p, _tag in points]
         first = verdicts[0][0]
         for truth, point in verdicts[1:]:
             if truth != first:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from typing import Iterable, Union
 
 from cadreduce.errors import DivisionByZero, GuardUndecidable, ParseError, SqrtOfNegative, UnknownOrder
@@ -760,42 +760,64 @@ def to_polynomial(e: Expr) -> "VarPoly | None":
     return {tuple((idx, k) for (_, idx, _), k in mon): c for mon, c in pair.num.items()}
 
 
-def integer_coeffs(p: VarPoly, values: dict[int, Fraction], index: int | None) -> tuple[list[int], int]:
-    """The dense coefficients in x_index of ``p`` with the rational
-    ``values`` substituted for every other variable (a constant when
-    ``index`` is None), summed in integers: integers a_d, trailing zeros
-    dropped, and a scale s > 0 with a_d / s the coefficient of x_index^d.
-    A variable that is neither ``index`` nor given a value raises
-    ``ValueError``: the point has no such coordinate.
+class ScaledPoly:
+    """A polynomial of ``to_polynomial`` in integers, made once for all the
+    points it is signed at: ``terms`` holds (L*c, monomial) for each term
+    c * monomial, with L > 0 (``den``) the least common denominator of the
+    coefficients, so the integers stand for L*p, which has p's signs;
+    ``top`` maps each variable to its top degree in p, and ``variables``
+    are the variables p uses."""
 
-    With L the least common denominator of p's coefficients, x_i = n_i/d_i
-    and K_i the top degree of x_i in p, s = L * prod d_i^K_i: a term
-    c * prod x_i^k_i contributes L*c * prod n_i^k_i * d_i^(K_i - k_i).  As
-    s > 0, the a_d give every sign that the exact coefficients give."""
-    top: dict[int, int] = {}
-    for mon in p:
-        for i, k in mon:
-            if i != index:
-                if i not in values:
-                    raise ValueError(f"point has no coordinate {i}")
-                top[i] = max(k, top.get(i, 0))
-    den = lcm(*[c.denominator for c in p.values()])
-    common = prod(values[i].denominator ** k for i, k in top.items())
+    __slots__ = ("terms", "den", "top", "variables")
+
+    def __init__(self, p: VarPoly):
+        self.den = lcm(*[c.denominator for c in p.values()])
+        self.terms = tuple((c.numerator * (self.den // c.denominator), mon) for mon, c in p.items())
+        self.top: dict[int, int] = {}
+        for mon in p:
+            for i, k in mon:
+                self.top[i] = max(k, self.top.get(i, 0))
+        # A set's order, in which ``atom_sign`` names a missing coordinate.
+        self.variables = tuple({i for mon in p for i, _ in mon})
+
+
+def integer_coeffs(q: ScaledPoly, values: dict[int, Fraction], index: int | None) -> tuple[list[int], int]:
+    """The dense coefficients in x_index of the polynomial p that ``q``
+    stands for, with the rational ``values`` substituted for every other
+    variable (a constant when ``index`` is None), summed in integers:
+    integers a_d, trailing zeros dropped, and a scale s > 0 with a_d / s the
+    coefficient of x_index^d.  A variable that is neither ``index`` nor
+    given a value raises ``ValueError``: the point has no such coordinate.
+
+    ``q`` was made once from p, so only the values' part is computed here:
+    with L = ``q.den``, x_i = n_i/d_i and K_i the top degree of x_i in p,
+    s = L * prod d_i^K_i, and a term c * prod x_i^k_i contributes
+    L*c * prod n_i^k_i * d_i^(K_i - k_i).  As s > 0, the a_d give every sign
+    that the exact coefficients give."""
+    common = 1
+    parts: dict[int, tuple[int, int]] = {}
+    for i, k in q.top.items():
+        if i != index:
+            v = values.get(i)
+            if v is None:
+                raise ValueError(f"point has no coordinate {i}")
+            n, d = parts[i] = v.numerator, v.denominator
+            common *= d**k
     coeffs: dict[int, int] = {}
-    for mon, c in p.items():
-        term, rest, degree = c.numerator * (den // c.denominator), common, 0
+    for term, mon in q.terms:
+        rest, degree = common, 0
         for i, k in mon:
             if i == index:
                 degree = k
             else:
-                v = values[i]
-                term *= v.numerator**k
-                rest //= v.denominator**k
+                n, d = parts[i]
+                term *= n**k
+                rest //= d**k
         coeffs[degree] = coeffs.get(degree, 0) + term * rest
     out = [coeffs.get(d, 0) for d in range(max(coeffs, default=0) + 1)]
     while out and not out[-1]:
         out.pop()
-    return out, den * common
+    return out, q.den * common
 
 
 # ---------------------------------------------------------------------------
@@ -1073,27 +1095,36 @@ def sector_coords(lo: CoordValue | None, hi: CoordValue | None, count: int) -> l
 # Signs and comparisons
 
 
-def atom_sign(lhs: Expr, point) -> int:
+def atom_sign(lhs: Expr, point: Point, polys: dict[Expr, ScaledPoly]) -> int:
     """Exact sign of a polynomial at a point.
 
+    ``polys`` maps each polynomial already converted to its ``ScaledPoly``.
+    This is where the conversion happens: the first call for ``lhs``
+    consults ``to_polynomial`` and keeps the result in ``polys``, so a
+    caller that signs one formula at many points (``check_adapted``)
+    converts each atom once.  A ``lhs`` that is not a polynomial raises
+    ``ParseError`` here, when a sign of it is first needed.
+
     Exact when the coordinates of the variables the polynomial uses are
-    rational but for at most one algebraic one; otherwise decided by
-    interval refinement, which can prove a nonzero sign but raises
-    GuardUndecidable on a (potential) zero.  The exact cases read the
-    integer coefficients of ``integer_coeffs``: they are the exact ones
-    times a positive scale, which keeps the sign.
+    rational but for at most one algebraic one: those paths read the
+    integer coefficients of ``integer_coeffs``, which are the exact ones
+    times a positive scale and so keep the sign.  Otherwise decided by
+    interval refinement of ``lhs`` itself, which can prove a nonzero sign
+    but raises GuardUndecidable on a (potential) zero.
     """
-    pt = as_point(point)
-    p = to_polynomial(lhs)
-    if p is None:
-        raise ParseError(f"not a polynomial: {sexpr_of_expr(lhs)}")
+    q = polys.get(lhs)
+    if q is None:
+        p = to_polynomial(lhs)
+        if p is None:
+            raise ParseError(f"not a polynomial: {sexpr_of_expr(lhs)}")
+        q = polys[lhs] = ScaledPoly(p)
     rationals: dict[int, Fraction] = {}
     algebraic: list[tuple[int, AlgebraicNumber]] = []
     lazies = 0
-    for i in {i for mon in p for i, _ in mon}:
-        if i > len(pt):
+    for i in q.variables:
+        if i > len(point):
             raise ValueError(f"point has no coordinate {i}")
-        cv = pt[i - 1]
+        cv = point[i - 1]
         if isinstance(cv, Fraction):
             rationals[i] = cv
         elif isinstance(cv, AlgebraicNumber):
@@ -1104,14 +1135,14 @@ def atom_sign(lhs: Expr, point) -> int:
         else:
             lazies += 1
     if not algebraic and not lazies:
-        c, _scale = integer_coeffs(p, rationals, None)
+        c, _scale = integer_coeffs(q, rationals, None)
         return 0 if not c else (1 if c[0] > 0 else -1)
     if len(algebraic) == 1 and not lazies:
         idx, a = algebraic[0]
-        return a.sign_of(upoly(integer_coeffs(p, rationals, idx)[0]))
+        return a.sign_of(upoly(integer_coeffs(q, rationals, idx)[0]))
     for w in _widths(_FIRST_WIDTH):
         try:
-            v = _eval(lhs, pt, w)
+            v = _eval(lhs, point, w)
         except _Imprecise:
             continue
         if isinstance(v, Fraction):
@@ -1121,7 +1152,7 @@ def atom_sign(lhs: Expr, point) -> int:
             return 1
         if hi < 0:
             return -1
-    raise GuardUndecidable(f"sign of {sexpr_of_expr(lhs)} undecided at {pt}")
+    raise GuardUndecidable(f"sign of {sexpr_of_expr(lhs)} undecided at {point}")
 
 
 _OP_TEST = {
@@ -1133,23 +1164,25 @@ _OP_TEST = {
 }
 
 
-def formula_holds(f: Formula, point) -> bool:
-    """Truth of a formula at a point; raises GuardUndecidable when the sign
-    of some needed atom cannot be resolved."""
+def holds(f: Formula, point: Point, polys: dict[Expr, ScaledPoly]) -> bool:
+    """Truth of a formula at a point, each atom signed by ``atom_sign``
+    through ``polys``; raises GuardUndecidable when the sign of some needed
+    atom cannot be resolved.  An atom that a decided ``And``/``Or``
+    short-circuits away is not signed, nor converted."""
     if isinstance(f, TrueFormula):
         return True
     if isinstance(f, FalseFormula):
         return False
     if isinstance(f, Atom):
-        return _OP_TEST[f.op](atom_sign(f.lhs, point))
+        return _OP_TEST[f.op](atom_sign(f.lhs, point, polys))
     if isinstance(f, Not):
-        return not formula_holds(f.arg, point)
+        return not holds(f.arg, point, polys)
     if isinstance(f, (And, Or)):
         want = isinstance(f, Or)  # short-circuit value
         undecided = False
         for a in f.args:
             try:
-                if formula_holds(a, point) == want:
+                if holds(a, point, polys) == want:
                     return want
             except GuardUndecidable:
                 undecided = True
@@ -1157,6 +1190,12 @@ def formula_holds(f: Formula, point) -> bool:
             raise GuardUndecidable("formula undecided at the point")
         return not want
     raise TypeError(f"unknown formula node {f!r}")
+
+
+def formula_holds(f: Formula, point) -> bool:
+    """``holds`` at one point, with a table of its own: for formulas
+    evaluated once at a point, such as piecewise guards."""
+    return holds(f, as_point(point), {})
 
 
 def compare_coords(a: CoordValue, b: CoordValue) -> int:

@@ -253,9 +253,12 @@ class AlgebraicNumber:
         return self.hi - self.lo
 
     def refine(self, width: Fraction) -> AlgebraicNumber:
-        """Same root, isolating interval of width <= ``width``."""
+        """Same root, isolating interval of width <= ``width``: ``self``
+        when its interval is that narrow already (no sign is computed),
+        otherwise bisected exactly, each midpoint's sign taken by
+        ``sign_at``, until it is."""
         lo, hi = self.lo, self.hi
-        if lo == hi:
+        if lo == hi or hi - lo <= width:
             return self
         p = self.defining
         slo = sign_at(p, lo)

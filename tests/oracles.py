@@ -12,6 +12,8 @@ pipeline does not call.
 - ``common_refinement``: the paper's C-bar, a CAD refining two CADs whose
   sections do not cross (``SectionsCross`` when they do), which rebuilds
   the gallery's literal Cbar entries from their C and Cp;
+- ``labels_by_probes``: adaptedness as ``formula_holds`` at each probe, the
+  definition ``check_adapted`` computes with each atom converted once;
 - ``add`` and ``mul``: dense polynomial arithmetic, to build polynomials.
 
 Each raises ``ValueError`` on an input it cannot answer for.
@@ -22,8 +24,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from cadreduce.cadmodel import PROBES, ROOT_INDEX, Cad, CellIndex, LeafLabeling, SectionStack, word_of
-from cadreduce.errors import CadError, GuardUndecidable, UnknownOrder
-from cadreduce.expr import Expr, Point, any_node, as_point, compare_coords, eval_coord, is_piecewise
+from cadreduce.errors import CadError, GuardUndecidable, NotAdapted, UnknownOrder
+from cadreduce.expr import (
+    Expr,
+    Formula,
+    Point,
+    any_node,
+    as_point,
+    compare_coords,
+    eval_coord,
+    formula_holds,
+    is_piecewise,
+    max_var_index,
+)
 from cadreduce.poset import PosetGraph
 from cadreduce.realroots import ZERO, UniPoly, poly
 
@@ -291,6 +304,30 @@ def _merge_stacks(fns1: tuple[Expr, ...], fns2: tuple[Expr, ...], points: list[P
     out += [(f, True, False) for f in fns1[i:]]
     out += [(f, False, True) for f in fns2[j:]]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Adaptedness, probe by probe
+
+
+def labels_by_probes(cad: Cad, formula: Formula) -> LeafLabeling:
+    """``check_adapted`` by definition: ``formula_holds`` at each of a
+    leaf's ``PROBES`` points, every atom converted again at every point."""
+    top = max_var_index(formula)
+    if top > cad.n:
+        raise ValueError(f"formula has variable x{top}, the CAD is of R^{cad.n}")
+    labels: LeafLabeling = {}
+    for leaf in cad.leaves():
+        points = cad.cell_points(leaf, PROBES)
+        verdicts = [(formula_holds(formula, p), p) for p, _tag in points]
+        first = verdicts[0][0]
+        for truth, _point in verdicts[1:]:
+            if truth != first:
+                inside = next(p for t, p in verdicts if t)
+                outside = next(p for t, p in verdicts if not t)
+                raise NotAdapted(leaf, inside, outside)
+        labels[leaf] = 1 if first else 0
+    return labels
 
 
 # ---------------------------------------------------------------------------

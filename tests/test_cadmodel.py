@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from cadreduce import expr, realroots
 from cadreduce.cadmodel import (
     PROBES,
     Cad,
@@ -11,8 +13,8 @@ from cadreduce.cadmodel import (
     validate_cad,
     word_of,
 )
-from cadreduce.errors import NotAdapted
-from cadreduce.expr import formula_holds, parse_expr, parse_formula
+from cadreduce.errors import GuardUndecidable, NotAdapted, ParseError
+from cadreduce.expr import FALSE, TRUE, And, Atom, Not, Or, Sqrt, Var, formula_holds, parse_expr, parse_formula
 from cadreduce.gallery import (
     disk_c,
     disk_cp,
@@ -24,7 +26,11 @@ from cadreduce.gallery import (
     ushape_c,
     ushape_cp,
 )
-from tests.oracles import coarsening_blocks, locate, partition_refines, refines, sample
+from cadreduce.poset import extend_cylinder
+from cadreduce.realroots import AlgebraicNumber
+from tests.oracles import coarsening_blocks, labels_by_probes, locate, partition_refines, refines, sample
+from tests.test_packaging import load_perfbench
+from tests.test_realroots import oracle_refine
 
 F = Fraction
 
@@ -323,3 +329,165 @@ def test_gallery_load_and_check_derive_each_probe_list_once(monkeypatch):
     assert {count for _cad, _cell, count in derived} == {PROBES}
     keys = [(id(cad), cell) for cad, cell, _count in derived]
     assert len(keys) == len(set(keys))
+
+
+def odd_coordinates():
+    """A CAD of R^2 whose probes have two algebraic coordinates, on leaf
+    2.2 (sqrt 2, sqrt 3), and a lazy one, on leaf 2.4 (sqrt 2, sqrt 2 + 2)."""
+    stacks = {
+        (): SectionStack((parse_expr("(sqrt 2)"),)),
+        (1,): SectionStack(()),
+        (2,): SectionStack((parse_expr("(sqrt 3)"), parse_expr("(add x1 2)"))),
+        (3,): SectionStack(()),
+    }
+    return Cad(2, stacks)
+
+
+# Atoms whose sign is a zero no exact path decides at the odd coordinates:
+# x2^2 - x1^2 - 1 at (sqrt 2, sqrt 3), and x2 - x1 - 2 at the lazy point.
+UNDECIDABLE = (parse_formula("(eq (sub (pow x2 2) (add (pow x1 2) 1)) 0)"), parse_formula("(ge (sub x2 (add x1 2)) 0)"))
+# A non-polynomial atom: the parser refuses it, so it is built directly.
+NON_POLYNOMIAL = Atom(Sqrt(Var(1)), "gt")
+
+
+def adaptedness_inputs(monkeypatch):
+    """(name, fresh root, its formula) for every gallery entry and its R^6
+    lift, disk-lines(7), disk-lines(96) and the odd coordinates."""
+    for name in gallery_names():
+        entry = load_entry(name)
+        yield name, entry.cad, entry.formula
+        yield f"{name}@R6", extend_cylinder(entry.cad, entry.labels, 6)[0], entry.formula
+    workloads = load_perfbench("workloads", monkeypatch)
+    for m in (7, 96):
+        disk = workloads.disk_lines(m, 0)
+        yield disk.name, disk.cad, disk.formula
+    yield "odd coordinates", odd_coordinates(), Or((UNDECIDABLE[0], parse_formula("(lt x2 0)")))
+
+
+def random_formula(rng: random.Random, n: int, atoms: list, depth: int = 3):
+    """A seeded formula in x1..xn over ``atoms`` and random polynomial
+    atoms, with every connective and both constants."""
+    kind = rng.randrange(8 if depth else 3)
+    if kind == 0:
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            term = f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}"
+            for _ in range(rng.randint(0, 2)):
+                term = f"(mul {term} x{rng.randint(1, min(n, 3))})"
+            terms.append(term)
+        lhs = terms[0] if len(terms) == 1 else f"(add {' '.join(terms)})"
+        return parse_formula(f"({rng.choice(('lt', 'le', 'eq', 'ge', 'gt'))} {lhs} 0)")
+    if kind == 1:
+        return rng.choice(atoms)
+    if kind == 2:
+        return rng.choice((TRUE, FALSE))
+    if kind == 3:
+        return Not(random_formula(rng, n, atoms, depth - 1))
+    args = tuple(random_formula(rng, n, atoms, depth - 1) for _ in range(rng.randint(2, 3)))
+    return And(args) if kind in (4, 5) else Or(args)
+
+
+def adaptedness_outcome(check, cad, formula):
+    """Labels, or the leaf and points of ``NotAdapted``, or the type and
+    message of any other exception."""
+    try:
+        return "labels", check(cad, formula)
+    except NotAdapted as exc:
+        return NotAdapted, exc.leaf, exc.point_in, exc.point_out
+    except Exception as exc:  # noqa: BLE001 - every exception is compared
+        return type(exc), str(exc)
+
+
+def test_check_adapted_matches_formula_holds_at_every_probe(monkeypatch):
+    # The differential test of converting each atom once per call: every
+    # outcome of ``check_adapted`` equals the probe-by-probe definition.
+    rng = random.Random(2411)
+    kinds, inputs = {}, 0
+    skipped, reached = Or((Not(FALSE), NON_POLYNOMIAL)), []
+    for name, cad, own in adaptedness_inputs(monkeypatch):
+        inputs += 1
+        atoms = [own, NON_POLYNOMIAL, *UNDECIDABLE]
+        formulas = [
+            own,
+            Not(own),
+            And((TRUE, own)),
+            Or((own, FALSE)),
+            skipped,
+            And((own, NON_POLYNOMIAL)),
+            parse_formula(f"(gt x{cad.n + 1} 0)"),
+            *(random_formula(rng, cad.n, atoms) for _ in range(8)),
+        ]
+        for formula in formulas:
+            want = adaptedness_outcome(labels_by_probes, cad, formula)
+            assert adaptedness_outcome(check_adapted, cad, formula) == want, (name, formula)
+            kinds.setdefault(want[0], []).append((name, formula))
+        reached.append(adaptedness_outcome(check_adapted, cad, formulas[5])[0])
+    assert inputs == 27
+    assert set(kinds) == {"labels", NotAdapted, ParseError, GuardUndecidable, ValueError}
+    # A short-circuited atom is never converted; a reached one raises.
+    assert sum(f == skipped for _name, f in kinds["labels"]) == inputs
+    assert reached == [ParseError] * inputs
+    # Only the odd coordinates leave a zero undecided.
+    assert {name for name, _formula in kinds[GuardUndecidable]} == {"odd coordinates"}
+
+
+def test_check_adapted_converts_each_atom_once(monkeypatch):
+    # A cost guard that reads no clock: on a fresh disk-lines(96),
+    # ``check_adapted`` consults ``to_polynomial`` once per distinct atom,
+    # not once per probe.
+    disk = load_perfbench("workloads", monkeypatch).disk_lines(96, 0)
+    consulted = []
+    convert = expr.to_polynomial
+    monkeypatch.setattr(expr, "to_polynomial", lambda e: consulted.append(e) or convert(e))
+    assert check_adapted(disk.cad, disk.formula) == disk.labels
+    assert consulted == [disk.formula.lhs]
+
+
+def test_leaf_probes_take_no_sign_to_refine_a_narrow_enough_number(monkeypatch):
+    # A cost guard that reads no clock: deriving disk-lines(96)'s leaf
+    # probes refines section values to widths they mostly have already;
+    # such a ``refine`` computes no sign.
+    cad = load_perfbench("workloads", monkeypatch).disk_lines(96, 0).cad
+    calls = []  # per refine call: whether it bisects, and the signs it takes
+    active = []
+    sign_at, refine = realroots.sign_at, AlgebraicNumber.refine
+
+    def counted_sign_at(p, x):
+        if active:
+            active[-1].append(x)
+        return sign_at(p, x)
+
+    def counted_refine(self, width):
+        signs = []
+        calls.append((self.hi - self.lo > width, signs))
+        active.append(signs)
+        try:
+            return refine(self, width)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(realroots, "sign_at", counted_sign_at)
+    monkeypatch.setattr(AlgebraicNumber, "refine", counted_refine)
+    for leaf in cad.leaves():
+        cad.cell_points(leaf, PROBES)
+    narrow = [signs for bisects, signs in calls if not bisects]
+    assert len(narrow) > 1000
+    assert all(signs == [] for signs in narrow)
+
+
+def test_refining_only_wider_intervals_keeps_every_probe(monkeypatch):
+    # ``refine`` returns a number whose interval is narrow enough as it is;
+    # every probe of every gallery entry and of disk-lines(96), where some
+    # numbers are bisected, is the one that bisecting each number from its
+    # own interval gives.
+    workloads = load_perfbench("workloads", monkeypatch)
+
+    def probes():
+        out = []
+        for cad in [load_entry(name).cad for name in gallery_names()] + [workloads.disk_lines(96, 0).cad]:
+            out += [cad.cell_points(cell, PROBES) for k in range(cad.n + 1) for cell in cad.cells_of_level(k)]
+        return out
+
+    kept = probes()
+    monkeypatch.setattr(AlgebraicNumber, "refine", oracle_refine)
+    assert probes() == kept

@@ -18,6 +18,7 @@ from cadreduce.expr import (
     Neg,
     Piecewise,
     Pow,
+    ScaledPoly,
     Sqrt,
     Sub,
     TRUE,
@@ -421,8 +422,8 @@ def test_formula_holds_at_algebraic_point():
 def test_atom_sign_with_algebraic_coordinate():
     sqrt2 = isolate_roots(poly([-2, 0, 1]))[1]
     lhs = parse_expr("(sub (pow x2 2) (mul 2 (pow x1 2)))")  # y^2 - 2x^2
-    assert atom_sign(lhs, [F(1), sqrt2]) == 0
-    assert atom_sign(lhs, [F(1), F(3, 2)]) == 1
+    assert atom_sign(lhs, [F(1), sqrt2], {}) == 0
+    assert atom_sign(lhs, [F(1), F(3, 2)], {}) == 1
 
 
 def test_atom_sign_classifies_only_the_variables_the_polynomial_uses():
@@ -433,25 +434,25 @@ def test_atom_sign_classifies_only_the_variables_the_polynomial_uses():
     assert isinstance(lazy, LazyValue)
     lhs = parse_expr("(sub (pow x1 2) 2)")
     for point in ((sqrt2, sqrt3), (sqrt2, lazy), (sqrt2, sqrt3, lazy), (F(1), lazy)):
-        assert atom_sign(lhs, point) == (0 if point[0] is sqrt2 else -1)
-    assert atom_sign(parse_expr("(sub x3 1)"), (lazy, sqrt3, F(2))) == 1
+        assert atom_sign(lhs, point, {}) == (0 if point[0] is sqrt2 else -1)
+    assert atom_sign(parse_expr("(sub x3 1)"), (lazy, sqrt3, F(2)), {}) == 1
     with pytest.raises(ValueError, match="no coordinate 3"):
-        atom_sign(parse_expr("(sub x3 x1)"), (sqrt2, lazy))
+        atom_sign(parse_expr("(sub x3 x1)"), (sqrt2, lazy), {})
 
 
 def test_atom_sign_falls_back_to_intervals_at_two_algebraic_or_a_lazy_coordinate():
     sqrt2, sqrt3 = (isolate_roots(poly([-c, 0, 1]))[1] for c in (2, 3))
     lazy = eval_coord(parse_expr("(add (sqrt 2) (sqrt 3))"), ())  # 3.146...
-    assert atom_sign(parse_expr("(sub x1 x2)"), (sqrt2, sqrt3)) == -1
-    assert atom_sign(parse_expr("(sub (mul x1 x2) 2)"), (sqrt2, sqrt3)) == 1
-    assert atom_sign(parse_expr("(sub x1 3)"), (lazy,)) == 1
-    assert atom_sign(parse_expr("(sub x1 (mul 2 x2))"), (lazy, F(8, 5))) == -1
+    assert atom_sign(parse_expr("(sub x1 x2)"), (sqrt2, sqrt3), {}) == -1
+    assert atom_sign(parse_expr("(sub (mul x1 x2) 2)"), (sqrt2, sqrt3), {}) == 1
+    assert atom_sign(parse_expr("(sub x1 3)"), (lazy,), {}) == 1
+    assert atom_sign(parse_expr("(sub x1 (mul 2 x2))"), (lazy, F(8, 5)), {}) == -1
     # Refinement proves no zero: sqrt2^2 - sqrt3^2 + 1 = 0 stays undecided,
     # and so does (sqrt2 + sqrt3)^2 - 5 - 2 sqrt6 = 0 read as x1^2 - 5 - 2 x2 x3.
     with pytest.raises(GuardUndecidable):
-        atom_sign(parse_expr("(add (sub (pow x1 2) (pow x2 2)) 1)"), (sqrt2, sqrt3))
+        atom_sign(parse_expr("(add (sub (pow x1 2) (pow x2 2)) 1)"), (sqrt2, sqrt3), {})
     with pytest.raises(GuardUndecidable):
-        atom_sign(parse_expr("(sub (sub (pow x1 2) 5) (mul 2 (mul x2 x3)))"), (lazy, sqrt2, sqrt3))
+        atom_sign(parse_expr("(sub (sub (pow x1 2) 5) (mul 2 (mul x2 x3)))"), (lazy, sqrt2, sqrt3), {})
 
 
 def test_eval_reads_algebraic_and_lazy_coordinates():
@@ -490,7 +491,7 @@ def test_compare_coords_finds_canonically_equal_lazy_values_equal():
 
 def univariate_coeffs(p, values, index):
     """The coefficients that ``integer_coeffs`` stands for: each a_d / s."""
-    coeffs, scale = integer_coeffs(p, values, index)
+    coeffs, scale = integer_coeffs(ScaledPoly(p), values, index)
     return tuple(F(a, scale) for a in coeffs)
 
 
@@ -513,13 +514,13 @@ def test_univariate_coeffs_substitutes_every_variable_but_one():
 def test_atom_sign_one_substitution_pass_at_rational_and_algebraic_points():
     sqrt2 = isolate_roots(poly([-2, 0, 1]))[1]
     lhs = parse_expr("(sub (mul x1 (pow x2 2)) (mul 2 x3))")  # x y^2 - 2 z
-    assert atom_sign(lhs, [F(1), sqrt2, F(1)]) == 0
-    assert atom_sign(lhs, [F(3), sqrt2, F(1)]) == 1
-    assert atom_sign(lhs, [F(1), F(1), F(1)]) == -1
+    assert atom_sign(lhs, [F(1), sqrt2, F(1)], {}) == 0
+    assert atom_sign(lhs, [F(3), sqrt2, F(1)], {}) == 1
+    assert atom_sign(lhs, [F(1), F(1), F(1)], {}) == -1
     with pytest.raises(ValueError, match="no coordinate 3"):
-        atom_sign(lhs, [F(1), sqrt2])
+        atom_sign(lhs, [F(1), sqrt2], {})
     with pytest.raises(ValueError, match="no coordinate 3"):
-        atom_sign(lhs, [F(1), F(2)])
+        atom_sign(lhs, [F(1), F(2)], {})
 
 
 def _univariate_coeffs_oracle(p, values, index):
@@ -606,7 +607,7 @@ def test_integer_kernel_agrees_with_the_fraction_oracle_on_random_corpus():
         if want and want[0] is ValueError:
             seen.add("missing")
             continue
-        coeffs, scale = integer_coeffs(p, values, index)
+        coeffs, scale = integer_coeffs(ScaledPoly(p), values, index)
         assert scale > 0 and tuple(F(a, scale) for a in coeffs) == want
         seen.add("zero" if not want else ("constant" if index is None else "in x_index"))
         if any(v.denominator > 2**40 for v in values.values()):
@@ -634,7 +635,7 @@ def test_atom_sign_agrees_with_the_fraction_oracle_on_random_corpus():
             if rng.random() < 0.3:
                 p = to_polynomial(Mul(_expr_of(p), _expr_of({((j + 1, k),): c for k, c in enumerate(a.defining)})))
                 counts["algebraic zero"] += 1
-                assert atom_sign(_expr_of(p), point) == 0
+                assert atom_sign(_expr_of(p), point, {}) == 0
                 continue
         elif rng.random() < 0.3:
             # Shift the constant term so the value at the point is exactly 0.
@@ -646,7 +647,7 @@ def test_atom_sign_agrees_with_the_fraction_oracle_on_random_corpus():
             p = {**p, ((n, 1),): F(1)}
             point.pop()
         lhs = _expr_of(p)
-        got = _outcome(atom_sign, lhs, point)
+        got = _outcome(atom_sign, lhs, point, {})
         rationals = {i: v for i, v in enumerate(point, start=1) if isinstance(v, Fraction)}
         index = next((i for i, v in enumerate(point, start=1) if not isinstance(v, Fraction)), None)
         q = _outcome(_univariate_coeffs_oracle, to_polynomial(lhs), rationals, index)

@@ -79,6 +79,14 @@ def _oracle_halve(p, lo, hi):
     return (mid, hi) if _sign(fm) == _sign(evaluate(p, lo)) else (lo, mid)
 
 
+def oracle_refine(a: AlgebraicNumber, width) -> AlgebraicNumber:
+    """``refine`` by Fraction bisection, from the number's own interval."""
+    lo, hi = a.lo, a.hi
+    while hi - lo > width:
+        lo, hi = _oracle_halve(a.defining, lo, hi)
+    return AlgebraicNumber(a.defining, lo, hi)
+
+
 def oracle_sign_of(a: AlgebraicNumber, q) -> int:
     if not q:
         return 0
@@ -217,6 +225,20 @@ def test_refine_narrows_and_keeps_root():
     assert fine.lo <= F(141421, 100000) <= fine.hi
     # Refining with a larger width is a no-op.
     assert fine.refine(F(1)) == fine
+
+
+def test_refine_returns_itself_when_narrow_enough_and_bisects_otherwise():
+    rationals = 0
+    for a in corpus():
+        w = a.width()
+        for width in (w, 2 * w, w + 1):
+            assert a.refine(width) is a
+        if a.is_rational:
+            rationals += 1
+            continue
+        for width in (w / 2, w / 3, w / 1000, F(1, 2**40)):
+            assert a.refine(width) == oracle_refine(a, width)
+    assert rationals > 0
 
 
 def test_refine_exact_root_is_point():
