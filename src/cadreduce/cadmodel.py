@@ -283,10 +283,13 @@ def restrict(root: Cad, cell: CellIndex, e: Expr) -> Expr | None:
     function, so the result is in the cell's sector coordinates.  None when
     ``e`` or a section function substituted into it is piecewise; raises
     ``DivisionByZero`` when ``e`` divides by zero on the whole cell."""
-    if any_node(e, is_piecewise):
-        return None
     values = _section_substitution(root, cell)
-    if values is None:
+    return None if values is None else _substituted(e, values)
+
+
+def _substituted(e: Expr, values: dict[int, Expr]) -> Expr | None:
+    """``restrict`` with the cell's section substitution made."""
+    if any_node(e, is_piecewise):
         return None
     return canonicalize(substitute(e, values))
 
@@ -443,10 +446,23 @@ def _exact_orders(cad: Cad, report: ValidationReport) -> set[tuple[CellIndex, in
     a positive constant proves the pair ordered, a constant <= 0 is a
     violation, and so is a polynomial with a zero in the cell."""
     decided = set()
+    # A pair is restricted once per section substitution: cells that share a
+    # stack and have no section letter, such as the inner sectors of
+    # disk-lines, share its restriction.  The zero test stays per cell.
+    restricted: dict[tuple, Expr | None] = {}
     for cell, stack in cad.stacks.items():
+        if stack.count < 2:
+            continue
+        values = _section_substitution(cad, cell)
+        if values is None:
+            continue
+        substitution = tuple(values.items())
         pairs = zip(stack.functions, stack.functions[1:])
         for i, (lower, upper) in enumerate(pairs, start=1):
-            diff = restrict(cad, cell, Sub(upper, lower))
+            key = (lower, upper, substitution)
+            if key not in restricted:
+                restricted[key] = _substituted(Sub(upper, lower), values)
+            diff = restricted[key]
             if diff is None:
                 continue
             where = f"sections {i},{i + 1} above {word_of(cell)}"

@@ -16,10 +16,15 @@ per merge would compare the glued stack.
 
 The identity, per slot of each glued stack.  The section's pieces are root
 stack functions, one per root cell below it; if they share one guard-free
-normal form, the section is that function.  Otherwise, for each piece f_m
-over a root cell m of the seam (the middle cell), a flank piece f_p glues
-with f_m when f_p - f_m vanishes on m (``cadmodel.vanishes_on``): restricted
-to m (``cadmodel.restrict``), its normal form has a zero numerator and a
+normal form, the section is that function.  Each section cell keeps that
+form of its own pieces (``tree.Cell``), and this fast path compares the
+three cells' kept forms.  A cell's form is made from its root cells once,
+and a glued cell's comes from its inputs, so along a run of merges a check
+lists only the root cells of the seam and the right flank.  Otherwise the
+slow path lists the pieces.  For each piece f_m over a root cell m of the
+seam (the middle cell), a flank piece f_p glues with f_m when f_p - f_m
+vanishes on m (``cadmodel.vanishes_on``): restricted to m
+(``cadmodel.restrict``), its normal form has a zero numerator and a
 denominator, which collects every denominator met, with no zero on m.  Then
 f_p is continuous around each point of m and equals f_m there.  The flank
 pieces are those over the root sector next to m over m's own base root
@@ -67,19 +72,14 @@ from cadreduce.expr import (
 )
 from cadreduce.tree import (
     CadTree,
+    UNMADE,
     Cell,
-    applicable_pivots,
     apply_merge,
     build_tree,
     is_applicable,
     merged_blocks,
     triple,
 )
-
-
-def pivot_order(pivot: CellIndex):
-    """The order in which pivots are tried: deepest first, then lexicographic."""
-    return (-len(pivot), pivot)
 
 
 _tree_of = build_tree  # perfbench/test_perfbench.py builds trees under this name
@@ -140,8 +140,9 @@ class Coarsening:
 
     @cached_property
     def pivots(self) -> list[CellIndex]:
-        """The applicable pivots, in ``pivot_order``."""
-        return sorted(applicable_pivots(self.tree), key=pivot_order)
+        """The applicable pivots in pivot order, deepest first, then
+        lexicographic: the top cell keeps them so (``tree.Cell``)."""
+        return list(self.tree.top.pivots)
 
     @cached_property
     def blocks(self) -> Blocks:
@@ -199,20 +200,40 @@ def _pieces(root: Cad, section: Cell) -> list[tuple[CellIndex, Expr]]:
     return [(q[:-1], root.stacks[q[:-1]].functions[q[-1] // 2 - 1]) for q in section.roots]
 
 
+def _form(root: Cad, section: Cell, like: Expr | None = None):
+    """The section cell's kept form: the one normal form of its pieces when
+    it is guard-free, else None.  It is made here on first read, from the
+    root cells; a glued cell has it from its three inputs (``tree.glue``).
+    A form that is ``like``, a guard-free form, is not searched for guards
+    again."""
+    form = section.form
+    if form is UNMADE:
+        # A root stack function recurs over many root cells; it is put in
+        # normal form once per cell.
+        forms = {canonicalize(f) for f in {id(f): f for _, f in _pieces(root, section)}.values()}
+        form = forms.pop() if len(forms) == 1 else None
+        if form is not None and form is not like and any_node(form, is_piecewise):
+            form = None
+        section.form = form
+    return form
+
+
+def _same(a: Expr, b: Expr | None) -> bool:
+    return a is b or a == b
+
+
 def _glues_continuously(root: Cad, k: int, sections: tuple[Cell, Cell, Cell]) -> bool:
     """Whether one section of the glued stack is continuous: ``sections``
     are its cells above the left flank, the seam and the right flank of a
     merge at level ``k``."""
-    left, middle, right = (_pieces(root, section) for section in sections)
-    pieces = [e for _, e in middle + left + right]
-    # A root stack function recurs over many root cells; it is put in normal
-    # form once per slot.
-    canon = {canonicalize(e) for e in {id(e): e for e in pieces}.values()}
-    if len(canon) == 1 and not any_node(next(iter(canon)), is_piecewise):
+    left, middle, right = sections
+    form = _form(root, left)
+    if form is not None and _same(form, _form(root, middle, form)) and _same(form, _form(root, right, form)):
         # One guard-free expression defined on all three cells (their stacks
         # are valid) is continuous on the union.
         return True
-    if any(any_node(e, is_piecewise) for e in pieces):
+    left, middle, right = (_pieces(root, section) for section in sections)
+    if any(any_node(e, is_piecewise) for _, e in middle + left + right):
         return False
     for m, f_m in middle:
         for side, direction in ((left, -1), (right, +1)):
@@ -230,9 +251,9 @@ def _glues_continuously(root: Cad, k: int, sections: tuple[Cell, Cell, Cell]) ->
 def minimize(cad: Cad, labels: LeafLabeling) -> Coarsening:
     """Greedy reduction to a coarsening admitting no liftable merge.
 
-    Pivots are attempted in ``pivot_order``; the first lift that succeeds is
-    applied and the search restarts on the result.  The result's ``applied``
-    lists the merges in order.
+    Pivots are attempted in pivot order (``Coarsening.pivots``); the first
+    lift that succeeds is applied and the search restarts on the result.
+    The result's ``applied`` lists the merges in order.
     """
     node = Coarsening.of(cad, labels)
     while True:

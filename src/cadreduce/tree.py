@@ -5,25 +5,35 @@ set.
 A labelled coarsening is one immutable tree of ``Cell`` objects.  A cell of
 depth k < n with branching count u has exactly 2u+1 children; all leaves sit
 at depth n.  Every cell holds the sorted root cells whose union it is, every
-leaf its label bit, and every cell, computed once when the cell is made from
-its children's:
+leaf its label bit, and every cell, made once with the cell:
 
 - its recursive label (the leaf bit, or the tuple of its children's labels);
-- the applicable pivots of its subtree, as index words relative to it.
+- the applicable pivots of its subtree, as index words relative to it, in
+  pivot order: deepest first, then lexicographic.  A cell merges its
+  children's by depth, so the pivots of a tree, its top cell's, are never
+  sorted again.
 
-Index words, stack counts and leaf labels are read off the cells on demand,
-and the pivots of a tree are its top cell's.  The lift verdicts are kept on
-the root CAD, one per slot of a glued stack under the root cells of its
-three section cells (``reduction``).
+A section cell also keeps its form: the one guard-free normal form of the
+root stack functions over its root cells, or None when they have none.  A
+lift check (``reduction``) makes it from the root cells on first read; a
+glued cell has it from its three inputs when they have theirs.  A leaf's
+block of the partition, the set of its root cells, is made on first read.
+
+Index words, stack counts and leaf labels are read off the cells on demand.
+The lift verdicts are kept on the root CAD, one per slot of a glued stack
+under the root cells of its three section cells (``reduction``).
 
 A merge at an even *pivot* glues the pivot and its two flanking siblings
 into one cell; it applies exactly when the three recursive labels coincide.
 The glued cell is new, and so are the cells on the path from the top to the
-pivot's parent; every other cell is the same object in both trees.
+pivot's parent; every other cell is the same object in both trees.  A copy
+on the path splices its label and pivots from the cell it replaces, so a
+merge costs the glued cells and the path, not the children along it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator
 
 from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling
@@ -31,27 +41,57 @@ from cadreduce.errors import LabelMissing, PivotNotEven, RuleNotApplicable
 
 Label = object  # 0 | 1 on leaves, nested tuples on internal nodes
 
+# The form of a cell that no lift check has read (see ``Cell``).
+UNMADE = object()
+
 
 class Cell:
     """One cell of a coarsening: the sorted root cells whose union it is,
-    its 2u+1 children (none at leaf level), its recursive label and the
-    applicable pivots below it (see the module docstring).  A leaf also
-    holds its block of the partition, the set of its root cells, which every
-    coarsening that shares the leaf shares too."""
+    its 2u+1 children (none at leaf level), its recursive label, the
+    applicable pivots below it in pivot order, and its form (see the module
+    docstring).  A leaf also holds its block of the partition, which every
+    coarsening that shares the leaf shares too.
 
-    __slots__ = ("roots", "children", "label", "pivots", "block")
+    A copy on the merge path is made with ``replacing=(cell, lo, hi)``: it
+    is ``cell`` with its children lo..hi replaced by its child lo.  Its
+    label and pivots are spliced from ``cell``'s, and it keeps ``cell``'s
+    form, as it has ``cell``'s root cells."""
 
-    def __init__(self, roots: tuple[CellIndex, ...], children: tuple[Cell, ...] = (), bit: int | None = None):
+    __slots__ = ("roots", "children", "label", "pivots", "form", "_block")
+
+    def __init__(
+        self,
+        roots: tuple[CellIndex, ...],
+        children: tuple[Cell, ...] = (),
+        bit: int | None = None,
+        replacing: tuple[Cell, int, int] | None = None,
+    ):
         self.roots = roots
         self.children = children
-        if children:
+        self.form = UNMADE
+        if not children:
+            self.label, self.pivots, self._block = bit, (), None
+        elif replacing is None:
             self.label: Label = tuple([c.label for c in children])
             own = [(letter,) for letter in range(2, len(children), 2) if _glues(children, letter)]
-            self.pivots: tuple[CellIndex, ...] = tuple(
-                own + [(j, *p) for j, child in enumerate(children, start=1) for p in child.pivots]
-            )
+            below = [(j, *p) for j, child in enumerate(children, start=1) for p in child.pivots]
+            # Each child's pivots come in pivot order and the children in
+            # order, so a stable sort by length, longest first, merges them.
+            if below:
+                below.sort(key=len, reverse=True)
+            self.pivots: tuple[CellIndex, ...] = tuple(below + own)
         else:
-            self.label, self.block, self.pivots = bit, frozenset(roots), ()
+            old, lo, hi = replacing
+            self.label = old.label[: lo - 1] + (children[lo - 1].label,) + old.label[hi:]
+            self.pivots = _spliced_pivots(old.pivots, children, lo, hi)
+            self.form = old.form
+
+    @property
+    def block(self) -> frozenset[CellIndex]:
+        """A leaf's block of the partition, made on first read."""
+        if self._block is None:
+            self._block = frozenset(self.roots)
+        return self._block
 
 
 class CadTree:
@@ -135,6 +175,29 @@ def _glues(children: tuple[Cell, ...], letter: int) -> bool:
     return children[letter - 2].label == children[letter - 1].label == children[letter].label
 
 
+def _spliced_pivots(old: tuple[CellIndex, ...], children: tuple[Cell, ...], lo: int, hi: int) -> tuple[CellIndex, ...]:
+    """The pivots of a copy of a cell whose pivots are ``old``, with its
+    child lo in place of the children lo..hi: those under earlier children
+    are kept and those under later ones renumbered, the new child's are
+    prefixed with lo, and only the own pivots whose triple holds the new
+    child are decided again."""
+    shift = hi - lo
+    spliced = [(lo, *p) for p in children[lo - 1].pivots]
+    own = old
+    if old and len(old[0]) > 1:  # some pivots lie below the children; the own pivots come last
+        split = bisect_left(old, -1, key=lambda p: -len(p))
+        below, own = old[:split], old[split:]
+        spliced = [p for p in below if p[0] < lo] + spliced + [(p[0] - shift, *p[1:]) for p in below if p[0] > hi]
+        spliced.sort(key=len, reverse=True)  # merged by depth, as in ``Cell``
+    near = (lo,) if lo % 2 == 0 else (lo - 1, lo + 1)  # the even letters next to lo
+    return (
+        *spliced,
+        *own[: bisect_left(own, (lo - 1,))],
+        *[(letter,) for letter in near if 2 <= letter < len(children) and _glues(children, letter)],
+        *[(letter - shift,) for (letter,) in own[bisect_left(own, (hi + 2,)) :]],
+    )
+
+
 def is_applicable(tree: CadTree, pivot: CellIndex) -> bool:
     """The merge condition at one node: ``pivot`` is a section node of the
     tree (each letter names one of its parent's 2u+1 children, the last
@@ -157,12 +220,29 @@ def applicable_pivots(tree: CadTree) -> set[CellIndex]:
 
 
 def glue(left: Cell, mid: Cell, right: Cell) -> Cell:
-    """One cell from three of one shape: the union of their root cells, and
-    their children glued position by position."""
-    roots = tuple(sorted(left.roots + mid.roots + right.roots))
+    """One cell from three of one shape: the union of their root cells,
+    their children glued position by position, and their form when all
+    three are known."""
+    # The left flank is the large one along a run of merges: it is copied once.
+    roots = left.roots + (mid.roots + right.roots)
+    if not (left.roots[-1] < mid.roots[0] and mid.roots[-1] < right.roots[0]):
+        roots = tuple(sorted(roots))
     if not left.children:
-        return Cell(roots, bit=left.label)
-    return Cell(roots, tuple(map(glue, left.children, mid.children, right.children)))
+        cell = Cell(roots, bit=left.label)
+    else:
+        cell = Cell(roots, tuple(map(glue, left.children, mid.children, right.children)))
+    cell.form = _glued_form(left.form, mid.form, right.form)
+    return cell
+
+
+def _glued_form(a, b, c):
+    """The form of the union of three cells with these forms: their one
+    form, None when they differ or one is None, unmade when one is."""
+    if a is UNMADE or b is UNMADE or c is UNMADE:
+        return UNMADE
+    if a is not None and (a is b or a == b) and (a is c or a == c):
+        return a
+    return None
 
 
 def apply_merge(tree: CadTree, pivot: CellIndex) -> CadTree:
@@ -171,7 +251,9 @@ def apply_merge(tree: CadTree, pivot: CellIndex) -> CadTree:
     The three merged cells have one recursive label, hence one shape, and
     ``glue`` zips them into one.  The cells from the top to the pivot's
     parent are copied, each with its root cells and its new child in place,
-    so the parent has 2(u-1)+1 children.  Every other cell is shared.
+    so the parent has 2(u-1)+1 children; each copy splices its label and
+    pivots from the cell it replaces (``_merged``).  Every other cell is
+    shared.
     """
     if not is_applicable(tree, pivot):
         raise RuleNotApplicable(f"pivot {pivot} does not satisfy the merge condition")
@@ -180,11 +262,16 @@ def apply_merge(tree: CadTree, pivot: CellIndex) -> CadTree:
 
 def _merged(cell: Cell, pivot: CellIndex) -> Cell:
     """A copy of ``cell`` with the merge at ``pivot``, an index word relative
-    to it, done in its subtree."""
+    to it, done in its subtree.  The copy's new child replaces the merged
+    triple, or the child on the pivot's path; its label and pivots are
+    spliced from ``cell``'s (``Cell``), so it reads none of its other
+    children."""
     kids, letter = cell.children, pivot[0]
     if len(pivot) == 1:
-        return Cell(cell.roots, kids[: letter - 2] + (glue(*kids[letter - 2 : letter + 1]),) + kids[letter + 1 :])
-    return Cell(cell.roots, kids[: letter - 1] + (_merged(kids[letter - 1], pivot[1:]),) + kids[letter:])
+        lo, hi, new = letter - 1, letter + 1, glue(*kids[letter - 2 : letter + 1])
+    else:
+        lo, hi, new = letter, letter, _merged(kids[letter - 1], pivot[1:])
+    return Cell(cell.roots, kids[: lo - 1] + (new,) + kids[hi:], replacing=(cell, lo, hi))
 
 
 def triple(tree: CadTree, pivot: CellIndex) -> tuple[Cell, Cell, Cell]:

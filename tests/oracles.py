@@ -14,7 +14,9 @@ pipeline does not call.
   the gallery's literal Cbar entries from their C and Cp;
 - ``labels_by_probes``: adaptedness as ``formula_holds`` at each probe, the
   definition ``check_adapted`` computes with each atom converted once;
-- ``add`` and ``mul``: dense polynomial arithmetic, to build polynomials.
+- ``add`` and ``mul``: dense polynomial arithmetic, to build polynomials;
+- ``pivot_order``: the order in which ``minimize`` and ``explore`` try
+  pivots, which every cell keeps its pivots in.
 
 Each raises ``ValueError`` on an input it cannot answer for.
 """
@@ -348,3 +350,12 @@ def mul(p: UniPoly, q: UniPoly) -> UniPoly:
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return poly(out)
+
+
+# ---------------------------------------------------------------------------
+# Pivots
+
+
+def pivot_order(pivot: CellIndex):
+    """The order in which pivots are tried: deepest first, then lexicographic."""
+    return (-len(pivot), pivot)

@@ -3,18 +3,34 @@ from fractions import Fraction
 
 import pytest
 
-from cadreduce import expr, realroots
+from cadreduce import cadmodel, expr, realroots
 from cadreduce.cadmodel import (
     PROBES,
     Cad,
     SectionStack,
     check_adapted,
     parse_word,
+    restrict,
     validate_cad,
     word_of,
+    zero_in_cell,
 )
 from cadreduce.errors import GuardUndecidable, NotAdapted, ParseError
-from cadreduce.expr import FALSE, TRUE, And, Atom, Not, Or, Sqrt, Var, formula_holds, parse_expr, parse_formula
+from cadreduce.expr import (
+    FALSE,
+    TRUE,
+    And,
+    Atom,
+    Const,
+    Not,
+    Or,
+    Sqrt,
+    Sub,
+    Var,
+    formula_holds,
+    parse_expr,
+    parse_formula,
+)
 from cadreduce.gallery import (
     disk_c,
     disk_cp,
@@ -163,6 +179,57 @@ def test_adjacent_sections_are_ordered_on_the_whole_cell_when_decided():
     assert str(validate_cad(stack_over((1,), "0", "(add (mul (add x1 1) (add x1 2)) 1)"))) == "valid"
     report = validate_cad(stack_over((1,), "x1", "(sub x1 1)"))
     assert report.violations[0] == "sections 1,2 above 1 are not strictly ordered on the cell", str(report)
+
+
+def exact_orders_per_cell(cad: Cad, report: cadmodel.ValidationReport) -> set:
+    """Oracle: ``_exact_orders`` with every adjacent pair restricted to each
+    cell anew."""
+    decided = set()
+    for cell, stack in cad.stacks.items():
+        for i, (lower, upper) in enumerate(zip(stack.functions, stack.functions[1:]), start=1):
+            diff = restrict(cad, cell, Sub(upper, lower))
+            if diff is None:
+                continue
+            where = f"sections {i},{i + 1} above {word_of(cell)}"
+            if isinstance(diff, Const):
+                if diff.value <= 0:
+                    report.violations.append(f"{where} are not strictly ordered on the cell")
+            elif zero_in_cell(cad, cell, diff):
+                report.violations.append(f"{where} cross inside the cell")
+            else:
+                continue
+            decided.add((cell, i))
+    return decided
+
+
+def test_a_pair_is_restricted_once_per_section_substitution(monkeypatch):
+    # Cells that share a stack and a section substitution share the
+    # restriction of each adjacent pair: on disk-lines(m) the m+1 inner
+    # sectors restrict their pair once, and each line its own, besides the
+    # m+1 pairs of the base stack.  Every golden input gets the report that
+    # restricting on each cell anew gives.
+    from tests.test_answers import inputs
+
+    for name, build in inputs():
+        cad, _labels = build()
+        want = cadmodel._validate_root(Cad(cad.n, cad.stacks))
+        with monkeypatch.context() as patched:
+            patched.setattr(cadmodel, "_exact_orders", exact_orders_per_cell)
+            oracle = cadmodel._validate_root(Cad(cad.n, cad.stacks))
+        assert (want.violations, want.undecided, want.order_open) == (
+            oracle.violations,
+            oracle.undecided,
+            oracle.order_open,
+        ), name
+    m = 96
+    cad = load_perfbench("workloads", monkeypatch).disk_lines(m, 0).cad
+    calls = []
+    substituted = cadmodel._substituted
+    monkeypatch.setattr(cadmodel, "_substituted", lambda *args: calls.append(1) or substituted(*args))
+    report = cadmodel.ValidationReport()
+    cadmodel._exact_orders(cad, report)
+    assert report.ok
+    assert len(calls) == 2 * m + 2
 
 
 def test_a_base_cell_with_no_point_is_reported_not_raised():

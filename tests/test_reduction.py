@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from cadreduce.cadmodel import Cad, SectionStack, check_adapted, validate_cad
 from cadreduce import cadmodel, reduction
 from cadreduce.errors import LabelMissing, RuleNotApplicable, UnknownOrder, ValidationFailed
-from cadreduce.expr import compare_coords, eval_coord, parse_expr
+from cadreduce.expr import any_node, canonicalize, compare_coords, eval_coord, is_piecewise, parse_expr
 from cadreduce.gallery import (
     disk_c,
     disk_cp,
@@ -25,8 +26,8 @@ from cadreduce.reduction import (
     minimize,
     try_lift,
 )
-from cadreduce.tree import Cell, applicable_pivots, apply_merge, build_tree, relabel_index, triple
-from tests.oracles import coarsening_blocks, insert_section, refines
+from cadreduce.tree import UNMADE, CadTree, Cell, applicable_pivots, apply_merge, build_tree, relabel_index, triple
+from tests.oracles import coarsening_blocks, insert_section, pivot_order, refines
 from tests.test_packaging import load_perfbench
 from tests.test_tree import (
     assert_shares_all_but_the_path_and_the_triple,
@@ -473,6 +474,64 @@ def test_kept_pivots_and_blocks_match_the_walks(monkeypatch):
     assert nodes > 100
 
 
+def recomputed_form(root: Cad, section: Cell):
+    """Oracle: a section cell's form from its root cells: the one normal
+    form of their pieces when it is guard-free, else None."""
+    forms = {canonicalize(f) for _, f in reduction._pieces(root, section)}
+    if len(forms) != 1:
+        return None
+    (form,) = forms
+    return None if any_node(form, is_piecewise) else form
+
+
+def section_cells(tree: CadTree) -> list[Cell]:
+    return [cell for index, cell in tree.nodes() if index and index[-1] % 2 == 0]
+
+
+def test_kept_forms_and_ordered_pivots_match_their_oracles(monkeypatch):
+    # A section cell keeps its form once a lift check has read it, or once
+    # it is glued from three cells that have theirs; a path copy keeps the
+    # form of the cell it copies.  A cell that no check has reached, for
+    # instance below a node whose lifts all hit the memo, has none yet; made
+    # now, it is the same.  Every node's pivots come in pivot order.
+    inputs = [(name, build()) for name, build in lift_fixtures()] + list(explored_inputs(monkeypatch))
+    graphs = [(name, cad.root, explore(cad, labels)) for name, (cad, labels) in inputs]
+    kept = unmade = nodes = 0
+    for name, root, graph in graphs:
+        for node in graph.nodes.values():
+            assert node.pivots == sorted(applicable_pivots(node.tree), key=pivot_order), (name, node.applied)
+            for cell in section_cells(node.tree):
+                if cell.form is not UNMADE:
+                    assert cell.form == recomputed_form(root, cell), (name, node.applied, cell.roots)
+                    kept += 1
+            nodes += 1
+    for name, root, graph in graphs:
+        for node in graph.nodes.values():
+            for cell in section_cells(node.tree):
+                if cell.form is UNMADE:
+                    assert reduction._form(root, cell) == recomputed_form(root, cell), (name, node.applied)
+                    unmade += 1
+    assert nodes > 300 and kept > 2000 and unmade > 100, (nodes, kept, unmade)
+
+
+def test_spliced_copies_keep_every_cells_pivots_in_order():
+    # A path copy splices its label and pivots from the cell it replaces;
+    # along random merge chains every cell's pivots are the walk's, in
+    # pivot order.
+    rng = random.Random(13)
+    merges = 0
+    for _ in range(400):
+        t = random_tree(rng, rng.randint(1, 3))
+        while t.top.pivots:
+            t = apply_merge(t, t.top.pivots[rng.randrange(len(t.top.pivots))])
+            assert_valid(t)
+            for index, cell in t.nodes():
+                below = CadTree(t.depth - len(index), cell)
+                assert list(cell.pivots) == sorted(walk_pivots(below), key=pivot_order), index
+            merges += 1
+    assert merges > 150
+
+
 def walk_slots(glues_continuously, root: Cad, cells) -> list:
     """Oracle: (slot key, verdict) for every slot of every glued stack of a
     lift, in the order of the walk, each checked on ``root`` with no memo.
@@ -630,6 +689,43 @@ def test_cells_made_per_merge_do_not_grow_with_the_cad(monkeypatch):
         per_node[m] = (len(made) - before - root_cell_count(inp.cad)) / (len(graph.nodes) - 1)
     assert per_merge[192] <= per_merge[96] <= per_merge[48], per_merge
     assert per_node[7] <= per_node[6] <= per_node[5], per_node
+
+
+def test_lift_checks_list_as_many_root_cells_per_merge_at_every_m(monkeypatch):
+    # A cost guard that reads no clock.  A lift check compares the kept
+    # forms of its three section cells and lists root cells only to make
+    # the form of a cell that has none, so ``minimize`` on disk-lines(m)
+    # lists as many per merge at every m, although the glued left flank
+    # grows with each merge.  The top cell keeps its pivots in pivot order,
+    # so no node sorts them with a ``pivot_order`` key.
+    workloads = load_perfbench("workloads", monkeypatch)
+    listed = []
+    pieces = reduction._pieces
+
+    def counted(root, section):
+        listed.append(len(section.roots))
+        return pieces(root, section)
+
+    monkeypatch.setattr(reduction, "_pieces", counted)
+    keyed = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name == "pivot_order":
+            keyed.append(frame.f_code.co_filename)
+
+    per_merge = {}
+    for m in (48, 96, 192):
+        inp = workloads.disk_lines(m, 0)
+        before, outer = len(listed), sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            res = minimize(inp.cad, inp.labels)
+        finally:
+            sys.setprofile(outer)
+        assert len(res.applied) == m
+        per_merge[m] = sum(listed[before:]) / m
+    assert per_merge[192] <= per_merge[96] <= per_merge[48], per_merge
+    assert keyed == []
 
 
 def assert_glued_sections_are_root_sections(cad: Cad, where) -> None:
