@@ -1,8 +1,9 @@
 """The poset of coarsenings below a root CAD.
 
 Exploration enumerates the closure of the root under liftable merges,
-deduplicating coarsenings by the partition of root leaves they induce.  The
-minimal elements are the sinks of the resulting graph.
+deduplicating coarsenings by their interned top cell, which stands for the
+partition of root leaves they induce; the graph is keyed by that partition.
+The minimal elements are the sinks of the resulting graph.
 
 **One-sink theorem.**  On the graph ``explore`` builds, these are
 equivalent: a minimum exists, the merge relation is confluent, and the graph
@@ -31,6 +32,7 @@ from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling, SectionStack, word_
 from cadreduce.expr import eval_coord  # noqa: F401  (re-exported; perfbench/test_perfbench.py calls it here)
 from cadreduce.reduction import Blocks, Coarsening, try_lift
 from cadreduce.tree import applicable_pivots  # noqa: F401  (re-exported; perfbench/test_perfbench.py calls it here)
+from cadreduce.tree import interning
 
 
 @dataclass
@@ -67,23 +69,27 @@ class PosetGraph:
 
 def explore(root: Cad, labels: LeafLabeling) -> PosetGraph:
     """Breadth-first closure of the root under liftable merges; a node keeps
-    the merges of the first path that reaches it.  Every child's partition
-    is known before its tree (see ``Coarsening``), so only a child whose
-    partition is new is built, when it is explored."""
+    the merges of the first path that reaches it.  Every child's tree is
+    made with interned cells (``tree.interning``), so the child is known by
+    its top cell's id, a merge into a node seen before makes no cell, and a
+    node's partition is made once, when the node is new."""
     start = Coarsening.of(root, labels)
     graph = PosetGraph(root_key=start.blocks, nodes={start.blocks: start})
+    seen = {start.tree.top.id: start}
     queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        out = graph.out_edges[node.blocks] = {}
-        for pivot in node.pivots:
-            child = try_lift(node, pivot)
-            if child is None:
-                continue
-            out[pivot] = child.blocks
-            if child.blocks not in graph.nodes:
-                graph.nodes[child.blocks] = child
-                queue.append(child)
+    with interning():
+        while queue:
+            node = queue.popleft()
+            out = graph.out_edges[node.blocks] = {}
+            for pivot in node.pivots:
+                child = try_lift(node, pivot)
+                if child is None:
+                    continue
+                known = seen.setdefault(child.tree.top.id, child)
+                if known is child:
+                    graph.nodes[child.blocks] = child
+                    queue.append(child)
+                out[pivot] = known.blocks
     return graph
 
 

@@ -96,9 +96,10 @@ class Coarsening:
     root itself or a view of the tree, is made only for a caller that asks
     for it; the pipeline does not.  A merge shares every cell but the glued
     one and the path above it with its parent (``tree.apply_merge``).  A
-    child made by ``try_lift`` makes its tree on first use, and until then it
-    reads its partition off its parent's (``tree.merged_blocks``), so a child
-    whose partition ``explore`` has seen makes no cell.
+    child made by ``try_lift`` makes its tree on first use, and reads its
+    partition off its parent's (``tree.merged_blocks``).  ``explore`` makes
+    every child's tree with interned cells, so a child whose partition it
+    has seen makes no cell, and it reads the partition of a new child only.
     """
 
     def __init__(self, cad: Cad, tree: CadTree, applied: tuple[CellIndex, ...] = ()):
@@ -126,9 +127,14 @@ class Coarsening:
 
     @cached_property
     def tree(self) -> CadTree:
-        # Only a child of ``_lifted`` gets here, once; it then lets go of
-        # its parent.
-        return apply_merge(self.__dict__.pop("_parent").tree, self.applied[-1])
+        # Only a child of ``_lifted`` gets here, once.  It lets go of its
+        # parent unless its partition is still to be read off the parent's,
+        # as ``explore`` reads a new node's.  A parent that knows no
+        # partition, as in ``minimize``, has none to read off.
+        parent = self._parent
+        if "blocks" in self.__dict__ or "blocks" not in parent.__dict__:
+            del self._parent
+        return apply_merge(parent.tree, self.applied[-1])
 
     @cached_property
     def cad(self) -> Cad:
@@ -150,6 +156,8 @@ class Coarsening:
         parent = self.__dict__.get("_parent")
         if parent is None:
             return self.cad.partition_blocks()
+        if "tree" in self.__dict__:
+            del self._parent
         return merged_blocks(parent.tree, self.applied[-1], parent.blocks)
 
     @property

@@ -29,11 +29,24 @@ The glued cell is new, and so are the cells on the path from the top to the
 pivot's parent; every other cell is the same object in both trees.  A copy
 on the path splices its label and pivots from the cell it replaces, so a
 merge costs the glued cells and the path, not the children along it.
+
+Every cell gets an int ``id`` when it is made.  Inside an ``interning``
+block the cells are hash-consed (Filliatre and Conchon 2006): a merge looks
+up each glued cell and each path copy by its structure before it makes one,
+so one structure is one cell.  A leaf's structure is its root cells, an
+internal cell's its children; a glued triple is also kept under its three
+ids.  A coarsening's partition fixes every cell of its tree, so two merge
+paths that reach one coarsening end at one top cell, and its id names the
+coarsening; a merge into a coarsening made before in the block makes no
+cell.  The table goes with the block.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import contextmanager
+from contextvars import ContextVar
+from itertools import count, repeat
 from typing import Iterator
 
 from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling
@@ -44,20 +57,25 @@ Label = object  # 0 | 1 on leaves, nested tuples on internal nodes
 # The form of a cell that no lift check has read (see ``Cell``).
 UNMADE = object()
 
+_next_id = count().__next__
+
 
 class Cell:
-    """One cell of a coarsening: the sorted root cells whose union it is,
-    its 2u+1 children (none at leaf level), its recursive label, the
-    applicable pivots below it in pivot order, and its form (see the module
-    docstring).  A leaf also holds its block of the partition, which every
-    coarsening that shares the leaf shares too.
+    """One cell of a coarsening: its int ``id``, unique in the process, the
+    sorted root cells whose union it is, its 2u+1 children (none at leaf
+    level), its recursive label, the applicable pivots below it in pivot
+    order, and its form (see the module docstring).  A leaf also holds its
+    block of the partition, which every coarsening that shares the leaf
+    shares too.  A cell defines no equality: two cells are equal when they
+    are one object, which is when they have one structure inside an
+    ``interning`` block.
 
     A copy on the merge path is made with ``replacing=(cell, lo, hi)``: it
     is ``cell`` with its children lo..hi replaced by its child lo.  Its
     label and pivots are spliced from ``cell``'s, and it keeps ``cell``'s
     form, as it has ``cell``'s root cells."""
 
-    __slots__ = ("roots", "children", "label", "pivots", "form", "_block")
+    __slots__ = ("id", "roots", "children", "label", "pivots", "form", "_block")
 
     def __init__(
         self,
@@ -66,6 +84,7 @@ class Cell:
         bit: int | None = None,
         replacing: tuple[Cell, int, int] | None = None,
     ):
+        self.id = _next_id()
         self.roots = roots
         self.children = children
         self.form = UNMADE
@@ -219,19 +238,60 @@ def applicable_pivots(tree: CadTree) -> set[CellIndex]:
     return set(tree.top.pivots)
 
 
-def glue(left: Cell, mid: Cell, right: Cell) -> Cell:
+class CellTable:
+    """The cells made in one ``interning`` block: the one cell of each
+    structure (``cells``: a leaf's root cells, or an internal cell's tuple
+    of children, which compares them by identity as their ids would), and
+    the cell glued from each triple, under the triple's ids (``glued``)."""
+
+    __slots__ = ("cells", "glued")
+
+    def __init__(self):
+        self.cells: dict[tuple, Cell] = {}
+        self.glued: dict[tuple[int, int, int], Cell] = {}
+
+
+# The table of the ``interning`` block that is running, if any.
+_table: ContextVar[CellTable | None] = ContextVar("cell_table", default=None)
+
+
+@contextmanager
+def interning() -> Iterator[None]:
+    """Hash-cons the cells that merges make inside the block (see the module
+    docstring); the table is dropped when the block ends."""
+    token = _table.set(CellTable())
+    try:
+        yield
+    finally:
+        _table.reset(token)
+
+
+def glue(left: Cell, mid: Cell, right: Cell, table: CellTable | None) -> Cell:
     """One cell from three of one shape: the union of their root cells,
     their children glued position by position, and their form when all
-    three are known."""
+    three are known.  With a table, the cell is looked up by the triple's
+    ids, then by its structure, before it is made."""
+    if table is not None:
+        ids = (left.id, mid.id, right.id)
+        cell = table.glued.get(ids)
+        if cell is not None:
+            return cell
     # The left flank is the large one along a run of merges: it is copied once.
     roots = left.roots + (mid.roots + right.roots)
     if not (left.roots[-1] < mid.roots[0] and mid.roots[-1] < right.roots[0]):
         roots = tuple(sorted(roots))
-    if not left.children:
-        cell = Cell(roots, bit=left.label)
+    if left.children:
+        key = children = tuple(map(glue, left.children, mid.children, right.children, repeat(table)))
     else:
-        cell = Cell(roots, tuple(map(glue, left.children, mid.children, right.children)))
-    cell.form = _glued_form(left.form, mid.form, right.form)
+        key, children = roots, ()
+    cell = None if table is None else table.cells.get(key)
+    if cell is None:
+        cell = Cell(roots, children, bit=None if children else left.label)
+        cell.form = _glued_form(left.form, mid.form, right.form)
+        if table is not None:
+            table.cells[key] = cell
+    if table is not None:
+        table.glued[ids] = cell
     return cell
 
 
@@ -253,25 +313,33 @@ def apply_merge(tree: CadTree, pivot: CellIndex) -> CadTree:
     parent are copied, each with its root cells and its new child in place,
     so the parent has 2(u-1)+1 children; each copy splices its label and
     pivots from the cell it replaces (``_merged``).  Every other cell is
-    shared.
+    shared.  Inside an ``interning`` block a cell of a structure made before
+    in the block is that cell, not a new one.
     """
     if not is_applicable(tree, pivot):
         raise RuleNotApplicable(f"pivot {pivot} does not satisfy the merge condition")
-    return CadTree(tree.depth, _merged(tree.top, pivot))
+    return CadTree(tree.depth, _merged(tree.top, pivot, _table.get()))
 
 
-def _merged(cell: Cell, pivot: CellIndex) -> Cell:
+def _merged(cell: Cell, pivot: CellIndex, table: CellTable | None) -> Cell:
     """A copy of ``cell`` with the merge at ``pivot``, an index word relative
     to it, done in its subtree.  The copy's new child replaces the merged
     triple, or the child on the pivot's path; its label and pivots are
     spliced from ``cell``'s (``Cell``), so it reads none of its other
-    children."""
+    children.  With a table, the copy is looked up by its children before
+    it is made."""
     kids, letter = cell.children, pivot[0]
     if len(pivot) == 1:
-        lo, hi, new = letter - 1, letter + 1, glue(*kids[letter - 2 : letter + 1])
+        lo, hi, new = letter - 1, letter + 1, glue(*kids[letter - 2 : letter + 1], table)
     else:
-        lo, hi, new = letter, letter, _merged(kids[letter - 1], pivot[1:])
-    return Cell(cell.roots, kids[: lo - 1] + (new,) + kids[hi:], replacing=(cell, lo, hi))
+        lo, hi, new = letter, letter, _merged(kids[letter - 1], pivot[1:], table)
+    children = kids[: lo - 1] + (new,) + kids[hi:]
+    copy = None if table is None else table.cells.get(children)
+    if copy is None:
+        copy = Cell(cell.roots, children, replacing=(cell, lo, hi))
+        if table is not None:
+            table.cells[children] = copy
+    return copy
 
 
 def triple(tree: CadTree, pivot: CellIndex) -> tuple[Cell, Cell, Cell]:
@@ -283,9 +351,10 @@ def triple(tree: CadTree, pivot: CellIndex) -> tuple[Cell, Cell, Cell]:
 
 def merged_blocks(tree: CadTree, pivot: CellIndex, blocks: frozenset) -> frozenset:
     """The partition of the root's leaves after the merge at an applicable
-    pivot, from ``blocks``, the tree's own, without making a cell: the leaf
-    blocks of the three merged subtrees go, and the block of each glued
-    leaf, the union of the three leaves at its place, comes in."""
+    pivot, from ``blocks``, the tree's own: the leaf blocks of the three
+    merged subtrees go, and the block of each glued leaf, the union of the
+    three leaves at its place, comes in.  ``explore`` reads it once per new
+    node; a node's identity there is its top cell's id."""
     left, mid, right = map(_leaves, triple(tree, pivot))
     gone = [leaf.block for leaf in left + mid + right]
     return blocks.difference(gone).union([a.block.union(b.block, c.block) for a, b, c in zip(left, mid, right)])

@@ -7,6 +7,8 @@ pipeline does not call.
   refinement order, on partitions of a root's leaves;
 - ``is_locally_confluent`` and ``is_globally_confluent``: the definitions
   that the one-sink theorem of ``cadreduce.poset`` replaces;
+- ``explore_by_partition``: the poset of coarsenings with every child known
+  by its partition, as ``explore`` found it before it interned cells;
 - ``insert_section``: refinement by slicing one sector, which rebuilds the
   finer gallery CADs from the coarser ones;
 - ``common_refinement``: the paper's C-bar, a CAD refining two CADs whose
@@ -23,6 +25,7 @@ Each raises ``ValueError`` on an input it cannot answer for.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 from cadreduce.cadmodel import PROBES, ROOT_INDEX, Cad, CellIndex, LeafLabeling, SectionStack, word_of
@@ -40,6 +43,7 @@ from cadreduce.expr import (
     max_var_index,
 )
 from cadreduce.poset import PosetGraph
+from cadreduce.reduction import Coarsening, try_lift
 from cadreduce.realroots import ZERO, UniPoly, poly
 
 # ---------------------------------------------------------------------------
@@ -151,6 +155,27 @@ def is_globally_confluent(graph: PosetGraph) -> bool:
                 if not (da & graph.descendants(b)):
                     return False
     return True
+
+
+def explore_by_partition(root: Cad, labels: LeafLabeling) -> PosetGraph:
+    """``explore`` with each child deduplicated by its partition, read off
+    its parent's on every edge (``tree.merged_blocks``), and its tree made,
+    with no interned cell, only when the partition is new."""
+    start = Coarsening.of(root, labels)
+    graph = PosetGraph(root_key=start.blocks, nodes={start.blocks: start})
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        out = graph.out_edges[node.blocks] = {}
+        for pivot in node.pivots:
+            child = try_lift(node, pivot)
+            if child is None:
+                continue
+            out[pivot] = child.blocks
+            if child.blocks not in graph.nodes:
+                graph.nodes[child.blocks] = child
+                queue.append(child)
+    return graph
 
 
 # ---------------------------------------------------------------------------

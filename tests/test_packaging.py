@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import sys
 from collections import Counter
+from contextvars import ContextVar
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,41 @@ def test_the_unbounded_caches_are_the_known_three():
         and any(_is_unbounded_cache(d) for d in node.decorator_list)
     ]
     assert sorted(unbounded) == ["expr.canonical_formula", "expr.canonicalize", "expr.to_polynomial"]
+
+
+def _package_state() -> dict[str, object]:
+    """The size of every module-level dict, set and list of the package and
+    of every ``lru_cache`` it holds, and the value of every context variable."""
+    state = {}
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] != "cadreduce":
+            continue
+        for name, value in vars(module).items():
+            if isinstance(value, (dict, set, list)):
+                state[f"{module_name}.{name}"] = len(value)
+            elif isinstance(value, ContextVar):
+                state[f"{module_name}.{name}"] = value.get(None)
+            elif hasattr(value, "cache_info"):
+                state[f"{value.__module__}.{value.__qualname__}"] = value.cache_info().currsize
+    return state
+
+
+def test_explore_and_minimize_leave_no_module_level_table_grown():
+    # A table that ``explore`` or ``minimize`` fills must be scoped to the
+    # call (caches are bounded); only expr's known caches outlive it.
+    from cadreduce.gallery import load_entry
+    from cadreduce.poset import explore
+    from cadreduce.reduction import minimize
+
+    before = _package_state()
+    for name in ("disk-Cpp", "trousers-Cbar"):
+        entry = load_entry(name)
+        explore(entry.cad, entry.labels)
+        minimize(entry.cad, entry.labels)
+    after = _package_state()
+    known = {f"cadreduce.expr.{name}" for name in ("_atom_registry", "canonical_formula", "canonicalize", "to_polynomial")}
+    changed = {key for key in before.keys() & after.keys() if after[key] != before[key]}
+    assert changed <= known, changed - known
 
 
 def test_perfbench_cache_reader_reads_expr(monkeypatch):

@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from cadreduce import reduction
 from cadreduce.cadmodel import (
     Cad,
     SectionStack,
@@ -34,6 +36,7 @@ from tests.oracles import (
     SectionsCross,
     coarsening_blocks,
     common_refinement,
+    explore_by_partition,
     is_globally_confluent,
     is_locally_confluent,
     locate,
@@ -41,6 +44,8 @@ from tests.oracles import (
     refines,
     sample,
 )
+from tests.test_packaging import load_perfbench
+from tests.test_reduction import lift_fixtures
 
 F = Fraction
 
@@ -314,3 +319,53 @@ def test_poset_report_walks_no_edges(monkeypatch):
     monkeypatch.setattr(PosetGraph, "successors", walked)
     monkeypatch.setattr(PosetGraph, "descendants", walked)
     assert [poset_report(g) for g in graphs] == reports
+
+
+def test_explore_matches_the_partition_keyed_oracle(monkeypatch):
+    # ``explore`` knows a child by its interned top cell; the oracle knows it
+    # by its partition.  Both find the same nodes, edges and sinks, and each
+    # node keeps the merges of the same first path.
+    workloads = load_perfbench("workloads", monkeypatch)
+    inputs = [(name, build()) for name, build in lift_fixtures()]
+    for k in range(1, 7):
+        inp = workloads.disk_lines(k, 0)
+        inputs.append((inp.name, (inp.cad, inp.labels)))
+    edges = 0
+    for name, (cad, labels) in inputs:
+        graph, oracle = explore(cad, labels), explore_by_partition(cad, labels)
+        assert graph.root_key == oracle.root_key, name
+        assert list(graph.nodes) == list(oracle.nodes), name
+        assert graph.edges == oracle.edges, name
+        assert minimal_elements(graph) == minimal_elements(oracle), name
+        assert {k: n.applied for k, n in graph.nodes.items()} == {k: n.applied for k, n in oracle.nodes.items()}, name
+        edges += len(graph.edges)
+    assert edges > 500, edges
+
+
+@pytest.mark.parametrize("name", ["disk-lines(3)", "trousers-Cbar"])
+def test_commuting_merges_reach_one_top_cell(name, monkeypatch):
+    # Inside one ``explore`` cells are hash-consed: every edge into a node
+    # ends at the node's own top cell, so two commuting merges applied in
+    # either order reach one object, and the graph holds one node for it.
+    if name == "trousers-Cbar":
+        entry = load_entry(name)
+        cad, labels = entry.cad, entry.labels
+    else:
+        inp = load_perfbench("workloads", monkeypatch).disk_lines(3, 0)
+        cad, labels = inp.cad, inp.labels
+    tops = {}
+    merge = reduction.apply_merge
+
+    def recorded(tree, pivot):
+        tops[id(tree), pivot] = reduced = merge(tree, pivot)
+        return reduced
+
+    monkeypatch.setattr(reduction, "apply_merge", recorded)
+    graph = explore(cad, labels)
+    nodes = graph.nodes
+    top = {key: node.tree.top for key, node in nodes.items()}
+    assert len({id(cell) for cell in top.values()}) == len(nodes)
+    for src, pivot, dst in graph.edges:
+        assert tops[id(nodes[src].tree), pivot].top is top[dst], (src, pivot)
+    # A node with two in-edges is reached by two merges in either order.
+    assert max(Counter(dst for _src, _pivot, dst in graph.edges).values()) >= 2

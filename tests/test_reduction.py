@@ -691,6 +691,43 @@ def test_cells_made_per_merge_do_not_grow_with_the_cad(monkeypatch):
     assert per_node[7] <= per_node[6] <= per_node[5], per_node
 
 
+def test_explore_builds_nothing_for_an_edge_into_a_seen_node(monkeypatch):
+    # A cost guard that reads no clock.  ``explore`` merges once per edge,
+    # with interned cells, so a merge that ends at a top cell seen before in
+    # the call makes no cell; and it reads a child's partition off its
+    # parent's only when the child is new.
+    workloads = load_perfbench("workloads", monkeypatch)
+    made = count_cells(monkeypatch)
+    merges, blocks = [], []
+    merge, merged_blocks = reduction.apply_merge, reduction.merged_blocks
+
+    def recorded_merge(tree, pivot):
+        before = len(made)
+        reduced = merge(tree, pivot)
+        merges.append((reduced.top.id, len(made) - before))
+        return reduced
+
+    def counted_blocks(*args):
+        blocks.append(1)
+        return merged_blocks(*args)
+
+    monkeypatch.setattr(reduction, "apply_merge", recorded_merge)
+    monkeypatch.setattr(reduction, "merged_blocks", counted_blocks)
+    for m in (5, 6, 7, 8):
+        inp = workloads.disk_lines(m, 0)
+        del merges[:], blocks[:]
+        graph = explore(inp.cad, inp.labels)
+        assert len(graph.nodes) == 2**m and len(merges) == len(graph.edges), m
+        seen, into_seen = set(), []
+        for top, cells in merges:
+            if top in seen:
+                into_seen.append(cells)
+            seen.add(top)
+        assert len(seen) == len(graph.nodes) - 1 and len(into_seen) == len(graph.edges) - len(seen), m
+        assert not any(into_seen), m
+        assert len(blocks) == len(graph.nodes) - 1, m
+
+
 def test_lift_checks_list_as_many_root_cells_per_merge_at_every_m(monkeypatch):
     # A cost guard that reads no clock.  A lift check compares the kept
     # forms of its three section cells and lists root cells only to make
