@@ -32,7 +32,7 @@ from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling, SectionStack, word_
 from cadreduce.expr import eval_coord  # noqa: F401  (re-exported; perfbench/test_perfbench.py calls it here)
 from cadreduce.reduction import Blocks, Coarsening, try_lift
 from cadreduce.tree import applicable_pivots  # noqa: F401  (re-exported; perfbench/test_perfbench.py calls it here)
-from cadreduce.tree import interning
+from cadreduce.tree import interning, merged_blocks
 
 
 @dataclass
@@ -71,11 +71,11 @@ def explore(root: Cad, labels: LeafLabeling) -> PosetGraph:
     """Breadth-first closure of the root under liftable merges; a node keeps
     the merges of the first path that reaches it.  Every child's tree is
     made with interned cells (``tree.interning``), so the child is known by
-    its top cell's id, a merge into a node seen before makes no cell, and a
-    node's partition is made once, when the node is new."""
+    its top cell, a merge into a node seen before makes no cell, and a
+    node's partition is read off its parent's once, when the node is new."""
     start = Coarsening.of(root, labels)
     graph = PosetGraph(root_key=start.blocks, nodes={start.blocks: start})
-    seen = {start.tree.top.id: start}
+    seen = {start.tree.top: start}
     queue = deque([start])
     with interning():
         while queue:
@@ -85,8 +85,9 @@ def explore(root: Cad, labels: LeafLabeling) -> PosetGraph:
                 child = try_lift(node, pivot)
                 if child is None:
                     continue
-                known = seen.setdefault(child.tree.top.id, child)
+                known = seen.setdefault(child.tree.top, child)
                 if known is child:
+                    child.blocks = merged_blocks(node.tree, pivot, node.blocks)
                     graph.nodes[child.blocks] = child
                     queue.append(child)
                 out[pivot] = known.blocks

@@ -77,7 +77,6 @@ from cadreduce.tree import (
     apply_merge,
     build_tree,
     is_applicable,
-    merged_blocks,
     triple,
 )
 
@@ -95,16 +94,13 @@ class Coarsening:
     applicable pivots and the partition are read off the tree.  ``cad``, the
     root itself or a view of the tree, is made only for a caller that asks
     for it; the pipeline does not.  A merge shares every cell but the glued
-    one and the path above it with its parent (``tree.apply_merge``).  A
-    child made by ``try_lift`` makes its tree on first use, and reads its
-    partition off its parent's (``tree.merged_blocks``).  ``explore`` makes
-    every child's tree with interned cells, so a child whose partition it
-    has seen makes no cell, and it reads the partition of a new child only.
+    one and the path above it with its parent (``tree.apply_merge``).
+    ``explore`` sets a new node's ``blocks`` from its parent's
+    (``tree.merged_blocks``), so it makes no view either.
     """
 
     def __init__(self, cad: Cad, tree: CadTree, applied: tuple[CellIndex, ...] = ()):
-        # Stored in the instance, these shadow the lazy ``cad`` and ``tree``.
-        self.cad = cad
+        self.cad = cad  # stored in the instance, it shadows the lazy ``cad``
         self.root = cad.root
         self.tree = tree
         self.applied = applied
@@ -117,24 +113,6 @@ class Coarsening:
         if not report.admits_reduction:
             raise ValidationFailed(report)
         return cls(cad, build_tree(cad, labels))
-
-    @classmethod
-    def _lifted(cls, parent: Coarsening, pivot: CellIndex) -> Coarsening:
-        child = cls.__new__(cls)
-        child.applied = parent.applied + (pivot,)
-        child.root, child._parent = parent.root, parent
-        return child
-
-    @cached_property
-    def tree(self) -> CadTree:
-        # Only a child of ``_lifted`` gets here, once.  It lets go of its
-        # parent unless its partition is still to be read off the parent's,
-        # as ``explore`` reads a new node's.  A parent that knows no
-        # partition, as in ``minimize``, has none to read off.
-        parent = self._parent
-        if "blocks" in self.__dict__ or "blocks" not in parent.__dict__:
-            del self._parent
-        return apply_merge(parent.tree, self.applied[-1])
 
     @cached_property
     def cad(self) -> Cad:
@@ -153,12 +131,7 @@ class Coarsening:
     @cached_property
     def blocks(self) -> Blocks:
         """The partition of the root's leaves; it identifies the coarsening."""
-        parent = self.__dict__.get("_parent")
-        if parent is None:
-            return self.cad.partition_blocks()
-        if "tree" in self.__dict__:
-            del self._parent
-        return merged_blocks(parent.tree, self.applied[-1], parent.blocks)
+        return self.cad.partition_blocks()
 
     @property
     def leaf_count(self) -> int:
@@ -168,14 +141,15 @@ class Coarsening:
 def try_lift(node: Coarsening, pivot: CellIndex) -> Coarsening | None:
     """The merged coarsening of the same root (labels transported, pivot
     appended to ``applied``), or None when the merge at an applicable pivot
-    cannot be verified to be a CAD.  The child's tree, which shares all but
-    the glued cell and the path above it with the parent's, is made on first
-    use."""
+    cannot be verified to be a CAD.  The child's tree shares all but the
+    glued cell and the path above it with the parent's."""
     if not is_applicable(node.tree, pivot):
         raise RuleNotApplicable(f"pivot {word_of(pivot)} is not applicable")
     if not _lift_allowed(node.root, triple(node.tree, pivot)):
         return None
-    return Coarsening._lifted(node, pivot)
+    child = Coarsening.__new__(Coarsening)  # with no ``cad``: its view is made on first read
+    child.root, child.tree, child.applied = node.root, apply_merge(node.tree, pivot), node.applied + (pivot,)
+    return child
 
 
 def _lift_allowed(root: Cad, cells: tuple[Cell, Cell, Cell]) -> bool:

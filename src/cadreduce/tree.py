@@ -30,15 +30,15 @@ pivot's parent; every other cell is the same object in both trees.  A copy
 on the path splices its label and pivots from the cell it replaces, so a
 merge costs the glued cells and the path, not the children along it.
 
-Every cell gets an int ``id`` when it is made.  Inside an ``interning``
-block the cells are hash-consed (Filliatre and Conchon 2006): a merge looks
-up each glued cell and each path copy by its structure before it makes one,
-so one structure is one cell.  A leaf's structure is its root cells, an
-internal cell's its children; a glued triple is also kept under its three
-ids.  A coarsening's partition fixes every cell of its tree, so two merge
-paths that reach one coarsening end at one top cell, and its id names the
-coarsening; a merge into a coarsening made before in the block makes no
-cell.  The table goes with the block.
+Inside an ``interning`` block the cells are hash-consed (Filliatre and
+Conchon 2006): a merge looks up each glued cell and each path copy by its
+structure before it makes one, so one structure is one cell.  A leaf's
+structure is its root cells, an internal cell's its children; a glued triple
+is also kept under its three cells.  A cell has no equality of its own, so
+these keys compare cells by identity.  A coarsening's partition fixes every
+cell of its tree, so two merge paths that reach one coarsening end at one top
+cell, which names the coarsening; a merge into a coarsening made before in
+the block makes no cell.  The table goes with the block.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
-from itertools import count, repeat
+from itertools import repeat
 from typing import Iterator
 
 from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling
@@ -57,25 +57,22 @@ Label = object  # 0 | 1 on leaves, nested tuples on internal nodes
 # The form of a cell that no lift check has read (see ``Cell``).
 UNMADE = object()
 
-_next_id = count().__next__
-
 
 class Cell:
-    """One cell of a coarsening: its int ``id``, unique in the process, the
-    sorted root cells whose union it is, its 2u+1 children (none at leaf
-    level), its recursive label, the applicable pivots below it in pivot
-    order, and its form (see the module docstring).  A leaf also holds its
-    block of the partition, which every coarsening that shares the leaf
-    shares too.  A cell defines no equality: two cells are equal when they
-    are one object, which is when they have one structure inside an
-    ``interning`` block.
+    """One cell of a coarsening: the sorted root cells whose union it is,
+    its 2u+1 children (none at leaf level), its recursive label, the
+    applicable pivots below it in pivot order, and its form (see the module
+    docstring).  A leaf also holds its block of the partition, which every
+    coarsening that shares the leaf shares too.  A cell defines no equality:
+    two cells are equal when they are one object, which is when they have
+    one structure inside an ``interning`` block.
 
     A copy on the merge path is made with ``replacing=(cell, lo, hi)``: it
     is ``cell`` with its children lo..hi replaced by its child lo.  Its
     label and pivots are spliced from ``cell``'s, and it keeps ``cell``'s
     form, as it has ``cell``'s root cells."""
 
-    __slots__ = ("id", "roots", "children", "label", "pivots", "form", "_block")
+    __slots__ = ("roots", "children", "label", "pivots", "form", "_block")
 
     def __init__(
         self,
@@ -84,7 +81,6 @@ class Cell:
         bit: int | None = None,
         replacing: tuple[Cell, int, int] | None = None,
     ):
-        self.id = _next_id()
         self.roots = roots
         self.children = children
         self.form = UNMADE
@@ -241,14 +237,15 @@ def applicable_pivots(tree: CadTree) -> set[CellIndex]:
 class CellTable:
     """The cells made in one ``interning`` block: the one cell of each
     structure (``cells``: a leaf's root cells, or an internal cell's tuple
-    of children, which compares them by identity as their ids would), and
-    the cell glued from each triple, under the triple's ids (``glued``)."""
+    of children), and the cell glued from each triple, under the triple
+    (``glued``).  The table holds its keys, so no cell in a key is freed
+    and its identity stays its own while the block runs."""
 
     __slots__ = ("cells", "glued")
 
     def __init__(self):
         self.cells: dict[tuple, Cell] = {}
-        self.glued: dict[tuple[int, int, int], Cell] = {}
+        self.glued: dict[tuple[Cell, Cell, Cell], Cell] = {}
 
 
 # The table of the ``interning`` block that is running, if any.
@@ -269,11 +266,10 @@ def interning() -> Iterator[None]:
 def glue(left: Cell, mid: Cell, right: Cell, table: CellTable | None) -> Cell:
     """One cell from three of one shape: the union of their root cells,
     their children glued position by position, and their form when all
-    three are known.  With a table, the cell is looked up by the triple's
-    ids, then by its structure, before it is made."""
+    three are known.  With a table, the cell is looked up by the triple,
+    then by its structure, before it is made."""
     if table is not None:
-        ids = (left.id, mid.id, right.id)
-        cell = table.glued.get(ids)
+        cell = table.glued.get((left, mid, right))
         if cell is not None:
             return cell
     # The left flank is the large one along a run of merges: it is copied once.
@@ -291,7 +287,7 @@ def glue(left: Cell, mid: Cell, right: Cell, table: CellTable | None) -> Cell:
         if table is not None:
             table.cells[key] = cell
     if table is not None:
-        table.glued[ids] = cell
+        table.glued[left, mid, right] = cell
     return cell
 
 
@@ -354,7 +350,7 @@ def merged_blocks(tree: CadTree, pivot: CellIndex, blocks: frozenset) -> frozens
     pivot, from ``blocks``, the tree's own: the leaf blocks of the three
     merged subtrees go, and the block of each glued leaf, the union of the
     three leaves at its place, comes in.  ``explore`` reads it once per new
-    node; a node's identity there is its top cell's id."""
+    node."""
     left, mid, right = map(_leaves, triple(tree, pivot))
     gone = [leaf.block for leaf in left + mid + right]
     return blocks.difference(gone).union([a.block.union(b.block, c.block) for a, b, c in zip(left, mid, right)])

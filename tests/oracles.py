@@ -159,8 +159,8 @@ def is_globally_confluent(graph: PosetGraph) -> bool:
 
 def explore_by_partition(root: Cad, labels: LeafLabeling) -> PosetGraph:
     """``explore`` with each child deduplicated by its partition, read off
-    its parent's on every edge (``tree.merged_blocks``), and its tree made,
-    with no interned cell, only when the partition is new."""
+    the child's own tree with no interned cell (``Cad.partition_blocks``),
+    not off its parent's, on every edge."""
     start = Coarsening.of(root, labels)
     graph = PosetGraph(root_key=start.blocks, nodes={start.blocks: start})
     queue = deque([start])

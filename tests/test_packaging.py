@@ -4,6 +4,7 @@ import importlib.util
 import sys
 from collections import Counter
 from contextvars import ContextVar
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -119,7 +120,9 @@ def test_the_unbounded_caches_are_the_known_three():
 
 def _package_state() -> dict[str, object]:
     """The size of every module-level dict, set and list of the package and
-    of every ``lru_cache`` it holds, and the value of every context variable."""
+    of every ``lru_cache`` it holds, the value of every context variable,
+    and the ``repr`` of every ``itertools.count``, held as itself or as its
+    bound ``__next__``, which shows the count's next value."""
     state = {}
     for module_name, module in list(sys.modules.items()):
         if module_name.partition(".")[0] != "cadreduce":
@@ -127,6 +130,8 @@ def _package_state() -> dict[str, object]:
         for name, value in vars(module).items():
             if isinstance(value, (dict, set, list)):
                 state[f"{module_name}.{name}"] = len(value)
+            elif isinstance(counter := getattr(value, "__self__", value), count):
+                state[f"{module_name}.{name}"] = repr(counter)
             elif isinstance(value, ContextVar):
                 state[f"{module_name}.{name}"] = value.get(None)
             elif hasattr(value, "cache_info"):
@@ -135,8 +140,9 @@ def _package_state() -> dict[str, object]:
 
 
 def test_explore_and_minimize_leave_no_module_level_table_grown():
-    # A table that ``explore`` or ``minimize`` fills must be scoped to the
-    # call (caches are bounded); only expr's known caches outlive it.
+    # A table that ``explore`` or ``minimize`` fills, or a counter that they
+    # advance, must be scoped to the call (caches are bounded); only expr's
+    # known caches outlive it.
     from cadreduce.gallery import load_entry
     from cadreduce.poset import explore
     from cadreduce.reduction import minimize

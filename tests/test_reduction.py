@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cadreduce.cadmodel import Cad, SectionStack, check_adapted, validate_cad
-from cadreduce import cadmodel, reduction
+from cadreduce import cadmodel, poset, reduction
 from cadreduce.errors import LabelMissing, RuleNotApplicable, UnknownOrder, ValidationFailed
 from cadreduce.expr import any_node, canonicalize, compare_coords, eval_coord, is_piecewise, parse_expr
 from cadreduce.gallery import (
@@ -670,7 +670,7 @@ def test_cells_made_per_merge_do_not_grow_with_the_cad(monkeypatch):
     # A cost guard that reads no clock.  A merge makes the glued cells and
     # copies the path above them, so beyond the root's own tree ``minimize``
     # on disk-lines(m) makes as many cells per merge at every m, and
-    # ``explore`` makes a tree only for a partition it has not seen: as many
+    # ``explore`` makes cells only for a partition it has not seen: as many
     # cells per node, although a node has m/2 edges on average.
     workloads = load_perfbench("workloads", monkeypatch)
     made = count_cells(monkeypatch)
@@ -695,16 +695,17 @@ def test_explore_builds_nothing_for_an_edge_into_a_seen_node(monkeypatch):
     # A cost guard that reads no clock.  ``explore`` merges once per edge,
     # with interned cells, so a merge that ends at a top cell seen before in
     # the call makes no cell; and it reads a child's partition off its
-    # parent's only when the child is new.
+    # parent's only when the child is new.  The top cells are kept, so each
+    # is compared by identity while the test holds it.
     workloads = load_perfbench("workloads", monkeypatch)
     made = count_cells(monkeypatch)
     merges, blocks = [], []
-    merge, merged_blocks = reduction.apply_merge, reduction.merged_blocks
+    merge, merged_blocks = reduction.apply_merge, poset.merged_blocks
 
     def recorded_merge(tree, pivot):
         before = len(made)
         reduced = merge(tree, pivot)
-        merges.append((reduced.top.id, len(made) - before))
+        merges.append((reduced.top, len(made) - before))
         return reduced
 
     def counted_blocks(*args):
@@ -712,7 +713,7 @@ def test_explore_builds_nothing_for_an_edge_into_a_seen_node(monkeypatch):
         return merged_blocks(*args)
 
     monkeypatch.setattr(reduction, "apply_merge", recorded_merge)
-    monkeypatch.setattr(reduction, "merged_blocks", counted_blocks)
+    monkeypatch.setattr(poset, "merged_blocks", counted_blocks)
     for m in (5, 6, 7, 8):
         inp = workloads.disk_lines(m, 0)
         del merges[:], blocks[:]
@@ -726,6 +727,27 @@ def test_explore_builds_nothing_for_an_edge_into_a_seen_node(monkeypatch):
         assert len(seen) == len(graph.nodes) - 1 and len(into_seen) == len(graph.edges) - len(seen), m
         assert not any(into_seen), m
         assert len(blocks) == len(graph.nodes) - 1, m
+
+
+def test_a_lifted_child_holds_its_own_tree_and_no_other_coarsening(monkeypatch):
+    # A child is a value: ``try_lift`` makes its tree at once, and the child
+    # keeps no link to its parent, so a parent that is dropped is freed.
+    workloads = load_perfbench("workloads", monkeypatch)
+    children = 0
+    for inp in (disk_cp(), workloads.disk_lines(3, 0)):
+        frontier = [Coarsening.of(inp.cad, inp.labels)]
+        while frontier:
+            node = frontier.pop()
+            for pivot in node.pivots:
+                child = try_lift(node, pivot)
+                if child is None:
+                    continue
+                held = vars(child)
+                assert isinstance(held.get("tree"), CadTree), (pivot, sorted(held))
+                assert not any(isinstance(value, Coarsening) for value in held.values()), (pivot, sorted(held))
+                children += 1
+                frontier.append(child)
+    assert children > 10
 
 
 def test_lift_checks_list_as_many_root_cells_per_merge_at_every_m(monkeypatch):
