@@ -558,3 +558,47 @@ def test_refining_only_wider_intervals_keeps_every_probe(monkeypatch):
     kept = probes()
     monkeypatch.setattr(AlgebraicNumber, "refine", oracle_refine)
     assert probes() == kept
+
+
+def coord_text(v) -> str:
+    """A coordinate as text that pins its type: a rational by its repr, an
+    algebraic number by its defining polynomial and interval, a lazy value
+    by its expression and point."""
+    if isinstance(v, AlgebraicNumber):
+        return f"root{(v.defining, v.lo, v.hi)!r}"
+    if isinstance(v, expr.LazyValue):
+        return f"lazy({expr.sexpr_of_expr(v.expr)} at {point_text(v.point)})"
+    return repr(v)
+
+
+def point_text(point) -> str:
+    return "(" + ", ".join(coord_text(v) for v in point) + ")"
+
+
+def probe_evidence(cad, formula) -> list[str]:
+    """The evidence the check phase decides from, as text: the validation
+    report, the labels, then every probe of every cell, on a fresh root."""
+    cad = Cad(cad.n, cad.stacks)
+    lines = [str(validate_cad(cad)), repr(adaptedness_outcome(check_adapted, cad, formula))]
+    for k in range(cad.n + 1):
+        for cell in cad.cells_of_level(k):
+            points = cad.cell_points(cell, PROBES)
+            lines.append(f"{word_of(cell)}: " + " ".join(f"{point_text(p)}@{word_of(tag)}" for p, tag in points))
+    return lines
+
+
+def test_probe_evidence_digest(monkeypatch):
+    # One sha256 over the probe points, validation reports and labels of
+    # every gallery entry and its R^6 lift, disk-lines(7) and disk-lines(96)
+    # at seeds 0 and 1 and the odd coordinates: a speed-up of the check
+    # phase must leave every one of them as it is.
+    import hashlib
+
+    workloads = load_perfbench("workloads", monkeypatch)
+    inputs = list(adaptedness_inputs(monkeypatch))
+    inputs += [(d.name + "@1", d.cad, d.formula) for d in (workloads.disk_lines(m, 1) for m in (7, 96))]
+    assert len(inputs) == 29
+    digest = hashlib.sha256()
+    for name, cad, formula in inputs:
+        digest.update("\n".join([name, *probe_evidence(cad, formula), ""]).encode())
+    assert digest.hexdigest() == "ae3376e8abf013c2d9654a0d9f67d0f391d44bedfd28f9db4106a37e8050a796"
