@@ -14,13 +14,16 @@ root obtained by cell merges.  A coarsening is a view of its cell tree
 its 2u+1 children, and, made once with it, its label and the applicable
 pivots below it; its index word is its path from the top, and all numeric
 data is read off the root.  A coarsening's probe points are its first root
-cells' (``Cad.cell_points``).  The root also keeps the lift verdicts, one
-per slot of a glued stack (``reduction``).
+cells' (``Cad.cell_points``).  A root derives its probes once: a section's
+value at each probe of its base, where sqrt(g) and -sqrt(g) share one root
+of g, taken in integers at a rational probe.  The root also keeps the lift
+verdicts, one per slot of a glued stack (``reduction``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from cadreduce.errors import (
@@ -36,9 +39,11 @@ from cadreduce.expr import (
     Div,
     Expr,
     Formula,
+    Neg,
     Piecewise,
     Point,
     ScaledPoly,
+    Sqrt,
     Sub,
     any_node,
     canonicalize,
@@ -50,8 +55,10 @@ from cadreduce.expr import (
     integer_coeffs,
     is_piecewise,
     max_var_index,
+    negated_coord,
     sector_coords,
     sexpr_of_expr,
+    sqrt_coord,
     substitute,
     to_polynomial,
 )
@@ -136,6 +143,10 @@ class Cad:
             self.stacks = stacks
             self.tree = None
             self._point_cache: dict[tuple[CellIndex, int], list[TaggedPoint]] = {}
+            # Shared roots, and their arguments in integers with their top
+            # variable, or None for no polynomial (``_section_value``).
+            self._roots: dict[tuple, CoordValue] = {}
+            self._sqrt_polys: dict[Expr, tuple[ScaledPoly, int] | None] = {}
             # The root's ``validate_cad`` report, made on first use.
             self._validation: ValidationReport | None = None
             # Lift verdicts (see ``reduction._lift_allowed``): one per slot
@@ -192,8 +203,9 @@ class Cad:
         root and on a coarsening alike (the section's root cells lie over
         the base's, in the same order).  So the value of section s at the
         i-th probe of ``cell`` is the last coordinate of the i-th probe of
-        ``cell + (2s,)``, and it is computed once, here: validation, the
-        zero test and the sectors read it off that section cell, a sector
+        ``cell + (2s,)``, and on a root it is taken once, with one root
+        for sqrt(g) and -sqrt(g) (``_section_value``): validation, the zero
+        test and the sectors read it off that section cell, a sector
         ``cell + (2s+1,)`` its bounds s and s+1."""
         if not self.is_root:
             # Every root cell has a point, so the first ``count`` root cells
@@ -209,18 +221,18 @@ class Cad:
         return pts
 
     def _root_points(self, cell: CellIndex, count: int) -> list[TaggedPoint]:
-        """A section's value at each base probe is evaluated here, once; a
-        sector reads its bounds off its two section cells' probes, which are
-        aligned with the base's, and derives at the b-th of B base probes
-        only the coordinates that interleaving keeps: the i-th lands at
-        position i*B + b, so the first ceil((count - b) / B)."""
+        """A section's value at each base probe is taken here, once
+        (``_section_value``); a sector reads its bounds off its two section
+        cells' probes, which are aligned with the base's, and derives at the
+        b-th of B base probes only the coordinates that interleaving keeps:
+        the i-th lands at position i*B + b, so the first ceil((count - b) / B)."""
         if cell == ROOT_INDEX:
             return [((), ROOT_INDEX)]
         parent, letter = cell[:-1], cell[-1]
         bases = [base for base, _tag in self.cell_points(parent, count)]
         if letter % 2 == 0:
             f = self.stacks[parent].functions[letter // 2 - 1]
-            return [(base + (eval_coord(f, base),), cell) for base in bases]
+            return [(base + (self._section_value(f, parent, count, b, base),), cell) for b, base in enumerate(bases)]
         j = (letter - 1) // 2
         unbounded: list[CoordValue | None] = [None] * len(bases)
         lo = self._section_values(parent + (2 * j,), count) if j >= 1 else unbounded
@@ -230,6 +242,31 @@ class Cad:
             for b, base in enumerate(bases)
         ]
         return [(p, cell) for p in _interleave(per_base)]
+
+    def _section_value(self, f: Expr, cell: CellIndex, count: int, b: int, base: Point) -> CoordValue:
+        """``eval_coord(f, base)`` at the b-th probe of ``cell``, but sqrt(g)
+        and -sqrt(g) read one root of g, kept on the root.  At a rational
+        probe a polynomial g is summed in integers (``integer_coeffs``) and
+        its root taken as ``eval_coord`` takes it (``sqrt_coord``)."""
+        core = f.arg if isinstance(f, Neg) and isinstance(f.arg, Sqrt) else f
+        if not isinstance(core, Sqrt):
+            return eval_coord(f, base)
+        key = (core, cell, count, b)
+        r = self._roots.get(key)
+        if r is None:
+            g = core.arg
+            if g not in self._sqrt_polys:
+                # A g that divides falls back, to raise eval_coord's errors.
+                p = None if any_node(g, lambda e: isinstance(e, Div)) else to_polynomial(g)
+                self._sqrt_polys[g] = None if p is None else (ScaledPoly(p), max_var_index(g))
+            kept = self._sqrt_polys[g]
+            if kept is None or kept[1] > len(base) or not all(isinstance(c, Fraction) for c in base):
+                r = eval_coord(core, base)
+            else:
+                c, scale = integer_coeffs(kept[0], dict(enumerate(base, start=1)), None)
+                r = sqrt_coord(Fraction(c[0], scale) if c else Fraction(0))
+            self._roots[key] = r
+        return r if core is f else negated_coord(r)
 
     def _section_values(self, section: CellIndex, count: int) -> list[CoordValue]:
         return [p[-1] for p, _tag in self.cell_points(section, count)]
@@ -425,9 +462,13 @@ def _validate_root(cad: Cad) -> ValidationReport:
         report.violations.append(f"stack for nonexistent cell {word_of(extra)}")
     if not report.ok:
         return report
+    # Stacks share functions, so each is scanned once (also in _check_poles).
+    arity: dict[Expr, int] = {}
     for cell, stack in cad.stacks.items():
         for i, f in enumerate(stack.functions, start=1):
-            if max_var_index(f) > len(cell):
+            if f not in arity:
+                arity[f] = max_var_index(f)
+            if arity[f] > len(cell):
                 report.violations.append(
                     f"section {i} above {word_of(cell)!r} uses variables beyond level {len(cell)}"
                 )
@@ -520,9 +561,12 @@ def _check_poles(cad: Cad, report: ValidationReport) -> None:
     """Every root stack function that divides must be defined on its whole
     cell: restricted to the cell, its normal form's denominator, which
     collects every denominator met, has no zero there."""
+    divides: dict[Expr, bool] = {}
     for cell, stack in cad.stacks.items():
         for i, f in enumerate(stack.functions, start=1):
-            if not any_node(f, lambda e: isinstance(e, Div)):
+            if f not in divides:
+                divides[f] = any_node(f, lambda e: isinstance(e, Div))
+            if not divides[f]:
                 continue
             where = f"section {i} above {word_of(cell)}"
             try:
@@ -577,12 +621,8 @@ def check_adapted(cad: Cad, formula: Formula) -> LeafLabeling:
     labels: LeafLabeling = {}
     for leaf in cad.leaves():
         points = cad.cell_points(leaf, PROBES)
-        verdicts = [(holds(formula, p, polys), p) for p, _tag in points]
-        first = verdicts[0][0]
-        for truth, point in verdicts[1:]:
-            if truth != first:
-                inside = next(p for t, p in verdicts if t)
-                outside = next(p for t, p in verdicts if not t)
-                raise NotAdapted(leaf, inside, outside)
-        labels[leaf] = 1 if first else 0
+        truths = [holds(formula, p, polys) for p, _tag in points]
+        if len(set(truths)) > 1:
+            raise NotAdapted(leaf, points[truths.index(True)][0], points[truths.index(False)][0])
+        labels[leaf] = 1 if truths[0] else 0
     return labels

@@ -792,8 +792,8 @@ def integer_coeffs(q: ScaledPoly, values: dict[int, Fraction], index: int | None
     ``q`` was made once from p, so only the values' part is computed here:
     with L = ``q.den``, x_i = n_i/d_i and K_i the top degree of x_i in p,
     s = L * prod d_i^K_i, and a term c * prod x_i^k_i contributes
-    L*c * prod n_i^k_i * d_i^(K_i - k_i).  As s > 0, the a_d give every sign
-    that the exact coefficients give."""
+    L*c * prod n_i^k_i * d_i^(K_i - k_i) to a_{k_index} (a_0 when ``index``
+    is None).  As s > 0, the a_d give every sign the exact ones give."""
     common = 1
     parts: dict[int, tuple[int, int]] = {}
     for i, k in q.top.items():
@@ -801,9 +801,9 @@ def integer_coeffs(q: ScaledPoly, values: dict[int, Fraction], index: int | None
             v = values.get(i)
             if v is None:
                 raise ValueError(f"point has no coordinate {i}")
-            n, d = parts[i] = v.numerator, v.denominator
-            common *= d**k
-    coeffs: dict[int, int] = {}
+            parts[i] = v.numerator, v.denominator
+            common *= v.denominator**k
+    out = [0] * (q.top.get(index, 0) + 1)
     for term, mon in q.terms:
         rest, degree = common, 0
         for i, k in mon:
@@ -813,8 +813,7 @@ def integer_coeffs(q: ScaledPoly, values: dict[int, Fraction], index: int | None
                 n, d = parts[i]
                 term *= n**k
                 rest //= d**k
-        coeffs[degree] = coeffs.get(degree, 0) + term * rest
-    out = [coeffs.get(d, 0) for d in range(max(coeffs, default=0) + 1)]
+        out[degree] += term * rest
     while out and not out[-1]:
         out.pop()
     return out, q.den * common
@@ -1027,21 +1026,32 @@ def eval_coord(e: Expr, point) -> CoordValue:
     core, negate = (e.arg, True) if isinstance(e, Neg) else (e, False)
     try:
         if isinstance(core, Sqrt):
-            c = _eval(core.arg, pt, None)
-            if c < 0:
-                raise SqrtOfNegative(f"sqrt of {c}")
-            r = _perfect_sqrt(c)
-            if r is not None:
-                return -r if negate else r
-            a = _algebraic_sqrt(c)
-            return a.negated() if negate else a
+            r = sqrt_coord(_eval(core.arg, pt, None))
+            return negated_coord(r) if negate else r
         v = _eval(e, pt, None)
         assert isinstance(v, Fraction)
         return v
     except _Inexact:
         if isinstance(core, AlgebraicConst):
-            return core.value.negated() if negate else core.value
+            return negated_coord(core.value) if negate else core.value
         return LazyValue(e, pt)
+
+
+def sqrt_coord(c: Fraction) -> Fraction | AlgebraicNumber:
+    """sqrt(c) as a coordinate: rational for a square, else ``_algebraic_sqrt``."""
+    if c < 0:
+        raise SqrtOfNegative(f"sqrt of {c}")
+    r = _perfect_sqrt(c)
+    return r if r is not None else _algebraic_sqrt(c)
+
+
+def negated_coord(v: CoordValue) -> CoordValue:
+    """-v, as ``eval_coord`` gives the value of a negated expression."""
+    if isinstance(v, Fraction):
+        return -v
+    if isinstance(v, AlgebraicNumber):
+        return v.negated()
+    return LazyValue(Neg(v.expr), v.point)
 
 
 def coord_approx(cv: CoordValue, width: Fraction) -> _Val:
@@ -1086,9 +1096,11 @@ def sector_coords(lo: CoordValue | None, hi: CoordValue | None, count: int) -> l
         bot = _promote(coord_approx(lo, Fraction(1, 4)))[1]
         return [bot + k for k in range(1, count + 1)]
     a, b = _window_between(lo, hi)
-    gap = b - a
+    # a + t * (b - a) for a = p/q, b = r/s and t = u/v, summed in integers.
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    gap = r * q - p * s
     fracs = [*_WINDOW_FRACTIONS, *(Fraction(1, 2**k) for k in range(4, count - 3))]
-    return [a + t * gap for t in fracs[:count]]
+    return [Fraction(p * s * t.denominator + t.numerator * gap, q * s * t.denominator) for t in fracs[:count]]
 
 
 # ---------------------------------------------------------------------------
@@ -1139,7 +1151,7 @@ def atom_sign(lhs: Expr, point: Point, polys: dict[Expr, ScaledPoly]) -> int:
         return 0 if not c else (1 if c[0] > 0 else -1)
     if len(algebraic) == 1 and not lazies:
         idx, a = algebraic[0]
-        return a.sign_of(upoly(integer_coeffs(q, rationals, idx)[0]))
+        return a.sign_of(integer_coeffs(q, rationals, idx)[0])
     for w in _widths(_FIRST_WIDTH):
         try:
             v = _eval(lhs, point, w)

@@ -5,7 +5,8 @@ coefficient nonzero).  Roots are isolated with Sturm sequences and rational
 bisection, and represented by :class:`AlgebraicNumber` values that can be
 refined on demand and compared exactly.  Signs at rational points
 (:func:`sign_at`) and remainders by a defining polynomial
-(:func:`pseudo_rem`) are computed in integer arithmetic.
+(:func:`pseudo_rem`) are computed in integer arithmetic, so they and
+:meth:`AlgebraicNumber.sign_of` also take integer coefficients.
 """
 
 from __future__ import annotations
@@ -258,7 +259,9 @@ class AlgebraicNumber:
         otherwise bisected exactly, each midpoint's sign taken by
         ``sign_at``, until it is."""
         lo, hi = self.lo, self.hi
-        if lo == hi or hi - lo <= width:
+        # hi - lo <= width (also when lo == hi), cross-multiplied.
+        hd, ld = hi.denominator, lo.denominator
+        if (hi.numerator * ld - lo.numerator * hd) * width.denominator <= width.numerator * hd * ld:
             return self
         p = self.defining
         slo = sign_at(p, lo)
@@ -277,8 +280,8 @@ class AlgebraicNumber:
         r = self.refine(width)
         return (r.lo, r.hi)
 
-    def sign_of(self, q: UniPoly) -> int:
-        """Exact sign of q at this number."""
+    def sign_of(self, q: UniPoly | Sequence[int]) -> int:
+        """Exact sign of q, with Fraction or int coefficients, at this number."""
         if is_zero(q):
             return 0
         if self.is_rational:

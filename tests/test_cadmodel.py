@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -592,8 +593,6 @@ def test_probe_evidence_digest(monkeypatch):
     # every gallery entry and its R^6 lift, disk-lines(7) and disk-lines(96)
     # at seeds 0 and 1 and the odd coordinates: a speed-up of the check
     # phase must leave every one of them as it is.
-    import hashlib
-
     workloads = load_perfbench("workloads", monkeypatch)
     inputs = list(adaptedness_inputs(monkeypatch))
     inputs += [(d.name + "@1", d.cad, d.formula) for d in (workloads.disk_lines(m, 1) for m in (7, 96))]
@@ -602,3 +601,70 @@ def test_probe_evidence_digest(monkeypatch):
     for name, cad, formula in inputs:
         digest.update("\n".join([name, *probe_evidence(cad, formula), ""]).encode())
     assert digest.hexdigest() == "ae3376e8abf013c2d9654a0d9f67d0f391d44bedfd28f9db4106a37e8050a796"
+
+
+def section_outcomes(cad, value):
+    """Per (stack cell, slot) of a root, the section's values at the probes
+    of its cell, as ``value(fresh, cell, slot, f, bases)`` gives them on a
+    fresh root, or the type and message of the error it raises."""
+    fresh = Cad(cad.n, cad.stacks)
+    out = {}
+    for k in range(cad.n):
+        for cell in cad.cells_of_level(k):
+            try:
+                bases = [base for base, _tag in fresh.cell_points(cell, PROBES)]
+            except Exception:  # noqa: BLE001 - no base, no section value
+                continue
+            for slot, f in enumerate(cad.stacks[cell].functions, start=1):
+                try:
+                    values = value(fresh, cell, slot, f, bases)
+                    out[cell, slot] = [(type(v), v) for v in values]
+                except Exception as exc:  # noqa: BLE001 - every error is compared
+                    out[cell, slot] = (type(exc), str(exc))
+    return out
+
+
+def fallback_roots():
+    """(name, root) whose sections leave the integer path: a piecewise
+    section, sections that divide (a pole at sqrt 2 inside the cell 3),
+    roots over an irrational base coordinate, a negative argument next to
+    a section of its own, and arguments that refer past their level or
+    divide by zero (no validation reaches their probes)."""
+    sqrt2_pole = {(): ["0"], **{(i,): ["(div 1 (sub x1 (sqrt 2)))"] for i in (1, 2, 3)}}
+    irrational = {(): ["(sqrt 2)"], (1,): [], (3,): []}
+    irrational[(2,)] = ["(neg (sqrt (add x1 1)))", "(sqrt (add x1 1))", "(sqrt 3)", "(add x1 2)"]
+    negative = {(): [], (1,): ["(neg (sqrt (sub -1 (pow x1 2))))", "(sqrt (sub -1 (pow x1 2)))", "5"]}
+    piecewise = {(): ["0"], (1,): [], (2,): [], (3,): ["(piecewise ((gt x1 1) (sqrt x1)) (else 1))"]}
+    unchecked = {(): [], (1,): ["(sqrt (add 1 (sub x2 x2)))", "(sqrt (div 1 (sub x1 x1)))", "(sqrt (div x1 4))"]}
+    specs = {"sqrt2 pole": sqrt2_pole, "irrational base": irrational, "negative": negative, "piecewise": piecewise}
+    specs["unchecked"] = unchecked
+    for name, spec in specs.items():
+        yield name, Cad(2, {cell: SectionStack(tuple(parse_expr(f) for f in fs)) for cell, fs in spec.items()})
+
+
+def test_section_values_are_the_values_of_eval_coord(monkeypatch):
+    # The differential test of sharing one root between sqrt(g) and
+    # -sqrt(g) and taking it in integers: every section cell's values, or
+    # its first error, are what ``eval_coord`` gives at the base probes.
+    roots = [(name, cad) for name, cad, _formula in adaptedness_inputs(monkeypatch) if name != "disk-lines(96)"]
+    roots += list(fallback_roots())
+    taken = expr.eval_coord
+
+    def derived(fresh, cell, slot, _f, _bases):
+        return [p[-1] for p, _tag in fresh.cell_points(cell + (2 * slot,), PROBES)]
+
+    def evaluated(_fresh, _cell, _slot, f, bases):
+        return [taken(f, base) for base in bases]
+
+    kinds = set()
+    for name, cad in roots:
+        want = section_outcomes(cad, evaluated)
+        assert section_outcomes(cad, derived) == want, name
+        kinds |= {kind for values in want.values() if isinstance(values, list) for kind, _v in values}
+    assert kinds == {Fraction, AlgebraicNumber, expr.LazyValue}
+    negative = dict(fallback_roots())["negative"]
+    # Each section raises for its own cell only: 5 keeps its probes.
+    assert section_outcomes(negative, derived)[(1,), 3] == [(Fraction, F(5))] * 3
+    assert str(validate_cad(negative)) == "\n".join(
+        f"violation: section {s} above 1 is undefined at a probe: sqrt of -1" for s in (1, 2)
+    )

@@ -458,3 +458,34 @@ def test_defining_polynomials_are_squarefree_and_primitive(bounded_work):
         else:
             assert a.lo < a.hi and evaluate(p, a.lo) != 0 and evaluate(p, a.hi) != 0, a
             assert _oracle_count(p, a.lo, a.hi) == 1, a
+
+
+def test_refine_keeps_an_interval_exactly_as_wide_as_asked(bounded_work):
+    # The width test is cross-multiplied in integers: hi - lo == width
+    # keeps the number, any narrower width bisects it.
+    sqrt2 = make_algebraic(poly([-2, 0, 1]), F(4, 3), F(3, 2))
+    exact = F(3, 2) - F(4, 3)
+    assert sqrt2.refine(exact) is sqrt2 and sqrt2.refine(F(1, 3)) is sqrt2
+    narrower = sqrt2.refine(exact - F(1, 10**9))
+    assert narrower is not sqrt2 and narrower.hi - narrower.lo <= exact / 2
+    assert narrower.lo < narrower.hi and narrower.compare(sqrt2) == 0
+    third = AlgebraicNumber.from_rational(F(1, 3))
+    assert third.refine(F(0)) is third
+
+
+def test_sign_of_integer_coefficients_matches_fractions(bounded_work):
+    # ``atom_sign`` hands ``integer_coeffs``' integers to ``sign_of``: the
+    # same coefficients as a tuple of ints and as Fractions give one sign.
+    rng = random.Random(23)
+    numbers = corpus()
+    signs = []
+    for a in numbers:
+        qs = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] for _ in range(4)]
+        qs.append([int(c) for c in mul(a.defining, poly([5, rng.randint(-3, 3)]))])
+        for ints in qs:
+            while ints and not ints[-1]:
+                ints.pop()
+            got = a.sign_of(tuple(ints))
+            assert got == a.sign_of(poly(ints)), (a, ints)
+            signs.append(got)
+    assert set(signs) == {-1, 0, 1} and signs.count(0) > len(numbers)

@@ -8,7 +8,7 @@ import pytest
 from cadreduce.cadmodel import Cad, SectionStack, check_adapted, validate_cad
 from cadreduce import cadmodel, poset, reduction
 from cadreduce.errors import LabelMissing, RuleNotApplicable, UnknownOrder, ValidationFailed
-from cadreduce.expr import any_node, canonicalize, compare_coords, eval_coord, is_piecewise, parse_expr
+from cadreduce.expr import Neg, Sqrt, any_node, canonicalize, compare_coords, eval_coord, is_piecewise, parse_expr
 from cadreduce.gallery import (
     disk_c,
     disk_cp,
@@ -625,28 +625,38 @@ def test_validation_evaluates_no_section_twice(monkeypatch):
 
 def test_the_check_phase_evaluates_each_section_once_per_base_probe(monkeypatch):
     # A cost guard that reads no clock: on a fresh root, ``validate_cad``
-    # and ``check_adapted`` evaluate each stack function once at each probe
-    # of its cell.  A sector reads its bounds off its section cells.
+    # and ``check_adapted`` take at each probe of a cell one root per
+    # distinct square-root argument of its stack, shared by sqrt(g) and
+    # -sqrt(g), and one value of every other section.  A sector reads its
+    # bounds off its section cells.  A root is taken in integers
+    # (``sqrt_coord``) or, off a rational probe, by ``eval_coord``.
     disk = load_perfbench("workloads", monkeypatch).disk_lines(96, 0)
     inputs = [(disk.name, disk.cad, disk.formula)]
     for name in gallery_names():
         entry = load_entry(name)
         inputs.append((name, entry.cad, entry.formula))
         inputs.append((f"{name}@R6", extend_cylinder(entry.cad, entry.labels, 6)[0], entry.formula))
-    evaluate = cadmodel.eval_coord
+    evaluate, take_root = cadmodel.eval_coord, cadmodel.sqrt_coord
     counts = {}
     for name, built, formula in inputs:
         cad = Cad(built.n, built.stacks)
-        calls = []
-        monkeypatch.setattr(cadmodel, "eval_coord", lambda *args: calls.append(1) or evaluate(*args))
+        evaluated, rooted = [], []
+        monkeypatch.setattr(cadmodel, "eval_coord", lambda *args: evaluated.append(1) or evaluate(*args))
+        monkeypatch.setattr(cadmodel, "sqrt_coord", lambda c: rooted.append(1) or take_root(c))
         assert validate_cad(cad).admits_reduction, name
         check_adapted(cad, formula)
         monkeypatch.undo()
         stacked = [cell for k in range(cad.n) for cell in cad.cells_of_level(k)]
-        pairs = sum(cad.stack_count(cell) * len(cad.cell_points(cell, cadmodel.PROBES)) for cell in stacked)
-        counts[name] = (len(calls), pairs)
-    assert all(calls == pairs for calls, pairs in counts.values()), counts
-    assert counts[disk.name] == (874, 874)
+        wanted = sum(
+            len({f.arg if isinstance(f, Neg) and isinstance(f.arg, Sqrt) else f for f in cad.stacks[cell].functions})
+            * len(cad.cell_points(cell, cadmodel.PROBES))
+            for cell in stacked
+        )
+        counts[name] = (len(evaluated), len(rooted), wanted)
+    assert all(evaluated + rooted == wanted for evaluated, rooted, wanted in counts.values()), counts
+    # 97 inner sectors with 3 probes and 96 lines with 1 take one root of
+    # 1 - x1^2 each; the 98 base sections and the two [0] stacks are others.
+    assert counts[disk.name] == (100, 387, 487)
 
 
 def count_cells(monkeypatch) -> list:
