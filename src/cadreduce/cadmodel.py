@@ -12,12 +12,13 @@ A CAD object either owns its geometry (a *root*), or is a coarsening of a
 root obtained by cell merges.  A coarsening is a view of its cell tree
 (``tree.CadTree``): each cell holds the sorted root cells whose union it is,
 its 2u+1 children, and, made once with it, its label and the applicable
-pivots below it; its index word is its path from the top, and all numeric
-data is read off the root.  A coarsening's probe points are its first root
-cells' (``Cad.cell_points``).  A root derives its probes once: a section's
-value at each probe of its base, where sqrt(g) and -sqrt(g) share one root
-of g, taken in integers at a rational probe.  The root also keeps the lift
-verdicts, one per slot of a glued stack (``reduction``).
+pivots below it; its index word is its path from the top.  Its geometry
+(probes, stack order, adaptedness) is decided on the root: it has no probes,
+and its ``validate_cad`` report is the root's.  A root derives one fixed
+probe set per cell, once (``Cad.cell_points``): a section's value at each
+probe of its base, where sqrt(g) and -sqrt(g) share one root of g, taken in
+integers at a rational probe.  The root also keeps the lift verdicts, one
+per slot of a glued stack (``reduction``).
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ if TYPE_CHECKING:
 
 CellIndex = tuple[int, ...]
 
-# Probe points per cell (validation, adaptedness); the first is the cell's
-# sample (``Cad.cell_points``).
+# Probes per root cell that is not a point; the first is its sample (``Cad.cell_points``).
 PROBES = 3
 
 ROOT_INDEX: CellIndex = ()
@@ -105,23 +105,6 @@ class SectionStack:
 
 LeafLabeling = dict[CellIndex, int]
 
-# A probe point together with the root cell it was generated in.
-TaggedPoint = tuple[Point, CellIndex]
-
-
-def _interleave(lists: list[list]) -> list:
-    out = []
-    i = 0
-    while True:
-        added = False
-        for lst in lists:
-            if i < len(lst):
-                out.append(lst[i])
-                added = True
-        if not added:
-            return out
-        i += 1
-
 
 class Cad:
     """A CAD of R^n, either owning its geometry or viewing a root through a
@@ -142,7 +125,7 @@ class Cad:
             self.root: Cad = self
             self.stacks = stacks
             self.tree = None
-            self._point_cache: dict[tuple[CellIndex, int], list[TaggedPoint]] = {}
+            self._point_cache: dict[CellIndex, list[Point]] = {}
             # Shared roots, and their arguments in integers with their top
             # variable, or None for no polynomial (``_section_value``).
             self._roots: dict[tuple, CoordValue] = {}
@@ -194,56 +177,45 @@ class Cad:
 
     # -- geometry ----------------------------------------------------------
 
-    def cell_points(self, cell: CellIndex, count: int) -> list[TaggedPoint]:
-        """Deterministic probe points inside the cell, tagged with the root
-        cell each point lies in.  The first probe is the cell's sample.
+    def cell_points(self, cell: CellIndex) -> list[Point]:
+        """The probe points of a root cell, derived once and kept: one for a
+        point cell (every letter even) and ``PROBES`` for any other, the
+        first being the cell's sample.  A coarsening has no probes of its
+        own (``ValueError``): its cells are unions of root cells, which the
+        root's probes cover (``validate_cad``).
 
         The probes of a section cell are aligned with its base's: the i-th
-        is the base's i-th with the section's value there appended, on a
-        root and on a coarsening alike (the section's root cells lie over
-        the base's, in the same order).  So the value of section s at the
-        i-th probe of ``cell`` is the last coordinate of the i-th probe of
-        ``cell + (2s,)``, and on a root it is taken once, with one root
-        for sqrt(g) and -sqrt(g) (``_section_value``): validation, the zero
-        test and the sectors read it off that section cell, a sector
-        ``cell + (2s+1,)`` its bounds s and s+1."""
+        is the base's i-th with the section's value there appended.  So the
+        value of section s at the i-th probe of ``cell`` is the last
+        coordinate of the i-th probe of ``cell + (2s,)``, taken once, with
+        one root for sqrt(g) and -sqrt(g) (``_section_value``): validation,
+        the zero test and the sectors read it off that section cell, a
+        sector ``cell + (2s+1,)`` its bounds s and s+1.  A base has 1 or
+        ``PROBES`` probes, so a sector takes ``PROBES // len(bases)``
+        coordinates at each."""
         if not self.is_root:
-            # Every root cell has a point, so the first ``count`` root cells
-            # give all the points kept.
-            per_root = [self.root.cell_points(r, count) for r in self.root_cells(cell)[:count]]
-            return _interleave(per_root)[:count]
-        key = (cell, count)
-        cached = self._point_cache.get(key)
-        if cached is not None:
-            return cached
-        pts = self._root_points(cell, count)
-        self._point_cache[key] = pts
+            raise ValueError("probes belong to root cells; a coarsening's cells are unions of them")
+        pts = self._point_cache.get(cell)
+        if pts is None:
+            pts = self._point_cache[cell] = self._root_points(cell)
         return pts
 
-    def _root_points(self, cell: CellIndex, count: int) -> list[TaggedPoint]:
-        """A section's value at each base probe is taken here, once
-        (``_section_value``); a sector reads its bounds off its two section
-        cells' probes, which are aligned with the base's, and derives at the
-        b-th of B base probes only the coordinates that interleaving keeps:
-        the i-th lands at position i*B + b, so the first ceil((count - b) / B)."""
+    def _root_points(self, cell: CellIndex) -> list[Point]:
         if cell == ROOT_INDEX:
-            return [((), ROOT_INDEX)]
+            return [()]
         parent, letter = cell[:-1], cell[-1]
-        bases = [base for base, _tag in self.cell_points(parent, count)]
+        bases = self.cell_points(parent)
         if letter % 2 == 0:
             f = self.stacks[parent].functions[letter // 2 - 1]
-            return [(base + (self._section_value(f, parent, count, b, base),), cell) for b, base in enumerate(bases)]
+            return [base + (self._section_value(f, parent, b, base),) for b, base in enumerate(bases)]
         j = (letter - 1) // 2
         unbounded: list[CoordValue | None] = [None] * len(bases)
-        lo = self._section_values(parent + (2 * j,), count) if j >= 1 else unbounded
-        hi = self._section_values(parent + (2 * j + 2,), count) if j < self.stacks[parent].count else unbounded
-        per_base = [
-            [base + (c,) for c in sector_coords(lo[b], hi[b], -(-(count - b) // len(bases)))]
-            for b, base in enumerate(bases)
-        ]
-        return [(p, cell) for p in _interleave(per_base)]
+        lo = self._section_values(parent + (2 * j,)) if j >= 1 else unbounded
+        hi = self._section_values(parent + (2 * j + 2,)) if j < self.stacks[parent].count else unbounded
+        per_base = PROBES // len(bases)
+        return [base + (c,) for b, base in enumerate(bases) for c in sector_coords(lo[b], hi[b], per_base)]
 
-    def _section_value(self, f: Expr, cell: CellIndex, count: int, b: int, base: Point) -> CoordValue:
+    def _section_value(self, f: Expr, cell: CellIndex, b: int, base: Point) -> CoordValue:
         """``eval_coord(f, base)`` at the b-th probe of ``cell``, but sqrt(g)
         and -sqrt(g) read one root of g, kept on the root.  At a rational
         probe a polynomial g is summed in integers (``integer_coeffs``) and
@@ -251,7 +223,7 @@ class Cad:
         core = f.arg if isinstance(f, Neg) and isinstance(f.arg, Sqrt) else f
         if not isinstance(core, Sqrt):
             return eval_coord(f, base)
-        key = (core, cell, count, b)
+        key = (core, cell, b)
         r = self._roots.get(key)
         if r is None:
             g = core.arg
@@ -268,8 +240,8 @@ class Cad:
             self._roots[key] = r
         return r if core is f else negated_coord(r)
 
-    def _section_values(self, section: CellIndex, count: int) -> list[CoordValue]:
-        return [p[-1] for p, _tag in self.cell_points(section, count)]
+    def _section_values(self, section: CellIndex) -> list[CoordValue]:
+        return [p[-1] for p in self.cell_points(section)]
 
     # -- partitions --------------------------------------------------------
 
@@ -371,8 +343,8 @@ def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
         if all(letter % 2 == 0 for letter in base):
             # A point base has one probe; the bounds' values there are the
             # section cells' probes, which validation derives anyway.
-            lo = root._section_values(base + (2 * j,), PROBES)[0] if j >= 1 else None
-            hi = root._section_values(base + (2 * j + 2,), PROBES)[0] if j < stack.count else None
+            lo = root._section_values(base + (2 * j,))[0] if j >= 1 else None
+            hi = root._section_values(base + (2 * j + 2,))[0] if j < stack.count else None
         else:
             restricted = [None if f is None else restrict(root, base, f) for f in bounds]
             if any(f is not None and not isinstance(r, Const) for f, r in zip(bounds, restricted)):
@@ -419,15 +391,15 @@ class ValidationReport:
 
 
 def validate_cad(cad: Cad) -> ValidationReport:
-    """Structural validation: stack keys, variable arity, poles of root stack
-    functions, strict stack order, guard disjointness.
+    """Structural validation of a root: stack keys, variable arity, poles of
+    stack functions, strict stack order, guard disjointness.
 
-    On a root, each adjacent pair f_i, f_{i+1} of a stack is first decided
-    exactly (``_exact_orders``); every other pair is compared at ``PROBES``
-    probe points per cell.  A root is immutable, so its report is made once and
-    kept on it.
+    Each adjacent pair f_i, f_{i+1} of a stack is first decided exactly
+    (``_exact_orders``); every other pair is compared at the probes of its
+    cell (``Cad.cell_points``).  A root is immutable, so its report is made
+    once and kept on it.
 
-    The root's report is the gate of reduction: ``Coarsening.of`` raises
+    The report is the gate of reduction: ``Coarsening.of`` raises
     ``ValidationFailed`` unless ``admits_reduction``, that is, unless there
     is no violation and the probes leave no stack order open (an order or a
     section value that cannot be decided, or probes that cannot be derived).
@@ -438,18 +410,15 @@ def validate_cad(cad: Cad) -> ValidationReport:
     leaves open would refuse sections with no pole, such as 1/(x1 - sqrt 2)
     over x1 < 0.
 
-    Piecewise guards are checked on the root only, each root stack function
-    at its own cell's probes.  A coarsening's sections are pieces of root
-    functions over root cells, and its probes are probes of those root
-    cells, so the root's report already covers them.
+    A coarsening's report is its root's, the same object.  Over each root
+    cell, the sections of a coarsening's stack are root sections over that
+    cell, their letters increasing with the slot, and their guards are root
+    guards checked at that cell's probes; so the root's report covers them.
     """
-    if not cad.is_root:
-        report = ValidationReport()
-        _check_at_probes(cad, report, set())
-        return report
-    if cad._validation is None:
-        cad._validation = _validate_root(cad)
-    return cad._validation
+    root = cad.root
+    if root._validation is None:
+        root._validation = _validate_root(root)
+    return root._validation
 
 
 def _validate_root(cad: Cad) -> ValidationReport:
@@ -519,13 +488,13 @@ def _exact_orders(cad: Cad, report: ValidationReport) -> set[tuple[CellIndex, in
 
 
 def _check_at_probes(cad: Cad, report: ValidationReport, decided: set[tuple[CellIndex, int]]) -> None:
-    """Strict order of every stack, but the ``decided`` pairs, at ``PROBES``
-    points per cell, and, on a root, guard disjointness.  Section values are
-    read off the section cells' probes (``Cad.cell_points``)."""
+    """Strict order of every stack, but the ``decided`` pairs, and guard
+    disjointness, at the probes of each cell.  Section values are read off
+    the section cells' probes (``Cad.cell_points``)."""
     for k in range(cad.n):
         for cell in cad.cells_of_level(k):
             try:
-                points = cad.cell_points(cell, PROBES)
+                points = cad.cell_points(cell)
             except (UnknownOrder, GuardUndecidable) as exc:
                 report.leave_open(f"cannot derive probes in {word_of(cell)}: {exc}")
                 continue
@@ -533,9 +502,9 @@ def _check_at_probes(cad: Cad, report: ValidationReport, decided: set[tuple[Cell
                 report.violations.append(f"cannot derive probes in {word_of(cell)}: {exc}")
                 continue
             columns = []
-            for slot in range(1, cad.stack_count(cell) + 1):
+            for slot in range(1, cad.stacks[cell].count + 1):
                 try:
-                    columns.append((slot, [p[-1] for p, _tag in cad.cell_points(cell + (2 * slot,), PROBES)]))
+                    columns.append((slot, cad._section_values(cell + (2 * slot,))))
                 except GuardUndecidable as exc:
                     report.leave_open(f"section {slot} above {word_of(cell)} undecided at a probe: {exc}")
                 except (DivisionByZero, SqrtOfNegative) as exc:
@@ -543,7 +512,7 @@ def _check_at_probes(cad: Cad, report: ValidationReport, decided: set[tuple[Cell
             for (s1, values1), (s2, values2) in zip(columns, columns[1:]):
                 if s2 == s1 + 1 and (cell, s1) in decided:
                     continue
-                for (point, _tag), v1, v2 in zip(points, values1, values2):
+                for point, v1, v2 in zip(points, values1, values2):
                     try:
                         c = compare_coords(v1, v2)
                     except (UnknownOrder, GuardUndecidable) as exc:
@@ -553,8 +522,7 @@ def _check_at_probes(cad: Cad, report: ValidationReport, decided: set[tuple[Cell
                         report.violations.append(
                             f"sections {s1},{s2} above {word_of(cell)} are not strictly ordered at {point}"
                         )
-            if cad.is_root:
-                _check_guard_disjointness(cad.stacks[cell], cell, points, report)
+            _check_guard_disjointness(cad.stacks[cell], cell, points, report)
 
 
 def _check_poles(cad: Cad, report: ValidationReport) -> None:
@@ -585,9 +553,9 @@ def _check_poles(cad: Cad, report: ValidationReport) -> None:
 
 
 def _check_guard_disjointness(
-    stack: SectionStack, cell: CellIndex, points: list[TaggedPoint], report: ValidationReport
+    stack: SectionStack, cell: CellIndex, points: list[Point], report: ValidationReport
 ) -> None:
-    for point, _tag in points:
+    for point in points:
         for f in stack.functions:
             if not isinstance(f, Piecewise):
                 continue
@@ -607,9 +575,10 @@ def _check_guard_disjointness(
 
 
 def check_adapted(cad: Cad, formula: Formula) -> LeafLabeling:
-    """Label every leaf by set membership of its sample; ``PROBES``
-    points per leaf must agree, otherwise the CAD is not adapted to the set.
-    A formula in more variables than the CAD has is a ``ValueError``.
+    """Label every leaf of a root by set membership of its sample; the
+    leaf's probes must agree, otherwise the CAD is not adapted to the set.
+    A formula in more variables than the CAD has is a ``ValueError``, and so
+    is a coarsening, which has no probes (``Cad.cell_points``).
 
     Each atom of the formula is converted to integers (``ScaledPoly``) once
     per call, when its sign is first needed, in a table kept for this call
@@ -620,9 +589,9 @@ def check_adapted(cad: Cad, formula: Formula) -> LeafLabeling:
     polys: dict[Expr, ScaledPoly] = {}
     labels: LeafLabeling = {}
     for leaf in cad.leaves():
-        points = cad.cell_points(leaf, PROBES)
-        truths = [holds(formula, p, polys) for p, _tag in points]
+        points = cad.cell_points(leaf)
+        truths = [holds(formula, p, polys) for p in points]
         if len(set(truths)) > 1:
-            raise NotAdapted(leaf, points[truths.index(True)][0], points[truths.index(False)][0])
+            raise NotAdapted(leaf, points[truths.index(True)], points[truths.index(False)])
         labels[leaf] = 1 if truths[0] else 0
     return labels

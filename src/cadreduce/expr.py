@@ -1067,16 +1067,18 @@ def coord_approx(cv: CoordValue, width: Fraction) -> _Val:
 # ---------------------------------------------------------------------------
 # Rational points inside an interval
 
-# The coordinates in a fiber with no bounds: 0, 1, -1, ..., 7, -7.
-_UNBOUNDED_COORDS = (Fraction(0), *(Fraction(s * k) for k in range(1, 8) for s in (1, -1)))
+# The coordinates in a fiber with no bounds.
+_UNBOUNDED_COORDS = (Fraction(0), Fraction(1), Fraction(-1))
 # Where the coordinates in a bounded fiber sit in its window, as fractions
-# of its width; 2^-4, 2^-5, ... follow.
-_WINDOW_FRACTIONS = tuple(Fraction(n, 8) for n in (4, 2, 6, 1, 3, 5, 7))
+# of its width.
+_WINDOW_FRACTIONS = (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))
+# The width a bound is first approximated to.
+_QUARTER = Fraction(1, 4)
 
 
 def _window_between(lo: CoordValue, hi: CoordValue) -> tuple[Fraction, Fraction]:
     """A rational open window strictly inside (lo, hi)."""
-    for w in _widths(Fraction(1, 4)):
+    for w in _widths(_QUARTER):
         llo, lhi = _promote(coord_approx(lo, w))
         hlo, hhi = _promote(coord_approx(hi, w))
         if lhi < hlo:
@@ -1085,22 +1087,22 @@ def _window_between(lo: CoordValue, hi: CoordValue) -> tuple[Fraction, Fraction]
 
 
 def sector_coords(lo: CoordValue | None, hi: CoordValue | None, count: int) -> list[Fraction]:
-    """Deterministic rational coordinates strictly inside a sector fiber."""
+    """``count`` (at most three: a probe set is 1 or ``cadmodel.PROBES``
+    points) rational coordinates strictly inside a sector fiber, from integers."""
     if lo is None and hi is None:
         return list(_UNBOUNDED_COORDS[:count])
     if lo is None:
-        assert hi is not None
-        top = _promote(coord_approx(hi, Fraction(1, 4)))[0]
-        return [top - k for k in range(1, count + 1)]
+        top = _promote(coord_approx(hi, _QUARTER))[0]
+        return [Fraction(top.numerator - k * top.denominator, top.denominator) for k in range(1, count + 1)]
     if hi is None:
-        bot = _promote(coord_approx(lo, Fraction(1, 4)))[1]
-        return [bot + k for k in range(1, count + 1)]
+        bot = _promote(coord_approx(lo, _QUARTER))[1]
+        return [Fraction(bot.numerator + k * bot.denominator, bot.denominator) for k in range(1, count + 1)]
     a, b = _window_between(lo, hi)
     # a + t * (b - a) for a = p/q, b = r/s and t = u/v, summed in integers.
     p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
     gap = r * q - p * s
-    fracs = [*_WINDOW_FRACTIONS, *(Fraction(1, 2**k) for k in range(4, count - 3))]
-    return [Fraction(p * s * t.denominator + t.numerator * gap, q * s * t.denominator) for t in fracs[:count]]
+    fracs = _WINDOW_FRACTIONS[:count]
+    return [Fraction(p * s * t.denominator + t.numerator * gap, q * s * t.denominator) for t in fracs]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling, SectionStack, word_
 from cadreduce.expr import eval_coord  # noqa: F401  (re-exported; perfbench/test_perfbench.py calls it here)
 from cadreduce.reduction import Blocks, Coarsening, try_lift
 from cadreduce.tree import applicable_pivots  # noqa: F401  (re-exported; perfbench/test_perfbench.py calls it here)
-from cadreduce.tree import interning, merged_blocks
+from cadreduce.tree import CellTable, merged_blocks
 
 
 @dataclass
@@ -70,27 +70,28 @@ class PosetGraph:
 def explore(root: Cad, labels: LeafLabeling) -> PosetGraph:
     """Breadth-first closure of the root under liftable merges; a node keeps
     the merges of the first path that reaches it.  Every child's tree is
-    made with interned cells (``tree.interning``), so the child is known by
-    its top cell, a merge into a node seen before makes no cell, and a
-    node's partition is read off its parent's once, when the node is new."""
+    made with cells hash-consed in one table per call (``tree.CellTable``),
+    so the child is known by its top cell, a merge into a node seen before
+    makes no cell, and a node's partition is read off its parent's once,
+    when the node is new."""
     start = Coarsening.of(root, labels)
     graph = PosetGraph(root_key=start.blocks, nodes={start.blocks: start})
     seen = {start.tree.top: start}
     queue = deque([start])
-    with interning():
-        while queue:
-            node = queue.popleft()
-            out = graph.out_edges[node.blocks] = {}
-            for pivot in node.pivots:
-                child = try_lift(node, pivot)
-                if child is None:
-                    continue
-                known = seen.setdefault(child.tree.top, child)
-                if known is child:
-                    child.blocks = merged_blocks(node.tree, pivot, node.blocks)
-                    graph.nodes[child.blocks] = child
-                    queue.append(child)
-                out[pivot] = known.blocks
+    table = CellTable()
+    while queue:
+        node = queue.popleft()
+        out = graph.out_edges[node.blocks] = {}
+        for pivot in node.pivots:
+            child = try_lift(node, pivot, table)
+            if child is None:
+                continue
+            known = seen.setdefault(child.tree.top, child)
+            if known is child:
+                child.blocks = merged_blocks(node.tree, pivot, node.blocks)
+                graph.nodes[child.blocks] = child
+                queue.append(child)
+            out[pivot] = known.blocks
     return graph
 
 

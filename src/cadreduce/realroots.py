@@ -242,7 +242,8 @@ class AlgebraicNumber:
 
     @property
     def is_rational(self) -> bool:
-        return self.lo == self.hi
+        lo, hi = self.lo, self.hi  # by parts: ``Fraction.__eq__`` makes an ABC check first
+        return lo is hi or (lo.numerator == hi.numerator and lo.denominator == hi.denominator)
 
     @property
     def rational_value(self) -> Fraction:

@@ -10,9 +10,8 @@ cell, the sections of the glued stack are root sections whose letters
 strictly increase with the slot, so it is ordered wherever the root's
 stacks are.  ``Coarsening.of`` admits only a root whose stacks
 ``validate_cad`` found ordered: each adjacent pair proven on its whole cell,
-or compared at three probes per root cell, the first of them the cell's
-sample (``Cad.cell_points`` is prefix-consistent), which is where a check
-per merge would compare the glued stack.
+or compared at that root cell's probes (``Cad.cell_points``).  A coarsening
+has no probes of its own, and its report is the root's.
 
 The identity, per slot of each glued stack.  The section's pieces are root
 stack functions, one per root cell below it; if they share one guard-free
@@ -74,6 +73,7 @@ from cadreduce.tree import (
     CadTree,
     UNMADE,
     Cell,
+    CellTable,
     apply_merge,
     build_tree,
     is_applicable,
@@ -138,17 +138,18 @@ class Coarsening:
         return len(self.blocks)
 
 
-def try_lift(node: Coarsening, pivot: CellIndex) -> Coarsening | None:
+def try_lift(node: Coarsening, pivot: CellIndex, table: CellTable | None = None) -> Coarsening | None:
     """The merged coarsening of the same root (labels transported, pivot
     appended to ``applied``), or None when the merge at an applicable pivot
     cannot be verified to be a CAD.  The child's tree shares all but the
-    glued cell and the path above it with the parent's."""
+    glued cell and the path above it with the parent's; a ``table``
+    hash-conses the cells the merge makes (``tree.apply_merge``)."""
     if not is_applicable(node.tree, pivot):
         raise RuleNotApplicable(f"pivot {word_of(pivot)} is not applicable")
     if not _lift_allowed(node.root, triple(node.tree, pivot)):
         return None
     child = Coarsening.__new__(Coarsening)  # with no ``cad``: its view is made on first read
-    child.root, child.tree, child.applied = node.root, apply_merge(node.tree, pivot), node.applied + (pivot,)
+    child.root, child.tree, child.applied = node.root, apply_merge(node.tree, pivot, table), node.applied + (pivot,)
     return child
 
 

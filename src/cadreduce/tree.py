@@ -30,22 +30,20 @@ pivot's parent; every other cell is the same object in both trees.  A copy
 on the path splices its label and pivots from the cell it replaces, so a
 merge costs the glued cells and the path, not the children along it.
 
-Inside an ``interning`` block the cells are hash-consed (Filliatre and
-Conchon 2006): a merge looks up each glued cell and each path copy by its
+A merge given a ``CellTable`` hash-conses the cells it makes (Filliatre and
+Conchon 2006): it looks up each glued cell and each path copy by its
 structure before it makes one, so one structure is one cell.  A leaf's
 structure is its root cells, an internal cell's its children; a glued triple
 is also kept under its three cells.  A cell has no equality of its own, so
 these keys compare cells by identity.  A coarsening's partition fixes every
-cell of its tree, so two merge paths that reach one coarsening end at one top
-cell, which names the coarsening; a merge into a coarsening made before in
-the block makes no cell.  The table goes with the block.
+cell of its tree, so two merge paths through one table that reach one
+coarsening end at one top cell, which names it, and the later makes no cell.
+``poset.explore`` makes one table per call; ``minimize`` merges with none.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from contextlib import contextmanager
-from contextvars import ContextVar
 from itertools import repeat
 from typing import Iterator
 
@@ -65,7 +63,7 @@ class Cell:
     docstring).  A leaf also holds its block of the partition, which every
     coarsening that shares the leaf shares too.  A cell defines no equality:
     two cells are equal when they are one object, which is when they have
-    one structure inside an ``interning`` block.
+    one structure and were made through one ``CellTable``.
 
     A copy on the merge path is made with ``replacing=(cell, lo, hi)``: it
     is ``cell`` with its children lo..hi replaced by its child lo.  Its
@@ -235,32 +233,17 @@ def applicable_pivots(tree: CadTree) -> set[CellIndex]:
 
 
 class CellTable:
-    """The cells made in one ``interning`` block: the one cell of each
+    """The cells that merges given this table made: the one cell of each
     structure (``cells``: a leaf's root cells, or an internal cell's tuple
     of children), and the cell glued from each triple, under the triple
     (``glued``).  The table holds its keys, so no cell in a key is freed
-    and its identity stays its own while the block runs."""
+    and its identity stays its own while the table lives."""
 
     __slots__ = ("cells", "glued")
 
     def __init__(self):
         self.cells: dict[tuple, Cell] = {}
         self.glued: dict[tuple[Cell, Cell, Cell], Cell] = {}
-
-
-# The table of the ``interning`` block that is running, if any.
-_table: ContextVar[CellTable | None] = ContextVar("cell_table", default=None)
-
-
-@contextmanager
-def interning() -> Iterator[None]:
-    """Hash-cons the cells that merges make inside the block (see the module
-    docstring); the table is dropped when the block ends."""
-    token = _table.set(CellTable())
-    try:
-        yield
-    finally:
-        _table.reset(token)
 
 
 def glue(left: Cell, mid: Cell, right: Cell, table: CellTable | None) -> Cell:
@@ -301,7 +284,7 @@ def _glued_form(a, b, c):
     return None
 
 
-def apply_merge(tree: CadTree, pivot: CellIndex) -> CadTree:
+def apply_merge(tree: CadTree, pivot: CellIndex, table: CellTable | None = None) -> CadTree:
     """The reduced tree after merging at an applicable pivot.
 
     The three merged cells have one recursive label, hence one shape, and
@@ -309,12 +292,12 @@ def apply_merge(tree: CadTree, pivot: CellIndex) -> CadTree:
     parent are copied, each with its root cells and its new child in place,
     so the parent has 2(u-1)+1 children; each copy splices its label and
     pivots from the cell it replaces (``_merged``).  Every other cell is
-    shared.  Inside an ``interning`` block a cell of a structure made before
-    in the block is that cell, not a new one.
+    shared.  With a table, a cell of a structure made before with the table
+    is that cell, not a new one.
     """
     if not is_applicable(tree, pivot):
         raise RuleNotApplicable(f"pivot {pivot} does not satisfy the merge condition")
-    return CadTree(tree.depth, _merged(tree.top, pivot, _table.get()))
+    return CadTree(tree.depth, _merged(tree.top, pivot, table))
 
 
 def _merged(cell: Cell, pivot: CellIndex, table: CellTable | None) -> Cell:

@@ -16,6 +16,8 @@ pipeline does not call.
   the gallery's literal Cbar entries from their C and Cp;
 - ``labels_by_probes``: adaptedness as ``formula_holds`` at each probe, the
   definition ``check_adapted`` computes with each atom converted once;
+- ``block_label_mismatches``: a coarsening's labels checked on its root,
+  leaf by root leaf;
 - ``add`` and ``mul``: dense polynomial arithmetic, to build polynomials;
 - ``pivot_order``: the order in which ``minimize`` and ``explore`` try
   pivots, which every cell keeps its pivots in.
@@ -28,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from cadreduce.cadmodel import PROBES, ROOT_INDEX, Cad, CellIndex, LeafLabeling, SectionStack, word_of
+from cadreduce.cadmodel import ROOT_INDEX, Cad, CellIndex, LeafLabeling, SectionStack, word_of
 from cadreduce.errors import CadError, GuardUndecidable, NotAdapted, UnknownOrder
 from cadreduce.expr import (
     Expr,
@@ -51,8 +53,8 @@ from cadreduce.realroots import ZERO, UniPoly, poly
 
 
 def sample(cad: Cad, cell: CellIndex) -> Point:
-    """A witness point inside the cell: its first probe."""
-    return cad.cell_points(cell, 1)[0][0]
+    """A witness point inside the root cell: its first probe."""
+    return cad.cell_points(cell)[0]
 
 
 def locate(cad: Cad, point) -> CellIndex:
@@ -193,7 +195,7 @@ def insert_section(
     function, duplicating everything above it; returns a finer root CAD.
 
     The function must be strictly between the sector's bounding sections at
-    four probe points of the base cell.
+    the probes of the base cell.
     """
     if not cad.is_root:
         raise ValueError("insert_section expects a root CAD")
@@ -204,7 +206,7 @@ def insert_section(
     if sector_letter % 2 != 1 or not (1 <= sector_letter <= 2 * stack.count + 1):
         raise ValueError(f"{sector_letter} is not a sector letter of the stack above {word_of(base)}")
     j = (sector_letter - 1) // 2  # insert after section j
-    for point, _tag in cad.cell_points(base, 4):
+    for point in cad.cell_points(base):
         v = eval_coord(section_function, point)
         if j >= 1 and compare_coords(v, eval_coord(stack.functions[j - 1], point)) <= 0:
             raise ValueError(f"new section is not strictly above section {j} at {point}")
@@ -252,7 +254,7 @@ def common_refinement(
     inside a merged cell (full CAD construction is out of scope).
 
     The input stacks over a cell of the refinement are ordered at its
-    ``PROBES`` probes (``refined.cell_points``), the first being its sample.
+    probes (``refined.cell_points``), the first being its sample.
     They must be strictly ordered: a disordered input stack leaves the merged
     one disordered, and ``validate_cad`` reports it where the refinement, a
     root, is checked: ``Coarsening.of`` refuses it (see
@@ -269,7 +271,7 @@ def common_refinement(
     for _level in range(n):
         below = {}
         for index, (idx1, idx2) in sources.items():
-            points = [p for p, _tag in refined.cell_points(index, PROBES)]
+            points = refined.cell_points(index)
             merged = _merge_stacks(c1.stacks[idx1].functions, c2.stacks[idx2].functions, points)
             stacks[index] = SectionStack(tuple(expr for expr, _in1, _in2 in merged))
             # The letters of the input sectors the next child lies in.
@@ -339,14 +341,13 @@ def _merge_stacks(fns1: tuple[Expr, ...], fns2: tuple[Expr, ...], points: list[P
 
 def labels_by_probes(cad: Cad, formula: Formula) -> LeafLabeling:
     """``check_adapted`` by definition: ``formula_holds`` at each of a
-    leaf's ``PROBES`` points, every atom converted again at every point."""
+    leaf's probes, every atom converted again at every point."""
     top = max_var_index(formula)
     if top > cad.n:
         raise ValueError(f"formula has variable x{top}, the CAD is of R^{cad.n}")
     labels: LeafLabeling = {}
     for leaf in cad.leaves():
-        points = cad.cell_points(leaf, PROBES)
-        verdicts = [(formula_holds(formula, p), p) for p, _tag in points]
+        verdicts = [(formula_holds(formula, p), p) for p in cad.cell_points(leaf)]
         first = verdicts[0][0]
         for truth, _point in verdicts[1:]:
             if truth != first:
@@ -355,6 +356,19 @@ def labels_by_probes(cad: Cad, formula: Formula) -> LeafLabeling:
                 raise NotAdapted(leaf, inside, outside)
         labels[leaf] = 1 if first else 0
     return labels
+
+
+def block_label_mismatches(node: Coarsening, root_labels: LeafLabeling) -> tuple[list, int]:
+    """A coarsening checked on its root: every root leaf in a coarsening
+    leaf's block must carry that leaf's label.  The mismatches as (leaf,
+    root leaf), and the number of root leaves checked."""
+    mismatches, checked = [], 0
+    for leaf, cell in node.tree.leaves():
+        for root_leaf in cell.roots:
+            checked += 1
+            if root_labels[root_leaf] != cell.label:
+                mismatches.append((leaf, root_leaf))
+    return mismatches, checked
 
 
 # ---------------------------------------------------------------------------

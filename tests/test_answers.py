@@ -25,7 +25,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 ANSWERS = Path(__file__).with_name("answers.json")
 LIFT_DIM = 6
-POINTS_PER_CELL = 3
 
 
 def inputs():
@@ -50,10 +49,12 @@ def _digest(value) -> str:
 
 
 def _points(cad, cell) -> str:
+    """The cell's probes as text, each written as (point, cell), the form
+    the hashes were first made in."""
     from cadreduce.errors import CadError
 
     try:
-        return repr(cad.cell_points(cell, POINTS_PER_CELL))
+        return repr([(point, cell) for point in cad.cell_points(cell)])
     except CadError as exc:  # the failure is the answer
         return type(exc).__name__
 

@@ -6,7 +6,6 @@ import pytest
 
 from cadreduce import cadmodel, expr, realroots
 from cadreduce.cadmodel import (
-    PROBES,
     Cad,
     SectionStack,
     check_adapted,
@@ -278,11 +277,25 @@ def test_check_adapted_rejects_straddling_cell():
 
 
 def test_check_adapted_label_stable_with_more_probes():
-    for entry in (disk_c(), trousers_cp()):
-        labels = check_adapted(entry.cad, entry.formula)
-        for leaf in entry.cad.leaves():
-            truths = {formula_holds(entry.formula, point) for point, _tag in entry.cad.cell_points(leaf, 6)}
-            assert truths == {labels[leaf] == 1}, word_of(leaf)
+    # The labels hold at seeded rational points beyond the probes, each
+    # located in its leaf by the ``locate`` oracle: quarters, which meet
+    # sections at rational places, and fractions with larger denominators.
+    rng = random.Random(2411)
+    for name in gallery_names():
+        entry = load_entry(name)
+        cad = entry.cad
+        labels = check_adapted(cad, entry.formula)
+        hit = set()
+        for _ in range(400):
+            point = tuple(
+                F(rng.randint(-12, 12), 4) if rng.random() < 0.5 else F(rng.randint(-300, 300), rng.randint(5, 97))
+                for _ in range(cad.n)
+            )
+            leaf = locate(cad, point)
+            assert formula_holds(entry.formula, point) == (labels[leaf] == 1), (name, point, word_of(leaf))
+            hit.add(leaf)
+        full = {leaf for leaf in labels if all(letter % 2 for letter in leaf)}
+        assert full < hit, (name, sorted(full - hit))
 
 
 def test_formula_in_more_variables_than_the_cad_is_rejected():
@@ -354,8 +367,7 @@ def test_cell_points_are_inside_their_cell():
     entry = disk_cp()
     cad = entry.cad
     for leaf in cad.leaves():
-        for point, tag in cad.cell_points(leaf, 4):
-            assert tag == leaf
+        for point in cad.cell_points(leaf):
             assert locate(cad, point) == leaf
 
 
@@ -379,14 +391,13 @@ def test_distinct_leaf_samples_in_distinct_leaves():
 def test_gallery_load_and_check_derive_each_probe_list_once(monkeypatch):
     # A cost guard that reads no clock: loading the gallery derives no
     # probe list (every entry is literal stacks or a cylinder over one),
-    # and checking every entry derives probe lists only at PROBES points,
-    # and each (CAD, cell) list once.
+    # and checking every entry derives each (CAD, cell) list once.
     derived = []
     derive = Cad._root_points
 
-    def counted(cad, cell, count):
-        derived.append((cad, cell, count))
-        return derive(cad, cell, count)
+    def counted(cad, cell):
+        derived.append((cad, cell))
+        return derive(cad, cell)
 
     monkeypatch.setattr(Cad, "_root_points", counted)
     entries = [load_entry(name) for name in gallery_names()]
@@ -394,8 +405,7 @@ def test_gallery_load_and_check_derive_each_probe_list_once(monkeypatch):
     for entry in entries:
         validate_cad(entry.cad)
         check_adapted(entry.cad, entry.formula)
-    assert {count for _cad, _cell, count in derived} == {PROBES}
-    keys = [(id(cad), cell) for cad, cell, _count in derived]
+    keys = [(id(cad), cell) for cad, cell in derived]
     assert len(keys) == len(set(keys))
 
 
@@ -537,7 +547,7 @@ def test_leaf_probes_take_no_sign_to_refine_a_narrow_enough_number(monkeypatch):
     monkeypatch.setattr(realroots, "sign_at", counted_sign_at)
     monkeypatch.setattr(AlgebraicNumber, "refine", counted_refine)
     for leaf in cad.leaves():
-        cad.cell_points(leaf, PROBES)
+        cad.cell_points(leaf)
     narrow = [signs for bisects, signs in calls if not bisects]
     assert len(narrow) > 1000
     assert all(signs == [] for signs in narrow)
@@ -553,7 +563,7 @@ def test_refining_only_wider_intervals_keeps_every_probe(monkeypatch):
     def probes():
         out = []
         for cad in [load_entry(name).cad for name in gallery_names()] + [workloads.disk_lines(96, 0).cad]:
-            out += [cad.cell_points(cell, PROBES) for k in range(cad.n + 1) for cell in cad.cells_of_level(k)]
+            out += [cad.cell_points(cell) for k in range(cad.n + 1) for cell in cad.cells_of_level(k)]
         return out
 
     kept = probes()
@@ -583,8 +593,8 @@ def probe_evidence(cad, formula) -> list[str]:
     lines = [str(validate_cad(cad)), repr(adaptedness_outcome(check_adapted, cad, formula))]
     for k in range(cad.n + 1):
         for cell in cad.cells_of_level(k):
-            points = cad.cell_points(cell, PROBES)
-            lines.append(f"{word_of(cell)}: " + " ".join(f"{point_text(p)}@{word_of(tag)}" for p, tag in points))
+            points = cad.cell_points(cell)
+            lines.append(f"{word_of(cell)}: " + " ".join(f"{point_text(p)}@{word_of(cell)}" for p in points))
     return lines
 
 
@@ -612,7 +622,7 @@ def section_outcomes(cad, value):
     for k in range(cad.n):
         for cell in cad.cells_of_level(k):
             try:
-                bases = [base for base, _tag in fresh.cell_points(cell, PROBES)]
+                bases = fresh.cell_points(cell)
             except Exception:  # noqa: BLE001 - no base, no section value
                 continue
             for slot, f in enumerate(cad.stacks[cell].functions, start=1):
@@ -651,7 +661,7 @@ def test_section_values_are_the_values_of_eval_coord(monkeypatch):
     taken = expr.eval_coord
 
     def derived(fresh, cell, slot, _f, _bases):
-        return [p[-1] for p, _tag in fresh.cell_points(cell + (2 * slot,), PROBES)]
+        return [p[-1] for p in fresh.cell_points(cell + (2 * slot,))]
 
     def evaluated(_fresh, _cell, _slot, f, bases):
         return [taken(f, base) for base in bases]

@@ -8,7 +8,7 @@ import pytest
 from cadreduce.cadmodel import Cad, SectionStack, check_adapted, validate_cad
 from cadreduce import cadmodel, poset, reduction
 from cadreduce.errors import LabelMissing, RuleNotApplicable, UnknownOrder, ValidationFailed
-from cadreduce.expr import Neg, Sqrt, any_node, canonicalize, compare_coords, eval_coord, is_piecewise, parse_expr
+from cadreduce.expr import TRUE, Neg, Sqrt, any_node, canonicalize, compare_coords, eval_coord, is_piecewise, parse_expr
 from cadreduce.gallery import (
     disk_c,
     disk_cp,
@@ -27,7 +27,7 @@ from cadreduce.reduction import (
     try_lift,
 )
 from cadreduce.tree import UNMADE, CadTree, Cell, applicable_pivots, apply_merge, build_tree, relabel_index, triple
-from tests.oracles import coarsening_blocks, insert_section, pivot_order, refines
+from tests.oracles import block_label_mismatches, coarsening_blocks, insert_section, pivot_order, refines
 from tests.test_packaging import load_perfbench
 from tests.test_tree import (
     assert_shares_all_but_the_path_and_the_triple,
@@ -45,13 +45,15 @@ def test_disk_merge_lifts_to_disk_c():
     entry = disk_cp()
     res = try_lift(Coarsening.of(entry.cad, entry.labels), (4,))
     assert res is not None
-    merged, labels = res.cad, res.labels
+    merged = res.cad
     assert merged.leaf_count() == 13
     expected = coarsening_blocks(disk_c().cad, entry.cad)
     assert merged.partition_blocks() == expected
-    # The lifted CAD is valid and its transported labels are reproduced.
+    # The lifted CAD is valid, and checked on the root, its transported
+    # labels are the root's.
     assert validate_cad(merged).ok
-    assert check_adapted(merged, entry.formula) == labels
+    assert check_adapted(entry.cad, entry.formula) == entry.labels
+    assert block_label_mismatches(res, entry.labels) == ([], entry.cad.leaf_count())
 
 
 def test_trousers_merges_do_not_lift():
@@ -256,10 +258,11 @@ def test_leaf_level_merge_always_lifts():
     entry = disk_cpp()
     res = try_lift(Coarsening.of(entry.cad, entry.labels), (4, 6))
     assert res is not None
-    merged, labels = res.cad, res.labels
+    merged = res.cad
     assert merged.leaf_count() == 27
     assert validate_cad(merged).ok
-    assert check_adapted(merged, entry.formula) == labels
+    assert check_adapted(entry.cad, entry.formula) == entry.labels
+    assert block_label_mismatches(res, entry.labels) == ([], entry.cad.leaf_count())
 
 
 def test_minimize_trousers_fixed_points():
@@ -581,29 +584,51 @@ def test_a_lift_verdict_is_made_only_through_the_per_slot_memo(monkeypatch):
 
 
 def assert_section_probes_extend_their_base(cad: Cad, where) -> None:
-    """The i-th probe of a section cell is the i-th probe of its base with
-    the value there of the root piece over the probe's tag appended."""
-    stacks = cad.root.stacks
+    """The i-th probe of a section cell of a root is the i-th probe of its
+    base with the value there of the section's stack function appended."""
     for k in range(cad.n):
         for cell in cad.cells_of_level(k):
-            base = cad.cell_points(cell, cadmodel.PROBES)
-            for slot in range(1, cad.stack_count(cell) + 1):
-                probes = cad.cell_points(cell + (2 * slot,), cadmodel.PROBES)
-                assert [p[:-1] for p, _tag in probes] == [p for p, _tag in base], (where, cell, slot)
-                for (point, tag), (_, base_tag) in zip(probes, base):
-                    assert tag[:-1] == base_tag, (where, cell, slot, tag)
-                    piece = stacks[base_tag].functions[tag[-1] // 2 - 1]
-                    assert compare_coords(point[-1], eval_coord(piece, point[:-1])) == 0, (where, cell, slot, tag)
+            base = cad.cell_points(cell)
+            for slot, f in enumerate(cad.stacks[cell].functions, start=1):
+                probes = cad.cell_points(cell + (2 * slot,))
+                assert [p[:-1] for p in probes] == base, (where, cell, slot)
+                for point in probes:
+                    assert compare_coords(point[-1], eval_coord(f, point[:-1])) == 0, (where, cell, slot)
 
 
 def test_section_probes_extend_their_base_probes(monkeypatch):
     # ``_check_at_probes`` reads a section's value at a cell's i-th probe
-    # off the section cell's i-th probe, on roots and on coarsening views.
+    # off the section cell's i-th probe.
+    for name, (cad, _labels) in explored_inputs(monkeypatch):
+        assert_section_probes_extend_their_base(cad, name)
+
+
+def test_probe_counts_are_fixed_per_root_cell(monkeypatch):
+    # A root cell's probe set is fixed: one point on a point cell (every
+    # letter even), ``PROBES`` points on any other.
+    sizes = Counter()
+    for name, (cad, _labels) in explored_inputs(monkeypatch):
+        for cell in all_cells(cad):
+            want = 1 if all(letter % 2 == 0 for letter in cell) else cadmodel.PROBES
+            assert len(cad.cell_points(cell)) == want, (name, cell)
+            sizes[want] += 1
+    assert sizes[1] > 50 and sizes[cadmodel.PROBES] > 1000, sizes
+
+
+def test_a_coarsening_has_no_probes_and_its_report_is_its_roots(monkeypatch):
+    # A coarsening is structural: its cells are unions of root cells, so
+    # it derives no probes, and ``validate_cad`` gives it its root's report.
     views = 0
     for name, (cad, labels) in explored_inputs(monkeypatch):
-        assert_section_probes_extend_their_base(cad, name)
         for node in explore(cad, labels).nodes.values():
-            assert_section_probes_extend_their_base(node.cad, (name, node.applied))
+            view = node.cad
+            if view.is_root:
+                continue
+            with pytest.raises(ValueError, match="probes belong to root cells"):
+                view.cell_points(view.leaves()[0])
+            with pytest.raises(ValueError, match="probes belong to root cells"):
+                check_adapted(view, TRUE)
+            assert validate_cad(view) is validate_cad(view.root), (name, node.applied)
             views += 1
     assert views > 100
 
@@ -614,7 +639,7 @@ def test_validation_evaluates_no_section_twice(monkeypatch):
     cad = load_perfbench("workloads", monkeypatch).disk_lines(96, 0).cad
     for k in range(cad.n + 1):
         for cell in cad.cells_of_level(k):
-            cad.cell_points(cell, cadmodel.PROBES)
+            cad.cell_points(cell)
     calls = []
     evaluate = cadmodel.eval_coord
     monkeypatch.setattr(cadmodel, "eval_coord", lambda *args: calls.append(1) or evaluate(*args))
@@ -649,7 +674,7 @@ def test_the_check_phase_evaluates_each_section_once_per_base_probe(monkeypatch)
         stacked = [cell for k in range(cad.n) for cell in cad.cells_of_level(k)]
         wanted = sum(
             len({f.arg if isinstance(f, Neg) and isinstance(f.arg, Sqrt) else f for f in cad.stacks[cell].functions})
-            * len(cad.cell_points(cell, cadmodel.PROBES))
+            * len(cad.cell_points(cell))
             for cell in stacked
         )
         counts[name] = (len(evaluated), len(rooted), wanted)
@@ -712,9 +737,9 @@ def test_explore_builds_nothing_for_an_edge_into_a_seen_node(monkeypatch):
     merges, blocks = [], []
     merge, merged_blocks = reduction.apply_merge, poset.merged_blocks
 
-    def recorded_merge(tree, pivot):
+    def recorded_merge(tree, pivot, table=None):
         before = len(made)
-        reduced = merge(tree, pivot)
+        reduced = merge(tree, pivot, table)
         merges.append((reduced.top, len(made) - before))
         return reduced
 
