@@ -8,24 +8,22 @@ of level k has index (i_1, ..., i_k), where an even last letter names a
 section (the graph of a stack function) and an odd last letter names a
 sector (the open band between consecutive sections).
 
-A CAD object either owns its geometry (a *root*), or is a coarsening of a
-root obtained by cell merges.  A coarsening is a view of its cell tree
-(``tree.CadTree``): each cell holds the sorted root cells whose union it is,
-its 2u+1 children, and, made once with it, its label and the applicable
-pivots below it; its index word is its path from the top.  Its geometry
-(probes, stack order, adaptedness) is decided on the root: it has no probes,
-and its ``validate_cad`` report is the root's.  A root derives one fixed
-probe set per cell, once (``Cad.cell_points``): a section's value at each
-probe of its base, where sqrt(g) and -sqrt(g) share one root of g, taken in
-integers at a rational probe.  The root also keeps the lift verdicts, one
-per slot of a glued stack (``reduction``).
+A ``Cad`` is a *root*: it owns its stacks and all the geometry derived from
+them.  A coarsening of a root, obtained by cell merges, is a
+``tree.CadTree``: a tree of cells, each the union of some root cells, read
+by the same index words, stack counts and root cells (``root_cells``).  Its
+geometry (probes, stack order, adaptedness) is decided on the root: it has
+no probes, and its ``validate_cad`` report is the root's.  A root derives
+one fixed probe set per cell, once (``Cad.cell_points``): a section's value
+at each probe of its base, where sqrt(g) and -sqrt(g) share one root of g,
+taken in integers at a rational probe.  The root also keeps the lift
+verdicts, one per slot of a glued stack (``reduction``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from cadreduce.errors import (
     DivisionByZero,
@@ -64,9 +62,6 @@ from cadreduce.expr import (
     to_polynomial,
 )
 from cadreduce.realroots import isolate_roots, poly
-
-if TYPE_CHECKING:
-    from cadreduce.tree import CadTree
 
 CellIndex = tuple[int, ...]
 
@@ -107,52 +102,31 @@ LeafLabeling = dict[CellIndex, int]
 
 
 class Cad:
-    """A CAD of R^n, either owning its geometry or viewing a root through a
-    coarsening's cell tree."""
+    """A root CAD of R^n, given by its stacks; it owns its geometry.  Its
+    coarsenings are ``tree.CadTree``s."""
 
-    def __init__(
-        self,
-        n: int,
-        stacks: dict[CellIndex, SectionStack] | None = None,
-        *,
-        root: "Cad | None" = None,
-        tree: "CadTree | None" = None,
-    ):
+    is_root = True
+
+    def __init__(self, n: int, stacks: dict[CellIndex, SectionStack]):
         self.n = n
-        if root is None:
-            if stacks is None:
-                raise ValueError("a root CAD needs stacks")
-            self.root: Cad = self
-            self.stacks = stacks
-            self.tree = None
-            self._point_cache: dict[CellIndex, list[Point]] = {}
-            # Shared roots, and their arguments in integers with their top
-            # variable, or None for no polynomial (``_section_value``).
-            self._roots: dict[tuple, CoordValue] = {}
-            self._sqrt_polys: dict[Expr, tuple[ScaledPoly, int] | None] = {}
-            # The root's ``validate_cad`` report, made on first use.
-            self._validation: ValidationReport | None = None
-            # Lift verdicts (see ``reduction._lift_allowed``): one per slot
-            # of a glued stack, keyed by the merge level and the root cells
-            # of the slot's three section cells.
-            self._lift_cache: dict[tuple, bool] = {}
-        else:
-            if tree is None:
-                raise ValueError("a coarsening needs its cell tree")
-            self.root = root
-            self.stacks = None
-            self.tree = tree
+        self.root = self
+        self.stacks = stacks
+        self._point_cache: dict[CellIndex, list[Point]] = {}
+        # Shared roots, and their arguments in integers with their top
+        # variable, or None for no polynomial (``_section_value``).
+        self._roots: dict[tuple, CoordValue] = {}
+        self._sqrt_polys: dict[Expr, tuple[ScaledPoly, int] | None] = {}
+        # The root's ``validate_cad`` report, made on first use.
+        self._validation: ValidationReport | None = None
+        # Lift verdicts (see ``reduction._lift_allowed``): one per slot
+        # of a glued stack, keyed by the merge level and the root cells
+        # of the slot's three section cells.
+        self._lift_cache: dict[tuple, bool] = {}
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def is_root(self) -> bool:
-        return self.root is self
-
     def stack_count(self, cell: CellIndex) -> int:
-        if self.tree is None:
-            return self.stacks[cell].count
-        return len(self.tree.cell(cell).children) // 2
+        return self.stacks[cell].count
 
     def children(self, cell: CellIndex) -> list[CellIndex]:
         return [cell + (j,) for j in range(1, 2 * self.stack_count(cell) + 2)]
@@ -170,10 +144,8 @@ class Cad:
         return len(self.leaves())
 
     def root_cells(self, cell: CellIndex) -> tuple[CellIndex, ...]:
-        """The root cells whose union this cell is."""
-        if self.tree is None:
-            return (cell,)
-        return self.tree.cell(cell).roots
+        """The root cells whose union this cell is: the cell itself."""
+        return (cell,)
 
     # -- geometry ----------------------------------------------------------
 
@@ -181,8 +153,8 @@ class Cad:
         """The probe points of a root cell, derived once and kept: one for a
         point cell (every letter even) and ``PROBES`` for any other, the
         first being the cell's sample.  A coarsening has no probes of its
-        own (``ValueError``): its cells are unions of root cells, which the
-        root's probes cover (``validate_cad``).
+        own: its cells are unions of root cells, which the root's probes
+        cover (``validate_cad``).
 
         The probes of a section cell are aligned with its base's: the i-th
         is the base's i-th with the section's value there appended.  So the
@@ -193,8 +165,6 @@ class Cad:
         sector ``cell + (2s+1,)`` its bounds s and s+1.  A base has 1 or
         ``PROBES`` probes, so a sector takes ``PROBES // len(bases)``
         coordinates at each."""
-        if not self.is_root:
-            raise ValueError("probes belong to root cells; a coarsening's cells are unions of them")
         pts = self._point_cache.get(cell)
         if pts is None:
             pts = self._point_cache[cell] = self._root_points(cell)
@@ -247,17 +217,10 @@ class Cad:
 
     def partition_blocks(self) -> frozenset[frozenset[CellIndex]]:
         """The partition of root leaves induced by this CAD's leaves."""
-        if self.tree is None:
-            return frozenset(frozenset((leaf,)) for leaf in self.leaves())
-        cells = [self.tree.top]
-        for _ in range(self.n):
-            cells = [child for cell in cells for child in cell.children]
-        return frozenset(cell.block for cell in cells)
+        return frozenset(frozenset((leaf,)) for leaf in self.leaves())
 
     def canonical_key(self):
         """Structural identity for root CADs (used by round-trip tests)."""
-        if not self.is_root:
-            raise ValueError("canonical_key is for root CADs")
         stacks = tuple(
             (word_of(cell), tuple(sexpr_of_expr(canonicalize(f)) for f in self.stacks[cell].functions))
             for cell in sorted(self.stacks)
@@ -399,7 +362,7 @@ def validate_cad(cad: Cad) -> ValidationReport:
     cell (``Cad.cell_points``).  A root is immutable, so its report is made
     once and kept on it.
 
-    The report is the gate of reduction: ``Coarsening.of`` raises
+    The report is the gate of reduction: ``tree.build_tree`` raises
     ``ValidationFailed`` unless ``admits_reduction``, that is, unless there
     is no violation and the probes leave no stack order open (an order or a
     section value that cannot be decided, or probes that cannot be derived).
@@ -578,11 +541,13 @@ def check_adapted(cad: Cad, formula: Formula) -> LeafLabeling:
     """Label every leaf of a root by set membership of its sample; the
     leaf's probes must agree, otherwise the CAD is not adapted to the set.
     A formula in more variables than the CAD has is a ``ValueError``, and so
-    is a coarsening, which has no probes (``Cad.cell_points``).
+    is a coarsening (``tree.CadTree``), which has no probes.
 
     Each atom of the formula is converted to integers (``ScaledPoly``) once
     per call, when its sign is first needed, in a table kept for this call
     only; every probe then signs it exactly as ``formula_holds`` would."""
+    if not cad.is_root:
+        raise ValueError("probes belong to root cells; a coarsening's cells are unions of them")
     top = max_var_index(formula)
     if top > cad.n:
         raise ValueError(f"formula has variable x{top}, the CAD is of R^{cad.n}")

@@ -354,7 +354,7 @@ def load_entry(name: str) -> GalleryEntry:
 def self_check(entry: GalleryEntry) -> list[str]:
     """Verify an entry's cheap structural facts; returns failure messages."""
     from cadreduce.cadmodel import check_adapted, validate_cad, word_of
-    from cadreduce.tree import applicable_pivots, build_tree
+    from cadreduce.tree import applicable_pivots, labelled_tree
 
     problems: list[str] = []
     report = validate_cad(entry.cad)
@@ -369,7 +369,7 @@ def self_check(entry: GalleryEntry) -> list[str]:
         problems.append("check_adapted does not reproduce the stored labels")
     want_pivots = entry.expected.get("pivots")
     if want_pivots is not None:
-        got = {word_of(p) for p in applicable_pivots(build_tree(entry.cad, entry.labels))}
+        got = {word_of(p) for p in applicable_pivots(labelled_tree(entry.cad, entry.labels))}
         if got != want_pivots:
             problems.append(f"pivots: got {sorted(got)}, want {sorted(want_pivots)}")
     return problems

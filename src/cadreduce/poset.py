@@ -30,15 +30,15 @@ from dataclasses import dataclass, field
 
 from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling, SectionStack, word_of
 from cadreduce.expr import eval_coord  # noqa: F401  (re-exported; perfbench/test_perfbench.py calls it here)
-from cadreduce.reduction import Blocks, Coarsening, try_lift
+from cadreduce.reduction import try_lift
 from cadreduce.tree import applicable_pivots  # noqa: F401  (re-exported; perfbench/test_perfbench.py calls it here)
-from cadreduce.tree import CellTable, merged_blocks
+from cadreduce.tree import Blocks, CadTree, CellTable, build_tree, merged_blocks
 
 
 @dataclass
 class PosetGraph:
     root_key: Blocks
-    nodes: dict[Blocks, Coarsening] = field(default_factory=dict)
+    nodes: dict[Blocks, CadTree] = field(default_factory=dict)
     # The out-edges of every explored node: merge pivot -> target node.
     out_edges: dict[Blocks, dict[CellIndex, Blocks]] = field(default_factory=dict)
 
@@ -67,16 +67,20 @@ class PosetGraph:
         return seen
 
 
-def explore(root: Cad, labels: LeafLabeling) -> PosetGraph:
-    """Breadth-first closure of the root under liftable merges; a node keeps
-    the merges of the first path that reaches it.  Every child's tree is
-    made with cells hash-consed in one table per call (``tree.CellTable``),
-    so the child is known by its top cell, a merge into a node seen before
+def explore(root: Cad | CadTree, labels: LeafLabeling) -> PosetGraph:
+    """Breadth-first closure of a labelled CAD (``tree.build_tree``) under
+    liftable merges.  Every node is a ``tree.CadTree``, one per lift
+    accepted, and keeps the merges of the first path that reaches it.
+    Its cells are hash-consed in one table per call (``tree.CellTable``),
+    so a child is known by its top cell, a merge into a node seen before
     makes no cell, and a node's partition is read off its parent's once,
     when the node is new."""
-    start = Coarsening.of(root, labels)
+    start = build_tree(root, labels)
+    # A tree's partition is that of the CAD it is made from, whose leaves,
+    # if it is a coarsening, keep their blocks: they are not made again.
+    start.blocks = root.partition_blocks()
     graph = PosetGraph(root_key=start.blocks, nodes={start.blocks: start})
-    seen = {start.tree.top: start}
+    seen = {start.top: start}
     queue = deque([start])
     table = CellTable()
     while queue:
@@ -86,9 +90,9 @@ def explore(root: Cad, labels: LeafLabeling) -> PosetGraph:
             child = try_lift(node, pivot, table)
             if child is None:
                 continue
-            known = seen.setdefault(child.tree.top, child)
+            known = seen.setdefault(child.top, child)
             if known is child:
-                child.blocks = merged_blocks(node.tree, pivot, node.blocks)
+                child.blocks = merged_blocks(node, pivot, node.blocks)
                 graph.nodes[child.blocks] = child
                 queue.append(child)
             out[pivot] = known.blocks
@@ -157,14 +161,14 @@ def poset_report(graph: PosetGraph) -> dict:
     def describe(key: Blocks) -> dict:
         node = graph.nodes[key]
         return {
-            "leaf_count": node.leaf_count,
+            "leaf_count": node.leaf_count(),
             "history": [word_of(p) for p in node.applied],
         }
 
     return {
         "node_count": len(graph.nodes),
         "edge_count": sum(map(len, graph.out_edges.values())),
-        "root_leaf_count": graph.nodes[graph.root_key].leaf_count,
+        "root_leaf_count": graph.nodes[graph.root_key].leaf_count(),
         "minimal": [describe(k) for k in minimal],
         "minimum": describe(minimum) if minimum is not None else None,
         "confluent": len(minimal) == 1,

@@ -8,10 +8,10 @@ continuity is an exact identity on the seam.
 The order is not checked per merge.  Over each root cell below a merged
 cell, the sections of the glued stack are root sections whose letters
 strictly increase with the slot, so it is ordered wherever the root's
-stacks are.  ``Coarsening.of`` admits only a root whose stacks
+stacks are.  ``tree.build_tree`` admits only a root whose stacks
 ``validate_cad`` found ordered: each adjacent pair proven on its whole cell,
 or compared at that root cell's probes (``Cad.cell_points``).  A coarsening
-has no probes of its own, and its report is the root's.
+(``tree.CadTree``) has no probes of its own, and its report is the root's.
 
 The identity, per slot of each glued stack.  The section's pieces are root
 stack functions, one per root cell below it; if they share one guard-free
@@ -57,10 +57,8 @@ always valid.
 
 from __future__ import annotations
 
-from functools import cached_property
-
-from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling, validate_cad, vanishes_on, word_of
-from cadreduce.errors import RuleNotApplicable, ValidationFailed
+from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling, vanishes_on, word_of
+from cadreduce.errors import RuleNotApplicable
 from cadreduce.expr import (
     Expr,
     Sub,
@@ -74,83 +72,29 @@ from cadreduce.tree import (
     UNMADE,
     Cell,
     CellTable,
-    apply_merge,
     build_tree,
     is_applicable,
+    labelled_tree,
+    merge_applicable,
     triple,
 )
 
 
-_tree_of = build_tree  # perfbench/test_perfbench.py builds trees under this name
-
-Blocks = frozenset[frozenset[CellIndex]]
+_tree_of = labelled_tree  # perfbench/test_perfbench.py builds trees under this name
 
 
-class Coarsening:
-    """A labelled coarsening of a root CAD and the pivots merged to reach it
-    (in ``minimize`` or ``explore``), in order, in ``applied``.
-
-    The coarsening is its cell tree over ``root``: the leaf labels, the
-    applicable pivots and the partition are read off the tree.  ``cad``, the
-    root itself or a view of the tree, is made only for a caller that asks
-    for it; the pipeline does not.  A merge shares every cell but the glued
-    one and the path above it with its parent (``tree.apply_merge``).
-    ``explore`` sets a new node's ``blocks`` from its parent's
-    (``tree.merged_blocks``), so it makes no view either.
-    """
-
-    def __init__(self, cad: Cad, tree: CadTree, applied: tuple[CellIndex, ...] = ()):
-        self.cad = cad  # stored in the instance, it shadows the lazy ``cad``
-        self.root = cad.root
-        self.tree = tree
-        self.applied = applied
-
-    @classmethod
-    def of(cls, cad: Cad, labels: LeafLabeling) -> Coarsening:
-        """A CAD (a root or a coarsening) with a total leaf labelling; raises
-        ``ValidationFailed`` unless ``validate_cad`` admits its root."""
-        report = validate_cad(cad.root)
-        if not report.admits_reduction:
-            raise ValidationFailed(report)
-        return cls(cad, build_tree(cad, labels))
-
-    @cached_property
-    def cad(self) -> Cad:
-        return Cad(self.tree.depth, root=self.root, tree=self.tree)
-
-    @property
-    def labels(self) -> LeafLabeling:
-        return {leaf: cell.label for leaf, cell in self.tree.leaves()}
-
-    @cached_property
-    def pivots(self) -> list[CellIndex]:
-        """The applicable pivots in pivot order, deepest first, then
-        lexicographic: the top cell keeps them so (``tree.Cell``)."""
-        return list(self.tree.top.pivots)
-
-    @cached_property
-    def blocks(self) -> Blocks:
-        """The partition of the root's leaves; it identifies the coarsening."""
-        return self.cad.partition_blocks()
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self.blocks)
-
-
-def try_lift(node: Coarsening, pivot: CellIndex, table: CellTable | None = None) -> Coarsening | None:
+def try_lift(node: CadTree, pivot: CellIndex, table: CellTable | None = None) -> CadTree | None:
     """The merged coarsening of the same root (labels transported, pivot
     appended to ``applied``), or None when the merge at an applicable pivot
-    cannot be verified to be a CAD.  The child's tree shares all but the
-    glued cell and the path above it with the parent's; a ``table``
-    hash-conses the cells the merge makes (``tree.apply_merge``)."""
-    if not is_applicable(node.tree, pivot):
+    cannot be verified to be a CAD.  The pivot is checked once, then merged
+    as ``tree.apply_merge`` merges it: the child's tree shares all but the
+    glued cell and the path above it with the parent's, and a ``table``
+    hash-conses the cells the merge makes."""
+    if not is_applicable(node, pivot):
         raise RuleNotApplicable(f"pivot {word_of(pivot)} is not applicable")
-    if not _lift_allowed(node.root, triple(node.tree, pivot)):
+    if not _lift_allowed(node.root, triple(node, pivot)):
         return None
-    child = Coarsening.__new__(Coarsening)  # with no ``cad``: its view is made on first read
-    child.root, child.tree, child.applied = node.root, apply_merge(node.tree, pivot, table), node.applied + (pivot,)
-    return child
+    return merge_applicable(node, pivot, table)
 
 
 def _lift_allowed(root: Cad, cells: tuple[Cell, Cell, Cell]) -> bool:
@@ -231,14 +175,14 @@ def _glues_continuously(root: Cad, k: int, sections: tuple[Cell, Cell, Cell]) ->
 # Minimization (the reduction loop)
 
 
-def minimize(cad: Cad, labels: LeafLabeling) -> Coarsening:
+def minimize(cad: Cad | CadTree, labels: LeafLabeling) -> CadTree:
     """Greedy reduction to a coarsening admitting no liftable merge.
 
-    Pivots are attempted in pivot order (``Coarsening.pivots``); the first
+    Pivots are attempted in pivot order (``CadTree.pivots``); the first
     lift that succeeds is applied and the search restarts on the result.
     The result's ``applied`` lists the merges in order.
     """
-    node = Coarsening.of(cad, labels)
+    node = build_tree(cad, labels)
     while True:
         for pivot in node.pivots:
             child = try_lift(node, pivot)

@@ -2,10 +2,13 @@
 a CAD together with binary leaf labels recording membership in the defining
 set.
 
-A labelled coarsening is one immutable tree of ``Cell`` objects.  A cell of
-depth k < n with branching count u has exactly 2u+1 children; all leaves sit
-at depth n.  Every cell holds the sorted root cells whose union it is, every
-leaf its label bit, and every cell, made once with the cell:
+A labelled coarsening of a root CAD is one ``CadTree``: the root, one
+immutable tree of ``Cell`` objects, and the merges that made it.
+``build_tree`` makes the first tree, once the root's validation admits it;
+every merge makes a new ``CadTree``.  A cell of depth k < n with branching
+count u has exactly 2u+1 children; all leaves sit at depth n.  Every cell
+holds the sorted root cells whose union it is, every leaf its label bit,
+and every cell, made once with the cell:
 
 - its recursive label (the leaf bit, or the tuple of its children's labels);
 - the applicable pivots of its subtree, as index words relative to it, in
@@ -19,9 +22,11 @@ lift check (``reduction``) makes it from the root cells on first read; a
 glued cell has it from its three inputs when they have theirs.  A leaf's
 block of the partition, the set of its root cells, is made on first read.
 
-Index words, stack counts and leaf labels are read off the cells on demand.
-The lift verdicts are kept on the root CAD, one per slot of a glued stack
-under the root cells of its three section cells (``reduction``).
+Index words, stack counts and leaf labels are read off the cells on demand,
+with the names a root ``Cad`` reads them by.  The geometry is the root's:
+the probes, the validation report, and the lift verdicts, one per slot of a
+glued stack under the root cells of its three section cells
+(``reduction``).
 
 A merge at an even *pivot* glues the pivot and its two flanking siblings
 into one cell; it applies exactly when the three recursive labels coincide.
@@ -47,10 +52,12 @@ from bisect import bisect_left
 from itertools import repeat
 from typing import Iterator
 
-from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling
-from cadreduce.errors import LabelMissing, PivotNotEven, RuleNotApplicable
+from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling, validate_cad
+from cadreduce.errors import LabelMissing, PivotNotEven, RuleNotApplicable, ValidationFailed
 
 Label = object  # 0 | 1 on leaves, nested tuples on internal nodes
+
+Blocks = frozenset[frozenset[CellIndex]]
 
 # The form of a cell that no lift check has read (see ``Cell``).
 UNMADE = object()
@@ -108,11 +115,34 @@ class Cell:
 
 
 class CadTree:
-    """Immutable tree of cells, ``depth`` levels below its top cell."""
+    """A labelled coarsening of a root CAD: its tree of cells below ``top``
+    and the pivots merged, in order, since ``build_tree`` made its first
+    tree (``applied``).  Its index words, stack counts, root cells, labels,
+    pivots and partition are read off the cells; its probes, its
+    validation report and the lift verdicts are the root's.  ``blocks``,
+    the partition of the root's leaves, is made on first read, or set by
+    ``poset.explore`` from the parent's (``merged_blocks``)."""
 
-    def __init__(self, depth: int, top: Cell):
-        self.depth = depth
+    is_root = False
+
+    def __init__(self, root: Cad, top: Cell, applied: tuple[CellIndex, ...] = ()):
+        self.root = root
         self.top = top
+        self.applied = applied
+        self.blocks: Blocks | None = None
+
+    @property
+    def cad(self) -> CadTree:
+        """The coarsening itself; perfbench reads a result's ``cad``."""
+        return self
+
+    @property
+    def n(self) -> int:
+        """The levels below the top cell; every leaf is that deep."""
+        cell, n = self.top, 0
+        while cell.children:
+            cell, n = cell.children[0], n + 1
+        return n
 
     def cell(self, index: CellIndex) -> Cell:
         """The cell with this index word (which must name a cell)."""
@@ -129,13 +159,57 @@ class CadTree:
             yield index, cell
             frontier += [(index + (j,), child) for j, child in enumerate(cell.children, start=1)]
 
-    def leaves(self) -> list[tuple[CellIndex, Cell]]:
+    def indexed_leaves(self) -> list[tuple[CellIndex, Cell]]:
+        """(index, cell) for every leaf, in the order of ``nodes``."""
         return [(index, cell) for index, cell in self.nodes() if not cell.children]
 
+    def stack_count(self, cell: CellIndex) -> int:
+        return len(self.cell(cell).children) // 2
 
-def build_tree(cad: Cad, labels: LeafLabeling) -> CadTree:
+    # Index words are read off the stack counts, as a root reads them.
+    children = Cad.children
+    cells_of_level = Cad.cells_of_level
+    leaves = Cad.leaves
+
+    def root_cells(self, cell: CellIndex) -> tuple[CellIndex, ...]:
+        """The root cells whose union this cell is."""
+        return self.cell(cell).roots
+
+    @property
+    def labels(self) -> LeafLabeling:
+        return {leaf: cell.label for leaf, cell in self.indexed_leaves()}
+
+    @property
+    def pivots(self) -> tuple[CellIndex, ...]:
+        """The applicable pivots in pivot order, deepest first, then
+        lexicographic: the top cell keeps them so (``Cell``)."""
+        return self.top.pivots
+
+    def partition_blocks(self) -> Blocks:
+        """The partition of the root's leaves induced by this coarsening's
+        leaves; it identifies the coarsening."""
+        if self.blocks is None:
+            self.blocks = frozenset(cell.block for cell in _leaves(self.top))
+        return self.blocks
+
+    def leaf_count(self) -> int:
+        return len(self.partition_blocks())
+
+
+def build_tree(cad: Cad | CadTree, labels: LeafLabeling) -> CadTree:
+    """The coarsening that ``minimize`` and ``explore`` start from: the
+    ``labelled_tree`` of a CAD (a root or a coarsening), once
+    ``validate_cad`` admits its root; ``ValidationFailed`` otherwise."""
+    report = validate_cad(cad.root)
+    if not report.admits_reduction:
+        raise ValidationFailed(report)
+    return labelled_tree(cad, labels)
+
+
+def labelled_tree(cad: Cad | CadTree, labels: LeafLabeling) -> CadTree:
     """The tree of a CAD (a root or a coarsening) with a total labelling of
-    its leaves by 0 and 1; any other labelling is rejected."""
+    its leaves by 0 and 1; any other labelling is rejected.  It reads the
+    CAD's cells only, and passes no gate (``build_tree``)."""
     leaves = cad.leaves()
     missing = [leaf for leaf in leaves if leaf not in labels]
     if missing:
@@ -146,12 +220,14 @@ def build_tree(cad: Cad, labels: LeafLabeling) -> CadTree:
     if any(bit not in (0, 1) for bit in labels.values()):
         raise ValueError("leaf labels must be 0 or 1")
 
+    n = cad.n
+
     def grow(index: CellIndex) -> Cell:
-        if len(index) == cad.n:
+        if len(index) == n:
             return Cell(cad.root_cells(index), bit=labels[index])
         return Cell(cad.root_cells(index), tuple(map(grow, cad.children(index))))
 
-    return CadTree(cad.n, grow(()))
+    return CadTree(cad.root, grow(()))
 
 
 def prefix(index: CellIndex, k: int) -> CellIndex:
@@ -293,11 +369,18 @@ def apply_merge(tree: CadTree, pivot: CellIndex, table: CellTable | None = None)
     so the parent has 2(u-1)+1 children; each copy splices its label and
     pivots from the cell it replaces (``_merged``).  Every other cell is
     shared.  With a table, a cell of a structure made before with the table
-    is that cell, not a new one.
+    is that cell, not a new one.  The reduced coarsening has the same root,
+    and the pivot is appended to its ``applied``.
     """
     if not is_applicable(tree, pivot):
         raise RuleNotApplicable(f"pivot {pivot} does not satisfy the merge condition")
-    return CadTree(tree.depth, _merged(tree.top, pivot, table))
+    return merge_applicable(tree, pivot, table)
+
+
+def merge_applicable(tree: CadTree, pivot: CellIndex, table: CellTable | None) -> CadTree:
+    """``apply_merge`` past its check: the caller has found the pivot
+    applicable (``reduction.try_lift`` checks it once per lift)."""
+    return CadTree(tree.root, _merged(tree.top, pivot, table), tree.applied + (pivot,))
 
 
 def _merged(cell: Cell, pivot: CellIndex, table: CellTable | None) -> Cell:

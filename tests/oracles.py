@@ -45,8 +45,9 @@ from cadreduce.expr import (
     max_var_index,
 )
 from cadreduce.poset import PosetGraph
-from cadreduce.reduction import Coarsening, try_lift
+from cadreduce.reduction import try_lift
 from cadreduce.realroots import ZERO, UniPoly, poly
+from cadreduce.tree import CadTree, build_tree
 
 # ---------------------------------------------------------------------------
 # Samples and location
@@ -161,10 +162,10 @@ def is_globally_confluent(graph: PosetGraph) -> bool:
 
 def explore_by_partition(root: Cad, labels: LeafLabeling) -> PosetGraph:
     """``explore`` with each child deduplicated by its partition, read off
-    the child's own tree with no interned cell (``Cad.partition_blocks``),
+    the child's own tree with no interned cell (``CadTree.partition_blocks``),
     not off its parent's, on every edge."""
-    start = Coarsening.of(root, labels)
-    graph = PosetGraph(root_key=start.blocks, nodes={start.blocks: start})
+    start = build_tree(root, labels)
+    graph = PosetGraph(root_key=start.partition_blocks(), nodes={start.blocks: start})
     queue = deque([start])
     while queue:
         node = queue.popleft()
@@ -173,7 +174,7 @@ def explore_by_partition(root: Cad, labels: LeafLabeling) -> PosetGraph:
             child = try_lift(node, pivot)
             if child is None:
                 continue
-            out[pivot] = child.blocks
+            out[pivot] = child.partition_blocks()
             if child.blocks not in graph.nodes:
                 graph.nodes[child.blocks] = child
                 queue.append(child)
@@ -257,7 +258,7 @@ def common_refinement(
     probes (``refined.cell_points``), the first being its sample.
     They must be strictly ordered: a disordered input stack leaves the merged
     one disordered, and ``validate_cad`` reports it where the refinement, a
-    root, is checked: ``Coarsening.of`` refuses it (see
+    root, is checked: ``build_tree`` refuses it (see
     ``test_a_disordered_input_stack_is_left_to_validation``)."""
     if not (c1.is_root and c2.is_root):
         raise ValueError("common refinement expects root CADs")
@@ -358,12 +359,12 @@ def labels_by_probes(cad: Cad, formula: Formula) -> LeafLabeling:
     return labels
 
 
-def block_label_mismatches(node: Coarsening, root_labels: LeafLabeling) -> tuple[list, int]:
+def block_label_mismatches(node: CadTree, root_labels: LeafLabeling) -> tuple[list, int]:
     """A coarsening checked on its root: every root leaf in a coarsening
     leaf's block must carry that leaf's label.  The mismatches as (leaf,
     root leaf), and the number of root leaves checked."""
     mismatches, checked = [], 0
-    for leaf, cell in node.tree.leaves():
+    for leaf, cell in node.indexed_leaves():
         for root_leaf in cell.roots:
             checked += 1
             if root_labels[root_leaf] != cell.label:

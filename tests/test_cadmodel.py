@@ -350,7 +350,9 @@ def test_partition_refines_basics():
 
 
 def test_coarsening_needs_its_cell_tree():
-    with pytest.raises(ValueError):
+    # A ``Cad`` is a root, made from its stacks alone; a coarsening is a
+    # ``tree.CadTree``.
+    with pytest.raises(TypeError):
         Cad(2, root=disk_cp().cad)
 
 

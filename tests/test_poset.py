@@ -88,7 +88,7 @@ def test_explore_disk_cpp():
     assert len(sinks) == 1
     minimum = minimum_element(graph)
     assert minimum is not None
-    assert graph.nodes[minimum].leaf_count == 13
+    assert graph.nodes[minimum].leaf_count() == 13
     assert minimum == coarsening_blocks(disk_c().cad, entry.cad)
     assert is_locally_confluent(graph)
     assert any(pivot == (4, 6) for _s, pivot, _d in graph.edges)
@@ -110,7 +110,7 @@ def test_trousers_common_refinement_and_poset():
     }
     assert minimum_element(graph) is None
     assert not is_locally_confluent(graph)
-    counts = sorted(graph.nodes[k].leaf_count for k in sinks)
+    counts = sorted(graph.nodes[k].leaf_count() for k in sinks)
     assert counts == [9, 15]
 
 
@@ -361,18 +361,18 @@ def test_commuting_merges_reach_one_top_cell(name, monkeypatch):
         inp = load_perfbench("workloads", monkeypatch).disk_lines(3, 0)
         cad, labels = inp.cad, inp.labels
     tops = {}
-    merge = reduction.apply_merge
+    merge = reduction.merge_applicable
 
-    def recorded(tree, pivot, table=None):
+    def recorded(tree, pivot, table):
         tops[id(tree), pivot] = reduced = merge(tree, pivot, table)
         return reduced
 
-    monkeypatch.setattr(reduction, "apply_merge", recorded)
+    monkeypatch.setattr(reduction, "merge_applicable", recorded)
     graph = explore(cad, labels)
     nodes = graph.nodes
-    top = {key: node.tree.top for key, node in nodes.items()}
+    top = {key: node.top for key, node in nodes.items()}
     assert len({id(cell) for cell in top.values()}) == len(nodes)
     for src, pivot, dst in graph.edges:
-        assert tops[id(nodes[src].tree), pivot].top is top[dst], (src, pivot)
+        assert tops[id(nodes[src]), pivot].top is top[dst], (src, pivot)
     # A node with two in-edges is reached by two merges in either order.
     assert max(Counter(dst for _src, _pivot, dst in graph.edges).values()) >= 2

@@ -22,7 +22,6 @@ from cadreduce.gallery import (
 )
 from cadreduce.poset import explore, extend_cylinder, poset_report
 from cadreduce.reduction import (
-    Coarsening,
     minimize,
     try_lift,
 )
@@ -43,27 +42,26 @@ F = Fraction
 
 def test_disk_merge_lifts_to_disk_c():
     entry = disk_cp()
-    res = try_lift(Coarsening.of(entry.cad, entry.labels), (4,))
+    res = try_lift(build_tree(entry.cad, entry.labels), (4,))
     assert res is not None
-    merged = res.cad
-    assert merged.leaf_count() == 13
+    assert res.leaf_count() == 13
     expected = coarsening_blocks(disk_c().cad, entry.cad)
-    assert merged.partition_blocks() == expected
+    assert res.partition_blocks() == expected
     # The lifted CAD is valid, and checked on the root, its transported
     # labels are the root's.
-    assert validate_cad(merged).ok
+    assert validate_cad(res).ok
     assert check_adapted(entry.cad, entry.formula) == entry.labels
     assert block_label_mismatches(res, entry.labels) == ([], entry.cad.leaf_count())
 
 
 def test_trousers_merges_do_not_lift():
     for entry, pivot in ((trousers_c(), (1, 2)), (trousers_cp(), (3, 2))):
-        assert try_lift(Coarsening.of(entry.cad, entry.labels), pivot) is None
+        assert try_lift(build_tree(entry.cad, entry.labels), pivot) is None
 
 
 def test_ushape_merges_do_not_lift():
     for entry, pivot in ((ushape_c(), (1, 2)), (ushape_cp(), (3, 2))):
-        assert try_lift(Coarsening.of(entry.cad, entry.labels), pivot) is None
+        assert try_lift(build_tree(entry.cad, entry.labels), pivot) is None
 
 
 def nested_division_jump():
@@ -176,15 +174,15 @@ def test_seam_verdict_cold_and_warm(name):
     build, lifts = SEAM_VERDICTS[name]
     cad, labels = build()
     assert validate_cad(cad).ok
-    assert (try_lift(Coarsening.of(cad, labels), (2,)) is not None) == lifts
+    assert (try_lift(build_tree(cad, labels), (2,)) is not None) == lifts
     explore(cad, labels)  # warms the root's verdict memo
-    assert (try_lift(Coarsening.of(cad, labels), (2,)) is not None) == lifts
+    assert (try_lift(build_tree(cad, labels), (2,)) is not None) == lifts
 
 
 def test_pole_at_a_corner_of_the_seam_does_not_lift():
     cad, labels = pole_at_a_corner_of_the_seam()
     assert validate_cad(cad).ok
-    child = try_lift(Coarsening.of(cad, labels), (2,))
+    child = try_lift(build_tree(cad, labels), (2,))
     assert child is not None
     assert try_lift(child, (1, 2)) is None
 
@@ -201,13 +199,13 @@ def test_refinement_schedule_is_fixed():
         compare_coords(value, eval_coord(parse_expr(f"(add {f} {F(1, 2**183)})"), ()))
     cad, labels = sections_apart_by_2_to_the_minus_200()
     assert str(validate_cad(cad)) == "valid"
-    assert try_lift(Coarsening.of(cad, labels), (2,)) is not None
+    assert try_lift(build_tree(cad, labels), (2,)) is not None
 
 
 def test_section_with_a_jump_hidden_by_a_nested_division_does_not_lift():
     cad, labels = nested_division_jump()
     assert validate_cad(cad).ok
-    assert try_lift(Coarsening.of(cad, labels), (2,)) is None
+    assert try_lift(build_tree(cad, labels), (2,)) is None
 
 
 def test_try_lift_requires_applicable_pivot():
@@ -215,7 +213,7 @@ def test_try_lift_requires_applicable_pivot():
     # Unequal labels, odd, out of range, deeper than the leaves, empty.
     for pivot in ((2,), (3,), (0,), (8,), (4, 2, 2), ()):
         with pytest.raises(RuleNotApplicable):
-            try_lift(Coarsening.of(entry.cad, entry.labels), pivot)
+            try_lift(build_tree(entry.cad, entry.labels), pivot)
 
 
 def test_disordered_glued_stack_is_rejected_cold_and_warm():
@@ -223,11 +221,11 @@ def test_disordered_glued_stack_is_rejected_cold_and_warm():
     # the root.
     cad, labels = disordered_stack()
     with pytest.raises(ValidationFailed) as cold:
-        Coarsening.of(cad, labels)
+        build_tree(cad, labels)
     report = validate_cad(cad)
     assert cold.value.report is report and not report.ok
     with pytest.raises(ValidationFailed) as warm:
-        Coarsening.of(cad, labels)
+        build_tree(cad, labels)
     assert warm.value.report is report
 
 
@@ -246,7 +244,7 @@ REFUSED = {
 @pytest.mark.parametrize("name", REFUSED)
 def test_a_root_that_is_not_proven_a_cad_is_refused(name):
     build, line = REFUSED[name]
-    for run in (Coarsening.of, minimize, explore):
+    for run in (build_tree, minimize, explore):
         cad, labels = build()
         with pytest.raises(ValidationFailed) as refused:
             run(cad, labels)
@@ -256,11 +254,10 @@ def test_a_root_that_is_not_proven_a_cad_is_refused(name):
 
 def test_leaf_level_merge_always_lifts():
     entry = disk_cpp()
-    res = try_lift(Coarsening.of(entry.cad, entry.labels), (4, 6))
+    res = try_lift(build_tree(entry.cad, entry.labels), (4, 6))
     assert res is not None
-    merged = res.cad
-    assert merged.leaf_count() == 27
-    assert validate_cad(merged).ok
+    assert res.leaf_count() == 27
+    assert validate_cad(res).ok
     assert check_adapted(entry.cad, entry.formula) == entry.labels
     assert block_label_mismatches(res, entry.labels) == ([], entry.cad.leaf_count())
 
@@ -269,23 +266,23 @@ def test_minimize_trousers_fixed_points():
     for entry in (trousers_c(), trousers_cp()):
         res = minimize(entry.cad, entry.labels)
         assert not res.applied
-        assert res.cad.leaf_count() == entry.expected["leaf_count"]
+        assert res.leaf_count() == entry.expected["leaf_count"]
 
 
 def test_minimize_disk_cp_reaches_disk_c():
     entry = disk_cp()
     res = minimize(entry.cad, entry.labels)
     assert [tuple(p) for p in res.applied] == [(4,)]
-    assert res.cad.leaf_count() == 13
-    assert res.cad.partition_blocks() == coarsening_blocks(disk_c().cad, entry.cad)
+    assert res.leaf_count() == 13
+    assert res.partition_blocks() == coarsening_blocks(disk_c().cad, entry.cad)
 
 
 def test_minimize_disk_cpp_sampled_mode():
     entry = disk_cpp()
     res = minimize(entry.cad, entry.labels)
-    assert res.cad.leaf_count() == 13
+    assert res.leaf_count() == 13
     assert len(res.applied) == 4
-    assert validate_cad(res.cad).ok
+    assert validate_cad(res).ok
 
 
 def test_minimize_single_chain_identity():
@@ -293,7 +290,7 @@ def test_minimize_single_chain_identity():
 
     cad, labels = single_chain(3)
     res = minimize(cad, labels)
-    assert not res.applied and res.cad is cad
+    assert not res.applied and res.root is cad and res.partition_blocks() == cad.partition_blocks()
 
 
 def test_minimize_step_budget():
@@ -309,9 +306,9 @@ def test_insert_section_rebuilds_disk_cp():
     assert validate_cad(refined).ok
     assert labels == disk_cp().labels
     # Round trip: merging at the inserted section recovers the original.
-    res = try_lift(Coarsening.of(refined, labels), (4,))
+    res = try_lift(build_tree(refined, labels), (4,))
     assert res is not None
-    assert res.cad.partition_blocks() == coarsening_blocks(entry.cad, refined)
+    assert res.partition_blocks() == coarsening_blocks(entry.cad, refined)
 
 
 def test_insert_section_rebuilds_disk_cpp():
@@ -341,9 +338,9 @@ def reachable(target, start, labels):
 
 def test_reduction_reachable_disk():
     cp = disk_cp()
-    res = try_lift(Coarsening.of(cp.cad, cp.labels), (4,))
+    res = try_lift(build_tree(cp.cad, cp.labels), (4,))
     assert res is not None
-    assert reachable(res.cad, cp.cad, cp.labels)
+    assert reachable(res, cp.cad, cp.labels)
     assert reachable(cp.cad, cp.cad, cp.labels)  # reflexive
 
 
@@ -367,13 +364,10 @@ def lift_fixtures():
     yield "sections 2^-200 apart", sections_apart_by_2_to_the_minus_200
 
 
-def on_fresh_root(node: Coarsening, build) -> Coarsening:
+def on_fresh_root(node: CadTree, build) -> CadTree:
     """The same coarsening of a new copy of its root, whose caches are empty."""
     root, _labels = build()
-    cad = root
-    if not node.cad.is_root:
-        cad = Cad(root.n, root=root, tree=node.cad.tree)
-    return Coarsening(cad, node.tree, node.applied)
+    return CadTree(root, node.top, node.applied)
 
 
 def all_cells(cad: Cad):
@@ -389,17 +383,17 @@ def full_relabel_cellmap(cad: Cad, pivot):
     return cellmap
 
 
-def assert_child_matches_full_relabel(node: Coarsening, pivot, child: Coarsening) -> None:
-    """The child's index views, read off its tree and its CAD, are the
-    parent's relabelled: stack counts, root cells, leaf labels and blocks."""
-    counts, labels = full_relabel_merge(node.tree, pivot)
-    cellmap = full_relabel_cellmap(node.cad, pivot)
-    assert index_views(child.tree) == (counts, labels, cellmap)
-    cad = child.cad
-    assert {cell: cad.stack_count(cell) for k in range(cad.n) for cell in cad.cells_of_level(k)} == counts
-    assert {cell: cad.root_cells(cell) for cell in all_cells(cad)} == cellmap
+def assert_child_matches_full_relabel(node: CadTree, pivot, child: CadTree) -> None:
+    """The child's index views, read off its cells and by index word, are
+    the parent's relabelled: stack counts, root cells, leaf labels and
+    blocks."""
+    counts, labels = full_relabel_merge(node, pivot)
+    cellmap = full_relabel_cellmap(node, pivot)
+    assert index_views(child) == (counts, labels, cellmap)
+    assert {cell: child.stack_count(cell) for k in range(child.n) for cell in child.cells_of_level(k)} == counts
+    assert {cell: child.root_cells(cell) for cell in all_cells(child)} == cellmap
     assert child.labels == labels
-    assert child.blocks == cad.partition_blocks() == frozenset(frozenset(cellmap[leaf]) for leaf in labels)
+    assert child.partition_blocks() == frozenset(frozenset(cellmap[leaf]) for leaf in labels)
 
 
 def test_warm_verdicts_and_children_equal_cold_ones():
@@ -426,9 +420,9 @@ def test_incremental_merge_matches_full_relabel_on_gallery_pivots():
         graph = explore(*build())
         for node in graph.nodes.values():
             for pivot in node.pivots:
-                reduced = apply_merge(node.tree, pivot)
-                assert index_views(reduced)[:2] == full_relabel_merge(node.tree, pivot), (name, pivot)
-                assert index_views(reduced)[2] == full_relabel_cellmap(node.cad, pivot), (name, pivot)
+                reduced = apply_merge(node, pivot)
+                assert index_views(reduced)[:2] == full_relabel_merge(node, pivot), (name, pivot)
+                assert index_views(reduced)[2] == full_relabel_cellmap(node, pivot), (name, pivot)
                 assert_valid(reduced)
                 merges += 1
                 child = try_lift(node, pivot)
@@ -444,7 +438,7 @@ def test_merge_shares_every_cell_off_its_path_and_triple():
     for _name, build in lift_fixtures():
         for node in explore(*build()).nodes.values():
             for pivot in node.pivots:
-                shared += assert_shares_all_but_the_path_and_the_triple(node.tree, pivot, apply_merge(node.tree, pivot))
+                shared += assert_shares_all_but_the_path_and_the_triple(node, pivot, apply_merge(node, pivot))
     rng = random.Random(12)
     for _ in range(100):
         tree = random_tree(rng, rng.randint(1, 3))
@@ -470,9 +464,10 @@ def test_kept_pivots_and_blocks_match_the_walks(monkeypatch):
     nodes = 0
     for name, (cad, labels) in explored_inputs(monkeypatch):
         for node in explore(cad, labels).nodes.values():
-            assert len(node.pivots) == len(walk_pivots(node.tree)), (name, node.applied)
-            assert set(node.pivots) == walk_pivots(node.tree), (name, node.applied)
-            assert node.blocks == node.cad.partition_blocks(), (name, node.applied)
+            assert len(node.pivots) == len(walk_pivots(node)), (name, node.applied)
+            assert set(node.pivots) == walk_pivots(node), (name, node.applied)
+            by_word = frozenset(frozenset(node.root_cells(leaf)) for leaf in node.leaves())
+            assert node.blocks == by_word, (name, node.applied)
             nodes += 1
     assert nodes > 100
 
@@ -502,15 +497,15 @@ def test_kept_forms_and_ordered_pivots_match_their_oracles(monkeypatch):
     kept = unmade = nodes = 0
     for name, root, graph in graphs:
         for node in graph.nodes.values():
-            assert node.pivots == sorted(applicable_pivots(node.tree), key=pivot_order), (name, node.applied)
-            for cell in section_cells(node.tree):
+            assert list(node.pivots) == sorted(applicable_pivots(node), key=pivot_order), (name, node.applied)
+            for cell in section_cells(node):
                 if cell.form is not UNMADE:
                     assert cell.form == recomputed_form(root, cell), (name, node.applied, cell.roots)
                     kept += 1
             nodes += 1
     for name, root, graph in graphs:
         for node in graph.nodes.values():
-            for cell in section_cells(node.tree):
+            for cell in section_cells(node):
                 if cell.form is UNMADE:
                     assert reduction._form(root, cell) == recomputed_form(root, cell), (name, node.applied)
                     unmade += 1
@@ -529,7 +524,7 @@ def test_spliced_copies_keep_every_cells_pivots_in_order():
             t = apply_merge(t, t.top.pivots[rng.randrange(len(t.top.pivots))])
             assert_valid(t)
             for index, cell in t.nodes():
-                below = CadTree(t.depth - len(index), cell)
+                below = CadTree(None, cell)
                 assert list(cell.pivots) == sorted(walk_pivots(below), key=pivot_order), index
             merges += 1
     assert merges > 150
@@ -570,7 +565,7 @@ def test_a_lift_verdict_is_made_only_through_the_per_slot_memo(monkeypatch):
         fresh = Cad(cad.n, cad.stacks)
         for node in explore(cad, labels).nodes.values():
             for pivot in node.pivots:
-                slots = walk_slots(original, fresh, triple(node.tree, pivot))
+                slots = walk_slots(original, fresh, triple(node, pivot))
                 verdict = try_lift(node, pivot) is not None
                 assert verdict == all(ok for _, ok in slots), (name, node.applied, pivot)
                 verdicts[verdict] += 1
@@ -617,18 +612,17 @@ def test_probe_counts_are_fixed_per_root_cell(monkeypatch):
 
 def test_a_coarsening_has_no_probes_and_its_report_is_its_roots(monkeypatch):
     # A coarsening is structural: its cells are unions of root cells, so
-    # it derives no probes, and ``validate_cad`` gives it its root's report.
+    # it has no probes, and ``validate_cad`` gives it its root's report.
+    # Where a root is needed, a coarsening is refused with a ``ValueError``.
     views = 0
     for name, (cad, labels) in explored_inputs(monkeypatch):
         for node in explore(cad, labels).nodes.values():
-            view = node.cad
-            if view.is_root:
-                continue
+            assert not hasattr(node, "cell_points"), (name, node.applied)
             with pytest.raises(ValueError, match="probes belong to root cells"):
-                view.cell_points(view.leaves()[0])
-            with pytest.raises(ValueError, match="probes belong to root cells"):
-                check_adapted(view, TRUE)
-            assert validate_cad(view) is validate_cad(view.root), (name, node.applied)
+                check_adapted(node, TRUE)
+            with pytest.raises(ValueError, match="expects a root CAD"):
+                extend_cylinder(node, node.labels, node.n + 1)
+            assert validate_cad(node) is validate_cad(node.root), (name, node.applied)
             views += 1
     assert views > 100
 
@@ -735,9 +729,9 @@ def test_explore_builds_nothing_for_an_edge_into_a_seen_node(monkeypatch):
     workloads = load_perfbench("workloads", monkeypatch)
     made = count_cells(monkeypatch)
     merges, blocks = [], []
-    merge, merged_blocks = reduction.apply_merge, poset.merged_blocks
+    merge, merged_blocks = reduction.merge_applicable, poset.merged_blocks
 
-    def recorded_merge(tree, pivot, table=None):
+    def recorded_merge(tree, pivot, table):
         before = len(made)
         reduced = merge(tree, pivot, table)
         merges.append((reduced.top, len(made) - before))
@@ -747,7 +741,7 @@ def test_explore_builds_nothing_for_an_edge_into_a_seen_node(monkeypatch):
         blocks.append(1)
         return merged_blocks(*args)
 
-    monkeypatch.setattr(reduction, "apply_merge", recorded_merge)
+    monkeypatch.setattr(reduction, "merge_applicable", recorded_merge)
     monkeypatch.setattr(poset, "merged_blocks", counted_blocks)
     for m in (5, 6, 7, 8):
         inp = workloads.disk_lines(m, 0)
@@ -764,13 +758,38 @@ def test_explore_builds_nothing_for_an_edge_into_a_seen_node(monkeypatch):
         assert len(blocks) == len(graph.nodes) - 1, m
 
 
+def test_explore_checks_each_pivot_once_and_makes_one_tree_per_lift(monkeypatch):
+    # A cost guard that reads no clock.  A lift checks its pivot once, then
+    # merges, and an accepted lift makes one coarsening, its ``CadTree``:
+    # on disk-lines(7), one tree for the start and one per edge.
+    inp = load_perfbench("workloads", monkeypatch).disk_lines(7, 0)
+    checks, trees = [], []
+    check, init = reduction.is_applicable, CadTree.__init__
+
+    def counted_check(*args):
+        checks.append(1)
+        return check(*args)
+
+    def counted_init(self, *args):
+        trees.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(reduction, "is_applicable", counted_check)
+    monkeypatch.setattr("cadreduce.tree.is_applicable", counted_check)
+    monkeypatch.setattr(CadTree, "__init__", counted_init)
+    graph = explore(inp.cad, inp.labels)
+    assert (len(graph.nodes), len(graph.edges)) == (128, 448)
+    assert (len(checks), len(trees)) == (448, 449)
+
+
 def test_a_lifted_child_holds_its_own_tree_and_no_other_coarsening(monkeypatch):
-    # A child is a value: ``try_lift`` makes its tree at once, and the child
-    # keeps no link to its parent, so a parent that is dropped is freed.
+    # A child is a value: ``try_lift`` makes its cells at once, and the
+    # child keeps no link to its parent, so a parent that is dropped is
+    # freed.
     workloads = load_perfbench("workloads", monkeypatch)
     children = 0
     for inp in (disk_cp(), workloads.disk_lines(3, 0)):
-        frontier = [Coarsening.of(inp.cad, inp.labels)]
+        frontier = [build_tree(inp.cad, inp.labels)]
         while frontier:
             node = frontier.pop()
             for pivot in node.pivots:
@@ -778,8 +797,8 @@ def test_a_lifted_child_holds_its_own_tree_and_no_other_coarsening(monkeypatch):
                 if child is None:
                     continue
                 held = vars(child)
-                assert isinstance(held.get("tree"), CadTree), (pivot, sorted(held))
-                assert not any(isinstance(value, Coarsening) for value in held.values()), (pivot, sorted(held))
+                assert held["root"] is inp.cad and isinstance(held["top"], Cell), (pivot, sorted(held))
+                assert not any(isinstance(value, CadTree) for value in held.values()), (pivot, sorted(held))
                 children += 1
                 frontier.append(child)
     assert children > 10
@@ -843,7 +862,7 @@ def test_glued_stacks_select_increasing_root_sections():
     nodes = 0
     for name, build in lift_fixtures():
         for node in explore(*build()).nodes.values():
-            assert_glued_sections_are_root_sections(node.cad, (name, node.applied))
+            assert_glued_sections_are_root_sections(node, (name, node.applied))
             nodes += 1
     assert nodes > 100
 
@@ -864,39 +883,40 @@ def test_validation_runs_once_per_root(monkeypatch):
     assert validate_cad(inp.cad).ok and len(passes) == 1
     res = minimize(inp.cad, inp.labels)
     explore(inp.cad, inp.labels)
-    explore(res.cad, res.labels)
+    explore(res, res.labels)
     assert len(passes) == 1
 
 
-def count_views(monkeypatch) -> list:
-    """A list that gets one entry for each view of a root through a cell
-    tree (a ``Cad`` made with ``root=``) from now on."""
+def count_cads(monkeypatch) -> list:
+    """A list that gets one entry for each ``Cad`` made from now on."""
     made = []
     init = Cad.__init__
 
-    def counted(self, *args, **kwargs):
-        if kwargs.get("root") is not None:
-            made.append(1)
-        init(self, *args, **kwargs)
+    def counted(self, *args):
+        made.append(1)
+        init(self, *args)
 
     monkeypatch.setattr(Cad, "__init__", counted)
     return made
 
 
 def test_the_pipeline_makes_no_coarsening_view(monkeypatch):
-    # A lift reads its root and its three cells, and a node its tree; a
-    # coarsening's ``cad`` view is made only for a caller that asks for it.
+    # A coarsening is one object, its ``CadTree``: the result of
+    # ``minimize`` and every node of ``explore`` is one, and its ``cad`` is
+    # itself.  A ``Cad`` is a root, so the pipeline makes none.
     workloads = load_perfbench("workloads", monkeypatch)
     inputs = [(name, load_entry(name)) for name in gallery_names()] + [("disk-lines(7)", workloads.disk_lines(7, 0))]
-    made = count_views(monkeypatch)
+    made = count_cads(monkeypatch)
     lifted = 0
     for name, inp in inputs:
-        lifted += len(minimize(inp.cad, inp.labels).applied)
-        assert not made, (name, "minimize", len(made))
+        res = minimize(inp.cad, inp.labels)
+        assert type(res) is CadTree and res.cad is res and res.root is inp.cad, (name, "minimize")
+        lifted += len(res.applied)
         graph = explore(inp.cad, inp.labels)
         poset_report(graph)
+        assert all(type(node) is CadTree and node.cad is node for node in graph.nodes.values()), (name, "explore")
         lifted += len(graph.nodes) - 1
-        assert not made, (name, "explore", len(made))
+        assert not made, (name, len(made))
     assert lifted > 100
 
 

@@ -47,7 +47,7 @@ def walk_pivots(tree: CadTree) -> set:
 
 
 def tree_blocks(tree: CadTree) -> frozenset:
-    return frozenset(cell.block for _index, cell in tree.leaves())
+    return frozenset(cell.block for _index, cell in tree.indexed_leaves())
 
 
 def assert_valid(tree: CadTree) -> None:
@@ -57,7 +57,7 @@ def assert_valid(tree: CadTree) -> None:
     for index, cell in tree.nodes():
         assert list(cell.roots) == sorted(set(cell.roots)) and cell.roots
         assert all(len(r) == len(index) for r in cell.roots)
-        if len(index) == tree.depth:
+        if len(index) == tree.n:
             assert not cell.children and cell.label in (0, 1)
             continue
         assert len(cell.children) % 2 == 1
@@ -101,7 +101,7 @@ def test_relabel_index_branches():
 
 def test_build_tree_trousers():
     t = tree_of(trousers_c())
-    assert t.depth == 3
+    assert t.n == 3
     assert len(t.leaves()) == 9
     for j in (1, 2, 3):
         assert t.cell((1, j)).label == (0, 1, 0)
@@ -162,7 +162,7 @@ def test_apply_merge_requires_applicable_pivot():
 
 
 def test_path_tree_has_no_pivots():
-    t = CadTree(2, Cell(((),), (Cell(((1,),), (Cell(((1, 1),), bit=1),)),)))
+    t = CadTree(None, Cell(((),), (Cell(((1,),), (Cell(((1, 1),), bit=1),)),)))
     assert applicable_pivots(t) == set()
 
 
@@ -175,7 +175,7 @@ def random_tree(rng: random.Random, depth: int) -> CadTree:
         u = rng.choice([0, 0, 1, 1, 2])
         return Cell((node,), tuple(grow(node + (j,)) for j in range(1, 2 * u + 2)))
 
-    return CadTree(depth, grow(()))
+    return CadTree(None, grow(()))
 
 
 def brute_force_pivots(tree: CadTree) -> set:
@@ -205,14 +205,14 @@ def test_applicable_pivots_matches_brute_force():
         assert len(t.top.pivots) == len(pivots)
         for node, _cell in t.nodes():
             assert is_applicable(t, node) == (node in pivots)
-        parent = max(index for index, _cell in t.nodes() if len(index) == t.depth - 1)
+        parent = max(index for index, _cell in t.nodes() if len(index) == t.n - 1)
         # Odd, out of range (past the parent's sections, or a letter below 1),
         # deeper than the leaves, and the empty word.
         for pivot in (
             parent + (1,),
             parent + (len(t.cell(parent).children) + 1,),
             parent + (0,),
-            max(t.leaves())[0] + (2,),
+            max(t.leaves()) + (2,),
             (),
         ):
             assert not is_applicable(t, pivot)
