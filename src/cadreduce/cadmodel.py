@@ -11,13 +11,13 @@ sector (the open band between consecutive sections).
 A ``Cad`` is a *root*: it owns its stacks and all the geometry derived from
 them.  A coarsening of a root, obtained by cell merges, is a
 ``tree.CadTree``: a tree of cells, each the union of some root cells, read
-by the same index words, stack counts and root cells (``root_cells``).  Its
-geometry (probes, stack order, adaptedness) is decided on the root: it has
-no probes, and its ``validate_cad`` report is the root's.  A root derives
-one fixed probe set per cell, once (``Cad.cell_points``): a section's value
-at each probe of its base, where sqrt(g) and -sqrt(g) share one root of g,
-taken in integers at a rational probe.  The root also keeps the lift
-verdicts, one per slot of a glued stack (``reduction``).
+by the same index words and stack counts.  Its geometry (probes, stack
+order, adaptedness) is decided on the root: it has no probes, and its
+``validate_cad`` report is the root's.  A root derives one fixed probe set
+per cell, once (``Cad.cell_points``): a section's value at each probe of
+its base, where sqrt(g) and -sqrt(g) share one root of g, taken in
+integers at a rational probe.  The root also keeps the lift verdicts, one
+per slot of a glued stack (``reduction``).
 """
 
 from __future__ import annotations
@@ -142,10 +142,6 @@ class Cad:
 
     def leaf_count(self) -> int:
         return len(self.leaves())
-
-    def root_cells(self, cell: CellIndex) -> tuple[CellIndex, ...]:
-        """The root cells whose union this cell is: the cell itself."""
-        return (cell,)
 
     # -- geometry ----------------------------------------------------------
 

@@ -1,14 +1,16 @@
 """The poset of coarsenings below a root CAD.
 
-Exploration enumerates the closure of the root under liftable merges,
-deduplicating coarsenings by their interned top cell, which stands for the
-partition of root leaves they induce; the graph is keyed by that partition.
-The minimal elements are the sinks of the resulting graph.
+Exploration enumerates the closure of the root under liftable merges.  A
+coarsening is known by its interned top cell (``tree.CellTable``), which
+stands for the partition of root leaves it induces, and the graph is keyed
+by that cell; a partition is made only when one is asked for
+(``CadTree.partition_blocks``).  The minimal elements are the sinks of the
+resulting graph.
 
 **One-sink theorem.**  On the graph ``explore`` builds, these are
 equivalent: a minimum exists, the merge relation is confluent, and the graph
-has exactly one sink.  The graph is finite (its nodes are partitions of the
-root's leaves), rooted (every node is reached from the root), closed under
+has exactly one sink.  The graph is finite (its nodes stand for partitions of
+the root's leaves), rooted (every node is reached from the root), closed under
 lifts (every liftable merge of a node is one of its edges, so its sinks are
 exactly the coarsenings that admit no liftable merge), and every edge
 strictly lowers the leaf count, so it terminates.  Hence every node reaches
@@ -32,18 +34,18 @@ from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling, SectionStack, word_
 from cadreduce.expr import eval_coord  # noqa: F401  (re-exported; perfbench/test_perfbench.py calls it here)
 from cadreduce.reduction import try_lift
 from cadreduce.tree import applicable_pivots  # noqa: F401  (re-exported; perfbench/test_perfbench.py calls it here)
-from cadreduce.tree import Blocks, CadTree, CellTable, build_tree, merged_blocks
+from cadreduce.tree import Blocks, CadTree, Cell, CellTable, build_tree
 
 
 @dataclass
 class PosetGraph:
-    root_key: Blocks
-    nodes: dict[Blocks, CadTree] = field(default_factory=dict)
+    # Every node under its top cell, in breadth-first order: the root first.
+    nodes: dict[Cell, CadTree] = field(default_factory=dict)
     # The out-edges of every explored node: merge pivot -> target node.
-    out_edges: dict[Blocks, dict[CellIndex, Blocks]] = field(default_factory=dict)
+    out_edges: dict[Cell, dict[CellIndex, Cell]] = field(default_factory=dict)
 
     @property
-    def edges(self) -> frozenset[tuple[Blocks, CellIndex, Blocks]]:
+    def edges(self) -> frozenset[tuple[Cell, CellIndex, Cell]]:
         """All edges (source, pivot, target), read off ``out_edges``."""
         return frozenset(
             (src, pivot, dst) for src, out in self.out_edges.items() for pivot, dst in out.items()
@@ -51,10 +53,10 @@ class PosetGraph:
 
     # ``successors`` and ``descendants`` are traced by perfbench's tracer
     # (its ``TARGETS``); the tests' confluence oracles walk the graph with them.
-    def successors(self, key: Blocks) -> frozenset[Blocks]:
+    def successors(self, key: Cell) -> frozenset[Cell]:
         return frozenset(self.out_edges.get(key, {}).values())
 
-    def descendants(self, key: Blocks) -> set[Blocks]:
+    def descendants(self, key: Cell) -> set[Cell]:
         """Reflexive-transitive closure of the edge relation from a node."""
         seen = {key}
         frontier = [key]
@@ -72,39 +74,36 @@ def explore(root: Cad | CadTree, labels: LeafLabeling) -> PosetGraph:
     liftable merges.  Every node is a ``tree.CadTree``, one per lift
     accepted, and keeps the merges of the first path that reaches it.
     Its cells are hash-consed in one table per call (``tree.CellTable``),
-    so a child is known by its top cell, a merge into a node seen before
-    makes no cell, and a node's partition is read off its parent's once,
-    when the node is new."""
+    so a node is known by its top cell, the key of ``PosetGraph``, and a
+    merge into a node seen before makes no cell.  No partition is made."""
     start = build_tree(root, labels)
-    # A tree's partition is that of the CAD it is made from, whose leaves,
-    # if it is a coarsening, keep their blocks: they are not made again.
-    start.blocks = root.partition_blocks()
-    graph = PosetGraph(root_key=start.blocks, nodes={start.blocks: start})
-    seen = {start.top: start}
+    graph = PosetGraph({start.top: start})
     queue = deque([start])
     table = CellTable()
     while queue:
         node = queue.popleft()
-        out = graph.out_edges[node.blocks] = {}
+        out = graph.out_edges[node.top] = {}
         for pivot in node.pivots:
             child = try_lift(node, pivot, table)
             if child is None:
                 continue
-            known = seen.setdefault(child.top, child)
-            if known is child:
-                child.blocks = merged_blocks(node, pivot, node.blocks)
-                graph.nodes[child.blocks] = child
+            if graph.nodes.setdefault(child.top, child) is child:
                 queue.append(child)
-            out[pivot] = known.blocks
+            out[pivot] = child.top
     return graph
 
 
+def _sinks(graph: PosetGraph) -> list[CadTree]:
+    """The nodes with no outgoing merge."""
+    return [graph.nodes[key] for key, out in graph.out_edges.items() if not out]
+
+
 def minimal_elements(graph: PosetGraph) -> set[Blocks]:
-    """Nodes with no outgoing merge."""
-    return {key for key, out in graph.out_edges.items() if not out}
+    """The partitions of the sinks, made for the sinks only."""
+    return {node.partition_blocks() for node in _sinks(graph)}
 
 
-def minimum_element(graph: PosetGraph) -> Blocks | None:
+def minimum_element(graph: PosetGraph) -> CadTree | None:
     """The unique sink, if there is exactly one.
 
     Every node reaches some sink, because the graph is finite and every
@@ -112,11 +111,8 @@ def minimum_element(graph: PosetGraph) -> Blocks | None:
     and is the minimum, and with two sinks neither is below the other (see
     the module docstring).
     """
-    sinks = minimal_elements(graph)
-    if len(sinks) != 1:
-        return None
-    (sink,) = sinks
-    return sink
+    sinks = _sinks(graph)
+    return sinks[0] if len(sinks) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +151,10 @@ def poset_report(graph: PosetGraph) -> dict:
     two sinks reached from the root never rejoin (Newman 1942; see the
     module docstring).
     """
-    minimal = sorted(minimal_elements(graph), key=lambda k: (len(k), sorted(map(sorted, k))))
     minimum = minimum_element(graph)
+    minimal = [minimum] if minimum is not None else sorted(_sinks(graph), key=_sink_order)
 
-    def describe(key: Blocks) -> dict:
-        node = graph.nodes[key]
+    def describe(node: CadTree) -> dict:
         return {
             "leaf_count": node.leaf_count(),
             "history": [word_of(p) for p in node.applied],
@@ -168,8 +163,15 @@ def poset_report(graph: PosetGraph) -> dict:
     return {
         "node_count": len(graph.nodes),
         "edge_count": sum(map(len, graph.out_edges.values())),
-        "root_leaf_count": graph.nodes[graph.root_key].leaf_count(),
-        "minimal": [describe(k) for k in minimal],
+        "root_leaf_count": next(iter(graph.nodes.values())).leaf_count(),
+        "minimal": [describe(node) for node in minimal],
         "minimum": describe(minimum) if minimum is not None else None,
         "confluent": len(minimal) == 1,
     }
+
+
+def _sink_order(node: CadTree):
+    """Two or more sinks are listed by leaf count, then by their leaves'
+    root cells: the order of their partitions' sorted blocks."""
+    roots = sorted(cell.roots for _index, cell in node.indexed_leaves())
+    return len(roots), roots

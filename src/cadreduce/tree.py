@@ -19,8 +19,7 @@ and every cell, made once with the cell:
 A section cell also keeps its form: the one guard-free normal form of the
 root stack functions over its root cells, or None when they have none.  A
 lift check (``reduction``) makes it from the root cells on first read; a
-glued cell has it from its three inputs when they have theirs.  A leaf's
-block of the partition, the set of its root cells, is made on first read.
+glued cell has it from its three inputs when they have theirs.
 
 Index words, stack counts and leaf labels are read off the cells on demand,
 with the names a root ``Cad`` reads them by.  The geometry is the root's:
@@ -40,10 +39,11 @@ Conchon 2006): it looks up each glued cell and each path copy by its
 structure before it makes one, so one structure is one cell.  A leaf's
 structure is its root cells, an internal cell's its children; a glued triple
 is also kept under its three cells.  A cell has no equality of its own, so
-these keys compare cells by identity.  A coarsening's partition fixes every
-cell of its tree, so two merge paths through one table that reach one
-coarsening end at one top cell, which names it, and the later makes no cell.
-``poset.explore`` makes one table per call; ``minimize`` merges with none.
+these keys compare cells by identity.  A coarsening's partition of the
+root's leaves fixes every cell of its tree, so two merge paths through one
+table that reach one coarsening end at one top cell, which names it, and
+the later makes no cell.  ``poset.explore`` makes one table per call and
+knows each node by its top cell; ``minimize`` merges with none.
 """
 
 from __future__ import annotations
@@ -67,8 +67,7 @@ class Cell:
     """One cell of a coarsening: the sorted root cells whose union it is,
     its 2u+1 children (none at leaf level), its recursive label, the
     applicable pivots below it in pivot order, and its form (see the module
-    docstring).  A leaf also holds its block of the partition, which every
-    coarsening that shares the leaf shares too.  A cell defines no equality:
+    docstring).  A cell defines no equality:
     two cells are equal when they are one object, which is when they have
     one structure and were made through one ``CellTable``.
 
@@ -77,7 +76,7 @@ class Cell:
     label and pivots are spliced from ``cell``'s, and it keeps ``cell``'s
     form, as it has ``cell``'s root cells."""
 
-    __slots__ = ("roots", "children", "label", "pivots", "form", "_block")
+    __slots__ = ("roots", "children", "label", "pivots", "form")
 
     def __init__(
         self,
@@ -90,7 +89,7 @@ class Cell:
         self.children = children
         self.form = UNMADE
         if not children:
-            self.label, self.pivots, self._block = bit, (), None
+            self.label, self.pivots = bit, ()
         elif replacing is None:
             self.label: Label = tuple([c.label for c in children])
             own = [(letter,) for letter in range(2, len(children), 2) if _glues(children, letter)]
@@ -106,22 +105,14 @@ class Cell:
             self.pivots = _spliced_pivots(old.pivots, children, lo, hi)
             self.form = old.form
 
-    @property
-    def block(self) -> frozenset[CellIndex]:
-        """A leaf's block of the partition, made on first read."""
-        if self._block is None:
-            self._block = frozenset(self.roots)
-        return self._block
-
 
 class CadTree:
     """A labelled coarsening of a root CAD: its tree of cells below ``top``
     and the pivots merged, in order, since ``build_tree`` made its first
     tree (``applied``).  Its index words, stack counts, root cells, labels,
-    pivots and partition are read off the cells; its probes, its
-    validation report and the lift verdicts are the root's.  ``blocks``,
-    the partition of the root's leaves, is made on first read, or set by
-    ``poset.explore`` from the parent's (``merged_blocks``)."""
+    pivots, leaf count and partition are read off the cells, the partition
+    only when asked for; its probes, its validation report and the lift
+    verdicts are the root's."""
 
     is_root = False
 
@@ -129,7 +120,6 @@ class CadTree:
         self.root = root
         self.top = top
         self.applied = applied
-        self.blocks: Blocks | None = None
 
     @property
     def cad(self) -> CadTree:
@@ -171,10 +161,6 @@ class CadTree:
     cells_of_level = Cad.cells_of_level
     leaves = Cad.leaves
 
-    def root_cells(self, cell: CellIndex) -> tuple[CellIndex, ...]:
-        """The root cells whose union this cell is."""
-        return self.cell(cell).roots
-
     @property
     def labels(self) -> LeafLabeling:
         return {leaf: cell.label for leaf, cell in self.indexed_leaves()}
@@ -188,28 +174,34 @@ class CadTree:
     def partition_blocks(self) -> Blocks:
         """The partition of the root's leaves induced by this coarsening's
         leaves; it identifies the coarsening."""
-        if self.blocks is None:
-            self.blocks = frozenset(cell.block for cell in _leaves(self.top))
-        return self.blocks
+        return frozenset(frozenset(cell.roots) for cell in _leaves(self.top))
 
     def leaf_count(self) -> int:
-        return len(self.partition_blocks())
+        return len(_leaves(self.top))
 
 
 def build_tree(cad: Cad | CadTree, labels: LeafLabeling) -> CadTree:
-    """The coarsening that ``minimize`` and ``explore`` start from: the
-    ``labelled_tree`` of a CAD (a root or a coarsening), once
-    ``validate_cad`` admits its root; ``ValidationFailed`` otherwise."""
+    """The coarsening that ``minimize`` and ``explore`` start from, once
+    ``validate_cad`` admits its root (``ValidationFailed`` otherwise): the
+    ``labelled_tree`` of a root, or a coarsening's own cells, with no merge
+    applied.  A coarsening is labelled by its own leaves' labels; other
+    labels raise ``ValueError``."""
     report = validate_cad(cad.root)
     if not report.admits_reduction:
         raise ValidationFailed(report)
-    return labelled_tree(cad, labels)
+    if cad.is_root:
+        return labelled_tree(cad, labels)
+    if labels != cad.labels:
+        raise ValueError("a coarsening's labels are its own leaves' labels")
+    return CadTree(cad.root, cad.top)
 
 
-def labelled_tree(cad: Cad | CadTree, labels: LeafLabeling) -> CadTree:
-    """The tree of a CAD (a root or a coarsening) with a total labelling of
-    its leaves by 0 and 1; any other labelling is rejected.  It reads the
-    CAD's cells only, and passes no gate (``build_tree``)."""
+def labelled_tree(cad: Cad, labels: LeafLabeling) -> CadTree:
+    """The tree of a root CAD with a total labelling of its leaves by 0 and
+    1; any other labelling is rejected.  It reads the CAD's cells only, and
+    passes no gate (``build_tree``)."""
+    if not cad.is_root:
+        raise ValueError("labelled_tree grows a root CAD; build_tree starts from a coarsening")
     leaves = cad.leaves()
     missing = [leaf for leaf in leaves if leaf not in labels]
     if missing:
@@ -224,10 +216,10 @@ def labelled_tree(cad: Cad | CadTree, labels: LeafLabeling) -> CadTree:
 
     def grow(index: CellIndex) -> Cell:
         if len(index) == n:
-            return Cell(cad.root_cells(index), bit=labels[index])
-        return Cell(cad.root_cells(index), tuple(map(grow, cad.children(index))))
+            return Cell((index,), bit=labels[index])
+        return Cell((index,), tuple(map(grow, cad.children(index))))
 
-    return CadTree(cad.root, grow(()))
+    return CadTree(cad, grow(()))
 
 
 def prefix(index: CellIndex, k: int) -> CellIndex:
@@ -409,17 +401,6 @@ def triple(tree: CadTree, pivot: CellIndex) -> tuple[Cell, Cell, Cell]:
     flanking siblings."""
     letter = pivot[-1]
     return tree.cell(pivot[:-1]).children[letter - 2 : letter + 1]
-
-
-def merged_blocks(tree: CadTree, pivot: CellIndex, blocks: frozenset) -> frozenset:
-    """The partition of the root's leaves after the merge at an applicable
-    pivot, from ``blocks``, the tree's own: the leaf blocks of the three
-    merged subtrees go, and the block of each glued leaf, the union of the
-    three leaves at its place, comes in.  ``explore`` reads it once per new
-    node."""
-    left, mid, right = map(_leaves, triple(tree, pivot))
-    gone = [leaf.block for leaf in left + mid + right]
-    return blocks.difference(gone).union([a.block.union(b.block, c.block) for a, b, c in zip(left, mid, right)])
 
 
 def _leaves(cell: Cell) -> list[Cell]:

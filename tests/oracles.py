@@ -9,6 +9,8 @@ pipeline does not call.
   that the one-sink theorem of ``cadreduce.poset`` replaces;
 - ``explore_by_partition``: the poset of coarsenings with every child known
   by its partition, as ``explore`` found it before it interned cells;
+- ``merged_blocks``: a merge's partition read off the parent's, as
+  ``explore`` read each new node's before it knew nodes by their top cells;
 - ``insert_section``: refinement by slicing one sector, which rebuilds the
   finer gallery CADs from the coarser ones;
 - ``common_refinement``: the paper's C-bar, a CAD refining two CADs whose
@@ -47,7 +49,7 @@ from cadreduce.expr import (
 from cadreduce.poset import PosetGraph
 from cadreduce.reduction import try_lift
 from cadreduce.realroots import ZERO, UniPoly, poly
-from cadreduce.tree import CadTree, build_tree
+from cadreduce.tree import CadTree, _leaves, build_tree, triple
 
 # ---------------------------------------------------------------------------
 # Samples and location
@@ -139,7 +141,7 @@ def partition_refines(fine_blocks, coarse_blocks) -> bool:
 def is_locally_confluent(graph: PosetGraph) -> bool:
     """Any two one-step reducts of a node have a common descendant."""
     for key in graph.nodes:
-        succ = sorted(graph.successors(key), key=sorted)
+        succ = list(graph.successors(key))
         for i, a in enumerate(succ):
             da = graph.descendants(a)
             for b in succ[i + 1 :]:
@@ -151,7 +153,7 @@ def is_locally_confluent(graph: PosetGraph) -> bool:
 def is_globally_confluent(graph: PosetGraph) -> bool:
     """Any two descendants of a node have a common descendant."""
     for key in graph.nodes:
-        desc = sorted(graph.descendants(key), key=sorted)
+        desc = list(graph.descendants(key))
         for i, a in enumerate(desc):
             da = graph.descendants(a)
             for b in desc[i + 1 :]:
@@ -163,22 +165,33 @@ def is_globally_confluent(graph: PosetGraph) -> bool:
 def explore_by_partition(root: Cad, labels: LeafLabeling) -> PosetGraph:
     """``explore`` with each child deduplicated by its partition, read off
     the child's own tree with no interned cell (``CadTree.partition_blocks``),
-    not off its parent's, on every edge."""
+    on every edge; the graph is keyed by partition."""
     start = build_tree(root, labels)
-    graph = PosetGraph(root_key=start.partition_blocks(), nodes={start.blocks: start})
-    queue = deque([start])
+    key = start.partition_blocks()
+    graph = PosetGraph({key: start})
+    queue = deque([(key, start)])
     while queue:
-        node = queue.popleft()
-        out = graph.out_edges[node.blocks] = {}
+        key, node = queue.popleft()
+        out = graph.out_edges[key] = {}
         for pivot in node.pivots:
             child = try_lift(node, pivot)
             if child is None:
                 continue
-            out[pivot] = child.partition_blocks()
-            if child.blocks not in graph.nodes:
-                graph.nodes[child.blocks] = child
-                queue.append(child)
+            out[pivot] = blocks = child.partition_blocks()
+            if blocks not in graph.nodes:
+                graph.nodes[blocks] = child
+                queue.append((blocks, child))
     return graph
+
+
+def merged_blocks(tree: CadTree, pivot: CellIndex, blocks: frozenset) -> frozenset:
+    """The partition of the root's leaves after the merge at an applicable
+    pivot, from ``blocks``, the tree's own: the leaf blocks of the three
+    merged subtrees go, and the block of each glued leaf, the union of the
+    three leaves at its place, comes in."""
+    left, mid, right = map(_leaves, triple(tree, pivot))
+    gone = [frozenset(leaf.roots) for leaf in left + mid + right]
+    return blocks.difference(gone).union([frozenset(a.roots + b.roots + c.roots) for a, b, c in zip(left, mid, right)])
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,8 @@ def answer(cad, labels) -> dict:
     from cadreduce.poset import explore, poset_report
     from cadreduce.reduction import minimize
 
-    def blocks(key):
-        return sorted(sorted(word_of(c) for c in block) for block in key)
+    def blocks(partition):
+        return sorted(sorted(word_of(c) for c in block) for block in partition)
 
     points = {
         word_of(cell): _points(cad, cell) for k in range(cad.n + 1) for cell in cad.cells_of_level(k)
@@ -77,8 +77,9 @@ def answer(cad, labels) -> dict:
     except ValidationFailed as exc:  # the refusal is the answer
         return {**got, "refused": type(exc).__name__}
     graph = explore(cad, labels)
-    edges = sorted([blocks(src), word_of(pivot), blocks(dst)] for src, pivot, dst in graph.edges)
-    histories = sorted([blocks(key), [word_of(p) for p in node.applied]] for key, node in graph.nodes.items())
+    words = {top: blocks(node.partition_blocks()) for top, node in graph.nodes.items()}
+    edges = sorted([words[src], word_of(pivot), words[dst]] for src, pivot, dst in graph.edges)
+    histories = sorted([words[top], [word_of(p) for p in node.applied]] for top, node in graph.nodes.items())
     return {
         **got,
         "applied": applied,

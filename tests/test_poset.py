@@ -74,8 +74,9 @@ def test_explore_single_chain():
     cad, labels = single_chain(2)
     graph = explore(cad, labels)
     assert len(graph.nodes) == 1 and not graph.edges
-    assert minimal_elements(graph) == {graph.root_key}
-    assert minimum_element(graph) == graph.root_key
+    (root,) = graph.nodes.values()
+    assert minimal_elements(graph) == {root.partition_blocks()}
+    assert minimum_element(graph) is root
     assert is_locally_confluent(graph)
 
 
@@ -88,8 +89,8 @@ def test_explore_disk_cpp():
     assert len(sinks) == 1
     minimum = minimum_element(graph)
     assert minimum is not None
-    assert graph.nodes[minimum].leaf_count() == 13
-    assert minimum == coarsening_blocks(disk_c().cad, entry.cad)
+    assert minimum.leaf_count() == 13
+    assert sinks == {minimum.partition_blocks()} == {coarsening_blocks(disk_c().cad, entry.cad)}
     assert is_locally_confluent(graph)
     assert any(pivot == (4, 6) for _s, pivot, _d in graph.edges)
 
@@ -110,7 +111,7 @@ def test_trousers_common_refinement_and_poset():
     }
     assert minimum_element(graph) is None
     assert not is_locally_confluent(graph)
-    counts = sorted(graph.nodes[k].leaf_count() for k in sinks)
+    counts = sorted(node.leaf_count() for key, node in graph.nodes.items() if not graph.out_edges[key])
     assert counts == [9, 15]
 
 
@@ -131,7 +132,7 @@ def test_edges_strictly_decrease_leaf_count():
     entry = disk_cpp()
     graph = explore(entry.cad, entry.labels)
     for src, _pivot, dst in graph.edges:
-        assert len(dst) < len(src)
+        assert graph.nodes[dst].leaf_count() < graph.nodes[src].leaf_count()
 
 
 def test_common_refinement_of_identical_cads():
@@ -247,10 +248,11 @@ def test_every_explored_node_is_a_valid_adapted_coarsening_of_the_root(name):
     for cad, labels in ((entry.cad, entry.labels), extend_cylinder(entry.cad, entry.labels, entry.cad.n + 1)):
         assert validate_cad(cad).ok and check_adapted(cad, entry.formula) == labels, (name, cad.n)
         graph = explore(cad, labels)
-        for key, node in graph.nodes.items():
+        root_blocks = next(iter(graph.nodes.values())).partition_blocks()
+        for node in graph.nodes.values():
             mismatches, count = block_label_mismatches(node, labels)
             assert mismatches == [], (name, cad.n, node.applied)
-            assert partition_refines(graph.root_key, key), (name, cad.n, node.applied)
+            assert partition_refines(root_blocks, node.partition_blocks()), (name, cad.n, node.applied)
             checked += count
     assert checked >= 2 * len(entry.labels), name
 
@@ -281,17 +283,19 @@ def test_dedup_keeps_one_history_per_partition():
     entry = disk_cpp()
     graph = explore(entry.cad, entry.labels)
     for key, node in graph.nodes.items():
-        assert node.blocks == key
+        assert node.top is key
         assert len(node.applied) <= 4
+    assert len({node.partition_blocks() for node in graph.nodes.values()}) == len(graph.nodes)
 
 
 def brute_force_minimum(graph):
-    """The unique sink, provided every node reaches it by ``descendants``."""
+    """The unique sink node, provided every node reaches it by
+    ``descendants``."""
     sinks = [key for key in graph.nodes if not graph.successors(key)]
     if len(sinks) != 1:
         return None
     if all(sinks[0] in graph.descendants(key) for key in graph.nodes):
-        return sinks[0]
+        return graph.nodes[sinks[0]]
     return None
 
 
@@ -309,7 +313,7 @@ def test_sink_count_answers_match_definitional_oracles():
         report = poset_report(graph)
         local, global_ = is_locally_confluent(graph), is_globally_confluent(graph)
         assert report["confluent"] == local == global_, name
-        assert minimum_element(graph) == brute_force_minimum(graph), name
+        assert minimum_element(graph) is brute_force_minimum(graph), name
         sink_counts.add(len(minimal_elements(graph)))
     assert sink_counts == {1, 2}
 
@@ -331,7 +335,8 @@ def test_poset_report_walks_no_edges(monkeypatch):
 def test_explore_matches_the_partition_keyed_oracle(monkeypatch):
     # ``explore`` knows a child by its interned top cell; the oracle knows it
     # by its partition.  Both find the same nodes, edges and sinks, and each
-    # node keeps the merges of the same first path.
+    # node keeps the merges of the same first path.  The nodes' partitions
+    # are made here, once each.
     workloads = load_perfbench("workloads", monkeypatch)
     inputs = [(name, build()) for name, build in lift_fixtures()]
     for k in range(1, 7):
@@ -340,11 +345,11 @@ def test_explore_matches_the_partition_keyed_oracle(monkeypatch):
     edges = 0
     for name, (cad, labels) in inputs:
         graph, oracle = explore(cad, labels), explore_by_partition(cad, labels)
-        assert graph.root_key == oracle.root_key, name
-        assert list(graph.nodes) == list(oracle.nodes), name
-        assert graph.edges == oracle.edges, name
+        blocks = {top: node.partition_blocks() for top, node in graph.nodes.items()}
+        assert list(blocks.values()) == list(oracle.nodes), name
+        assert {(blocks[src], pivot, blocks[dst]) for src, pivot, dst in graph.edges} == oracle.edges, name
         assert minimal_elements(graph) == minimal_elements(oracle), name
-        assert {k: n.applied for k, n in graph.nodes.items()} == {k: n.applied for k, n in oracle.nodes.items()}, name
+        assert {blocks[k]: n.applied for k, n in graph.nodes.items()} == {k: n.applied for k, n in oracle.nodes.items()}, name
         edges += len(graph.edges)
     assert edges > 500, edges
 
@@ -370,9 +375,8 @@ def test_commuting_merges_reach_one_top_cell(name, monkeypatch):
     monkeypatch.setattr(reduction, "merge_applicable", recorded)
     graph = explore(cad, labels)
     nodes = graph.nodes
-    top = {key: node.top for key, node in nodes.items()}
-    assert len({id(cell) for cell in top.values()}) == len(nodes)
+    assert all(node.top is key for key, node in nodes.items())
     for src, pivot, dst in graph.edges:
-        assert tops[id(nodes[src]), pivot].top is top[dst], (src, pivot)
+        assert tops[id(nodes[src]), pivot].top is dst, (src, pivot)
     # A node with two in-edges is reached by two merges in either order.
     assert max(Counter(dst for _src, _pivot, dst in graph.edges).values()) >= 2

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cadreduce.cadmodel import Cad, SectionStack, check_adapted, validate_cad
-from cadreduce import cadmodel, poset, reduction
+from cadreduce import cadmodel, reduction
 from cadreduce.errors import LabelMissing, RuleNotApplicable, UnknownOrder, ValidationFailed
 from cadreduce.expr import TRUE, Neg, Sqrt, any_node, canonicalize, compare_coords, eval_coord, is_piecewise, parse_expr
 from cadreduce.gallery import (
@@ -25,7 +25,17 @@ from cadreduce.reduction import (
     minimize,
     try_lift,
 )
-from cadreduce.tree import UNMADE, CadTree, Cell, applicable_pivots, apply_merge, build_tree, relabel_index, triple
+from cadreduce.tree import (
+    UNMADE,
+    CadTree,
+    Cell,
+    applicable_pivots,
+    apply_merge,
+    build_tree,
+    labelled_tree,
+    relabel_index,
+    triple,
+)
 from tests.oracles import block_label_mismatches, coarsening_blocks, insert_section, pivot_order, refines
 from tests.test_packaging import load_perfbench
 from tests.test_tree import (
@@ -333,7 +343,8 @@ def test_insert_section_rejects_out_of_range():
 def reachable(target, start, labels):
     """Whether a chain of liftable merges from ``start`` reaches ``target``
     (reflexively), comparing partitions of the shared root."""
-    return coarsening_blocks(target, start) in explore(start, labels).nodes
+    nodes = explore(start, labels).nodes.values()
+    return coarsening_blocks(target, start) in {node.partition_blocks() for node in nodes}
 
 
 def test_reduction_reachable_disk():
@@ -374,12 +385,12 @@ def all_cells(cad: Cad):
     return [cell for k in range(cad.n + 1) for cell in cad.cells_of_level(k)]
 
 
-def full_relabel_cellmap(cad: Cad, pivot):
+def full_relabel_cellmap(tree: CadTree, pivot):
     """Oracle: every cell relabelled, merged cells' root cells united."""
     cellmap = {}
-    for cell in all_cells(cad):
+    for cell in all_cells(tree):
         image = relabel_index(pivot, cell)
-        cellmap[image] = tuple(sorted(set(cellmap.get(image, ())) | set(cad.root_cells(cell))))
+        cellmap[image] = tuple(sorted(set(cellmap.get(image, ())) | set(tree.cell(cell).roots)))
     return cellmap
 
 
@@ -391,7 +402,7 @@ def assert_child_matches_full_relabel(node: CadTree, pivot, child: CadTree) -> N
     cellmap = full_relabel_cellmap(node, pivot)
     assert index_views(child) == (counts, labels, cellmap)
     assert {cell: child.stack_count(cell) for k in range(child.n) for cell in child.cells_of_level(k)} == counts
-    assert {cell: child.root_cells(cell) for cell in all_cells(child)} == cellmap
+    assert {cell: child.cell(cell).roots for cell in all_cells(child)} == cellmap
     assert child.labels == labels
     assert child.partition_blocks() == frozenset(frozenset(cellmap[leaf]) for leaf in labels)
 
@@ -459,15 +470,15 @@ def explored_inputs(monkeypatch):
 
 
 def test_kept_pivots_and_blocks_match_the_walks(monkeypatch):
-    # Every cell keeps its pivots, and a child computes its partition from
-    # its parent's; the walks they replace stay here as oracles.
+    # Every cell keeps its pivots, and a node's partition is read off its
+    # leaves' root cells; the walks by index word stay here as oracles.
     nodes = 0
     for name, (cad, labels) in explored_inputs(monkeypatch):
         for node in explore(cad, labels).nodes.values():
             assert len(node.pivots) == len(walk_pivots(node)), (name, node.applied)
             assert set(node.pivots) == walk_pivots(node), (name, node.applied)
-            by_word = frozenset(frozenset(node.root_cells(leaf)) for leaf in node.leaves())
-            assert node.blocks == by_word, (name, node.applied)
+            by_word = frozenset(frozenset(node.cell(leaf).roots) for leaf in node.leaves())
+            assert node.partition_blocks() == by_word, (name, node.applied)
             nodes += 1
     assert nodes > 100
 
@@ -723,13 +734,18 @@ def test_cells_made_per_merge_do_not_grow_with_the_cad(monkeypatch):
 def test_explore_builds_nothing_for_an_edge_into_a_seen_node(monkeypatch):
     # A cost guard that reads no clock.  ``explore`` merges once per edge,
     # with interned cells, so a merge that ends at a top cell seen before in
-    # the call makes no cell; and it reads a child's partition off its
-    # parent's only when the child is new.  The top cells are kept, so each
+    # the call makes no cell.  Neither ``explore`` nor ``poset_report``
+    # makes a partition: not on disk-lines(m), not on the gallery, and not
+    # on a ``minimize`` result fed back in.  The top cells are kept, so each
     # is compared by identity while the test holds it.
     workloads = load_perfbench("workloads", monkeypatch)
+    others = [(entry.cad, entry.labels) for entry in map(load_entry, gallery_names())]
+    disk = workloads.disk_lines(96, 0)
+    reduced = minimize(disk.cad, disk.labels)
+    others.append((reduced, reduced.labels))
     made = count_cells(monkeypatch)
-    merges, blocks = [], []
-    merge, merged_blocks = reduction.merge_applicable, poset.merged_blocks
+    merges = []
+    merge = reduction.merge_applicable
 
     def recorded_merge(tree, pivot, table):
         before = len(made)
@@ -737,16 +753,17 @@ def test_explore_builds_nothing_for_an_edge_into_a_seen_node(monkeypatch):
         merges.append((reduced.top, len(made) - before))
         return reduced
 
-    def counted_blocks(*args):
-        blocks.append(1)
-        return merged_blocks(*args)
+    def no_partition(self):
+        raise AssertionError("a partition was made")
 
     monkeypatch.setattr(reduction, "merge_applicable", recorded_merge)
-    monkeypatch.setattr(poset, "merged_blocks", counted_blocks)
+    monkeypatch.setattr(Cad, "partition_blocks", no_partition)
+    monkeypatch.setattr(CadTree, "partition_blocks", no_partition)
     for m in (5, 6, 7, 8):
         inp = workloads.disk_lines(m, 0)
-        del merges[:], blocks[:]
+        del merges[:]
         graph = explore(inp.cad, inp.labels)
+        assert poset_report(graph)["node_count"] == len(graph.nodes)
         assert len(graph.nodes) == 2**m and len(merges) == len(graph.edges), m
         seen, into_seen = set(), []
         for top, cells in merges:
@@ -755,7 +772,8 @@ def test_explore_builds_nothing_for_an_edge_into_a_seen_node(monkeypatch):
             seen.add(top)
         assert len(seen) == len(graph.nodes) - 1 and len(into_seen) == len(graph.edges) - len(seen), m
         assert not any(into_seen), m
-        assert len(blocks) == len(graph.nodes) - 1, m
+    reports = [poset_report(explore(cad, labels)) for cad, labels in others]
+    assert [len(report["minimal"]) for report in reports].count(2) == 3 and reports[-1]["node_count"] == 1
 
 
 def test_explore_checks_each_pivot_once_and_makes_one_tree_per_lift(monkeypatch):
@@ -841,16 +859,16 @@ def test_lift_checks_list_as_many_root_cells_per_merge_at_every_m(monkeypatch):
     assert keyed == []
 
 
-def assert_glued_sections_are_root_sections(cad: Cad, where) -> None:
+def assert_glued_sections_are_root_sections(cad: CadTree, where) -> None:
     """Over each root cell of a cell, each section of the cell's stack is
     exactly one root section, and their letters increase with the slot: a
     glued stack is ordered wherever the root's stacks are."""
     for k in range(cad.n):
         for cell in cad.cells_of_level(k):
-            for root_parent in cad.root_cells(cell):
+            for root_parent in cad.cell(cell).roots:
                 letters = []
                 for slot in range(1, cad.stack_count(cell) + 1):
-                    over = [q[-1] for q in cad.root_cells(cell + (2 * slot,)) if q[:-1] == root_parent]
+                    over = [q[-1] for q in cad.cell(cell + (2 * slot,)).roots if q[:-1] == root_parent]
                     assert len(over) == 1 and over[0] % 2 == 0, (where, cell, slot, root_parent, over)
                     letters += over
                 assert all(a < b for a, b in zip(letters, letters[1:])), (where, cell, root_parent, letters)
@@ -935,3 +953,25 @@ def test_one_label_rule_at_the_boundary(run):
     for labels, error in bad_labellings(entry):
         with pytest.raises(error):
             run(entry.cad, labels)
+
+
+@pytest.mark.parametrize("run", [build_tree, minimize, explore], ids=["build_tree", "minimize", "explore"])
+def test_a_coarsening_fed_back_in_keeps_its_cells(run, monkeypatch):
+    # A coarsening labelled by its own leaves starts from its own cells: no
+    # cell is made again, and the forms its lift checks made stay made.
+    # Any other labels are refused at the boundary.
+    inp = load_perfbench("workloads", monkeypatch).disk_lines(96, 0)
+    res = minimize(inp.cad, inp.labels)
+    kept = [(cell, cell.form) for cell in section_cells(res) if cell.form is not UNMADE]
+    made = count_cells(monkeypatch)
+    start = run(res, res.labels)
+    if run is explore:
+        assert len(start.nodes) == 1
+        (start,) = start.nodes.values()
+    assert start.top is res.top and start.applied == () and start.root is inp.cad
+    assert not made and kept and all(cell.form is form for cell, form in kept)
+    flipped = {leaf: 1 - bit for leaf, bit in res.labels.items()}
+    with pytest.raises(ValueError):
+        run(res, flipped)
+    with pytest.raises(ValueError):
+        labelled_tree(res, res.labels)

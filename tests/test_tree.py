@@ -11,10 +11,10 @@ from cadreduce.tree import (
     apply_merge,
     build_tree,
     is_applicable,
-    merged_blocks,
     prefix,
     relabel_index,
 )
+from tests import oracles
 
 
 def sibling(pivot, offset: int):
@@ -44,10 +44,6 @@ def walk_pivots(tree: CadTree) -> set:
         for letter in range(2, len(cell.children), 2)
         if cell.children[letter - 2].label == cell.children[letter - 1].label == cell.children[letter].label
     }
-
-
-def tree_blocks(tree: CadTree) -> frozenset:
-    return frozenset(cell.block for _index, cell in tree.indexed_leaves())
 
 
 def assert_valid(tree: CadTree) -> None:
@@ -277,7 +273,7 @@ def test_apply_merge_matches_full_relabel():
                 assert index_views(reduced) == (*full_relabel_merge(t, pivot), full_relabel_roots(t, pivot))
                 assert_valid(reduced)
                 assert applicable_pivots(reduced) == walk_pivots(reduced)
-                assert merged_blocks(t, pivot, tree_blocks(t)) == tree_blocks(reduced)
+                assert reduced.partition_blocks() == oracles.merged_blocks(t, pivot, t.partition_blocks())
                 shared += assert_shares_all_but_the_path_and_the_triple(t, pivot, reduced)
                 assert index_views(t) == before
                 checked += 1
