@@ -119,9 +119,13 @@ class Cad:
         # The root's ``validate_cad`` report, made on first use.
         self._validation: ValidationReport | None = None
         # Lift verdicts (see ``reduction._lift_allowed``): one per slot
-        # of a glued stack, keyed by the merge level and the root cells
-        # of the slot's three section cells.
+        # of a glued stack, keyed by the merge level and the keys of the
+        # root cells of the slot's three section cells (their hash, bound
+        # here to one set of root cells: ``tree.Cell.roots_key``).
         self._lift_cache: dict[tuple, bool] = {}
+        self._root_sets: dict[int, object] = {}
+        # The normal form of each stack function a lift check has read.
+        self._normal_forms: dict[Expr, Expr] = {}
 
     # -- structure ---------------------------------------------------------
 

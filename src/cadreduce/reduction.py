@@ -49,7 +49,14 @@ complete.  It is incomplete where:
 
 A lift's verdict is the conjunction of its slots' verdicts.  The root
 keeps each slot's verdict (``Cad._lift_cache``) under what it reads: the
-merge level and the root cells of the slot's three section cells.
+merge level and the root cells of the slot's three section cells.  Each
+set of root cells enters the key as its hash, which a glued cell has from
+its inputs; the root binds each hash to the first set that has it
+(``Cad._root_sets``, ``tree.Cell.roots_key``), and keys any other set of
+that hash by its listed root cells.  So a key costs O(1) to make, hash and
+keep however many root cells the glued sections hold, and the memo keeps
+four numbers per slot and the first cell's root cells per set: a union of
+its inputs', not a list, for a glued cell.
 
 Merges at leaf level (k = n) just drop a section from one stack and are
 always valid.
@@ -92,32 +99,36 @@ def try_lift(node: CadTree, pivot: CellIndex, table: CellTable | None = None) ->
     hash-conses the cells the merge makes."""
     if not is_applicable(node, pivot):
         raise RuleNotApplicable(f"pivot {word_of(pivot)} is not applicable")
-    if not _lift_allowed(node.root, triple(node, pivot)):
+    if not _lift_allowed(node.root, len(pivot), triple(node, pivot)):
         return None
     return merge_applicable(node, pivot, table)
 
 
-def _lift_allowed(root: Cad, cells: tuple[Cell, Cell, Cell]) -> bool:
-    """Whether the stacks above the three merged cells glue to continuous
-    sections: their subtrees are walked in parallel, as ``tree.glue`` zips
-    them, and each slot of each stack is checked on its three section
-    cells.  A slot's verdict reads only the root, the merge level k and the
-    root cells of its three section cells, so the root keeps it under
-    those, for every lift that glues the same slot."""
-    k = len(cells[1].roots[0])
+def _lift_allowed(root: Cad, k: int, cells: tuple[Cell, Cell, Cell]) -> bool:
+    """Whether the stacks above the three cells a merge at level ``k``
+    glues glue to continuous sections: their subtrees are walked in
+    parallel, as ``tree.glue`` zips them, and each slot of each stack is
+    checked on its three section cells.  A slot's verdict reads only the
+    root, k and the root cells of its three section cells, so the root
+    keeps it under k and their ``Cell.roots_key``s, for every lift that
+    glues the same slot."""
+    verdicts, kept = root._lift_cache, root._root_sets
     frontier = [cells]
     while frontier:
         left, mid, right = frontier.pop()
         for i in range(1, len(mid.children), 2):  # the section children
-            key = (k, left.children[i].roots, mid.children[i].roots, right.children[i].roots)
-            verdict = root._lift_cache.get(key)
+            sections = a, b, c = left.children[i], mid.children[i], right.children[i]
+            if a.keyed_in is kept and b.keyed_in is kept and c.keyed_in is kept:  # keys are their hashes
+                key = (k, a.roots_hash, b.roots_hash, c.roots_hash)
+            else:
+                key = (k, a.roots_key(kept), b.roots_key(kept), c.roots_key(kept))
+            verdict = verdicts.get(key)
             if verdict is None:
-                sections = (left.children[i], mid.children[i], right.children[i])
-                verdict = root._lift_cache[key] = _glues_continuously(root, k, sections)
+                verdict = verdicts[key] = _glues_continuously(root, k, sections)
             if not verdict:
                 return False
-        # Leaves carry no stack.
-        frontier += [below for below in zip(left.children, mid.children, right.children) if below[1].children]
+        if mid.children and mid.children[0].children:  # leaves carry no stack
+            frontier += zip(left.children, mid.children, right.children)
     return True
 
 
@@ -135,9 +146,14 @@ def _form(root: Cad, section: Cell, like: Expr | None = None):
     again."""
     form = section.form
     if form is UNMADE:
-        # A root stack function recurs over many root cells; it is put in
-        # normal form once per cell.
-        forms = {canonicalize(f) for f in {id(f): f for _, f in _pieces(root, section)}.values()}
+        # A root stack function recurs over many root cells; the root puts
+        # it in normal form once.
+        made, forms = root._normal_forms, set()
+        for _, f in _pieces(root, section):
+            g = made.get(f)
+            if g is None:
+                g = made[f] = canonicalize(f)
+            forms.add(g)
         form = forms.pop() if len(forms) == 1 else None
         if form is not None and form is not like and any_node(form, is_piecewise):
             form = None
@@ -181,10 +197,17 @@ def minimize(cad: Cad | CadTree, labels: LeafLabeling) -> CadTree:
     Pivots are attempted in pivot order (``CadTree.pivots``); the first
     lift that succeeds is applied and the search restarts on the result.
     The result's ``applied`` lists the merges in order.
+
+    The scan reads the top cell's kept pivots one at a time, so it makes no
+    word past the pivot that lifts.  A merge then costs as many Python steps
+    at every size of the CAD: the lift check keys each slot in O(1), and
+    the merge makes the glued cells and the path copies (``tree``).  What
+    grows with the CAD is the root's tree, made once, and the C-level
+    slices of each copy's children, label and own pivots.
     """
     node = build_tree(cad, labels)
     while True:
-        for pivot in node.pivots:
+        for pivot in node.top.each_pivot():
             child = try_lift(node, pivot)
             if child is not None:
                 node = child

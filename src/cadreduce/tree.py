@@ -7,12 +7,14 @@ immutable tree of ``Cell`` objects, and the merges that made it.
 ``build_tree`` makes the first tree, once the root's validation admits it;
 every merge makes a new ``CadTree``.  A cell of depth k < n with branching
 count u has exactly 2u+1 children; all leaves sit at depth n.  Every cell
-holds the sorted root cells whose union it is, every leaf its label bit,
-and every cell, made once with the cell:
+holds the root cells whose union it is, every leaf its label bit, and
+every cell, made once with the cell:
 
+- the hash of its root cells, the sum of their index words' hashes;
 - its recursive label (the leaf bit, or the tuple of its children's labels);
-- the applicable pivots of its subtree, as index words relative to it, in
-  pivot order: deepest first, then lexicographic.  A cell merges its
+- the applicable pivots of its subtree, in pivot order: deepest first, then
+  lexicographic.  Those below its children are index words relative to it,
+  its own are letters counted from its last child.  A cell merges its
   children's by depth, so the pivots of a tree, its top cell's, are never
   sorted again.
 
@@ -30,9 +32,17 @@ glued stack under the root cells of its three section cells
 A merge at an even *pivot* glues the pivot and its two flanking siblings
 into one cell; it applies exactly when the three recursive labels coincide.
 The glued cell is new, and so are the cells on the path from the top to the
-pivot's parent; every other cell is the same object in both trees.  A copy
-on the path splices its label and pivots from the cell it replaces, so a
-merge costs the glued cells and the path, not the children along it.
+pivot's parent; every other cell is the same object in both trees.  A merge
+costs the glued cells and the path.  A glued cell sums its inputs' hashes
+and, made with no table, keeps their root cells as a ``RootUnion`` until
+they are read, so a merge need not walk the root cells it glues (a table
+lists them, as its keys are small).  A copy on the path splices its
+label and pivots from the cell it replaces.  Its own pivots after the merged
+children keep their count from the last child, so only those before them
+are counted again; the pivots below its children are filtered and those
+under later children renumbered (a copy whose children are leaves has
+none).  What grows with a copied cell of u children is done in C: slicing
+its children, its label and its own pivots.
 
 A merge given a ``CellTable`` hash-conses the cells it makes (Filliatre and
 Conchon 2006): it looks up each glued cell and each path copy by its
@@ -50,6 +60,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import repeat
+from operator import neg
 from typing import Iterator
 
 from cadreduce.cadmodel import Cad, CellIndex, LeafLabeling, validate_cad
@@ -64,46 +75,141 @@ UNMADE = object()
 
 
 class Cell:
-    """One cell of a coarsening: the sorted root cells whose union it is,
-    its 2u+1 children (none at leaf level), its recursive label, the
-    applicable pivots below it in pivot order, and its form (see the module
-    docstring).  A cell defines no equality:
-    two cells are equal when they are one object, which is when they have
-    one structure and were made through one ``CellTable``.
+    """One cell of a coarsening: its root cells and their hash, its 2u+1
+    children (none at leaf level), its recursive label, the applicable
+    pivots below it, and its form (see the module docstring).  A cell
+    defines no equality: two cells are equal when they are one object,
+    which is when they have one structure and were made through one
+    ``CellTable``.
+
+    ``roots`` reads the root cells as a sorted tuple; a glued cell made
+    with no table keeps them as a ``RootUnion`` until that first read.
+    ``roots_hash`` is made from the root cells' words, or given (a glued
+    cell's is the sum of its inputs').  ``keyed_in`` is the root's table of
+    root-cell sets that has bound it to the cell's root cells, if one has
+    (``roots_key``).
+
+    The pivots are kept in two parts: ``below``, the pivots under the
+    children as index words relative to the cell, in pivot order; and
+    ``own``, the cell's own pivot letters, each as its count from the last
+    child (u - letter), in increasing letter.  ``pivots`` lists both in
+    pivot order, ``below`` first.
 
     A copy on the merge path is made with ``replacing=(cell, lo, hi)``: it
-    is ``cell`` with its children lo..hi replaced by its child lo.  Its
-    label and pivots are spliced from ``cell``'s, and it keeps ``cell``'s
-    form, as it has ``cell``'s root cells."""
+    is ``cell`` with its children lo..hi replaced by its child lo.  It has
+    ``cell``'s root cells, their hash and its form, and its label and
+    pivots are spliced from ``cell``'s (``_spliced_pivots``)."""
 
-    __slots__ = ("roots", "children", "label", "pivots", "form")
+    __slots__ = ("_roots", "roots_hash", "keyed_in", "children", "label", "below", "own", "form")
 
     def __init__(
         self,
-        roots: tuple[CellIndex, ...],
+        roots: tuple[CellIndex, ...] | RootUnion,
         children: tuple[Cell, ...] = (),
         bit: int | None = None,
         replacing: tuple[Cell, int, int] | None = None,
+        roots_hash: int | None = None,
     ):
-        self.roots = roots
+        self._roots = roots
+        self.roots_hash = sum(map(hash, roots)) if roots_hash is None else roots_hash
+        self.keyed_in = None
         self.children = children
         self.form = UNMADE
         if not children:
-            self.label, self.pivots = bit, ()
+            self.label, self.below, self.own = bit, (), ()
         elif replacing is None:
             self.label: Label = tuple([c.label for c in children])
-            own = [(letter,) for letter in range(2, len(children), 2) if _glues(children, letter)]
-            below = [(j, *p) for j, child in enumerate(children, start=1) for p in child.pivots]
+            below = [p for j, child in enumerate(children, start=1) if child.below or child.own for p in _prefixed(j, child)]
             # Each child's pivots come in pivot order and the children in
             # order, so a stable sort by length, longest first, merges them.
             if below:
                 below.sort(key=len, reverse=True)
-            self.pivots: tuple[CellIndex, ...] = tuple(below + own)
+            self.below: tuple[CellIndex, ...] = tuple(below)
+            u = len(children)
+            self.own: tuple[int, ...] = tuple([u - letter for letter in range(2, u, 2) if _glues(children, letter)])
         else:
             old, lo, hi = replacing
             self.label = old.label[: lo - 1] + (children[lo - 1].label,) + old.label[hi:]
-            self.pivots = _spliced_pivots(old.pivots, children, lo, hi)
-            self.form = old.form
+            self.below, self.own = _spliced_pivots(old, children, lo, hi)
+            self.form, self.keyed_in = old.form, old.keyed_in
+
+    @property
+    def roots(self) -> tuple[CellIndex, ...]:
+        """The sorted root cells whose union the cell is, listed on first
+        read."""
+        roots = self._roots
+        if type(roots) is not tuple:
+            roots = self._roots = roots.listed()
+        return roots
+
+    @property
+    def pivots(self) -> tuple[CellIndex, ...]:
+        """The applicable pivots below the cell in pivot order, as index
+        words relative to it."""
+        u = len(self.children)
+        return self.below + tuple([(u - d,) for d in self.own])
+
+    def each_pivot(self) -> Iterator[CellIndex]:
+        """``pivots``, one at a time: a scan that stops early makes no word
+        past where it stops."""
+        yield from self.below
+        u = len(self.children)
+        for d in self.own:
+            yield (u - d,)
+
+    def roots_key(self, kept: dict[int, tuple | RootUnion]) -> int | tuple[CellIndex, ...]:
+        """This cell's root cells as a key that costs O(1) to hash: their
+        hash, once ``kept`` (a table of root-cell sets by hash, one per
+        root) holds them under it (``keyed_in``).  The first cell with a
+        hash puts its root cells there.  A later one with the same root
+        cells is compared with them once and then shares them, so a cell
+        glued from it compares part by part.  One with other root cells of
+        that hash is keyed by its listed root cells."""
+        if self.keyed_in is not kept:
+            held = kept.setdefault(self.roots_hash, self._roots)
+            if held is not self._roots:
+                if not _same_roots(held, self._roots):
+                    return self.roots
+                self._roots = held
+            self.keyed_in = kept
+        return self.roots_hash
+
+
+class RootUnion(tuple):
+    """The root cells of a glued cell before they are read: the tuple of
+    its three inputs' (each a tuple of root cells or a ``RootUnion``).
+    Making one costs O(1); listing it costs its root cells."""
+
+    __slots__ = ()
+
+    def listed(self) -> tuple[CellIndex, ...]:
+        """The root cells as a sorted tuple."""
+        return _listed(self)
+
+
+def _same_roots(a: tuple | RootUnion, b: tuple | RootUnion) -> bool:
+    """Whether two cells' root cells are the same: part by part when both
+    are unions whose parts are one object or equal tuples, else listed."""
+    if type(a) is type(b) is RootUnion and all(p is q or type(p) is type(q) is tuple and p == q for p, q in zip(a, b)):
+        return True
+    return (a if type(a) is tuple else _listed(a)) == (b if type(b) is tuple else _listed(b))
+
+
+def _listed(parts: tuple) -> tuple[CellIndex, ...]:
+    """The root cells of disjoint parts (tuples of root cells or
+    ``RootUnion``s), as a sorted tuple."""
+    a, b, c = parts
+    if type(a) is type(b) is type(c) is tuple and a[-1] < b[0] and b[-1] < c[0]:
+        return a + b + c
+    out: list[CellIndex] = []
+    stack = list(parts)
+    while stack:
+        part = stack.pop()
+        if type(part) is RootUnion:
+            stack += part
+        else:
+            out += part
+    return tuple(sorted(out))
 
 
 class CadTree:
@@ -141,17 +247,12 @@ class CadTree:
             cell = cell.children[letter - 1]
         return cell
 
-    def nodes(self) -> Iterator[tuple[CellIndex, Cell]]:
-        """(index, cell) for every cell, depth first, later children first."""
-        frontier = [((), self.top)]
-        while frontier:
-            index, cell = frontier.pop()
-            yield index, cell
-            frontier += [(index + (j,), child) for j, child in enumerate(cell.children, start=1)]
-
     def indexed_leaves(self) -> list[tuple[CellIndex, Cell]]:
-        """(index, cell) for every leaf, in the order of ``nodes``."""
-        return [(index, cell) for index, cell in self.nodes() if not cell.children]
+        """(index, cell) for every leaf, in index order."""
+        level = [((), self.top)]
+        while level[0][1].children:  # all leaves have one depth
+            level = [(index + (j,), child) for index, cell in level for j, child in enumerate(cell.children, start=1)]
+        return level
 
     def stack_count(self, cell: CellIndex) -> int:
         return len(self.cell(cell).children) // 2
@@ -191,9 +292,26 @@ def build_tree(cad: Cad | CadTree, labels: LeafLabeling) -> CadTree:
         raise ValidationFailed(report)
     if cad.is_root:
         return labelled_tree(cad, labels)
-    if labels != cad.labels:
+    if not _labels_its_leaves(cad, labels):
         raise ValueError("a coarsening's labels are its own leaves' labels")
     return CadTree(cad.root, cad.top)
+
+
+def _labels_its_leaves(tree: CadTree, labels: LeafLabeling) -> bool:
+    """Whether ``labels`` are the labels of the tree's leaves: as many, and
+    each word names a leaf that carries the word's bit.  Each word is walked
+    down from the top cell, so no index word is made."""
+    if len(labels) != tree.leaf_count():
+        return False
+    for word, bit in labels.items():
+        cell = tree.top
+        for letter in word:
+            if not 1 <= letter <= len(cell.children):
+                return False
+            cell = cell.children[letter - 1]
+        if cell.children or cell.label != bit:
+            return False
+    return True
 
 
 def labelled_tree(cad: Cad, labels: LeafLabeling) -> CadTree:
@@ -202,24 +320,25 @@ def labelled_tree(cad: Cad, labels: LeafLabeling) -> CadTree:
     passes no gate (``build_tree``)."""
     if not cad.is_root:
         raise ValueError("labelled_tree grows a root CAD; build_tree starts from a coarsening")
-    leaves = cad.leaves()
-    missing = [leaf for leaf in leaves if leaf not in labels]
-    if missing:
+    n = cad.n
+    leaves: list[CellIndex] = []  # in index order, as ``Cad.leaves`` lists them
+
+    def grow(index: CellIndex) -> Cell:
+        if len(index) == n:
+            leaves.append(index)
+            return Cell((index,), bit=labels.get(index), roots_hash=hash(index))
+        return Cell((index,), tuple(map(grow, cad.children(index))), roots_hash=hash(index))
+
+    top = grow(())
+    if not all(map(labels.__contains__, leaves)):
+        missing = [leaf for leaf in leaves if leaf not in labels]
         raise LabelMissing(f"missing labels for {missing[:3]}{'...' if len(missing) > 3 else ''}")
     if len(labels) != len(leaves):
         extra = sorted(set(labels) - set(leaves))
         raise ValueError(f"labels on cells that are not leaves: {extra[:3]}{'...' if len(extra) > 3 else ''}")
-    if any(bit not in (0, 1) for bit in labels.values()):
+    if not all(map((0, 1).__contains__, labels.values())):
         raise ValueError("leaf labels must be 0 or 1")
-
-    n = cad.n
-
-    def grow(index: CellIndex) -> Cell:
-        if len(index) == n:
-            return Cell((index,), bit=labels[index])
-        return Cell((index,), tuple(map(grow, cad.children(index))))
-
-    return CadTree(cad, grow(()))
+    return CadTree(cad, top)
 
 
 def prefix(index: CellIndex, k: int) -> CellIndex:
@@ -256,26 +375,36 @@ def _glues(children: tuple[Cell, ...], letter: int) -> bool:
     return children[letter - 2].label == children[letter - 1].label == children[letter].label
 
 
-def _spliced_pivots(old: tuple[CellIndex, ...], children: tuple[Cell, ...], lo: int, hi: int) -> tuple[CellIndex, ...]:
-    """The pivots of a copy of a cell whose pivots are ``old``, with its
-    child lo in place of the children lo..hi: those under earlier children
-    are kept and those under later ones renumbered, the new child's are
-    prefixed with lo, and only the own pivots whose triple holds the new
-    child are decided again."""
-    shift = hi - lo
-    spliced = [(lo, *p) for p in children[lo - 1].pivots]
-    own = old
-    if old and len(old[0]) > 1:  # some pivots lie below the children; the own pivots come last
-        split = bisect_left(old, -1, key=lambda p: -len(p))
-        below, own = old[:split], old[split:]
-        spliced = [p for p in below if p[0] < lo] + spliced + [(p[0] - shift, *p[1:]) for p in below if p[0] > hi]
+def _prefixed(letter: int, child: Cell) -> list[CellIndex]:
+    """The pivots of ``child``, the child ``letter`` of a cell, relative
+    to that cell, in pivot order."""
+    u = len(child.children)
+    return [(letter, *p) for p in child.below] + [(letter, u - d) for d in child.own]
+
+
+def _spliced_pivots(old: Cell, children: tuple[Cell, ...], lo: int, hi: int) -> tuple[tuple[CellIndex, ...], tuple[int, ...]]:
+    """The pivots (``below``, ``own``) of a copy of ``old`` with its child lo
+    in place of the children lo..hi.  Below: those under earlier children
+    are kept, those under later ones renumbered, and the new child's are
+    prefixed with lo.  Own: those after the merged children keep their
+    count from the last child, those before them are counted again, and
+    only those whose triple holds the new child are decided again."""
+    shift, u = hi - lo, len(children)
+    below = old.below
+    new = children[lo - 1]
+    if below or new.below or new.own:
+        spliced = [p for p in below if p[0] < lo] + _prefixed(lo, new)
+        spliced += [(p[0] - shift, *p[1:]) if shift else p for p in below if p[0] > hi]
         spliced.sort(key=len, reverse=True)  # merged by depth, as in ``Cell``
+        below = tuple(spliced)
+    own, v = old.own, len(old.children)
+    # ``own`` counts from the last child, so its letters v - d increase.
+    before, after = bisect_left(own, lo - 1 - v, key=neg), bisect_left(own, hi + 2 - v, key=neg)
     near = (lo,) if lo % 2 == 0 else (lo - 1, lo + 1)  # the even letters next to lo
-    return (
-        *spliced,
-        *own[: bisect_left(own, (lo - 1,))],
-        *[(letter,) for letter in near if 2 <= letter < len(children) and _glues(children, letter)],
-        *[(letter - shift,) for (letter,) in own[bisect_left(own, (hi + 2,)) :]],
+    return below, (
+        *[d - shift for d in own[:before]],
+        *[u - letter for letter in near if 2 <= letter < u and _glues(children, letter)],
+        *own[after:],
     )
 
 
@@ -315,25 +444,25 @@ class CellTable:
 
 
 def glue(left: Cell, mid: Cell, right: Cell, table: CellTable | None) -> Cell:
-    """One cell from three of one shape: the union of their root cells,
-    their children glued position by position, and their form when all
-    three are known.  With a table, the cell is looked up by the triple,
-    then by its structure, before it is made."""
+    """One cell from three of one shape: the union of their root cells and
+    the sum of their hashes, their children glued position by position, and
+    their form when all three are known.  With a table, the cell is looked
+    up by the triple, then by its structure, before it is made."""
     if table is not None:
         cell = table.glued.get((left, mid, right))
         if cell is not None:
             return cell
-    # The left flank is the large one along a run of merges: it is copied once.
-    roots = left.roots + (mid.roots + right.roots)
-    if not (left.roots[-1] < mid.roots[0] and mid.roots[-1] < right.roots[0]):
-        roots = tuple(sorted(roots))
+    # A table looks a leaf up by its listed root cells.
+    parts = left._roots, mid._roots, right._roots
+    roots = RootUnion(parts) if table is None else _listed(parts)
     if left.children:
         key = children = tuple(map(glue, left.children, mid.children, right.children, repeat(table)))
     else:
         key, children = roots, ()
     cell = None if table is None else table.cells.get(key)
     if cell is None:
-        cell = Cell(roots, children, bit=None if children else left.label)
+        roots_hash = left.roots_hash + mid.roots_hash + right.roots_hash
+        cell = Cell(roots, children, bit=None if children else left.label, roots_hash=roots_hash)
         cell.form = _glued_form(left.form, mid.form, right.form)
         if table is not None:
             table.cells[key] = cell
@@ -390,7 +519,7 @@ def _merged(cell: Cell, pivot: CellIndex, table: CellTable | None) -> Cell:
     children = kids[: lo - 1] + (new,) + kids[hi:]
     copy = None if table is None else table.cells.get(children)
     if copy is None:
-        copy = Cell(cell.roots, children, replacing=(cell, lo, hi))
+        copy = Cell(cell._roots, children, replacing=(cell, lo, hi), roots_hash=cell.roots_hash)
         if table is not None:
             table.cells[children] = copy
     return copy

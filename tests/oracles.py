@@ -22,7 +22,11 @@ pipeline does not call.
   leaf by root leaf;
 - ``add`` and ``mul``: dense polynomial arithmetic, to build polynomials;
 - ``pivot_order``: the order in which ``minimize`` and ``explore`` try
-  pivots, which every cell keeps its pivots in.
+  pivots, which every cell keeps its pivots in;
+- ``indexed_cells``: every cell of a coarsening with its index word;
+- ``walk_pivots`` and ``greedy_applied``: the applicable pivots by a walk
+  of the whole tree, and the merges of the reduction loop when it tries
+  them all again, in pivot order, after each lift.
 
 Each raises ``ValueError`` on an input it cannot answer for.
 """
@@ -30,6 +34,7 @@ Each raises ``ValueError`` on an input it cannot answer for.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from fractions import Fraction
 
 from cadreduce.cadmodel import ROOT_INDEX, Cad, CellIndex, LeafLabeling, SectionStack, word_of
@@ -49,7 +54,7 @@ from cadreduce.expr import (
 from cadreduce.poset import PosetGraph
 from cadreduce.reduction import try_lift
 from cadreduce.realroots import ZERO, UniPoly, poly
-from cadreduce.tree import CadTree, _leaves, build_tree, triple
+from cadreduce.tree import CadTree, Cell, _leaves, build_tree, triple
 
 # ---------------------------------------------------------------------------
 # Samples and location
@@ -412,3 +417,39 @@ def mul(p: UniPoly, q: UniPoly) -> UniPoly:
 def pivot_order(pivot: CellIndex):
     """The order in which pivots are tried: deepest first, then lexicographic."""
     return (-len(pivot), pivot)
+
+
+def indexed_cells(tree: CadTree) -> Iterator[tuple[CellIndex, Cell]]:
+    """(index, cell) for every cell of the tree, depth first, later
+    children first."""
+    frontier = [((), tree.top)]
+    while frontier:
+        index, cell = frontier.pop()
+        yield index, cell
+        frontier += [(index + (j,), child) for j, child in enumerate(cell.children, start=1)]
+
+
+def walk_pivots(tree: CadTree) -> set:
+    """The applicable pivots by a walk of the whole tree, as
+    ``applicable_pivots`` found them before every cell kept its own."""
+    return {
+        index + (letter,)
+        for index, cell in indexed_cells(tree)
+        for letter in range(2, len(cell.children), 2)
+        if cell.children[letter - 2].label == cell.children[letter - 1].label == cell.children[letter].label
+    }
+
+
+def greedy_applied(cad: Cad, labels: LeafLabeling) -> tuple[CellIndex, ...]:
+    """The merges of the reduction loop, by a full scan: after each lift,
+    every pivot of ``walk_pivots`` is tried again from the first in pivot
+    order, and the first that lifts is applied."""
+    node = build_tree(cad, labels)
+    while True:
+        for pivot in sorted(walk_pivots(node), key=pivot_order):
+            child = try_lift(node, pivot)
+            if child is not None:
+                node = child
+                break
+        else:
+            return node.applied

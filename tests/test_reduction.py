@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from collections import Counter
@@ -36,7 +37,16 @@ from cadreduce.tree import (
     relabel_index,
     triple,
 )
-from tests.oracles import block_label_mismatches, coarsening_blocks, insert_section, pivot_order, refines
+from tests.oracles import (
+    block_label_mismatches,
+    coarsening_blocks,
+    greedy_applied,
+    indexed_cells,
+    insert_section,
+    pivot_order,
+    refines,
+    walk_pivots,
+)
 from tests.test_packaging import load_perfbench
 from tests.test_tree import (
     assert_shares_all_but_the_path_and_the_triple,
@@ -44,7 +54,6 @@ from tests.test_tree import (
     full_relabel_merge,
     index_views,
     random_tree,
-    walk_pivots,
 )
 
 F = Fraction
@@ -494,7 +503,7 @@ def recomputed_form(root: Cad, section: Cell):
 
 
 def section_cells(tree: CadTree) -> list[Cell]:
-    return [cell for index, cell in tree.nodes() if index and index[-1] % 2 == 0]
+    return [cell for index, cell in indexed_cells(tree) if index and index[-1] % 2 == 0]
 
 
 def test_kept_forms_and_ordered_pivots_match_their_oracles(monkeypatch):
@@ -534,7 +543,7 @@ def test_spliced_copies_keep_every_cells_pivots_in_order():
         while t.top.pivots:
             t = apply_merge(t, t.top.pivots[rng.randrange(len(t.top.pivots))])
             assert_valid(t)
-            for index, cell in t.nodes():
+            for index, cell in indexed_cells(t):
                 below = CadTree(None, cell)
                 assert list(cell.pivots) == sorted(walk_pivots(below), key=pivot_order), index
             merges += 1
@@ -729,6 +738,67 @@ def test_cells_made_per_merge_do_not_grow_with_the_cad(monkeypatch):
         per_node[m] = (len(made) - before - root_cell_count(inp.cad)) / (len(graph.nodes) - 1)
     assert per_merge[192] <= per_merge[96] <= per_merge[48], per_merge
     assert per_node[7] <= per_node[6] <= per_node[5], per_node
+
+
+def held_objects(cell: Cell) -> set:
+    """The ids of the objects a cell holds, one level into its tuples."""
+    held = set()
+    for value in gc.get_referents(cell):
+        held.add(id(value))
+        if type(value) is tuple:
+            held.update(map(id, value))
+    return held
+
+
+def test_memo_keys_and_pivot_splices_cost_the_same_per_merge_at_every_m(monkeypatch):
+    # A cost guard that reads no clock.  Over ``minimize`` on disk-lines(m),
+    # two counts per merge are as many at every m, although the glued left
+    # flank and the top cell's own pivots grow with m: the root cells hashed
+    # (a lift memo keyed by the root cells themselves hashes the left
+    # flank's), and the objects the new top cell holds, one level into its
+    # tuples, that the top cell it replaces did not (pivots renumbered one
+    # by one would all be new).  Every top cell is kept, so ids stay unique.
+    workloads = load_perfbench("workloads", monkeypatch)
+    hashed = []
+
+    class Word(tuple):
+        """A root cell's index word that counts its hashes."""
+
+        __slots__ = ()
+
+        def __hash__(self):
+            hashed.append(1)
+            return tuple.__hash__(self)
+
+    init = Cell.__init__
+
+    def with_counted_words(self, roots, *args, **kwargs):
+        if type(roots) is tuple and len(roots) == 1:  # a root cell's
+            roots = (Word(roots[0]),)
+        init(self, roots, *args, **kwargs)
+
+    tops = []
+    merge = reduction.merge_applicable
+
+    def recorded_merge(tree, pivot, table):
+        reduced = merge(tree, pivot, table)
+        tops.append((tree.top, reduced.top))
+        return reduced
+
+    monkeypatch.setattr(Cell, "__init__", with_counted_words)
+    monkeypatch.setattr(reduction, "merge_applicable", recorded_merge)
+    hashes, fresh = {}, {}
+    for m in (48, 96, 192):
+        inp = workloads.disk_lines(m, 0)
+        validate_cad(inp.cad)
+        del hashed[:], tops[:]
+        assert len(minimize(inp.cad, inp.labels).applied) == len(tops) == m
+        hashes[m] = len(hashed) / m
+        fresh[m] = sum(len(held_objects(new) - held_objects(old)) for old, new in tops) / m
+    assert hashes[192] <= hashes[96] <= hashes[48], hashes
+    # An own pivot is a count kept from the last child; a count made anew is
+    # a new object only above 256, so a few more are new at larger m.
+    assert max(fresh.values()) < 10 and fresh[192] - fresh[48] < 1, fresh
 
 
 def test_explore_builds_nothing_for_an_edge_into_a_seen_node(monkeypatch):
@@ -936,6 +1006,29 @@ def test_the_pipeline_makes_no_coarsening_view(monkeypatch):
         lifted += len(graph.nodes) - 1
         assert not made, (name, len(made))
     assert lifted > 100
+
+
+def test_minimize_applies_the_merges_of_a_full_rescan(monkeypatch):
+    # ``minimize`` scans the top cell's kept pivots and stops at the first
+    # lift; its merges are those of the reference loop, which walks the
+    # whole tree for pivots and tries them all again after each lift, on
+    # every input of ``answers.json`` and on disk-lines(48 / 96 / 192).
+    from tests.test_answers import inputs
+
+    workloads = load_perfbench("workloads", monkeypatch)
+    cases = [(name, build()) for name, build in inputs()]
+    cases += [(f"disk-lines({m})", (d.cad, d.labels)) for m in (48, 96, 192) for d in [workloads.disk_lines(m, 0)]]
+    merges = 0
+    for name, (cad, labels) in cases:
+        try:
+            want = greedy_applied(cad, labels)
+        except ValidationFailed:
+            with pytest.raises(ValidationFailed):
+                minimize(cad, labels)
+            continue
+        assert minimize(cad, labels).applied == want, name
+        merges += len(want)
+    assert merges > 48 + 96 + 192
 
 
 def bad_labellings(entry):

@@ -7,6 +7,7 @@ from cadreduce.gallery import disk_c, disk_cp, disk_cpp, trousers_c, trousers_cp
 from cadreduce.tree import (
     CadTree,
     Cell,
+    RootUnion,
     applicable_pivots,
     apply_merge,
     build_tree,
@@ -29,28 +30,17 @@ def tree_of(entry):
 
 def index_views(tree: CadTree):
     """The stack counts, leaf labels and root cells of a tree, by index word."""
-    nodes = list(tree.nodes())
+    nodes = list(oracles.indexed_cells(tree))
     counts = {index: len(cell.children) // 2 for index, cell in nodes if cell.children}
     labels = {index: cell.label for index, cell in nodes if not cell.children}
     return counts, labels, {index: cell.roots for index, cell in nodes}
-
-
-def walk_pivots(tree: CadTree) -> set:
-    """Oracle: the applicable pivots by a walk of the whole tree, as
-    ``applicable_pivots`` found them before every cell kept its own."""
-    return {
-        index + (letter,)
-        for index, cell in tree.nodes()
-        for letter in range(2, len(cell.children), 2)
-        if cell.children[letter - 2].label == cell.children[letter - 1].label == cell.children[letter].label
-    }
 
 
 def assert_valid(tree: CadTree) -> None:
     """Leaves exactly at the tree's depth with bits 0 or 1, 2u+1 children
     elsewhere, labels that are the children's, and root cells that are
     sorted, distinct, of the cell's level and the parents of its children's."""
-    for index, cell in tree.nodes():
+    for index, cell in oracles.indexed_cells(tree):
         assert list(cell.roots) == sorted(set(cell.roots)) and cell.roots
         assert all(len(r) == len(index) for r in cell.roots)
         if len(index) == tree.n:
@@ -68,7 +58,7 @@ def assert_shares_all_but_the_path_and_the_triple(tree: CadTree, pivot, reduced:
     k = len(pivot)
     triple = {sibling(pivot, d) for d in (-1, 0, +1)}
     shared = 0
-    for index, cell in tree.nodes():
+    for index, cell in oracles.indexed_cells(tree):
         if len(index) < k and index == pivot[: len(index)]:
             assert reduced.cell(index) is not cell  # copied, with its new child
         elif prefix(index, k) not in triple:
@@ -162,6 +152,22 @@ def test_path_tree_has_no_pivots():
     assert applicable_pivots(t) == set()
 
 
+def test_a_roots_key_is_bound_to_one_set_of_root_cells():
+    # The lift memo keys a set of root cells by its hash, which a table
+    # binds to the first set that has it: a later cell with those root
+    # cells gets the hash, one with other root cells of the same hash gets
+    # its listed root cells, so no two sets share a key.
+    kept = {}
+    first = Cell(((1, 2), (3, 2), (5, 2)), roots_hash=7)
+    same = Cell(RootUnion((((3, 2),), ((5, 2),), ((1, 2),))), roots_hash=7)
+    other = Cell(((2, 2),), roots_hash=7)
+    assert first.roots_key(kept) == same.roots_key(kept) == 7
+    assert same.roots == first.roots == ((1, 2), (3, 2), (5, 2))
+    assert other.roots_key(kept) == ((2, 2),)
+    assert same.keyed_in is kept and other.keyed_in is None
+    assert Cell(((1, 2), (3, 2))).roots_hash == hash((1, 2)) + hash((3, 2))
+
+
 def random_tree(rng: random.Random, depth: int) -> CadTree:
     """The tree of a random root CAD: each cell covers itself."""
 
@@ -183,7 +189,7 @@ def brute_force_pivots(tree: CadTree) -> set:
         return "(" + ",".join(map(dump, cell.children)) + ")"
 
     out = set()
-    for node, cell in tree.nodes():
+    for node, cell in oracles.indexed_cells(tree):
         if not node or node[-1] % 2 != 0:
             continue
         lo, hi = sibling(node, -1), sibling(node, +1)
@@ -197,11 +203,11 @@ def test_applicable_pivots_matches_brute_force():
     for _ in range(150):
         t = random_tree(rng, rng.randint(1, 3))
         pivots = applicable_pivots(t)
-        assert pivots == brute_force_pivots(t) == walk_pivots(t)
+        assert pivots == brute_force_pivots(t) == oracles.walk_pivots(t)
         assert len(t.top.pivots) == len(pivots)
-        for node, _cell in t.nodes():
+        for node, _cell in oracles.indexed_cells(t):
             assert is_applicable(t, node) == (node in pivots)
-        parent = max(index for index, _cell in t.nodes() if len(index) == t.n - 1)
+        parent = max(index for index, _cell in oracles.indexed_cells(t) if len(index) == t.n - 1)
         # Odd, out of range (past the parent's sections, or a letter below 1),
         # deeper than the leaves, and the empty word.
         for pivot in (
@@ -251,7 +257,7 @@ def full_relabel_roots(tree: CadTree, pivot):
     """Oracle: the root cells of every cell of the merged tree, each cell
     relabelled and the root cells of merged cells united."""
     roots = {}
-    for index, cell in tree.nodes():
+    for index, cell in oracles.indexed_cells(tree):
         image = relabel_index(pivot, index)
         roots[image] = tuple(sorted(roots.get(image, ()) + cell.roots))
     return roots
@@ -272,7 +278,7 @@ def test_apply_merge_matches_full_relabel():
                 reduced = apply_merge(t, pivot)
                 assert index_views(reduced) == (*full_relabel_merge(t, pivot), full_relabel_roots(t, pivot))
                 assert_valid(reduced)
-                assert applicable_pivots(reduced) == walk_pivots(reduced)
+                assert applicable_pivots(reduced) == oracles.walk_pivots(reduced)
                 assert reduced.partition_blocks() == oracles.merged_blocks(t, pivot, t.partition_blocks())
                 shared += assert_shares_all_but_the_path_and_the_triple(t, pivot, reduced)
                 assert index_views(t) == before
@@ -296,9 +302,9 @@ def test_merge_preimage_counts():
         left = pivot[:-1] + (pivot[-1] - 1,)
         reduced = apply_merge(t, pivot)
         preimages = {}
-        for node, _cell in t.nodes():
+        for node, _cell in oracles.indexed_cells(t):
             preimages.setdefault(relabel_index(pivot, node), []).append(node)
-        for node, _cell in reduced.nodes():
+        for node, _cell in oracles.indexed_cells(reduced):
             pre = preimages[node]
             assert 1 <= len(pre) <= 3
             assert (len(pre) == 3) == (prefix(node, k) == left)
