@@ -16,7 +16,9 @@ order, adaptedness) is decided on the root: it has no probes, and its
 ``validate_cad`` report is the root's.  A root derives one fixed probe set
 per cell, once (``Cad.cell_points``): a section's value at each probe of
 its base, where sqrt(g) and -sqrt(g) share one root of g, taken in
-integers at a rational probe.  The root also keeps the lift verdicts, one
+integers at a rational probe.  Adaptedness (``check_adapted``) signs each
+atom of the set's formula once per fiber, over a probe of a leaf's parent,
+at every leaf probe above it.  The root also keeps the lift verdicts, one
 per slot of a glued stack (``reduction``).
 """
 
@@ -38,6 +40,7 @@ from cadreduce.expr import (
     Div,
     Expr,
     Formula,
+    LazyValue,
     Neg,
     Piecewise,
     Point,
@@ -45,6 +48,7 @@ from cadreduce.expr import (
     Sqrt,
     Sub,
     any_node,
+    atom_sign,
     canonicalize,
     compare_coords,
     const,
@@ -55,13 +59,14 @@ from cadreduce.expr import (
     is_piecewise,
     max_var_index,
     negated_coord,
+    scaled_poly,
     sector_coords,
     sexpr_of_expr,
     sqrt_coord,
     substitute,
     to_polynomial,
 )
-from cadreduce.realroots import isolate_roots, poly
+from cadreduce.realroots import AlgebraicNumber, UniPoly, isolate_roots, poly, pseudo_rem, sign_at
 
 CellIndex = tuple[int, ...]
 
@@ -543,20 +548,85 @@ def check_adapted(cad: Cad, formula: Formula) -> LeafLabeling:
     A formula in more variables than the CAD has is a ``ValueError``, and so
     is a coarsening (``tree.CadTree``), which has no probes.
 
-    Each atom of the formula is converted to integers (``ScaledPoly``) once
-    per call, when its sign is first needed, in a table kept for this call
-    only; every probe then signs it exactly as ``formula_holds`` would."""
+    The leaves are walked by their parent cell, of level n-1, as Collins
+    lifting walks a stack: each atom is restricted once to the fiber over
+    each probe of the parent (``_Fiber``) and signed there at the last
+    coordinate of every leaf probe above it, as ``formula_holds`` signs it.
+    Each atom is converted to integers (``scaled_poly``) once per call."""
     if not cad.is_root:
         raise ValueError("probes belong to root cells; a coarsening's cells are unions of them")
     top = max_var_index(formula)
     if top > cad.n:
         raise ValueError(f"formula has variable x{top}, the CAD is of R^{cad.n}")
+    if cad.n == 0:
+        return {ROOT_INDEX: int(formula_holds(formula, ()))}
     polys: dict[Expr, ScaledPoly] = {}
     labels: LeafLabeling = {}
-    for leaf in cad.leaves():
-        points = cad.cell_points(leaf)
-        truths = [holds(formula, p, polys) for p in points]
-        if len(set(truths)) > 1:
-            raise NotAdapted(leaf, points[truths.index(True)], points[truths.index(False)])
-        labels[leaf] = 1 if truths[0] else 0
+    # Every leaf is listed first, as a missing stack raises before any sign.
+    for parent, leaves in [(c, cad.children(c)) for c in cad.cells_of_level(cad.n - 1)]:
+        fibers = [_Fiber(polys) for _ in cad.cell_points(parent)]
+        for leaf in leaves:
+            points = cad.cell_points(leaf)
+            # A leaf has one probe or PROBES // len(fibers) over each base probe.
+            per_base = len(points) // len(fibers)
+            truths = []
+            for i, p in enumerate(points):
+                fiber = fibers[i // per_base]
+                fiber.point = p
+                truths.append(holds(formula, fiber.sign))
+            if len(set(truths)) > 1:
+                raise NotAdapted(leaf, points[truths.index(True)], points[truths.index(False)])
+            labels[leaf] = 1 if truths[0] else 0
     return labels
+
+
+class _Fiber:
+    """The fiber over one probe b of a cell of level n-1.  The first time
+    ``holds`` reaches an atom there, the atom is restricted to the fiber:
+    its integer coefficients in x_n with b's coordinates substituted
+    (``integer_coeffs``), or None when b is not rational in a coordinate
+    the atom uses.  A leaf probe above b signs it at its last coordinate,
+    in integers at a rational one (``sign_at``) and from the remainder by
+    the defining polynomial at an algebraic one (``sign_of_remainder``),
+    or at none when the restriction is a constant; at a lazy coordinate,
+    or when restricted to None, ``atom_sign`` signs the probe itself."""
+
+    __slots__ = ("polys", "coeffs", "remainders", "point")
+
+    def __init__(self, polys: dict[Expr, ScaledPoly]):
+        self.polys = polys
+        self.coeffs: dict[Expr, list[int] | None] = {}
+        # Per atom, the last defining polynomial met and the remainder by
+        # it, which the values sqrt(g) and -sqrt(g) of one stack share.
+        self.remainders: dict[Expr, tuple[UniPoly, list[int]]] = {}
+
+    def sign(self, lhs: Expr) -> int:
+        """The sign of ``lhs`` at ``point``, a leaf probe above b."""
+        point = self.point
+        c = self.coeffs.get(lhs, self)
+        if c is self:
+            q, n, values = scaled_poly(lhs, self.polys), len(point), {}
+            for i in q.variables:
+                v = point[i - 1]
+                if isinstance(v, AlgebraicNumber) and v.is_rational:
+                    v = v.rational_value
+                if i != n and not isinstance(v, Fraction):
+                    c = None
+                    break
+                values[i] = v
+            else:
+                c = integer_coeffs(q, values, n)[0]
+            self.coeffs[lhs] = c
+        x = point[-1]
+        if c is None or isinstance(x, LazyValue):
+            return atom_sign(lhs, point, self.polys)
+        if len(c) < 2:
+            return 0 if not c else (1 if c[0] > 0 else -1)
+        if isinstance(x, Fraction):
+            return sign_at(c, x)
+        if x.is_rational:
+            return x.sign_of(c)
+        last = self.remainders.get(lhs)
+        if last is None or last[0] is not x.defining:
+            last = self.remainders[lhs] = (x.defining, pseudo_rem(c, x.defining))
+        return x.sign_of_remainder(last[1])

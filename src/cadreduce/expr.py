@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from cadreduce.errors import DivisionByZero, GuardUndecidable, ParseError, SqrtOfNegative, UnknownOrder
 from cadreduce.realroots import AlgebraicNumber, make_algebraic, poly as upoly
@@ -1109,15 +1109,22 @@ def sector_coords(lo: CoordValue | None, hi: CoordValue | None, count: int) -> l
 # Signs and comparisons
 
 
-def atom_sign(lhs: Expr, point: Point, polys: dict[Expr, ScaledPoly]) -> int:
-    """Exact sign of a polynomial at a point.
+def scaled_poly(lhs: Expr, polys: dict[Expr, ScaledPoly]) -> ScaledPoly:
+    """``lhs`` in integers, read from ``polys`` or converted into it once
+    (``to_polynomial``).  A ``lhs`` that is not a polynomial raises
+    ``ParseError`` here, when a sign of it is first needed."""
+    q = polys.get(lhs)
+    if q is None:
+        p = to_polynomial(lhs)
+        if p is None:
+            raise ParseError(f"not a polynomial: {sexpr_of_expr(lhs)}")
+        q = polys[lhs] = ScaledPoly(p)
+    return q
 
-    ``polys`` maps each polynomial already converted to its ``ScaledPoly``.
-    This is where the conversion happens: the first call for ``lhs``
-    consults ``to_polynomial`` and keeps the result in ``polys``, so a
-    caller that signs one formula at many points (``check_adapted``)
-    converts each atom once.  A ``lhs`` that is not a polynomial raises
-    ``ParseError`` here, when a sign of it is first needed.
+
+def atom_sign(lhs: Expr, point: Point, polys: dict[Expr, ScaledPoly]) -> int:
+    """Exact sign of a polynomial at a point, with ``lhs`` converted through
+    ``polys`` (``scaled_poly``).
 
     Exact when the coordinates of the variables the polynomial uses are
     rational but for at most one algebraic one: those paths read the
@@ -1126,12 +1133,7 @@ def atom_sign(lhs: Expr, point: Point, polys: dict[Expr, ScaledPoly]) -> int:
     interval refinement of ``lhs`` itself, which can prove a nonzero sign
     but raises GuardUndecidable on a (potential) zero.
     """
-    q = polys.get(lhs)
-    if q is None:
-        p = to_polynomial(lhs)
-        if p is None:
-            raise ParseError(f"not a polynomial: {sexpr_of_expr(lhs)}")
-        q = polys[lhs] = ScaledPoly(p)
+    q = scaled_poly(lhs, polys)
     rationals: dict[int, Fraction] = {}
     algebraic: list[tuple[int, AlgebraicNumber]] = []
     lazies = 0
@@ -1178,25 +1180,26 @@ _OP_TEST = {
 }
 
 
-def holds(f: Formula, point: Point, polys: dict[Expr, ScaledPoly]) -> bool:
-    """Truth of a formula at a point, each atom signed by ``atom_sign``
-    through ``polys``; raises GuardUndecidable when the sign of some needed
-    atom cannot be resolved.  An atom that a decided ``And``/``Or``
-    short-circuits away is not signed, nor converted."""
+def holds(f: Formula, sign: Callable[[Expr], int]) -> bool:
+    """Truth of a formula, the left side of each atom it reaches signed by
+    ``sign``: the one formula evaluator, at a point (``formula_holds``) or
+    over the fiber tables of ``check_adapted``.  Raises GuardUndecidable
+    when the sign of some needed atom cannot be resolved.  An atom that a
+    decided ``And``/``Or`` short-circuits away is not signed."""
     if isinstance(f, TrueFormula):
         return True
     if isinstance(f, FalseFormula):
         return False
     if isinstance(f, Atom):
-        return _OP_TEST[f.op](atom_sign(f.lhs, point, polys))
+        return _OP_TEST[f.op](sign(f.lhs))
     if isinstance(f, Not):
-        return not holds(f.arg, point, polys)
+        return not holds(f.arg, sign)
     if isinstance(f, (And, Or)):
         want = isinstance(f, Or)  # short-circuit value
         undecided = False
         for a in f.args:
             try:
-                if holds(a, point, polys) == want:
+                if holds(a, sign) == want:
                     return want
             except GuardUndecidable:
                 undecided = True
@@ -1207,9 +1210,11 @@ def holds(f: Formula, point: Point, polys: dict[Expr, ScaledPoly]) -> bool:
 
 
 def formula_holds(f: Formula, point) -> bool:
-    """``holds`` at one point, with a table of its own: for formulas
-    evaluated once at a point, such as piecewise guards."""
-    return holds(f, as_point(point), {})
+    """``holds`` at one point, each atom signed by ``atom_sign`` with a
+    table of its own: for formulas evaluated once at a point, such as
+    piecewise guards."""
+    pt, polys = as_point(point), {}
+    return holds(f, lambda lhs: atom_sign(lhs, pt, polys))
 
 
 def compare_coords(a: CoordValue, b: CoordValue) -> int:

@@ -4,7 +4,7 @@ Polynomials are dense coefficient tuples (low degree first, trailing
 coefficient nonzero).  Roots are isolated with Sturm sequences and rational
 bisection, and represented by :class:`AlgebraicNumber` values that can be
 refined on demand and compared exactly.  Signs at rational points
-(:func:`sign_at`) and remainders by a defining polynomial
+(:func:`sign_at`, by :func:`horner`) and remainders by a defining polynomial
 (:func:`pseudo_rem`) are computed in integer arithmetic, so they and
 :meth:`AlgebraicNumber.sign_of` also take integer coefficients.
 """
@@ -43,21 +43,30 @@ def is_zero(p: UniPoly) -> bool:
     return not p
 
 
-def sign_at(p: UniPoly, x: Fraction) -> int:
-    """Sign of p(x), in integers.
-
-    With x = n/d (d > 0), deg p = k and L > 0 the least common denominator
-    of the coefficients, L * d^k * p(x) is the integer sum of
-    L*c_i * n^i * d^(k-i) (Horner's rule in n), which has the sign of p(x).
-    """
-    n, d = x.numerator, x.denominator
+def integers(p: UniPoly | Sequence[int]) -> list[int]:
+    """L*p for L > 0 the least common denominator of the coefficients (1
+    for int ones): integer coefficients with the signs and roots of p."""
     den = lcm(*[c.denominator for c in p])
+    return [c.numerator * (den // c.denominator) for c in p]
+
+
+def sign_at(p: Sequence[int], x: Fraction) -> int:
+    """Sign of p(x) for integer coefficients (``integers``): the sign of
+    ``horner(p, n, d)`` for x = n/d."""
+    v = horner(p, x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
+
+
+def horner(p: Sequence[int], n: int, d: int) -> int:
+    """d^k * p(n/d) for deg p = k, the sum of c_i * n^i * d^(k-i) by
+    Horner's rule in n: an integer for integer c_i, with the sign of
+    p(n/d) when d > 0.  n/d need not be in lowest terms."""
     acc = 0
     dpow = 1
     for c in reversed(p):
-        acc = acc * n + c.numerator * (den // c.denominator) * dpow
+        acc = acc * n + c * dpow
         dpow *= d
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
 def derivative(p: UniPoly) -> UniPoly:
@@ -104,10 +113,9 @@ def pseudo_rem(p: UniPoly, q: UniPoly) -> list[int]:
     for q with integer coefficients and a positive leading one c: p is
     scaled by the least common denominator of its coefficients, and each
     reduction step by c, instead of dividing by c."""
-    assert q and q[-1] > 0 and all(b.denominator == 1 for b in q), f"not an integer q with c > 0: {q}"
-    den = lcm(*[c.denominator for c in p])
-    rem = [c.numerator * (den // c.denominator) for c in p]
     qs = [b.numerator for b in q]
+    assert qs and qs[-1] > 0 and all(b.denominator == 1 for b in q), f"not an integer q with c > 0: {q}"
+    rem = integers(p)
     lead, lower = qs[-1], qs[:-1]
     while len(rem) >= len(qs):
         top = rem.pop()
@@ -139,8 +147,7 @@ def primitive(p: UniPoly) -> UniPoly:
     """Scale so coefficients are coprime integers with positive leading one."""
     if is_zero(p):
         return ZERO
-    den = lcm(*[c.denominator for c in p])
-    ints = [int(c * den) for c in p]
+    ints = integers(p)
     g = 0
     for c in ints:
         g = gcd(g, c)
@@ -179,7 +186,7 @@ def sturm_sequence(p: UniPoly) -> list[UniPoly]:
     return chain
 
 
-def _variations_at(chain: Sequence[UniPoly], x: Fraction) -> int:
+def _variations_at(chain: Sequence[Sequence[int]], x: Fraction) -> int:
     signs = [s for s in (sign_at(f, x) for f in chain) if s]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
@@ -196,7 +203,8 @@ def count_roots(p: UniPoly, a: Fraction, b: Fraction, chain: Sequence[UniPoly] |
         return 0
     if chain is None:
         chain = sturm_sequence(squarefree_part(p))
-    return _variations_at(chain, a) - _variations_at(chain, b)
+    ints = [integers(f) for f in chain]
+    return _variations_at(ints, a) - _variations_at(ints, b)
 
 
 def _vanishes_inside(g: UniPoly, lo: Fraction, hi: Fraction) -> bool:
@@ -209,7 +217,10 @@ def _vanishes_inside(g: UniPoly, lo: Fraction, hi: Fraction) -> bool:
     one root in (lo, hi) and the root is simple: g has it exactly when it
     changes sign between lo and hi.  No Sturm chain is needed.
     """
-    return degree(g) >= 1 and sign_at(g, lo) != sign_at(g, hi)
+    if degree(g) < 1:
+        return False
+    ints = integers(g)
+    return sign_at(ints, lo) != sign_at(ints, hi)
 
 
 def root_bound(p: UniPoly) -> Fraction:
@@ -257,25 +268,31 @@ class AlgebraicNumber:
     def refine(self, width: Fraction) -> AlgebraicNumber:
         """Same root, isolating interval of width <= ``width``: ``self``
         when its interval is that narrow already (no sign is computed),
-        otherwise bisected exactly, each midpoint's sign taken by
-        ``sign_at``, until it is."""
+        otherwise bisected exactly, k halvings, over the one denominator e
+        of lo and hi times 2^k: each midpoint m/e is signed by ``horner``."""
         lo, hi = self.lo, self.hi
-        # hi - lo <= width (also when lo == hi), cross-multiplied.
-        hd, ld = hi.denominator, lo.denominator
-        if (hi.numerator * ld - lo.numerator * hd) * width.denominator <= width.numerator * hd * ld:
+        # hi - lo <= width (also when lo == hi), over e.
+        e = lo.denominator * hi.denominator
+        low, span = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+        span -= low
+        excess = span * width.denominator
+        if excess <= width.numerator * e:
             return self
-        p = self.defining
-        slo = sign_at(p, lo)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            s = sign_at(p, mid)
-            if s == 0:
-                return AlgebraicNumber(p, mid, mid)
-            if s == slo:
-                lo = mid
-            else:
-                hi = mid
-        return AlgebraicNumber(p, lo, hi)
+        # The least k with span / 2^k <= width * e.
+        k = (-(-excess // (width.numerator * e)) - 1).bit_length()
+        low, span, e = low << k, span << k, e << k
+        p = integers(self.defining)
+        slo = horner(p, low, e) > 0
+        for _ in range(k):
+            span >>= 1
+            mid = low + span
+            v = horner(p, mid, e)
+            if not v:
+                m = Fraction(mid, e)
+                return AlgebraicNumber(self.defining, m, m)
+            if (v > 0) == slo:
+                low = mid
+        return AlgebraicNumber(self.defining, Fraction(low, e), Fraction(low + span, e))
 
     def approx(self, width: Fraction) -> tuple[Fraction, Fraction]:
         r = self.refine(width)
@@ -286,11 +303,15 @@ class AlgebraicNumber:
         if is_zero(q):
             return 0
         if self.is_rational:
-            return sign_at(q, self.lo)
+            return sign_at(integers(q), self.lo)
+        return self.sign_of_remainder(pseudo_rem(q, self.defining))
+
+    def sign_of_remainder(self, ints: list[int]) -> int:
+        """``sign_of(q)`` at an irrational number from ``pseudo_rem(q,
+        defining)``, which numbers sharing ``defining`` can share."""
         # q(a) = r(a) times a positive constant, r the pseudo-remainder by
         # `defining`, which vanishes at a and is primitive with a positive
         # leading coefficient (``pseudo_rem`` asserts what it needs of that).
-        ints = pseudo_rem(q, self.defining)
         if len(ints) <= 1:
             return 0 if not ints else (1 if ints[0] > 0 else -1)
         r = poly(ints)
@@ -340,13 +361,15 @@ class AlgebraicNumber:
             b = b.refine(b.width() / 2)
 
     def negated(self) -> AlgebraicNumber:
-        """The additive inverse, as a root of p(-x)."""
-        # p(-x) has the coefficients of p up to sign, so it is primitive
-        # once its leading coefficient is positive.
-        flipped = [c if i % 2 == 0 else -c for i, c in enumerate(self.defining)]
-        if flipped[-1] < 0:
-            flipped = [-c for c in flipped]
-        return AlgebraicNumber(tuple(flipped), -self.hi, -self.lo)
+        """The additive inverse, as a root of p(-x): p itself when p is
+        even, such as the q*y^2 - p of a square root."""
+        p = self.defining
+        if any(p[1::2]):
+            # p(-x) has the coefficients of p up to sign, so it is
+            # primitive once its leading coefficient is positive.
+            p = [c if i % 2 == 0 else -c for i, c in enumerate(p)]
+            p = tuple(p) if p[-1] > 0 else tuple(-c for c in p)
+        return AlgebraicNumber(p, -self.hi, -self.lo)
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -359,13 +382,14 @@ def make_algebraic(p: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicNumber:
     if is_zero(p):
         raise ZeroPolynomial("algebraic number needs a nonzero defining polynomial")
     sf = squarefree_part(p)
+    ints = integers(sf)
     if lo == hi:
-        if sign_at(sf, lo) != 0:
+        if sign_at(ints, lo) != 0:
             raise ValueError(f"{lo} is not a root of {p}")
         return AlgebraicNumber.from_rational(lo)
     if lo > hi:
         raise ValueError("empty isolating interval")
-    if sign_at(sf, lo) == 0 or sign_at(sf, hi) == 0:
+    if sign_at(ints, lo) == 0 or sign_at(ints, hi) == 0:
         raise ValueError("isolating interval endpoints must not be roots")
     if count_roots(sf, lo, hi, sturm_sequence(sf)) != 1:
         raise ValueError(f"interval ({lo}, {hi}) does not isolate one root of {p}")
@@ -394,6 +418,7 @@ def isolate_roots(p: UniPoly) -> list[AlgebraicNumber]:
     if degree(sf) == 0:
         return []
     chain = sturm_sequence(sf)
+    ints = integers(sf)
     bound = root_bound(sf)
     roots: list[AlgebraicNumber] = []
 
@@ -401,7 +426,7 @@ def isolate_roots(p: UniPoly) -> list[AlgebraicNumber]:
         # Invariant: `count` roots of sf in (a, b], endpoints a with sf(a) != 0.
         if count == 0:
             return
-        sb = sign_at(sf, b)
+        sb = sign_at(ints, b)
         if count == 1:
             if sb == 0:
                 roots.append(AlgebraicNumber(sf, b, b))
@@ -410,11 +435,11 @@ def isolate_roots(p: UniPoly) -> list[AlgebraicNumber]:
             # Shrink until the endpoints are off the root and have opposite
             # signs (then plain sign bisection refines the root later).
             while True:
-                sa = sign_at(sf, lo)
+                sa = sign_at(ints, lo)
                 if sa != 0 and sa != sb:
                     break
                 mid = (lo + hi) / 2
-                sm = sign_at(sf, mid)
+                sm = sign_at(ints, mid)
                 if sm == 0:
                     roots.append(AlgebraicNumber(sf, mid, mid))
                     return

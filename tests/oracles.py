@@ -17,10 +17,12 @@ pipeline does not call.
   sections do not cross (``SectionsCross`` when they do), which rebuilds
   the gallery's literal Cbar entries from their C and Cp;
 - ``labels_by_probes``: adaptedness as ``formula_holds`` at each probe, the
-  definition ``check_adapted`` computes with each atom converted once;
+  definition ``check_adapted`` computes fiber by fiber;
 - ``block_label_mismatches``: a coarsening's labels checked on its root,
   leaf by root leaf;
 - ``add`` and ``mul``: dense polynomial arithmetic, to build polynomials;
+- ``refine_by_fractions``: ``AlgebraicNumber.refine`` as Fraction bisection,
+  which the integer bisection must match interval for interval;
 - ``pivot_order``: the order in which ``minimize`` and ``explore`` try
   pivots, which every cell keeps its pivots in;
 - ``indexed_cells``: every cell of a coarsening with its index word;
@@ -53,7 +55,7 @@ from cadreduce.expr import (
 )
 from cadreduce.poset import PosetGraph
 from cadreduce.reduction import try_lift
-from cadreduce.realroots import ZERO, UniPoly, poly
+from cadreduce.realroots import ZERO, AlgebraicNumber, UniPoly, poly
 from cadreduce.tree import CadTree, Cell, _leaves, build_tree, triple
 
 # ---------------------------------------------------------------------------
@@ -408,6 +410,30 @@ def mul(p: UniPoly, q: UniPoly) -> UniPoly:
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return poly(out)
+
+
+def refine_by_fractions(a: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
+    """``AlgebraicNumber.refine`` by Fraction bisection from the number's own
+    interval, each midpoint (lo + hi) / 2 signed by Fraction evaluation."""
+
+    def sign(x: Fraction) -> int:
+        acc = Fraction(0)
+        for c in reversed(a.defining):
+            acc = acc * x + c
+        return (acc > 0) - (acc < 0)
+
+    lo, hi = a.lo, a.hi
+    slo = sign(lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s = sign(mid)
+        if s == 0:
+            return AlgebraicNumber(a.defining, mid, mid)
+        if s == slo:
+            lo = mid
+        else:
+            hi = mid
+    return AlgebraicNumber(a.defining, lo, hi)
 
 
 # ---------------------------------------------------------------------------

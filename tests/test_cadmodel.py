@@ -44,9 +44,16 @@ from cadreduce.gallery import (
 )
 from cadreduce.poset import extend_cylinder
 from cadreduce.realroots import AlgebraicNumber
-from tests.oracles import coarsening_blocks, labels_by_probes, locate, partition_refines, refines, sample
+from tests.oracles import (
+    coarsening_blocks,
+    labels_by_probes,
+    locate,
+    partition_refines,
+    refine_by_fractions,
+    refines,
+    sample,
+)
 from tests.test_packaging import load_perfbench
-from tests.test_realroots import oracle_refine
 
 F = Fraction
 
@@ -479,7 +486,7 @@ def adaptedness_outcome(check, cad, formula):
 
 
 def test_check_adapted_matches_formula_holds_at_every_probe(monkeypatch):
-    # The differential test of converting each atom once per call: every
+    # The differential test of signing each atom fiber by fiber: every
     # outcome of ``check_adapted`` equals the probe-by-probe definition.
     rng = random.Random(2411)
     kinds, inputs = {}, 0
@@ -511,6 +518,27 @@ def test_check_adapted_matches_formula_holds_at_every_probe(monkeypatch):
     assert {name for name, _formula in kinds[GuardUndecidable]} == {"odd coordinates"}
 
 
+def test_check_adapted_signs_at_a_lazy_last_coordinate_as_formula_holds_does():
+    # Over the rational base probe x1 = 0, x1*x2 restricts to the zero
+    # polynomial in x2; at the lazy probe x2 = sqrt 2 + sqrt 3 above it,
+    # ``formula_holds`` refines intervals and leaves that zero undecided,
+    # and so must the fiber, which may not read the zero off the table.
+    stacks = {
+        (): SectionStack((Const(F(0)),)),
+        (1,): SectionStack(()),
+        (2,): SectionStack((parse_expr("(add (sqrt 2) (sqrt 3))"),)),
+        (3,): SectionStack(()),
+    }
+    assert isinstance(Cad(2, stacks).cell_points((2, 2))[0][1], expr.LazyValue)
+    kinds = []
+    for text in ("(eq (mul x1 x2) 0)", "(gt (add (mul x1 x2) 1) 0)", "(gt x2 3)", "(lt x1 1)"):
+        formula = parse_formula(text)
+        want = adaptedness_outcome(labels_by_probes, Cad(2, stacks), formula)
+        assert adaptedness_outcome(check_adapted, Cad(2, stacks), formula) == want, text
+        kinds.append(want[0])
+    assert kinds == [GuardUndecidable, "labels", "labels", "labels"]
+
+
 def test_check_adapted_converts_each_atom_once(monkeypatch):
     # A cost guard that reads no clock: on a fresh disk-lines(96),
     # ``check_adapted`` consults ``to_polynomial`` once per distinct atom,
@@ -523,6 +551,26 @@ def test_check_adapted_converts_each_atom_once(monkeypatch):
     assert consulted == [disk.formula.lhs]
 
 
+def test_check_adapted_restricts_each_atom_once_per_base_probe(monkeypatch):
+    # A cost guard that reads no clock: on a fresh disk-lines(96) whose
+    # probes are derived, ``check_adapted`` takes integer coefficients once
+    # per (atom, probe of a leaf's parent), 395 times where signing each
+    # leaf probe on its own took them 2531 times; and it still signs the
+    # atom at every one of the 2531 leaf probes.
+    disk = load_perfbench("workloads", monkeypatch).disk_lines(96, 0)
+    cad = disk.cad
+    leaf_probes = sum(len(cad.cell_points(leaf)) for leaf in cad.leaves())
+    base_probes = sum(len(cad.cell_points(cell)) for cell in cad.cells_of_level(1))
+    assert (leaf_probes, base_probes) == (2531, 395)
+    restricted, signed = [], []
+    coeffs, holds = cadmodel.integer_coeffs, cadmodel.holds
+    monkeypatch.setattr(cadmodel, "integer_coeffs", lambda q, values, i: restricted.append(i) or coeffs(q, values, i))
+    monkeypatch.setattr(cadmodel, "holds", lambda f, sign: holds(f, lambda lhs: signed.append(lhs) or sign(lhs)))
+    assert check_adapted(cad, disk.formula) == disk.labels
+    assert restricted == [2] * base_probes
+    assert signed == [disk.formula.lhs] * leaf_probes
+
+
 def test_leaf_probes_take_no_sign_to_refine_a_narrow_enough_number(monkeypatch):
     # A cost guard that reads no clock: deriving disk-lines(96)'s leaf
     # probes refines section values to widths they mostly have already;
@@ -530,12 +578,12 @@ def test_leaf_probes_take_no_sign_to_refine_a_narrow_enough_number(monkeypatch):
     cad = load_perfbench("workloads", monkeypatch).disk_lines(96, 0).cad
     calls = []  # per refine call: whether it bisects, and the signs it takes
     active = []
-    sign_at, refine = realroots.sign_at, AlgebraicNumber.refine
+    horner, refine = realroots.horner, AlgebraicNumber.refine
 
-    def counted_sign_at(p, x):
+    def counted_horner(p, n, d):
         if active:
-            active[-1].append(x)
-        return sign_at(p, x)
+            active[-1].append((n, d))
+        return horner(p, n, d)
 
     def counted_refine(self, width):
         signs = []
@@ -546,7 +594,7 @@ def test_leaf_probes_take_no_sign_to_refine_a_narrow_enough_number(monkeypatch):
         finally:
             active.pop()
 
-    monkeypatch.setattr(realroots, "sign_at", counted_sign_at)
+    monkeypatch.setattr(realroots, "horner", counted_horner)
     monkeypatch.setattr(AlgebraicNumber, "refine", counted_refine)
     for leaf in cad.leaves():
         cad.cell_points(leaf)
@@ -569,7 +617,7 @@ def test_refining_only_wider_intervals_keeps_every_probe(monkeypatch):
         return out
 
     kept = probes()
-    monkeypatch.setattr(AlgebraicNumber, "refine", oracle_refine)
+    monkeypatch.setattr(AlgebraicNumber, "refine", refine_by_fractions)
     assert probes() == kept
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cadreduce import realroots
-from cadreduce.expr import _algebraic_sqrt
+from cadreduce.expr import _algebraic_sqrt, sqrt_coord
 from cadreduce.realroots import (
     ZERO,
     AlgebraicNumber,
@@ -13,6 +13,8 @@ from cadreduce.realroots import (
     degree,
     derivative,
     gcd_poly,
+    horner,
+    integers,
     interval_eval,
     isolate_roots,
     make_algebraic,
@@ -25,7 +27,7 @@ from cadreduce.realroots import (
     squarefree_part,
     sturm_sequence,
 )
-from tests.oracles import add, mul
+from tests.oracles import add, mul, refine_by_fractions
 
 F = Fraction
 
@@ -77,14 +79,6 @@ def _oracle_halve(p, lo, hi):
     if fm == 0:
         return mid, mid
     return (mid, hi) if _sign(fm) == _sign(evaluate(p, lo)) else (lo, mid)
-
-
-def oracle_refine(a: AlgebraicNumber, width) -> AlgebraicNumber:
-    """``refine`` by Fraction bisection, from the number's own interval."""
-    lo, hi = a.lo, a.hi
-    while hi - lo > width:
-        lo, hi = _oracle_halve(a.defining, lo, hi)
-    return AlgebraicNumber(a.defining, lo, hi)
 
 
 def oracle_sign_of(a: AlgebraicNumber, q) -> int:
@@ -159,16 +153,16 @@ def corpus() -> list[AlgebraicNumber]:
 def bounded_work(monkeypatch):
     """Fail, rather than hang, when a search of the kernel does not end:
     every bisection, refinement and Sturm count evaluates signs through
-    ``sign_at``.  The tests below need at most about 12k evaluations."""
+    ``horner``.  The tests below need at most about 12k evaluations."""
     calls = [0]
 
-    def counted(p, x):
+    def counted(p, n, d):
         calls[0] += 1
         if calls[0] > 50_000:
             raise AssertionError("the exact search does not terminate")
-        return sign_at(p, x)
+        return horner(p, n, d)
 
-    monkeypatch.setattr(realroots, "sign_at", counted)
+    monkeypatch.setattr(realroots, "horner", counted)
 
 
 def test_sturm_chain_of_x2_minus_2():
@@ -237,8 +231,44 @@ def test_refine_returns_itself_when_narrow_enough_and_bisects_otherwise():
             rationals += 1
             continue
         for width in (w / 2, w / 3, w / 1000, F(1, 2**40)):
-            assert a.refine(width) == oracle_refine(a, width)
+            assert a.refine(width) == refine_by_fractions(a, width)
     assert rationals > 0
+
+
+def refine_corpus() -> list[AlgebraicNumber]:
+    """The roots of seeded random integer polynomials, seeded square roots
+    and their negations, and numbers whose bisection meets an exact
+    rational root at a midpoint, over dyadic and other denominators."""
+    rng = random.Random(2411)
+    numbers = []
+    for _ in range(25):
+        p = poly([rng.randint(-20, 20) for _ in range(rng.randint(2, 6))])
+        if degree(p) >= 1:
+            numbers += isolate_roots(p)
+    for _ in range(20):
+        root = sqrt_coord(F(rng.randint(1, 10**6), rng.randint(1, 10**4)))
+        if isinstance(root, AlgebraicNumber):
+            numbers += [root, root.negated()]
+    # 1/2 and 2/3 are the first midpoints, 1/4 the second; sqrt 3 lies outside.
+    numbers += [make_algebraic(poly([-1, 2]), F(0), F(1)), make_algebraic(poly([-2, 3]), F(1, 3), F(1))]
+    numbers.append(make_algebraic(mul(poly([-1, 4]), poly([-3, 0, 1])), F(0), F(1)))
+    return numbers
+
+
+def test_refine_matches_fraction_bisection():
+    # The differential test of bisecting in integers over one denominator:
+    # every interval, and every exact root met at a midpoint, is the one
+    # that Fraction bisection from the same interval gives.
+    numbers = refine_corpus()
+    assert len(numbers) > 60
+    widths = [F(1, 2**k) for k in (1, 2, 5, 13, 30, 47, 60)] + [F(1, 3), F(2, 7)]
+    exact = 0
+    for a in numbers:
+        for width in widths + [a.width() / 3]:
+            got = a.refine(width)
+            assert got == refine_by_fractions(a, width), (a, width)
+            exact += got.is_rational and not a.is_rational
+    assert exact >= 3 * len(widths)
 
 
 def test_refine_exact_root_is_point():
@@ -332,7 +362,7 @@ def test_sign_at_matches_fraction_evaluation():
             p = mul(p, poly([-r, 1]))
         for x in [r, F(0)] + [F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(6)]:
             want = _sign(evaluate(p, x))
-            assert sign_at(p, x) == want, (p, x)
+            assert sign_at(p, x) == sign_at(integers(p), x) == want, (p, x)
             checked += 1
             zeros += want == 0
     assert checked > 2000 and zeros > 50
