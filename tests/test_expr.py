@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import random
 from fractions import Fraction
@@ -39,7 +40,9 @@ from cadreduce.expr import (
     sexpr_of_formula,
     to_polynomial,
 )
+from cadreduce.gallery import gallery_names, load_entry
 from cadreduce.realroots import AlgebraicNumber, interval_eval, isolate_roots, make_algebraic, poly
+from tests.test_packaging import load_perfbench
 
 F = Fraction
 
@@ -289,6 +292,45 @@ def test_canonicalize_idempotent_on_random_corpus():
             poles += value is DivisionByZero
     assert checked > 100
     assert poles > 0
+
+
+def _polynomial_text(p) -> str:
+    """``to_polynomial``'s result as text: its terms as (variable monomial,
+    coefficient), sorted, None, or a pole."""
+    if p is None or p is DivisionByZero:
+        return str(p)
+    return repr(sorted((mon, str(c)) for mon, c in p.items()))
+
+
+def _normal_form_lines(e) -> list[str]:
+    try:
+        canonical = sexpr_of_expr(canonicalize(e))
+    except DivisionByZero:
+        canonical = "pole"
+    return [canonical, _polynomial_text(_polynomial_or_pole(to_polynomial, e))]
+
+
+def test_normal_form_digest(monkeypatch):
+    # One sha256 over the normal forms and polynomials of test_expr's seeded
+    # corpus, with and without square roots, piecewise definitions and
+    # algebraic constants, of every gallery stack function and formula, and
+    # of disk-lines(7)'s formula: a change to the polynomial arithmetic
+    # behind them must leave every one as it is.
+    lines = []
+    for seed, atoms in ((421, False), (7, True)):
+        rng = random.Random(seed)
+        for _ in range(400):
+            lines += _normal_form_lines(_random_expr(rng, rng.randint(1, 3), atoms))
+    for name in gallery_names():
+        entry = load_entry(name)
+        for cell in sorted(entry.cad.stacks):
+            for f in entry.cad.stacks[cell].functions:
+                lines += _normal_form_lines(f)
+        lines.append(sexpr_of_formula(canonical_formula(entry.formula)))
+    disk = load_perfbench("workloads", monkeypatch).disk_lines(7, 0)
+    lines.append(sexpr_of_formula(canonical_formula(disk.formula)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "6b5d14386b1c22280f56fb07ff19c979a933d6174c7e841c9ce6228568ab9bc7"
 
 
 def _to_polynomial_oracle(e):
