@@ -44,7 +44,6 @@ from cadreduce.expr import (
     Neg,
     Piecewise,
     Point,
-    ScaledPoly,
     Sqrt,
     Sub,
     any_node,
@@ -55,18 +54,18 @@ from cadreduce.expr import (
     eval_coord,
     formula_holds,
     holds,
-    integer_coeffs,
     is_piecewise,
     max_var_index,
     negated_coord,
-    scaled_poly,
+    polynomial_of,
     sector_coords,
     sexpr_of_expr,
     sqrt_coord,
     substitute,
     to_polynomial,
 )
-from cadreduce.realroots import AlgebraicNumber, UniPoly, isolate_roots, poly, pseudo_rem, sign_at
+from cadreduce.poly import IntPoly, Polynomial, integer_coeffs
+from cadreduce.realroots import AlgebraicNumber, isolate_roots, pseudo_rem, sign_at
 
 CellIndex = tuple[int, ...]
 
@@ -117,10 +116,10 @@ class Cad:
         self.root = self
         self.stacks = stacks
         self._point_cache: dict[CellIndex, list[Point]] = {}
-        # Shared roots, and their arguments in integers with their top
+        # Shared roots, and their arguments as polynomials with their top
         # variable, or None for no polynomial (``_section_value``).
         self._roots: dict[tuple, CoordValue] = {}
-        self._sqrt_polys: dict[Expr, tuple[ScaledPoly, int] | None] = {}
+        self._sqrt_polys: dict[Expr, tuple[Polynomial, int] | None] = {}
         # The root's ``validate_cad`` report, made on first use.
         self._validation: ValidationReport | None = None
         # Lift verdicts (see ``reduction._lift_allowed``): one per slot
@@ -205,7 +204,7 @@ class Cad:
             if g not in self._sqrt_polys:
                 # A g that divides falls back, to raise eval_coord's errors.
                 p = None if any_node(g, lambda e: isinstance(e, Div)) else to_polynomial(g)
-                self._sqrt_polys[g] = None if p is None else (ScaledPoly(p), max_var_index(g))
+                self._sqrt_polys[g] = None if p is None else (p, max_var_index(g))
             kept = self._sqrt_polys[g]
             if kept is None or kept[1] > len(base) or not all(isinstance(c, Fraction) for c in base):
                 r = eval_coord(core, base)
@@ -297,12 +296,9 @@ def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
     zero on the cell when one of its real roots lies in that interval.
     """
     p = to_polynomial(den)
-    if p is None:
+    if p is None or len(p.variables) != 1:
         return None
-    q = ScaledPoly(p)
-    if len(q.variables) != 1:
-        return None
-    (t,) = q.variables
+    (t,) = p.variables
     base = cell[: t - 1]
     stack = root.stacks[base]
     j = (cell[t - 1] - 1) // 2
@@ -320,7 +316,7 @@ def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
             lo, hi = (None if r is None else r.value for r in restricted)
         return any(
             (lo is None or compare_coords(lo, r) < 0) and (hi is None or compare_coords(r, hi) < 0)
-            for r in isolate_roots(poly(integer_coeffs(q, {}, t)[0]))
+            for r in isolate_roots(integer_coeffs(p, {}, t)[0])
         )
     except (GuardUndecidable, UnknownOrder, DivisionByZero, SqrtOfNegative):
         return None
@@ -552,7 +548,7 @@ def check_adapted(cad: Cad, formula: Formula) -> LeafLabeling:
     lifting walks a stack: each atom is restricted once to the fiber over
     each probe of the parent (``_Fiber``) and signed there at the last
     coordinate of every leaf probe above it, as ``formula_holds`` signs it.
-    Each atom is converted to integers (``scaled_poly``) once per call."""
+    Each atom is converted to a polynomial (``polynomial_of``) once per call."""
     if not cad.is_root:
         raise ValueError("probes belong to root cells; a coarsening's cells are unions of them")
     top = max_var_index(formula)
@@ -560,7 +556,7 @@ def check_adapted(cad: Cad, formula: Formula) -> LeafLabeling:
         raise ValueError(f"formula has variable x{top}, the CAD is of R^{cad.n}")
     if cad.n == 0:
         return {ROOT_INDEX: int(formula_holds(formula, ()))}
-    polys: dict[Expr, ScaledPoly] = {}
+    polys: dict[Expr, Polynomial] = {}
     labels: LeafLabeling = {}
     # Every leaf is listed first, as a missing stack raises before any sign.
     for parent, leaves in [(c, cad.children(c)) for c in cad.cells_of_level(cad.n - 1)]:
@@ -593,19 +589,19 @@ class _Fiber:
 
     __slots__ = ("polys", "coeffs", "remainders", "point")
 
-    def __init__(self, polys: dict[Expr, ScaledPoly]):
+    def __init__(self, polys: dict[Expr, Polynomial]):
         self.polys = polys
         self.coeffs: dict[Expr, list[int] | None] = {}
         # Per atom, the last defining polynomial met and the remainder by
         # it, which the values sqrt(g) and -sqrt(g) of one stack share.
-        self.remainders: dict[Expr, tuple[UniPoly, list[int]]] = {}
+        self.remainders: dict[Expr, tuple[IntPoly, list[int]]] = {}
 
     def sign(self, lhs: Expr) -> int:
         """The sign of ``lhs`` at ``point``, a leaf probe above b."""
         point = self.point
         c = self.coeffs.get(lhs, self)
         if c is self:
-            q, n, values = scaled_poly(lhs, self.polys), len(point), {}
+            q, n, values = polynomial_of(lhs, self.polys), len(point), {}
             for i in q.variables:
                 v = point[i - 1]
                 if isinstance(v, AlgebraicNumber) and v.is_rational:

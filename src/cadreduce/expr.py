@@ -4,7 +4,9 @@ Expressions are immutable ASTs over rational constants, variables ``x1..xk``,
 field operations, integer powers, square roots and guarded piecewise
 definitions.  Values at exact rational points are computed exactly whenever
 the arithmetic stays rational; irrational values are represented by rational
-intervals that can be refined on demand.
+intervals that can be refined on demand.  The normal form
+(``canonicalize``) and the polynomial view (``to_polynomial``) are computed
+in the ring of ``cadreduce.poly``.
 
 Formulas are boolean combinations of polynomial sign conditions ``p sigma 0``
 and define the semi-algebraic sets that CADs are adapted to.
@@ -15,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, Union
+from math import isqrt
+from typing import Callable, Union
 
 from cadreduce.errors import DivisionByZero, GuardUndecidable, ParseError, SqrtOfNegative, UnknownOrder
-from cadreduce.realroots import AlgebraicNumber, make_algebraic, poly as upoly
+from cadreduce.poly import ONE, GenKey, Polynomial, clear_denominators, integer_coeffs
+from cadreduce.realroots import AlgebraicNumber, make_algebraic
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +334,7 @@ def expr_from_sexpr(tree) -> Expr:
         if lo is None or hi is None:
             raise ParseError("(root ...) bounds must be rational")
         try:
-            return AlgebraicConst(make_algebraic(upoly(coeffs), lo, hi))
+            return AlgebraicConst(make_algebraic(clear_denominators(coeffs), lo, hi))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
     if head == "piecewise":
@@ -448,72 +451,13 @@ def sexpr_of_formula(f: Formula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial normal form over an atom-extended ring.
+# Normal form
 #
-# A canonical value is a pair (num, den) of expanded polynomials whose
-# generators are either variables or opaque "atoms" (sqrt / piecewise /
+# A canonical value is a pair (num, den) of polynomials (``poly.Polynomial``)
+# whose generators are either variables or opaque "atoms" (sqrt / piecewise /
 # irrational constants).  Denominators are accumulated multiplicatively and
 # never cancelled against numerators, so the domain of definition of the
 # original expression is preserved exactly.
-
-# generator key: (0, index, "") for variables, (1, 0, sexpr) for atoms
-GenKey = tuple[int, int, str]
-Monomial = tuple[tuple[GenKey, int], ...]
-Poly = dict[Monomial, Fraction]
-
-_ONE_POLY: Poly = {(): Fraction(1)}
-
-
-def _pconst(c: Fraction) -> Poly:
-    return {(): c} if c else {}
-
-
-def _pgen(key: GenKey) -> Poly:
-    return {((key, 1),): Fraction(1)}
-
-
-def _padd(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, Fraction(0)) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _pneg(a: Poly) -> Poly:
-    return {m: -c for m, c in a.items()}
-
-
-def _mon_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    exps: dict[GenKey, int] = {}
-    for g, e in m1:
-        exps[g] = exps.get(g, 0) + e
-    for g, e in m2:
-        exps[g] = exps.get(g, 0) + e
-    return tuple(sorted(exps.items()))
-
-
-def _pmul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = _mon_mul(m1, m2)
-            s = out.get(m, Fraction(0)) + c1 * c2
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
-
-
-def _ppow(a: Poly, k: int) -> Poly:
-    out = _ONE_POLY
-    for _ in range(k):
-        out = _pmul(out, a)
-    return out
 
 
 def _perfect_sqrt(c: Fraction) -> Fraction | None:
@@ -528,31 +472,29 @@ def _perfect_sqrt(c: Fraction) -> Fraction | None:
 class _Pair:
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly):
+    def __init__(self, num: Polynomial, den: Polynomial):
         self.num = num
         self.den = den
 
 
 def _pair_add(a: _Pair, b: _Pair, sign: int = 1) -> _Pair:
-    num_b = b.num if sign > 0 else _pneg(b.num)
+    num_b = b.num if sign > 0 else -b.num
     if a.den == b.den:
-        return _Pair(_padd(a.num, num_b), a.den)
-    return _Pair(_padd(_pmul(a.num, b.den), _pmul(num_b, a.den)), _pmul(a.den, b.den))
+        return _Pair(a.num + num_b, a.den)
+    return _Pair(a.num * b.den + num_b * a.den, a.den * b.den)
 
 
 def _pair_mul(a: _Pair, b: _Pair) -> _Pair:
-    return _Pair(_pmul(a.num, b.num), _pmul(a.den, b.den))
+    return _Pair(a.num * b.num, a.den * b.den)
 
 
 def _pair_div(a: _Pair, b: _Pair) -> _Pair:
     # Value: (a.num * b.den) / (a.den * b.num).  Both sides carry one more
     # b.den factor, which keeps the domain of definition identical to the
     # original expression (defined iff a.den != 0, b.den != 0 and b.num != 0).
-    if not b.num:
+    if not b.num.terms:
         raise DivisionByZero("division by an expression that is identically zero")
-    num = _pmul(_pmul(a.num, b.den), b.den)
-    den = _pmul(_pmul(a.den, b.num), b.den)
-    return _Pair(num, den)
+    return _Pair(a.num * b.den * b.den, a.den * b.num * b.den)
 
 
 _atom_registry: dict[GenKey, Expr] = {}
@@ -566,13 +508,13 @@ def _atom_key(e: Expr) -> GenKey:
 
 def _to_pair(e: Expr) -> _Pair:
     if isinstance(e, Const):
-        return _Pair(_pconst(e.value), _ONE_POLY)
+        return _Pair(Polynomial.constant(e.value), ONE)
     if isinstance(e, AlgebraicConst):
         if e.value.is_rational:
-            return _Pair(_pconst(e.value.rational_value), _ONE_POLY)
-        return _Pair(_pgen(_atom_key(e)), _ONE_POLY)
+            return _Pair(Polynomial.constant(e.value.rational_value), ONE)
+        return _Pair(Polynomial.generator(_atom_key(e)), ONE)
     if isinstance(e, Var):
-        return _Pair(_pgen((0, e.index, "")), _ONE_POLY)
+        return _Pair(Polynomial.generator((0, e.index, "")), ONE)
     if isinstance(e, Add):
         return _pair_add(_to_pair(e.left), _to_pair(e.right))
     if isinstance(e, Sub):
@@ -583,39 +525,28 @@ def _to_pair(e: Expr) -> _Pair:
         return _pair_div(_to_pair(e.left), _to_pair(e.right))
     if isinstance(e, Neg):
         p = _to_pair(e.arg)
-        return _Pair(_pneg(p.num), p.den)
+        return _Pair(-p.num, p.den)
     if isinstance(e, Pow):
         p = _to_pair(e.base)
         if e.exponent == 0:
             # The value is 1 wherever the base is defined, and undefined at its poles.
             return _Pair(p.den, p.den)
-        return _Pair(_ppow(p.num, e.exponent), _ppow(p.den, e.exponent))
+        return _Pair(p.num**e.exponent, p.den**e.exponent)
     if isinstance(e, Sqrt):
         inner = canonicalize(e.arg)
         if isinstance(inner, Const):
             if inner.value < 0:
                 # Kept symbolic: the error surfaces at evaluation time.
-                return _Pair(_pgen(_atom_key(Sqrt(inner))), _ONE_POLY)
+                return _Pair(Polynomial.generator(_atom_key(Sqrt(inner))), ONE)
             r = _perfect_sqrt(inner.value)
             if r is not None:
-                return _Pair(_pconst(r), _ONE_POLY)
-        return _Pair(_pgen(_atom_key(Sqrt(inner))), _ONE_POLY)
+                return _Pair(Polynomial.constant(r), ONE)
+        return _Pair(Polynomial.generator(_atom_key(Sqrt(inner))), ONE)
     if isinstance(e, Piecewise):
         pieces = tuple((canonical_formula(g), canonicalize(x)) for g, x in e.pieces)
         default = canonicalize(e.default) if e.default is not None else None
-        return _Pair(_pgen(_atom_key(Piecewise(pieces, default))), _ONE_POLY)
+        return _Pair(Polynomial.generator(_atom_key(Piecewise(pieces, default))), ONE)
     raise TypeError(f"unknown expression node {e!r}")
-
-
-def _content(values: Iterable[Fraction], leading: Fraction) -> Fraction:
-    """Gauss content (with the sign of the leading coefficient)."""
-    vals = list(values)
-    den = lcm(*[c.denominator for c in vals])
-    g = 0
-    for c in vals:
-        g = gcd(g, abs(c.numerator) * (den // c.denominator))
-    content = Fraction(g, den)
-    return -content if leading < 0 else content
 
 
 def _normalize_pair(p: _Pair) -> _Pair:
@@ -624,10 +555,10 @@ def _normalize_pair(p: _Pair) -> _Pair:
     Numerator and denominator are divided by the same constant, so the value
     and the domain of definition are unchanged.
     """
-    if not p.den:
+    if not p.den.terms:
         raise DivisionByZero("denominator is identically zero")
-    t = _content(p.den.values(), p.den[max(p.den)])
-    return _Pair({m: c / t for m, c in p.num.items()}, {m: c / t for m, c in p.den.items()})
+    scale = Polynomial.constant(1 / p.den.content())
+    return _Pair(p.num * scale, p.den * scale)
 
 
 def _gen_expr(key: GenKey) -> Expr:
@@ -637,12 +568,12 @@ def _gen_expr(key: GenKey) -> Expr:
     return _atom_registry[key]
 
 
-def _render_poly(p: Poly) -> Expr:
-    if not p:
+def _render_poly(p: Polynomial) -> Expr:
+    if not p.terms:
         return Const(Fraction(0))
     terms = []
-    for mon in sorted(p):
-        c = p[mon]
+    for mon in sorted(p.terms):
+        c = Fraction(p.terms[mon], p.den)
         factors: list[Expr] = []
         for key, exp in mon:
             base = _gen_expr(key)
@@ -675,7 +606,7 @@ def canonicalize(e: Expr) -> Expr:
     """
     pair = _normalize_pair(_to_pair(e))
     num = _render_poly(pair.num)
-    if pair.den == _ONE_POLY:
+    if pair.den == ONE:
         return num
     return Div(num, _render_poly(pair.den))
 
@@ -691,16 +622,12 @@ def canonical_formula(f: Formula) -> Formula:
         p = to_polynomial(canonicalize(f.lhs))
         if p is None:
             raise ParseError("formula atoms must be polynomial")
-        if not p:
+        if not p.terms:
             truth = f.op in ("le", "eq", "ge")
             return TRUE if truth else FALSE
         # Scale to primitive integer coefficients; flip on negative leading.
-        t = _content(p.values(), p[max(p)])
-        op = _OP_FLIP[f.op] if t < 0 else f.op
-        scaled: Poly = {
-            tuple(((0, i, ""), k) for i, k in mon): c / t for mon, c in p.items()
-        }
-        return Atom(_render_poly(scaled), op)
+        t = p.content()
+        return Atom(_render_poly(p * Polynomial.constant(1 / t)), _OP_FLIP[f.op] if t < 0 else f.op)
     if isinstance(f, (And, Or)):
         ctor = type(f)
         flat: list[Formula] = []
@@ -736,16 +663,13 @@ def canonical_formula(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Pure polynomial view (for formula atoms)
 
-VarMonomial = tuple[tuple[int, int], ...]  # ((var index, exponent), ...) sorted
-VarPoly = dict[VarMonomial, Fraction]
-
 
 def _is_atom(e: Expr) -> bool:
     return isinstance(e, (Sqrt, Piecewise)) or (isinstance(e, AlgebraicConst) and not e.value.is_rational)
 
 
 @lru_cache(maxsize=None)
-def to_polynomial(e: Expr) -> "VarPoly | None":
+def to_polynomial(e: Expr) -> Polynomial | None:
     """The expression as a polynomial in x1..xn, or None if it is not one.
 
     This is the numerator of the normal form when ``e`` has no square root,
@@ -755,68 +679,7 @@ def to_polynomial(e: Expr) -> "VarPoly | None":
     if any_node(e, _is_atom):
         return None
     pair = _normalize_pair(_to_pair(e))
-    if pair.den != _ONE_POLY:
-        return None
-    return {tuple((idx, k) for (_, idx, _), k in mon): c for mon, c in pair.num.items()}
-
-
-class ScaledPoly:
-    """A polynomial of ``to_polynomial`` in integers, made once for all the
-    points it is signed at: ``terms`` holds (L*c, monomial) for each term
-    c * monomial, with L > 0 (``den``) the least common denominator of the
-    coefficients, so the integers stand for L*p, which has p's signs;
-    ``top`` maps each variable to its top degree in p, and ``variables``
-    are the variables p uses."""
-
-    __slots__ = ("terms", "den", "top", "variables")
-
-    def __init__(self, p: VarPoly):
-        self.den = lcm(*[c.denominator for c in p.values()])
-        self.terms = tuple((c.numerator * (self.den // c.denominator), mon) for mon, c in p.items())
-        self.top: dict[int, int] = {}
-        for mon in p:
-            for i, k in mon:
-                self.top[i] = max(k, self.top.get(i, 0))
-        # A set's order, in which ``atom_sign`` names a missing coordinate.
-        self.variables = tuple({i for mon in p for i, _ in mon})
-
-
-def integer_coeffs(q: ScaledPoly, values: dict[int, Fraction], index: int | None) -> tuple[list[int], int]:
-    """The dense coefficients in x_index of the polynomial p that ``q``
-    stands for, with the rational ``values`` substituted for every other
-    variable (a constant when ``index`` is None), summed in integers:
-    integers a_d, trailing zeros dropped, and a scale s > 0 with a_d / s the
-    coefficient of x_index^d.  A variable that is neither ``index`` nor
-    given a value raises ``ValueError``: the point has no such coordinate.
-
-    ``q`` was made once from p, so only the values' part is computed here:
-    with L = ``q.den``, x_i = n_i/d_i and K_i the top degree of x_i in p,
-    s = L * prod d_i^K_i, and a term c * prod x_i^k_i contributes
-    L*c * prod n_i^k_i * d_i^(K_i - k_i) to a_{k_index} (a_0 when ``index``
-    is None).  As s > 0, the a_d give every sign the exact ones give."""
-    common = 1
-    parts: dict[int, tuple[int, int]] = {}
-    for i, k in q.top.items():
-        if i != index:
-            v = values.get(i)
-            if v is None:
-                raise ValueError(f"point has no coordinate {i}")
-            parts[i] = v.numerator, v.denominator
-            common *= v.denominator**k
-    out = [0] * (q.top.get(index, 0) + 1)
-    for term, mon in q.terms:
-        rest, degree = common, 0
-        for i, k in mon:
-            if i == index:
-                degree = k
-            else:
-                n, d = parts[i]
-                term *= n**k
-                rest //= d**k
-        out[degree] += term * rest
-    while out and not out[-1]:
-        out.pop()
-    return out, q.den * common
+    return pair.num if pair.den == ONE else None
 
 
 # ---------------------------------------------------------------------------
@@ -885,9 +748,9 @@ def _sqrt_bounds(c: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
 
 def _algebraic_sqrt(c: Fraction) -> AlgebraicNumber:
     """sqrt(c) for positive non-square c, as an exact algebraic number."""
-    lo, hi = _sqrt_bounds(c, Fraction(1, 4))
+    lo, hi = _sqrt_bounds(c, _QUARTER)
     # For c = p/q in lowest terms, q*x^2 - p is primitive and squarefree.
-    defining = upoly([-c.numerator, 0, c.denominator])
+    defining = (-c.numerator, 0, c.denominator)
     # c is not a perfect square, so the rational bounds are never roots.
     return AlgebraicNumber(defining, lo, hi)
 
@@ -1109,22 +972,22 @@ def sector_coords(lo: CoordValue | None, hi: CoordValue | None, count: int) -> l
 # Signs and comparisons
 
 
-def scaled_poly(lhs: Expr, polys: dict[Expr, ScaledPoly]) -> ScaledPoly:
-    """``lhs`` in integers, read from ``polys`` or converted into it once
+def polynomial_of(lhs: Expr, polys: dict[Expr, Polynomial]) -> Polynomial:
+    """``lhs`` as a polynomial, read from ``polys`` or converted into it once
     (``to_polynomial``).  A ``lhs`` that is not a polynomial raises
     ``ParseError`` here, when a sign of it is first needed."""
     q = polys.get(lhs)
     if q is None:
-        p = to_polynomial(lhs)
-        if p is None:
+        q = to_polynomial(lhs)
+        if q is None:
             raise ParseError(f"not a polynomial: {sexpr_of_expr(lhs)}")
-        q = polys[lhs] = ScaledPoly(p)
+        polys[lhs] = q
     return q
 
 
-def atom_sign(lhs: Expr, point: Point, polys: dict[Expr, ScaledPoly]) -> int:
+def atom_sign(lhs: Expr, point: Point, polys: dict[Expr, Polynomial]) -> int:
     """Exact sign of a polynomial at a point, with ``lhs`` converted through
-    ``polys`` (``scaled_poly``).
+    ``polys`` (``polynomial_of``).
 
     Exact when the coordinates of the variables the polynomial uses are
     rational but for at most one algebraic one: those paths read the
@@ -1133,7 +996,7 @@ def atom_sign(lhs: Expr, point: Point, polys: dict[Expr, ScaledPoly]) -> int:
     interval refinement of ``lhs`` itself, which can prove a nonzero sign
     but raises GuardUndecidable on a (potential) zero.
     """
-    q = scaled_poly(lhs, polys)
+    q = polynomial_of(lhs, polys)
     rationals: dict[int, Fraction] = {}
     algebraic: list[tuple[int, AlgebraicNumber]] = []
     lazies = 0

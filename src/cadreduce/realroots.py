@@ -1,66 +1,42 @@
 """Exact real root isolation for univariate polynomials over the rationals.
 
-Polynomials are dense coefficient tuples (low degree first, trailing
-coefficient nonzero).  Roots are isolated with Sturm sequences and rational
-bisection, and represented by :class:`AlgebraicNumber` values that can be
-refined on demand and compared exactly.  Signs at rational points
-(:func:`sign_at`, by :func:`horner`) and remainders by a defining polynomial
-(:func:`pseudo_rem`) are computed in integer arithmetic, so they and
-:meth:`AlgebraicNumber.sign_of` also take integer coefficients.
+Polynomials are dense tuples of ints (low degree first, trailing
+coefficient nonzero): a rational polynomial is kept as a positive
+multiple, with its signs and roots.  Roots are isolated with Sturm
+sequences and rational bisection, and represented by
+:class:`AlgebraicNumber` values that can be refined on demand and compared
+exactly.  Signs at rational points (:func:`sign_at`, by :func:`horner`),
+remainders (:func:`pseudo_rem`) and gcds are computed in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
+
+from cadreduce.poly import IntPoly, primitive
 
 
 class ZeroPolynomial(ValueError):
     """Raised when an operation needs a nonzero polynomial."""
 
 
-UniPoly = tuple[Fraction, ...]
-
-ZERO: UniPoly = ()
-
-
-def poly(coeffs: Sequence[Fraction | int]) -> UniPoly:
-    """Normalize a coefficient sequence (low degree first) to a UniPoly."""
-    cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def degree(p: UniPoly) -> int:
+def degree(p: Sequence[int]) -> int:
     """Degree of ``p``; -1 for the zero polynomial."""
     return len(p) - 1
 
 
-def is_zero(p: UniPoly) -> bool:
-    return not p
-
-
-def integers(p: UniPoly | Sequence[int]) -> list[int]:
-    """L*p for L > 0 the least common denominator of the coefficients (1
-    for int ones): integer coefficients with the signs and roots of p."""
-    den = lcm(*[c.denominator for c in p])
-    return [c.numerator * (den // c.denominator) for c in p]
-
-
 def sign_at(p: Sequence[int], x: Fraction) -> int:
-    """Sign of p(x) for integer coefficients (``integers``): the sign of
-    ``horner(p, n, d)`` for x = n/d."""
+    """Sign of p(x): the sign of ``horner(p, n, d)`` for x = n/d."""
     v = horner(p, x.numerator, x.denominator)
     return (v > 0) - (v < 0)
 
 
 def horner(p: Sequence[int], n: int, d: int) -> int:
     """d^k * p(n/d) for deg p = k, the sum of c_i * n^i * d^(k-i) by
-    Horner's rule in n: an integer for integer c_i, with the sign of
-    p(n/d) when d > 0.  n/d need not be in lowest terms."""
+    Horner's rule in n: an integer, with the sign of p(n/d) when d > 0.
+    n/d need not be in lowest terms."""
     acc = 0
     dpow = 1
     for c in reversed(p):
@@ -69,55 +45,18 @@ def horner(p: Sequence[int], n: int, d: int) -> int:
     return acc
 
 
-def derivative(p: UniPoly) -> UniPoly:
-    return poly([i * c for i, c in enumerate(p)][1:])
+def derivative(p: Sequence[int]) -> IntPoly:
+    return tuple(i * c for i, c in enumerate(p))[1:]
 
 
-def negate(p: UniPoly) -> UniPoly:
-    return tuple(-c for c in p)
-
-
-def scale(p: UniPoly, c: Fraction) -> UniPoly:
-    if c == 0:
-        return ZERO
-    return tuple(a * c for a in p)
-
-
-def divmod_poly(p: UniPoly, q: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """Exact polynomial division with remainder over the rationals."""
-    if is_zero(q):
-        raise ZeroPolynomial("division by the zero polynomial")
+def pseudo_rem(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """A positive multiple of the remainder of p by q, for q with a
+    positive leading coefficient c: each reduction step scales by c
+    instead of dividing by it, so the arithmetic stays in integers."""
+    assert q and q[-1] > 0 and all(type(b) is int for b in q), f"not an integer q with c > 0: {q}"
     rem = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
+    lead, lower = q[-1], q[:-1]
     while len(rem) >= len(q):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(q):
-            break
-        k = len(rem) - len(q)
-        c = rem[-1] / lead
-        quo[k] = c
-        for i, b in enumerate(q):
-            rem[k + i] -= c * b
-        rem.pop()
-    return poly(quo), poly(rem)
-
-
-def rem_poly(p: UniPoly, q: UniPoly) -> UniPoly:
-    return divmod_poly(p, q)[1]
-
-
-def pseudo_rem(p: UniPoly, q: UniPoly) -> list[int]:
-    """The integer coefficients of a positive multiple of ``rem_poly(p, q)``,
-    for q with integer coefficients and a positive leading one c: p is
-    scaled by the least common denominator of its coefficients, and each
-    reduction step by c, instead of dividing by c."""
-    qs = [b.numerator for b in q]
-    assert qs and qs[-1] > 0 and all(b.denominator == 1 for b in q), f"not an integer q with c > 0: {q}"
-    rem = integers(p)
-    lead, lower = qs[-1], qs[:-1]
-    while len(rem) >= len(qs):
         top = rem.pop()
         if top:
             k = len(rem) - len(lower)
@@ -129,59 +68,54 @@ def pseudo_rem(p: UniPoly, q: UniPoly) -> list[int]:
     return rem
 
 
-def monic(p: UniPoly) -> UniPoly:
-    if is_zero(p):
-        return ZERO
-    return scale(p, 1 / p[-1])
+def gcd_poly(p: Sequence[int], q: Sequence[int]) -> IntPoly:
+    """The greatest common divisor, primitive with a positive leading
+    coefficient, by a primitive pseudo-remainder sequence."""
+    a, b = primitive(p), primitive(q)
+    while b:
+        a, b = b, primitive(pseudo_rem(a, b))
+    return a
 
 
-def gcd_poly(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic greatest common divisor."""
-    a, b = p, q
-    while not is_zero(b):
-        a, b = b, rem_poly(a, b)
-    return monic(a)
+def _exact_quotient(p: Sequence[int], g: IntPoly) -> list[int]:
+    """p / g for a primitive g that divides p: by Gauss's lemma the
+    quotient has integer coefficients, so every step divides exactly."""
+    rem = list(p)
+    quo = [0] * (len(p) - len(g) + 1)
+    for k in reversed(range(len(quo))):
+        c, r = divmod(rem[k + len(g) - 1], g[-1])
+        assert not r, (p, g)
+        quo[k] = c
+        for i, b in enumerate(g):
+            rem[k + i] -= c * b
+    assert not any(rem), (p, g)
+    return quo
 
 
-def primitive(p: UniPoly) -> UniPoly:
-    """Scale so coefficients are coprime integers with positive leading one."""
-    if is_zero(p):
-        return ZERO
-    ints = integers(p)
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(Fraction(c) for c in ints)
-
-
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """The product of the distinct irreducible factors of ``p``."""
-    if is_zero(p):
+def squarefree_part(p: Sequence[int]) -> IntPoly:
+    """The product of the distinct irreducible factors of ``p``, primitive
+    with a positive leading coefficient."""
+    if not p:
         raise ZeroPolynomial("squarefree part of the zero polynomial")
-    if degree(p) == 0:
-        return (Fraction(1),)
-    g = gcd_poly(p, derivative(p))
-    q, r = divmod_poly(p, g)
-    assert is_zero(r)
-    return primitive(q)
+    return primitive(_exact_quotient(p, gcd_poly(p, derivative(p))))
 
 
-def sturm_sequence(p: UniPoly) -> list[UniPoly]:
-    """Sturm chain of ``p``: (p, p', -rem(...), ...) with no normalization.
+def sturm_sequence(p: Sequence[int]) -> list[IntPoly]:
+    """Sturm chain of ``p``: p, p', then the negated remainders, each
+    scaled by |lc|^k, a positive constant, which keeps every sign
+    (``pseudo_rem`` by the divisor with a positive leading coefficient).
 
     The difference of sign variations of the chain at a < b counts the
     distinct real roots of the squarefree part in the half-open interval
     (a, b].
     """
-    if is_zero(p):
+    if not p:
         raise ZeroPolynomial("Sturm sequence of the zero polynomial")
-    chain = [p, derivative(p)]
-    while not is_zero(chain[-1]) and degree(chain[-1]) > 0:
-        chain.append(negate(rem_poly(chain[-2], chain[-1])))
-    if is_zero(chain[-1]):
+    chain = [tuple(p), derivative(p)]
+    while degree(chain[-1]) > 0:
+        b = chain[-1]
+        chain.append(tuple(-c for c in pseudo_rem(chain[-2], b if b[-1] > 0 else tuple(-c for c in b))))
+    if not chain[-1]:
         chain.pop()
     return chain
 
@@ -191,23 +125,20 @@ def _variations_at(chain: Sequence[Sequence[int]], x: Fraction) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def count_roots(p: UniPoly, a: Fraction, b: Fraction, chain: Sequence[UniPoly] | None = None) -> int:
+def count_roots(p: Sequence[int], a: Fraction, b: Fraction, chain: Sequence[IntPoly] | None = None) -> int:
     """Number of distinct real roots of ``p`` in the half-open interval (a, b].
 
     ``chain`` is the Sturm chain of the squarefree part of ``p``; pass
     ``sturm_sequence(p)`` when ``p`` is already squarefree.
     """
-    if is_zero(p):
-        raise ZeroPolynomial("root count of the zero polynomial")
     if a >= b:
         return 0
     if chain is None:
         chain = sturm_sequence(squarefree_part(p))
-    ints = [integers(f) for f in chain]
-    return _variations_at(ints, a) - _variations_at(ints, b)
+    return _variations_at(chain, a) - _variations_at(chain, b)
 
 
-def _vanishes_inside(g: UniPoly, lo: Fraction, hi: Fraction) -> bool:
+def _vanishes_inside(g: IntPoly, lo: Fraction, hi: Fraction) -> bool:
     """Whether ``g`` has a root in (lo, hi), where g divides the defining
     polynomial of an algebraic number, (lo, hi) lies inside its isolating
     interval and neither lo nor hi is a root of g.  That root can only be
@@ -219,20 +150,18 @@ def _vanishes_inside(g: UniPoly, lo: Fraction, hi: Fraction) -> bool:
     """
     if degree(g) < 1:
         return False
-    ints = integers(g)
-    return sign_at(ints, lo) != sign_at(ints, hi)
+    return sign_at(g, lo) != sign_at(g, hi)
 
 
-def root_bound(p: UniPoly) -> Fraction:
+def root_bound(p: IntPoly) -> Fraction:
     """Cauchy bound: all real roots lie strictly inside (-M, M)."""
-    lead = abs(p[-1])
-    return 1 + max(abs(c) for c in p) / lead
+    return 1 + Fraction(max(abs(c) for c in p), abs(p[-1]))
 
 
 @dataclass(frozen=True)
 class AlgebraicNumber:
-    """A real algebraic number: a squarefree primitive defining polynomial
-    together with a rational isolating interval containing exactly one of
+    """A real algebraic number: a squarefree defining polynomial, primitive
+    with a positive leading coefficient, together with a rational isolating interval containing exactly one of
     its roots.
 
     ``lo == hi`` encodes an exact rational root.  Otherwise ``lo < hi``, the
@@ -242,14 +171,14 @@ class AlgebraicNumber:
     immutable; :meth:`refine` returns a narrower copy for the same root.
     """
 
-    defining: UniPoly
+    defining: IntPoly
     lo: Fraction
     hi: Fraction
 
     @staticmethod
     def from_rational(r: Fraction | int) -> AlgebraicNumber:
         r = Fraction(r)
-        return AlgebraicNumber(poly([-r.numerator, r.denominator]), r, r)
+        return AlgebraicNumber((-r.numerator, r.denominator), r, r)
 
     @property
     def is_rational(self) -> bool:
@@ -281,7 +210,7 @@ class AlgebraicNumber:
         # The least k with span / 2^k <= width * e.
         k = (-(-excess // (width.numerator * e)) - 1).bit_length()
         low, span, e = low << k, span << k, e << k
-        p = integers(self.defining)
+        p = self.defining
         slo = horner(p, low, e) > 0
         for _ in range(k):
             span >>= 1
@@ -298,23 +227,20 @@ class AlgebraicNumber:
         r = self.refine(width)
         return (r.lo, r.hi)
 
-    def sign_of(self, q: UniPoly | Sequence[int]) -> int:
-        """Exact sign of q, with Fraction or int coefficients, at this number."""
-        if is_zero(q):
-            return 0
+    def sign_of(self, q: Sequence[int]) -> int:
+        """Exact sign of q at this number."""
         if self.is_rational:
-            return sign_at(integers(q), self.lo)
+            return sign_at(q, self.lo)
         return self.sign_of_remainder(pseudo_rem(q, self.defining))
 
-    def sign_of_remainder(self, ints: list[int]) -> int:
+    def sign_of_remainder(self, r: list[int]) -> int:
         """``sign_of(q)`` at an irrational number from ``pseudo_rem(q,
         defining)``, which numbers sharing ``defining`` can share."""
         # q(a) = r(a) times a positive constant, r the pseudo-remainder by
         # `defining`, which vanishes at a and is primitive with a positive
         # leading coefficient (``pseudo_rem`` asserts what it needs of that).
-        if len(ints) <= 1:
-            return 0 if not ints else (1 if ints[0] > 0 else -1)
-        r = poly(ints)
+        if len(r) <= 1:
+            return 0 if not r else (1 if r[0] > 0 else -1)
         a = self
         zero_tested = False
         while True:
@@ -331,7 +257,7 @@ class AlgebraicNumber:
             a = a.refine(a.width() / 2)
 
     def compare_rational(self, r: Fraction) -> int:
-        return self.sign_of(poly([-r, 1]))
+        return self.sign_of((-r.numerator, r.denominator))
 
     def compare(self, other: AlgebraicNumber) -> int:
         """Exact three-way comparison with another algebraic number."""
@@ -377,26 +303,25 @@ class AlgebraicNumber:
         return f"root of {self.defining} in ({self.lo}, {self.hi})"
 
 
-def make_algebraic(p: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicNumber:
+def make_algebraic(p: Sequence[int], lo: Fraction, hi: Fraction) -> AlgebraicNumber:
     """Validated construction from untrusted data (e.g. parsed documents)."""
-    if is_zero(p):
+    if not p:
         raise ZeroPolynomial("algebraic number needs a nonzero defining polynomial")
     sf = squarefree_part(p)
-    ints = integers(sf)
     if lo == hi:
-        if sign_at(ints, lo) != 0:
+        if sign_at(sf, lo) != 0:
             raise ValueError(f"{lo} is not a root of {p}")
         return AlgebraicNumber.from_rational(lo)
     if lo > hi:
         raise ValueError("empty isolating interval")
-    if sign_at(ints, lo) == 0 or sign_at(ints, hi) == 0:
+    if sign_at(sf, lo) == 0 or sign_at(sf, hi) == 0:
         raise ValueError("isolating interval endpoints must not be roots")
     if count_roots(sf, lo, hi, sturm_sequence(sf)) != 1:
         raise ValueError(f"interval ({lo}, {hi}) does not isolate one root of {p}")
     return AlgebraicNumber(sf, lo, hi)
 
 
-def interval_eval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+def interval_eval(p: Sequence[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Interval extension of polynomial evaluation on [lo, hi]."""
     alo = ahi = Fraction(0)
     for c in reversed(p):
@@ -406,19 +331,16 @@ def interval_eval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fra
     return alo, ahi
 
 
-def isolate_roots(p: UniPoly) -> list[AlgebraicNumber]:
+def isolate_roots(p: Sequence[int]) -> list[AlgebraicNumber]:
     """Isolate the distinct real roots of ``p``, sorted increasingly.
 
     Intervals are pairwise disjoint and each contains exactly one root of
     the squarefree part.  Rational roots collapse to exact points.
     """
-    if is_zero(p):
-        raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     sf = squarefree_part(p)
     if degree(sf) == 0:
         return []
     chain = sturm_sequence(sf)
-    ints = integers(sf)
     bound = root_bound(sf)
     roots: list[AlgebraicNumber] = []
 
@@ -426,7 +348,7 @@ def isolate_roots(p: UniPoly) -> list[AlgebraicNumber]:
         # Invariant: `count` roots of sf in (a, b], endpoints a with sf(a) != 0.
         if count == 0:
             return
-        sb = sign_at(ints, b)
+        sb = sign_at(sf, b)
         if count == 1:
             if sb == 0:
                 roots.append(AlgebraicNumber(sf, b, b))
@@ -435,11 +357,11 @@ def isolate_roots(p: UniPoly) -> list[AlgebraicNumber]:
             # Shrink until the endpoints are off the root and have opposite
             # signs (then plain sign bisection refines the root later).
             while True:
-                sa = sign_at(ints, lo)
+                sa = sign_at(sf, lo)
                 if sa != 0 and sa != sb:
                     break
                 mid = (lo + hi) / 2
-                sm = sign_at(ints, mid)
+                sm = sign_at(sf, mid)
                 if sm == 0:
                     roots.append(AlgebraicNumber(sf, mid, mid))
                     return

@@ -55,7 +55,7 @@ from cadreduce.expr import (
 )
 from cadreduce.poset import PosetGraph
 from cadreduce.reduction import try_lift
-from cadreduce.realroots import ZERO, AlgebraicNumber, UniPoly, poly
+from cadreduce.realroots import AlgebraicNumber
 from cadreduce.tree import CadTree, Cell, _leaves, build_tree, triple
 
 # ---------------------------------------------------------------------------
@@ -393,23 +393,31 @@ def block_label_mismatches(node: CadTree, root_labels: LeafLabeling) -> tuple[li
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial arithmetic (``cadreduce.realroots`` form)
+# Dense polynomial arithmetic (``cadreduce.realroots`` form: coefficients
+# low degree first, trailing zeros dropped)
 
 
-def add(p: UniPoly, q: UniPoly) -> UniPoly:
+def trimmed(coeffs) -> tuple:
+    out = list(coeffs)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def add(p, q) -> tuple:
     n = max(len(p), len(q))
-    return poly([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
+    return trimmed((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))
 
 
-def mul(p: UniPoly, q: UniPoly) -> UniPoly:
+def mul(p, q) -> tuple:
     if not p or not q:
-        return ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
                 out[i + j] += a * b
-    return poly(out)
+    return trimmed(out)
 
 
 def refine_by_fractions(a: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:

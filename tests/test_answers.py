@@ -50,13 +50,25 @@ def _digest(value) -> str:
 
 def _points(cad, cell) -> str:
     """The cell's probes as text, each written as (point, cell), the form
-    the hashes were first made in."""
+    the hashes were first made in: there a defining polynomial printed its
+    integer coefficients as ``Fraction``s."""
     from cadreduce.errors import CadError
 
     try:
-        return repr([(point, cell) for point in cad.cell_points(cell)])
+        return repr([(tuple(map(_first_made, point)), cell) for point in cad.cell_points(cell)])
     except CadError as exc:  # the failure is the answer
         return type(exc).__name__
+
+
+def _first_made(v):
+    from dataclasses import replace
+    from fractions import Fraction
+
+    from cadreduce.realroots import AlgebraicNumber
+
+    if isinstance(v, AlgebraicNumber):
+        return replace(v, defining=tuple(map(Fraction, v.defining)))
+    return v
 
 
 def answer(cad, labels) -> dict:

@@ -660,7 +660,7 @@ def test_probe_evidence_digest(monkeypatch):
     digest = hashlib.sha256()
     for name, cad, formula in inputs:
         digest.update("\n".join([name, *probe_evidence(cad, formula), ""]).encode())
-    assert digest.hexdigest() == "ae3376e8abf013c2d9654a0d9f67d0f391d44bedfd28f9db4106a37e8050a796"
+    assert digest.hexdigest() == "204b67a9d3a0538c5c8ce60916d40e6195e935e7ccd7ad39fedf8978c74bcbf8"
 
 
 def section_outcomes(cad, value):

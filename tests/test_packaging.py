@@ -68,6 +68,19 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_only_the_polynomial_ring_takes_contents_and_denominators():
+    # Contents and common denominators are the ring's: a module that
+    # normalizes coefficients of its own imports ``gcd`` or ``lcm``.
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                importers += [path.name for a in node.names if a.name in ("gcd", "lcm")]
+            elif isinstance(node, ast.Import) and any(a.name == "math" for a in node.names):
+                importers.append(f"{path.name} (import math)")
+    assert sorted(set(importers)) == ["poly.py"]
+
+
 def load_perfbench(name: str, monkeypatch):
     """A module of ``perfbench/``, loaded by path (it is not a package)."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")

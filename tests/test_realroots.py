@@ -5,8 +5,8 @@ import pytest
 
 from cadreduce import realroots
 from cadreduce.expr import _algebraic_sqrt, sqrt_coord
+from cadreduce.poly import clear_denominators, primitive
 from cadreduce.realroots import (
-    ZERO,
     AlgebraicNumber,
     ZeroPolynomial,
     count_roots,
@@ -14,32 +14,39 @@ from cadreduce.realroots import (
     derivative,
     gcd_poly,
     horner,
-    integers,
     interval_eval,
     isolate_roots,
     make_algebraic,
-    poly,
-    primitive,
     pseudo_rem,
-    rem_poly,
-    scale,
     sign_at,
     squarefree_part,
     sturm_sequence,
 )
-from tests.oracles import add, mul, refine_by_fractions
+from tests.oracles import add, mul, refine_by_fractions, trimmed
 
 F = Fraction
 
 
 def shifted(a: AlgebraicNumber, delta: Fraction) -> AlgebraicNumber:
     """a + delta, as a root of p(x - delta) for the defining polynomial p."""
-    x_minus_d = poly([-delta, 1])
-    acc, power = ZERO, (F(1),)
+    x_minus_d = (-delta, F(1))
+    acc, power = (), (F(1),)
     for c in a.defining:
-        acc = add(acc, scale(power, c))
+        acc = add(acc, tuple(c * b for b in power))
         power = mul(power, x_minus_d)
-    return AlgebraicNumber(primitive(acc), a.lo + delta, a.hi + delta)
+    return AlgebraicNumber(primitive(clear_denominators(acc)), a.lo + delta, a.hi + delta)
+
+
+def fraction_rem(p, q) -> tuple:
+    """The remainder of p by q, by long division over the rationals."""
+    rem = [F(c) for c in p]
+    while len(rem) >= len(q):
+        c = rem[-1] / q[-1]
+        k = len(rem) - len(q)
+        for i, b in enumerate(q):
+            rem[k + i] -= c * b
+        rem = list(trimmed(rem))
+    return tuple(rem)
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +108,9 @@ def oracle_sign_of(a: AlgebraicNumber, q) -> int:
 
 def oracle_compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
     if a.is_rational:
-        return -oracle_sign_of(b, poly([-a.lo, 1]))
+        return -oracle_sign_of(b, (-a.lo.numerator, a.lo.denominator))
     if b.is_rational:
-        return oracle_sign_of(a, poly([-b.lo, 1]))
+        return oracle_sign_of(a, (-b.lo.numerator, b.lo.denominator))
     g = gcd_poly(a.defining, b.defining)
     may_be_equal = degree(g) >= 1 and _oracle_count(g, a.lo, a.hi) >= 1 and _oracle_count(g, b.lo, b.hi) >= 1
     alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
@@ -118,28 +125,33 @@ def oracle_compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
         blo, bhi = _oracle_halve(b.defining, blo, bhi)
 
 
-def random_poly(rng, max_degree=4):
+def random_fraction_poly(rng, max_degree=4):
     """Fraction coefficients with mixed denominators; any sign of the
     leading coefficient."""
     while True:
-        p = poly([F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, max_degree + 1))])
+        p = trimmed(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, max_degree + 1)))
         if p:
             return p
+
+
+def random_poly(rng, max_degree=4):
+    """``random_fraction_poly`` in integers (``clear_denominators``)."""
+    return clear_denominators(random_fraction_poly(rng, max_degree))
 
 
 def corpus() -> list[AlgebraicNumber]:
     """Seeded algebraic numbers, with equal numbers of different defining
     polynomials among them."""
     rng = random.Random(20261018)
-    x2_minus_2 = poly([-2, 0, 1])
-    numbers = isolate_roots(x2_minus_2) + isolate_roots(mul(x2_minus_2, poly([-3, 1])))
+    x2_minus_2 = (-2, 0, 1)
+    numbers = isolate_roots(x2_minus_2) + isolate_roots(mul(x2_minus_2, (-3, 1)))
     # Rational roots left as intervals with a linear defining polynomial.
-    numbers += isolate_roots(poly([1, 3])) + [make_algebraic(poly([-1, 3]), F(0), F(1))]
-    numbers += isolate_roots(mul(poly([-1, 3]), poly([-5, 0, 1])))
+    numbers += isolate_roots((1, 3)) + [make_algebraic((-1, 3), F(0), F(1))]
+    numbers += isolate_roots(mul((-1, 3), (-5, 0, 1)))
     # +-sqrt(c), c < 1/16: their first intervals touch at 0.
     for c in (F(1, 20), F(3, 50), F(1, 17)):
         numbers += [_algebraic_sqrt(c), _algebraic_sqrt(c).negated()]
-        numbers += isolate_roots(poly([-c.numerator, 0, c.denominator]))
+        numbers += isolate_roots((-c.numerator, 0, c.denominator))
     # Random polynomials; products share the roots of their factors.
     factors = [random_poly(rng, 3) for _ in range(8)]
     for _ in range(10):
@@ -166,29 +178,30 @@ def bounded_work(monkeypatch):
 
 
 def test_sturm_chain_of_x2_minus_2():
-    # Hand computation: p = x^2 - 2, p' = 2x, -rem(p, p') = 2.
-    chain = sturm_sequence(poly([-2, 0, 1]))
-    assert chain == [poly([-2, 0, 1]), poly([0, 2]), poly([2])]
-    assert count_roots(poly([-2, 0, 1]), F(-2), F(2)) == 2
+    # Hand computation: p = x^2 - 2, p' = 2x, -rem(p, p') = 2, kept as
+    # lc(p')^1 * 2 = 4 (a positive multiple, which keeps every sign).
+    chain = sturm_sequence((-2, 0, 1))
+    assert chain == [(-2, 0, 1), (0, 2), (4,)]
+    assert count_roots((-2, 0, 1), F(-2), F(2)) == 2
 
 
 def test_sturm_no_real_roots():
-    p = poly([1, 0, 1])  # x^2 + 1
+    p = (1, 0, 1)  # x^2 + 1
     assert count_roots(p, F(-100), F(100)) == 0
     assert isolate_roots(p) == []
 
 
 def test_sturm_linear():
-    assert count_roots(poly([-1, 1]), F(0), F(2)) == 1
+    assert count_roots((-1, 1), F(0), F(2)) == 1
 
 
 def test_sturm_zero_poly_rejected():
     with pytest.raises(ZeroPolynomial):
-        sturm_sequence(poly([]))
+        sturm_sequence(())
 
 
 def test_isolate_sqrt2():
-    roots = isolate_roots(poly([-2, 0, 1]))
+    roots = isolate_roots((-2, 0, 1))
     assert len(roots) == 2
     neg, pos = roots
     assert F(-2) <= neg.lo and neg.hi <= F(-1)
@@ -197,15 +210,15 @@ def test_isolate_sqrt2():
 
 def test_isolate_multiple_root_collapses():
     # (x - 1)^2 has the single distinct root 1.
-    roots = isolate_roots(poly([1, -2, 1]))
+    roots = isolate_roots((1, -2, 1))
     assert len(roots) == 1
     assert roots[0].is_rational and roots[0].rational_value == 1
-    assert squarefree_part(poly([1, -2, 1])) == poly([-1, 1])
+    assert squarefree_part((1, -2, 1)) == (-1, 1)
 
 
 def test_isolate_rational_and_irrational_mix():
     # x(x^2 - 2) = -2x + x^3: roots -sqrt2, 0, sqrt2.
-    roots = isolate_roots(poly([0, -2, 0, 1]))
+    roots = isolate_roots((0, -2, 0, 1))
     assert len(roots) == 3
     assert roots[1].is_rational and roots[1].rational_value == 0
     assert roots[0].compare(roots[1]) == -1
@@ -213,7 +226,7 @@ def test_isolate_rational_and_irrational_mix():
 
 
 def test_refine_narrows_and_keeps_root():
-    pos = isolate_roots(poly([-2, 0, 1]))[1]
+    pos = isolate_roots((-2, 0, 1))[1]
     fine = pos.refine(F(1, 100))
     assert fine.width() <= F(1, 100)
     assert fine.lo <= F(141421, 100000) <= fine.hi
@@ -242,7 +255,7 @@ def refine_corpus() -> list[AlgebraicNumber]:
     rng = random.Random(2411)
     numbers = []
     for _ in range(25):
-        p = poly([rng.randint(-20, 20) for _ in range(rng.randint(2, 6))])
+        p = trimmed(rng.randint(-20, 20) for _ in range(rng.randint(2, 6)))
         if degree(p) >= 1:
             numbers += isolate_roots(p)
     for _ in range(20):
@@ -250,8 +263,8 @@ def refine_corpus() -> list[AlgebraicNumber]:
         if isinstance(root, AlgebraicNumber):
             numbers += [root, root.negated()]
     # 1/2 and 2/3 are the first midpoints, 1/4 the second; sqrt 3 lies outside.
-    numbers += [make_algebraic(poly([-1, 2]), F(0), F(1)), make_algebraic(poly([-2, 3]), F(1, 3), F(1))]
-    numbers.append(make_algebraic(mul(poly([-1, 4]), poly([-3, 0, 1])), F(0), F(1)))
+    numbers += [make_algebraic((-1, 2), F(0), F(1)), make_algebraic((-2, 3), F(1, 3), F(1))]
+    numbers.append(make_algebraic(mul((-1, 4), (-3, 0, 1)), F(0), F(1)))
     return numbers
 
 
@@ -272,36 +285,36 @@ def test_refine_matches_fraction_bisection():
 
 
 def test_refine_exact_root_is_point():
-    one = isolate_roots(poly([-1, 1]))[0]
+    one = isolate_roots((-1, 1))[0]
     assert one.is_rational and one.refine(F(1, 10)) == one
 
 
 def test_compare_distinct_roots_of_same_poly():
-    a, b = isolate_roots(poly([-2, 0, 1]))
+    a, b = isolate_roots((-2, 0, 1))
     assert a.compare(b) == -1 and b.compare(a) == 1
     assert a.compare(a) == 0
 
 
 def test_compare_equal_roots_of_different_polys():
     # sqrt2 as a root of x^2-2 and of x^4-4 must compare equal.
-    r1 = isolate_roots(poly([-2, 0, 1]))[1]
-    r2 = [r for r in isolate_roots(poly([-4, 0, 0, 0, 1])) if r.lo > 0][0]
+    r1 = isolate_roots((-2, 0, 1))[1]
+    r2 = [r for r in isolate_roots((-4, 0, 0, 0, 1)) if r.lo > 0][0]
     assert r1.compare(r2) == 0
     # ... and sqrt3 differs from sqrt2.
-    r3 = [r for r in isolate_roots(poly([-3, 0, 1])) if r.lo > 0][0]
+    r3 = [r for r in isolate_roots((-3, 0, 1)) if r.lo > 0][0]
     assert r1.compare(r3) == -1
 
 
 def test_sign_of_polynomial_at_algebraic_point():
-    sqrt2 = isolate_roots(poly([-2, 0, 1]))[1]
-    assert sqrt2.sign_of(poly([-2, 0, 1])) == 0
-    assert sqrt2.sign_of(poly([-1, 1])) == 1  # x - 1 > 0 at sqrt2
-    assert sqrt2.sign_of(poly([2, -1])) == 1  # 2 - x > 0 at sqrt2 (3.41 > 0 is wrong; 2-1.41>0)
-    assert sqrt2.sign_of(poly([-3, 0, 1])) == -1  # x^2 - 3 < 0
+    sqrt2 = isolate_roots((-2, 0, 1))[1]
+    assert sqrt2.sign_of((-2, 0, 1)) == 0
+    assert sqrt2.sign_of((-1, 1)) == 1  # x - 1 > 0 at sqrt2
+    assert sqrt2.sign_of((2, -1)) == 1  # 2 - x > 0 at sqrt2 (3.41 > 0 is wrong; 2-1.41>0)
+    assert sqrt2.sign_of((-3, 0, 1)) == -1  # x^2 - 3 < 0
 
 
 def test_compare_rational():
-    sqrt2 = isolate_roots(poly([-2, 0, 1]))[1]
+    sqrt2 = isolate_roots((-2, 0, 1))[1]
     assert sqrt2.compare_rational(F(1)) == 1
     assert sqrt2.compare_rational(F(3, 2)) == -1
     one = AlgebraicNumber.from_rational(1)
@@ -315,8 +328,7 @@ def test_sign_chart_consistency_at_rational_probes():
 
     rng = random.Random(20240911)
     for _ in range(60):
-        coeffs = [F(rng.randint(-10, 10)) for _ in range(rng.randint(2, 5))]
-        p = poly(coeffs)
+        p = trimmed(rng.randint(-10, 10) for _ in range(rng.randint(2, 5)))
         if len(p) < 2:
             continue
         sf = squarefree_part(p)
@@ -334,35 +346,37 @@ def test_sign_chart_consistency_at_rational_probes():
 
 
 def test_make_algebraic_validates():
-    p = poly([-2, 0, 1])
+    p = (-2, 0, 1)
     a = make_algebraic(p, F(1), F(2))
     assert a.defining == p
     with pytest.raises(ValueError):
         make_algebraic(p, F(-2), F(2))  # two roots
     with pytest.raises(ValueError):
         make_algebraic(p, F(1), F(1))  # 1 is not a root
-    exact = make_algebraic(poly([-1, 1]), F(1), F(1))
+    exact = make_algebraic((-1, 1), F(1), F(1))
     assert exact.is_rational
 
 
 def test_gcd_poly():
-    p = poly([-1, 0, 1])  # x^2 - 1
-    q = poly([-1, 1])  # x - 1
-    assert gcd_poly(p, q) == poly([-1, 1])
+    p = (-1, 0, 1)  # x^2 - 1
+    q = (-1, 1)  # x - 1
+    assert gcd_poly(p, q) == (-1, 1)
+    # Primitive with a positive leading coefficient, whatever the inputs' scale.
+    assert gcd_poly((2, 0, -2), (3, -3)) == (-1, 1)
 
 
 def test_sign_at_matches_fraction_evaluation():
     rng = random.Random(7)
     checked = zeros = 0
     for _ in range(300):
-        p = random_poly(rng, 5)
+        p = random_fraction_poly(rng, 5)
         # A rational root now and then, so that zero signs occur.
         r = F(rng.randint(-7, 7), rng.randint(1, 5))
         if rng.random() < 0.3:
-            p = mul(p, poly([-r, 1]))
+            p = mul(p, (-r, 1))
         for x in [r, F(0)] + [F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(6)]:
             want = _sign(evaluate(p, x))
-            assert sign_at(p, x) == sign_at(integers(p), x) == want, (p, x)
+            assert sign_at(clear_denominators(p), x) == want, (p, x)
             checked += 1
             zeros += want == 0
     assert checked > 2000 and zeros > 50
@@ -388,8 +402,8 @@ def test_sign_of_matches_oracle(bounded_work):
         # Multiples of the defining polynomial, of a factor of it, and of
         # another number's, plus a rational constant.
         qs += [mul(a.defining, random_poly(rng, 2)), mul(rng.choice(numbers).defining, random_poly(rng, 1))]
-        qs += [poly([-c for c in q]) for q in qs[:2]]
-        qs += [add(mul(a.defining, random_poly(rng, 2)), poly([F(rng.randint(-5, 5), 7)]))]
+        qs += [tuple(-c for c in q) for q in qs[:2]]
+        qs += [clear_denominators(add(mul(a.defining, random_poly(rng, 2)), (F(rng.randint(-5, 5), 7),)))]
         for q in qs:
             got = a.sign_of(q)
             assert got == oracle_sign_of(a, q), (a, q)
@@ -401,12 +415,12 @@ def test_equal_numbers_are_decided_before_any_refinement(bounded_work, monkeypat
     # sqrt2 from x^2 - 2 and from (x^2 - 2)(x - 3); 1/3 from 3x - 1 and from
     # (3x - 1)(x^2 - 5), both left as intervals; sqrt(1/20) from two
     # constructions.
-    sqrt2 = isolate_roots(poly([-2, 0, 1]))[1]
-    sqrt2_cubic = isolate_roots(poly([6, -2, -3, 1]))[1]
-    third = make_algebraic(poly([-1, 3]), F(0), F(1))
-    third_cubic = isolate_roots(mul(poly([-1, 3]), poly([-5, 0, 1])))[1]
+    sqrt2 = isolate_roots((-2, 0, 1))[1]
+    sqrt2_cubic = isolate_roots((6, -2, -3, 1))[1]
+    third = make_algebraic((-1, 3), F(0), F(1))
+    third_cubic = isolate_roots(mul((-1, 3), (-5, 0, 1)))[1]
     small = _algebraic_sqrt(F(1, 20))
-    small_other = isolate_roots(poly([-1, 0, 20]))[1]
+    small_other = isolate_roots((-1, 0, 20))[1]
     assert sqrt2_cubic.defining != sqrt2.defining and third_cubic.defining != third.defining
     assert not third.is_rational and not third_cubic.is_rational
 
@@ -415,7 +429,7 @@ def test_equal_numbers_are_decided_before_any_refinement(bounded_work, monkeypat
         assert a.compare(b) == 0 and b.compare(a) == 0
     # A zero that the remainder does not show: x^2 - 2 at sqrt2 as a root
     # of the cubic.
-    assert sqrt2_cubic.sign_of(poly([-2, 0, 1])) == 0
+    assert sqrt2_cubic.sign_of((-2, 0, 1)) == 0
 
 
 def forbidden(*_args):
@@ -436,7 +450,7 @@ def test_sign_of_decides_on_the_remainder_without_a_gcd(bounded_work, monkeypatc
     cases = []
     for a in numbers:
         for c in (F(0), F(3, 2), F(-2, 7)):
-            q = add(mul(a.defining, random_poly(rng, 3)), poly([c]))
+            q = clear_denominators(add(mul(a.defining, random_poly(rng, 3)), (c,)))
             cases.append((a, q, _sign(c)))
     # q(a) = r(a) with r = q mod defining; a constant r decides at once.
     monkeypatch.setattr(realroots, "gcd_poly", forbidden)
@@ -453,7 +467,7 @@ def test_pseudo_rem_is_a_positive_multiple_of_the_remainder():
         p = random_poly(rng, 6)
         if rng.random() < 0.2:
             p = mul(p, q)
-        got, want = pseudo_rem(p, q), rem_poly(p, q)
+        got, want = pseudo_rem(p, q), fraction_rem(p, q)
         assert all(type(c) is int for c in got) and len(got) == len(want), (p, q)
         if want:
             ratio = got[-1] / want[-1]
@@ -461,18 +475,18 @@ def test_pseudo_rem_is_a_positive_multiple_of_the_remainder():
         zero += not want
     assert zero > 30
     # Valid only for an integer divisor with a positive leading coefficient.
-    for q in (poly([1, -1]), poly([F(1, 2), 1])):
+    for q in ((1, -1), (F(1, 2), 1)):
         with pytest.raises(AssertionError):
-            pseudo_rem(poly([1, 2, 3]), q)
+            pseudo_rem((1, 2, 3), q)
 
 
 def test_defining_polynomials_are_squarefree_and_primitive(bounded_work):
     rng = random.Random(17)
     numbers = [AlgebraicNumber.from_rational(r) for r in (F(0), F(3), F(-1, 3), F(22, 7))]
-    numbers += [make_algebraic(poly([-2, 0, 1]), F(1), F(2)), make_algebraic(poly([1, -2, 1]), F(1), F(1))]
-    # Squared, Fraction and negatively led inputs.
-    numbers += [make_algebraic(poly([F(-4, 3), 0, F(2, 3)]), F(1), F(2))]
-    numbers += [make_algebraic(mul(poly([2, 0, -1]), poly([2, 0, -1])), F(-2), F(-1))]
+    numbers += [make_algebraic((-2, 0, 1), F(1), F(2)), make_algebraic((1, -2, 1), F(1), F(1))]
+    # Squared, non-primitive (from Fractions) and negatively led inputs.
+    numbers += [make_algebraic(clear_denominators((F(-4, 3), 0, F(2, 3))), F(1), F(2))]
+    numbers += [make_algebraic(mul((2, 0, -1), (2, 0, -1)), F(-2), F(-1))]
     for _ in range(30):
         f = random_poly(rng, 3)
         numbers += isolate_roots(mul(f, mul(f, random_poly(rng, 2))))
@@ -493,7 +507,7 @@ def test_defining_polynomials_are_squarefree_and_primitive(bounded_work):
 def test_refine_keeps_an_interval_exactly_as_wide_as_asked(bounded_work):
     # The width test is cross-multiplied in integers: hi - lo == width
     # keeps the number, any narrower width bisects it.
-    sqrt2 = make_algebraic(poly([-2, 0, 1]), F(4, 3), F(3, 2))
+    sqrt2 = make_algebraic((-2, 0, 1), F(4, 3), F(3, 2))
     exact = F(3, 2) - F(4, 3)
     assert sqrt2.refine(exact) is sqrt2 and sqrt2.refine(F(1, 3)) is sqrt2
     narrower = sqrt2.refine(exact - F(1, 10**9))
@@ -504,18 +518,19 @@ def test_refine_keeps_an_interval_exactly_as_wide_as_asked(bounded_work):
 
 
 def test_sign_of_integer_coefficients_matches_fractions(bounded_work):
-    # ``atom_sign`` hands ``integer_coeffs``' integers to ``sign_of``: the
-    # same coefficients as a tuple of ints and as Fractions give one sign.
+    # ``atom_sign`` hands ``integer_coeffs``' integers, a list, to
+    # ``sign_of``: as a list and as a tuple they give the sign of the
+    # Fraction oracle.
     rng = random.Random(23)
     numbers = corpus()
     signs = []
     for a in numbers:
         qs = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] for _ in range(4)]
-        qs.append([int(c) for c in mul(a.defining, poly([5, rng.randint(-3, 3)]))])
+        qs.append(list(mul(a.defining, (5, rng.randint(-3, 3)))))
         for ints in qs:
             while ints and not ints[-1]:
                 ints.pop()
             got = a.sign_of(tuple(ints))
-            assert got == a.sign_of(poly(ints)), (a, ints)
+            assert got == a.sign_of(ints) == oracle_sign_of(a, tuple(ints)), (a, ints)
             signs.append(got)
     assert set(signs) == {-1, 0, 1} and signs.count(0) > len(numbers)
