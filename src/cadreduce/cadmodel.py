@@ -40,7 +40,6 @@ from cadreduce.expr import (
     Div,
     Expr,
     Formula,
-    LazyValue,
     Neg,
     Piecewise,
     Point,
@@ -56,7 +55,6 @@ from cadreduce.expr import (
     holds,
     is_piecewise,
     max_var_index,
-    negated_coord,
     polynomial_of,
     sector_coords,
     sexpr_of_expr,
@@ -212,7 +210,7 @@ class Cad:
                 c, scale = integer_coeffs(kept[0], dict(enumerate(base, start=1)), None)
                 r = sqrt_coord(Fraction(c[0], scale) if c else Fraction(0))
             self._roots[key] = r
-        return r if core is f else negated_coord(r)
+        return r if core is f else -r
 
     def _section_values(self, section: CellIndex) -> list[CoordValue]:
         return [p[-1] for p in self.cell_points(section)]
@@ -318,7 +316,7 @@ def zero_in_cell(root: Cad, cell: CellIndex, den: Expr) -> bool | None:
             (lo is None or compare_coords(lo, r) < 0) and (hi is None or compare_coords(r, hi) < 0)
             for r in isolate_roots(integer_coeffs(p, {}, t)[0])
         )
-    except (GuardUndecidable, UnknownOrder, DivisionByZero, SqrtOfNegative):
+    except (GuardUndecidable, DivisionByZero, SqrtOfNegative):
         return None
 
 
@@ -365,14 +363,15 @@ def validate_cad(cad: Cad) -> ValidationReport:
 
     The report is the gate of reduction: ``tree.build_tree`` raises
     ``ValidationFailed`` unless ``admits_reduction``, that is, unless there
-    is no violation and the probes leave no stack order open (an order or a
-    section value that cannot be decided, or probes that cannot be derived).
-    Past the gate, no merge checks an order again (see ``reduction``).  An
-    undecided pole does not refuse: the pole test decides only denominators
-    in one coordinate over a point or between constant sections
-    (``zero_in_cell``); it decides every gallery input, but refusing what it
-    leaves open would refuse sections with no pole, such as 1/(x1 - sqrt 2)
-    over x1 < 0.
+    is no violation and the probes leave no stack order open (a section
+    value that no piecewise branch defines, or probes that cannot be
+    derived); every value at a probe is exact, so every order there is
+    decided.  Past the gate, no merge checks an order again (see
+    ``reduction``).  An undecided pole does not refuse: the pole test
+    decides only denominators in one coordinate over a point or between
+    constant sections (``zero_in_cell``); it decides every gallery input,
+    but refusing what it leaves open would refuse sections with no pole,
+    such as 1/(x1 - sqrt 2) over x1 < 0.
 
     A coarsening's report is its root's, the same object.  Over each root
     cell, the sections of a coarsening's stack are root sections over that
@@ -477,12 +476,7 @@ def _check_at_probes(cad: Cad, report: ValidationReport, decided: set[tuple[Cell
                 if s2 == s1 + 1 and (cell, s1) in decided:
                     continue
                 for point, v1, v2 in zip(points, values1, values2):
-                    try:
-                        c = compare_coords(v1, v2)
-                    except (UnknownOrder, GuardUndecidable) as exc:
-                        report.leave_open(f"order of sections {s1},{s2} above {word_of(cell)} undecided: {exc}")
-                        continue
-                    if c >= 0:
+                    if compare_coords(v1, v2) >= 0:
                         report.violations.append(
                             f"sections {s1},{s2} above {word_of(cell)} are not strictly ordered at {point}"
                         )
@@ -523,14 +517,7 @@ def _check_guard_disjointness(
         for f in stack.functions:
             if not isinstance(f, Piecewise):
                 continue
-            true_guards = 0
-            for guard, _ in f.pieces:
-                try:
-                    if formula_holds(guard, point):
-                        true_guards += 1
-                except GuardUndecidable:
-                    report.undecided.append(f"piecewise guard above {word_of(cell)} undecided at {point}")
-            if true_guards > 1:
+            if sum(formula_holds(guard, point) for guard, _ in f.pieces) > 1:
                 report.violations.append(f"piecewise guards above {word_of(cell)} overlap at {point}")
 
 
@@ -584,8 +571,8 @@ class _Fiber:
     the atom uses.  A leaf probe above b signs it at its last coordinate,
     in integers at a rational one (``sign_at``) and from the remainder by
     the defining polynomial at an algebraic one (``sign_of_remainder``),
-    or at none when the restriction is a constant; at a lazy coordinate,
-    or when restricted to None, ``atom_sign`` signs the probe itself."""
+    or at none when the restriction is a constant.  Restricted to None,
+    the atom is signed at the probe itself, as exactly, by ``atom_sign``."""
 
     __slots__ = ("polys", "coeffs", "remainders", "point")
 
@@ -614,7 +601,7 @@ class _Fiber:
                 c = integer_coeffs(q, values, n)[0]
             self.coeffs[lhs] = c
         x = point[-1]
-        if c is None or isinstance(x, LazyValue):
+        if c is None:
             return atom_sign(lhs, point, self.polys)
         if len(c) < 2:
             return 0 if not c else (1 if c[0] > 0 else -1)

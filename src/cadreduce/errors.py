@@ -14,8 +14,7 @@ class SqrtOfNegative(CadError):
 
 
 class GuardUndecidable(CadError):
-    """A sign or piecewise guard could not be decided exactly or by interval
-    refinement."""
+    """No branch of a piecewise definition applies at a point."""
 
 
 class NotAdapted(CadError):
@@ -41,7 +40,8 @@ class RuleNotApplicable(CadError):
 
 
 class UnknownOrder(CadError):
-    """Interval comparison of two section values was inconclusive."""
+    """Two section values at a probe are not strictly ordered, so no
+    rational window lies between them."""
 
 
 class ParseError(CadError):

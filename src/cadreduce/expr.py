@@ -2,11 +2,11 @@
 
 Expressions are immutable ASTs over rational constants, variables ``x1..xk``,
 field operations, integer powers, square roots and guarded piecewise
-definitions.  Values at exact rational points are computed exactly whenever
-the arithmetic stays rational; irrational values are represented by rational
-intervals that can be refined on demand.  The normal form
-(``canonicalize``) and the polynomial view (``to_polynomial``) are computed
-in the ring of ``cadreduce.poly``.
+definitions.  Values at points are exact: a ``Fraction`` while the
+arithmetic stays rational, and otherwise a ``realroots.AlgebraicNumber``,
+so every sign and comparison at a point is decided, zero included.  The
+normal form (``canonicalize``) and the polynomial view (``to_polynomial``)
+are computed in the ring of ``cadreduce.poly``.
 
 Formulas are boolean combinations of polynomial sign conditions ``p sigma 0``
 and define the semi-algebraic sets that CADs are adapted to.
@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from typing import Callable, Union
 
 from cadreduce.errors import DivisionByZero, GuardUndecidable, ParseError, SqrtOfNegative, UnknownOrder
 from cadreduce.poly import ONE, GenKey, Polynomial, clear_denominators, integer_coeffs
-from cadreduce.realroots import AlgebraicNumber, make_algebraic
+from cadreduce.realroots import AlgebraicNumber, Real, enclosure, make_algebraic, sign, sqrt
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +459,6 @@ def sexpr_of_formula(f: Formula) -> str:
 # original expression is preserved exactly.
 
 
-def _perfect_sqrt(c: Fraction) -> Fraction | None:
-    if c < 0:
-        return None
-    np, dp = isqrt(c.numerator), isqrt(c.denominator)
-    if np * np == c.numerator and dp * dp == c.denominator:
-        return Fraction(np, dp)
-    return None
-
-
 class _Pair:
     __slots__ = ("num", "den")
 
@@ -534,13 +524,12 @@ def _to_pair(e: Expr) -> _Pair:
         return _Pair(p.num**e.exponent, p.den**e.exponent)
     if isinstance(e, Sqrt):
         inner = canonicalize(e.arg)
-        if isinstance(inner, Const):
-            if inner.value < 0:
-                # Kept symbolic: the error surfaces at evaluation time.
-                return _Pair(Polynomial.generator(_atom_key(Sqrt(inner))), ONE)
-            r = _perfect_sqrt(inner.value)
-            if r is not None:
+        if isinstance(inner, Const) and inner.value >= 0:
+            r = sqrt(inner.value)
+            if isinstance(r, Fraction):
                 return _Pair(Polynomial.constant(r), ONE)
+        # The root of a negative constant is kept symbolic too: the error
+        # surfaces at evaluation time.
         return _Pair(Polynomial.generator(_atom_key(Sqrt(inner))), ONE)
     if isinstance(e, Piecewise):
         pieces = tuple((canonical_formula(g), canonicalize(x)) for g, x in e.pieces)
@@ -685,49 +674,15 @@ def to_polynomial(e: Expr) -> Polynomial | None:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-_FIRST_WIDTH = Fraction(1, 2**40)
-_MAX_DEEPEN = 12
-_DEEPEN_FACTOR = Fraction(1, 2**12)
-
-
-def _widths(start: Fraction):
-    """The one refinement schedule: the interval widths to try, ``start``
-    and then each ``_DEEPEN_FACTOR`` times the one before, ``_MAX_DEEPEN``
-    in all.  Every answer that interval arithmetic decides is decided
-    within it, so it depends on the input alone."""
-    w = start
-    for _ in range(_MAX_DEEPEN):
-        yield w
-        w *= _DEEPEN_FACTOR
-
-
-@dataclass(frozen=True)
-class LazyValue:
-    """The exact value of an expression at a point, refinable on demand."""
-
-    expr: Expr
-    point: tuple["CoordValue", ...]
-
-
-CoordValue = Union[Fraction, AlgebraicNumber, LazyValue]
+CoordValue = Real
 Point = tuple[CoordValue, ...]
 
 
-class _Inexact(Exception):
-    """Internal: an irrational value entered the exact evaluation path."""
-
-
-class _Imprecise(Exception):
-    """Internal: the current interval width is too coarse for an operation."""
-
-
 def as_coord(v) -> CoordValue:
-    if isinstance(v, Fraction):
+    if isinstance(v, (Fraction, AlgebraicNumber)):
         return v
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(v, (AlgebraicNumber, LazyValue)):
-        return v
     raise TypeError(f"not a coordinate value: {v!r}")
 
 
@@ -735,196 +690,58 @@ def as_point(values) -> Point:
     return tuple(as_coord(v) for v in values)
 
 
-def _sqrt_bounds(c: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of sqrt(c) of width <= ``width`` (c >= 0)."""
-    if c == 0:
-        return (Fraction(0), Fraction(0))
-    # The least power of two m with 1/m <= width, i.e. m >= ceil(1/width).
-    m = 1 << (-(-width.denominator // width.numerator) - 1).bit_length()
-    n = (c.numerator * m * m) // c.denominator
-    s = isqrt(n)
-    return (Fraction(s, m), Fraction(s + 1, m))
-
-
-def _algebraic_sqrt(c: Fraction) -> AlgebraicNumber:
-    """sqrt(c) for positive non-square c, as an exact algebraic number."""
-    lo, hi = _sqrt_bounds(c, _QUARTER)
-    # For c = p/q in lowest terms, q*x^2 - p is primitive and squarefree.
-    defining = (-c.numerator, 0, c.denominator)
-    # c is not a perfect square, so the rational bounds are never roots.
-    return AlgebraicNumber(defining, lo, hi)
-
-
-_IV = tuple[Fraction, Fraction]
-_Val = Union[Fraction, _IV]
-
-
-def _promote(v: _Val) -> _IV:
-    return v if isinstance(v, tuple) else (v, v)
-
-
-def _iv_add(a: _Val, b: _Val, sign: int = 1) -> _Val:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + sign * b
-    (alo, ahi), (blo, bhi) = _promote(a), _promote(b)
-    if sign > 0:
-        return (alo + blo, ahi + bhi)
-    return (alo - bhi, ahi - blo)
-
-
-def _iv_mul(a: _Val, b: _Val) -> _Val:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    (alo, ahi), (blo, bhi) = _promote(a), _promote(b)
-    ps = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    return (min(ps), max(ps))
-
-
-def _iv_neg(a: _Val) -> _Val:
-    if isinstance(a, Fraction):
-        return -a
-    return (-a[1], -a[0])
-
-
-def _iv_div(a: _Val, b: _Val) -> _Val:
-    if isinstance(b, Fraction):
-        if b == 0:
-            raise DivisionByZero("division by zero")
-        if isinstance(a, Fraction):
-            return a / b
-        lo, hi = a
-        return (lo / b, hi / b) if b > 0 else (hi / b, lo / b)
-    blo, bhi = b
-    if blo <= 0 <= bhi:
-        raise _Imprecise("denominator interval straddles zero")
-    alo, ahi = _promote(a)
-    qs = (alo / blo, alo / bhi, ahi / blo, ahi / bhi)
-    return (min(qs), max(qs))
-
-
-def _eval(e: Expr, point: Point, w: Fraction | None) -> _Val:
-    """Evaluate at a point; ``w=None`` demands an exact rational result."""
+def _eval(e: Expr, point: Point) -> CoordValue:
+    """The exact value at a point: ``Fraction`` arithmetic while it stays
+    rational, the algebraic arithmetic of ``realroots`` once an irrational
+    value enters."""
     if isinstance(e, Const):
         return e.value
-    if isinstance(e, AlgebraicConst):
-        a = e.value
-        if a.is_rational:
-            return a.rational_value
-        if w is None:
-            raise _Inexact
-        return a.approx(w)
     if isinstance(e, Var):
         if e.index > len(point):
             raise ValueError(f"point has no coordinate {e.index}")
         cv = point[e.index - 1]
-        if isinstance(cv, Fraction):
-            return cv
-        if isinstance(cv, AlgebraicNumber):
-            if cv.is_rational:
-                return cv.rational_value
-            if w is None:
-                raise _Inexact
-            return cv.approx(w)
-        return _eval(cv.expr, cv.point, w)
+        return cv.rational_value if isinstance(cv, AlgebraicNumber) and cv.is_rational else cv
+    if isinstance(e, AlgebraicConst):
+        return e.value.rational_value if e.value.is_rational else e.value
     if isinstance(e, Add):
-        return _iv_add(_eval(e.left, point, w), _eval(e.right, point, w))
+        return _eval(e.left, point) + _eval(e.right, point)
     if isinstance(e, Sub):
-        return _iv_add(_eval(e.left, point, w), _eval(e.right, point, w), sign=-1)
+        return _eval(e.left, point) - _eval(e.right, point)
     if isinstance(e, Mul):
-        return _iv_mul(_eval(e.left, point, w), _eval(e.right, point, w))
+        return _eval(e.left, point) * _eval(e.right, point)
     if isinstance(e, Div):
-        return _iv_div(_eval(e.left, point, w), _eval(e.right, point, w))
+        num, den = _eval(e.left, point), _eval(e.right, point)
+        if not sign(den):
+            raise DivisionByZero("division by zero")
+        return num / den
     if isinstance(e, Neg):
-        return _iv_neg(_eval(e.arg, point, w))
+        return -_eval(e.arg, point)
     if isinstance(e, Pow):
-        v = _eval(e.base, point, w)
-        out: _Val = Fraction(1)
-        for _ in range(e.exponent):
-            out = _iv_mul(out, v)
-        return out
+        return _eval(e.base, point) ** e.exponent
     if isinstance(e, Sqrt):
-        v = _eval(e.arg, point, w)
-        if isinstance(v, Fraction):
-            if v < 0:
-                raise SqrtOfNegative(f"sqrt of {v}")
-            r = _perfect_sqrt(v)
-            if r is not None:
-                return r
-            if w is None:
-                raise _Inexact
-            return _sqrt_bounds(v, w)
-        lo, hi = v
-        if hi < 0:
-            raise SqrtOfNegative(f"sqrt of interval ({lo}, {hi})")
-        if lo < 0:
-            raise _Imprecise("sqrt argument interval straddles zero")
-        assert w is not None
-        return (_sqrt_bounds(lo, w)[0], _sqrt_bounds(hi, w)[1])
+        return sqrt_coord(_eval(e.arg, point))
     if isinstance(e, Piecewise):
         for guard, branch in e.pieces:
             if formula_holds(guard, point):
-                return _eval(branch, point, w)
+                return _eval(branch, point)
         if e.default is not None:
-            return _eval(e.default, point, w)
+            return _eval(e.default, point)
         raise GuardUndecidable("no piecewise branch applies at the point")
     raise TypeError(f"unknown expression node {e!r}")
 
 
-def _eval_refining(e: Expr, point: Point, width: Fraction) -> _Val:
-    for w in _widths(width):
-        try:
-            v = _eval(e, point, w)
-        except _Imprecise:
-            continue
-        if isinstance(v, Fraction) or v[1] - v[0] <= width:
-            return v
-    raise GuardUndecidable(f"cannot evaluate to width {width} at {point}")
-
-
 def eval_coord(e: Expr, point) -> CoordValue:
     """The exact value at the point as a coordinate: a rational when the
-    arithmetic stays rational, an algebraic number for simple square roots,
-    and otherwise a lazily refinable value."""
-    pt = as_point(point)
-    core, negate = (e.arg, True) if isinstance(e, Neg) else (e, False)
-    try:
-        if isinstance(core, Sqrt):
-            r = sqrt_coord(_eval(core.arg, pt, None))
-            return negated_coord(r) if negate else r
-        v = _eval(e, pt, None)
-        assert isinstance(v, Fraction)
-        return v
-    except _Inexact:
-        if isinstance(core, AlgebraicConst):
-            return negated_coord(core.value) if negate else core.value
-        return LazyValue(e, pt)
+    arithmetic stays rational, and otherwise an exact algebraic number."""
+    return _eval(e, as_point(point))
 
 
-def sqrt_coord(c: Fraction) -> Fraction | AlgebraicNumber:
-    """sqrt(c) as a coordinate: rational for a square, else ``_algebraic_sqrt``."""
-    if c < 0:
+def sqrt_coord(c: CoordValue) -> CoordValue:
+    """sqrt(c) as a coordinate: rational for the square of a rational,
+    else an algebraic number (``realroots.sqrt``)."""
+    if sign(c) < 0:
         raise SqrtOfNegative(f"sqrt of {c}")
-    r = _perfect_sqrt(c)
-    return r if r is not None else _algebraic_sqrt(c)
-
-
-def negated_coord(v: CoordValue) -> CoordValue:
-    """-v, as ``eval_coord`` gives the value of a negated expression."""
-    if isinstance(v, Fraction):
-        return -v
-    if isinstance(v, AlgebraicNumber):
-        return v.negated()
-    return LazyValue(Neg(v.expr), v.point)
-
-
-def coord_approx(cv: CoordValue, width: Fraction) -> _Val:
-    if isinstance(cv, Fraction):
-        return cv
-    if isinstance(cv, AlgebraicNumber):
-        if cv.is_rational:
-            return cv.rational_value
-        return cv.approx(width)
-    return _eval_refining(cv.expr, cv.point, width)
+    return sqrt(c)
 
 
 # ---------------------------------------------------------------------------
@@ -940,13 +757,18 @@ _QUARTER = Fraction(1, 4)
 
 
 def _window_between(lo: CoordValue, hi: CoordValue) -> tuple[Fraction, Fraction]:
-    """A rational open window strictly inside (lo, hi)."""
-    for w in _widths(_QUARTER):
-        llo, lhi = _promote(coord_approx(lo, w))
-        hlo, hhi = _promote(coord_approx(hi, w))
+    """A rational open window strictly inside (lo, hi).  Enclosures that
+    part prove lo < hi; where those of width 1/4 do not, lo < hi is proven
+    exactly, and both are refined, each time to 2^-12 of the width before,
+    until their enclosures part."""
+    w = _QUARTER
+    while True:
+        lhi, hlo = enclosure(lo, w)[1], enclosure(hi, w)[0]
         if lhi < hlo:
             return lhi, hlo
-    raise UnknownOrder(f"cannot separate section values {lo} and {hi}")
+        if w == _QUARTER and compare_coords(lo, hi) >= 0:
+            raise UnknownOrder(f"cannot separate section values {lo} and {hi}")
+        w /= 2**12
 
 
 def sector_coords(lo: CoordValue | None, hi: CoordValue | None, count: int) -> list[Fraction]:
@@ -955,10 +777,10 @@ def sector_coords(lo: CoordValue | None, hi: CoordValue | None, count: int) -> l
     if lo is None and hi is None:
         return list(_UNBOUNDED_COORDS[:count])
     if lo is None:
-        top = _promote(coord_approx(hi, _QUARTER))[0]
+        top = enclosure(hi, _QUARTER)[0]
         return [Fraction(top.numerator - k * top.denominator, top.denominator) for k in range(1, count + 1)]
     if hi is None:
-        bot = _promote(coord_approx(lo, _QUARTER))[1]
+        bot = enclosure(lo, _QUARTER)[1]
         return [Fraction(bot.numerator + k * bot.denominator, bot.denominator) for k in range(1, count + 1)]
     a, b = _window_between(lo, hi)
     # a + t * (b - a) for a = p/q, b = r/s and t = u/v, summed in integers.
@@ -989,49 +811,32 @@ def atom_sign(lhs: Expr, point: Point, polys: dict[Expr, Polynomial]) -> int:
     """Exact sign of a polynomial at a point, with ``lhs`` converted through
     ``polys`` (``polynomial_of``).
 
-    Exact when the coordinates of the variables the polynomial uses are
-    rational but for at most one algebraic one: those paths read the
-    integer coefficients of ``integer_coeffs``, which are the exact ones
-    times a positive scale and so keep the sign.  Otherwise decided by
-    interval refinement of ``lhs`` itself, which can prove a nonzero sign
-    but raises GuardUndecidable on a (potential) zero.
+    When the coordinates of the variables the polynomial uses are rational
+    but for at most one algebraic one, the sign is read off the integer
+    coefficients of ``integer_coeffs``, which are the exact ones times a
+    positive scale and so keep it.  Otherwise ``lhs`` is evaluated exactly,
+    in the algebraic arithmetic of ``realroots``.
     """
     q = polynomial_of(lhs, polys)
     rationals: dict[int, Fraction] = {}
     algebraic: list[tuple[int, AlgebraicNumber]] = []
-    lazies = 0
     for i in q.variables:
         if i > len(point):
             raise ValueError(f"point has no coordinate {i}")
         cv = point[i - 1]
         if isinstance(cv, Fraction):
             rationals[i] = cv
-        elif isinstance(cv, AlgebraicNumber):
-            if cv.is_rational:
-                rationals[i] = cv.rational_value
-            else:
-                algebraic.append((i, cv))
+        elif cv.is_rational:
+            rationals[i] = cv.rational_value
         else:
-            lazies += 1
-    if not algebraic and not lazies:
+            algebraic.append((i, cv))
+    if not algebraic:
         c, _scale = integer_coeffs(q, rationals, None)
         return 0 if not c else (1 if c[0] > 0 else -1)
-    if len(algebraic) == 1 and not lazies:
+    if len(algebraic) == 1:
         idx, a = algebraic[0]
         return a.sign_of(integer_coeffs(q, rationals, idx)[0])
-    for w in _widths(_FIRST_WIDTH):
-        try:
-            v = _eval(lhs, point, w)
-        except _Imprecise:
-            continue
-        if isinstance(v, Fraction):
-            return 0 if v == 0 else (1 if v > 0 else -1)
-        lo, hi = v
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-    raise GuardUndecidable(f"sign of {sexpr_of_expr(lhs)} undecided at {point}")
+    return sign(_eval(lhs, point))
 
 
 _OP_TEST = {
@@ -1046,9 +851,8 @@ _OP_TEST = {
 def holds(f: Formula, sign: Callable[[Expr], int]) -> bool:
     """Truth of a formula, the left side of each atom it reaches signed by
     ``sign``: the one formula evaluator, at a point (``formula_holds``) or
-    over the fiber tables of ``check_adapted``.  Raises GuardUndecidable
-    when the sign of some needed atom cannot be resolved.  An atom that a
-    decided ``And``/``Or`` short-circuits away is not signed."""
+    over the fiber tables of ``check_adapted``.  An atom that a decided
+    ``And``/``Or`` short-circuits away is not signed."""
     if isinstance(f, TrueFormula):
         return True
     if isinstance(f, FalseFormula):
@@ -1059,15 +863,9 @@ def holds(f: Formula, sign: Callable[[Expr], int]) -> bool:
         return not holds(f.arg, sign)
     if isinstance(f, (And, Or)):
         want = isinstance(f, Or)  # short-circuit value
-        undecided = False
         for a in f.args:
-            try:
-                if holds(a, sign) == want:
-                    return want
-            except GuardUndecidable:
-                undecided = True
-        if undecided:
-            raise GuardUndecidable("formula undecided at the point")
+            if holds(a, sign) == want:
+                return want
         return not want
     raise TypeError(f"unknown formula node {f!r}")
 
@@ -1081,36 +879,11 @@ def formula_holds(f: Formula, point) -> bool:
 
 
 def compare_coords(a: CoordValue, b: CoordValue) -> int:
-    """Exact three-way comparison of coordinate values where possible;
-    interval separation otherwise.  Raises UnknownOrder when inconclusive."""
-    if isinstance(a, LazyValue) or isinstance(b, LazyValue):
-        if (
-            isinstance(a, LazyValue)
-            and isinstance(b, LazyValue)
-            and a.point == b.point
-            and canonicalize(a.expr) == canonicalize(b.expr)
-        ):
-            return 0
-        # A lazy value may still turn out to be exactly rational.
-        ra = coord_approx(a, Fraction(1, 2))
-        rb = coord_approx(b, Fraction(1, 2))
-        if isinstance(ra, Fraction) and isinstance(rb, Fraction):
-            return (ra > rb) - (ra < rb)
-        for w in _widths(_FIRST_WIDTH):
-            alo, ahi = _promote(coord_approx(a, w))
-            blo, bhi = _promote(coord_approx(b, w))
-            if ahi < blo:
-                return -1
-            if bhi < alo:
-                return 1
-        raise UnknownOrder(f"cannot order {a} and {b}")
+    """Exact three-way comparison of two coordinate values."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return (a > b) - (a < b)
     if isinstance(a, AlgebraicNumber) and isinstance(b, AlgebraicNumber):
         return a.compare(b)
     if isinstance(a, AlgebraicNumber):
-        assert isinstance(b, Fraction)
         return a.compare_rational(b)
-    assert isinstance(b, AlgebraicNumber) and isinstance(a, Fraction)
     return -b.compare_rational(a)
-

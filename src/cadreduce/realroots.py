@@ -1,21 +1,28 @@
-"""Exact real root isolation for univariate polynomials over the rationals.
+"""Exact real algebraic numbers: root isolation for univariate polynomials
+over the rationals, and the field operations on their roots.
 
 Polynomials are dense tuples of ints (low degree first, trailing
 coefficient nonzero): a rational polynomial is kept as a positive
 multiple, with its signs and roots.  Roots are isolated with Sturm
 sequences and rational bisection, and represented by
-:class:`AlgebraicNumber` values that can be refined on demand and compared
-exactly.  Signs at rational points (:func:`sign_at`, by :func:`horner`),
-remainders (:func:`pseudo_rem`) and gcds are computed in integers.
+:class:`AlgebraicNumber` values: a defining polynomial and an isolating
+interval, which pin the number exactly, so every sign and comparison is
+decided, zero included.  Sums, products, inverses, powers and square roots
+of algebraic numbers are algebraic numbers again (``Real``: a
+``Fraction`` or an ``AlgebraicNumber``).  Signs at rational points
+(:func:`sign_at`, by :func:`horner`), remainders (:func:`pseudo_rem`) and
+gcds are computed in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import comb, isqrt
+from operator import add, mul
+from typing import Callable, Sequence, Union
 
-from cadreduce.poly import IntPoly, primitive
+from cadreduce.poly import IntPoly, clear_denominators, primitive
 
 
 class ZeroPolynomial(ValueError):
@@ -102,8 +109,10 @@ def squarefree_part(p: Sequence[int]) -> IntPoly:
 
 def sturm_sequence(p: Sequence[int]) -> list[IntPoly]:
     """Sturm chain of ``p``: p, p', then the negated remainders, each
-    scaled by |lc|^k, a positive constant, which keeps every sign
-    (``pseudo_rem`` by the divisor with a positive leading coefficient).
+    scaled by a positive constant, which keeps every sign: |lc|^k
+    (``pseudo_rem`` by the divisor with a positive leading coefficient)
+    over its content, which keeps the coefficients from growing
+    exponentially along the chain.
 
     The difference of sign variations of the chain at a < b counts the
     distinct real roots of the squarefree part in the half-open interval
@@ -114,7 +123,10 @@ def sturm_sequence(p: Sequence[int]) -> list[IntPoly]:
     chain = [tuple(p), derivative(p)]
     while degree(chain[-1]) > 0:
         b = chain[-1]
-        chain.append(tuple(-c for c in pseudo_rem(chain[-2], b if b[-1] > 0 else tuple(-c for c in b))))
+        rem = pseudo_rem(chain[-2], b if b[-1] > 0 else tuple(-c for c in b))
+        # primitive() makes the leading coefficient positive; -rem's sign is kept.
+        scaled = primitive(rem)
+        chain.append(tuple(-c for c in scaled) if rem and rem[-1] > 0 else scaled)
     if not chain[-1]:
         chain.pop()
     return chain
@@ -297,6 +309,33 @@ class AlgebraicNumber:
             p = tuple(p) if p[-1] > 0 else tuple(-c for c in p)
         return AlgebraicNumber(p, -self.hi, -self.lo)
 
+    __neg__ = negated
+
+    def __add__(self, other: Real) -> Real:
+        return _compose(self, other, add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: Real) -> Real:
+        return _compose(self, -other, add)
+
+    def __rsub__(self, other: Real) -> Real:
+        return _compose(other, self.negated(), add)
+
+    def __mul__(self, other: Real) -> Real:
+        return _compose(self, other, mul)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: Real) -> Real:
+        return _compose(self, _inverse(other), mul)
+
+    def __rtruediv__(self, other: Real) -> Real:
+        return _compose(other, _inverse(self), mul)
+
+    def __pow__(self, k: int) -> Real:
+        return _power(self, k)
+
     def __str__(self) -> str:
         if self.is_rational:
             return str(self.lo)
@@ -383,3 +422,182 @@ def isolate_roots(p: Sequence[int]) -> list[AlgebraicNumber]:
     roots = [r.refine(Fraction(1, 2)) for r in roots]
     roots.sort(key=lambda r: (r.lo, r.hi))
     return roots
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic
+#
+# a + b is a root of prod (y - a_i - b_j) and a * b of prod (y - a_i b_j),
+# over the roots a_i of a's defining polynomial m_a and b_j of m_b: up to
+# a constant these are Res_x(m_a(x), m_b(y - x)) and
+# Res_x(m_a(x), x^d m_b(y/x)), the characteristic polynomials of the
+# Kronecker sum and product of the two companion matrices.  They are built
+# from power sums by Newton's identities: those of a sum are binomial
+# convolutions of the operands' power sums, those of a product their
+# products, and those of a^k every k-th power sum of a.  The result is the
+# root that stays in an interval enclosure of it as the operands are
+# refined (Loos, "Computing in algebraic extensions", 1982).
+
+Real = Union[Fraction, AlgebraicNumber]
+
+
+def sign(v: Real) -> int:
+    """The exact sign of a rational or algebraic number."""
+    if isinstance(v, AlgebraicNumber):
+        return v.sign_of((0, 1))
+    return (v.numerator > 0) - (v.numerator < 0)
+
+
+def enclosure(v: Real, width: Fraction) -> tuple[Fraction, Fraction]:
+    """A closed rational interval around v, of width <= ``width``."""
+    return (v, v) if isinstance(v, Fraction) else v.approx(width)
+
+
+def _power_sums(p: Sequence[int], count: int) -> list[Fraction]:
+    """s_0 .. s_count, s_k the sum of the k-th powers of the roots of p,
+    counted with multiplicity (Newton's identities)."""
+    d = len(p) - 1
+    c = [Fraction(x, p[-1]) for x in p]
+    s = [Fraction(d)]
+    for k in range(1, count + 1):
+        t = k * c[d - k] if k <= d else 0
+        s.append(-t - sum(c[d - i] * s[k - i] for i in range(1, min(k - 1, d) + 1)))
+    return s
+
+
+def _from_power_sums(s: Sequence[Fraction]) -> list[int]:
+    """The polynomial of degree len(s) - 1 whose roots have the power sums s,
+    in integers (Newton's identities, the other way)."""
+    n = len(s) - 1
+    e = [Fraction(1)]
+    for k in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * s[i] for i in range(1, k + 1)) / k)
+    return clear_denominators([(-1) ** k * e[k] for k in reversed(range(n + 1))])
+
+
+def _defining(v: Real) -> IntPoly:
+    return v.defining if isinstance(v, AlgebraicNumber) else (-v.numerator, v.denominator)
+
+
+def _exact(r: AlgebraicNumber) -> Real:
+    """r, as a Fraction when it is rational.  A rational root of the
+    primitive defining polynomial has a denominator that divides its
+    leading coefficient L, so L * r is then the one integer in L times an
+    isolating interval narrower than 1/(2L), which the polynomial is
+    signed at."""
+    lead = r.defining[-1]
+    r = r.refine(Fraction(1, 2 * lead))
+    if r.is_rational:
+        return r.lo
+    c = Fraction((r.hi.numerator * lead) // r.hi.denominator, lead)
+    return c if r.lo < c and sign_at(r.defining, c) == 0 else r
+
+
+def _pick(p: Sequence[int], enclose: Callable[[Fraction], tuple[Fraction, Fraction]]) -> Real:
+    """The root of p that lies in ``enclose(w)`` for every width w: the
+    enclosures are narrowed until they hold one root of p's squarefree
+    part, which the Sturm chain counts."""
+    sf = squarefree_part(p)
+    chain = sturm_sequence(sf)
+    width = Fraction(1, 4)
+    while True:
+        lo, hi = enclose(width)
+        # The roots in [lo, hi]: those in (lo, hi], and lo.
+        on_lo = sign_at(sf, lo) == 0
+        if count_roots(sf, lo, hi, chain) + on_lo == 1:
+            break
+        width /= 16
+    if on_lo or sign_at(sf, hi) == 0:
+        return lo if on_lo else hi
+    return _exact(AlgebraicNumber(sf, lo, hi))
+
+
+def _compose(a: Real, b: Real, op: Callable[[Fraction, Fraction], Fraction]) -> Real:
+    """a + b or a * b, for ``op`` ``operator.add`` or ``operator.mul``."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return op(a, b)
+    pa, pb = _defining(a), _defining(b)
+    n = degree(pa) * degree(pb)
+    sa, sb = _power_sums(pa, n), _power_sums(pb, n)
+    if op is add:
+        sums = [sum(comb(k, j) * sa[j] * sb[k - j] for j in range(k + 1)) for k in range(n + 1)]
+    else:
+        sums = [x * y for x, y in zip(sa, sb)]
+
+    def enclose(w: Fraction) -> tuple[Fraction, Fraction]:
+        (alo, ahi), (blo, bhi) = enclosure(a, w), enclosure(b, w)
+        ends = (op(alo, blo), op(alo, bhi), op(ahi, blo), op(ahi, bhi))
+        return min(ends), max(ends)
+
+    return _pick(_from_power_sums(sums), enclose)
+
+
+def _inverse(a: Real) -> Real:
+    """1/a for a != 0, as a root of the reversed defining polynomial: the
+    roots of p other than 0, inverted.  x -> 1/x maps a's isolating
+    interval, once it excludes 0, onto one for 1/a."""
+    if isinstance(a, Fraction):
+        return 1 / a
+    if a.is_rational:
+        return 1 / a.lo
+    if not sign(a):
+        raise ZeroDivisionError("division by an algebraic zero")
+    p = a.defining[1:] if not a.defining[0] else a.defining
+    while a.lo <= 0 <= a.hi:
+        a = a.refine(a.width() / 2)
+    return _exact(AlgebraicNumber(primitive(p[::-1]), 1 / a.hi, 1 / a.lo))
+
+
+def _power(a: AlgebraicNumber, k: int) -> Real:
+    """a^k for an integer k >= 0: a root of the polynomial whose roots are
+    the k-th powers of the roots of a's, of the same degree."""
+    if k < 2:
+        return Fraction(1) if k == 0 else a
+    d = degree(a.defining)
+
+    def enclose(w: Fraction) -> tuple[Fraction, Fraction]:
+        lo, hi = a.approx(w)
+        ends = (lo**k, hi**k)
+        if k % 2 == 0 and lo < 0 < hi:
+            return Fraction(0), max(ends)
+        return min(ends), max(ends)
+
+    return _pick(_from_power_sums(_power_sums(a.defining, d * k)[::k]), enclose)
+
+
+def _sqrt_bounds(c: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational enclosure of sqrt(c) of width <= ``width`` (c >= 0)."""
+    if c == 0:
+        return (Fraction(0), Fraction(0))
+    # The least power of two m with 1/m <= width, i.e. m >= ceil(1/width).
+    m = 1 << (-(-width.denominator // width.numerator) - 1).bit_length()
+    n = (c.numerator * m * m) // c.denominator
+    s = isqrt(n)
+    return (Fraction(s, m), Fraction(s + 1, m))
+
+
+def _algebraic_sqrt(c: Fraction) -> AlgebraicNumber:
+    """sqrt(c) for positive non-square c, as an exact algebraic number."""
+    lo, hi = _sqrt_bounds(c, Fraction(1, 4))
+    # For c = p/q in lowest terms, q*x^2 - p is primitive and squarefree.
+    defining = (-c.numerator, 0, c.denominator)
+    # c is not a perfect square, so the rational bounds are never roots.
+    return AlgebraicNumber(defining, lo, hi)
+
+
+def sqrt(v: Real) -> Real:
+    """The square root of v >= 0: rational for the square of a rational,
+    else a root of m(y^2) for v's defining polynomial m."""
+    if isinstance(v, Fraction):
+        n, d = isqrt(v.numerator), isqrt(v.denominator)
+        return Fraction(n, d) if n * n == v.numerator and d * d == v.denominator else _algebraic_sqrt(v)
+    if v.is_rational:
+        return sqrt(v.lo)
+    q = [0] * (2 * len(v.defining) - 1)
+    q[::2] = v.defining
+
+    def enclose(w: Fraction) -> tuple[Fraction, Fraction]:
+        lo, hi = v.approx(w)
+        return _sqrt_bounds(max(lo, Fraction(0)), w)[0], _sqrt_bounds(hi, w)[1]
+
+    return _pick(q, enclose)

@@ -322,14 +322,7 @@ def _merge_stacks(fns1: tuple[Expr, ...], fns2: tuple[Expr, ...], points: list[P
     def order(e1: Expr, e2: Expr) -> int:
         verdicts = set()
         for p in points:
-            v1 = eval_coord(e1, p)
-            v2 = eval_coord(e2, p)
-            try:
-                verdicts.add(compare_coords(v1, v2))
-            except UnknownOrder as exc:
-                raise UnknownOrder(
-                    f"cannot order sections at probe {p}: {exc}"
-                ) from exc
+            verdicts.add(compare_coords(eval_coord(e1, p), eval_coord(e2, p)))
         if len(verdicts) > 1:
             raise SectionsCross("sections from the two CADs cross inside a merged cell")
         return verdicts.pop()

@@ -15,7 +15,7 @@ from cadreduce.cadmodel import (
     word_of,
     zero_in_cell,
 )
-from cadreduce.errors import GuardUndecidable, NotAdapted, ParseError
+from cadreduce.errors import NotAdapted, ParseError, ValidationFailed
 from cadreduce.expr import (
     FALSE,
     TRUE,
@@ -43,6 +43,7 @@ from cadreduce.gallery import (
     ushape_cp,
 )
 from cadreduce.poset import extend_cylinder
+from cadreduce.tree import build_tree
 from cadreduce.realroots import AlgebraicNumber
 from tests.oracles import (
     coarsening_blocks,
@@ -145,10 +146,58 @@ def test_an_undecided_pole_is_reported_as_undecided():
     assert report.ok and report.admits_reduction
     assert any("poles of section 1 above 1" in u for u in report.undecided), str(report)
     # The same kind of denominator, with its pole at the probe x1 = -1: the
-    # section's value there cannot be refined, so its order is undecided.
+    # pole test leaves it undecided, but the exact value at the probe
+    # divides by zero, so the section is undefined there.
     report = validate_cad(stack_over((1,), "(div 1 (mul (add x1 1) (sqrt 2)))", "5"))
-    assert report.ok and not report.admits_reduction
-    assert any("order of sections 1,2 above 1 undecided" in u for u in report.undecided), str(report)
+    assert not report.ok and not report.admits_reduction
+    assert any("poles of section 1 above 1" in u for u in report.undecided), str(report)
+    assert report.violations == ["section 1 above 1 is undefined at a probe: division by zero"], str(report)
+
+
+def _replaced(cell, *functions):
+    """A mutation that sets the stack over ``cell`` to ``functions``."""
+    return lambda stacks: stacks.update({cell: SectionStack(tuple(parse_expr(f) for f in functions))})
+
+
+# One mutation of disk-C per rejection branch of ``validate_cad``, with the
+# start of the report line that names it.  disk-C has the base stack
+# [-1, 1], the disk's two halves over 3 (-1 < x1 < 1) and [0] over 2 and 4.
+DISK_C_MUTATIONS = {
+    "missing stack": (lambda stacks: stacks.pop((4,)), "violation: cell 4 has no stack"),
+    "stack over no cell": (_replaced((7,), "0"), "violation: stack for nonexistent cell 7"),
+    "variable beyond its level": (
+        _replaced((2,), "(add x2 1)"),
+        "violation: section 1 above '2' uses variables beyond level 1",
+    ),
+    "sections swapped": (
+        _replaced((3,), "(sqrt (sub 1 (pow x1 2)))", "(neg (sqrt (sub 1 (pow x1 2))))"),
+        "violation: sections 1,2 above 3 are not strictly ordered at (Fraction(0, 1),)",
+    ),
+    # The branch x1 + 1 is 0 at the probe x1 = -1 of the cell 2.
+    "piecewise function that divides": (
+        _replaced((2,), "(div 1 (piecewise ((gt x1 0) x1) (else (add x1 1))))"),
+        "undecided: poles of section 1 above 2: a piecewise function is involved",
+    ),
+    "overlapping guards": (
+        _replaced((4,), "(piecewise ((gt x1 0) 0) ((gt x1 -5) 0))"),
+        "violation: piecewise guards above 4 overlap at (Fraction(1, 1),)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DISK_C_MUTATIONS)
+def test_each_rejection_branch_of_validate_cad_reports_its_mutation_and_is_refused(name):
+    entry = disk_c()
+    assert str(validate_cad(entry.cad)) == "valid"
+    mutate, line = DISK_C_MUTATIONS[name]
+    stacks = dict(entry.cad.stacks)
+    mutate(stacks)
+    cad = Cad(entry.cad.n, stacks)
+    report = validate_cad(cad)
+    assert any(got.startswith(line) for got in str(report).splitlines()), str(report)
+    with pytest.raises(ValidationFailed) as refused:
+        build_tree(cad, entry.labels)
+    assert refused.value.report is report
 
 
 def over_the_quadrant_strip(upper, function):
@@ -419,8 +468,8 @@ def test_gallery_load_and_check_derive_each_probe_list_once(monkeypatch):
 
 
 def odd_coordinates():
-    """A CAD of R^2 whose probes have two algebraic coordinates, on leaf
-    2.2 (sqrt 2, sqrt 3), and a lazy one, on leaf 2.4 (sqrt 2, sqrt 2 + 2)."""
+    """A CAD of R^2 whose probes have two algebraic coordinates: on leaf
+    2.2 (sqrt 2, sqrt 3), and on leaf 2.4 (sqrt 2, sqrt 2 + 2)."""
     stacks = {
         (): SectionStack((parse_expr("(sqrt 2)"),)),
         (1,): SectionStack(()),
@@ -430,8 +479,9 @@ def odd_coordinates():
     return Cad(2, stacks)
 
 
-# Atoms whose sign is a zero no exact path decides at the odd coordinates:
-# x2^2 - x1^2 - 1 at (sqrt 2, sqrt 3), and x2 - x1 - 2 at the lazy point.
+# Atoms whose sign at the odd coordinates is an exact zero, which no
+# interval excludes: x2^2 - x1^2 - 1 at (sqrt 2, sqrt 3), and x2 - x1 - 2
+# at (sqrt 2, sqrt 2 + 2).
 UNDECIDABLE = (parse_formula("(eq (sub (pow x2 2) (add (pow x1 2) 1)) 0)"), parse_formula("(ge (sub x2 (add x1 2)) 0)"))
 # A non-polynomial atom: the parser refuses it, so it is built directly.
 NON_POLYNOMIAL = Atom(Sqrt(Var(1)), "gt")
@@ -510,33 +560,32 @@ def test_check_adapted_matches_formula_holds_at_every_probe(monkeypatch):
             kinds.setdefault(want[0], []).append((name, formula))
         reached.append(adaptedness_outcome(check_adapted, cad, formulas[5])[0])
     assert inputs == 27
-    assert set(kinds) == {"labels", NotAdapted, ParseError, GuardUndecidable, ValueError}
+    assert set(kinds) == {"labels", NotAdapted, ParseError, ValueError}
     # A short-circuited atom is never converted; a reached one raises.
     assert sum(f == skipped for _name, f in kinds["labels"]) == inputs
     assert reached == [ParseError] * inputs
-    # Only the odd coordinates leave a zero undecided.
-    assert {name for name, _formula in kinds[GuardUndecidable]} == {"odd coordinates"}
+    # No sign is left undecided, the zeros at the odd coordinates included.
+    assert "odd coordinates" in {name for name, _formula in kinds["labels"]}
 
 
-def test_check_adapted_signs_at_a_lazy_last_coordinate_as_formula_holds_does():
+def test_check_adapted_signs_at_an_algebraic_last_coordinate_as_formula_holds_does():
     # Over the rational base probe x1 = 0, x1*x2 restricts to the zero
-    # polynomial in x2; at the lazy probe x2 = sqrt 2 + sqrt 3 above it,
-    # ``formula_holds`` refines intervals and leaves that zero undecided,
-    # and so must the fiber, which may not read the zero off the table.
+    # polynomial in x2; at the probe x2 = sqrt 2 + sqrt 3 above it, a root
+    # of x^4 - 10x^2 + 1, both sign that zero exactly.
     stacks = {
         (): SectionStack((Const(F(0)),)),
         (1,): SectionStack(()),
         (2,): SectionStack((parse_expr("(add (sqrt 2) (sqrt 3))"),)),
         (3,): SectionStack(()),
     }
-    assert isinstance(Cad(2, stacks).cell_points((2, 2))[0][1], expr.LazyValue)
+    assert Cad(2, stacks).cell_points((2, 2))[0][1].defining == (1, 0, -10, 0, 1)
     kinds = []
     for text in ("(eq (mul x1 x2) 0)", "(gt (add (mul x1 x2) 1) 0)", "(gt x2 3)", "(lt x1 1)"):
         formula = parse_formula(text)
         want = adaptedness_outcome(labels_by_probes, Cad(2, stacks), formula)
         assert adaptedness_outcome(check_adapted, Cad(2, stacks), formula) == want, text
         kinds.append(want[0])
-    assert kinds == [GuardUndecidable, "labels", "labels", "labels"]
+    assert kinds == ["labels", "labels", "labels", "labels"]
 
 
 def test_check_adapted_converts_each_atom_once(monkeypatch):
@@ -623,12 +672,9 @@ def test_refining_only_wider_intervals_keeps_every_probe(monkeypatch):
 
 def coord_text(v) -> str:
     """A coordinate as text that pins its type: a rational by its repr, an
-    algebraic number by its defining polynomial and interval, a lazy value
-    by its expression and point."""
+    algebraic number by its defining polynomial and interval."""
     if isinstance(v, AlgebraicNumber):
         return f"root{(v.defining, v.lo, v.hi)!r}"
-    if isinstance(v, expr.LazyValue):
-        return f"lazy({expr.sexpr_of_expr(v.expr)} at {point_text(v.point)})"
     return repr(v)
 
 
@@ -660,7 +706,7 @@ def test_probe_evidence_digest(monkeypatch):
     digest = hashlib.sha256()
     for name, cad, formula in inputs:
         digest.update("\n".join([name, *probe_evidence(cad, formula), ""]).encode())
-    assert digest.hexdigest() == "204b67a9d3a0538c5c8ce60916d40e6195e935e7ccd7ad39fedf8978c74bcbf8"
+    assert digest.hexdigest() == "829bffe1f839f697d64b6482197b02c6fa811f39c72fa3178ef6c1d9b0b19faa"
 
 
 def section_outcomes(cad, value):
@@ -721,7 +767,7 @@ def test_section_values_are_the_values_of_eval_coord(monkeypatch):
         want = section_outcomes(cad, evaluated)
         assert section_outcomes(cad, derived) == want, name
         kinds |= {kind for values in want.values() if isinstance(values, list) for kind, _v in values}
-    assert kinds == {Fraction, AlgebraicNumber, expr.LazyValue}
+    assert kinds == {Fraction, AlgebraicNumber}
     negative = dict(fallback_roots())["negative"]
     # Each section raises for its own cell only: 5 keeps its probes.
     assert section_outcomes(negative, derived)[(1,), 3] == [(Fraction, F(5))] * 3

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cadreduce import expr
-from cadreduce.errors import DivisionByZero, GuardUndecidable, ParseError, SqrtOfNegative, UnknownOrder
+from cadreduce import expr, realroots
+from cadreduce.errors import DivisionByZero, GuardUndecidable, ParseError, SqrtOfNegative
 from cadreduce.expr import (
     Add,
     AlgebraicConst,
@@ -14,7 +14,6 @@ from cadreduce.expr import (
     Const,
     Div,
     FALSE,
-    LazyValue,
     Mul,
     Neg,
     Piecewise,
@@ -29,7 +28,6 @@ from cadreduce.expr import (
     canonical_formula,
     canonicalize,
     compare_coords,
-    coord_approx,
     eval_coord,
     formula_holds,
     parse_expr,
@@ -42,6 +40,7 @@ from cadreduce.gallery import gallery_names, load_entry
 from cadreduce.poly import Polynomial, integer_coeffs
 from cadreduce.realroots import AlgebraicNumber, interval_eval, isolate_roots, make_algebraic
 from tests.oracles import trimmed
+from tests.test_algebraic import assert_is_the_number, sympy_number, sympy_value
 from tests.test_packaging import load_perfbench
 
 F = Fraction
@@ -86,6 +85,46 @@ def test_parse_errors():
             parse_expr(text)
     with pytest.raises(ParseError):
         parse_formula("((lt x1 0))")
+
+
+def _canonical_atom(text: str):
+    """``canonical_formula`` of ``(gt text 0)``, built past the parser,
+    which refuses a non-polynomial side itself."""
+    return canonical_formula(Atom(parse_expr(text), "gt"))
+
+
+# Malformed input, the reader it is given to, and the start of the message
+# of the ParseError it raises: one row per ``raise ParseError`` of the
+# reader, the expression and formula parsers and ``canonical_formula``.
+MALFORMED = [
+    (parse_expr, "", "unexpected end of input"),
+    (parse_expr, "(add 1 2", "missing closing parenthesis"),
+    (parse_expr, ")", "unexpected ')'"),
+    (parse_expr, "x0", "variable index must be >= 1: x0"),
+    (parse_expr, "()", "empty expression list"),
+    (parse_expr, "((add 1 2) 3)", "expected operator, got ['add', '1', '2']"),
+    (parse_expr, "(sub 1)", "(sub ...) needs exactly two operands"),
+    (parse_expr, "(div 1 2 3)", "(div ...) needs exactly two operands"),
+    (parse_expr, "(neg 1 2)", "(neg ...) needs one operand"),
+    (parse_expr, "(sqrt)", "(sqrt ...) needs one operand"),
+    (parse_expr, "(piecewise x1)", "piecewise items are (guard expr) or (else expr)"),
+    (parse_expr, "(piecewise ((gt x1 0) 1) (else 1) (else 2))", "duplicate (else ...) branch"),
+    (parse_expr, "(piecewise (else 1))", "piecewise needs at least one guarded branch"),
+    (parse_formula, "x1", "formula must be a list: 'x1'"),
+    (parse_formula, "()", "empty formula list"),
+    (parse_formula, "(gt x1)", "(gt lhs rhs) needs two operands"),
+    (parse_formula, "(and)", "(and) needs operands"),
+    (parse_formula, "(not (gt x1 0) (gt x1 1))", "(not ...) needs one operand"),
+    (parse_formula, "(xor (gt x1 0) (gt x1 1))", "unknown formula operator: 'xor'"),
+    (_canonical_atom, "(sqrt x1)", "formula atoms must be polynomial"),
+]
+
+
+@pytest.mark.parametrize("read, text, message", MALFORMED)
+def test_malformed_input_raises_its_own_parse_error(read, text, message):
+    with pytest.raises(ParseError) as refused:
+        read(text)
+    assert str(refused.value).startswith(message)
 
 
 def test_parse_root_roundtrips_and_rejects_what_is_no_isolated_root():
@@ -157,18 +196,18 @@ def test_eval_hyperbola_like_function_at_zero():
 
 def test_eval_interval_for_irrational():
     e = parse_expr("(sqrt (sub 1 (pow x1 2)))")
-    lo, hi = coord_approx(LazyValue(e, (F(1, 2),)), F(1, 1000))
+    lo, hi = eval_coord(e, (F(1, 2),)).approx(F(1, 1000))
     assert hi - lo <= F(1, 1000)
     # sqrt(3)/2 = 0.8660...
     assert lo < F(8661, 10000) and hi > F(8659, 10000)
 
 
 def test_eval_monotone_in_precision():
-    value = LazyValue(parse_expr("(sqrt 2)"), ())
-    coarse = coord_approx(value, F(1, 2**10))
-    fine = coord_approx(value, F(1, 2**30))
+    value = eval_coord(parse_expr("(sqrt 2)"), ())
+    coarse = value.approx(F(1, 2**10))
+    fine = value.approx(F(1, 2**30))
     assert coarse[0] <= fine[0] and fine[1] <= coarse[1]
-    again = coord_approx(value, F(1, 2**10))
+    again = value.approx(F(1, 2**10))
     assert again == coarse  # deterministic
 
 
@@ -476,64 +515,62 @@ def test_atom_sign_with_algebraic_coordinate():
 
 
 def test_atom_sign_classifies_only_the_variables_the_polynomial_uses():
-    # The exact one-algebraic path decides a zero that interval refinement
-    # cannot, whatever the coordinates the polynomial does not use hold.
+    # The one-algebraic path reads integer coefficients, whatever the
+    # coordinates the polynomial does not use hold.
     sqrt2, sqrt3 = (isolate_roots((-c, 0, 1))[1] for c in (2, 3))
-    lazy = eval_coord(parse_expr("(add (sqrt 2) (sqrt 3))"), ())
-    assert isinstance(lazy, LazyValue)
+    both = eval_coord(parse_expr("(add (sqrt 2) (sqrt 3))"), ())
+    assert isinstance(both, AlgebraicNumber)
     lhs = parse_expr("(sub (pow x1 2) 2)")
-    for point in ((sqrt2, sqrt3), (sqrt2, lazy), (sqrt2, sqrt3, lazy), (F(1), lazy)):
+    for point in ((sqrt2, sqrt3), (sqrt2, both), (sqrt2, sqrt3, both), (F(1), both)):
         assert atom_sign(lhs, point, {}) == (0 if point[0] is sqrt2 else -1)
-    assert atom_sign(parse_expr("(sub x3 1)"), (lazy, sqrt3, F(2)), {}) == 1
+    assert atom_sign(parse_expr("(sub x3 1)"), (both, sqrt3, F(2)), {}) == 1
     with pytest.raises(ValueError, match="no coordinate 3"):
-        atom_sign(parse_expr("(sub x3 x1)"), (sqrt2, lazy), {})
+        atom_sign(parse_expr("(sub x3 x1)"), (sqrt2, both), {})
 
 
-def test_atom_sign_falls_back_to_intervals_at_two_algebraic_or_a_lazy_coordinate():
+def test_atom_sign_is_exact_at_two_algebraic_coordinates():
     sqrt2, sqrt3 = (isolate_roots((-c, 0, 1))[1] for c in (2, 3))
-    lazy = eval_coord(parse_expr("(add (sqrt 2) (sqrt 3))"), ())  # 3.146...
+    both = eval_coord(parse_expr("(add (sqrt 2) (sqrt 3))"), ())  # 3.146...
     assert atom_sign(parse_expr("(sub x1 x2)"), (sqrt2, sqrt3), {}) == -1
     assert atom_sign(parse_expr("(sub (mul x1 x2) 2)"), (sqrt2, sqrt3), {}) == 1
-    assert atom_sign(parse_expr("(sub x1 3)"), (lazy,), {}) == 1
-    assert atom_sign(parse_expr("(sub x1 (mul 2 x2))"), (lazy, F(8, 5)), {}) == -1
-    # Refinement proves no zero: sqrt2^2 - sqrt3^2 + 1 = 0 stays undecided,
-    # and so does (sqrt2 + sqrt3)^2 - 5 - 2 sqrt6 = 0 read as x1^2 - 5 - 2 x2 x3.
-    with pytest.raises(GuardUndecidable):
-        atom_sign(parse_expr("(add (sub (pow x1 2) (pow x2 2)) 1)"), (sqrt2, sqrt3), {})
-    with pytest.raises(GuardUndecidable):
-        atom_sign(parse_expr("(sub (sub (pow x1 2) 5) (mul 2 (mul x2 x3)))"), (lazy, sqrt2, sqrt3), {})
+    assert atom_sign(parse_expr("(sub x1 3)"), (both,), {}) == 1
+    assert atom_sign(parse_expr("(sub x1 (mul 2 x2))"), (both, F(8, 5)), {}) == -1
+    # Exact zeros: sqrt2^2 - sqrt3^2 + 1 = 0, and (sqrt2 + sqrt3)^2 - 5 -
+    # 2 sqrt6 = 0 read as x1^2 - 5 - 2 x2 x3.
+    assert atom_sign(parse_expr("(add (sub (pow x1 2) (pow x2 2)) 1)"), (sqrt2, sqrt3), {}) == 0
+    assert atom_sign(parse_expr("(sub (sub (pow x1 2) 5) (mul 2 (mul x2 x3)))"), (both, sqrt2, sqrt3), {}) == 0
+    assert atom_sign(parse_expr("(sub (sub (pow x1 2) 5) (mul 2 (mul x2 x3)))"), (both, sqrt2, sqrt2), {}) == 1
 
 
-def test_eval_reads_algebraic_and_lazy_coordinates():
+def test_eval_reads_algebraic_coordinates():
     sqrt2 = isolate_roots((-2, 0, 1))[1]
     half = AlgebraicNumber.from_rational(F(1, 2))
     e = parse_expr("(add x1 1)")
     # A rational algebraic coordinate is read exactly.
     assert eval_coord(e, (half,)) == F(3, 2)
-    # An irrational one makes the value lazy; refining it reads the
-    # coordinate's isolating interval.
+    # An irrational one makes the value algebraic, of the coordinate's degree.
     at_sqrt2 = eval_coord(e, (sqrt2,))
-    assert isinstance(at_sqrt2, LazyValue)
-    lo, hi = coord_approx(at_sqrt2, F(1, 2**20))
+    assert isinstance(at_sqrt2, AlgebraicNumber) and at_sqrt2.defining == (-1, -2, 1)
+    lo, hi = at_sqrt2.approx(F(1, 2**20))
     assert lo < F(24142136, 10**7) < hi and hi - lo <= F(1, 2**20)
-    # A lazy coordinate is evaluated through its own expression and point.
-    at_lazy = eval_coord(e, (at_sqrt2,))
-    assert isinstance(at_lazy, LazyValue)
-    lo, hi = coord_approx(at_lazy, F(1, 2**20))
+    # An algebraic coordinate that is itself a value is read as any other.
+    again = eval_coord(e, (at_sqrt2,))
+    assert isinstance(again, AlgebraicNumber)
+    lo, hi = again.approx(F(1, 2**20))
     assert lo < F(34142136, 10**7) < hi and hi - lo <= F(1, 2**20)
-    assert compare_coords(at_lazy, F(3)) == 1 and compare_coords(at_lazy, sqrt2) == 1
+    assert compare_coords(again, F(3)) == 1 and compare_coords(again, sqrt2) == 1
 
 
-def test_compare_coords_finds_canonically_equal_lazy_values_equal():
+def test_compare_coords_finds_equal_algebraic_values_equal():
     a = eval_coord(parse_expr("(add (sqrt 2) (sqrt 3))"), ())
     b = eval_coord(parse_expr("(add (sqrt 3) (sqrt 2))"), ())
-    assert isinstance(a, LazyValue) and isinstance(b, LazyValue) and a != b
+    assert isinstance(a, AlgebraicNumber) and isinstance(b, AlgebraicNumber)
     assert compare_coords(a, b) == compare_coords(b, a) == 0
-    # At another point, or with another expression, they are compared by
-    # refinement; equal values there cannot be separated.
-    c = LazyValue(parse_expr("(add (sqrt x1) (sqrt 3))"), (F(2),))
-    with pytest.raises(UnknownOrder):
-        compare_coords(a, c)
+    # At another point, or with another expression, equal values are equal.
+    c = eval_coord(parse_expr("(add (sqrt x1) (sqrt 3))"), (F(2),))
+    assert compare_coords(a, c) == 0
+    e = eval_coord(parse_expr("(sqrt (add 5 (mul 2 (sqrt 6))))"), ())
+    assert compare_coords(a, e) == compare_coords(e, a) == 0
     d = eval_coord(parse_expr("(add (sqrt 2) (sqrt 5))"), ())
     assert compare_coords(a, d) == -1 and compare_coords(d, b) == 1
 
@@ -673,7 +710,7 @@ def test_atom_sign_agrees_with_the_fraction_oracle_on_random_corpus():
     # that coordinate's defining polynomial.
     rng = random.Random(1710)
     algebraic = isolate_roots((-2, 0, 1)) + isolate_roots((1, -3, 0, 1))
-    algebraic += [expr._algebraic_sqrt(F(rng.randint(1, 2**40), rng.randint(2, 2**40) | 1)) for _ in range(4)]
+    algebraic += [realroots._algebraic_sqrt(F(rng.randint(1, 2**40), rng.randint(2, 2**40) | 1)) for _ in range(4)]
     assert not any(a.is_rational for a in algebraic)
     counts = {"rational": 0, "rational zero": 0, "missing": 0, "algebraic": 0, "algebraic zero": 0}
     for _ in range(500):
@@ -715,32 +752,6 @@ def test_atom_sign_agrees_with_the_fraction_oracle_on_random_corpus():
     assert min(counts.values()) >= 20, counts
 
 
-def _eval_coord_oracle(e, point):
-    """``eval_coord`` as it was written before it evaluated a square root's
-    argument once: the whole expression first, then the argument again."""
-    pt = expr.as_point(point)
-    try:
-        v = expr._eval(e, pt, None)
-        assert isinstance(v, Fraction)
-        return v
-    except expr._Inexact:
-        pass
-    core, negate = (e.arg, True) if isinstance(e, Neg) else (e, False)
-    if isinstance(core, AlgebraicConst):
-        return core.value.negated() if negate else core.value
-    if isinstance(core, Sqrt):
-        try:
-            c = expr._eval(core.arg, pt, None)
-        except (expr._Inexact, GuardUndecidable):
-            c = None
-        if isinstance(c, Fraction):
-            if c < 0:
-                raise SqrtOfNegative(f"sqrt of {c}")
-            a = expr._algebraic_sqrt(c)
-            return a.negated() if negate else a
-    return LazyValue(e, pt)
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -748,25 +759,31 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def test_eval_coord_agrees_with_its_former_self_on_random_corpus():
+def test_eval_coord_agrees_with_sympy_on_random_corpus():
+    # Every value is the number sympy computes (``assert_is_the_number``),
+    # and every error the one sympy's value raises.
     rng = random.Random(431)
     points_rng = random.Random(432)
     kinds = set()
     for _ in range(300):
         e = _random_expr(rng, 3, atoms=True)
-        # A square root, negated or not, at the top, where eval_coord looks.
+        # A square root, negated or not, at the top.
         e = rng.choice([e, Sqrt(e), Neg(Sqrt(e))])
         for _ in range(3):
             point = [F(points_rng.randint(-2, 2), points_rng.randint(1, 3)) for _ in range(points_rng.randint(2, 3))]
             got = _outcome(eval_coord, e, point)
-            assert got == _outcome(_eval_coord_oracle, e, point), (sexpr_of_expr(e), point)
+            want = _outcome(sympy_value, e, [sympy_number(c) for c in point])
+            if isinstance(got, tuple):
+                assert isinstance(want, tuple) and got[0] is want[0], (sexpr_of_expr(e), point)
+            else:
+                assert_is_the_number(got, want)
             kinds.add(got[0] if isinstance(got, tuple) else type(got))
-    assert {Fraction, AlgebraicNumber, LazyValue, SqrtOfNegative, DivisionByZero, ValueError} <= kinds
+    assert {Fraction, AlgebraicNumber, SqrtOfNegative, DivisionByZero, ValueError} <= kinds
 
 
 def test_eval_coord_evaluates_a_square_roots_argument_once(monkeypatch):
     e = parse_expr("(neg (sqrt (sub 1 (pow x1 2))))")
-    want = _eval_coord_oracle(e, [F(1, 3)])
+    want = realroots._algebraic_sqrt(F(8, 9)).negated()
     calls = []
     evaluate = expr._eval
     monkeypatch.setattr(expr, "_eval", lambda node, *rest: calls.append(node) or evaluate(node, *rest))

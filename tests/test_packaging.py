@@ -81,6 +81,31 @@ def test_only_the_polynomial_ring_takes_contents_and_denominators():
     assert sorted(set(importers)) == ["poly.py"]
 
 
+def test_only_realroots_constructs_algebraic_numbers():
+    # Algebraic arithmetic has one home: every AlgebraicNumber of the
+    # package is made by ``realroots``, whose constructors keep its
+    # invariants (a squarefree primitive defining polynomial, an isolating
+    # interval).
+    makers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and _bare_name(node.func) == "AlgebraicNumber":
+                makers.add(path.name)
+    assert makers == {"realroots.py"}
+
+
+def test_no_module_keeps_a_second_kind_of_coordinate():
+    # Every coordinate is a Fraction or an AlgebraicNumber: the lazy value
+    # refined by interval arithmetic on a fixed schedule is gone.
+    defined = {
+        f"{path.name}: {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in ("LazyValue", "_eval_refining", "_widths")
+    }
+    assert defined == set()
+
+
 def load_perfbench(name: str, monkeypatch):
     """A module of ``perfbench/``, loaded by path (it is not a package)."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from cadreduce import realroots
-from cadreduce.expr import _algebraic_sqrt, sqrt_coord
+from cadreduce.expr import sqrt_coord
 from cadreduce.poly import clear_denominators, primitive
 from cadreduce.realroots import (
     AlgebraicNumber,
+    _algebraic_sqrt,
     ZeroPolynomial,
     count_roots,
     degree,
@@ -179,9 +180,10 @@ def bounded_work(monkeypatch):
 
 def test_sturm_chain_of_x2_minus_2():
     # Hand computation: p = x^2 - 2, p' = 2x, -rem(p, p') = 2, kept as
-    # lc(p')^1 * 2 = 4 (a positive multiple, which keeps every sign).
+    # lc(p')^1 * 2 = 4 over its content 4 (a positive multiple, which keeps
+    # every sign).
     chain = sturm_sequence((-2, 0, 1))
-    assert chain == [(-2, 0, 1), (0, 2), (4,)]
+    assert chain == [(-2, 0, 1), (0, 2), (1,)]
     assert count_roots((-2, 0, 1), F(-2), F(2)) == 2
 
 

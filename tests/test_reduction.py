@@ -8,8 +8,19 @@ import pytest
 
 from cadreduce.cadmodel import Cad, SectionStack, check_adapted, validate_cad
 from cadreduce import cadmodel, reduction
-from cadreduce.errors import LabelMissing, RuleNotApplicable, UnknownOrder, ValidationFailed
-from cadreduce.expr import TRUE, Neg, Sqrt, any_node, canonicalize, compare_coords, eval_coord, is_piecewise, parse_expr
+from cadreduce.errors import LabelMissing, RuleNotApplicable, ValidationFailed
+from cadreduce.expr import (
+    TRUE,
+    Neg,
+    Sqrt,
+    any_node,
+    canonicalize,
+    compare_coords,
+    eval_coord,
+    is_piecewise,
+    parse_expr,
+    sector_coords,
+)
 from cadreduce.gallery import (
     disk_c,
     disk_cp,
@@ -107,8 +118,8 @@ def disordered_stack():
 
 def sections_apart_by_2_to_the_minus_200():
     # Base stack [0]; over each of the cells 1, 2, 3 the stack [f, g] with
-    # f = sqrt2 + sqrt3 and g = f + 2^-200, closer than interval refinement
-    # can separate.
+    # f = sqrt2 + sqrt3 and g = f + 2^-200, ordered at a probe only by
+    # refining both to 2^-200.
     f = "(add (sqrt 2) (sqrt 3))"
     functions = (parse_expr(f), parse_expr(f"(add {f} {Fraction(1, 2**200)})"))
     stacks = {(): SectionStack((parse_expr("0"),))}
@@ -125,13 +136,11 @@ def sections_crossing_between_the_probes():
 
 
 def sections_of_undecided_order():
-    # Base stack [0]; over each of the cells 1, 2, 3 the stack [f, g] with
-    # f = sqrt2 + sqrt3 and g = sqrt(5 + 2 sqrt6) + 2^-200, which is
-    # f + 2^-200.  Their square roots differ, so g - f is no constant, and
-    # interval refinement cannot order them.
-    f = "(add (sqrt 2) (sqrt 3))"
-    g = f"(add (sqrt (add 5 (mul 2 (sqrt 6)))) {Fraction(1, 2**200)})"
-    return labelled(2, {(): ["0"], **{(i,): [f, g] for i in (1, 2, 3)}})
+    # Base stack [0]; over each of the cells 1, 2, 3 the stack [f, 5] with
+    # f = 1 where x1 > 0 and no branch elsewhere: over the cell 1, f has no
+    # value at a probe, so the order of f and 5 is left open.
+    f = "(piecewise ((gt x1 0) 1))"
+    return labelled(2, {(): ["0"], **{(i,): [f, "5"] for i in (1, 2, 3)}})
 
 
 def labelled(n, spec, sheet=False):
@@ -207,15 +216,21 @@ def test_pole_at_a_corner_of_the_seam_does_not_lift():
 
 
 def test_refinement_schedule_is_fixed():
-    # Interval refinement has one schedule and no setting: it separates
-    # lazy values 2^-182 apart, but not 2^-183 apart, and so it cannot order
-    # the sections 2^-200 apart at a probe.  Their difference is the
-    # constant 2^-200, which proves them ordered, and the merge lifts.
+    # Refinement has one schedule and no setting: a window between two
+    # values is sought at widths 1/4, 2^-14, 2^-26, ..., without end, their
+    # order proven exactly where 1/4 does not part them.  Values 2^-182 and
+    # 2^-183 apart are ordered, where a schedule that stopped after 12
+    # widths could not order the latter; so are the sections 2^-200 apart
+    # at every probe, and their difference, the constant 2^-200, proves
+    # them ordered, and the merge lifts.
     f = "(add (sqrt 2) (sqrt 3))"
     value = eval_coord(parse_expr(f), ())
     assert compare_coords(value, eval_coord(parse_expr(f"(add {f} {F(1, 2**182)})"), ())) == -1
-    with pytest.raises(UnknownOrder):
-        compare_coords(value, eval_coord(parse_expr(f"(add {f} {F(1, 2**183)})"), ()))
+    above = eval_coord(parse_expr(f"(add {f} {F(1, 2**183)})"), ())
+    assert compare_coords(value, above) == -1
+    # The 2^-183 gap is first parted at the width 2^-194 = 2^-2 * 2^-(12*16).
+    assert sector_coords(value, above, 1) == [(value.approx(F(1, 2**194))[1] + above.approx(F(1, 2**194))[0]) / 2]
+    assert value.approx(F(1, 2**182))[1] >= above.approx(F(1, 2**182))[0]
     cad, labels = sections_apart_by_2_to_the_minus_200()
     assert str(validate_cad(cad)) == "valid"
     assert try_lift(build_tree(cad, labels), (2,)) is not None
@@ -256,7 +271,7 @@ REFUSED = {
         sections_crossing_between_the_probes,
         "violation: sections 1,2 above 1 cross inside the cell",
     ),
-    "sections of undecided order": (sections_of_undecided_order, "undecided: order of sections 1,2 above 1 undecided"),
+    "sections of undecided order": (sections_of_undecided_order, "undecided: section 1 above 1 undecided at a probe"),
 }
 
 
