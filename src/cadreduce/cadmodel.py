@@ -118,8 +118,10 @@ class Cad:
         # variable, or None for no polynomial (``_section_value``).
         self._roots: dict[tuple, CoordValue] = {}
         self._sqrt_polys: dict[Expr, tuple[Polynomial, int] | None] = {}
-        # The root's ``validate_cad`` report, made on first use.
+        # The root's ``validate_cad`` report, made on first use, and the
+        # tree ``tree.build_tree`` made last, after a copy of its labels.
         self._validation: ValidationReport | None = None
+        self._tree: tuple[LeafLabeling, object] | None = None
         # Lift verdicts (see ``reduction._lift_allowed``): one per slot
         # of a glued stack, keyed by the merge level and the keys of the
         # root cells of the slot's three section cells (their hash, bound

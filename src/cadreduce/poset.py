@@ -75,7 +75,9 @@ def explore(root: Cad | CadTree, labels: LeafLabeling) -> PosetGraph:
     accepted, and keeps the merges of the first path that reaches it.
     Its cells are hash-consed in one table per call (``tree.CellTable``),
     so a node is known by its top cell, the key of ``PosetGraph``, and a
-    merge into a node seen before makes no cell.  No partition is made."""
+    merge into a node seen before makes no cell.  No partition is made.
+    The start node is the root's tree for these labels: the one
+    ``minimize`` started from, if it ran first."""
     start = build_tree(root, labels)
     graph = PosetGraph({start.top: start})
     queue = deque([start])

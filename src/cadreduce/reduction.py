@@ -202,8 +202,9 @@ def minimize(cad: Cad | CadTree, labels: LeafLabeling) -> CadTree:
     word past the pivot that lifts.  A merge then costs as many Python steps
     at every size of the CAD: the lift check keys each slot in O(1), and
     the merge makes the glued cells and the path copies (``tree``).  What
-    grows with the CAD is the root's tree, made once, and the C-level
-    slices of each copy's children, label and own pivots.
+    grows with the CAD is the root's tree, made once per root and labelling
+    (``explore`` starts from it too), and the C-level slices of each copy's
+    children, label and own pivots.
     """
     node = build_tree(cad, labels)
     while True:

@@ -4,11 +4,12 @@ set.
 
 A labelled coarsening of a root CAD is one ``CadTree``: the root, one
 immutable tree of ``Cell`` objects, and the merges that made it.
-``build_tree`` makes the first tree, once the root's validation admits it;
-every merge makes a new ``CadTree``.  A cell of depth k < n with branching
-count u has exactly 2u+1 children; all leaves sit at depth n.  Every cell
-holds the root cells whose union it is, every leaf its label bit, and
-every cell, made once with the cell:
+``build_tree`` makes the first tree, once the root's validation admits it,
+and the root keeps it for its labels, so ``minimize`` and ``explore`` on one
+labelled root start from one tree; every merge makes a new ``CadTree``.  A
+cell of depth k < n with branching count u has exactly 2u+1 children; all
+leaves sit at depth n.  Every cell holds the root cells whose union it is,
+every leaf its label bit, and every cell, made once with the cell:
 
 - the hash of its root cells, the sum of their index words' hashes;
 - its recursive label (the leaf bit, or the tuple of its children's labels);
@@ -59,7 +60,7 @@ knows each node by its top cell; ``minimize`` merges with none.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import repeat
+from itertools import islice, repeat
 from operator import neg
 from typing import Iterator
 
@@ -286,15 +287,20 @@ def build_tree(cad: Cad | CadTree, labels: LeafLabeling) -> CadTree:
     ``validate_cad`` admits its root (``ValidationFailed`` otherwise): the
     ``labelled_tree`` of a root, or a coarsening's own cells, with no merge
     applied.  A coarsening is labelled by its own leaves' labels; other
-    labels raise ``ValueError``."""
+    labels raise ``ValueError``.  A root keeps its last tree with a copy of
+    its labels (``Cad._tree``) and gives it again for equal labels: cells
+    are immutable, and what they make on first read reads only their root
+    cells.  Other labels, or the same dict edited since, get a new tree."""
     report = validate_cad(cad.root)
     if not report.admits_reduction:
         raise ValidationFailed(report)
-    if cad.is_root:
-        return labelled_tree(cad, labels)
-    if not _labels_its_leaves(cad, labels):
-        raise ValueError("a coarsening's labels are its own leaves' labels")
-    return CadTree(cad.root, cad.top)
+    if not cad.is_root:
+        if not _labels_its_leaves(cad, labels):
+            raise ValueError("a coarsening's labels are its own leaves' labels")
+        return CadTree(cad.root, cad.top)
+    if cad._tree is None or cad._tree[0] != labels:
+        cad._tree = (dict(labels), labelled_tree(cad, labels))
+    return cad._tree[1]
 
 
 def _labels_its_leaves(tree: CadTree, labels: LeafLabeling) -> bool:
@@ -316,20 +322,21 @@ def _labels_its_leaves(tree: CadTree, labels: LeafLabeling) -> bool:
 
 def labelled_tree(cad: Cad, labels: LeafLabeling) -> CadTree:
     """The tree of a root CAD with a total labelling of its leaves by 0 and
-    1; any other labelling is rejected.  It reads the CAD's cells only, and
-    passes no gate (``build_tree``)."""
+    1; any other labelling is rejected.  It reads the CAD's stacks only, and
+    passes no gate (``build_tree``).  The index words are listed level by
+    level, each cell's width read off its stack, and the cells made from
+    the leaves up, each parent's children sliced from the level below."""
     if not cad.is_root:
         raise ValueError("labelled_tree grows a root CAD; build_tree starts from a coarsening")
-    n = cad.n
-    leaves: list[CellIndex] = []  # in index order, as ``Cad.leaves`` lists them
-
-    def grow(index: CellIndex) -> Cell:
-        if len(index) == n:
-            leaves.append(index)
-            return Cell((index,), bit=labels.get(index), roots_hash=hash(index))
-        return Cell((index,), tuple(map(grow, cad.children(index))), roots_hash=hash(index))
-
-    top = grow(())
+    stacks = cad.stacks
+    levels: list[list[CellIndex]] = [[()]]
+    for _ in range(cad.n):
+        levels.append([p + (j,) for p in levels[-1] for j in range(1, 2 * len(stacks[p].functions) + 2)])
+    leaves = levels.pop()  # in index order, as ``Cad.leaves`` lists them
+    cells = [Cell((leaf,), (), labels.get(leaf), None, hash(leaf)) for leaf in leaves]
+    for words in reversed(levels):
+        below = iter(cells)
+        cells = [Cell((w,), tuple(islice(below, 2 * len(stacks[w].functions) + 1)), None, None, hash(w)) for w in words]
     if not all(map(labels.__contains__, leaves)):
         missing = [leaf for leaf in leaves if leaf not in labels]
         raise LabelMissing(f"missing labels for {missing[:3]}{'...' if len(missing) > 3 else ''}")
@@ -338,7 +345,7 @@ def labelled_tree(cad: Cad, labels: LeafLabeling) -> CadTree:
         raise ValueError(f"labels on cells that are not leaves: {extra[:3]}{'...' if len(extra) > 3 else ''}")
     if not all(map((0, 1).__contains__, labels.values())):
         raise ValueError("leaf labels must be 0 or 1")
-    return CadTree(cad, top)
+    return CadTree(cad, cells[0])
 
 
 def prefix(index: CellIndex, k: int) -> CellIndex:

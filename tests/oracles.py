@@ -25,6 +25,9 @@ pipeline does not call.
   which the integer bisection must match interval for interval;
 - ``pivot_order``: the order in which ``minimize`` and ``explore`` try
   pivots, which every cell keeps its pivots in;
+- ``grown_tree``: a root's labelled tree grown cell by cell from its index
+  words, as ``tree.labelled_tree`` grew it before it made each level in
+  one pass over the stacks;
 - ``indexed_cells``: every cell of a coarsening with its index word;
 - ``walk_pivots`` and ``greedy_applied``: the applicable pivots by a walk
   of the whole tree, and the merges of the reduction loop when it tries
@@ -40,7 +43,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from cadreduce.cadmodel import ROOT_INDEX, Cad, CellIndex, LeafLabeling, SectionStack, word_of
-from cadreduce.errors import CadError, GuardUndecidable, NotAdapted, UnknownOrder
+from cadreduce.errors import CadError, GuardUndecidable, LabelMissing, NotAdapted, UnknownOrder
 from cadreduce.expr import (
     Expr,
     Formula,
@@ -435,6 +438,37 @@ def refine_by_fractions(a: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
         else:
             hi = mid
     return AlgebraicNumber(a.defining, lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# Trees
+
+
+def grown_tree(cad: Cad, labels: LeafLabeling) -> CadTree:
+    """The tree of a root CAD with a total labelling of its leaves by 0 and
+    1, grown recursively from the root's index words (``Cad.children``),
+    with ``tree.labelled_tree``'s label checks and errors."""
+    if not cad.is_root:
+        raise ValueError("labelled_tree grows a root CAD; build_tree starts from a coarsening")
+    n = cad.n
+    leaves: list[CellIndex] = []  # in index order, as ``Cad.leaves`` lists them
+
+    def grow(index: CellIndex) -> Cell:
+        if len(index) == n:
+            leaves.append(index)
+            return Cell((index,), bit=labels.get(index), roots_hash=hash(index))
+        return Cell((index,), tuple(map(grow, cad.children(index))), roots_hash=hash(index))
+
+    top = grow(())
+    if not all(map(labels.__contains__, leaves)):
+        missing = [leaf for leaf in leaves if leaf not in labels]
+        raise LabelMissing(f"missing labels for {missing[:3]}{'...' if len(missing) > 3 else ''}")
+    if len(labels) != len(leaves):
+        extra = sorted(set(labels) - set(leaves))
+        raise ValueError(f"labels on cells that are not leaves: {extra[:3]}{'...' if len(extra) > 3 else ''}")
+    if not all(map((0, 1).__contains__, labels.values())):
+        raise ValueError("leaf labels must be 0 or 1")
+    return CadTree(cad, top)
 
 
 # ---------------------------------------------------------------------------

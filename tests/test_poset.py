@@ -211,6 +211,8 @@ def test_extend_cylinder_identity_and_growth():
     entry = trousers_c()
     same, labels = extend_cylinder(entry.cad, entry.labels, 3)
     assert same is entry.cad and labels == entry.labels
+    with pytest.raises(ValueError):
+        extend_cylinder(entry.cad, entry.labels, 2)
     ext, ext_labels = extend_cylinder(entry.cad, entry.labels, 4)
     assert ext.n == 4
     assert ext.leaf_count() == 9

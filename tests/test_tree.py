@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cadreduce.cadmodel import Cad
 from cadreduce.errors import LabelMissing, PivotNotEven, RuleNotApplicable
 from cadreduce.gallery import disk_c, disk_cp, disk_cpp, trousers_c, trousers_cp
 from cadreduce.tree import (
@@ -12,10 +13,12 @@ from cadreduce.tree import (
     apply_merge,
     build_tree,
     is_applicable,
+    labelled_tree,
     prefix,
     relabel_index,
 )
 from tests import oracles
+from tests.test_packaging import load_perfbench
 
 
 def sibling(pivot, offset: int):
@@ -116,6 +119,52 @@ def test_build_tree_missing_label():
     del labels[(1, 2, 2)]
     with pytest.raises(LabelMissing):
         build_tree(entry.cad, labels)
+
+
+def cell_views(tree: CadTree):
+    """Every cell's index word, root cells, their hash, label and pivots."""
+    return sorted((index, cell.roots, cell.roots_hash, cell.label, cell.pivots) for index, cell in oracles.indexed_cells(tree))
+
+
+def wrong_labellings(cad, labels):
+    """A label on a cell that is not a leaf (the first leaf's parent, or in
+    R^0 a word below the one leaf), one and four leaf labels missing, and a
+    label of 2."""
+    leaves = list(labels)
+    return [
+        {**labels, leaves[0][:-1] if cad.n else (1,): 0},
+        {leaf: labels[leaf] for leaf in leaves[1:]},
+        {leaf: labels[leaf] for leaf in leaves[4:]},
+        {**labels, leaves[-1]: 2},
+    ]
+
+
+def test_labelled_tree_grows_the_tree_of_the_recursive_builder(monkeypatch):
+    # ``labelled_tree`` makes each level in one pass over the stacks; the
+    # recursive builder it replaced stays as the oracle.  Both make the
+    # same cells and raise the same errors, on the gallery and its lifts to
+    # R^6, the lift fixtures, disk-lines(7) and (96) at two seeds, and R^0.
+    from tests.test_reduction import explored_inputs, lift_fixtures
+
+    workloads = load_perfbench("workloads", monkeypatch)
+    inputs = [labelled for _name, labelled in explored_inputs(monkeypatch)]
+    inputs += [build() for _name, build in lift_fixtures()]
+    inputs += [(d.cad, d.labels) for m in (7, 96) for seed in (0, 1) for d in [workloads.disk_lines(m, seed)]]
+    inputs.append((Cad(0, {}), {(): 1}))
+    errors = 0
+    for cad, labels in inputs:
+        tree, oracle = labelled_tree(cad, labels), oracles.grown_tree(cad, labels)
+        assert tree.root is oracle.root is cad and tree.labels == oracle.labels == labels
+        assert index_views(tree) == index_views(oracle)
+        assert cell_views(tree) == cell_views(oracle)
+        for wrong in wrong_labellings(cad, labels):
+            with pytest.raises((LabelMissing, ValueError)) as got:
+                labelled_tree(cad, wrong)
+            with pytest.raises((LabelMissing, ValueError)) as want:
+                oracles.grown_tree(cad, wrong)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+            errors += 1
+    assert errors == 4 * len(inputs) and len(inputs) > 40
 
 
 def test_applicable_pivots_gallery():
