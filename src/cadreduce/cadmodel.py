@@ -63,7 +63,7 @@ from cadreduce.expr import (
     to_polynomial,
 )
 from cadreduce.poly import IntPoly, Polynomial, integer_coeffs
-from cadreduce.realroots import AlgebraicNumber, isolate_roots, pseudo_rem, sign_at
+from cadreduce.realroots import isolate_roots, pseudo_rem, sign_at
 
 CellIndex = tuple[int, ...]
 
@@ -593,8 +593,6 @@ class _Fiber:
             q, n, values = polynomial_of(lhs, self.polys), len(point), {}
             for i in q.variables:
                 v = point[i - 1]
-                if isinstance(v, AlgebraicNumber) and v.is_rational:
-                    v = v.rational_value
                 if i != n and not isinstance(v, Fraction):
                     c = None
                     break
@@ -609,8 +607,6 @@ class _Fiber:
             return 0 if not c else (1 if c[0] > 0 else -1)
         if isinstance(x, Fraction):
             return sign_at(c, x)
-        if x.is_rational:
-            return x.sign_of(c)
         last = self.remainders.get(lhs)
         if last is None or last[0] is not x.defining:
             last = self.remainders[lhs] = (x.defining, pseudo_rem(c, x.defining))

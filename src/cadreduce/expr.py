@@ -53,7 +53,7 @@ class Const:
 
 @_node
 class AlgebraicConst:
-    """An exact real algebraic constant (used for 1-D section points)."""
+    """An irrational constant; a rational ``(root ...)`` parses to ``Const``."""
 
     value: AlgebraicNumber
 
@@ -333,7 +333,8 @@ def expr_from_sexpr(tree) -> Expr:
         if lo is None or hi is None:
             raise ParseError("(root ...) bounds must be rational")
         try:
-            return AlgebraicConst(make_algebraic(clear_denominators(coeffs), lo, hi))
+            v = make_algebraic(clear_denominators(coeffs), lo, hi)
+            return Const(v) if isinstance(v, Fraction) else AlgebraicConst(v)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
     if head == "piecewise":
@@ -500,8 +501,6 @@ def _to_pair(e: Expr) -> _Pair:
     if isinstance(e, Const):
         return _Pair(Polynomial.constant(e.value), ONE)
     if isinstance(e, AlgebraicConst):
-        if e.value.is_rational:
-            return _Pair(Polynomial.constant(e.value.rational_value), ONE)
         return _Pair(Polynomial.generator(_atom_key(e)), ONE)
     if isinstance(e, Var):
         return _Pair(Polynomial.generator((0, e.index, "")), ONE)
@@ -654,7 +653,7 @@ def canonical_formula(f: Formula) -> Formula:
 
 
 def _is_atom(e: Expr) -> bool:
-    return isinstance(e, (Sqrt, Piecewise)) or (isinstance(e, AlgebraicConst) and not e.value.is_rational)
+    return isinstance(e, (Sqrt, Piecewise, AlgebraicConst))
 
 
 @lru_cache(maxsize=None)
@@ -699,10 +698,9 @@ def _eval(e: Expr, point: Point) -> CoordValue:
     if isinstance(e, Var):
         if e.index > len(point):
             raise ValueError(f"point has no coordinate {e.index}")
-        cv = point[e.index - 1]
-        return cv.rational_value if isinstance(cv, AlgebraicNumber) and cv.is_rational else cv
+        return point[e.index - 1]
     if isinstance(e, AlgebraicConst):
-        return e.value.rational_value if e.value.is_rational else e.value
+        return e.value
     if isinstance(e, Add):
         return _eval(e.left, point) + _eval(e.right, point)
     if isinstance(e, Sub):
@@ -826,8 +824,6 @@ def atom_sign(lhs: Expr, point: Point, polys: dict[Expr, Polynomial]) -> int:
         cv = point[i - 1]
         if isinstance(cv, Fraction):
             rationals[i] = cv
-        elif cv.is_rational:
-            rationals[i] = cv.rational_value
         else:
             algebraic.append((i, cv))
     if not algebraic:

@@ -7,7 +7,9 @@ multiple, with its signs and roots.  Roots are isolated with Sturm
 sequences and rational bisection, and represented by
 :class:`AlgebraicNumber` values: a defining polynomial and an isolating
 interval, which pin the number exactly, so every sign and comparison is
-decided, zero included.  Sums, products, inverses, powers and square roots
+decided, zero included.  An ``AlgebraicNumber`` is irrational: every
+function here that makes a number returns a rational one as a
+``Fraction``.  Sums, products, inverses, powers and square roots
 of algebraic numbers are algebraic numbers again (``Real``: a
 ``Fraction`` or an ``AlgebraicNumber``).  Signs at rational points
 (:func:`sign_at`, by :func:`horner`), remainders (:func:`pseudo_rem`) and
@@ -172,36 +174,20 @@ def root_bound(p: IntPoly) -> Fraction:
 
 @dataclass(frozen=True)
 class AlgebraicNumber:
-    """A real algebraic number: a squarefree defining polynomial, primitive
-    with a positive leading coefficient, together with a rational isolating interval containing exactly one of
-    its roots.
+    """An irrational real algebraic number: a squarefree defining
+    polynomial, primitive with a positive leading coefficient, together with
+    a rational isolating interval containing exactly one of its roots.
 
-    ``lo == hi`` encodes an exact rational root.  Otherwise ``lo < hi``, the
-    number lies in the open interval and neither endpoint is a root of
-    ``defining``.  Every constructor in the package keeps these invariants,
-    and :meth:`sign_of` and :meth:`compare` rely on them.  Instances are
+    ``lo < hi``, the number lies in the open interval and neither endpoint
+    is a root of ``defining``.  Every constructor in the package keeps these
+    invariants, and returns a rational root as a ``Fraction`` instead;
+    :meth:`sign_of` and :meth:`compare` rely on them.  Instances are
     immutable; :meth:`refine` returns a narrower copy for the same root.
     """
 
     defining: IntPoly
     lo: Fraction
     hi: Fraction
-
-    @staticmethod
-    def from_rational(r: Fraction | int) -> AlgebraicNumber:
-        r = Fraction(r)
-        return AlgebraicNumber((-r.numerator, r.denominator), r, r)
-
-    @property
-    def is_rational(self) -> bool:
-        lo, hi = self.lo, self.hi  # by parts: ``Fraction.__eq__`` makes an ABC check first
-        return lo is hi or (lo.numerator == hi.numerator and lo.denominator == hi.denominator)
-
-    @property
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("not an exact rational root")
-        return self.lo
 
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -210,9 +196,11 @@ class AlgebraicNumber:
         """Same root, isolating interval of width <= ``width``: ``self``
         when its interval is that narrow already (no sign is computed),
         otherwise bisected exactly, k halvings, over the one denominator e
-        of lo and hi times 2^k: each midpoint m/e is signed by ``horner``."""
+        of lo and hi times 2^k: each midpoint m/e is signed by ``horner``.
+        No midpoint is an irrational root; the rational candidates of
+        ``_exact`` may meet one, which then stays on an end."""
         lo, hi = self.lo, self.hi
-        # hi - lo <= width (also when lo == hi), over e.
+        # hi - lo <= width, over e.
         e = lo.denominator * hi.denominator
         low, span = lo.numerator * hi.denominator, hi.numerator * lo.denominator
         span -= low
@@ -227,11 +215,7 @@ class AlgebraicNumber:
         for _ in range(k):
             span >>= 1
             mid = low + span
-            v = horner(p, mid, e)
-            if not v:
-                m = Fraction(mid, e)
-                return AlgebraicNumber(self.defining, m, m)
-            if (v > 0) == slo:
+            if (horner(p, mid, e) > 0) == slo:
                 low = mid
         return AlgebraicNumber(self.defining, Fraction(low, e), Fraction(low + span, e))
 
@@ -241,13 +225,11 @@ class AlgebraicNumber:
 
     def sign_of(self, q: Sequence[int]) -> int:
         """Exact sign of q at this number."""
-        if self.is_rational:
-            return sign_at(q, self.lo)
         return self.sign_of_remainder(pseudo_rem(q, self.defining))
 
     def sign_of_remainder(self, r: list[int]) -> int:
-        """``sign_of(q)`` at an irrational number from ``pseudo_rem(q,
-        defining)``, which numbers sharing ``defining`` can share."""
+        """``sign_of(q)`` from ``pseudo_rem(q, defining)``, which numbers
+        sharing ``defining`` can share."""
         # q(a) = r(a) times a positive constant, r the pseudo-remainder by
         # `defining`, which vanishes at a and is primitive with a positive
         # leading coefficient (``pseudo_rem`` asserts what it needs of that).
@@ -273,16 +255,11 @@ class AlgebraicNumber:
 
     def compare(self, other: AlgebraicNumber) -> int:
         """Exact three-way comparison with another algebraic number."""
-        if self.is_rational:
-            return -other.compare_rational(self.lo)
-        if other.is_rational:
-            return self.compare_rational(other.lo)
         a, b = self, other
         equality_tested = False
         while True:
-            # A number lies strictly inside its interval or is its point,
-            # and a != b once refinement starts, so intervals that only
-            # touch are ordered.
+            # A number lies strictly inside its interval, and a != b once
+            # refinement starts, so intervals that only touch are ordered.
             if a.hi <= b.lo:
                 return -1
             if b.hi <= a.lo:
@@ -337,27 +314,29 @@ class AlgebraicNumber:
         return _power(self, k)
 
     def __str__(self) -> str:
-        if self.is_rational:
-            return str(self.lo)
         return f"root of {self.defining} in ({self.lo}, {self.hi})"
 
 
-def make_algebraic(p: Sequence[int], lo: Fraction, hi: Fraction) -> AlgebraicNumber:
-    """Validated construction from untrusted data (e.g. parsed documents)."""
+def make_algebraic(p: Sequence[int], lo: Fraction, hi: Fraction) -> Real:
+    """Validated construction from untrusted data (e.g. parsed documents):
+    the root of ``p`` at ``lo == hi`` or in (lo, hi), a ``Fraction`` when
+    it is rational, else an ``AlgebraicNumber`` with the interval given."""
     if not p:
         raise ZeroPolynomial("algebraic number needs a nonzero defining polynomial")
     sf = squarefree_part(p)
     if lo == hi:
         if sign_at(sf, lo) != 0:
             raise ValueError(f"{lo} is not a root of {p}")
-        return AlgebraicNumber.from_rational(lo)
+        return lo
     if lo > hi:
         raise ValueError("empty isolating interval")
     if sign_at(sf, lo) == 0 or sign_at(sf, hi) == 0:
         raise ValueError("isolating interval endpoints must not be roots")
     if count_roots(sf, lo, hi, sturm_sequence(sf)) != 1:
         raise ValueError(f"interval ({lo}, {hi}) does not isolate one root of {p}")
-    return AlgebraicNumber(sf, lo, hi)
+    a = AlgebraicNumber(sf, lo, hi)
+    v = _exact(a)
+    return v if isinstance(v, Fraction) else a
 
 
 def interval_eval(p: Sequence[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -370,18 +349,17 @@ def interval_eval(p: Sequence[int], lo: Fraction, hi: Fraction) -> tuple[Fractio
     return alo, ahi
 
 
-def isolate_roots(p: Sequence[int]) -> list[AlgebraicNumber]:
-    """Isolate the distinct real roots of ``p``, sorted increasingly.
-
-    Intervals are pairwise disjoint and each contains exactly one root of
-    the squarefree part.  Rational roots collapse to exact points.
+def isolate_roots(p: Sequence[int]) -> list[Real]:
+    """The distinct real roots of ``p``, in increasing order: rational ones
+    as ``Fraction`` values, irrational ones as roots of the squarefree part
+    in pairwise disjoint intervals of width at most 1/2.
     """
     sf = squarefree_part(p)
     if degree(sf) == 0:
         return []
     chain = sturm_sequence(sf)
     bound = root_bound(sf)
-    roots: list[AlgebraicNumber] = []
+    roots: list[Real] = []
 
     def explore(a: Fraction, b: Fraction, count: int) -> None:
         # Invariant: `count` roots of sf in (a, b], endpoints a with sf(a) != 0.
@@ -390,7 +368,7 @@ def isolate_roots(p: Sequence[int]) -> list[AlgebraicNumber]:
         sb = sign_at(sf, b)
         if count == 1:
             if sb == 0:
-                roots.append(AlgebraicNumber(sf, b, b))
+                roots.append(b)
                 return
             lo, hi = a, b
             # Shrink until the endpoints are off the root and have opposite
@@ -402,13 +380,13 @@ def isolate_roots(p: Sequence[int]) -> list[AlgebraicNumber]:
                 mid = (lo + hi) / 2
                 sm = sign_at(sf, mid)
                 if sm == 0:
-                    roots.append(AlgebraicNumber(sf, mid, mid))
+                    roots.append(mid)
                     return
                 if count_roots(sf, mid, hi, chain) == 1:
                     lo = mid
                 else:
                     hi, sb = mid, sm
-            roots.append(AlgebraicNumber(sf, lo, hi))
+            roots.append(_exact(AlgebraicNumber(sf, lo, hi)))
             return
         mid = (a + b) / 2
         left = count_roots(sf, a, mid, chain)
@@ -417,10 +395,6 @@ def isolate_roots(p: Sequence[int]) -> list[AlgebraicNumber]:
 
     total = count_roots(sf, -bound, bound, chain)
     explore(-bound, bound, total)
-    # Tighten: narrow intervals read better and rational roots that the
-    # bisection grid can hit (halves of integers) collapse to exact points.
-    roots = [r.refine(Fraction(1, 2)) for r in roots]
-    roots.sort(key=lambda r: (r.lo, r.hi))
     return roots
 
 
@@ -480,17 +454,16 @@ def _defining(v: Real) -> IntPoly:
 
 
 def _exact(r: AlgebraicNumber) -> Real:
-    """r, as a Fraction when it is rational.  A rational root of the
-    primitive defining polynomial has a denominator that divides its
-    leading coefficient L, so L * r is then the one integer in L times an
-    isolating interval narrower than 1/(2L), which the polynomial is
-    signed at."""
+    """r as a Fraction when it is rational, else r refined to width 1/(2L).
+    A rational root of the primitive defining polynomial has a denominator
+    that divides its leading coefficient L, so L * r is then the one
+    integer in L times the refined interval, which the polynomial is
+    signed at.  The interval is taken closed, as bisecting a rational r
+    may leave it on an end."""
     lead = r.defining[-1]
     r = r.refine(Fraction(1, 2 * lead))
-    if r.is_rational:
-        return r.lo
-    c = Fraction((r.hi.numerator * lead) // r.hi.denominator, lead)
-    return c if r.lo < c and sign_at(r.defining, c) == 0 else r
+    c = Fraction(-((-r.lo.numerator * lead) // r.lo.denominator), lead)
+    return c if c <= r.hi and sign_at(r.defining, c) == 0 else r
 
 
 def _pick(p: Sequence[int], enclose: Callable[[Fraction], tuple[Fraction, Fraction]]) -> Real:
@@ -538,10 +511,6 @@ def _inverse(a: Real) -> Real:
     interval, once it excludes 0, onto one for 1/a."""
     if isinstance(a, Fraction):
         return 1 / a
-    if a.is_rational:
-        return 1 / a.lo
-    if not sign(a):
-        raise ZeroDivisionError("division by an algebraic zero")
     p = a.defining[1:] if not a.defining[0] else a.defining
     while a.lo <= 0 <= a.hi:
         a = a.refine(a.width() / 2)
@@ -591,8 +560,6 @@ def sqrt(v: Real) -> Real:
     if isinstance(v, Fraction):
         n, d = isqrt(v.numerator), isqrt(v.denominator)
         return Fraction(n, d) if n * n == v.numerator and d * d == v.denominator else _algebraic_sqrt(v)
-    if v.is_rational:
-        return sqrt(v.lo)
     q = [0] * (2 * len(v.defining) - 1)
     q[::2] = v.defining
 

@@ -296,6 +296,7 @@ def build_tree(cad: Cad | CadTree, labels: LeafLabeling) -> CadTree:
         raise ValidationFailed(report)
     if not cad.is_root:
         if not _labels_its_leaves(cad, labels):
+            _check_bits(labels)
             raise ValueError("a coarsening's labels are its own leaves' labels")
         return CadTree(cad.root, cad.top)
     if cad._tree is None or cad._tree[0] != labels:
@@ -303,10 +304,17 @@ def build_tree(cad: Cad | CadTree, labels: LeafLabeling) -> CadTree:
     return cad._tree[1]
 
 
+def _check_bits(labels: LeafLabeling) -> None:
+    """Only the ints 0 and 1 label a leaf: ``True`` and ``1.0`` do not."""
+    bits = labels.values()
+    if not ({*map(type, bits)} <= {int} and {*bits} <= {0, 1}):
+        raise ValueError("leaf labels must be 0 or 1")
+
+
 def _labels_its_leaves(tree: CadTree, labels: LeafLabeling) -> bool:
     """Whether ``labels`` are the labels of the tree's leaves: as many, and
-    each word names a leaf that carries the word's bit.  Each word is walked
-    down from the top cell, so no index word is made."""
+    each word names a leaf that carries the word's bit, an int.  Each word
+    is walked down from the top cell, so no index word is made."""
     if len(labels) != tree.leaf_count():
         return False
     for word, bit in labels.items():
@@ -315,7 +323,7 @@ def _labels_its_leaves(tree: CadTree, labels: LeafLabeling) -> bool:
             if not 1 <= letter <= len(cell.children):
                 return False
             cell = cell.children[letter - 1]
-        if cell.children or cell.label != bit:
+        if cell.children or cell.label != bit or type(bit) is not int:
             return False
     return True
 
@@ -343,8 +351,7 @@ def labelled_tree(cad: Cad, labels: LeafLabeling) -> CadTree:
     if len(labels) != len(leaves):
         extra = sorted(set(labels) - set(leaves))
         raise ValueError(f"labels on cells that are not leaves: {extra[:3]}{'...' if len(extra) > 3 else ''}")
-    if not all(map((0, 1).__contains__, labels.values())):
-        raise ValueError("leaf labels must be 0 or 1")
+    _check_bits(labels)
     return CadTree(cad, cells[0])
 
 

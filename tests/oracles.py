@@ -430,10 +430,7 @@ def refine_by_fractions(a: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
     slo = sign(lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        s = sign(mid)
-        if s == 0:
-            return AlgebraicNumber(a.defining, mid, mid)
-        if s == slo:
+        if sign(mid) == slo:
             lo = mid
         else:
             hi = mid
@@ -466,7 +463,7 @@ def grown_tree(cad: Cad, labels: LeafLabeling) -> CadTree:
     if len(labels) != len(leaves):
         extra = sorted(set(labels) - set(leaves))
         raise ValueError(f"labels on cells that are not leaves: {extra[:3]}{'...' if len(extra) > 3 else ''}")
-    if not all(map((0, 1).__contains__, labels.values())):
+    if not all(type(bit) is int and bit in (0, 1) for bit in labels.values()):
         raise ValueError("leaf labels must be 0 or 1")
     return CadTree(cad, top)
 

@@ -34,7 +34,9 @@ from cadreduce.expr import (
     parse_expr,
     sexpr_of_expr,
 )
-from cadreduce.realroots import AlgebraicNumber, sign
+from cadreduce.realroots import AlgebraicNumber, isolate_roots, make_algebraic, sign
+from tests.oracles import mul
+from tests.test_realroots import corpus, refine_corpus
 
 F = Fraction
 X = sympy.Symbol("x")
@@ -48,7 +50,7 @@ def sympy_number(v) -> sympy.Expr:
     if isinstance(v, Fraction):
         return sympy.Rational(v.numerator, v.denominator)
     roots = sympy.Poly(v.defining[::-1], X).real_roots()
-    inside = [r for r in roots if (v.lo < r < v.hi if v.lo != v.hi else r == v.lo)]
+    inside = [r for r in roots if v.lo < r < v.hi]
     assert len(inside) == 1, v
     return inside[0]
 
@@ -134,8 +136,10 @@ def outcome(fn, *args):
 
 
 def assert_is_the_number(v, s: sympy.Expr) -> None:
-    """``v`` is the number ``s``: its defining polynomial vanishes at s (a
-    rational's is x - v), its interval holds s and its sign is s's."""
+    """``v`` is the number ``s``: a rational s is the ``Fraction`` v, and an
+    irrational one (a minimal polynomial of degree 2 or more) is a root of
+    the ``AlgebraicNumber`` v's defining polynomial in its interval.  Its
+    sign is s's."""
     if s.is_Rational and isinstance(v, Fraction):
         assert s == sympy_number(v), (v, s)
         return
@@ -143,11 +147,8 @@ def assert_is_the_number(v, s: sympy.Expr) -> None:
     if isinstance(v, Fraction):
         assert m.monic().as_expr() == X - sympy_number(v), (v, s)
     else:
-        assert sympy.rem(sympy.Poly(v.defining[::-1], X), m).is_zero, (v, s)
-        if v.lo == v.hi:
-            assert m.degree() == 1 and s == sympy_number(v.lo), (v, s)
-        else:
-            assert sympy_sign(s - sympy_number(v.lo)) > 0 and sympy_sign(sympy_number(v.hi) - s) > 0, (v, s)
+        assert m.degree() >= 2 and sympy.rem(sympy.Poly(v.defining[::-1], X), m).is_zero, (v, s)
+        assert sympy_sign(s - sympy_number(v.lo)) > 0 and sympy_sign(sympy_number(v.hi) - s) > 0, (v, s)
     assert sign(v) == sympy_sign(s), (v, s)
 
 
@@ -227,3 +228,60 @@ def test_compare_coords_orders_values_2_to_the_minus_183_apart_and_finds_equal_o
         assert compare_coords(value, above) == -1 and compare_coords(above, value) == 1
     nested = eval_coord(parse_expr("(sqrt (add 5 (mul 2 (sqrt 6))))"), ())
     assert compare_coords(nested, value) == compare_coords(value, nested) == 0
+
+
+def sympy_roots(p) -> list[sympy.Expr]:
+    """The distinct real roots of an integer polynomial, by sympy, in
+    increasing order."""
+    return sorted(set(sympy.Poly(p[::-1], X).real_roots()), key=lambda r: sympy.N(r, 50))
+
+
+def made_rationally(p, root: Fraction):
+    """``make_algebraic`` of the rational root of p from the widest of the
+    intervals root -+ 2^-k that isolates it."""
+    for k in range(1, 60):
+        try:
+            return make_algebraic(p, root - F(1, 2**k), root + F(1, 2**k))
+        except ValueError:
+            continue
+    raise AssertionError(f"no dyadic interval isolates {root} among the roots of {p}")
+
+
+def test_every_number_made_is_a_fraction_or_irrational():
+    # An AlgebraicNumber is irrational: every one that realroots makes has
+    # a sympy minimal polynomial of degree 2 or more, and every rational
+    # value is a Fraction.  Over isolate_roots and make_algebraic of seeded
+    # random products with rational roots among their factors, and
+    # test_realroots' corpora; the arithmetic corpus above asserts the
+    # same of each value through assert_is_the_number.
+    rng = random.Random(3302)
+    polys = [(-1, 3), mul((-1, 3), (-2, 0, 1)), (-3, 2)]
+    for _ in range(30):
+        p = (rng.randint(-4, 4), rng.randint(1, 4))
+        for _ in range(rng.randint(1, 2)):
+            p = mul(p, tuple(rng.randint(-3, 3) for _ in range(rng.randint(2, 4))) + (rng.randint(1, 3),))
+        polys.append(p)
+    kinds = []
+    for p in polys:
+        roots = isolate_roots(p)
+        theirs = sympy_roots(p)
+        assert len(roots) == len(theirs), p
+        for ours, s in zip(roots, theirs):
+            assert_is_the_number(ours, s)
+            if isinstance(ours, Fraction):
+                again = made_rationally(p, ours)
+                assert type(make_algebraic(p, ours, ours)) is type(again) is Fraction and again == ours, p
+            else:
+                again = make_algebraic(p, ours.lo, ours.hi)
+                assert isinstance(again, AlgebraicNumber) and again.compare(ours) == 0, p
+            kinds.append(type(ours))
+    assert kinds.count(Fraction) > 20 and kinds.count(AlgebraicNumber) > 20
+    # 1/3, and the roots -sqrt2, 1/3, sqrt2 of (3x - 1)(x^2 - 2), each as
+    # isolate_roots and make_algebraic make it; (root (-3 2) 1 2) is 3/2.
+    assert isolate_roots(polys[0]) == [F(1, 3)] == [make_algebraic(polys[0], F(0), F(1))]
+    assert [type(r) for r in isolate_roots(polys[1])] == [AlgebraicNumber, Fraction, AlgebraicNumber]
+    assert make_algebraic(polys[1], F(0), F(1)) == F(1, 3) and make_algebraic(polys[2], F(1), F(2)) == F(3, 2)
+    assert parse_expr("(root (-3 2) 1 2)") == Const(F(3, 2))
+    for a in corpus() + refine_corpus():
+        if isinstance(a, AlgebraicNumber):
+            assert_is_the_number(a, sympy_number(a))

@@ -128,9 +128,11 @@ def test_malformed_input_raises_its_own_parse_error(read, text, message):
 
 
 def test_parse_root_roundtrips_and_rejects_what_is_no_isolated_root():
-    for text in ("(root (-2 0 1) 1 2)", "(add x1 (root (1 -3 0 1) 0 1))", "(root (-1 1) 1 1)"):
+    for text in ("(root (-2 0 1) 1 2)", "(add x1 (root (1 -3 0 1) 0 1))"):
         e = parse_expr(text)
         assert sexpr_of_expr(e) == text and parse_expr(sexpr_of_expr(e)) == e
+    # A rational root, at a point or in an interval, is a constant.
+    assert parse_expr("(root (-1 1) 1 1)") == Const(F(1)) and parse_expr("(root (-3 2) 1 2)") == Const(F(3, 2))
     assert parse_expr("(root (-2 0 1) 1 2)").value.compare(isolate_roots((-2, 0, 1))[1]) == 0
     for text in (
         "(root (-2 a 1) 1 2)",  # a coefficient that is no rational
@@ -265,10 +267,10 @@ def test_canonicalize_piecewise_keeps_guard():
     assert c.default is not None
 
 
-# sqrt(2), and 3/2 as an algebraic number.
+# sqrt(2), and (root (-3 2) 1 2), which is the constant 3/2.
 _ALGEBRAIC_CONSTS = (
     AlgebraicConst(isolate_roots((-2, 0, 1))[1]),
-    AlgebraicConst(make_algebraic((-3, 2), F(1), F(2))),
+    parse_expr("(root (-3 2) 1 2)"),
 )
 
 
@@ -374,7 +376,7 @@ def test_normal_form_digest(monkeypatch):
     disk = load_perfbench("workloads", monkeypatch).disk_lines(7, 0)
     lines.append(sexpr_of_formula(canonical_formula(disk.formula)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "6b5d14386b1c22280f56fb07ff19c979a933d6174c7e841c9ce6228568ab9bc7"
+    assert digest == "c0579c482601fd8481c5e9923ed1bbb9b7b79145ff9a22fe2099741c49984e70"
 
 
 def _to_polynomial_oracle(e):
@@ -385,9 +387,6 @@ def _to_polynomial_oracle(e):
         if isinstance(e, Const):
             return {(): e.value} if e.value else {}
         if isinstance(e, AlgebraicConst):
-            if e.value.is_rational:
-                v = e.value.rational_value
-                return {(): v} if v else {}
             return None
         if isinstance(e, Var):
             return {((e.index, 1),): F(1)}
@@ -544,10 +543,10 @@ def test_atom_sign_is_exact_at_two_algebraic_coordinates():
 
 def test_eval_reads_algebraic_coordinates():
     sqrt2 = isolate_roots((-2, 0, 1))[1]
-    half = AlgebraicNumber.from_rational(F(1, 2))
+    half = make_algebraic((-1, 2), F(0), F(1))
     e = parse_expr("(add x1 1)")
-    # A rational algebraic coordinate is read exactly.
-    assert eval_coord(e, (half,)) == F(3, 2)
+    # A rational root is made a Fraction, and read as any other.
+    assert type(half) is Fraction and eval_coord(e, (half,)) == F(3, 2)
     # An irrational one makes the value algebraic, of the coordinate's degree.
     at_sqrt2 = eval_coord(e, (sqrt2,))
     assert isinstance(at_sqrt2, AlgebraicNumber) and at_sqrt2.defining == (-1, -2, 1)
@@ -711,7 +710,7 @@ def test_atom_sign_agrees_with_the_fraction_oracle_on_random_corpus():
     rng = random.Random(1710)
     algebraic = isolate_roots((-2, 0, 1)) + isolate_roots((1, -3, 0, 1))
     algebraic += [realroots._algebraic_sqrt(F(rng.randint(1, 2**40), rng.randint(2, 2**40) | 1)) for _ in range(4)]
-    assert not any(a.is_rational for a in algebraic)
+    assert all(isinstance(a, AlgebraicNumber) for a in algebraic)
     counts = {"rational": 0, "rational zero": 0, "missing": 0, "algebraic": 0, "algebraic zero": 0}
     for _ in range(500):
         n = rng.randint(1, 3)

@@ -106,6 +106,19 @@ def test_no_module_keeps_a_second_kind_of_coordinate():
     assert defined == set()
 
 
+def test_no_module_asks_whether_an_algebraic_number_is_rational():
+    # A rational value is a Fraction and an AlgebraicNumber is irrational,
+    # so no module defines or reads a second encoding of the rationals.
+    names = {"is_rational", "rational_value", "from_rational"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "name", None) or getattr(node, "attr", None) or getattr(node, "id", None)
+            if name in names:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+
+
 def load_perfbench(name: str, monkeypatch):
     """A module of ``perfbench/``, loaded by path (it is not a package)."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")

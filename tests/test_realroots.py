@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from cadreduce import realroots
-from cadreduce.expr import sqrt_coord
+from cadreduce.expr import compare_coords, sqrt_coord
 from cadreduce.poly import clear_denominators, primitive
 from cadreduce.realroots import (
     AlgebraicNumber,
+    Real,
     _algebraic_sqrt,
+    _defining,
     ZeroPolynomial,
     count_roots,
     degree,
@@ -28,8 +30,10 @@ from tests.oracles import add, mul, refine_by_fractions, trimmed
 F = Fraction
 
 
-def shifted(a: AlgebraicNumber, delta: Fraction) -> AlgebraicNumber:
+def shifted(a: Real, delta: Fraction) -> Real:
     """a + delta, as a root of p(x - delta) for the defining polynomial p."""
+    if isinstance(a, Fraction):
+        return a + delta
     x_minus_d = (-delta, F(1))
     acc, power = (), (F(1),)
     for c in a.defining:
@@ -80,21 +84,16 @@ def _oracle_count(p, a, b) -> int:
 
 
 def _oracle_halve(p, lo, hi):
-    if lo == hi:
-        return lo, hi
     mid = (lo + hi) / 2
-    fm = evaluate(p, mid)
-    if fm == 0:
-        return mid, mid
-    return (mid, hi) if _sign(fm) == _sign(evaluate(p, lo)) else (lo, mid)
+    return (mid, hi) if _sign(evaluate(p, mid)) == _sign(evaluate(p, lo)) else (lo, mid)
 
 
-def oracle_sign_of(a: AlgebraicNumber, q) -> int:
+def oracle_sign_of(a: Real, q) -> int:
+    if isinstance(a, Fraction):
+        return _sign(evaluate(q, a))
     if not q:
         return 0
     p, lo, hi = a.defining, a.lo, a.hi
-    if lo == hi:
-        return _sign(evaluate(q, lo))
     g = gcd_poly(p, squarefree_part(q))
     if degree(g) >= 1 and _oracle_count(g, lo, hi) >= 1:
         return 0
@@ -107,11 +106,11 @@ def oracle_sign_of(a: AlgebraicNumber, q) -> int:
         lo, hi = _oracle_halve(p, lo, hi)
 
 
-def oracle_compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
-    if a.is_rational:
-        return -oracle_sign_of(b, (-a.lo.numerator, a.lo.denominator))
-    if b.is_rational:
-        return oracle_sign_of(a, (-b.lo.numerator, b.lo.denominator))
+def oracle_compare(a: Real, b: Real) -> int:
+    if isinstance(a, Fraction):
+        return -oracle_sign_of(b, (-a.numerator, a.denominator))
+    if isinstance(b, Fraction):
+        return oracle_sign_of(a, (-b.numerator, b.denominator))
     g = gcd_poly(a.defining, b.defining)
     may_be_equal = degree(g) >= 1 and _oracle_count(g, a.lo, a.hi) >= 1 and _oracle_count(g, b.lo, b.hi) >= 1
     alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
@@ -140,13 +139,21 @@ def random_poly(rng, max_degree=4):
     return clear_denominators(random_fraction_poly(rng, max_degree))
 
 
-def corpus() -> list[AlgebraicNumber]:
-    """Seeded algebraic numbers, with equal numbers of different defining
-    polynomials among them."""
+def sign_of(a: Real, q) -> int:
+    """The sign of q at a rational or an algebraic number, as the check
+    phase takes it (``cadmodel._Fiber.sign``)."""
+    return sign_at(q, a) if isinstance(a, Fraction) else a.sign_of(q)
+
+
+def corpus() -> list[Real]:
+    """Seeded real algebraic numbers, rational ones as ``Fraction`` values,
+    with equal numbers of different defining polynomials among them."""
     rng = random.Random(20261018)
     x2_minus_2 = (-2, 0, 1)
+    # +-sqrt2 as roots of x^2 - 2, (x^2 - 2)(x - 3) and (x^2 - 2)(x^2 + 2).
     numbers = isolate_roots(x2_minus_2) + isolate_roots(mul(x2_minus_2, (-3, 1)))
-    # Rational roots left as intervals with a linear defining polynomial.
+    numbers += isolate_roots(mul(x2_minus_2, (2, 0, 1)))
+    # -1/3 and 1/3, which no bisection midpoint hits, made Fractions all the same.
     numbers += isolate_roots((1, 3)) + [make_algebraic((-1, 3), F(0), F(1))]
     numbers += isolate_roots(mul((-1, 3), (-5, 0, 1)))
     # +-sqrt(c), c < 1/16: their first intervals touch at 0.
@@ -157,8 +164,8 @@ def corpus() -> list[AlgebraicNumber]:
     factors = [random_poly(rng, 3) for _ in range(8)]
     for _ in range(10):
         numbers += isolate_roots(mul(rng.choice(factors), rng.choice(factors)))
-    numbers += [n.refine(F(1, 64)) for n in numbers[::3]]
-    numbers += [n.negated() for n in numbers[::4]] + [shifted(n, F(1, 3)) for n in numbers[1::5]]
+    numbers += [n.refine(F(1, 64)) for n in numbers[::3] if isinstance(n, AlgebraicNumber)]
+    numbers += [-n for n in numbers[::4]] + [shifted(n, F(1, 3)) for n in numbers[1::5]]
     return numbers
 
 
@@ -213,8 +220,7 @@ def test_isolate_sqrt2():
 def test_isolate_multiple_root_collapses():
     # (x - 1)^2 has the single distinct root 1.
     roots = isolate_roots((1, -2, 1))
-    assert len(roots) == 1
-    assert roots[0].is_rational and roots[0].rational_value == 1
+    assert roots == [1] and type(roots[0]) is Fraction
     assert squarefree_part((1, -2, 1)) == (-1, 1)
 
 
@@ -222,9 +228,9 @@ def test_isolate_rational_and_irrational_mix():
     # x(x^2 - 2) = -2x + x^3: roots -sqrt2, 0, sqrt2.
     roots = isolate_roots((0, -2, 0, 1))
     assert len(roots) == 3
-    assert roots[1].is_rational and roots[1].rational_value == 0
-    assert roots[0].compare(roots[1]) == -1
-    assert roots[1].compare(roots[2]) == -1
+    assert roots[1] == 0 and type(roots[1]) is Fraction
+    assert roots[0].compare_rational(roots[1]) == -1
+    assert roots[2].compare_rational(roots[1]) == 1
 
 
 def test_refine_narrows_and_keeps_root():
@@ -239,56 +245,55 @@ def test_refine_narrows_and_keeps_root():
 def test_refine_returns_itself_when_narrow_enough_and_bisects_otherwise():
     rationals = 0
     for a in corpus():
+        if isinstance(a, Fraction):
+            rationals += 1
+            continue
         w = a.width()
         for width in (w, 2 * w, w + 1):
             assert a.refine(width) is a
-        if a.is_rational:
-            rationals += 1
-            continue
         for width in (w / 2, w / 3, w / 1000, F(1, 2**40)):
             assert a.refine(width) == refine_by_fractions(a, width)
     assert rationals > 0
 
 
 def refine_corpus() -> list[AlgebraicNumber]:
-    """The roots of seeded random integer polynomials, seeded square roots
-    and their negations, and numbers whose bisection meets an exact
-    rational root at a midpoint, over dyadic and other denominators."""
+    """The irrational roots of seeded random integer polynomials, and
+    seeded square roots and their negations, over dyadic and other
+    denominators."""
     rng = random.Random(2411)
     numbers = []
     for _ in range(25):
         p = trimmed(rng.randint(-20, 20) for _ in range(rng.randint(2, 6)))
         if degree(p) >= 1:
-            numbers += isolate_roots(p)
+            numbers += [r for r in isolate_roots(p) if isinstance(r, AlgebraicNumber)]
     for _ in range(20):
         root = sqrt_coord(F(rng.randint(1, 10**6), rng.randint(1, 10**4)))
         if isinstance(root, AlgebraicNumber):
             numbers += [root, root.negated()]
-    # 1/2 and 2/3 are the first midpoints, 1/4 the second; sqrt 3 lies outside.
-    numbers += [make_algebraic((-1, 2), F(0), F(1)), make_algebraic((-2, 3), F(1, 3), F(1))]
-    numbers.append(make_algebraic(mul((-1, 4), (-3, 0, 1)), F(0), F(1)))
     return numbers
 
 
 def test_refine_matches_fraction_bisection():
     # The differential test of bisecting in integers over one denominator:
-    # every interval, and every exact root met at a midpoint, is the one
-    # that Fraction bisection from the same interval gives.
+    # every interval is the one that Fraction bisection from the same
+    # interval gives.
     numbers = refine_corpus()
     assert len(numbers) > 60
     widths = [F(1, 2**k) for k in (1, 2, 5, 13, 30, 47, 60)] + [F(1, 3), F(2, 7)]
-    exact = 0
     for a in numbers:
         for width in widths + [a.width() / 3]:
-            got = a.refine(width)
-            assert got == refine_by_fractions(a, width), (a, width)
-            exact += got.is_rational and not a.is_rational
-    assert exact >= 3 * len(widths)
+            assert a.refine(width) == refine_by_fractions(a, width), (a, width)
+    # A root that a bisection midpoint would meet is rational, and is made
+    # a Fraction: 1/2 and 2/3 are the first midpoints, 1/4 the second.
+    made = [make_algebraic((-1, 2), F(0), F(1)), make_algebraic((-2, 3), F(1, 3), F(1))]
+    made.append(make_algebraic(mul((-1, 4), (-3, 0, 1)), F(0), F(1)))
+    assert made == [F(1, 2), F(2, 3), F(1, 4)] and all(type(r) is Fraction for r in made)
 
 
-def test_refine_exact_root_is_point():
-    one = isolate_roots((-1, 1))[0]
-    assert one.is_rational and one.refine(F(1, 10)) == one
+def test_isolate_exact_root_is_a_fraction():
+    for p, root in (((-1, 1), F(1)), ((-1, 3), F(1, 3))):
+        roots = isolate_roots(p)
+        assert roots == [root] and type(roots[0]) is Fraction
 
 
 def test_compare_distinct_roots_of_same_poly():
@@ -319,8 +324,8 @@ def test_compare_rational():
     sqrt2 = isolate_roots((-2, 0, 1))[1]
     assert sqrt2.compare_rational(F(1)) == 1
     assert sqrt2.compare_rational(F(3, 2)) == -1
-    one = AlgebraicNumber.from_rational(1)
-    assert one.compare_rational(F(1)) == 0
+    one = make_algebraic((-1, 1), F(0), F(2))
+    assert one == 1 and type(one) is Fraction
 
 
 def test_sign_chart_consistency_at_rational_probes():
@@ -337,11 +342,11 @@ def test_sign_chart_consistency_at_rational_probes():
         roots = isolate_roots(p)
         probes = [F(k, 3) for k in range(-40, 41)]
         for q in probes:
-            if any(r.compare_rational(q) == 0 for r in roots):
+            if any(compare_coords(r, q) == 0 for r in roots):
                 continue
             expected = 1 if sf[-1] > 0 else -1
             for r in roots:
-                if r.compare_rational(q) == 1:  # root > q
+                if compare_coords(r, q) == 1:  # root > q
                     expected = -expected
             got = evaluate(sf, q)
             assert (got > 0) == (expected > 0), (p, q)
@@ -356,7 +361,7 @@ def test_make_algebraic_validates():
     with pytest.raises(ValueError):
         make_algebraic(p, F(1), F(1))  # 1 is not a root
     exact = make_algebraic((-1, 1), F(1), F(1))
-    assert exact.is_rational
+    assert exact == 1 and type(exact) is Fraction
 
 
 def test_gcd_poly():
@@ -389,9 +394,9 @@ def test_compare_matches_oracle(bounded_work):
     equal = 0
     for a in numbers:
         for b in numbers:
-            got = a.compare(b)
-            assert got == oracle_compare(a, b) == -b.compare(a), (a, b)
-            equal += got == 0 and a.defining != b.defining
+            got = compare_coords(a, b)
+            assert got == oracle_compare(a, b) == -compare_coords(b, a), (a, b)
+            equal += got == 0 and _defining(a) != _defining(b)
     assert equal > 20
 
 
@@ -403,31 +408,31 @@ def test_sign_of_matches_oracle(bounded_work):
         qs = [random_poly(rng) for _ in range(3)]
         # Multiples of the defining polynomial, of a factor of it, and of
         # another number's, plus a rational constant.
-        qs += [mul(a.defining, random_poly(rng, 2)), mul(rng.choice(numbers).defining, random_poly(rng, 1))]
+        qs += [mul(_defining(a), random_poly(rng, 2)), mul(_defining(rng.choice(numbers)), random_poly(rng, 1))]
         qs += [tuple(-c for c in q) for q in qs[:2]]
-        qs += [clear_denominators(add(mul(a.defining, random_poly(rng, 2)), (F(rng.randint(-5, 5), 7),)))]
+        qs += [clear_denominators(add(mul(_defining(a), random_poly(rng, 2)), (F(rng.randint(-5, 5), 7),)))]
         for q in qs:
-            got = a.sign_of(q)
+            got = sign_of(a, q)
             assert got == oracle_sign_of(a, q), (a, q)
             zeros += got == 0
     assert zeros > len(numbers)
 
 
 def test_equal_numbers_are_decided_before_any_refinement(bounded_work, monkeypatch):
-    # sqrt2 from x^2 - 2 and from (x^2 - 2)(x - 3); 1/3 from 3x - 1 and from
-    # (3x - 1)(x^2 - 5), both left as intervals; sqrt(1/20) from two
-    # constructions.
+    # sqrt2 from x^2 - 2 and from (x^2 - 2)(x - 3), and sqrt(1/20) from two
+    # constructions.  1/3 from 3x - 1 and from (3x - 1)(x^2 - 5) is made a
+    # Fraction by both.
     sqrt2 = isolate_roots((-2, 0, 1))[1]
     sqrt2_cubic = isolate_roots((6, -2, -3, 1))[1]
     third = make_algebraic((-1, 3), F(0), F(1))
     third_cubic = isolate_roots(mul((-1, 3), (-5, 0, 1)))[1]
     small = _algebraic_sqrt(F(1, 20))
     small_other = isolate_roots((-1, 0, 20))[1]
-    assert sqrt2_cubic.defining != sqrt2.defining and third_cubic.defining != third.defining
-    assert not third.is_rational and not third_cubic.is_rational
+    assert sqrt2_cubic.defining != sqrt2.defining
+    assert third == third_cubic == F(1, 3) and type(third) is type(third_cubic) is Fraction
 
     monkeypatch.setattr(AlgebraicNumber, "refine", forbidden)
-    for a, b in ((sqrt2, sqrt2_cubic), (third, third_cubic), (small, small_other)):
+    for a, b in ((sqrt2, sqrt2_cubic), (small, small_other)):
         assert a.compare(b) == 0 and b.compare(a) == 0
     # A zero that the remainder does not show: x^2 - 2 at sqrt2 as a root
     # of the cubic.
@@ -448,7 +453,7 @@ def test_touching_intervals_are_ordered_without_a_gcd(monkeypatch):
 
 def test_sign_of_decides_on_the_remainder_without_a_gcd(bounded_work, monkeypatch):
     rng = random.Random(13)
-    numbers = [a for a in corpus() if not a.is_rational]
+    numbers = [a for a in corpus() if isinstance(a, AlgebraicNumber)]
     cases = []
     for a in numbers:
         for c in (F(0), F(3, 2), F(-2, 7)):
@@ -484,14 +489,16 @@ def test_pseudo_rem_is_a_positive_multiple_of_the_remainder():
 
 def test_defining_polynomials_are_squarefree_and_primitive(bounded_work):
     rng = random.Random(17)
-    numbers = [AlgebraicNumber.from_rational(r) for r in (F(0), F(3), F(-1, 3), F(22, 7))]
-    numbers += [make_algebraic((-2, 0, 1), F(1), F(2)), make_algebraic((1, -2, 1), F(1), F(1))]
+    rationals = [make_algebraic((-r.numerator, r.denominator), r, r) for r in (F(0), F(3), F(-1, 3), F(22, 7))]
+    rationals.append(make_algebraic((1, -2, 1), F(1), F(1)))
+    assert rationals == [0, 3, F(-1, 3), F(22, 7), 1] and all(type(r) is Fraction for r in rationals)
+    numbers = [make_algebraic((-2, 0, 1), F(1), F(2))]
     # Squared, non-primitive (from Fractions) and negatively led inputs.
     numbers += [make_algebraic(clear_denominators((F(-4, 3), 0, F(2, 3))), F(1), F(2))]
     numbers += [make_algebraic(mul((2, 0, -1), (2, 0, -1)), F(-2), F(-1))]
     for _ in range(30):
         f = random_poly(rng, 3)
-        numbers += isolate_roots(mul(f, mul(f, random_poly(rng, 2))))
+        numbers += [r for r in isolate_roots(mul(f, mul(f, random_poly(rng, 2)))) if isinstance(r, AlgebraicNumber)]
     numbers += [_algebraic_sqrt(c) for c in (F(2), F(1, 20), F(50, 3), F(7, 4))]
     numbers += [a.negated() for a in numbers] + [shifted(a, F(-5, 3)) for a in numbers]
     numbers += [a.refine(F(1, 1000)) for a in numbers]
@@ -499,11 +506,8 @@ def test_defining_polynomials_are_squarefree_and_primitive(bounded_work):
         p = a.defining
         assert p == primitive(p) and degree(gcd_poly(p, derivative(p))) == 0, a
         # The interval invariants the exact tests rely on.
-        if a.is_rational:
-            assert evaluate(p, a.lo) == 0, a
-        else:
-            assert a.lo < a.hi and evaluate(p, a.lo) != 0 and evaluate(p, a.hi) != 0, a
-            assert _oracle_count(p, a.lo, a.hi) == 1, a
+        assert a.lo < a.hi and evaluate(p, a.lo) != 0 and evaluate(p, a.hi) != 0, a
+        assert _oracle_count(p, a.lo, a.hi) == 1, a
 
 
 def test_refine_keeps_an_interval_exactly_as_wide_as_asked(bounded_work):
@@ -515,8 +519,8 @@ def test_refine_keeps_an_interval_exactly_as_wide_as_asked(bounded_work):
     narrower = sqrt2.refine(exact - F(1, 10**9))
     assert narrower is not sqrt2 and narrower.hi - narrower.lo <= exact / 2
     assert narrower.lo < narrower.hi and narrower.compare(sqrt2) == 0
-    third = AlgebraicNumber.from_rational(F(1, 3))
-    assert third.refine(F(0)) is third
+    third = make_algebraic((-1, 3), F(1, 3), F(1, 3))
+    assert third == F(1, 3) and type(third) is Fraction
 
 
 def test_sign_of_integer_coefficients_matches_fractions(bounded_work):
@@ -528,11 +532,11 @@ def test_sign_of_integer_coefficients_matches_fractions(bounded_work):
     signs = []
     for a in numbers:
         qs = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] for _ in range(4)]
-        qs.append(list(mul(a.defining, (5, rng.randint(-3, 3)))))
+        qs.append(list(mul(_defining(a), (5, rng.randint(-3, 3)))))
         for ints in qs:
             while ints and not ints[-1]:
                 ints.pop()
-            got = a.sign_of(tuple(ints))
-            assert got == a.sign_of(ints) == oracle_sign_of(a, tuple(ints)), (a, ints)
+            got = sign_of(a, tuple(ints))
+            assert got == sign_of(a, ints) == oracle_sign_of(a, tuple(ints)), (a, ints)
             signs.append(got)
     assert set(signs) == {-1, 0, 1} and signs.count(0) > len(numbers)

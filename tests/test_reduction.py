@@ -1128,12 +1128,13 @@ def test_minimize_applies_the_merges_of_a_full_rescan(monkeypatch):
 
 
 def bad_labellings(entry):
-    """A label on a non-leaf cell, a missing leaf label and a label of 2."""
+    """A label on a non-leaf cell, a missing leaf label, and labels of 2,
+    ``True`` and ``1.0``, which are no int 0 or 1."""
     on_section = {**entry.labels, (4,): 0}
     missing = dict(entry.labels)
     del missing[(4, 2)]
-    two = {**entry.labels, (4, 2): 2}
-    return [(on_section, ValueError), (missing, LabelMissing), (two, ValueError)]
+    bad_bits = [({**entry.labels, (4, 2): bit}, ValueError) for bit in (2, True, 1.0)]
+    return [(on_section, ValueError), (missing, LabelMissing), *bad_bits]
 
 
 @pytest.mark.parametrize("run", [build_tree, minimize, explore], ids=["build_tree", "minimize", "explore"])
@@ -1165,5 +1166,9 @@ def test_a_coarsening_fed_back_in_keeps_its_cells(run, monkeypatch):
     for labels in (flipped, dict(rest), {(99,) * len(first): bit, **dict(rest)}):
         with pytest.raises(ValueError):
             run(res, labels)
+    # Its own bits as a bool or a float, equal to them but no int.
+    for same in (bool(bit), float(bit)):
+        with pytest.raises(ValueError, match="leaf labels must be 0 or 1"):
+            run(res, {**res.labels, first: same})
     with pytest.raises(ValueError):
         labelled_tree(res, res.labels)

@@ -128,14 +128,14 @@ def cell_views(tree: CadTree):
 
 def wrong_labellings(cad, labels):
     """A label on a cell that is not a leaf (the first leaf's parent, or in
-    R^0 a word below the one leaf), one and four leaf labels missing, and a
-    label of 2."""
+    R^0 a word below the one leaf), one and four leaf labels missing, and
+    labels of 2, ``True`` and ``1.0``."""
     leaves = list(labels)
     return [
         {**labels, leaves[0][:-1] if cad.n else (1,): 0},
         {leaf: labels[leaf] for leaf in leaves[1:]},
         {leaf: labels[leaf] for leaf in leaves[4:]},
-        {**labels, leaves[-1]: 2},
+        *({**labels, leaves[-1]: bit} for bit in (2, True, 1.0)),
     ]
 
 
@@ -164,7 +164,7 @@ def test_labelled_tree_grows_the_tree_of_the_recursive_builder(monkeypatch):
                 oracles.grown_tree(cad, wrong)
             assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
             errors += 1
-    assert errors == 4 * len(inputs) and len(inputs) > 40
+    assert errors == 6 * len(inputs) and len(inputs) > 40
 
 
 def test_applicable_pivots_gallery():
