@@ -123,11 +123,9 @@ class Cad:
         self._validation: ValidationReport | None = None
         self._tree: tuple[LeafLabeling, object] | None = None
         # Lift verdicts (see ``reduction._lift_allowed``): one per slot
-        # of a glued stack, keyed by the merge level and the keys of the
-        # root cells of the slot's three section cells (their hash, bound
-        # here to one set of root cells: ``tree.Cell.roots_key``).
+        # of a glued stack, keyed by the merge level and the slot's three
+        # section cells, compared by identity.
         self._lift_cache: dict[tuple, bool] = {}
-        self._root_sets: dict[int, object] = {}
         # The normal form of each stack function a lift check has read.
         self._normal_forms: dict[Expr, Expr] = {}
 
@@ -460,10 +458,12 @@ def _check_at_probes(cad: Cad, report: ValidationReport, decided: set[tuple[Cell
         for cell in cad.cells_of_level(k):
             try:
                 points = cad.cell_points(cell)
-            except (UnknownOrder, GuardUndecidable) as exc:
+            except GuardUndecidable as exc:
                 report.leave_open(f"cannot derive probes in {word_of(cell)}: {exc}")
                 continue
-            except (DivisionByZero, SqrtOfNegative) as exc:
+            except (DivisionByZero, SqrtOfNegative, UnknownOrder) as exc:
+                # ``UnknownOrder`` follows an exact proof that the bounding
+                # sections are not ordered.
                 report.violations.append(f"cannot derive probes in {word_of(cell)}: {exc}")
                 continue
             columns = []

@@ -678,7 +678,13 @@ Point = tuple[CoordValue, ...]
 
 
 def as_coord(v) -> CoordValue:
-    if isinstance(v, (Fraction, AlgebraicNumber)):
+    """A coordinate of a caller's point, checked at the boundary: an
+    ``AlgebraicNumber`` must have an isolating interval with lo < hi."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, AlgebraicNumber):
+        if v.lo >= v.hi:
+            raise ValueError(f"an algebraic coordinate needs lo < hi: {v!r}")
         return v
     if isinstance(v, int):
         return Fraction(v)

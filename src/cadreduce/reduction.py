@@ -48,15 +48,16 @@ complete.  It is incomplete where:
 - a flank piece over another base root cell never meets m.
 
 A lift's verdict is the conjunction of its slots' verdicts.  The root
-keeps each slot's verdict (``Cad._lift_cache``) under what it reads: the
-merge level and the root cells of the slot's three section cells.  Each
-set of root cells enters the key as its hash, which a glued cell has from
-its inputs; the root binds each hash to the first set that has it
-(``Cad._root_sets``, ``tree.Cell.roots_key``), and keys any other set of
-that hash by its listed root cells.  So a key costs O(1) to make, hash and
-keep however many root cells the glued sections hold, and the memo keeps
-four numbers per slot and the first cell's root cells per set: a union of
-its inputs', not a list, for a glued cell.
+keeps each slot's verdict (``Cad._lift_cache``) under the merge level and
+the slot's three section cells.  A cell defines no equality, so the key
+compares the cells by identity; the memo holds its keys, so no cell in one
+is freed and no id is reused.  A verdict reads only the root, the level and
+the three cells' root cells, and a cell is immutable, so a hit is sound.  A
+key costs O(1) to make and hash however many root cells the sections hold.
+Lifts that glue one slot through shared cells share its verdict: the merges
+of one ``poset.explore`` share a ``tree.CellTable``, which makes one cell of
+each structure, and the lifts of one ``minimize`` share the cells that its
+merges leave in place.
 
 Merges at leaf level (k = n) just drop a section from one stack and are
 always valid.
@@ -109,19 +110,16 @@ def _lift_allowed(root: Cad, k: int, cells: tuple[Cell, Cell, Cell]) -> bool:
     glues glue to continuous sections: their subtrees are walked in
     parallel, as ``tree.glue`` zips them, and each slot of each stack is
     checked on its three section cells.  A slot's verdict reads only the
-    root, k and the root cells of its three section cells, so the root
-    keeps it under k and their ``Cell.roots_key``s, for every lift that
-    glues the same slot."""
-    verdicts, kept = root._lift_cache, root._root_sets
+    root, k and the root cells of its three section cells, which are
+    immutable, so the root keeps it under k and the three cells, compared
+    by identity, for every lift that glues the same cells."""
+    verdicts = root._lift_cache
     frontier = [cells]
     while frontier:
         left, mid, right = frontier.pop()
         for i in range(1, len(mid.children), 2):  # the section children
-            sections = a, b, c = left.children[i], mid.children[i], right.children[i]
-            if a.keyed_in is kept and b.keyed_in is kept and c.keyed_in is kept:  # keys are their hashes
-                key = (k, a.roots_hash, b.roots_hash, c.roots_hash)
-            else:
-                key = (k, a.roots_key(kept), b.roots_key(kept), c.roots_key(kept))
+            sections = left.children[i], mid.children[i], right.children[i]
+            key = (k, *sections)
             verdict = verdicts.get(key)
             if verdict is None:
                 verdict = verdicts[key] = _glues_continuously(root, k, sections)
@@ -147,7 +145,9 @@ def _form(root: Cad, section: Cell, like: Expr | None = None):
     form = section.form
     if form is UNMADE:
         # A root stack function recurs over many root cells; the root puts
-        # it in normal form once.
+        # it in normal form once, and its dict hits by identity, where
+        # ``canonicalize``'s cache compares with the first equal function
+        # of the process, often another root's, field by field.
         made, forms = root._normal_forms, set()
         for _, f in _pieces(root, section):
             g = made.get(f)
@@ -200,7 +200,7 @@ def minimize(cad: Cad | CadTree, labels: LeafLabeling) -> CadTree:
 
     The scan reads the top cell's kept pivots one at a time, so it makes no
     word past the pivot that lifts.  A merge then costs as many Python steps
-    at every size of the CAD: the lift check keys each slot in O(1), and
+    at every size of the CAD: the lift check keys each slot by its cells, and
     the merge makes the glued cells and the path copies (``tree``).  What
     grows with the CAD is the root's tree, made once per root and labelling
     (``explore`` starts from it too), and the C-level slices of each copy's

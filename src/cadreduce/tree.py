@@ -11,7 +11,6 @@ cell of depth k < n with branching count u has exactly 2u+1 children; all
 leaves sit at depth n.  Every cell holds the root cells whose union it is,
 every leaf its label bit, and every cell, made once with the cell:
 
-- the hash of its root cells, the sum of their index words' hashes;
 - its recursive label (the leaf bit, or the tuple of its children's labels);
 - the applicable pivots of its subtree, in pivot order: deepest first, then
   lexicographic.  Those below its children are index words relative to it,
@@ -27,23 +26,22 @@ glued cell has it from its three inputs when they have theirs.
 Index words, stack counts and leaf labels are read off the cells on demand,
 with the names a root ``Cad`` reads them by.  The geometry is the root's:
 the probes, the validation report, and the lift verdicts, one per slot of a
-glued stack under the root cells of its three section cells
-(``reduction``).
+glued stack under its three section cells (``reduction``).
 
 A merge at an even *pivot* glues the pivot and its two flanking siblings
 into one cell; it applies exactly when the three recursive labels coincide.
 The glued cell is new, and so are the cells on the path from the top to the
 pivot's parent; every other cell is the same object in both trees.  A merge
-costs the glued cells and the path.  A glued cell sums its inputs' hashes
-and, made with no table, keeps their root cells as a ``RootUnion`` until
-they are read, so a merge need not walk the root cells it glues (a table
-lists them, as its keys are small).  A copy on the path splices its
-label and pivots from the cell it replaces.  Its own pivots after the merged
-children keep their count from the last child, so only those before them
-are counted again; the pivots below its children are filtered and those
-under later children renumbered (a copy whose children are leaves has
-none).  What grows with a copied cell of u children is done in C: slicing
-its children, its label and its own pivots.
+costs the glued cells and the path.  A glued cell made with no table
+keeps its inputs' root cells as a ``RootUnion`` until they are read, so a
+merge need not walk the root cells it glues (a table lists them, as its
+keys are small).  A copy on the path splices its label and pivots from the
+cell it replaces.  Its own pivots after the merged children keep their
+count from the last child, so only those before them are counted again;
+the pivots below its children are filtered and those under later children
+renumbered (a copy whose children are leaves has none).  What grows with a
+copied cell of u children is done in C: slicing its children, its label and
+its own pivots.
 
 A merge given a ``CellTable`` hash-conses the cells it makes (Filliatre and
 Conchon 2006): it looks up each glued cell and each path copy by its
@@ -76,19 +74,14 @@ UNMADE = object()
 
 
 class Cell:
-    """One cell of a coarsening: its root cells and their hash, its 2u+1
-    children (none at leaf level), its recursive label, the applicable
-    pivots below it, and its form (see the module docstring).  A cell
-    defines no equality: two cells are equal when they are one object,
-    which is when they have one structure and were made through one
-    ``CellTable``.
+    """One cell of a coarsening: its root cells, its 2u+1 children (none
+    at leaf level), its recursive label, the applicable pivots below it,
+    and its form (see the module docstring).  A cell defines no equality:
+    two cells are equal when they are one object, which is when they have
+    one structure and were made through one ``CellTable``.
 
     ``roots`` reads the root cells as a sorted tuple; a glued cell made
     with no table keeps them as a ``RootUnion`` until that first read.
-    ``roots_hash`` is made from the root cells' words, or given (a glued
-    cell's is the sum of its inputs').  ``keyed_in`` is the root's table of
-    root-cell sets that has bound it to the cell's root cells, if one has
-    (``roots_key``).
 
     The pivots are kept in two parts: ``below``, the pivots under the
     children as index words relative to the cell, in pivot order; and
@@ -98,10 +91,10 @@ class Cell:
 
     A copy on the merge path is made with ``replacing=(cell, lo, hi)``: it
     is ``cell`` with its children lo..hi replaced by its child lo.  It has
-    ``cell``'s root cells, their hash and its form, and its label and
-    pivots are spliced from ``cell``'s (``_spliced_pivots``)."""
+    ``cell``'s root cells and its form, and its label and pivots are
+    spliced from ``cell``'s (``_spliced_pivots``)."""
 
-    __slots__ = ("_roots", "roots_hash", "keyed_in", "children", "label", "below", "own", "form")
+    __slots__ = ("_roots", "children", "label", "below", "own", "form")
 
     def __init__(
         self,
@@ -109,11 +102,8 @@ class Cell:
         children: tuple[Cell, ...] = (),
         bit: int | None = None,
         replacing: tuple[Cell, int, int] | None = None,
-        roots_hash: int | None = None,
     ):
         self._roots = roots
-        self.roots_hash = sum(map(hash, roots)) if roots_hash is None else roots_hash
-        self.keyed_in = None
         self.children = children
         self.form = UNMADE
         if not children:
@@ -132,7 +122,7 @@ class Cell:
             old, lo, hi = replacing
             self.label = old.label[: lo - 1] + (children[lo - 1].label,) + old.label[hi:]
             self.below, self.own = _spliced_pivots(old, children, lo, hi)
-            self.form, self.keyed_in = old.form, old.keyed_in
+            self.form = old.form
 
     @property
     def roots(self) -> tuple[CellIndex, ...]:
@@ -140,7 +130,7 @@ class Cell:
         read."""
         roots = self._roots
         if type(roots) is not tuple:
-            roots = self._roots = roots.listed()
+            roots = self._roots = _listed(roots)
         return roots
 
     @property
@@ -158,42 +148,13 @@ class Cell:
         for d in self.own:
             yield (u - d,)
 
-    def roots_key(self, kept: dict[int, tuple | RootUnion]) -> int | tuple[CellIndex, ...]:
-        """This cell's root cells as a key that costs O(1) to hash: their
-        hash, once ``kept`` (a table of root-cell sets by hash, one per
-        root) holds them under it (``keyed_in``).  The first cell with a
-        hash puts its root cells there.  A later one with the same root
-        cells is compared with them once and then shares them, so a cell
-        glued from it compares part by part.  One with other root cells of
-        that hash is keyed by its listed root cells."""
-        if self.keyed_in is not kept:
-            held = kept.setdefault(self.roots_hash, self._roots)
-            if held is not self._roots:
-                if not _same_roots(held, self._roots):
-                    return self.roots
-                self._roots = held
-            self.keyed_in = kept
-        return self.roots_hash
-
 
 class RootUnion(tuple):
     """The root cells of a glued cell before they are read: the tuple of
     its three inputs' (each a tuple of root cells or a ``RootUnion``).
-    Making one costs O(1); listing it costs its root cells."""
+    Making one costs O(1); listing it (``_listed``) costs its root cells."""
 
     __slots__ = ()
-
-    def listed(self) -> tuple[CellIndex, ...]:
-        """The root cells as a sorted tuple."""
-        return _listed(self)
-
-
-def _same_roots(a: tuple | RootUnion, b: tuple | RootUnion) -> bool:
-    """Whether two cells' root cells are the same: part by part when both
-    are unions whose parts are one object or equal tuples, else listed."""
-    if type(a) is type(b) is RootUnion and all(p is q or type(p) is type(q) is tuple and p == q for p, q in zip(a, b)):
-        return True
-    return (a if type(a) is tuple else _listed(a)) == (b if type(b) is tuple else _listed(b))
 
 
 def _listed(parts: tuple) -> tuple[CellIndex, ...]:
@@ -341,10 +302,10 @@ def labelled_tree(cad: Cad, labels: LeafLabeling) -> CadTree:
     for _ in range(cad.n):
         levels.append([p + (j,) for p in levels[-1] for j in range(1, 2 * len(stacks[p].functions) + 2)])
     leaves = levels.pop()  # in index order, as ``Cad.leaves`` lists them
-    cells = [Cell((leaf,), (), labels.get(leaf), None, hash(leaf)) for leaf in leaves]
+    cells = [Cell((leaf,), (), labels.get(leaf)) for leaf in leaves]
     for words in reversed(levels):
         below = iter(cells)
-        cells = [Cell((w,), tuple(islice(below, 2 * len(stacks[w].functions) + 1)), None, None, hash(w)) for w in words]
+        cells = [Cell((w,), tuple(islice(below, 2 * len(stacks[w].functions) + 1))) for w in words]
     if not all(map(labels.__contains__, leaves)):
         missing = [leaf for leaf in leaves if leaf not in labels]
         raise LabelMissing(f"missing labels for {missing[:3]}{'...' if len(missing) > 3 else ''}")
@@ -458,10 +419,10 @@ class CellTable:
 
 
 def glue(left: Cell, mid: Cell, right: Cell, table: CellTable | None) -> Cell:
-    """One cell from three of one shape: the union of their root cells and
-    the sum of their hashes, their children glued position by position, and
-    their form when all three are known.  With a table, the cell is looked
-    up by the triple, then by its structure, before it is made."""
+    """One cell from three of one shape: the union of their root cells,
+    their children glued position by position, and their form when all
+    three are known.  With a table, the cell is looked up by the triple,
+    then by its structure, before it is made."""
     if table is not None:
         cell = table.glued.get((left, mid, right))
         if cell is not None:
@@ -475,8 +436,7 @@ def glue(left: Cell, mid: Cell, right: Cell, table: CellTable | None) -> Cell:
         key, children = roots, ()
     cell = None if table is None else table.cells.get(key)
     if cell is None:
-        roots_hash = left.roots_hash + mid.roots_hash + right.roots_hash
-        cell = Cell(roots, children, bit=None if children else left.label, roots_hash=roots_hash)
+        cell = Cell(roots, children, bit=None if children else left.label)
         cell.form = _glued_form(left.form, mid.form, right.form)
         if table is not None:
             table.cells[key] = cell
@@ -533,7 +493,7 @@ def _merged(cell: Cell, pivot: CellIndex, table: CellTable | None) -> Cell:
     children = kids[: lo - 1] + (new,) + kids[hi:]
     copy = None if table is None else table.cells.get(children)
     if copy is None:
-        copy = Cell(cell._roots, children, replacing=(cell, lo, hi), roots_hash=cell.roots_hash)
+        copy = Cell(cell._roots, children, replacing=(cell, lo, hi))
         if table is not None:
             table.cells[children] = copy
     return copy

@@ -453,8 +453,8 @@ def grown_tree(cad: Cad, labels: LeafLabeling) -> CadTree:
     def grow(index: CellIndex) -> Cell:
         if len(index) == n:
             leaves.append(index)
-            return Cell((index,), bit=labels.get(index), roots_hash=hash(index))
-        return Cell((index,), tuple(map(grow, cad.children(index))), roots_hash=hash(index))
+            return Cell((index,), bit=labels.get(index))
+        return Cell((index,), tuple(map(grow, cad.children(index))))
 
     top = grow(())
     if not all(map(labels.__contains__, leaves)):

@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -821,3 +822,21 @@ def test_as_coord_keeps_fractions_and_converts_ints():
     for bad in (0.5, "1", None):
         with pytest.raises(TypeError):
             as_coord(bad)
+
+
+def test_an_algebraic_coordinate_without_an_open_interval_is_refused():
+    # A point's coordinates are checked where they enter: an algebraic
+    # number whose interval has lo >= hi isolates nothing, and read as a
+    # coordinate it once made ``formula_holds`` refine forever.  An alarm
+    # turns such a hang into a failure.
+    formula = parse_formula("(gt (sub x1 1) 0)")
+    bad = [AlgebraicNumber((-1, 0, 1), F(1), F(1)), AlgebraicNumber((-2, 0, 1), F(3, 2), F(1))]
+    signal.signal(signal.SIGALRM, lambda *_: pytest.fail("a malformed coordinate hangs"))
+    signal.alarm(10)
+    try:
+        for number in bad:
+            for read in (as_coord, lambda v: formula_holds(formula, (v,)), lambda v: eval_coord(parse_expr("x1"), (v,))):
+                with pytest.raises(ValueError, match="lo < hi"):
+                    read(number)
+    finally:
+        signal.alarm(0)

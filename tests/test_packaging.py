@@ -106,17 +106,31 @@ def test_no_module_keeps_a_second_kind_of_coordinate():
     assert defined == set()
 
 
-def test_no_module_asks_whether_an_algebraic_number_is_rational():
-    # A rational value is a Fraction and an AlgebraicNumber is irrational,
-    # so no module defines or reads a second encoding of the rationals.
-    names = {"is_rational", "rational_value", "from_rational"}
+def uses_of(names: set[str]) -> list[str]:
+    """Where a module of the package defines, reads or spells one of
+    ``names``: as a definition, an attribute, a variable, a parameter, a
+    keyword or a string constant (a slot, a ``getattr``)."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             name = getattr(node, "name", None) or getattr(node, "attr", None) or getattr(node, "id", None)
-            if name in names:
-                found.append(f"{path.name}:{node.lineno}: {name}")
-    assert found == []
+            name = name or getattr(node, "arg", None) or getattr(node, "value", None)
+            if type(name) is str and name in names:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
+    return found
+
+
+def test_no_module_asks_whether_an_algebraic_number_is_rational():
+    # A rational value is a Fraction and an AlgebraicNumber is irrational,
+    # so no module defines or reads a second encoding of the rationals.
+    assert uses_of({"is_rational", "rational_value", "from_rational"}) == []
+
+
+def test_a_cell_has_one_identity():
+    # The lift memo keys a slot by its three section cells, compared by
+    # identity, so no module keys a cell by a hash of its root cells.
+    names = {"roots_hash", "roots_key", "keyed_in", "_root_sets", "_same_roots"}
+    assert uses_of(names) == []
 
 
 def load_perfbench(name: str, monkeypatch):

@@ -278,7 +278,7 @@ REFUSED = {
     "a sector between disordered sections": (
         a_sector_between_disordered_sections,
         "violation: sections 1,2 above 1 are not strictly ordered on the cell",
-        "undecided: cannot derive probes in 1.3: cannot separate section values 1 and 0",
+        "violation: cannot derive probes in 1.3: cannot separate section values 1 and 0",
     ),
     "sections crossing between the probes": (
         sections_crossing_between_the_probes,
@@ -786,12 +786,12 @@ def held_objects(cell: Cell) -> set:
 
 def test_memo_keys_and_pivot_splices_cost_the_same_per_merge_at_every_m(monkeypatch):
     # A cost guard that reads no clock.  Over ``minimize`` on disk-lines(m),
-    # two counts per merge are as many at every m, although the glued left
-    # flank and the top cell's own pivots grow with m: the root cells hashed
-    # (a lift memo keyed by the root cells themselves hashes the left
-    # flank's), and the objects the new top cell holds, one level into its
-    # tuples, that the top cell it replaces did not (pivots renumbered one
-    # by one would all be new).  Every top cell is kept, so ids stay unique.
+    # two counts per merge stay fixed, although the glued left flank and the
+    # top cell's own pivots grow with m: the root cells hashed, which are
+    # none (a lift memo keyed by the root cells hashes the left flank's), and
+    # the objects the new top cell holds, one level into its tuples, that
+    # the top cell it replaces did not (pivots renumbered one by one would
+    # all be new).  Every top cell is kept, so ids stay unique.
     workloads = load_perfbench("workloads", monkeypatch)
     hashed = []
 
@@ -829,10 +829,33 @@ def test_memo_keys_and_pivot_splices_cost_the_same_per_merge_at_every_m(monkeypa
         assert len(minimize(inp.cad, inp.labels).applied) == len(tops) == m
         hashes[m] = len(hashed) / m
         fresh[m] = sum(len(held_objects(new) - held_objects(old)) for old, new in tops) / m
-    assert hashes[192] <= hashes[96] <= hashes[48], hashes
+    assert hashes == {48: 0, 96: 0, 192: 0}, hashes
     # An own pivot is a count kept from the last child; a count made anew is
     # a new object only above 256, so a few more are new at larger m.
     assert max(fresh.values()) < 10 and fresh[192] - fresh[48] < 1, fresh
+
+
+def test_a_slot_verdict_is_kept_under_its_three_section_cells(monkeypatch):
+    # A cost guard that reads no clock.  The lift memo keys a slot by its
+    # level and its three section cells, compared by identity.  ``explore``
+    # on disk-lines(m), m = 5 to 8, checks 70, 112, 168 and 240 slots, as
+    # many as a memo keyed by the slots' root cells checks, and the memo
+    # holds one entry per check.  A pass of the perfbench gallery checks 27
+    # slots in ``minimize`` and 27 in ``explore``.
+    workloads = load_perfbench("workloads", monkeypatch)
+    checked = []
+    original = reduction._glues_continuously
+    monkeypatch.setattr(reduction, "_glues_continuously", lambda *args: checked.append(1) or original(*args))
+    for m, want in zip((5, 6, 7, 8), (70, 112, 168, 240)):
+        disk = workloads.disk_lines(m, 0)
+        del checked[:]
+        explore(disk.cad, disk.labels)
+        assert len(checked) == len(disk.cad._lift_cache) == want, m
+    counts = []
+    result = workloads.run_pass(workloads.build("gallery", 0), lambda: counts.append(len(checked)))
+    assert result.failed == 0, result.failures
+    # The calls between the phases: check, minimize, poset.
+    assert [b - a for a, b in zip(counts, counts[1:])] == [0, 27, 27]
 
 
 def test_explore_builds_nothing_for_an_edge_into_a_seen_node(monkeypatch):

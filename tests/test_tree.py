@@ -8,7 +8,6 @@ from cadreduce.gallery import disk_c, disk_cp, disk_cpp, trousers_c, trousers_cp
 from cadreduce.tree import (
     CadTree,
     Cell,
-    RootUnion,
     applicable_pivots,
     apply_merge,
     build_tree,
@@ -122,8 +121,8 @@ def test_build_tree_missing_label():
 
 
 def cell_views(tree: CadTree):
-    """Every cell's index word, root cells, their hash, label and pivots."""
-    return sorted((index, cell.roots, cell.roots_hash, cell.label, cell.pivots) for index, cell in oracles.indexed_cells(tree))
+    """Every cell's index word, root cells, label and pivots."""
+    return sorted((index, cell.roots, cell.label, cell.pivots) for index, cell in oracles.indexed_cells(tree))
 
 
 def wrong_labellings(cad, labels):
@@ -199,22 +198,6 @@ def test_apply_merge_requires_applicable_pivot():
 def test_path_tree_has_no_pivots():
     t = CadTree(None, Cell(((),), (Cell(((1,),), (Cell(((1, 1),), bit=1),)),)))
     assert applicable_pivots(t) == set()
-
-
-def test_a_roots_key_is_bound_to_one_set_of_root_cells():
-    # The lift memo keys a set of root cells by its hash, which a table
-    # binds to the first set that has it: a later cell with those root
-    # cells gets the hash, one with other root cells of the same hash gets
-    # its listed root cells, so no two sets share a key.
-    kept = {}
-    first = Cell(((1, 2), (3, 2), (5, 2)), roots_hash=7)
-    same = Cell(RootUnion((((3, 2),), ((5, 2),), ((1, 2),))), roots_hash=7)
-    other = Cell(((2, 2),), roots_hash=7)
-    assert first.roots_key(kept) == same.roots_key(kept) == 7
-    assert same.roots == first.roots == ((1, 2), (3, 2), (5, 2))
-    assert other.roots_key(kept) == ((2, 2),)
-    assert same.keyed_in is kept and other.keyed_in is None
-    assert Cell(((1, 2), (3, 2))).roots_hash == hash((1, 2)) + hash((3, 2))
 
 
 def random_tree(rng: random.Random, depth: int) -> CadTree:
